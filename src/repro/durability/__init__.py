@@ -35,7 +35,6 @@ from repro.durability.serve import (
     resume_state_from,
     serve_workload_durable,
 )
-from repro.durability.crash import run_crash_resume
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -50,3 +49,15 @@ __all__ = [
     "run_crash_resume",
     "serve_workload_durable",
 ]
+
+
+def __getattr__(name: str):
+    # ``run_crash_resume`` is exported lazily: its module is also the
+    # crash worker's entry point (``python -m repro.durability.crash``),
+    # and importing it here would put it in ``sys.modules`` before runpy
+    # executes it as ``__main__`` (a RuntimeWarning on the worker's stderr).
+    if name == "run_crash_resume":
+        from repro.durability.crash import run_crash_resume
+
+        return run_crash_resume
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

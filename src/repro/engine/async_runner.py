@@ -343,13 +343,7 @@ class AsyncPlanExecutor:
         elif isinstance(node, SelectionNode):
             upstream = outputs[parents[0]]
             acc.tin = len(upstream)
-            result = [
-                comp
-                for comp in upstream
-                if sync._satisfies_evaluable(
-                    comp, node.selections, node.join_filters
-                )
-            ]
+            result = sync._filter(upstream, node.selections, node.join_filters)
         elif isinstance(node, ParallelJoinNode):
             left = outputs[parents[0]]
             right = outputs[parents[1]]
@@ -359,6 +353,7 @@ class AsyncPlanExecutor:
             # delta cannot interleave with another node's.
             result, pairs = sync._run_parallel_join(node, left, right)
             acc.pairs_probed = sync._pairs_probed - probes_before
+            acc.dispatch = sync._dispatch[node_id]
         elif isinstance(node, OutputNode):
             upstream = outputs[parents[0]]
             acc.tin = len(upstream)
@@ -400,7 +395,7 @@ class AsyncPlanExecutor:
         """Fan the node's invocations out concurrently; compose in order."""
         sync = self._sync
         factor = max(1, int(sync.fetches.get(node.alias, 1)))
-        selections = list(sync.query.selections_on(node.alias))
+        check = sync._selection_check(node.alias)
         specs = [sync._service_call_spec(node, comp) for comp in upstream]
         fetches: list[asyncio.Task | None] = []
         for spec in specs:
@@ -430,7 +425,7 @@ class AsyncPlanExecutor:
                 continue
             tuples, failed = task.result()
             sync._compose_service_results(
-                node, composite, tuples, failed, selections, out
+                node, composite, tuples, failed, check, out
             )
         return out
 

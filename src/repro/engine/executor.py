@@ -48,6 +48,7 @@ import random
 import sys
 from bisect import bisect_left
 from collections import OrderedDict
+from itertools import product
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
@@ -71,7 +72,7 @@ from repro.plans.plan import QueryPlan
 from repro.query.ast import Comparator, JoinPredicate, SelectionPredicate
 from repro.query.compile import CompiledQuery
 from repro.query.feasibility import ProviderKind
-from repro.query.predicates import satisfies, tuple_satisfies_selections
+from repro.query.predicates import PredicateCheck, satisfies
 from repro.stats.estimate import Estimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -258,6 +259,9 @@ class NodeRunStats:
     first_call_latency: float = 0.0
     #: Candidate pairs this node's join kernel examined (0 for non-joins).
     pairs_probed: int = 0
+    #: Join nodes: the kernel that ran (``hash`` / ``hash_multikey`` /
+    #: ``leapfrog``) or why the nested loop did (``non_eq``, ...).
+    dispatch: str = ""
 
 
 @dataclass
@@ -406,6 +410,7 @@ class PlanExecutor:
         )
         self.cache_stats = InvocationCacheStats()
         self._pairs_probed = 0
+        self._dispatch: dict[str, str] = {}
         self._estimator = Estimator(query)
         if join_kernel not in KNOWN_JOIN_KERNELS:
             raise ExecutionError(
@@ -485,6 +490,7 @@ class PlanExecutor:
                     busy_time=self.pool.log.total_latency() - before_busy,
                     first_call_latency=first_latency,
                     pairs_probed=self._pairs_probed - before_probes,
+                    dispatch=self._dispatch.get(node_id, ""),
                 )
                 if span is not None:
                     span.set("tin", tin)
@@ -528,13 +534,7 @@ class PlanExecutor:
             return result, len(upstream), 0
         if isinstance(node, SelectionNode):
             upstream = outputs[parents[0]]
-            result = [
-                comp
-                for comp in upstream
-                if self._satisfies_evaluable(
-                    comp, node.selections, node.join_filters
-                )
-            ]
+            result = self._filter(upstream, node.selections, node.join_filters)
             return result, len(upstream), 0
         if isinstance(node, ParallelJoinNode):
             left = outputs[parents[0]]
@@ -622,36 +622,39 @@ class PlanExecutor:
         composite: CompositeTuple,
         tuples: Sequence[Any],
         failed: bool,
-        selections: Sequence[SelectionPredicate],
+        check: PredicateCheck | None,
         out: list[CompositeTuple],
     ) -> None:
         """Filter one invocation's tuples and compose survivors into ``out``.
 
-        Pure CPU work shared by both execution backends; appending in
-        upstream order keeps the output list byte-identical however the
-        fetches themselves were interleaved.
+        ``check`` is the lowered check of the alias's selections (see
+        :meth:`_selection_check`).  Pure CPU work shared by both execution
+        backends; appending in upstream order keeps the output list
+        byte-identical however the fetches themselves were interleaved.
         """
         if failed and not tuples:
             # Best-effort degradation: the branch is down, so the
             # upstream combination flows on without this component.
             out.append(composite)
             return
-        alias = node.alias
+        alias, inputs = node.alias, self.inputs
+        score = self.query.ranking.score_composite
         for tup in tuples:
-            if selections and not tuple_satisfies_selections(
-                tup, alias, selections, self.inputs
-            ):
+            if check is not None and not check({alias: tup}, inputs):
                 continue
-            components = dict(composite.components)
-            components[alias] = tup
-            score = self.query.ranking.score_composite(components)
-            out.append(CompositeTuple(components, score))
+            components = {**composite.components, alias: tup}
+            out.append(CompositeTuple(components, score(components)))
+
+    def _selection_check(self, alias: str) -> PredicateCheck | None:
+        """Lowered check of the selections over ``alias`` (``None``: none)."""
+        selections = self.query.selections_on(alias)
+        return self.query.predicate_check(selections) if selections else None
 
     def _run_service(self, node: ServiceNode, upstream: list[CompositeTuple]):
         """Step generator over one service node's invocations."""
         assert node.interface is not None
         factor = max(1, int(self.fetches.get(node.alias, 1)))
-        selections = list(self.query.selections_on(node.alias))
+        check = self._selection_check(node.alias)
         out: list[CompositeTuple] = []
 
         for composite in upstream:
@@ -664,7 +667,7 @@ class PlanExecutor:
                 node, bindings, constraints, factor
             )
             self._compose_service_results(
-                node, composite, tuples, failed, selections, out
+                node, composite, tuples, failed, check, out
             )
         return out
 
@@ -769,68 +772,115 @@ class PlanExecutor:
         left: list[CompositeTuple],
         right: list[CompositeTuple],
     ) -> tuple[list[CompositeTuple], int]:
-        triangular = node.method.completion is CompletionStrategy.TRIANGULAR
-        n_left = max(1, len(left))
-        n_right = max(1, len(right))
-        keys = self._equi_join_keys(node, left, right)
-        if keys is not None:
-            if self.join_kernel == "wcoj":
-                frogged = self._leapfrog_parallel_join(
-                    node, left, right, triangular, n_left, n_right, *keys
-                )
-                if frogged is not None:
-                    return frogged
-            hashed = self._hash_parallel_join(
-                node, left, right, triangular, n_left, n_right, *keys
-            )
-            if hashed is not None:
-                return hashed
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "join.probe",
-                kernel="nested_loop",
-                left=len(left),
-                right=len(right),
-            ) as span:
-                out, pair_count = self._nested_parallel_join(
-                    node, left, right, triangular, n_left, n_right
-                )
-                span.set("pairs_probed", pair_count)
-                span.set("produced", len(out))
-            return out, pair_count
-        return self._nested_parallel_join(
-            node, left, right, triangular, n_left, n_right
-        )
+        """Pick a probe-list builder, then emit through :meth:`_emit_pairs`.
 
-    def _nested_parallel_join(
+        ``dispatch`` (on the ``join.probe`` span and the node's run stats)
+        names the kernel that ran — ``hash``, ``hash_multikey``,
+        ``leapfrog`` — or why the join fell back to the nested loop.
+        """
+        sides = self._uniform_aliases(left), self._uniform_aliases(right)
+        # Aliases both branches carry (tuples stemming from one upstream
+        # row must agree); unknown per plan when a branch is degraded.
+        shared = None if None in sides else tuple(sorted(sides[0] & sides[1]))
+        keys = self._equi_join_keys(node, left, right, shared)
+        kernel, dispatch, candidates, extras = "nested_loop", keys, None, {}
+        if not isinstance(keys, str):
+            left_keys, right_keys, multikey = keys
+            try:
+                if self.join_kernel == "wcoj":
+                    candidates, extras = self._leapfrog_candidates(
+                        left, right, left_keys, right_keys
+                    )
+                    kernel = dispatch = "leapfrog"
+                else:
+                    candidates = self._hash_candidates(
+                        left, right, left_keys, right_keys
+                    )
+                    kernel, dispatch = (
+                        ("hash_multikey", "hash_multikey")
+                        if multikey
+                        else ("hash_indexed", "hash")
+                    )
+                shared = ()  # equal keys subsume shared-alias agreement
+            except (TypeError, KeyError):
+                dispatch = "unhashable_key"
+        self._dispatch[node.node_id] = dispatch
+        probes_before = self._pairs_probed
+        with self.tracer.span(
+            "join.probe",
+            kernel=kernel,
+            dispatch=dispatch,
+            left=len(left),
+            right=len(right),
+        ) as span:
+            out, pair_count = self._emit_pairs(node, left, right, candidates, shared)
+            span.set("pairs_probed", self._pairs_probed - probes_before)
+            for name, value in extras.items():
+                span.set(name, value)
+            span.set("produced", len(out))
+        return out, pair_count
+
+    @staticmethod
+    def _uniform_aliases(rows: list[CompositeTuple]) -> frozenset[str] | None:
+        """The alias set every row carries; ``None`` when rows differ (a
+        degraded branch let combinations through without a component)
+        or there are none."""
+        if not rows:
+            return None
+        first = rows[0].components.keys()
+        if all(row.components.keys() == first for row in rows):
+            return frozenset(first)
+        return None
+
+    def _emit_pairs(
         self,
         node: ParallelJoinNode,
         left: list[CompositeTuple],
         right: list[CompositeTuple],
-        triangular: bool,
-        n_left: int,
-        n_right: int,
+        candidates: list[Sequence[int]] | None,
+        shared: tuple[str, ...] | None,
     ) -> tuple[list[CompositeTuple], int]:
+        """The pair-emission loop every join kernel shares.
+
+        ``candidates[i]`` lists, ascending, the right rows worth probing
+        for left row ``i``; ``None`` probes them all (the nested loop).
+        Walking rows in order and candidates in ``j`` order under the
+        triangular cutoff emits matches in the nested loop's (i, j)
+        order, so the final stable sort gives every kernel the same
+        output; ``pair_count`` keeps the nested loop's logical meaning
+        (tile area inside the completion region) however few pairs a
+        kernel probed.  The predicate check is authoritative on every
+        probed pair — kernels only narrow the candidates.
+        """
+        triangular = node.method.completion is CompletionStrategy.TRIANGULAR
+        n_left, n_right, limit = max(1, len(left)), max(1, len(right)), len(right)
+        check = self._check_for((), node.predicates) if node.predicates else None
+        inputs = self.inputs
+        score = self.query.ranking.score_composite
+        every = range(limit)
         out: list[CompositeTuple] = []
-        pair_count = 0
+        pair_count = probed = 0
         for i, lc in enumerate(left):
-            for j, rc in enumerate(right):
-                if triangular and (i / n_left + j / n_right) >= 1.0:
-                    # Outside the "most promising" diagonal half.
+            cutoff = (
+                self._triangular_cutoff(i, n_left, n_right, limit)
+                if triangular
+                else limit
+            )
+            pair_count += cutoff
+            mine = lc.components
+            for j in every if candidates is None else candidates[i]:
+                if j >= cutoff:
+                    break  # outside the "most promising" diagonal half
+                probed += 1
+                theirs = right[j].components
+                agree = mine.keys() & theirs.keys() if shared is None else shared
+                if agree and any(mine[a] != theirs[a] for a in agree):
                     continue
-                pair_count += 1
-                self._pairs_probed += 1
-                shared = set(lc.components) & set(rc.components)
-                if any(lc.components[a] != rc.components[a] for a in shared):
+                components = {**mine, **theirs}
+                if check is not None and not check(components, inputs):
                     continue
-                components = dict(lc.components)
-                components.update(rc.components)
-                if node.predicates and not self._satisfies_evaluable(
-                    components, (), node.predicates
-                ):
-                    continue
-                score = self.query.ranking.score_composite(components)
-                out.append(CompositeTuple(components, score))
+                out.append(CompositeTuple(components, score(components)))
+        self._pairs_probed += probed
         out.sort(key=lambda c: -c.score)
         return out, pair_count
 
@@ -839,64 +889,86 @@ class PlanExecutor:
         node: ParallelJoinNode,
         left: list[CompositeTuple],
         right: list[CompositeTuple],
-    ) -> (
-        tuple[
-            Callable[[CompositeTuple], tuple],
-            Callable[[CompositeTuple], tuple],
-        ]
-        | None
-    ):
-        """Key extractors when this join is hash-indexable, else ``None``.
+        shared: tuple[str, ...] | None,
+    ) -> tuple[Callable, Callable, bool] | str:
+        """Key extractors when this join is hash-indexable, else the reason
+        it is not (``degraded``, ``empty_side``, ``no_predicates``,
+        ``non_eq``, ``same_side``).
 
-        Eligibility: every predicate is a non-nested EQ with one side per
-        branch, both branches expose uniform component sets, and no branch
-        is degraded (a missing component would make keys non-uniform).
-        The key bundles the shared-alias components (shared-alias
-        agreement is equality, so equal keys subsume the agreement check)
-        with the EQ attribute values from the composite's own side.  EQ
+        Eligibility: every predicate is an EQ with one side per branch,
+        both branches expose uniform component sets, and no branch is
+        degraded (a missing component would make keys non-uniform).  An
+        extractor maps a row's components to its **key vectors**: the
+        shared-alias components (shared-alias agreement is equality, so
+        equal keys subsume the agreement check) with the EQ attribute
+        values from the row's own side — one vector when every path is
+        atomic, one per joint choice of repeating-group members
+        otherwise (the third element of the result says which).  EQ
         compares with plain ``==`` and key equality over-approximates the
         predicate set (``None == None`` collides though SQL nulls never
-        match), so the predicate stays authoritative on probed pairs.
+        match; members are chosen per side, not jointly with the other
+        predicates' witnesses), so the predicate stays authoritative on
+        probed pairs.
         """
-        if self.failed_aliases or not left or not right or not node.predicates:
-            return None
-        left_aliases = frozenset(left[0].components)
-        right_aliases = frozenset(right[0].components)
-        if any(frozenset(c.components) != left_aliases for c in left) or any(
-            frozenset(c.components) != right_aliases for c in right
-        ):
-            return None
-        shared = tuple(sorted(left_aliases & right_aliases))
+        if self.failed_aliases:
+            return "degraded"
+        if not left or not right:
+            return "empty_side"
+        if not node.predicates:
+            return "no_predicates"
+        if shared is None:
+            return "degraded"
+        left_aliases = left[0].components.keys()
+        right_aliases = right[0].components.keys()
         left_refs = []
         right_refs = []
         for pred in node.predicates:
             if pred.comparator is not Comparator.EQ:
-                return None
-            if pred.left.path.is_nested or pred.right.path.is_nested:
-                return None
+                return "non_eq"
             if pred.left.alias in left_aliases and pred.right.alias in right_aliases:
                 lref, rref = pred.left, pred.right
             elif pred.right.alias in left_aliases and pred.left.alias in right_aliases:
                 lref, rref = pred.right, pred.left
             else:
-                return None
+                return "same_side"
             left_refs.append(lref)
             right_refs.append(rref)
 
-        def make_key(refs):
-            def key(comp: CompositeTuple) -> tuple:
-                components = comp.components
-                return (
-                    tuple(components[a] for a in shared),
-                    tuple(
-                        components[ref.alias].values.get(ref.path.name)
-                        for ref in refs
-                    ),
-                )
+        def make_keys(refs):
+            groups = sorted(
+                {(ref.alias, ref.path.group) for ref in refs if ref.path.is_nested}
+            )
+            slots = {group: slot for slot, group in enumerate(groups)}
+            terms = [
+                (ref.alias, slots.get((ref.alias, ref.path.group), -1), ref.path.name)
+                for ref in refs
+            ]
 
-            return key
+            def keys(components: Mapping[str, Any]) -> list[tuple]:
+                agreed = tuple(components[a] for a in shared)
+                members = [components[a].group_members(g) for a, g in groups]
+                vectors = [
+                    (
+                        agreed,
+                        tuple(
+                            components[alias].values.get(name)
+                            if slot < 0
+                            else witnesses[slot].get(name)
+                            for alias, slot, name in terms
+                        ),
+                    )
+                    for witnesses in product(*members)
+                ]
+                # Distinct, so no right row enters one bucket twice.
+                return vectors if len(vectors) < 2 else list(dict.fromkeys(vectors))
 
-        return make_key(left_refs), make_key(right_refs)
+            return keys, bool(groups)
+
+        (left_keys, left_multi), (right_keys, right_multi) = (
+            make_keys(left_refs),
+            make_keys(right_refs),
+        )
+        return left_keys, right_keys, left_multi or right_multi
 
     @staticmethod
     def _triangular_cutoff(i: int, n_left: int, n_right: int, limit: int) -> int:
@@ -916,73 +988,35 @@ class PlanExecutor:
                 lo = mid + 1
         return lo
 
-    def _hash_parallel_join(
+    @staticmethod
+    def _merged(buckets: list[list[int] | None]) -> Sequence[int]:
+        """Ascending distinct union of ascending ``j`` lists."""
+        hits = [bucket for bucket in buckets if bucket]
+        if len(hits) < 2:
+            return hits[0] if hits else ()
+        return sorted(set().union(*hits))
+
+    def _hash_candidates(
         self,
-        node: ParallelJoinNode,
         left: list[CompositeTuple],
         right: list[CompositeTuple],
-        triangular: bool,
-        n_left: int,
-        n_right: int,
-        left_key: Callable[[CompositeTuple], tuple],
-        right_key: Callable[[CompositeTuple], tuple],
-    ) -> tuple[list[CompositeTuple], int] | None:
-        """Hash-indexed assembly; ``None`` when a key is unhashable.
+        left_keys: Callable,
+        right_keys: Callable,
+    ) -> list[Sequence[int]]:
+        """Hash-indexed probe lists; raises ``TypeError`` on an unhashable key.
 
-        Probing rows in order against buckets kept in ``j`` order emits
-        matches in the nested loop's (i, j) order, so the final stable
-        sort reproduces its output exactly.  ``pair_count`` keeps the
-        nested loop's logical meaning (tile area inside the completion
-        region), independent of how many pairs were actually probed.
+        Every right row is indexed under each of its key vectors, in
+        ``j`` order; a left row's candidates are the rows sharing any of
+        its vectors.
         """
-        try:
-            index: dict[tuple, list[tuple[int, CompositeTuple]]] = {}
-            for j, rc in enumerate(right):
-                index.setdefault(right_key(rc), []).append((j, rc))
-            probes = [(i, index.get(left_key(lc))) for i, lc in enumerate(left)]
-        except (TypeError, KeyError):
-            return None
-        probes_before = self._pairs_probed
-        span = (
-            self.tracer.span(
-                "join.probe",
-                kernel="hash_indexed",
-                left=len(left),
-                right=len(right),
-            )
-            if self.tracer.enabled
-            else None
-        )
-        out: list[CompositeTuple] = []
-        pair_count = 0
-        for i, bucket in probes:
-            cutoff = (
-                self._triangular_cutoff(i, n_left, n_right, len(right))
-                if triangular
-                else len(right)
-            )
-            pair_count += cutoff
-            if not bucket:
-                continue
-            lc = left[i]
-            for j, rc in bucket:
-                if j >= cutoff:
-                    break
-                self._pairs_probed += 1
-                components = dict(lc.components)
-                components.update(rc.components)
-                if node.predicates and not self._satisfies_evaluable(
-                    components, (), node.predicates
-                ):
-                    continue
-                score = self.query.ranking.score_composite(components)
-                out.append(CompositeTuple(components, score))
-        out.sort(key=lambda c: -c.score)
-        if span is not None:
-            span.set("pairs_probed", self._pairs_probed - probes_before)
-            span.set("produced", len(out))
-            span.__exit__(None, None, None)
-        return out, pair_count
+        index: dict[tuple, list[int]] = {}
+        for j, rc in enumerate(right):
+            for key in right_keys(rc.components):
+                index.setdefault(key, []).append(j)
+        return [
+            self._merged([index.get(key) for key in left_keys(lc.components)])
+            for lc in left
+        ]
 
     @staticmethod
     def _leapfrog_intersect(
@@ -1011,135 +1045,102 @@ class PlanExecutor:
                 ib = bisect_left(right_ids, ka, ib + 1)
         return common, seeks
 
-    def _leapfrog_parallel_join(
+    def _leapfrog_candidates(
         self,
-        node: ParallelJoinNode,
         left: list[CompositeTuple],
         right: list[CompositeTuple],
-        triangular: bool,
-        n_left: int,
-        n_right: int,
-        left_key: Callable[[CompositeTuple], tuple],
-        right_key: Callable[[CompositeTuple], tuple],
-    ) -> tuple[list[CompositeTuple], int] | None:
-        """Leapfrog (wcoj) assembly; ``None`` when a key is unhashable.
+        left_keys: Callable,
+        right_keys: Callable,
+    ) -> tuple[list[Sequence[int]], dict[str, int]]:
+        """Leapfrog (wcoj) probe lists plus the span's work profile.
 
-        The multi-predicate key vector is dictionary-encoded (each
-        distinct vector gets a dense id, a standard LFTJ ingredient —
-        encoding keeps key *equality* authoritative while giving the
-        trie a totally ordered domain), both sides' distinct ids are
-        intersected with leapfrog seeks, and only rows whose id survives
-        the intersection enter pair assembly.  Emission then walks
-        survivors in the probe order of the hash kernel — (i, j) with
-        the same triangular cutoff and the same stable sort — so output
-        and ``pair_count`` are byte-identical across kernels; what
-        changes is the work profile (seek-bounded intersection instead
-        of per-row probing) reported on the ``join.probe`` span.
+        Key vectors are dictionary-encoded (each distinct vector gets a
+        dense id, a standard LFTJ ingredient — encoding keeps key
+        *equality* authoritative while giving the trie a totally ordered
+        domain), both sides' distinct ids are intersected with leapfrog
+        seeks, and only rows with an id in the intersection get
+        candidates.  What changes against the hash kernel is the work
+        profile (seek-bounded intersection instead of per-row probing),
+        never the candidates.
         """
-        try:
-            ids: dict[tuple, int] = {}
-            buckets: dict[int, list[tuple[int, CompositeTuple]]] = {}
-            for j, rc in enumerate(right):
-                kid = ids.setdefault(right_key(rc), len(ids))
-                buckets.setdefault(kid, []).append((j, rc))
-            left_rows: list[tuple[int, int | None]] = []
-            left_id_set: set[int] = set()
-            for i, lc in enumerate(left):
-                kid = ids.get(left_key(lc))
-                left_rows.append((i, kid))
-                if kid is not None:
-                    left_id_set.add(kid)
-        except (TypeError, KeyError):
-            return None
+        ids: dict[tuple, int] = {}
+        buckets: dict[int, list[int]] = {}
+        for j, rc in enumerate(right):
+            for key in right_keys(rc.components):
+                buckets.setdefault(ids.setdefault(key, len(ids)), []).append(j)
+        left_ids = [
+            [ids[key] for key in left_keys(lc.components) if key in ids]
+            for lc in left
+        ]
         common, seeks = self._leapfrog_intersect(
-            sorted(left_id_set), sorted(buckets)
+            sorted({kid for row in left_ids for kid in row}), sorted(buckets)
         )
-        probes_before = self._pairs_probed
-        span = (
-            self.tracer.span(
-                "join.probe",
-                kernel="leapfrog",
-                left=len(left),
-                right=len(right),
+        candidates = [
+            self._merged([buckets[kid] for kid in row if kid in common])
+            for row in left_ids
+        ]
+        return candidates, {
+            "distinct_keys": len(ids),
+            "intersection": len(common),
+            "seeks": seeks,
+        }
+
+    def _check_for(
+        self,
+        selections: Sequence[SelectionPredicate],
+        joins: Sequence[JoinPredicate],
+    ) -> PredicateCheck:
+        """``check(components, inputs)`` for one plan node's predicates.
+
+        The lowered closure, built once per compiled query.  Once a
+        branch has been abandoned under partial degradation composites
+        may lack components, so the interpreted check restricted to the
+        still-evaluable predicates takes over.
+        """
+        if self.failed_aliases:
+            return lambda components, inputs: self._satisfies_evaluable(
+                components, selections, joins
             )
-            if self.tracer.enabled
-            else None
-        )
-        out: list[CompositeTuple] = []
-        pair_count = 0
-        for i, kid in left_rows:
-            cutoff = (
-                self._triangular_cutoff(i, n_left, n_right, len(right))
-                if triangular
-                else len(right)
-            )
-            pair_count += cutoff
-            if kid not in common:
-                continue
-            lc = left[i]
-            for j, rc in buckets[kid]:
-                if j >= cutoff:
-                    break
-                self._pairs_probed += 1
-                components = dict(lc.components)
-                components.update(rc.components)
-                if node.predicates and not self._satisfies_evaluable(
-                    components, (), node.predicates
-                ):
-                    continue
-                score = self.query.ranking.score_composite(components)
-                out.append(CompositeTuple(components, score))
-        out.sort(key=lambda c: -c.score)
-        if span is not None:
-            span.set("pairs_probed", self._pairs_probed - probes_before)
-            span.set("distinct_keys", len(ids))
-            span.set("intersection", len(common))
-            span.set("seeks", seeks)
-            span.set("produced", len(out))
-            span.__exit__(None, None, None)
-        return out, pair_count
+        return self.query.predicate_check(selections, joins)
+
+    def _filter(
+        self,
+        composites: list[CompositeTuple],
+        selections: Sequence[SelectionPredicate],
+        joins: Sequence[JoinPredicate],
+    ) -> list[CompositeTuple]:
+        check, inputs = self._check_for(selections, joins), self.inputs
+        return [comp for comp in composites if check(comp.components, inputs)]
 
     def _satisfies_evaluable(
         self,
-        composite: CompositeTuple | Mapping[str, Any],
+        components: Mapping[str, Any],
         selections: Sequence[SelectionPredicate],
         joins: Sequence[JoinPredicate],
     ) -> bool:
         """Joint-witness check restricted to evaluable predicates.
 
-        On a complete composite this is exactly :func:`satisfies`.  Under
-        partial degradation a composite may be missing failed aliases'
-        components; predicates over an absent alias are not evaluable and
-        are skipped — the surviving combination is best-effort by
-        construction and flagged via ``failed_aliases``.
+        The partial-degradation path: a composite may be missing failed
+        aliases' components; predicates over an absent alias are not
+        evaluable and are skipped — the surviving combination is
+        best-effort by construction and flagged via ``failed_aliases``.
         """
-        components = (
-            composite.components
-            if isinstance(composite, CompositeTuple)
-            else composite
-        )
-        if self.failed_aliases:
-            present = set(components)
-            selections = [s for s in selections if s.attr.alias in present]
-            joins = [
+        present = set(components)
+        return satisfies(
+            components,
+            selections=[s for s in selections if s.attr.alias in present],
+            joins=[
                 j
                 for j in joins
                 if j.left.alias in present and j.right.alias in present
-            ]
-        return satisfies(
-            components, selections=selections, joins=joins, inputs=self.inputs
+            ],
+            inputs=self.inputs,
         )
 
     def _finalise(self, upstream: list[CompositeTuple]) -> list[CompositeTuple]:
         result = upstream
         if self.final_semantic_check:
-            result = [
-                comp
-                for comp in result
-                if self._satisfies_evaluable(
-                    comp, self.query.selections, self.query.joins
-                )
-            ]
+            result = self._filter(result, self.query.selections, self.query.joins)
         result = sorted(result, key=lambda c: -c.score)
         if self.k is not None:
             result = result[: self.k]

@@ -25,7 +25,6 @@ from repro.model.tuples import CompositeTuple, ServiceTuple
 from repro.query.ast import Comparator
 from repro.query.compile import CompiledQuery
 from repro.query.feasibility import ProviderKind, input_providers
-from repro.query.predicates import satisfies
 
 __all__ = ["StreamedJoin", "stream_binary_join"]
 
@@ -120,10 +119,10 @@ def stream_binary_join(
         alias=right_alias,
     )
 
+    check = query.predicate_check(joins=predicates)
+
     def predicate(a: ServiceTuple, b: ServiceTuple) -> bool:
-        return satisfies(
-            {left_alias: a, right_alias: b}, joins=predicates, inputs=inputs
-        )
+        return check({left_alias: a, right_alias: b}, inputs)
 
     if guarantee_topk:
         executor = RankJoinExecutor(

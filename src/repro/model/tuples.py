@@ -14,6 +14,7 @@ component scores under the query's :class:`RankingFunction`
 
 from __future__ import annotations
 
+from collections.abc import Mapping as AbstractMapping
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -23,6 +24,10 @@ from repro.model.attributes import AttributePath
 __all__ = ["ServiceTuple", "CompositeTuple", "RankingFunction", "freeze_value"]
 
 
+#: Exact types that are already hashable values: returned as they are.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def freeze_value(value: Any) -> Any:
     """Return a hashable version of a tuple value.
 
@@ -30,7 +35,11 @@ def freeze_value(value: Any) -> Any:
     into nested tuples so that :class:`ServiceTuple` instances can be hashed
     and deduplicated.
     """
-    if isinstance(value, Mapping):
+    if type(value) in _SCALARS:
+        return value
+    # ``collections.abc.Mapping``: the ``typing`` alias routes every
+    # isinstance through ``typing.__instancecheck__``.
+    if isinstance(value, AbstractMapping):
         return tuple(sorted((k, freeze_value(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple, set)):
         return tuple(freeze_value(v) for v in value)
@@ -82,11 +91,22 @@ class ServiceTuple:
         return tuple(dict(member).get(path.name) for member in group_value)
 
     def group_members(self, group: str) -> tuple[dict[str, Any], ...]:
-        """The sub-tuples of repeating group ``group`` as dictionaries."""
-        value = self.values.get(group)
-        if value is None:
-            raise QueryError(f"tuple from {self.source!r} has no group {group!r}")
-        return tuple(dict(member) for member in value)
+        """The sub-tuples of repeating group ``group`` as dictionaries.
+
+        Built on first use and kept on the tuple (predicate evaluation asks
+        for the same group once per candidate combination): treat the
+        returned dictionaries as read-only.
+        """
+        memo = self.__dict__.setdefault("_members", {})
+        members = memo.get(group)
+        if members is None:
+            value = self.values.get(group)
+            if value is None:
+                raise QueryError(
+                    f"tuple from {self.source!r} has no group {group!r}"
+                )
+            members = memo[group] = tuple(dict(member) for member in value)
+        return members
 
     def __hash__(self) -> int:
         return hash((self.source, self.position, tuple(sorted(self.values.items()))))
@@ -159,7 +179,12 @@ class RankingFunction:
         )
 
     def score_composite(self, components: Mapping[str, ServiceTuple]) -> float:
-        return self.score({alias: t.score for alias, t in components.items()})
+        # Same terms in the same order as :meth:`score`, without the
+        # intermediate ``{alias: score}`` dict and per-alias method call.
+        weight = self.weights.get
+        return sum(
+            [weight(alias, 0.0) * tup.score for alias, tup in components.items()]
+        )
 
     def combine(self, components: Mapping[str, ServiceTuple]) -> CompositeTuple:
         """Build a scored :class:`CompositeTuple` from components."""

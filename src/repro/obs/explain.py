@@ -13,12 +13,16 @@ Rendering is plain text (output-rooted, like ``QueryPlan.render``), one
 node per line::
 
     OUTPUT k=10  [est tout=10.0 | act tout=10]
-      JOIN(T.UAddress=R.UAddress)  [est 36.0 -> 14.4 | act 25 -> 9]  probes=25
+      JOIN(T.UAddress=R.UAddress)  [est 36.0 -> 14.4 | act 25 -> 9]  probes=25 (hash)
         SERVICE T:Theatre1  [est calls=2.0 | act calls=2 (2 ok)]  busy=1.40s <- bottleneck 52%
         ...
 
 A node's ``est a -> b | act c -> d`` reads "estimated ``tin`` a producing
-``tout`` b; measured ``tin`` c producing ``tout`` d".
+``tout`` b; measured ``tin`` c producing ``tout`` d".  After a join's
+``probes=`` comes why it took the kernel it took: ``hash``,
+``hash_multikey`` or ``leapfrog``, or the reason it ran the nested loop
+(``non_eq``, ``no_predicates``, ``degraded``, ``empty_side``,
+``same_side``, ``unhashable_key``).
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ class ExplainNode:
     act_calls_ok: int | None = None
     busy_time: float | None = None
     pairs_probed: int | None = None
+    dispatch: str | None = None
     bottleneck_share: float | None = None
     children: "list[ExplainNode]" = field(default_factory=list)
 
@@ -82,7 +87,8 @@ class ExplainNode:
         if self.est_fetches is not None:
             parts.append(f"fetches={self.est_fetches}")
         if self.pairs_probed is not None:
-            parts.append(f"probes={self.pairs_probed}")
+            via = f" ({self.dispatch})" if self.dispatch else ""
+            parts.append(f"probes={self.pairs_probed}{via}")
         if self.busy_time:
             parts.append(f"busy={self.busy_time:.2f}s")
         if self.bottleneck_share is not None:
@@ -211,6 +217,7 @@ def build_explain(
             probed = getattr(stats, "pairs_probed", 0)
             if isinstance(node, ParallelJoinNode) and probed is not None:
                 out.pairs_probed = probed
+                out.dispatch = getattr(stats, "dispatch", "") or None
             busy = busy_by_node.get(node_id, 0.0)
             if busy:
                 out.busy_time = busy

@@ -12,7 +12,7 @@ attaches the query's ranking function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import QueryError
 from repro.model.attributes import DataType
@@ -27,6 +27,7 @@ from repro.query.ast import (
     Query,
     SelectionPredicate,
 )
+from repro.query.predicates import PredicateCheck, compile_predicates
 
 __all__ = ["CompiledAtom", "CompiledQuery", "compile_query"]
 
@@ -60,10 +61,34 @@ class CompiledQuery:
     ranking: RankingFunction
     k: int
     source: Query | None = field(default=None, compare=False, repr=False)
+    #: Lowered predicate subsets, by value: a plan node's check is built
+    #: the first time any execution of this query reaches it.
+    _checks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def aliases(self) -> tuple[str, ...]:
         return tuple(atom.alias for atom in self.atoms)
+
+    def predicate_check(
+        self,
+        selections: Sequence[SelectionPredicate] = (),
+        joins: Sequence[JoinPredicate] = (),
+    ) -> PredicateCheck:
+        """The lowered joint-witness check of a predicate subset.
+
+        :func:`~repro.query.predicates.compile_predicates`, memoised on
+        the compiled query: a serving runtime keeps one compiled query per
+        template and one plan per signature, so every request after the
+        first reuses the closures its plan nodes need.
+        """
+        key = (tuple(selections), tuple(joins))
+        try:
+            check = self._checks.get(key)
+        except TypeError:  # an unhashable constant: lower without keeping
+            return compile_predicates(*key)
+        if check is None:
+            check = self._checks[key] = compile_predicates(*key)
+        return check
 
     def atom(self, alias: str) -> CompiledAtom:
         for atom in self.atoms:

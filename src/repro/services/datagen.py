@@ -121,6 +121,16 @@ class TupleGenerator:
         rng = random.Random(
             derive_seed(self.global_seed, self.interface.name, inputs)
         )
+        passes = None
+        if constraints:
+            # Local import: the query layer depends on the model layer only,
+            # so importing it here (rather than at module top) keeps the
+            # services package importable from the query tests without a
+            # cycle.
+            from repro.query.predicates import compile_predicates
+
+            passes = compile_predicates(constraints)
+            alias = constraints[0].attr.alias
         total = self.result_size(rng)
         results: list[ServiceTuple] = []
         # Constraints shape the *data*, not the page size: a service asked
@@ -140,22 +150,10 @@ class TupleGenerator:
                 source=self.interface.name,
                 position=position,
             )
-            if constraints and not self._passes(candidate, constraints):
+            if passes is not None and not passes({alias: candidate}):
                 continue
             results.append(candidate)
         return results
-
-    @staticmethod
-    def _passes(
-        candidate: ServiceTuple, constraints: "Sequence[SelectionPredicate]"
-    ) -> bool:
-        # Local import: the query layer depends on the model layer only, so
-        # importing it here (rather than at module top) keeps the services
-        # package importable from the query tests without a cycle.
-        from repro.query.predicates import satisfies
-
-        alias = constraints[0].attr.alias
-        return satisfies({alias: candidate}, selections=list(constraints))
 
     def _tuple_values(
         self, inputs: Mapping[str, Any], rng: random.Random

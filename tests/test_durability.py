@@ -279,6 +279,36 @@ def test_crash_harness_sigkill_and_resume(tmp_path):
     assert report["gates"]["worker_killed"], report["worker_stderr_tail"]
     assert report["gates"]["checkpoint_survived"]
     assert report["gates"]["digests_equal"]
+    # The killed worker said nothing: in particular no runpy RuntimeWarning
+    # about its own module having been imported by the package first.
+    assert report["worker_stderr_tail"] == ""
+
+
+def test_crash_worker_module_runs_without_warnings():
+    """``python -m repro.durability.crash`` must find its module *not yet*
+    imported: the package exports ``run_crash_resume`` lazily."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.durability.crash", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "--kill-after" in done.stdout
+    from repro import durability
+
+    assert "run_crash_resume" in durability.__all__
+    assert callable(durability.run_crash_resume)
 
 
 @pytest.mark.async_backend

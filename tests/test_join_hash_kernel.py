@@ -151,7 +151,8 @@ def test_executor_hash_assembly_matches_nested_loop(
                 best.fetch_vector(),
             )
             if disable_hash:
-                executor._equi_join_keys = lambda *a: None
+                # A decline reason sends every join to the nested loop.
+                executor._equi_join_keys = lambda *a: "non_eq"
             return executor.run()
 
         hashed, nested = run(False), run(True)

@@ -20,6 +20,8 @@ from repro.core.optimizer import (
 from repro.engine.executor import PlanExecutor
 from repro.errors import OptimizationError
 from repro.obs.tracer import Tracer
+from repro.query.compile import compile_query
+from repro.query.parser import parse_query
 from repro.serve.bench import serve_workload
 from repro.serve.plancache import PlanCache
 from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
@@ -67,6 +69,10 @@ def test_kernels_agree_on_example_schemas(
         assert results["auto"].join_kernel == "binary"
 
 
+def probe_spans(tracer):
+    return [span for span in tracer.spans if span.name == "join.probe"]
+
+
 def test_wcoj_dispatch_emits_leapfrog_spans(
     conference_query, conference_registry, movie_query, movie_registry
 ):
@@ -75,23 +81,59 @@ def test_wcoj_dispatch_emits_leapfrog_spans(
     run_kernel(
         conference_query, conference_registry, CONFERENCE_INPUTS, "wcoj", tracer
     )
-    kernels = {
-        span.attrs.get("kernel")
-        for span in tracer.spans
-        if span.name == "join.probe"
-    }
-    assert "leapfrog" in kernels
-    # The movie plan's proximity join has no equi-keys: even under wcoj
-    # it falls back to the nested-loop probe rather than mis-dispatching.
-    fallback = Tracer()
-    run_kernel(
-        movie_query, movie_registry, RUNNING_EXAMPLE_INPUTS, "wcoj", fallback
+    assert "leapfrog" in {s.attrs.get("kernel") for s in probe_spans(tracer)}
+    # The movie plan's Shows join equates M.Title with a *repeating-group*
+    # path (T.Movie.Title): a multi-valued key, indexed rather than looped
+    # over, under either kernel — and the result set does not move.
+    results = {}
+    for kernel, expected in (("binary", "hash_multikey"), ("wcoj", "leapfrog")):
+        traced = Tracer()
+        results[kernel] = run_kernel(
+            movie_query, movie_registry, RUNNING_EXAMPLE_INPUTS, kernel, traced
+        )
+        spans = probe_spans(traced)
+        assert {s.attrs["kernel"] for s in spans} == {expected}
+        assert {s.attrs["dispatch"] for s in spans} == {expected}
+        assert all(
+            s.attrs["pairs_probed"] < s.attrs["left"] * s.attrs["right"]
+            for s in spans
+        )
+        assert [
+            stats.dispatch
+            for stats in results[kernel].node_stats.values()
+            if stats.dispatch
+        ] == [expected]
+    assert combos(results["binary"]) == combos(results["wcoj"])
+    assert results["binary"].tuples  # the pinned movie-night answers exist
+
+
+def test_non_equi_join_falls_back_to_nested_loop(conference_registry):
+    # A genuinely non-equi (<) parallel join has no hash key: whatever the
+    # kernel knob says, it runs the nested loop and records why.
+    query = compile_query(
+        parse_query(
+            "SELECT Conference1 AS C, Flight1 AS F, Hotel1 AS H "
+            "WHERE FliesTo(C, F) AND Venue(C, H) AND F.FPrice < H.HPrice "
+            "AND C.Topic = INPUT1 AND F.FromCity = INPUT3 AND F.FDate = INPUT4 "
+            "RANK BY 0.5*F, 0.5*H LIMIT 10"
+        ),
+        conference_registry,
     )
-    assert {
-        span.attrs.get("kernel")
-        for span in fallback.spans
-        if span.name == "join.probe"
-    } == {"nested_loop"}
+    results = {}
+    for kernel in ("binary", "wcoj"):
+        tracer = Tracer()
+        results[kernel] = run_kernel(
+            query, conference_registry, CONFERENCE_INPUTS, kernel, tracer
+        )
+        (span,) = probe_spans(tracer)
+        assert span.attrs["kernel"] == "nested_loop"
+        assert span.attrs["dispatch"] == "non_eq"
+        assert span.attrs["pairs_probed"] == results[kernel].total_candidates
+    assert results["binary"].tuples
+    assert combos(results["binary"]) == combos(results["wcoj"])
+    for combo in results["binary"].tuples:
+        flight, hotel = combo.components["F"], combo.components["H"]
+        assert flight.values["FPrice"] < hotel.values["HPrice"]
 
 
 def test_auto_resolution_is_plan_derived(movie_query):
