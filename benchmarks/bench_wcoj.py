@@ -10,9 +10,12 @@ variable at a time — its frontier is one key per relation, never an
 intermediate relation — and the ranked enumerator
 (:class:`~repro.joins.ranked.RankedEnumerator`) extends that with a
 priority queue over scored prefixes, emitting the global top-k while
-materializing only a fraction of the full join.
+materializing only a fraction of the full join — and, since ISSUE 13,
+doing only a fraction of its work (reducer, cycle-closing level order,
+join-aware completion bounds).
 
-Measured per topology (triangle, 4-cycle, 4-clique):
+Measured per topology (triangle, 4-cycle, 4-clique, and a dense
+anti-correlated 4-chain with no dangling tuples):
 
 * byte-identical top-k row keys across the binary, wcoj, and ranked
   kernels (the determinism contract);
@@ -20,13 +23,18 @@ Measured per topology (triangle, 4-cycle, 4-clique):
   worst-case-optimality win (gated >= 5x on the skewed triangle);
 * peak materialized intermediate (wcoj: always zero);
 * rows the ranked enumerator materialized vs. the full join size — the
-  laziness win.
+  laziness win in rows — and its queue pops vs. the leapfrog probes of
+  the *full* join, plus pops per result on acyclic graphs — the
+  laziness win in work;
+* ``wall_ms`` per kernel (one run each; informational, not gated —
+  shared CI runners are too noisy for a wall gate).
 
 Run standalone (``python benchmarks/bench_wcoj.py [--smoke]``) to write
 ``BENCH_wcoj.json``; the exit code reflects the gates.
 """
 
 import random
+import time
 
 from conftest import report
 
@@ -43,8 +51,7 @@ def make_relation(alias, n, domains, seed):
     """``n`` scored tuples with per-attribute value domains.
 
     Tuples are score-descending (position = rank), as a drained ranked
-    chunk source would deliver them — the ranked enumerator's bound
-    arithmetic relies on ``top_score()`` being the maximum.
+    chunk source would deliver them.
     """
     rng = random.Random(seed)
     scored = sorted((rng.random() for _ in range(n)), reverse=True)
@@ -185,28 +192,91 @@ def clique4_case(n, seed):
     return relations, JoinGraph(tuple(r.alias for r in relations), tuple(predicates))
 
 
+def chain4_anticorrelated_case(n, domain, seed):
+    """Dense 4-chain A(x) B(x,y) C(y,z) D(z) whose best tuples never meet.
+
+    Every value of every domain occurs in every column (no dangling
+    tuples, so a reducer removes nothing), each tuple has ``n / domain``
+    partners per neighbour (``n * (n / domain)**3`` join rows), and the
+    shared values run *against* the scores: the left relation's best
+    tuples carry the small values of a variable, the right relation's
+    best tuples the large ones.  A bound built from each relation's
+    global top score is therefore far above anything that joins; only a
+    bound that knows what joins stays near ``levels`` pops per result.
+    """
+    block = n // domain
+    rng = random.Random(seed)
+
+    def relation(alias, columns):
+        scored = sorted((rng.random() for _ in range(n)), reverse=True)
+        return Relation(
+            alias=alias,
+            tuples=[
+                ServiceTuple(
+                    {attr: value(rank) for attr, value in columns.items()},
+                    score=round(score, 9),
+                    source=alias,
+                    position=rank,
+                )
+                for rank, score in enumerate(scored)
+            ],
+        )
+
+    def rising(rank):
+        return rank // block
+
+    def falling(rank):
+        return domain - 1 - rank // block
+
+    def spread(rank):
+        return rank % domain
+
+    relations = [
+        relation("A", {"x": rising}),
+        relation("B", {"x": falling, "y": spread}),
+        relation("C", {"y": falling, "z": spread}),
+        relation("D", {"z": falling}),
+    ]
+    graph = JoinGraph(
+        ("A", "B", "C", "D"),
+        (
+            EquiPredicate("A", "x", "B", "x"),
+            EquiPredicate("B", "y", "C", "y"),
+            EquiPredicate("C", "z", "D", "z"),
+        ),
+    )
+    return relations, graph
+
+
 def run_topology(name, relations, graph, k):
     """All three kernels on one topology; returns the comparison row."""
-    outcomes = {
-        kernel: topk_join(relations, graph, k=k, kernel=kernel)
-        for kernel in TOPK_JOIN_KERNELS
-    }
-    keys = {kernel: out.row_keys() for kernel, out in outcomes.items()}
-    identical = keys["binary"] == keys["wcoj"] == keys["ranked"]
+    outcomes, wall_ms = {}, {}
+    for kernel in TOPK_JOIN_KERNELS:
+        started = time.perf_counter()
+        outcomes[kernel] = topk_join(relations, graph, k=k, kernel=kernel)
+        wall_ms[kernel] = round((time.perf_counter() - started) * 1e3, 2)
     binary, wcoj = outcomes["binary"].stats, outcomes["wcoj"].stats
     ranked = outcomes["ranked"].stats
     full_rows = wcoj.results  # wcoj enumerates the full join before the cut
+    if 1 < full_rows <= k:
+        # The whole join fits in k: every kernel must assemble all of it
+        # and there is no laziness to measure.  Ask for half of it.
+        return run_topology(name, relations, graph, full_rows // 2)
+    keys = {kernel: out.row_keys() for kernel, out in outcomes.items()}
+    identical = keys["binary"] == keys["wcoj"] == keys["ranked"]
     probe_ratio = binary.pairs_probed / max(1, wcoj.pairs_probed)
     return {
         "name": name,
         "relations": len(relations),
         "tuples_per_relation": len(relations[0]),
         "k": k,
+        "cyclic": graph.is_cyclic(),
         "full_join_rows": full_rows,
         "topk_identical": identical,
         "binary": binary.as_dict(),
         "wcoj": wcoj.as_dict(),
         "ranked": ranked.as_dict(),
+        "wall_ms": wall_ms,
         "probe_ratio": round(probe_ratio, 2),
         "ranked_materialized_fraction": round(
             ranked.materialized_rows / max(1, full_rows), 4
@@ -220,6 +290,10 @@ def collect_wcoj(scale=1, seed=2012, k=25):
         ("triangle", *triangle_case(120 * scale, seed)),
         ("cycle4", *cycle4_case(90 * scale, seed + 100)),
         ("clique4", *clique4_case(150 * scale, seed + 200)),
+        (
+            "chain4_anticorrelated",
+            *chain4_anticorrelated_case(64 * scale, 8 * scale, seed + 300),
+        ),
     ]
     topologies = [
         run_topology(name, relations, graph, k)
@@ -239,10 +313,24 @@ def collect_wcoj(scale=1, seed=2012, k=25):
             and topo["binary"]["max_intermediate"] > 0
             for topo in topologies
         ),
+        # Lazy in rows: fewer complete rows than the join holds.  Every
+        # topology takes part (run_topology lowers k below a small join).
         "ranked_is_lazy": all(
             topo["ranked"]["materialized_rows"] < topo["full_join_rows"]
             for topo in topologies
-            if topo["full_join_rows"] > topo["k"]
+        ),
+        # Lazy in work: top-k costs fewer queue pops than the full
+        # leapfrog join costs probes ...
+        "ranked_pops_le_wcoj_probes": all(
+            topo["ranked"]["pq_pops"] <= topo["wcoj"]["pairs_probed"]
+            for topo in topologies
+        ),
+        # ... and with exact bounds about one pop per level per result.
+        "ranked_pops_per_result_le_2x_levels": all(
+            topo["ranked"]["pq_pops"]
+            <= 2 * topo["relations"] * topo["ranked"]["results"]
+            for topo in topologies
+            if not topo["cyclic"]
         ),
     }
     return {
@@ -266,7 +354,11 @@ def _lines(data):
             f"{topo['wcoj']['pairs_probed']} ({topo['probe_ratio']}x), "
             f"peak intermediate {topo['binary']['max_intermediate']} vs 0, "
             f"ranked materialized {topo['ranked']['materialized_rows']} "
-            f"rows for top-{topo['k']}; identical: {topo['topk_identical']}"
+            f"rows in {topo['ranked']['pq_pops']} pops "
+            f"({topo['ranked']['bound']} bound) for top-{topo['k']}; "
+            f"wall ms binary/wcoj/ranked "
+            + "/".join(str(topo["wall_ms"][kernel]) for kernel in TOPK_JOIN_KERNELS)
+            + f"; identical: {topo['topk_identical']}"
         )
     lines.append(
         "gates: "
@@ -285,6 +377,8 @@ def test_e25_wcoj_vs_binary_cascade(benchmark):
     assert gates["triangle_probe_ratio_ge_5x"], data["topologies"][0]
     assert gates["wcoj_no_intermediates"]
     assert gates["ranked_is_lazy"]
+    assert gates["ranked_pops_le_wcoj_probes"]
+    assert gates["ranked_pops_per_result_le_2x_levels"]
     benchmark.extra_info["probe_ratio_triangle"] = data["topologies"][0][
         "probe_ratio"
     ]

@@ -199,9 +199,6 @@ class Relation:
             calls += 1
         return cls(alias=alias, tuples=tuples, chunk_of=chunk_of, calls=calls)
 
-    def top_score(self) -> float:
-        return self.tuples[0].score if self.tuples else 0.0
-
     def __len__(self) -> int:
         return len(self.tuples)
 
@@ -338,6 +335,20 @@ class JoinGraph:
             attrs = sorted({attr for a, attr in var.occurrences if a == alias})
             pairs.extend((attrs[0], other) for other in attrs[1:])
         return pairs
+
+    def self_consistent(
+        self, alias: str, tuples: list[ServiceTuple]
+    ) -> list[ServiceTuple]:
+        """``tuples`` satisfying ``alias``'s self-equalities — the filter
+        every kernel applies before it looks at a relation."""
+        equalities = self.self_equalities(alias)
+        if not equalities:
+            return tuples
+        return [
+            tup
+            for tup in tuples
+            if all(tup.values.get(a) == tup.values.get(b) for a, b in equalities)
+        ]
 
 
 def triangle_graph(a: str = "R", b: str = "S", c: str = "T") -> JoinGraph:
@@ -524,16 +535,9 @@ class MultiwayJoinExecutor:
         self.post_filter = post_filter
 
     def _prepared(self, relation: Relation) -> Relation:
-        equalities = self.graph.self_equalities(relation.alias)
-        if not equalities:
+        kept = self.graph.self_consistent(relation.alias, relation.tuples)
+        if kept is relation.tuples:
             return relation
-        kept = [
-            tup
-            for tup in relation.tuples
-            if all(
-                tup.values.get(a) == tup.values.get(b) for a, b in equalities
-            )
-        ]
         return Relation(alias=relation.alias, tuples=kept)
 
     def run(self) -> MultiwayJoinResult:
@@ -701,19 +705,15 @@ class BinaryCascadeExecutor:
         stats = MultiwayJoinStatistics(relations=len(self.order))
         first = self.relations[self.order[0]]
         current: list[dict[str, ServiceTuple]] = [
-            {first.alias: tup} for tup in first.tuples
+            {first.alias: tup}
+            for tup in self.graph.self_consistent(first.alias, first.tuples)
         ]
         bound = {first.alias}
         for step, alias in enumerate(self.order[1:]):
             relation = self.relations[alias]
             bindings = self._binding_attrs(bound, alias)
-            self_eq = self.graph.self_equalities(alias)
             index: dict[tuple, list[ServiceTuple]] = {}
-            for tup in relation.tuples:
-                if self_eq and any(
-                    tup.values.get(a) != tup.values.get(b) for a, b in self_eq
-                ):
-                    continue
+            for tup in self.graph.self_consistent(alias, relation.tuples):
                 key = tuple(
                     orderable_key(tup.values.get(attr))
                     for _, _, attr in bindings
