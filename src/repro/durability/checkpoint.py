@@ -485,6 +485,7 @@ def restore_session(
     payload: dict,
     *,
     registry=None,
+    compiled=None,
     optimizer_config: OptimizerConfig | None = None,
     candidate=None,
     invocation_cache=None,
@@ -498,8 +499,10 @@ def restore_session(
     to the re-suspended mid-interaction step generator when the
     checkpoint captured one (``None`` otherwise).
 
-    ``registry``/``optimizer_config``/``candidate`` override the recipe
-    (e.g. a custom registry not in :data:`REGISTRY_FACTORIES`);
+    ``registry``/``compiled``/``optimizer_config``/``candidate`` override
+    the recipe (e.g. a custom registry not in :data:`REGISTRY_FACTORIES`,
+    or the compiled query and cached plan a serving runtime already holds
+    for the template, so resuming N sessions does not plan N times);
     ``invocation_cache``/``tracer`` reattach the shared state that
     checkpoints deliberately do not capture.  With ``verify`` (default)
     the replayed state is checked against the recorded witnesses.
@@ -518,7 +521,8 @@ def restore_session(
                 "or register one via register_registry_factory"
             )
         registry = factory()
-    compiled = compile_query(parse_query(payload["query_text"]), registry)
+    if compiled is None:
+        compiled = compile_query(parse_query(payload["query_text"]), registry)
     metric = DEFAULT_METRICS[payload["metric"]]
     if optimizer_config is None:
         optimizer_config = OptimizerConfig(metric=metric)

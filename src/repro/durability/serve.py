@@ -274,6 +274,7 @@ def resume_state_from(
             table.known_runs.add(rid)
     restored = 0
     session_payloads: dict[int, dict] = {}
+    plans: dict[str, Any] = {}  # template name -> plan candidate
     for rid_str, session_payload in payload["sessions"].items():
         rid = int(rid_str)
         template_name = session_payload.get("template")
@@ -283,8 +284,27 @@ def resume_state_from(
                 f"checkpoint {key!r} session {rid} names unknown template "
                 f"{template_name!r}"
             )
+        if (session_payload["schema"], session_payload["query_text"]) != (
+            template.schema,
+            template.query_text,
+        ):
+            raise CheckpointError(
+                f"checkpoint {key!r} session {rid} was opened on another "
+                f"definition of template {template_name!r}"
+            )
+        # Plan once per template, not once per session: the manager's
+        # registry, compiled query (both memoised there) and plan are what
+        # a fresh ``run`` of the template would use.  The plan witnesses
+        # are still verified.
+        compiled = manager._compile(template)
+        candidate = plans.get(template_name)
+        if candidate is None:
+            candidate = plans[template_name] = manager._plan(template, compiled)
         session = restore_session(
             session_payload,
+            registry=manager._registry(template),
+            compiled=compiled,
+            candidate=candidate,
             invocation_cache=manager.invocation_cache,
         )
         manager.adopt(rid, session, template)

@@ -396,6 +396,7 @@ class AsyncPlanExecutor:
         sync = self._sync
         factor = max(1, int(sync.fetches.get(node.alias, 1)))
         check = sync._selection_check(node.alias)
+        availability = pipe_join_selectivity(node, sync.query, sync._estimator)
         specs = [sync._service_call_spec(node, comp) for comp in upstream]
         fetches: list[asyncio.Task | None] = []
         for spec in specs:
@@ -405,7 +406,9 @@ class AsyncPlanExecutor:
             bindings, constraints = spec
             fetches.append(
                 asyncio.ensure_future(
-                    self._fetch(node, bindings, constraints, factor, acc)
+                    self._fetch(
+                        node, bindings, constraints, factor, availability, acc
+                    )
                 )
             )
         live = [task for task in fetches if task is not None]
@@ -435,12 +438,12 @@ class AsyncPlanExecutor:
         bindings: Mapping[str, Any],
         constraints: list,
         factor: int,
+        availability: float,
         acc: NodeRunStats,
     ) -> tuple[list, bool]:
         """Memoised, single-flighted fetch of one invocation's chunks."""
         sync = self._sync
         assert node.interface is not None
-        availability = pipe_join_selectivity(node, sync.query, sync._estimator)
         key = invocation_cache_key(
             node.interface.name,
             node.alias,

@@ -412,6 +412,9 @@ class PlanExecutor:
         self._pairs_probed = 0
         self._dispatch: dict[str, str] = {}
         self._estimator = Estimator(query)
+        #: (alias, id of a fetched tuple list) -> (the list, its survivors
+        #: under the alias's selection check).
+        self._survivors: dict[tuple[str, int], tuple[Sequence[Any], list]] = {}
         if join_kernel not in KNOWN_JOIN_KERNELS:
             raise ExecutionError(
                 f"unknown join kernel {join_kernel!r}; "
@@ -637,12 +640,24 @@ class PlanExecutor:
             # upstream combination flows on without this component.
             out.append(composite)
             return
-        alias, inputs = node.alias, self.inputs
+        alias = node.alias
+        if check is not None:
+            # The check reads the tuple and ``self.inputs`` only, and the
+            # invocation memo hands every upstream row with one binding
+            # the same list: filter each list once.  The entry holds the
+            # list, so its ``id`` cannot be reused while the entry lives.
+            kept = self._survivors.get((alias, id(tuples)))
+            if kept is None:
+                inputs = self.inputs
+                kept = self._survivors[alias, id(tuples)] = (
+                    tuples,
+                    [tup for tup in tuples if check({alias: tup}, inputs)],
+                )
+            tuples = kept[1]
         score = self.query.ranking.score_composite
+        upstream = composite.components
         for tup in tuples:
-            if check is not None and not check({alias: tup}, inputs):
-                continue
-            components = {**composite.components, alias: tup}
+            components = {**upstream, alias: tup}
             out.append(CompositeTuple(components, score(components)))
 
     def _selection_check(self, alias: str) -> PredicateCheck | None:
@@ -655,6 +670,8 @@ class PlanExecutor:
         assert node.interface is not None
         factor = max(1, int(self.fetches.get(node.alias, 1)))
         check = self._selection_check(node.alias)
+        # The availability gate: plan-invariant, so not per upstream row.
+        availability = pipe_join_selectivity(node, self.query, self._estimator)
         out: list[CompositeTuple] = []
 
         for composite in upstream:
@@ -664,7 +681,7 @@ class PlanExecutor:
                 continue
             bindings, constraints = spec
             tuples, failed = yield from self._fetch(
-                node, bindings, constraints, factor
+                node, bindings, constraints, factor, availability
             )
             self._compose_service_results(
                 node, composite, tuples, failed, check, out
@@ -677,6 +694,7 @@ class PlanExecutor:
         bindings: Mapping[str, Any],
         constraints: list[SelectionPredicate],
         factor: int,
+        availability: float,
     ):
         """Invoke (memoised per distinct binding) and draw ``factor`` chunks.
 
@@ -687,7 +705,6 @@ class PlanExecutor:
         """
         assert node.interface is not None
         tracer = self.tracer
-        availability = pipe_join_selectivity(node, self.query, self._estimator)
         key = invocation_cache_key(
             node.interface.name,
             node.alias,

@@ -13,10 +13,12 @@ and supports:
 * :meth:`run` — execute and materialise the current result list;
 * :meth:`more` — raise every fetch factor and re-execute, returning a
   strictly larger (or equal, when services are exhausted) result list;
-  invocation memoisation in the executor means already-fetched chunks are
-  regenerated identically, so earlier results remain stable;
+  the session's pool keeps every result list it has started, so the
+  re-invocations are served the very tuples already drawn (every round
+  trip is still made and logged) and only the new chunks are generated;
 * :meth:`rerank` — change the ranking-function weights *without* new
-  service calls: cached combinations are re-scored and re-ordered;
+  service calls: cached combinations are re-scored and the best ``k``
+  rebuilt;
 * :meth:`resubmit` — change INPUT bindings and re-execute (fresh
   invocations, same plan);
 * a running :attr:`total_calls` account across the whole interaction.
@@ -370,13 +372,24 @@ class LiquidQuerySession:
         return await self._journaled_await({"kind": "run", "k": k}, go)
 
     def _present(self, k: int | None) -> list[CompositeTuple]:
+        """The best ``k`` rows of the raw list under the current ranking."""
         limit = self.query.k if k is None else k
-        rescored = [
-            CompositeTuple(c.components, self._ranking.score_composite(c.components))
-            for c in self._raw
-        ]
-        rescored.sort(key=lambda c: -c.score)
-        return rescored[:limit]
+        raw, score = self._raw, self._ranking.score_composite
+        if self._ranking is self.query.ranking:
+            # The executor scored every row with this very function, over
+            # the same component order, and ``_finalise`` sorted stably:
+            # the raw list is already the presentation order.  Only the
+            # input node's empty composite — all that is left when every
+            # service was abandoned — carries a literal score instead.
+            return [
+                c if c.components else CompositeTuple({}, score({}))
+                for c in raw[:limit]
+            ]
+        # Re-ranked: score every row, build only the winners.  The sort
+        # is stable, so ties stay in raw order.
+        scores = [score(c.components) for c in raw]
+        order = sorted(range(len(raw)), key=scores.__getitem__, reverse=True)
+        return [CompositeTuple(raw[i].components, scores[i]) for i in order[:limit]]
 
     # -- interactions --------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.ast import SelectionPredicate
@@ -106,18 +106,38 @@ class TupleGenerator:
         inputs: Mapping[str, Any],
         constraints: "Sequence[SelectionPredicate]" = (),
     ) -> list[ServiceTuple]:
-        """Full ranked result list for one invocation.
+        """Full ranked result list for one invocation (drains :meth:`stream`)."""
+        return list(self.stream(inputs, constraints))
+
+    def stream(
+        self,
+        inputs: Mapping[str, Any],
+        constraints: "Sequence[SelectionPredicate]" = (),
+    ) -> Iterator[ServiceTuple]:
+        """The ranked result list of one invocation, one tuple per ``next``.
 
         ``constraints`` are input-side predicates the real service would
         apply server-side (e.g. "opening date after X" in a search form);
         generated tuples that fail their joint-witness evaluation are
         dropped and the survivors renumbered, preserving ranking order.
+
+        Every tuple comes off one ``random.Random`` stream in rank order,
+        so the n-th tuple is the same however far the list is read.
+        Missing input bindings raise here, before the first ``next``.
         """
         missing = [p for p in self.interface.input_paths() if p not in inputs]
         if missing:
             raise ServiceInvocationError(
                 f"{self.interface.name}: missing input bindings {missing}"
             )
+        # Copies: the tuples are produced after this call returns.
+        return self._stream(dict(inputs), tuple(constraints))
+
+    def _stream(
+        self,
+        inputs: Mapping[str, Any],
+        constraints: "Sequence[SelectionPredicate]",
+    ) -> Iterator[ServiceTuple]:
         rng = random.Random(
             derive_seed(self.global_seed, self.interface.name, inputs)
         )
@@ -132,17 +152,15 @@ class TupleGenerator:
             passes = compile_predicates(constraints)
             alias = constraints[0].attr.alias
         total = self.result_size(rng)
-        results: list[ServiceTuple] = []
         # Constraints shape the *data*, not the page size: a service asked
         # for "openings after X" still returns its usual result-list size,
         # every entry satisfying the constraint.  Rejection-sample until
         # `total` satisfying tuples exist (bounded attempts keep
         # unsatisfiable constraints from looping).
-        attempts = 0
+        position = attempts = 0
         max_attempts = max(20, total * 20)
-        while len(results) < total and attempts < max_attempts:
+        while position < total and attempts < max_attempts:
             attempts += 1
-            position = len(results)
             values = self._tuple_values(inputs, rng)
             candidate = ServiceTuple(
                 values=values,
@@ -152,8 +170,8 @@ class TupleGenerator:
             )
             if passes is not None and not passes({alias: candidate}):
                 continue
-            results.append(candidate)
-        return results
+            position += 1
+            yield candidate
 
     def _tuple_values(
         self, inputs: Mapping[str, Any], rng: random.Random

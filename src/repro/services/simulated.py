@@ -6,7 +6,11 @@ Invoking it yields a :class:`SimulatedInvocation`, which is a
 :class:`~repro.joins.methods.ChunkSource`: each ``next_chunk()`` models one
 request-response round trip — it advances the virtual clock by a latency
 draw, appends a :class:`~repro.engine.events.CallRecord` to the call log,
-and returns the next chunk of the ranked result list.
+and returns the next chunk of the ranked result list.  The list itself is
+a :class:`ResultList`: generated only as far as some invocation has read
+it, and kept by the service, so invoking again with the same bindings
+(``more`` does, at twice the fetch factor) costs the same round trips on
+the clock but generates only what nobody drew before.
 
 A :class:`ServicePool` manages one simulated service per registered
 interface, sharing a clock, log, and global seed — this is the "execution
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.ast import SelectionPredicate
@@ -49,6 +54,7 @@ __all__ = [
     "FaultProfile",
     "FaultModel",
     "NO_FAULTS",
+    "ResultList",
     "SimulatedInvocation",
     "SimulatedService",
     "ServicePool",
@@ -157,12 +163,44 @@ class FaultModel:
         return FaultModel(default=self.default, per_interface=per)
 
 
+class ResultList:
+    """One ranked result list, generated only as far as it has been read.
+
+    ``tuples`` is the prefix generated so far.  Every invocation of one
+    :class:`SimulatedService` with the same bindings reads the same
+    instance, so a re-invocation that reads further (``more`` doubles
+    the fetch factor) is served the same :class:`ServiceTuple` objects
+    and generates only the chunks nobody drew before.
+    """
+
+    __slots__ = ("tuples", "_rest")
+
+    def __init__(self, rest: Iterator[ServiceTuple] | None = None) -> None:
+        self.tuples: list[ServiceTuple] = []
+        self._rest = rest
+
+    def through(self, end: int | None) -> list[ServiceTuple]:
+        """The generated prefix, first extended to ``end`` tuples
+        (``None``: the whole list) as far as the list goes."""
+        rest = self._rest
+        if rest is not None:
+            tuples = self.tuples
+            if end is None:
+                tuples.extend(rest)
+                self._rest = None
+            elif end > len(tuples):
+                tuples.extend(islice(rest, end - len(tuples)))
+                if len(tuples) < end:
+                    self._rest = None
+        return self.tuples
+
+
 @dataclass
 class SimulatedInvocation(ChunkSource):
     """One in-flight invocation: a chunk source over generated results."""
 
     interface: ServiceInterface
-    results: list[ServiceTuple]
+    source: ResultList
     alias: str
     clock: VirtualClock
     log: CallLog
@@ -212,7 +250,11 @@ class SimulatedInvocation(ChunkSource):
             )
         slow = bool(profile.timeout_rate) and self._fault_draw() < profile.timeout_rate
 
-        if self._cursor >= len(self.results):
+        # Generate through the requested chunk before asking whether the
+        # list has ended: what lies beyond it may never be read.
+        end = self._cursor + self.chunk_size if self.interface.is_chunked else None
+        results = self.source.through(end)
+        if self._cursor >= len(results):
             if not self._terminal_recorded:
                 if self._calls == 0:
                     # An empty first response still costs one round trip.
@@ -224,13 +266,10 @@ class SimulatedInvocation(ChunkSource):
                 self._terminal_recorded = True
             return None
 
-        if self.interface.is_chunked:
-            chunk = self.results[self._cursor : self._cursor + self.chunk_size]
-        else:
-            chunk = self.results[self._cursor :]
+        chunk = results[self._cursor : end]
         self._record(len(chunk), slow=slow)
         self._cursor += len(chunk)
-        return list(chunk)
+        return chunk
 
     def _fault_draw(self) -> float:
         rng = self.fault_rng
@@ -293,6 +332,11 @@ class SimulatedInvocation(ChunkSource):
         return self._calls
 
     @property
+    def results(self) -> list[ServiceTuple]:
+        """The full ranked result list (generates whatever is still unread)."""
+        return self.source.through(None)
+
+    @property
     def remaining(self) -> int:
         return max(0, len(self.results) - self._cursor)
 
@@ -306,6 +350,12 @@ class SimulatedService:
     latency_model: LatencyModel = field(default_factory=LatencyModel)
     fault_profile: FaultProfile = NO_FAULTS
     generator: TupleGenerator = field(init=False)
+    #: Result lists by (bindings, constraints, availability), kept for the
+    #: life of the service — i.e. of its pool, which serving opens per
+    #: session — so every invocation with one key reads one list.
+    _result_lists: dict[tuple, ResultList] = field(
+        init=False, default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.generator = TupleGenerator(
@@ -335,16 +385,6 @@ class SimulatedService:
         :class:`~repro.errors.ServiceInvocationError` when a declared input
         path is missing from ``inputs``.
         """
-        if availability < 1.0:
-            gate = random.Random(
-                derive_seed(self.global_seed ^ 0xA7A11, self.interface.name, inputs)
-            )
-            if gate.random() >= availability:
-                results: list[ServiceTuple] = []
-            else:
-                results = self.generator.generate(inputs, constraints=constraints)
-        else:
-            results = self.generator.generate(inputs, constraints=constraints)
         rng = random.Random(
             derive_seed(self.global_seed ^ 0x5EC0, self.interface.name, inputs)
         )
@@ -357,7 +397,7 @@ class SimulatedService:
         )
         return SimulatedInvocation(
             interface=self.interface,
-            results=results,
+            source=self._result_list(inputs, constraints, availability),
             alias=alias or self.interface.name,
             clock=clock,
             log=log,
@@ -367,6 +407,51 @@ class SimulatedService:
             fault_rng=fault_rng,
             call_timeout=call_timeout,
         )
+
+    def _result_list(
+        self,
+        inputs: Mapping[str, Any],
+        constraints: Sequence["SelectionPredicate"],
+        availability: float,
+    ) -> ResultList:
+        """The (shared, lazily generated) result list of one invocation.
+
+        Values are keyed the way :func:`derive_seed` renders them — by
+        ``repr`` — because that rendering is what seeds the generator
+        (``1`` and ``1.0`` hash alike but draw different data), and by
+        type, because bound values are echoed into the tuples.
+        """
+        key = (
+            tuple(
+                sorted(
+                    (path, type(value), repr(value))
+                    for path, value in inputs.items()
+                )
+            ),
+            tuple(
+                (str(c.attr), c.comparator, type(c.operand), repr(c.operand))
+                for c in constraints
+            ),
+            availability,
+        )
+        results = self._result_lists.get(key)
+        if results is None:
+            # The availability gate: a deterministic draw on the bindings.
+            closed = availability < 1.0 and (
+                random.Random(
+                    derive_seed(
+                        self.global_seed ^ 0xA7A11, self.interface.name, inputs
+                    )
+                ).random()
+                >= availability
+            )
+            results = (
+                ResultList()
+                if closed
+                else ResultList(self.generator.stream(inputs, constraints))
+            )
+            self._result_lists[key] = results
+        return results
 
 
 @dataclass

@@ -326,3 +326,73 @@ def test_asyncio_session_checkpoint_at_interaction_boundary():
     restored = restore_session(payload)
     assert restored.backend == "asyncio"
     assert result_digest(restored.run()) == expected
+
+
+def _checkpointed_run(tmp_path, **options):
+    """A durable run cut back to its middle checkpoint, as after a crash."""
+    serve_workload_durable(checkpoint_dir=tmp_path, checkpoint_every=10, **options)
+    store = CheckpointStore(tmp_path)
+    keys = store.keys()
+    for key in keys[len(keys) // 2 + 1 :]:
+        store.delete(key)
+    return store, store.latest("serve")
+
+
+def test_resume_plans_once_per_template_not_once_per_session(tmp_path, monkeypatch):
+    options = dict(rate=4.0, num_requests=60, seed=2009, scenario="all")
+    _, baseline, _ = serve_workload_durable(
+        checkpoint_dir=tmp_path / "baseline", checkpoint_every=0, **options
+    )
+    store, key = _checkpointed_run(tmp_path / "ckpt", **options)
+    sessions = store.load(key)["sessions"]
+    templates = {payload["template"] for payload in sessions.values()}
+    assert len(sessions) > len(templates) > 1
+
+    searches = []
+    optimize = Optimizer.optimize
+    monkeypatch.setattr(
+        Optimizer, "optimize", lambda self: searches.append(self) or optimize(self)
+    )
+    _, resumed, info = serve_workload_durable(
+        checkpoint_dir=tmp_path / "ckpt", checkpoint_every=10, resume=True, **options
+    )
+    assert info["resumed"] and info["restored_sessions"] == len(sessions)
+    assert combined_digest(resumed) == combined_digest(baseline)
+    # One search per template the whole resumed run touched — restored
+    # sessions share the plan cache with the requests served after them.
+    assert len(searches) == len({id(search.query) for search in searches})
+    assert len(templates) <= len(searches) < len(sessions)
+
+    # Without a plan cache the resume itself still plans once per template.
+    searches.clear()
+    _, isolated, _ = serve_workload_durable(
+        checkpoint_dir=tmp_path / "ckpt", checkpoint_every=0, resume=True,
+        shared=False, **options
+    )
+    assert combined_digest(isolated) == combined_digest(baseline)
+    served_runs = 60 - len(sessions)  # an upper bound on post-resume runs
+    assert len(searches) <= len(templates) + served_runs
+
+
+def test_resume_with_shared_plans_still_verifies_the_plan_witness(tmp_path):
+    options = dict(rate=4.0, num_requests=30, seed=2009)
+    store, key = _checkpointed_run(tmp_path, **options)
+    payload = store.load(key)
+    victim = next(iter(payload["sessions"].values()))
+    victim["witness"]["plan_render"] = "0" * 64
+    store.save(key, payload)
+    with pytest.raises(CheckpointIntegrityError, match="plan differs"):
+        serve_workload_durable(
+            checkpoint_dir=tmp_path, checkpoint_every=10, resume=True, **options
+        )
+    # A session opened on another definition of its template is refused
+    # before anything is replayed.
+    payload = store.load(key)
+    victim = next(iter(payload["sessions"].values()))
+    victim["witness"]["plan_render"] = "unused"
+    victim["query_text"] += " "
+    store.save(key, payload)
+    with pytest.raises(CheckpointError, match="another definition"):
+        serve_workload_durable(
+            checkpoint_dir=tmp_path, checkpoint_every=10, resume=True, **options
+        )

@@ -256,3 +256,62 @@ class TestInvocationCacheKey:
         assert invocation_cache_key(
             "S", "A", 1, {"a": 1, "b": "x"}
         ) == invocation_cache_key("S", "A", 1, {"b": "x", "a": 1})
+
+
+class TestFilterOncePerInvocationResult:
+    """The alias's selection check runs once per fetched tuple list, not
+    once per (upstream row x tuple); the output is the per-row filter's."""
+
+    def test_rows_sharing_a_list_share_its_survivors(
+        self, movie_query, movie_registry, movie_plans
+    ):
+        from repro.model.tuples import CompositeTuple
+        from repro.plans.nodes import ServiceNode
+
+        plan = movie_plans[0]
+        pool = ServicePool(movie_registry, global_seed=42)
+        executor = PlanExecutor(plan, movie_query, pool, RUNNING_EXAMPLE_INPUTS)
+        node = next(
+            n for n in (plan.node(i) for i in plan.topological_order())
+            if isinstance(n, ServiceNode) and n.alias == "T"
+        )
+        tuples = pool.invoke(
+            "Theatre1",
+            {"UAddress": "address#17", "UCity": "city#4", "UCountry": "country#1"},
+        ).results
+        real = executor._selection_check("T")
+        seen = []
+
+        def check(components, inputs):
+            seen.append(components["T"])
+            # Every other tuple passes: some, but not all, survive.
+            return components["T"].position % 2 == 0 and real(components, inputs)
+
+        movies = pool.invoke(
+            "Movie1",
+            {"Genres.Genre": "genre#3", "Openings.Country": "country#1",
+             "Openings.Date": None},
+        ).results[:3]
+        rows = [
+            CompositeTuple({"M": m}, movie_query.ranking.score_composite({"M": m}))
+            for m in movies
+        ]
+        out = []
+        for row in rows:
+            executor._compose_service_results(node, row, tuples, False, check, out)
+        assert seen == list(tuples)  # one pass, in list order
+        survivors = [t for t in tuples if t.position % 2 == 0]
+        assert survivors and len(survivors) < len(tuples)
+        assert [(c.components["M"], c.components["T"]) for c in out] == [
+            (m, t) for m in movies for t in survivors
+        ]
+        assert all(
+            c.score == movie_query.ranking.score_composite(c.components)
+            and list(c.components) == ["M", "T"]
+            for c in out
+        )
+        # An equal list that is another object is another invocation result.
+        executor._compose_service_results(
+            node, rows[0], list(tuples), False, check, out
+        )
+        assert len(seen) == 2 * len(tuples)

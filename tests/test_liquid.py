@@ -247,3 +247,105 @@ class TestValidation:
                 inputs={},
                 growth=1,
             )
+
+
+def _rebuild_and_sort(session, limit):
+    """The presentation path sessions used to take: re-score every raw
+    row under the current ranking, re-sort, cut."""
+    from repro.model.tuples import CompositeTuple
+
+    rescored = [
+        CompositeTuple(c.components, session._ranking.score_composite(c.components))
+        for c in session._raw
+    ]
+    rescored.sort(key=lambda c: -c.score)
+    return rescored[:limit]
+
+
+def _exact(rows):
+    """Components (identity of each tuple, alias order), score type and bits."""
+    return [
+        (
+            [(alias, id(tup)) for alias, tup in c.components.items()],
+            type(c.score).__name__,
+            float(c.score).hex(),
+        )
+        for c in rows
+    ]
+
+
+class TestPresentation:
+    """``_present`` returns what the executor ranked instead of re-scoring
+    and re-sorting it; after a rerank it builds only the winners.  Either
+    way the list is the rebuild-and-sort path's, bit for bit."""
+
+    def test_run_more_resubmit_equal_the_rebuilt_list(self, session, movie_query):
+        k = movie_query.k
+        assert _exact(session.run()) == _exact(_rebuild_and_sort(session, k))
+        assert _exact(session.run(k=3)) == _exact(_rebuild_and_sort(session, 3))
+        before = session.result_count
+        more = session.more()
+        assert len(more) == min(session.result_count, max(k, before + 1))
+        assert _exact(more) == _exact(_rebuild_and_sort(session, len(more)))
+        assert _exact(session.more(k=10**6)) == _exact(
+            _rebuild_and_sort(session, 10**6)
+        )
+        changed = dict(RUNNING_EXAMPLE_INPUTS, INPUT1="genre#5")
+        assert _exact(session.resubmit(changed)) == _exact(
+            _rebuild_and_sort(session, k)
+        )
+
+    def test_rerank_more_rerank_back(self, session, movie_query):
+        session.run()
+        weights = {"M": 0.2, "T": 0.1, "R": 0.7}
+        assert _exact(session.rerank(weights, k=7)) == _exact(
+            _rebuild_and_sort(session, 7)
+        )
+        # A re-execution under the altered ranking: the raw list is in the
+        # query's order, the presentation in the session's.
+        more = session.more(k=10**6)
+        assert _exact(more) == _exact(_rebuild_and_sort(session, 10**6))
+        scores = [c.score for c in more]
+        assert scores == sorted(scores, reverse=True)
+        original = dict(movie_query.ranking.weights)
+        back = session.rerank(original, k=10**6)
+        assert _exact(back) == _exact(_rebuild_and_sort(session, 10**6))
+        # Equal weights, but not the query's own function object: the
+        # re-ranked path and the executor's order agree.
+        assert session._ranking is not movie_query.ranking
+        assert _exact(back) == _exact(session._raw)
+
+    def test_rerank_ties_stay_in_raw_order(self, session):
+        session.run()
+        tied = session.rerank({"M": 0.0, "T": 0.0, "R": 0.0}, k=10**6)
+        assert [c.components for c in tied] == [c.components for c in session._raw]
+
+    def test_fully_degraded_empty_composite_keeps_its_score_repr(
+        self, movie_query, movie_registry
+    ):
+        from repro.serve.bench import result_digest
+
+        def degraded():
+            pool = ServicePool(
+                movie_registry,
+                global_seed=21,
+                fault_model=FaultModel().with_outage(
+                    "Movie1", "Theatre1", "Restaurant1"
+                ),
+            )
+            return LiquidQuerySession(
+                candidate=optimize_query(movie_query),
+                query=movie_query,
+                pool=pool,
+                inputs=dict(RUNNING_EXAMPLE_INPUTS),
+                executor_options={"degradation": Degradation.PARTIAL},
+            )
+
+        session = degraded()
+        results = session.run()
+        assert [c.components for c in results] == [{}]
+        assert _exact(results) == _exact(_rebuild_and_sort(session, 10))
+        # ``sum`` of no terms: the integer the digest has always rendered.
+        assert repr(results[0].score) == "0"
+        assert result_digest(results) == result_digest(_rebuild_and_sort(session, 10))
+        assert _exact(session.more()) == _exact(_rebuild_and_sort(session, 10))
