@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": repeats,
         "workloads": {
             name: metrics[name]
-            for name in ("movie_night", "conference_trip")
+            for name in ("movie_night", "conference_trip", "star6")
         },
         "join_kernel": metrics["join_kernel"],
         "suite": {"ran": False},

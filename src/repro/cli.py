@@ -799,6 +799,12 @@ def _cmd_explain(args) -> int:
         f"metric:  {args.metric}  cost: {best.cost:.2f}  "
         f"estimated results: {best.estimated_results:.1f}"
     )
+    stats = outcome.stats
+    print(
+        f"search:  {stats.expanded} expanded, {stats.pruned} pruned, "
+        f"{stats.children_priced} children priced, "
+        f"{stats.plans_materialised} plans materialised"
+    )
     print()
     report = build_explain(best.plan, best.annotations, result)
     print(report.render())

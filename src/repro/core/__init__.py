@@ -35,6 +35,7 @@ from repro.core.optimizer import (
 from repro.core.topology import (
     Move,
     TopologyBuilder,
+    TopologyCounters,
     enumerate_topologies,
     topology_signature,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "optimize_query",
     "Move",
     "TopologyBuilder",
+    "TopologyCounters",
     "enumerate_topologies",
     "topology_signature",
 ]

@@ -27,7 +27,7 @@ instantiated query plan* (Figs. 3 and 10):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import PlanError
 from repro.joins.spec import CompletionStrategy
@@ -35,6 +35,7 @@ from repro.plans.nodes import (
     InputNode,
     OutputNode,
     ParallelJoinNode,
+    PlanNode,
     SelectionNode,
     ServiceNode,
 )
@@ -45,6 +46,7 @@ from repro.stats.estimate import Estimator, combined_selection_selectivity
 __all__ = [
     "annotate",
     "annotate_delta",
+    "annotate_node",
     "AnnotationCounters",
     "ANNOTATION_COUNTERS",
     "TRIANGULAR_CANDIDATE_FACTOR",
@@ -58,18 +60,23 @@ class AnnotationCounters:
 
     ``node_evals`` counts individual node-annotation computations;
     ``full_annotations``/``delta_annotations`` count whole-plan walks vs.
-    incremental re-walks.  The benchmark harness resets and reads these to
-    measure how much recomputation the memoization layers avoid.
+    incremental re-walks; ``incremental_nodes`` is the share of
+    ``node_evals`` the phase-2 builder spent annotating nodes as it
+    attached them (no walk at all).  The benchmark harness resets and
+    reads these to measure how much recomputation the memoization layers
+    avoid.
     """
 
     node_evals: int = 0
     full_annotations: int = 0
     delta_annotations: int = 0
+    incremental_nodes: int = 0
 
     def reset(self) -> None:
         self.node_evals = 0
         self.full_annotations = 0
         self.delta_annotations = 0
+        self.incremental_nodes = 0
 
 
 #: Process-wide counter instance (the benchmarks reset it between runs).
@@ -175,17 +182,39 @@ def _node_annotation(
     fetches: Mapping[str, int],
 ) -> NodeAnnotation:
     """Annotation of one node given its parents' annotations in ``by_node``."""
+    return annotate_node(
+        plan.node(node_id),
+        [by_node[parent] for parent in plan.parents(node_id)],
+        query,
+        estimator,
+        fetches,
+    )
+
+
+def annotate_node(
+    node: PlanNode,
+    parents: Sequence[NodeAnnotation],
+    query: CompiledQuery,
+    estimator: Estimator,
+    fetches: Mapping[str, int],
+) -> NodeAnnotation:
+    """Annotation of ``node`` given its parents' annotations, in arc order.
+
+    The one place a node is priced: :func:`annotate` and
+    :func:`annotate_delta` call it per walked node, the phase-2 builder
+    once per node it attaches — a node's annotation depends only on the
+    node and its parents' ``tout``, so nothing attached later changes it.
+    """
     ANNOTATION_COUNTERS.node_evals += 1
-    node = plan.node(node_id)
-    parents = plan.parents(node_id)
+    node_id = node.node_id
     if isinstance(node, InputNode):
         return NodeAnnotation(tin=0.0, tout=1.0)
 
     if isinstance(node, ParallelJoinNode):
         if len(parents) != 2:
             raise PlanError(f"join {node_id!r} must have two parents")
-        left_out = by_node[parents[0]].tout
-        right_out = by_node[parents[1]].tout
+        left_out = parents[0].tout
+        right_out = parents[1].tout
         factor = (
             TRIANGULAR_CANDIDATE_FACTOR
             if node.method.completion is CompletionStrategy.TRIANGULAR
@@ -197,7 +226,7 @@ def _node_annotation(
 
     if len(parents) != 1:
         raise PlanError(f"node {node_id!r} must have exactly one parent")
-    tin = by_node[parents[0]].tout
+    tin = parents[0].tout
 
     if isinstance(node, ServiceNode):
         return _service_annotation(node, tin, query, estimator, fetches)

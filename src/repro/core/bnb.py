@@ -76,6 +76,12 @@ class BnBStats:
     #: States dropped because a same-group state dominates them.
     dominated: int = 0
     budget_exhausted: bool = False
+    #: Filled in by the caller that owns the states (the engine cannot see
+    #: them): phase-2 children derived from ``(parent state, move)``, and
+    #: plan objects actually built for them — the gap is what pricing a
+    #: child before building it saved.
+    children_priced: int = 0
+    plans_materialised: int = 0
 
 
 @dataclass

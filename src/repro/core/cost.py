@@ -28,9 +28,16 @@ Implemented metrics:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.plans.nodes import ParallelJoinNode, PlanNode, SelectionNode, ServiceNode
-from repro.plans.plan import PlanAnnotations, QueryPlan
+from repro.plans.nodes import (
+    OutputNode,
+    ParallelJoinNode,
+    PlanNode,
+    SelectionNode,
+    ServiceNode,
+)
+from repro.plans.plan import NodeAnnotation, PlanAnnotations, QueryPlan
 
 __all__ = [
     "CostMetric",
@@ -51,14 +58,25 @@ def service_node_time(node: ServiceNode, annotations: PlanAnnotations) -> float:
     ``calls * latency`` plus transfer time proportional to the tuples
     actually shipped (``calls * chunk`` for chunked services).
     """
+    return _service_time(node, annotations.by_node[node.node_id])
+
+
+def _service_time(node: ServiceNode, ann: NodeAnnotation) -> float:
     assert node.interface is not None
-    ann = annotations.by_node[node.node_id]
     stats = node.interface.stats
     if node.interface.is_chunked:
         transferred = ann.calls * node.interface.chunk_size
     else:
         transferred = ann.calls * stats.avg_cardinality
     return ann.calls * stats.latency + transferred * stats.per_tuple_latency
+
+
+def _service_fee(node: PlanNode, ann: NodeAnnotation) -> float:
+    """Invocation fees charged by one node (zero off service nodes)."""
+    if isinstance(node, ServiceNode):
+        assert node.interface is not None
+        return ann.calls * node.interface.stats.invocation_fee
+    return 0.0
 
 
 class CostMetric:
@@ -83,37 +101,29 @@ class CostMetric:
         """
         return self.cost(plan, annotations)
 
-    def cached_partial_cost(
-        self, key: object, plan: QueryPlan, annotations_fn
-    ) -> float:
-        """Memoized :meth:`partial_cost` keyed by a canonical state signature.
+    def extend_partial(
+        self,
+        running: float,
+        node: PlanNode,
+        annotation: NodeAnnotation,
+        parent_finish: Sequence[float],
+    ) -> "tuple[float, float] | None":
+        """Fold one newly attached node into a running partial cost.
 
-        Different move orders in the optimizer's phase 2 reach identical
-        partial constructions; the cost-relevant signature (see
-        :func:`repro.core.topology.topology_signature`) identifies them, so
-        the partial plan is priced once per equivalence class.
+        The phase-2 builder calls this once per node it adds, in the
+        order ``plan.nodes`` lists them.  ``running`` is the cost before
+        the node (``0.0`` for the input node) and ``parent_finish`` what
+        this hook returned as ``finish`` for the node's parents.  The
+        result is ``(finish, running)``: ``running`` equals
+        :meth:`partial_cost` of the extended plan — and :meth:`cost` once
+        the node is the output node — bit for bit, because each override
+        performs the same float operations in the same order as its
+        from-scratch counterpart.
 
-        ``annotations_fn`` is a zero-argument callable producing the
-        plan's annotations; it is only invoked on a miss, so a signature
-        hit skips the annotation walk entirely.  Note the signature only
-        guarantees equal *costs* across its equivalence class — per-node
-        annotations may differ (unpiped serial reorderings), which is why
-        the cache holds the priced scalar and never the annotations.
-        The memo lives on the metric instance — share one metric across a
-        search, not across unrelated queries.
+        ``None`` (the default) means the metric cannot be folded; the
+        builder then prices the whole plan with :meth:`partial_cost`.
         """
-        cache = self.__dict__.get("_partial_cost_cache")
-        if cache is None:
-            cache = self.__dict__["_partial_cost_cache"] = {}
-        if key in cache:
-            return cache[key]
-        value = self.partial_cost(plan, annotations_fn())
-        cache[key] = value
-        return value
-
-    def clear_cost_cache(self) -> None:
-        """Drop the partial-cost memo (e.g. between unrelated queries)."""
-        self.__dict__.pop("_partial_cost_cache", None)
+        return None
 
     def interfaces_lower_bound(self, interfaces) -> float:
         """Optimistic cost given only the set of selected interfaces.
@@ -163,6 +173,22 @@ def _path_cost(
     return max(finish.values(), default=0.0)
 
 
+def _extend_path(
+    running: float, node: PlanNode, time: float, parent_finish: Sequence[float]
+) -> tuple[float, float]:
+    """One :func:`_path_cost` step: the node finishes ``time`` after its
+    slowest parent; the plan costs its latest finish (the output's, once
+    there is one)."""
+    start = 0.0
+    for t in parent_finish:
+        if t > start:
+            start = t
+    finish = start + time
+    if isinstance(node, OutputNode) or finish > running:
+        return finish, finish
+    return finish, running
+
+
 @dataclass
 class ExecutionTimeMetric(CostMetric):
     """Expected elapsed time to the k-th answer: the slowest dataflow path.
@@ -176,10 +202,15 @@ class ExecutionTimeMetric(CostMetric):
     name: str = "execution-time"
 
     def node_time(self, node: PlanNode, annotations: PlanAnnotations) -> float:
+        if isinstance(node, (ServiceNode, ParallelJoinNode)):
+            return self._time(node, annotations.by_node[node.node_id])
+        return 0.0
+
+    def _time(self, node: PlanNode, ann: NodeAnnotation) -> float:
         if isinstance(node, ServiceNode):
-            return service_node_time(node, annotations)
+            return _service_time(node, ann)
         if isinstance(node, ParallelJoinNode) and self.join_cpu_per_candidate:
-            return annotations.by_node[node.node_id].tin * self.join_cpu_per_candidate
+            return ann.tin * self.join_cpu_per_candidate
         return 0.0
 
     def cost(self, plan: QueryPlan, annotations: PlanAnnotations) -> float:
@@ -187,6 +218,11 @@ class ExecutionTimeMetric(CostMetric):
 
     def partial_cost(self, plan: QueryPlan, annotations: PlanAnnotations) -> float:
         return _path_cost(plan, annotations, self.node_time, to_output=False)
+
+    def extend_partial(self, running, node, annotation, parent_finish):
+        return _extend_path(
+            running, node, self._time(node, annotation), parent_finish
+        )
 
     def interfaces_lower_bound(self, interfaces) -> float:
         return max((i.stats.latency for i in interfaces), default=0.0)
@@ -200,18 +236,21 @@ class SumCostMetric(CostMetric):
     selection_cpu_per_tuple: float = 0.0
     name: str = "sum"
 
+    def _charge(self, node: PlanNode, ann: NodeAnnotation) -> float:
+        if isinstance(node, ParallelJoinNode):
+            return ann.tin * self.join_cpu_per_candidate
+        if isinstance(node, SelectionNode):
+            return ann.tin * self.selection_cpu_per_tuple
+        return _service_fee(node, ann)
+
     def cost(self, plan: QueryPlan, annotations: PlanAnnotations) -> float:
         total = 0.0
         for node_id, node in plan.nodes.items():
-            ann = annotations.by_node[node_id]
-            if isinstance(node, ServiceNode):
-                assert node.interface is not None
-                total += ann.calls * node.interface.stats.invocation_fee
-            elif isinstance(node, ParallelJoinNode):
-                total += ann.tin * self.join_cpu_per_candidate
-            elif isinstance(node, SelectionNode):
-                total += ann.tin * self.selection_cpu_per_tuple
+            total += self._charge(node, annotations.by_node[node_id])
         return total
+
+    def extend_partial(self, running, node, annotation, parent_finish):
+        return 0.0, running + self._charge(node, annotation)
 
     def interfaces_lower_bound(self, interfaces) -> float:
         return sum(i.stats.invocation_fee for i in interfaces)
@@ -226,10 +265,11 @@ class RequestResponseMetric(CostMetric):
     def cost(self, plan: QueryPlan, annotations: PlanAnnotations) -> float:
         total = 0.0
         for node in plan.service_nodes():
-            ann = annotations.by_node[node.node_id]
-            assert node.interface is not None
-            total += ann.calls * node.interface.stats.invocation_fee
+            total += _service_fee(node, annotations.by_node[node.node_id])
         return total
+
+    def extend_partial(self, running, node, annotation, parent_finish):
+        return 0.0, running + _service_fee(node, annotation)
 
     def interfaces_lower_bound(self, interfaces) -> float:
         return sum(i.stats.invocation_fee for i in interfaces)
@@ -242,9 +282,17 @@ class CallCountMetric(CostMetric):
     name: str = "call-count"
 
     def cost(self, plan: QueryPlan, annotations: PlanAnnotations) -> float:
-        return sum(
-            annotations.by_node[node.node_id].calls for node in plan.service_nodes()
-        )
+        # An explicit left-to-right sum: ``sum()`` compensates float
+        # rounding from Python 3.12 on, which a running total cannot match.
+        total = 0.0
+        for node in plan.service_nodes():
+            total += annotations.by_node[node.node_id].calls
+        return total
+
+    def extend_partial(self, running, node, annotation, parent_finish):
+        if isinstance(node, ServiceNode):
+            running += annotation.calls
+        return 0.0, running
 
     def interfaces_lower_bound(self, interfaces) -> float:
         return float(len(list(interfaces)))
@@ -266,6 +314,11 @@ class BottleneckMetric(CostMetric):
             service_node_time(node, annotations) for node in plan.service_nodes()
         ]
         return max(times, default=0.0)
+
+    def extend_partial(self, running, node, annotation, parent_finish):
+        if isinstance(node, ServiceNode):
+            running = max(running, _service_time(node, annotation))
+        return 0.0, running
 
     def interfaces_lower_bound(self, interfaces) -> float:
         return max((i.stats.latency for i in interfaces), default=0.0)
@@ -300,6 +353,11 @@ class TimeToScreenMetric(CostMetric):
 
     def partial_cost(self, plan: QueryPlan, annotations: PlanAnnotations) -> float:
         return _path_cost(plan, annotations, self._first_call_time, to_output=False)
+
+    def extend_partial(self, running, node, annotation, parent_finish):
+        return _extend_path(
+            running, node, self._first_call_time(node, None), parent_finish
+        )
 
     def interfaces_lower_bound(self, interfaces) -> float:
         return max((i.stats.latency for i in interfaces), default=0.0)

@@ -38,8 +38,12 @@ Hot-path memoization (see DESIGN.md, "Performance architecture"):
   annotations are derived from the parent's via
   :func:`~repro.core.annotate.annotate_delta` — only the services whose
   factor changed, plus their downstream cone, are recomputed;
-* partial-topology annotations and costs are memoized per signature
-  (:meth:`~repro.core.cost.CostMetric.cached_partial_cost`).
+* a phase-2 state is **priced before it is built**: its builder carries
+  the topology signature, the ``fetches={}`` annotations and the partial
+  cost incrementally (:class:`~repro.core.topology.TopologyBuilder`), so
+  a child costs the one or two nodes its move adds, and a
+  :class:`~repro.plans.plan.QueryPlan` is only materialised for a
+  finished topology the engine actually pops.
 
 The ``incremental`` / ``dedup`` / ``dominance`` config flags switch the
 layers off individually; with all three off the optimizer reproduces the
@@ -66,13 +70,17 @@ from repro.core.heuristics import (
     Phase2Heuristic,
     Phase3Heuristic,
 )
-from repro.core.topology import TopologyBuilder, topology_signature
+from repro.core.topology import (
+    TopologyBuilder,
+    TopologyCounters,
+    topology_signature,
+)
 from repro.errors import OptimizationError
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.joins.spec import JoinMethodSpec
 from repro.joins.wcoj import KNOWN_JOIN_KERNELS
 from repro.model.service import ServiceInterface
-from repro.plans.nodes import ParallelJoinNode
+from repro.plans.nodes import ParallelJoinNode, ServiceNode
 from repro.plans.plan import PlanAnnotations, QueryPlan
 from repro.query.ast import Comparator
 from repro.query.compile import CompiledQuery
@@ -248,12 +256,15 @@ class _TopoState:
 
 @dataclass(frozen=True)
 class _FetchState:
-    plan: QueryPlan
+    #: The sealed builder of the finished topology; its plan is built the
+    #: first time the state is looked into (a state pruned or deduplicated
+    #: on arrival never builds one).
+    topology: TopologyBuilder
     assignment: tuple[tuple[str, ServiceInterface], ...]
     fetches: tuple[tuple[str, int], ...]
     depth: int
-    #: Id of this *plan object* — the memoization key prefix for
-    #: annotations/costs/proposals.  Deliberately narrower than the
+    #: Id of this *finished topology* (its index in the optimizer's list)
+    #: — the memoization key prefix for annotations/costs/proposals.  Deliberately narrower than the
     #: topology signature: the signature conflates unpiped serial
     #: reorderings whose costs coincide but whose per-node annotations
     #: differ, so sharing cached ``by_node`` tables across it would
@@ -267,6 +278,10 @@ class _FetchState:
     #: annotator recompute only the changed cone (``annotate_delta``).
     parent_fetches: tuple[tuple[str, int], ...] | None = None
     signature: Hashable = None
+
+    @property
+    def plan(self) -> QueryPlan:
+        return self.topology.plan
 
 
 class Optimizer:
@@ -294,18 +309,17 @@ class Optimizer:
         self._seen_topologies: set[tuple] = set()
         self._seen_partial: set[tuple] = set()
         self._seen_fetches: set[tuple] = set()
-        # Fetch-state dedup keys on id(plan); keep every finished plan
-        # alive so a garbage-collected plan's id cannot be recycled by a
-        # new plan and shadow its fetch vectors.
-        self._plan_refs: list[QueryPlan] = []
+        # Every finished topology, indexed by plan key.  (Legacy fetch
+        # dedup keys on id(plan): keeping the builders — hence their plans
+        # — alive stops a recycled id from shadowing fetch vectors.)
+        self._finished: list[TopologyBuilder] = []
+        #: Phase-2 accounting across every lineage of this optimizer.
+        self.topology_counters = TopologyCounters()
         # Memoization layers (incremental mode).
         self._dedup_keys: dict[tuple, int] = {}
         self._ann_cache: OrderedDict[tuple, PlanAnnotations] = OrderedDict()
         self._cost_cache: dict[tuple, float] = {}
         self._proposal_cache: dict[tuple, list[dict[str, int]]] = {}
-        # Scopes this optimizer's entries in the (shared) metric's
-        # partial-cost memo; unique per optimizer instance.
-        self._cache_token = object()
 
     # -- phase 1 ----------------------------------------------------------------
 
@@ -340,7 +354,15 @@ class Optimizer:
                 self.query, assignment, limit=self.config.binding_choice_limit
             )
         ):
-            builder = TopologyBuilder.initial(self.query, assignment, choice)
+            builder = TopologyBuilder.initial(
+                self.query,
+                assignment,
+                choice,
+                # Legacy states are priced from scratch, so carry no cost.
+                metric=self.config.metric if self.config.incremental else None,
+                estimator=self.estimator,
+                counters=self.topology_counters,
+            )
             children.append(
                 self._topo_state(
                     builder, state.assignment, assignment_key, index,
@@ -359,7 +381,11 @@ class Optimizer:
         choice_index: int,
         depth: int,
     ) -> _TopoState:
-        partial_sig = topology_signature(builder.plan)
+        partial_sig = (
+            builder.signature
+            if self.config.incremental
+            else topology_signature(builder.plan)
+        )
         signature = None
         if self.config.dedup:
             signature = ("topo", assignment_key, choice_index, partial_sig)
@@ -375,7 +401,7 @@ class Optimizer:
 
     def _fetch_state(
         self,
-        plan: QueryPlan,
+        topology: TopologyBuilder,
         assignment: tuple[tuple[str, ServiceInterface], ...],
         plan_key: int,
         dedup_key: int,
@@ -385,7 +411,7 @@ class Optimizer:
     ) -> _FetchState:
         signature = ("fetch", dedup_key, fetches) if self.config.dedup else None
         return _FetchState(
-            plan=plan,
+            topology=topology,
             assignment=assignment,
             fetches=fetches,
             depth=depth,
@@ -427,20 +453,32 @@ class Optimizer:
                 applied = [state.builder.apply(move)]
             for builder in applied:
                 if builder.is_complete:
-                    plan = builder.finish()
-                    full_key = (state.assignment_key, topology_signature(plan))
+                    topology = builder.seal()
+                    full_key = (
+                        state.assignment_key,
+                        topology.signature
+                        if self.config.incremental
+                        else topology_signature(topology.plan),
+                    )
                     if not self.config.dedup:
                         if full_key in self._seen_topologies:
                             continue
                         self._seen_topologies.add(full_key)
-                    self._plan_refs.append(plan)
+                    plan_key = len(self._finished)
+                    self._finished.append(topology)
+                    fetches = self._initial_fetches(topology)
+                    full_cost = topology.bound
+                    if full_cost is not None:
+                        # All-ones fetches are what the builder annotated
+                        # with: its running cost is this state's full cost.
+                        self._cost_cache[(plan_key, fetches)] = full_cost
                     children.append(
                         self._fetch_state(
-                            plan,
+                            topology,
                             state.assignment,
-                            len(self._plan_refs) - 1,
+                            plan_key,
                             self._intern_dedup_key(*full_key),
-                            self._initial_fetches(plan),
+                            fetches,
                             None,
                             state.depth + 1,
                         )
@@ -491,11 +529,15 @@ class Optimizer:
         )
 
     @staticmethod
-    def _initial_fetches(plan: QueryPlan) -> tuple[tuple[str, int], ...]:
+    def _initial_fetches(
+        topology: TopologyBuilder,
+    ) -> tuple[tuple[str, int], ...]:
         return tuple(
             (node.alias, 1)
-            for node in plan.service_nodes()
-            if node.interface is not None and node.interface.is_chunked
+            for node in topology.nodes()
+            if isinstance(node, ServiceNode)
+            and node.interface is not None
+            and node.interface.is_chunked
         )
 
     # -- phase 3 ----------------------------------------------------------------
@@ -524,6 +566,9 @@ class Optimizer:
                 dict(fetches),
                 estimator=self.estimator,
             )
+        elif all(factor == 1 for _, factor in fetches):
+            # All-ones fetches: what the builder annotated as it attached.
+            annotations = self._finished[plan_key].annotations
         else:
             annotations = annotate(
                 plan, self.query, fetches=dict(fetches), estimator=self.estimator
@@ -636,7 +681,7 @@ class Optimizer:
                 self._seen_fetches.add(key)
             children.append(
                 self._fetch_state(
-                    state.plan,
+                    state.topology,
                     state.assignment,
                     state.plan_key,
                     state.dedup_key,
@@ -695,26 +740,12 @@ class Optimizer:
             chosen = [iface for _, iface in state.assignment]
             return metric.interfaces_lower_bound(fixed + chosen)
         if isinstance(state, _TopoState):
-            def partial_annotations() -> PlanAnnotations:
-                return annotate(
-                    state.builder.plan,
-                    self.query,
-                    fetches={},
-                    estimator=self.estimator,
-                )
-
-            if not self.config.incremental:
-                return metric.partial_cost(
-                    state.builder.plan, partial_annotations()
-                )
-            # Partial-plan costs depend only on the cost-relevant
-            # signature (plus the interface assignment): memoized per
-            # signature, the annotation walk runs only on a miss.
-            sig_key = (state.assignment_key, state.partial_sig)
-            return metric.cached_partial_cost(
-                (self._cache_token, sig_key),
-                state.builder.plan,
-                partial_annotations,
+            if self.config.incremental:
+                return state.builder.bound
+            plan = state.builder.plan
+            return metric.partial_cost(
+                plan,
+                annotate(plan, self.query, fetches={}, estimator=self.estimator),
             )
         return self._full_cost(state)
 
@@ -818,15 +849,24 @@ class Optimizer:
         self._seen_partial.clear()
         self._seen_fetches.clear()
         root = _AssignState(assignment=(), next_index=0, depth=0)
+        counters = self.topology_counters
+        priced, built = counters.children_priced, counters.plans_materialised
         with tracer.span("optimize.search", k=self.k) as span:
             outcome = engine.run(
                 root, budget=self.config.budget, initial=initial
+            )
+            # The search's own share (the warm start priced children too).
+            outcome.stats.children_priced = counters.children_priced - priced
+            outcome.stats.plans_materialised = (
+                counters.plans_materialised - built
             )
             span.set("expanded", outcome.stats.expanded)
             span.set("pruned", outcome.stats.pruned)
             span.set("leaves", outcome.stats.leaves)
             span.set("deduped", outcome.stats.deduped)
             span.set("dominated", outcome.stats.dominated)
+            span.set("children_priced", outcome.stats.children_priced)
+            span.set("plans_materialised", outcome.stats.plans_materialised)
             if outcome.payload is not None:
                 span.set("best_cost", outcome.cost)
         return OptimizationOutcome(

@@ -35,14 +35,31 @@ the order of adjacent *unpiped* services coincide (their annotations,
 hence costs, are identical under every metric).  With that
 canonicalisation the running example yields exactly the four alternative
 topologies of Fig. 9.
+
+A builder is **persistent and incremental** (DESIGN.md, "Phase-2 states"):
+it carries, per placed node, the aliases flowing through it, its
+``fetches={}`` annotation and its finish time under the lineage's metric,
+plus the sorted leaves, the three sorted entry lists of its signature and
+the running partial cost.  Everything a node contributes is fixed when it
+is attached — nothing attached later changes it — so :meth:`~
+TopologyBuilder.apply` extends a child by the one or two nodes its move
+adds and shares the rest with its parent; the :class:`QueryPlan` itself is
+only built when somebody asks for :attr:`~TopologyBuilder.plan`.
+:func:`topology_signature`, :func:`~repro.core.annotate.annotate` and
+``metric.partial_cost`` remain the from-scratch definitions the carried
+values are tested against.
 """
+
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from repro.core.annotate import ANNOTATION_COUNTERS, annotate_node
+from repro.core.cost import CostMetric
 from repro.errors import PlanError
 from repro.joins.spec import JoinMethodSpec
 from repro.model.service import ServiceInterface
@@ -50,17 +67,20 @@ from repro.plans.nodes import (
     InputNode,
     OutputNode,
     ParallelJoinNode,
+    PlanNode,
     SelectionNode,
     ServiceNode,
 )
-from repro.plans.plan import QueryPlan
+from repro.plans.plan import NodeAnnotation, PlanAnnotations, QueryPlan
 from repro.query.ast import JoinPredicate
 from repro.query.compile import CompiledQuery
 from repro.query.feasibility import BindingChoice, ProviderKind
+from repro.stats.estimate import Estimator
 
 __all__ = [
     "Move",
     "TopologyBuilder",
+    "TopologyCounters",
     "enumerate_topologies",
     "topology_signature",
 ]
@@ -95,66 +115,58 @@ class Move:
 
 
 @dataclass
-class TopologyBuilder:
-    """Mutable-by-copy incremental plan constructor (one search-tree node)."""
+class TopologyCounters:
+    """What one lineage of builders did (shared by all its descendants)."""
 
-    query: CompiledQuery
-    assignment: Mapping[str, ServiceInterface]
-    choice: BindingChoice
-    plan: QueryPlan = field(default_factory=QueryPlan)
-    placed: frozenset[str] = frozenset()
-    realized: frozenset[JoinPredicate] = frozenset()
-    _counter: int = 0
+    #: Children derived with :meth:`TopologyBuilder.apply`.
+    children_priced: int = 0
+    #: :class:`QueryPlan` objects actually built.
+    plans_materialised: int = 0
 
-    @classmethod
-    def initial(
-        cls,
-        query: CompiledQuery,
-        assignment: Mapping[str, ServiceInterface],
-        choice: BindingChoice,
-    ) -> "TopologyBuilder":
-        plan = QueryPlan()
-        plan.add(InputNode())
-        return cls(query=query, assignment=assignment, choice=choice, plan=plan)
 
-    # -- introspection ----------------------------------------------------------
+class _Placed(NamedTuple):
+    """One placed node and everything that was fixed when it was attached."""
 
-    def leaves(self) -> tuple[str, ...]:
-        """Current open branches: nodes with no children (input excluded
-        once construction has begun)."""
-        out = []
-        for node_id in self.plan.nodes:
-            if self.plan.children(node_id):
-                continue
-            if isinstance(self.plan.node(node_id), InputNode) and self.placed:
-                continue
-            out.append(node_id)
-        return tuple(sorted(out))
+    node: PlanNode
+    parents: tuple[str, ...]
+    #: Aliases whose tuples flow through the node (inclusive).
+    through: frozenset[str]
+    #: ``None`` in a lineage without a metric (nothing to price).
+    annotation: NodeAnnotation | None
+    #: What the metric's ``extend_partial`` returned for the node.
+    finish: float
 
-    def upstream_aliases(self, node_id: str) -> frozenset[str]:
-        """Aliases whose tuples flow through ``node_id`` (inclusive)."""
-        seen: set[str] = set()
-        aliases: set[str] = set()
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            node = self.plan.node(current)
-            if isinstance(node, ServiceNode):
-                aliases.add(node.alias)
-            stack.extend(self.plan.parents(current))
-        return frozenset(aliases)
 
-    @property
-    def is_complete(self) -> bool:
-        if self.placed != frozenset(self.query.aliases):
-            return False
-        return len(self.leaves()) == 1
+class _Service(NamedTuple):
+    """Per-alias invariants of one (assignment, choice)."""
 
-    def dependencies(self, alias: str) -> frozenset[str]:
-        return self.choice.dependencies_over(self.query.aliases)[alias]
+    node: ServiceNode
+    #: Join predicates realised by the alias's pipe bindings.
+    consumed: frozenset[JoinPredicate]
+    #: ``(join, join.aliases)`` for every join involving the alias.
+    joins: tuple[tuple[JoinPredicate, frozenset[str]], ...]
+
+
+class _Lineage:
+    """What every builder descending from one :meth:`TopologyBuilder.initial`
+    shares: the (query, assignment, choice) triple, the metric and
+    estimator it is priced with, and the invariants derived from them."""
+
+    def __init__(self, query, assignment, choice, metric, estimator, counters):
+        self.query: CompiledQuery = query
+        self.assignment: InterfaceAssignment = assignment
+        self.choice: BindingChoice = choice
+        self.metric: CostMetric | None = metric
+        self.estimator: Estimator = estimator or Estimator(query)
+        self.counters: TopologyCounters = counters or TopologyCounters()
+        self.aliases = query.aliases
+        self.complete = frozenset(self.aliases)
+        self.deps = choice.dependencies_over(self.aliases)
+        self.joins = tuple((join, join.aliases) for join in query.joins)
+        self._services: dict[str, _Service] = {}
+        self._ancestors: dict[str, frozenset[str]] = {}
+        self._sorted: dict[frozenset[str], tuple[str, ...]] = {}
+        self._text: dict[int, str] = {}
 
     def interface_of(self, alias: str) -> ServiceInterface:
         atom = self.query.atom(alias)
@@ -162,23 +174,261 @@ class TopologyBuilder:
             return atom.interface
         return self.assignment[alias]
 
+    def service(self, alias: str) -> _Service:
+        service = self._services.get(alias)
+        if service is None:
+            providers = tuple(
+                p for p in self.choice.providers if p.alias == alias
+            )
+            # Selections consumed as input bindings (equality or range, e.g.
+            # "Openings.Date > INPUT3") are applied server-side by the service
+            # and are already reflected in its average-cardinality statistic,
+            # so they are not pushed client-side filters.
+            binding_sels = {
+                id(p.selection)
+                for p in providers
+                if p.kind is ProviderKind.CONSTANT and p.selection is not None
+            }
+            node = ServiceNode(
+                node_id=f"svc:{alias}",
+                alias=alias,
+                interface=self.interface_of(alias),
+                providers=providers,
+                pushed_selections=tuple(
+                    sel
+                    for sel in self.query.selections_on(alias)
+                    if id(sel) not in binding_sels
+                ),
+            )
+            service = self._services[alias] = _Service(
+                node=node,
+                consumed=frozenset(
+                    p.join for p in providers if p.join is not None
+                ),
+                joins=tuple(
+                    (join, join.aliases)
+                    for join in self.query.joins_involving(alias)
+                ),
+            )
+        return service
+
+    def ancestors(self, alias: str) -> frozenset[str]:
+        """Transitive pipe ancestors of ``alias``."""
+        found = self._ancestors.get(alias)
+        if found is None:
+            seen: set[str] = set()
+            stack = list(self.deps[alias])
+            while stack:
+                node = stack.pop()
+                if node in seen:
+                    continue
+                seen.add(node)
+                stack.extend(self.deps[node])
+            found = self._ancestors[alias] = frozenset(seen)
+        return found
+
+    def ordered(self, aliases: frozenset[str]) -> tuple[str, ...]:
+        """Order-free form of an alias set, as signature entries carry it."""
+        found = self._sorted.get(aliases)
+        if found is None:
+            found = self._sorted[aliases] = _sorted_aliases(aliases)
+        return found
+
+    def texts(self, predicates: Sequence[JoinPredicate]) -> tuple[str, ...]:
+        """Order-free form of a predicate set (``str`` once per predicate;
+        keyed by identity — the query keeps its predicates alive)."""
+        out = set()
+        for predicate in predicates:
+            text = self._text.get(id(predicate))
+            if text is None:
+                text = self._text[id(predicate)] = str(predicate)
+            out.add(text)
+        return tuple(sorted(out))
+
+
+def _with(entries: tuple, entry: tuple) -> tuple:
+    """``entries`` (sorted) with ``entry`` inserted in order."""
+    at = bisect_right(entries, entry)
+    return entries[:at] + (entry,) + entries[at:]
+
+
+class TopologyBuilder:
+    """Persistent incremental plan constructor (one search-tree node).
+
+    Create the root with :meth:`initial`; every other builder comes from
+    :meth:`apply` (or :meth:`seal`) and never changes afterwards.
+    """
+
+    __slots__ = (
+        "_lineage",
+        "placed",
+        "realized",
+        "signature",
+        "_counter",
+        "_leaves",
+        "_running",
+        "_sealed",
+        "_parent",
+        "_added",
+        "_table",
+        "_plan",
+    )
+
+    @classmethod
+    def initial(
+        cls,
+        query: CompiledQuery,
+        assignment: Mapping[str, ServiceInterface],
+        choice: BindingChoice,
+        metric: CostMetric | None = None,
+        estimator: Estimator | None = None,
+        counters: TopologyCounters | None = None,
+    ) -> "TopologyBuilder":
+        """The empty construction (just the input node).
+
+        With a ``metric`` every descendant carries its annotations and
+        partial cost (:attr:`annotations`, :attr:`bound` — both ``None``
+        otherwise); ``estimator`` prices the annotations (default: a
+        fresh one over ``query``) and ``counters`` receives the lineage's
+        accounting.
+        """
+        self = cls.__new__(cls)
+        self._lineage = _Lineage(
+            query, assignment, choice, metric, estimator, counters
+        )
+        #: Aliases placed so far.
+        self.placed: frozenset[str] = frozenset()
+        #: Join predicates realised so far (pipes, selections, merges).
+        self.realized: frozenset[JoinPredicate] = frozenset()
+        #: :func:`topology_signature` of :attr:`plan`, kept incrementally.
+        self.signature: tuple = ((), (), ())
+        self._counter = 0
+        self._leaves: tuple[str, ...] = ()
+        # None: no metric, or one that cannot be folded node by node.
+        self._running: float | None = 0.0 if metric is not None else None
+        self._sealed = False
+        self._parent: TopologyBuilder | None = None
+        self._added: list[tuple[str, _Placed]] = []
+        self._table: dict[str, _Placed] | None = {}
+        self._plan: QueryPlan | None = None
+        self._place(InputNode(), (), (), frozenset())
+        self._table.update(self._added)
+        return self
+
+    @property
+    def query(self) -> CompiledQuery:
+        return self._lineage.query
+
+    @property
+    def assignment(self) -> Mapping[str, ServiceInterface]:
+        return self._lineage.assignment
+
+    @property
+    def choice(self) -> BindingChoice:
+        return self._lineage.choice
+
+    # -- carried state ------------------------------------------------------------
+
+    def _nodes(self) -> dict[str, _Placed]:
+        """Every placed node in attach order (``plan.nodes`` order): the
+        parent's table plus the nodes this builder's move added, put
+        together the first time this builder is looked into."""
+        if self._table is None:
+            assert self._parent is not None
+            table = dict(self._parent._nodes())
+            table.update(self._added)
+            self._table = table
+            self._parent = None
+        return self._table
+
+    @property
+    def plan(self) -> QueryPlan:
+        """The construction as a :class:`QueryPlan`, built on first use."""
+        if self._plan is None:
+            table = self._nodes()
+            plan = QueryPlan(
+                nodes={node_id: placed.node for node_id, placed in table.items()},
+                arcs=[
+                    (parent, node_id)
+                    for node_id, placed in table.items()
+                    for parent in placed.parents
+                ],
+            )
+            if self._sealed:
+                plan.validate()
+            self._lineage.counters.plans_materialised += 1
+            self._plan = plan
+        return self._plan
+
+    def nodes(self) -> Iterator[PlanNode]:
+        """The placed nodes in attach order (``plan.nodes`` order)."""
+        return (placed.node for placed in self._nodes().values())
+
+    @property
+    def annotations(self) -> PlanAnnotations | None:
+        """``annotate(self.plan, query, fetches={})``, kept incrementally."""
+        if self._lineage.metric is None:
+            return None
+        return PlanAnnotations(
+            by_node={
+                node_id: placed.annotation
+                for node_id, placed in self._nodes().items()
+            }
+        )
+
+    @property
+    def bound(self) -> float | None:
+        """``metric.partial_cost`` of the construction (``metric.cost``
+        once sealed) under the lineage's metric; ``None`` without one."""
+        metric = self._lineage.metric
+        if self._running is None and metric is not None:
+            price = metric.cost if self._sealed else metric.partial_cost
+            return price(self.plan, self.annotations)
+        return self._running
+
+    # -- introspection ----------------------------------------------------------
+
+    def leaves(self) -> tuple[str, ...]:
+        """Current open branches: nodes with no children, sorted."""
+        return self._leaves
+
+    def upstream_aliases(self, node_id: str) -> frozenset[str]:
+        """Aliases whose tuples flow through ``node_id`` (inclusive)."""
+        placed = self._nodes().get(node_id)
+        if placed is None:
+            raise PlanError(f"unknown node {node_id!r}")
+        return placed.through
+
+    @property
+    def is_complete(self) -> bool:
+        return self.placed == self._lineage.complete and len(self._leaves) == 1
+
+    def dependencies(self, alias: str) -> frozenset[str]:
+        return self._lineage.deps[alias]
+
+    def interface_of(self, alias: str) -> ServiceInterface:
+        return self._lineage.interface_of(alias)
+
     # -- move generation ----------------------------------------------------------
 
     def available_moves(self) -> list[Move]:
         """All legal construction steps from this state."""
+        lineage = self._lineage
         moves: list[Move] = []
-        leaves = self.leaves()
+        table = self._nodes()
+        leaves = self._leaves
         leaf_set = set(leaves)
-        unplaced = [a for a in self.query.aliases if a not in self.placed]
 
-        for alias in unplaced:
-            deps = self.dependencies(alias)
-            for node_id in self.plan.nodes:
-                if isinstance(self.plan.node(node_id), InputNode):
+        for alias in lineage.aliases:
+            if alias in self.placed:
+                continue
+            deps = lineage.deps[alias]
+            for node_id, placed in table.items():
+                if isinstance(placed.node, InputNode):
                     if not deps:
                         moves.append(Move("start", alias=alias, node=node_id))
                     continue
-                if not deps <= self.upstream_aliases(node_id):
+                if not deps <= placed.through:
                     continue
                 kind = "extend" if node_id in leaf_set else "fork"
                 if kind == "fork" and not deps:
@@ -188,8 +438,8 @@ class TopologyBuilder:
                 moves.append(Move(kind, alias=alias, node=node_id))
 
         for i, j in itertools.combinations(range(len(leaves)), 2):
-            left = self.upstream_aliases(leaves[i])
-            right = self.upstream_aliases(leaves[j])
+            left = table[leaves[i]].through
+            right = table[leaves[j]].through
             if left <= right or right <= left:
                 continue  # degenerate merge: one branch subsumes the other
             shared = left & right
@@ -215,33 +465,21 @@ class TopologyBuilder:
     ) -> tuple[JoinPredicate, ...]:
         """Unrealised join predicates crossing the two alias sets."""
         union = left | right
+        realized = self.realized
         return tuple(
             join
-            for join in self.query.joins
-            if join not in self.realized
-            and join.left.alias in union
-            and join.right.alias in union
-            and not join.aliases <= left
-            and not join.aliases <= right
+            for join, aliases in self._lineage.joins
+            if aliases <= union
+            and not aliases <= left
+            and not aliases <= right
+            and join not in realized
         )
 
     def _prefix_justified(
         self, side: frozenset[str], shared: frozenset[str]
     ) -> bool:
         """Every shared alias is a (transitive) pipe ancestor of an extra."""
-        deps = self.choice.dependencies_over(self.query.aliases)
-
-        def ancestors(alias: str) -> frozenset[str]:
-            seen: set[str] = set()
-            stack = list(deps[alias])
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(deps[node])
-            return frozenset(seen)
-
+        ancestors = self._lineage.ancestors
         extras = side - shared
         return all(
             any(alias in ancestors(extra) for extra in extras) for alias in shared
@@ -250,113 +488,208 @@ class TopologyBuilder:
     # -- application --------------------------------------------------------------
 
     def apply(self, move: Move) -> "TopologyBuilder":
-        """Return a new builder with ``move`` applied (self is untouched)."""
-        child = replace(
-            self,
-            plan=self.plan.copy(),
-            placed=self.placed,
-            realized=self.realized,
-        )
+        """Return a new builder with ``move`` applied (self is untouched).
+
+        The child is priced here — signature, annotations of its new
+        nodes, :attr:`bound` — from this builder's tables; it copies
+        nothing until it is itself looked into.
+        """
+        table = self._nodes()
+        child = self._child()
         if move.kind in ("start", "extend", "fork"):
             assert move.node is not None
-            child._attach(move.alias or "", move.node)
+            child._attach(table, move.alias or "", move.node)
         elif move.kind == "merge":
             assert move.stream is not None and move.other is not None
-            child._merge(move.stream, move.other, move.method or JoinMethodSpec())
+            child._merge(
+                table, move.stream, move.other, move.method or JoinMethodSpec()
+            )
         else:  # pragma: no cover - defensive
             raise PlanError(f"unknown move kind {move.kind!r}")
+        self._lineage.counters.children_priced += 1
+        return child
+
+    def _child(self) -> "TopologyBuilder":
+        child = TopologyBuilder.__new__(TopologyBuilder)
+        child._lineage = self._lineage
+        child.placed = self.placed
+        child.realized = self.realized
+        child.signature = self.signature
+        child._counter = self._counter
+        child._leaves = self._leaves
+        child._running = self._running
+        child._sealed = False
+        child._parent = self
+        child._added = []
+        child._table = None
+        child._plan = None
         return child
 
     def _next_id(self, prefix: str) -> str:
         self._counter += 1
         return f"{prefix}:{self._counter}"
 
-    def _service_node(self, alias: str) -> ServiceNode:
-        interface = self.interface_of(alias)
-        providers = tuple(p for p in self.choice.providers if p.alias == alias)
-        # Selections consumed as input bindings (equality or range, e.g.
-        # "Openings.Date > INPUT3") are applied server-side by the service
-        # and are already reflected in its average-cardinality statistic,
-        # so they are not pushed client-side filters.
-        binding_sels = {
-            id(p.selection)
-            for p in providers
-            if p.kind is ProviderKind.CONSTANT and p.selection is not None
-        }
-        pushed = tuple(
-            sel
-            for sel in self.query.selections_on(alias)
-            if id(sel) not in binding_sels
+    def _place(
+        self,
+        node: PlanNode,
+        parent_ids: tuple[str, ...],
+        parents: Sequence[_Placed],
+        through: frozenset[str],
+    ) -> _Placed:
+        """Record ``node`` below ``parents`` and move the leaves; under a
+        metric, annotate it and fold it into the running cost."""
+        lineage = self._lineage
+        annotation, finish = None, 0.0
+        if lineage.metric is not None:
+            annotation = annotate_node(
+                node,
+                [parent.annotation for parent in parents],
+                lineage.query,
+                lineage.estimator,
+                {},
+            )
+            ANNOTATION_COUNTERS.incremental_nodes += 1
+            if self._running is not None:
+                step = lineage.metric.extend_partial(
+                    self._running,
+                    node,
+                    annotation,
+                    [parent.finish for parent in parents],
+                )
+                if step is None:
+                    self._running = None
+                else:
+                    finish, self._running = step
+        placed = _Placed(node, parent_ids, through, annotation, finish)
+        self._added.append((node.node_id, placed))
+        self._leaves = tuple(
+            sorted(
+                [leaf for leaf in self._leaves if leaf not in parent_ids]
+                + [node.node_id]
+            )
         )
-        return ServiceNode(
-            node_id=f"svc:{alias}",
-            alias=alias,
-            interface=interface,
-            providers=providers,
-            pushed_selections=pushed,
-        )
+        return placed
 
-    def _consumed_joins(self, alias: str) -> frozenset[JoinPredicate]:
-        """Join predicates realised by this alias's pipe bindings."""
-        return frozenset(
-            p.join
-            for p in self.choice.providers
-            if p.alias == alias and p.join is not None
-        )
-
-    def _attach(self, alias: str, parent: str) -> None:
+    def _attach(
+        self, table: Mapping[str, _Placed], alias: str, parent_id: str
+    ) -> None:
         """Append ``alias``'s service (plus newly evaluable join-filter
-        selections) after node ``parent``."""
-        node = self.plan.add(self._service_node(alias))
-        self.plan.connect(parent, node)
-        head = node.node_id
-        aliases = self.upstream_aliases(parent) | {alias}
+        selections) after node ``parent_id``."""
+        lineage = self._lineage
+        service = lineage.service(alias)
+        parent = table.get(parent_id)
+        if parent is None:
+            raise PlanError(f"unknown node {parent_id!r}")
+        through = parent.through | {alias}
+        head = self._place(service.node, (parent_id,), (parent,), through)
+        assert service.node.interface is not None
+        piped = bool(service.node.pipe_sources)
+        services, joins, selections = self.signature
+        services = _with(
+            services,
+            (
+                alias,
+                service.node.interface.name,
+                piped,
+                lineage.ordered(parent.through) if piped else None,
+            ),
+        )
         self.placed = self.placed | {alias}
-        self.realized = self.realized | self._consumed_joins(alias)
+        realized = self.realized | service.consumed
         residual = tuple(
-            j
-            for j in self.query.joins_involving(alias)
-            if j not in self.realized and j.aliases <= aliases
+            join
+            for join, aliases in service.joins
+            if aliases <= through and join not in realized
         )
         if residual:
-            sel = self.plan.add(
-                SelectionNode(node_id=self._next_id("sel"), join_filters=residual)
+            selection = SelectionNode(
+                node_id=self._next_id("sel"), join_filters=residual
             )
-            self.plan.connect(head, sel)
-            self.realized = self.realized | frozenset(residual)
+            self._place(selection, (service.node.node_id,), (head,), through)
+            selections = _with(
+                selections, (lineage.texts(residual), lineage.ordered(through))
+            )
+            realized = realized | frozenset(residual)
+        self.realized = realized
+        self.signature = (services, joins, selections)
 
-    def _merge(self, i: int, j: int, method: JoinMethodSpec) -> None:
-        leaves = self.leaves()
-        left_head, right_head = leaves[i], leaves[j]
-        left = self.upstream_aliases(left_head)
-        right = self.upstream_aliases(right_head)
-        predicates = self._crossing_joins(left, right)
-        node = self.plan.add(
-            ParallelJoinNode(
-                node_id=self._next_id("join"),
-                predicates=predicates,
-                method=method,
-            )
+    def _merge(
+        self,
+        table: Mapping[str, _Placed],
+        i: int,
+        j: int,
+        method: JoinMethodSpec,
+    ) -> None:
+        lineage = self._lineage
+        left_id, right_id = self._leaves[i], self._leaves[j]
+        left, right = table[left_id], table[right_id]
+        predicates = self._crossing_joins(left.through, right.through)
+        node = ParallelJoinNode(
+            node_id=self._next_id("join"), predicates=predicates, method=method
         )
-        self.plan.connect(left_head, node)
-        self.plan.connect(right_head, node)
+        self._place(
+            node, (left_id, right_id), (left, right), left.through | right.through
+        )
+        services, joins, selections = self.signature
+        branches = {lineage.ordered(left.through), lineage.ordered(right.through)}
+        joins = _with(
+            joins,
+            (lineage.texts(predicates), tuple(sorted(branches)), method.label),
+        )
         self.realized = self.realized | frozenset(predicates)
+        self.signature = (services, joins, selections)
+
+    def seal(self) -> "TopologyBuilder":
+        """The finished topology: the single remaining leaf connected to
+        the output (through a final selection for leftover joins).
+
+        The sealed builder's :attr:`signature`, :attr:`annotations` and
+        :attr:`bound` are those of the complete plan under all-ones
+        fetches; its :attr:`plan` is validated when built.
+        """
+        if self._sealed:
+            return self
+        if not self.is_complete:
+            raise PlanError("cannot finish an incomplete topology")
+        table = self._nodes()
+        sealed = self._child()
+        sealed._sealed = True
+        head_id = self._leaves[0]
+        head = table[head_id]
+        realized = self.realized
+        leftovers = tuple(
+            join for join, _ in self._lineage.joins if join not in realized
+        )
+        if leftovers:
+            selection = SelectionNode(node_id="sel:final", join_filters=leftovers)
+            head = sealed._place(selection, (head_id,), (head,), head.through)
+            head_id = selection.node_id
+            services, joins, selections = self.signature
+            sealed.signature = (
+                services,
+                joins,
+                _with(
+                    selections,
+                    (
+                        self._lineage.texts(leftovers),
+                        self._lineage.ordered(head.through),
+                    ),
+                ),
+            )
+        sealed._place(OutputNode(), (head_id,), (head,), head.through)
+        return sealed
 
     def finish(self) -> QueryPlan:
         """Connect the single remaining leaf to the output and validate."""
-        if not self.is_complete:
-            raise PlanError("cannot finish an incomplete topology")
-        plan = self.plan.copy()
-        head = self.leaves()[0]
-        leftovers = tuple(j for j in self.query.joins if j not in self.realized)
-        if leftovers:
-            sel = SelectionNode(node_id="sel:final", join_filters=leftovers)
-            plan.add(sel)
-            plan.connect(head, sel)
-            head = sel.node_id
-        plan.add(OutputNode())
-        plan.connect(head, plan.output_node)
-        return plan.validate()
+        return self.seal().plan
+
+
+def _sorted_aliases(aliases: frozenset[str]) -> tuple[str, ...]:
+    return tuple(sorted(aliases))
+
+
+def _sorted_texts(predicates) -> tuple[str, ...]:
+    return tuple(sorted({str(p) for p in predicates}))
 
 
 def topology_signature(plan: QueryPlan) -> tuple:
@@ -368,6 +701,11 @@ def topology_signature(plan: QueryPlan) -> tuple:
     and — only when its calls depend on upstream flow (piped consumers) —
     the set of upstream aliases; plus the branch structure of parallel
     joins and the upstream sets of selection nodes.
+
+    Every set inside an entry is spelled as a sorted tuple, so entries
+    compare, sort and hash the same however they were put together
+    (``str()`` of two equal frozensets can differ with construction
+    order, which made sorting on it unstable).
     """
 
     upstream: dict[str, frozenset[str]] = {}
@@ -389,36 +727,36 @@ def topology_signature(plan: QueryPlan) -> tuple:
                 node.alias,
                 node.interface.name,
                 piped,
-                upstream[node.node_id] if piped else None,
+                _sorted_aliases(upstream[node.node_id]) if piped else None,
             )
         )
     joins = []
     for node in plan.join_nodes():
         left, right = plan.parents(node.node_id)
-        branches = frozenset(
-            (
-                upstream[left] | _own_alias(plan, left),
-                upstream[right] | _own_alias(plan, right),
-            )
-        )
+        branches = {
+            _sorted_aliases(upstream[left] | _own_alias(plan, left)),
+            _sorted_aliases(upstream[right] | _own_alias(plan, right)),
+        }
         joins.append(
             (
-                frozenset(str(p) for p in node.predicates),
-                branches,
+                _sorted_texts(node.predicates),
+                tuple(sorted(branches)),
                 node.method.label,
             )
         )
     selections = []
     for node in plan.selection_nodes():
-        predicates = frozenset(
-            [str(p) for p in node.selections] + [str(p) for p in node.join_filters]
+        selections.append(
+            (
+                _sorted_texts(node.selections + node.join_filters),
+                _sorted_aliases(upstream[node.node_id]),
+            )
         )
-        selections.append((predicates, upstream[node.node_id]))
 
     return (
         tuple(sorted(services)),
-        tuple(sorted(joins, key=str)),
-        tuple(sorted(selections, key=str)),
+        tuple(sorted(joins)),
+        tuple(sorted(selections)),
     )
 
 
@@ -452,19 +790,17 @@ def enumerate_topologies(
         if limit is not None and produced >= limit:
             return
         if state.is_complete:
-            plan = state.finish()
-            signature = topology_signature(plan)
-            if signature not in seen:
-                seen.add(signature)
+            sealed = state.seal()
+            if sealed.signature not in seen:
+                seen.add(sealed.signature)
                 produced += 1
-                yield plan
+                yield sealed.plan
             return
         # Different move orders reach identical partial DAGs (attaching X
         # then Y vs. Y then X); expanding one representative suffices.
-        partial = topology_signature(state.plan)
-        if partial in seen_partial:
+        if state.signature in seen_partial:
             return
-        seen_partial.add(partial)
+        seen_partial.add(state.signature)
         for move in state.available_moves():
             if move.kind == "merge":
                 for method in method_options:

@@ -283,6 +283,8 @@ def record_optimization(
         "enqueued",
         "deduped",
         "dominated",
+        "children_priced",
+        "plans_materialised",
     ):
         registry.counter(f"optimizer.{name}").inc(getattr(stats, name))
     registry.gauge("optimizer.budget_exhausted").set(

@@ -16,6 +16,7 @@ A plan DAG contains:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import PlanError
 from repro.joins.spec import JoinMethodSpec
@@ -106,7 +107,7 @@ class ServiceNode(PlanNode):
         if not self.alias or self.interface is None:
             raise PlanError(f"service node {self.node_id!r} needs alias and interface")
 
-    @property
+    @cached_property
     def pipe_sources(self) -> tuple[str, ...]:
         """Aliases whose outputs feed this node's inputs (pipe producers)."""
         sources = []

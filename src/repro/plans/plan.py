@@ -15,6 +15,7 @@ kept separate in :class:`PlanAnnotations`; a plan plus its annotations is a
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -155,16 +156,16 @@ class QueryPlan:
         indegree = {node_id: 0 for node_id in self.nodes}
         for _, dst in self.arcs:
             indegree[dst] += 1
-        ready = sorted(node_id for node_id, deg in indegree.items() if deg == 0)
+        ready = [node_id for node_id, deg in indegree.items() if deg == 0]
+        heapq.heapify(ready)
         order: list[str] = []
         while ready:
-            node_id = ready.pop(0)
+            node_id = heapq.heappop(ready)
             order.append(node_id)
-            for child in self.children(node_id):
+            for child in structure.children[node_id]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    ready.append(child)
-            ready.sort()
+                    heapq.heappush(ready, child)
         if len(order) != len(self.nodes):
             raise PlanError("plan graph contains a cycle")
         structure.topo_order = tuple(order)

@@ -12,6 +12,7 @@ attaches the query's ranking function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from repro.errors import QueryError
@@ -90,28 +91,46 @@ class CompiledQuery:
             check = self._checks[key] = compile_predicates(*key)
         return check
 
+    # The optimizer asks the lookups below tens of thousands of times per
+    # search; each index is built on first use (``cached_property`` writes
+    # the instance ``__dict__`` directly, which a frozen dataclass allows).
+
+    @cached_property
+    def _atoms_by_alias(self) -> dict[str, CompiledAtom]:
+        return {atom.alias: atom for atom in self.atoms}
+
+    @cached_property
+    def _selections_by_alias(self) -> dict[str, tuple[SelectionPredicate, ...]]:
+        return _grouped((sel.attr.alias, sel) for sel in self.selections)
+
+    @cached_property
+    def _joins_by_alias(self) -> dict[str, tuple[JoinPredicate, ...]]:
+        return _grouped(
+            (alias, join) for join in self.joins for alias in join.aliases
+        )
+
+    @cached_property
+    def _joins_by_pair(self) -> dict[frozenset[str], tuple[JoinPredicate, ...]]:
+        return _grouped((join.aliases, join) for join in self.joins)
+
     def atom(self, alias: str) -> CompiledAtom:
-        for atom in self.atoms:
-            if atom.alias == alias:
-                return atom
-        raise QueryError(f"no atom with alias {alias!r}")
+        try:
+            return self._atoms_by_alias[alias]
+        except KeyError:
+            raise QueryError(f"no atom with alias {alias!r}") from None
 
     def selections_on(self, alias: str) -> tuple[SelectionPredicate, ...]:
-        return tuple(s for s in self.selections if s.attr.alias == alias)
+        return self._selections_by_alias.get(alias, ())
 
     def joins_between(self, alias_a: str, alias_b: str) -> tuple[JoinPredicate, ...]:
-        wanted = frozenset((alias_a, alias_b))
-        return tuple(j for j in self.joins if j.aliases == wanted)
+        return self._joins_by_pair.get(frozenset((alias_a, alias_b)), ())
 
     def joins_involving(self, alias: str) -> tuple[JoinPredicate, ...]:
-        return tuple(j for j in self.joins if alias in j.aliases)
+        return self._joins_by_alias.get(alias, ())
 
     def join_graph(self) -> dict[frozenset[str], tuple[JoinPredicate, ...]]:
         """Join predicates grouped by the unordered pair of aliases."""
-        graph: dict[frozenset[str], list[JoinPredicate]] = {}
-        for join in self.joins:
-            graph.setdefault(join.aliases, []).append(join)
-        return {pair: tuple(preds) for pair, preds in graph.items()}
+        return dict(self._joins_by_pair)
 
     def input_names(self) -> tuple[str, ...]:
         names: list[str] = []
@@ -119,6 +138,14 @@ class CompiledQuery:
             if isinstance(sel.operand, InputRef) and sel.operand.name not in names:
                 names.append(sel.operand.name)
         return tuple(names)
+
+
+def _grouped(pairs) -> dict:
+    """``key -> tuple of values`` in first-appearance / input order."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: tuple(values) for key, values in groups.items()}
 
 
 def _resolve_attr(

@@ -19,7 +19,7 @@ Rules implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.model.attributes import Attribute
@@ -118,6 +118,9 @@ class Estimator:
     """
 
     query: CompiledQuery
+    #: Join selectivities by alias pair / predicate tuple: functions of the
+    #: query alone, asked once per annotated node by the optimizer.
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def pushed_selectivity(
         self, alias: str, exclude: Iterable[SelectionPredicate] = ()
@@ -137,23 +140,25 @@ class Estimator:
 
     def join_selectivity(self, alias_a: str, alias_b: str) -> float:
         """Selectivity of all join predicates between the two aliases."""
-        predicates = self.query.joins_between(alias_a, alias_b)
-        if not predicates:
-            return 1.0
-        return join_group_selectivity(
-            predicates,
-            left_mart=self.query.atom(predicates[0].left.alias).mart,
-            right_mart=self.query.atom(predicates[0].right.alias).mart,
-        )
+        key = (alias_a, alias_b)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self.predicates_selectivity(
+                self.query.joins_between(alias_a, alias_b)
+            )
+        return value
 
     def predicates_selectivity(
         self, predicates: Iterable[JoinPredicate]
     ) -> float:
-        preds = list(predicates)
+        preds = tuple(predicates)
         if not preds:
             return 1.0
-        return join_group_selectivity(
-            preds,
-            left_mart=self.query.atom(preds[0].left.alias).mart,
-            right_mart=self.query.atom(preds[0].right.alias).mart,
-        )
+        value = self._memo.get(preds)
+        if value is None:
+            value = self._memo[preds] = join_group_selectivity(
+                preds,
+                left_mart=self.query.atom(preds[0].left.alias).mart,
+                right_mart=self.query.atom(preds[0].right.alias).mart,
+            )
+        return value
