@@ -62,7 +62,6 @@ from repro.engine.executor import (
     InvocationCache,
     NodeRunStats,
     PlanExecutor,
-    invocation_cache_key,
 )
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import (
@@ -301,6 +300,9 @@ class AsyncPlanExecutor:
                 nodes=len(sync.plan.nodes),
                 k=sync.k,
                 backend="asyncio",
+                final_check=sync.final_check,
+                rows_built=sync.rows_total(0),
+                rows_scored=sync.rows_total(1),
             )
         return ExecutionResult(
             tuples=outputs[sync.plan.output_node.node_id],
@@ -358,8 +360,10 @@ class AsyncPlanExecutor:
             upstream = outputs[parents[0]]
             acc.tin = len(upstream)
             result = sync._finalise(upstream)
+            acc.final_check = sync.final_check
         else:  # pragma: no cover - future node kinds
             raise ExecutionError(f"cannot execute node kind {node.kind}")
+        acc.rows_built, acc.rows_scored = sync._rows.get(node_id, (0, 0))
         acc.tout = len(result)
         outputs[node_id] = result
         stats[node_id] = acc
@@ -397,18 +401,15 @@ class AsyncPlanExecutor:
         factor = max(1, int(sync.fetches.get(node.alias, 1)))
         check = sync._selection_check(node.alias)
         availability = pipe_join_selectivity(node, sync.query, sync._estimator)
-        specs = [sync._service_call_spec(node, comp) for comp in upstream]
+        spec_of = sync._call_specs(node, factor, availability)
         fetches: list[asyncio.Task | None] = []
-        for spec in specs:
+        for spec in [spec_of(comp.components) for comp in upstream]:
             if spec is None:
                 fetches.append(None)
                 continue
-            bindings, constraints = spec
             fetches.append(
                 asyncio.ensure_future(
-                    self._fetch(
-                        node, bindings, constraints, factor, availability, acc
-                    )
+                    self._fetch(node, *spec, factor, availability, acc)
                 )
             )
         live = [task for task in fetches if task is not None]
@@ -437,6 +438,7 @@ class AsyncPlanExecutor:
         node: ServiceNode,
         bindings: Mapping[str, Any],
         constraints: list,
+        key: tuple,
         factor: int,
         availability: float,
         acc: NodeRunStats,
@@ -444,14 +446,6 @@ class AsyncPlanExecutor:
         """Memoised, single-flighted fetch of one invocation's chunks."""
         sync = self._sync
         assert node.interface is not None
-        key = invocation_cache_key(
-            node.interface.name,
-            node.alias,
-            factor,
-            bindings,
-            constraints=constraints,
-            availability=availability,
-        )
         pending = self.context._inflight.get(key)
         if pending is not None:
             # An identical invocation is in flight: join it.  Mirrors the

@@ -262,6 +262,11 @@ class NodeRunStats:
     #: Join nodes: the kernel that ran (``hash`` / ``hash_multikey`` /
     #: ``leapfrog``) or why the nested loop did (``non_eq``, ...).
     dispatch: str = ""
+    #: Composite rows this node built, and how many it scored.
+    rows_built: int = 0
+    rows_scored: int = 0
+    #: Output node: ``elided``, ``residual(n predicates)`` or ``full(reason)``.
+    final_check: str = ""
 
 
 @dataclass
@@ -410,6 +415,9 @@ class PlanExecutor:
         )
         self.cache_stats = InvocationCacheStats()
         self._pairs_probed = 0
+        #: node id -> [rows built, rows scored] (see :class:`NodeRunStats`).
+        self._rows: dict[str, list[int]] = {}
+        self.final_check = ""  # what the output node checked (_finalise)
         self._dispatch: dict[str, str] = {}
         self._estimator = Estimator(query)
         #: (alias, id of a fetched tuple list) -> (the list, its survivors
@@ -453,7 +461,7 @@ class PlanExecutor:
 
         with tracer.span(
             "plan.execute", nodes=len(self.plan.nodes), k=self.k
-        ):
+        ) as plan_span:
             for node_id in self.plan.topological_order():
                 node = self.plan.node(node_id)
                 parents = self.plan.parents(node_id)
@@ -494,6 +502,9 @@ class PlanExecutor:
                     first_call_latency=first_latency,
                     pairs_probed=self._pairs_probed - before_probes,
                     dispatch=self._dispatch.get(node_id, ""),
+                    rows_built=self._rows.get(node_id, (0, 0))[0],
+                    rows_scored=self._rows.get(node_id, (0, 0))[1],
+                    final_check=self.final_check,
                 )
                 if span is not None:
                     span.set("tin", tin)
@@ -503,6 +514,9 @@ class PlanExecutor:
                     if stats[node_id].pairs_probed:
                         span.set("pairs_probed", stats[node_id].pairs_probed)
                     span.__exit__(None, None, None)
+            plan_span.set("final_check", self.final_check)
+            plan_span.set("rows_built", self.rows_total(0))
+            plan_span.set("rows_scored", self.rows_total(1))
 
         execution_time = self._critical_path(stats)
         time_to_screen = self._critical_path(stats, first_call_only=True)
@@ -551,73 +565,80 @@ class PlanExecutor:
             f"cannot execute node kind {node.kind}"
         )
 
-    def _resolve_constant(self, selection: SelectionPredicate) -> Any:
-        return selection.resolved_operand(self.inputs)
+    def _call_specs(
+        self, node: ServiceNode, factor: int, availability: float
+    ) -> Callable[[Mapping[str, Any]], tuple | None]:
+        """``components -> (bindings, constraints, cache key)`` for one node,
+        with everything an upstream row cannot change resolved once.
 
-    def _source_value(self, composite: CompositeTuple, alias: str, path) -> Any:
-        """Value piped from an upstream component; nested paths use the
-        first group member as witness."""
-        component = composite.component(alias)
-        if path.is_nested:
-            members = component.group_members(path.group or "")
-            if not members:
-                return None
-            return members[0].get(path.name)
-        return component.values.get(path.name)
-
-    def _service_call_spec(
-        self, node: ServiceNode, composite: CompositeTuple
-    ) -> tuple[dict[str, Any], list[SelectionPredicate]] | None:
-        """Bindings and server-side constraints for one upstream composite.
-
-        Returns ``None`` when a pipe source never materialised (its
-        service was abandoned under partial degradation), leaving the
-        call with nothing to bind: the caller keeps the upstream
-        combination as-is.  Pure CPU work — shared verbatim by the
-        virtual-clock and asyncio backends, which is what keeps both
-        issuing byte-identical invocations.
+        It returns ``None`` when a pipe source never materialised (its
+        service was abandoned under partial degradation): the caller keeps
+        the upstream combination as-is.  Pure CPU work — shared by both
+        backends, which is what keeps their invocations byte-identical.
         """
         assert node.interface is not None
-        if any(
-            provider.kind is not ProviderKind.CONSTANT
-            and provider.source_alias not in composite.components
-            for provider in node.providers
-        ):
-            return None
-        bindings: dict[str, Any] = {}
+        template: dict[str, Any] = {}
+        pipes: dict[str, tuple] = {}
+        sources: list[str] = []
         constraints: list[SelectionPredicate] = []
         for provider in node.providers:
             path_key = str(provider.path)
+            selection = provider.selection
             if provider.kind is ProviderKind.CONSTANT:
-                assert provider.selection is not None
-                value = self._resolve_constant(provider.selection)
-                if provider.selection.comparator is Comparator.EQ:
-                    bindings[path_key] = value
+                assert selection is not None
+                value = selection.resolved_operand(self.inputs)
+                if selection.comparator is Comparator.EQ:
+                    template[path_key] = value
+                    pipes.pop(path_key, None)
                 # Every constant provider is also a server-side
                 # constraint: the EQ ones are satisfied by echo, but
                 # including them makes the generator's rejection
                 # sampling enforce the *joint* witness (one member
                 # satisfying, e.g., both Country= and Date>).
                 constraints.append(
-                    SelectionPredicate(
-                        provider.selection.attr,
-                        provider.selection.comparator,
-                        value,
-                    )
+                    SelectionPredicate(selection.attr, selection.comparator, value)
                 )
-                bindings.setdefault(path_key, None)
+                template.setdefault(path_key, None)
             else:
-                assert provider.source_alias is not None
-                bindings[path_key] = self._source_value(
-                    composite, provider.source_alias, provider.source_path
-                )
+                sources.append(provider.source_alias)
+                path = provider.source_path
+                pipes[path_key] = (provider.source_alias, path.group, path.name)
+                template[path_key] = None
         # Inputs constrained only by range predicates carry no single
         # value; they are passed as None and the simulated service
         # treats a None binding as "no preference" (no echo), leaving
         # the server-side constraint filter to do the work.
         for path in node.interface.input_paths():
-            bindings.setdefault(path, None)
-        return bindings, constraints
+            template.setdefault(path, None)
+        # The key of the constant bindings; piped entries (``None`` in the
+        # sorted skeleton) are rendered per row.
+        base = invocation_cache_key(
+            node.interface.name, node.alias, factor, {},
+            constraints=constraints, availability=availability,
+        )
+        skeleton = [
+            (key, None if key in pipes else (key, *_value_key(template[key])))
+            for key in sorted(template)
+        ]
+
+        def spec(components: Mapping[str, Any]) -> tuple | None:
+            for alias in sources:
+                if alias not in components:
+                    return None
+            bindings = dict(template)
+            for path_key, (alias, group, name) in pipes.items():
+                # Nested paths pipe the first group member as witness.
+                if group is None:
+                    bindings[path_key] = components[alias].values.get(name)
+                else:
+                    members = components[alias].group_members(group)
+                    bindings[path_key] = members[0].get(name) if members else None
+            entries = [
+                entry or (key, *_value_key(bindings[key])) for key, entry in skeleton
+            ]
+            return bindings, constraints, (*base[:3], tuple(entries), *base[4:])
+
+        return spec
 
     def _compose_service_results(
         self,
@@ -654,11 +675,20 @@ class PlanExecutor:
                     [tup for tup in tuples if check({alias: tup}, inputs)],
                 )
             tuples = kept[1]
-        score = self.query.ranking.score_composite
-        upstream = composite.components
-        for tup in tuples:
-            components = {**upstream, alias: tup}
-            out.append(CompositeTuple(components, score(components)))
+        # Unscored: a downstream join scores its own output, and
+        # ``_finalise`` scores whatever reaches it without one.
+        row, upstream = CompositeTuple._owned, composite.components
+        out.extend([row({**upstream, alias: tup}, None) for tup in tuples])
+        self._count_rows(node.node_id, len(tuples), 0)
+
+    def _count_rows(self, node_id: str, built: int, scored: int) -> None:
+        counts = self._rows.setdefault(node_id, [0, 0])
+        counts[0] += built
+        counts[1] += scored
+
+    def rows_total(self, column: int) -> int:
+        """Rows built (``0``) or scored (``1``) across all nodes so far."""
+        return sum(counts[column] for counts in self._rows.values())
 
     def _selection_check(self, alias: str) -> PredicateCheck | None:
         """Lowered check of the selections over ``alias`` (``None``: none)."""
@@ -674,14 +704,14 @@ class PlanExecutor:
         availability = pipe_join_selectivity(node, self.query, self._estimator)
         out: list[CompositeTuple] = []
 
+        spec_of = self._call_specs(node, factor, availability)
         for composite in upstream:
-            spec = self._service_call_spec(node, composite)
+            spec = spec_of(composite.components)
             if spec is None:
                 out.append(composite)
                 continue
-            bindings, constraints = spec
             tuples, failed = yield from self._fetch(
-                node, bindings, constraints, factor, availability
+                node, *spec, factor, availability
             )
             self._compose_service_results(
                 node, composite, tuples, failed, check, out
@@ -693,10 +723,11 @@ class PlanExecutor:
         node: ServiceNode,
         bindings: Mapping[str, Any],
         constraints: list[SelectionPredicate],
+        key: tuple,
         factor: int,
         availability: float,
     ):
-        """Invoke (memoised per distinct binding) and draw ``factor`` chunks.
+        """Invoke (memoised under ``key``) and draw ``factor`` chunks.
 
         A step generator: yields one :class:`StepEvent` before each chunk
         round trip.  Returns ``(tuples, failed)``: ``failed`` is True
@@ -705,14 +736,6 @@ class PlanExecutor:
         """
         assert node.interface is not None
         tracer = self.tracer
-        key = invocation_cache_key(
-            node.interface.name,
-            node.alias,
-            factor,
-            bindings,
-            constraints=constraints,
-            availability=availability,
-        )
         cached = self._invocation_cache.get(key, self.cache_stats)
         if cached is not None:
             if tracer.enabled:
@@ -873,7 +896,7 @@ class PlanExecutor:
         n_left, n_right, limit = max(1, len(left)), max(1, len(right)), len(right)
         check = self._check_for((), node.predicates) if node.predicates else None
         inputs = self.inputs
-        score = self.query.ranking.score_composite
+        score, row = self.query.ranking.score_composite, CompositeTuple._owned
         every = range(limit)
         out: list[CompositeTuple] = []
         pair_count = probed = 0
@@ -896,8 +919,9 @@ class PlanExecutor:
                 components = {**mine, **theirs}
                 if check is not None and not check(components, inputs):
                     continue
-                out.append(CompositeTuple(components, score(components)))
+                out.append(row(components, score(components)))
         self._pairs_probed += probed
+        self._count_rows(node.node_id, len(out), len(out))
         out.sort(key=lambda c: -c.score)
         return out, pair_count
 
@@ -960,6 +984,13 @@ class PlanExecutor:
                 (ref.alias, slots.get((ref.alias, ref.path.group), -1), ref.path.name)
                 for ref in refs
             ]
+
+            def atomic_keys(components: Mapping[str, Any]) -> list[tuple]:
+                values = [components[a].values.get(n) for a, _, n in terms]
+                return [(tuple([components[a] for a in shared]), tuple(values))]
+
+            if not groups:  # one vector, no witness product to walk
+                return atomic_keys, False
 
             def keys(components: Mapping[str, Any]) -> list[tuple]:
                 agreed = tuple(components[a] for a in shared)
@@ -1155,9 +1186,36 @@ class PlanExecutor:
         )
 
     def _finalise(self, upstream: list[CompositeTuple]) -> list[CompositeTuple]:
+        query = self.query
+        selections, joins = query.selections, query.joins
+        if not self.final_semantic_check:
+            self.final_check, selections, joins = "elided", (), ()
+        elif self.failed_aliases:
+            # Rows skipped the nodes whose components they lack.
+            self.final_check = "full(degraded)"
+        else:
+            # Every node checked its own subset on every row that passed
+            # it: only what factorises out of those is left to check.
+            staged = []
+            for node in self.plan.nodes.values():
+                if isinstance(node, ServiceNode):
+                    staged.append((query.selections_on(node.alias), ()))
+                elif isinstance(node, SelectionNode):
+                    staged.append((node.selections, node.join_filters))
+                elif isinstance(node, ParallelJoinNode):
+                    staged.append(((), node.predicates))
+            self.final_check, selections, joins = query.final_predicates(
+                tuple(staged)
+            )
         result = upstream
-        if self.final_semantic_check:
-            result = self._filter(result, self.query.selections, self.query.joins)
+        if selections or joins:
+            result = self._filter(result, selections, joins)
+        score = query.ranking.score_composite
+        # Rows a service node built reach here unscored.
+        unscored = [row for row in result if row.score is None]
+        for row in unscored:
+            object.__setattr__(row, "score", score(row.components))
+        self._count_rows(self.plan.output_node.node_id, 0, len(unscored))
         result = sorted(result, key=lambda c: -c.score)
         if self.k is not None:
             result = result[: self.k]

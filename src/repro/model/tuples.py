@@ -74,6 +74,19 @@ class ServiceTuple:
         frozen = {key: freeze_value(val) for key, val in dict(self.values).items()}
         object.__setattr__(self, "values", frozen)
 
+    @classmethod
+    def _frozen(cls, **fields: Any) -> "ServiceTuple":
+        """Trusted constructor: adopts ``values``, which the caller built
+        already in :func:`freeze_value`'s form, with ``score`` in range."""
+        tup = object.__new__(cls)
+        tup.__dict__.update(fields)
+        return tup
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Copies and pickles carry the fields, never the memos (``_members``,
+        # ``_hash``, ``_text``): a string hash is wrong in another process.
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
     def value_at(self, path: AttributePath) -> Any:
         """Value addressed by ``path``.
 
@@ -97,19 +110,35 @@ class ServiceTuple:
         for the same group once per candidate combination): treat the
         returned dictionaries as read-only.
         """
-        memo = self.__dict__.setdefault("_members", {})
-        members = memo.get(group)
-        if members is None:
+        try:
+            return self.__dict__["_members"][group]
+        except KeyError:
             value = self.values.get(group)
             if value is None:
                 raise QueryError(
                     f"tuple from {self.source!r} has no group {group!r}"
-                )
-            members = memo[group] = tuple(dict(member) for member in value)
-        return members
+                ) from None
+            members = tuple(dict(member) for member in value)
+            self.__dict__.setdefault("_members", {})[group] = members
+            return members
+
+    def values_text(self) -> str:
+        """``name=repr(value)`` per attribute, sorted by name, ``|``-joined:
+        the tuple's segment of a result digest, rendered once and kept."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.__dict__["_text"] = "|".join(
+                [f"{name}={value!r}" for name, value in sorted(self.values.items())]
+            )
+        return text
 
     def __hash__(self) -> int:
-        return hash((self.source, self.position, tuple(sorted(self.values.items()))))
+        # Kept like ``_members``: joins hash one tuple once per row it is in.
+        memo = self.__dict__
+        if "_hash" not in memo:
+            items = tuple(sorted(self.values.items()))
+            memo["_hash"] = hash((self.source, self.position, items))
+        return memo["_hash"]
 
 
 @dataclass(frozen=True)
@@ -121,6 +150,16 @@ class CompositeTuple:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", dict(self.components))
+
+    @classmethod
+    def _owned(cls, components: dict, score: float | None) -> "CompositeTuple":
+        """Trusted constructor: adopts ``components`` without copying.  The
+        executor leaves ``score`` ``None`` until something reads it."""
+        row = object.__new__(cls)
+        # Not via ``row.__dict__``: touching it costs every row a real dict.
+        object.__setattr__(row, "components", components)
+        object.__setattr__(row, "score", score)
+        return row
 
     def component(self, alias: str) -> ServiceTuple:
         if alias not in self.components:

@@ -58,6 +58,7 @@ class ExplainNode:
     busy_time: float | None = None
     pairs_probed: int | None = None
     dispatch: str | None = None
+    final_check: str | None = None
     bottleneck_share: float | None = None
     children: "list[ExplainNode]" = field(default_factory=list)
 
@@ -89,6 +90,8 @@ class ExplainNode:
         if self.pairs_probed is not None:
             via = f" ({self.dispatch})" if self.dispatch else ""
             parts.append(f"probes={self.pairs_probed}{via}")
+        if self.final_check:
+            parts.append(f"final_check={self.final_check}")
         if self.busy_time:
             parts.append(f"busy={self.busy_time:.2f}s")
         if self.bottleneck_share is not None:
@@ -119,6 +122,8 @@ class ExplainReport:
     cache_misses: int | None = None
     cache_hit_rate: float | None = None
     pairs_probed: int | None = None
+    rows_built: int | None = None
+    rows_scored: int | None = None
     bottleneck_alias: str | None = None
     bottleneck_share: float | None = None
 
@@ -164,6 +169,8 @@ class ExplainReport:
             )
         if self.pairs_probed is not None:
             summary.append(f"join probes: {self.pairs_probed} pairs")
+        if self.rows_built is not None:
+            summary.append(f"rows: {self.rows_built} built, {self.rows_scored} scored")
         if self.bottleneck_alias is not None:
             summary.append(
                 f"bottleneck: {self.bottleneck_alias} "
@@ -218,6 +225,7 @@ def build_explain(
             if isinstance(node, ParallelJoinNode) and probed is not None:
                 out.pairs_probed = probed
                 out.dispatch = getattr(stats, "dispatch", "") or None
+            out.final_check = getattr(stats, "final_check", "") or None
             busy = busy_by_node.get(node_id, 0.0)
             if busy:
                 out.busy_time = busy
@@ -265,6 +273,8 @@ def build_explain(
         report.cache_misses = cache.misses
         report.cache_hit_rate = cache.hit_rate
         report.pairs_probed = result.pairs_probed
+        report.rows_built = sum(s.rows_built for s in result.node_stats.values())
+        report.rows_scored = sum(s.rows_scored for s in result.node_stats.values())
         if bottleneck is not None and bottleneck.busy_time:
             report.bottleneck_alias = bottleneck.alias
             report.bottleneck_share = (

@@ -28,7 +28,11 @@ from repro.query.ast import (
     Query,
     SelectionPredicate,
 )
-from repro.query.predicates import PredicateCheck, compile_predicates
+from repro.query.predicates import (
+    PredicateCheck,
+    compile_predicates,
+    group_occurrences,
+)
 
 __all__ = ["CompiledAtom", "CompiledQuery", "compile_query"]
 
@@ -90,6 +94,38 @@ class CompiledQuery:
         if check is None:
             check = self._checks[key] = compile_predicates(*key)
         return check
+
+    def final_predicates(self, staged: tuple) -> tuple[str, tuple, tuple]:
+        """``(label, selections, joins)`` the output node must still check.
+
+        ``staged`` holds the ``(selections, joins)`` subset each plan node
+        checked under its own witnesses.  When no repeating-group
+        occurrence is mentioned by two subsets — the residual, what no node
+        staged, included — one joint witness exists iff each subset has
+        one, so only the residual is left: ``residual(n)`` / ``elided``.
+        Otherwise the full set: ``full(shared_group)``.  Memoised beside
+        the lowered checks (DESIGN.md, "The row's life").
+        """
+        full = ("full(shared_group)", self.selections, self.joins)
+        try:
+            if ("final", staged) in self._checks:
+                return self._checks["final", staged]
+            checked = {pred for subset in staged for part in subset for pred in part}
+        except TypeError:  # an unhashable constant: no shortcut
+            return ("full(unhashable)", *full[1:])
+        residual = (
+            tuple(sel for sel in self.selections if sel not in checked),
+            tuple(join for join in self.joins if join not in checked),
+        )
+        count = len(residual[0]) + len(residual[1])
+        final = (f"residual({count})" if count else "elided", *residual)
+        owner: dict = {}
+        for index, subset in enumerate((*staged, residual)):
+            for occurrence in group_occurrences(*subset):
+                if owner.setdefault(occurrence, index) != index:
+                    final = full
+        self._checks["final", staged] = final
+        return final
 
     # The optimizer asks the lookups below tens of thousands of times per
     # search; each index is built on first use (``cached_property`` writes

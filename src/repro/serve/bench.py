@@ -57,17 +57,15 @@ def result_digest(tuples: Sequence[CompositeTuple]) -> str:
 
     Scores are rounded to 12 decimals purely for printability; both
     serving modes compute them from identical component tuples, so the
-    digest is an exact equality witness.
+    digest is an exact equality witness.  Each component contributes
+    ``alias|`` + :meth:`ServiceTuple.values_text`, which the tuple renders
+    once: cached tuples recur across requests and checkpoints.
     """
     parts: list[str] = []
     for comp in tuples:
-        for alias in sorted(comp.components):
-            values = comp.component(alias).values
-            parts.append(
-                alias
-                + "|"
-                + "|".join(f"{k}={values[k]!r}" for k in sorted(values))
-            )
+        components = comp.components
+        for alias in sorted(components):
+            parts.append(alias + "|" + components[alias].values_text())
         parts.append(f"score={round(comp.score, 12)!r}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 

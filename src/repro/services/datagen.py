@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.errors import ServiceInvocationError
 from repro.model.attributes import Attribute, DataType, RepeatingGroup
 from repro.model.service import ServiceInterface
-from repro.model.tuples import ServiceTuple
+from repro.model.tuples import ServiceTuple, freeze_value
 
 __all__ = ["derive_seed", "domain_value", "TupleGenerator"]
 
@@ -152,6 +153,16 @@ class TupleGenerator:
             passes = compile_predicates(constraints)
             alias = constraints[0].attr.alias
         total = self.result_size(rng)
+        # Bound values are echoed into every tuple: frozen once, here.
+        echo = {
+            path: value
+            if isinstance(value, (str, int, float, bool))
+            else freeze_value(value)
+            for path, value in inputs.items()
+            if value is not None
+        }
+        draws = [(attr, bind(echo)) for attr, bind in self._program]
+        name, score_at = self.interface.name, self.interface.scoring.score_at
         # Constraints shape the *data*, not the page size: a service asked
         # for "openings after X" still returns its usual result-list size,
         # every entry satisfying the constraint.  Rejection-sample until
@@ -161,11 +172,10 @@ class TupleGenerator:
         max_attempts = max(20, total * 20)
         while position < total and attempts < max_attempts:
             attempts += 1
-            values = self._tuple_values(inputs, rng)
-            candidate = ServiceTuple(
-                values=values,
-                score=min(1.0, max(0.0, self.interface.scoring.score_at(position))),
-                source=self.interface.name,
+            candidate = ServiceTuple._frozen(
+                values={attr: draw(rng) for attr, draw in draws},
+                score=min(1.0, max(0.0, score_at(position))),
+                source=name,
                 position=position,
             )
             if passes is not None and not passes({alias: candidate}):
@@ -173,44 +183,74 @@ class TupleGenerator:
             position += 1
             yield candidate
 
-    def _tuple_values(
-        self, inputs: Mapping[str, Any], rng: random.Random
-    ) -> dict[str, Any]:
-        values: dict[str, Any] = {}
-        for attr in self.interface.mart.attributes:
-            if isinstance(attr, RepeatingGroup):
-                values[attr.name] = self._group_value(attr, inputs, rng)
-            else:
-                bound = inputs.get(attr.name)
-                values[attr.name] = (
-                    bound if bound is not None else domain_value(attr, rng)
-                )
-        return values
+    @cached_property
+    def _program(self) -> tuple:
+        """The mart lowered once: ``(attribute, bind)`` in declaration order;
+        ``bind(echo)`` is the attribute's ``draw(rng)`` for one invocation.
+        Draws consume the stream as one :func:`domain_value` per unbound
+        (sub-)attribute would; values come out as :func:`freeze_value`'s."""
+        return tuple(
+            (
+                attr.name,
+                self._group_binder(attr)
+                if isinstance(attr, RepeatingGroup)
+                else partial(_bound_or, attr.name, _drawer(attr)),
+            )
+            for attr in self.interface.mart.attributes
+        )
 
-    def _group_value(
-        self,
-        group: RepeatingGroup,
-        inputs: Mapping[str, Any],
-        rng: random.Random,
-    ) -> tuple[dict[str, Any], ...]:
+    def _group_binder(self, group: RepeatingGroup):
         """Members of one repeating group, echoing any bound sub-attributes.
 
         When a sub-attribute is an input (e.g. ``Genres.Genre``), the first
         member echoes the binding — the service was asked for objects whose
         group contains that value — and the remaining members are random.
+        Drawn in declaration order, emitted as name-sorted pairs.
         """
-        if group.avg_members is not None:
-            members = group.avg_members
-        else:
-            members = rng.randint(self.min_group_members, self.max_group_members)
-        out: list[dict[str, Any]] = []
-        for index in range(members):
-            member: dict[str, Any] = {}
-            for sub in group.sub_attributes:
-                bound = inputs.get(f"{group.name}.{sub.name}")
-                if bound is not None and index == 0:
-                    member[sub.name] = bound
-                else:
-                    member[sub.name] = domain_value(sub, rng)
-            out.append(member)
-        return out
+        names = [sub.name for sub in group.sub_attributes]
+        paths = [f"{group.name}.{name}" for name in names]
+        drawers = [_drawer(sub) for sub in group.sub_attributes]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        fixed = group.avg_members
+        low, high = self.min_group_members, self.max_group_members
+
+        def bind(echo: Mapping[str, Any]):
+            first = [_bound_or(*pair, echo) for pair in zip(paths, drawers)]
+
+            def draw(rng: random.Random) -> tuple:
+                count = fixed if fixed is not None else rng.randint(low, high)
+                members = []
+                for index in range(count):
+                    values = [d(rng) for d in (drawers if index else first)]
+                    members.append(tuple([(names[i], values[i]) for i in order]))
+                return tuple(members)
+
+            return draw
+
+        return bind
+
+
+def _bound_or(path: str, draw, echo: Mapping[str, Any]):
+    """``draw``, or the constant draw of the value ``echo`` binds ``path`` to."""
+    return (lambda rng, value=echo[path]: value) if path in echo else draw
+
+
+def _drawer(attribute: Attribute):
+    """``rng -> domain_value(attribute, rng)``, the domain's dispatch resolved."""
+    domain = attribute.domain
+    size, dtype, prefix = domain.size or 1_000_000, domain.dtype, f"{domain.name}#"
+
+    def draw_float(rng):
+        rng.randrange(size)
+        return round(rng.uniform(0.0, float(size)), 3)
+
+    def draw_date(rng):
+        month, dom = divmod(rng.randrange(size) % 365, 31)
+        return f"2009-{month % 12 + 1:02d}-{dom + 1:02d}"
+
+    return {
+        DataType.INTEGER: lambda rng: rng.randrange(size),
+        DataType.FLOAT: draw_float,
+        DataType.BOOLEAN: lambda rng: rng.randrange(size) % 2 == 0,
+        DataType.DATE: draw_date,
+    }.get(dtype, lambda rng: f"{prefix}{rng.randrange(size)}")

@@ -81,6 +81,15 @@ def assert_equivalent(virtual, real):
     assert real.execution_time == pytest.approx(virtual.execution_time)
     assert real.failed_aliases == virtual.failed_aliases
     assert real.wall_time >= 0.0 and virtual.wall_time == 0.0
+    # Same rows built and scored per node, same final-check decision.
+    assert _row_work(real) == _row_work(virtual)
+
+
+def _row_work(result):
+    return {
+        node_id: (stats.rows_built, stats.rows_scored, stats.final_check)
+        for node_id, stats in result.node_stats.items()
+    }
 
 
 def _calls_by_alias(log):
@@ -231,14 +240,20 @@ def test_connection_pool_bounds_concurrency(movie_query, movie_registry):
             self.inner = inner
             self.name = name
 
-        async def __aenter__(self):
-            await self.inner.__aenter__()
+        # The protocol ``AsyncPlanExecutor._round_trip`` drives: in-flight
+        # holders are counted between ``acquire`` and ``release``.
+        def locked(self) -> bool:
+            return self.inner.locked()
+
+        async def acquire(self):
+            await self.inner.acquire()
             active[self.name] += 1
             peak[self.name] = max(peak[self.name], active[self.name])
+            return True
 
-        async def __aexit__(self, *exc):
+        def release(self) -> None:
             active[self.name] -= 1
-            return await self.inner.__aexit__(*exc)
+            self.inner.release()
 
     context.semaphore = lambda name: Probe(real_semaphore(context, name), name)
 
