@@ -53,6 +53,7 @@ from typing import Any, Callable, Mapping
 
 from repro.core.cost import DEFAULT_METRICS
 from repro.core.optimizer import Optimizer, OptimizerConfig, plan_signature
+from repro.engine.executor import ResultRows
 from repro.engine.liquid import LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import (
@@ -275,10 +276,21 @@ class CheckpointStore:
 # -- checkpoint / restore ------------------------------------------------------
 
 
-def _result_digest(tuples) -> str:
+def _result_digest(rows) -> str:
+    """The witness digest of a session's raw list.
+
+    An executor's :class:`~repro.engine.executor.ResultRows` never changes
+    once returned, so it keeps its digest: ``rerank``, a replayed
+    execution and a refresh with no new execution all checkpoint a list
+    that was digested before.
+    """
     from repro.serve.bench import result_digest
 
-    return result_digest(tuples)
+    if not isinstance(rows, ResultRows):
+        return result_digest(rows)
+    if rows.digest is None:
+        rows.digest = result_digest(rows)
+    return rows.digest
 
 
 def _log_digest(records) -> str:

@@ -40,6 +40,14 @@ The invocation memo is likewise factored into a standalone
 :class:`InvocationCache` that may be **shared across executors**:
 identical service calls issued by concurrent queries then coalesce into
 one set of round trips (see :mod:`repro.serve`).
+
+A shared cache also makes a completed execution **replayable**: the
+executor hangs a :class:`Recording` — the ordered fetches it issued and
+its deterministic counters — on the :class:`ResultRows` it returns and
+indexes the list, weakly, on the cache.  A later execution with the same
+key re-issues exactly those fetches through the same :meth:`PlanExecutor._fetch`
+and returns the recorded rows, skipping compose, join, filter, score and
+sort (see DESIGN.md, "Replaying a recorded execution").
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ import sys
 from bisect import bisect_left
 from collections import OrderedDict
 from itertools import product
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from weakref import WeakValueDictionary
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.annotate import pipe_join_selectivity
@@ -84,6 +93,8 @@ __all__ = [
     "InvocationCacheStats",
     "ExecutionResult",
     "PlanExecutor",
+    "Recording",
+    "ResultRows",
     "StepEvent",
     "execute_plan",
     "invocation_cache_key",
@@ -184,11 +195,23 @@ class InvocationCache:
     ``stats`` accounts lifetime totals; lookups additionally increment
     the per-execution :class:`InvocationCacheStats` the caller passes, so
     shared-cache hit rates remain attributable to individual queries.
+
+    ``recorded`` is the result memo's index: execution key -> the
+    :class:`ResultRows` of a completed execution, for replay.  It is
+    **weak** — it points at lists live sessions hold and owns none, so it
+    has no size and no eviction: an entry goes when its last holder does.
+    ``replayable`` counts the executions that consulted it, ``replays``
+    those it served.
     """
 
     max_size: int | None = 1024
     stats: InvocationCacheStats = field(default_factory=InvocationCacheStats)
     _data: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    recorded: "WeakValueDictionary[tuple, ResultRows]" = field(
+        default_factory=WeakValueDictionary, init=False, repr=False, compare=False
+    )
+    replayable: int = field(default=0, init=False)
+    replays: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.max_size is not None and self.max_size <= 0:
@@ -225,6 +248,7 @@ class InvocationCache:
 
     def clear(self) -> None:
         self._data.clear()
+        self.recorded.clear()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -269,6 +293,51 @@ class NodeRunStats:
     final_check: str = ""
 
 
+@dataclass(frozen=True, eq=False)
+class Recording:
+    """What replaying one completed execution takes (see :class:`ResultRows`).
+
+    Everything here is a pure function of the execution's memo key in a
+    fault-free world; what depends on the cache's state at the time —
+    calls made, busy time, first-call latency — is measured again.
+    """
+
+    #: Held so the ``id``\ s in the memo key stay unique while this lives.
+    plan: QueryPlan
+    query: CompiledQuery
+    #: Per node in execution order, with ``calls``/``busy_time``/
+    #: ``first_call_latency`` as the recording run measured them.
+    node_stats: dict[str, NodeRunStats]
+    #: Service node id -> ``(node, factor, availability, call specs in
+    #: issue order)``: the arguments of every :meth:`PlanExecutor._fetch`.
+    fetches: dict[str, tuple[ServiceNode, int, float, list[tuple]]]
+    total_candidates: int
+    pairs_probed: int
+
+
+class ResultRows(list):
+    """The row list an execution returns; immutable from then on.
+
+    Nothing appends to, reorders or drops from it once the executor hands
+    it out (sessions present slices and re-scored copies), so what is
+    derived from the whole list is kept on it: the witness ``digest``
+    (:mod:`repro.durability.checkpoint`) and, for an execution recorded
+    on a shared :class:`InvocationCache`, its :class:`Recording`.  Like
+    :class:`~repro.model.tuples.ServiceTuple`'s memos, neither is copied
+    or pickled — both yield a plain ``list`` of the rows.
+    """
+
+    __slots__ = ("recording", "digest", "__weakref__")
+
+    def __init__(self, rows: Sequence[CompositeTuple] = ()) -> None:
+        super().__init__(rows)
+        self.recording: Recording | None = None
+        self.digest: str | None = None
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of one plan execution."""
@@ -301,6 +370,16 @@ class ExecutionResult:
     #: Wall-clock seconds the run took (asyncio backend only; the
     #: virtual-clock backend reports 0.0 — its cost axis is virtual time).
     wall_time: float = 0.0
+    #: ``hit`` (the rows are a recorded execution's, its fetches re-issued),
+    #: ``miss`` (executed and recorded) or ``off(reason)`` — the memo was
+    #: bypassed: ``private_cache``, ``faults``, ``call_timeout``, or
+    #: ``backend`` (the asyncio executor never consults it).
+    result_memo: str = "off(backend)"
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Copies and pickles carry plain rows, never the live list with
+        # its recording and its place in a cache's weak index.
+        return {**self.__dict__, "tuples": list(self.tuples)}
 
     @property
     def incomplete(self) -> bool:
@@ -372,6 +451,10 @@ class PlanExecutor:
         the call log are byte-identical to an untraced run.
     """
 
+    #: The result memo's switch.  Private: the differential tests serve one
+    #: stream with it off and compare everything observable.
+    _RESULT_MEMO = True
+
     def __init__(
         self,
         plan: QueryPlan,
@@ -413,7 +496,11 @@ class PlanExecutor:
             if invocation_cache is not None
             else InvocationCache(max_size=invocation_cache_size)
         )
+        self._private_cache = invocation_cache is None
         self.cache_stats = InvocationCacheStats()
+        self.result_memo = ""  # decided when execution starts (steps)
+        #: Service node id -> its :attr:`Recording.fetches` entry, this run's.
+        self._fetches_issued: dict[str, tuple] = {}
         self._pairs_probed = 0
         #: node id -> [rows built, rows scored] (see :class:`NodeRunStats`).
         self._rows: dict[str, list[int]] = {}
@@ -453,85 +540,187 @@ class PlanExecutor:
         value (``StopIteration.value``).  Closing the generator early
         unwinds cleanly — open tracer spans finish, but no result is
         produced and the plan is left partially executed.
+
+        On a shared cache a completed execution is recorded on its rows,
+        and one whose key has a live recording replays it (:meth:`_replay`)
+        instead of running the plan's nodes.
         """
-        outputs: dict[str, list[CompositeTuple]] = {}
-        stats: dict[str, NodeRunStats] = {}
-        candidates = 0
-        tracer = self.tracer
+        cache = self._invocation_cache
+        key = self._memo_key()
+        rows = None
+        if key is not None:
+            cache.replayable += 1
+            rows = cache.recorded.get(key)
+            if rows is not None:
+                cache.replays += 1
+            self.result_memo = "miss" if rows is None else "hit"
 
-        with tracer.span(
-            "plan.execute", nodes=len(self.plan.nodes), k=self.k
+        with self.tracer.span(
+            "plan.execute",
+            nodes=len(self.plan.nodes),
+            k=self.k,
+            result_memo=self.result_memo,
         ) as plan_span:
-            for node_id in self.plan.topological_order():
-                node = self.plan.node(node_id)
-                parents = self.plan.parents(node_id)
-                before_calls = self.pool.log.total_calls()
-                before_busy = self.pool.log.total_latency()
-                before_probes = self._pairs_probed
-
-                span = None
-                if tracer.enabled:
-                    attrs = {"node": node_id}
-                    alias = getattr(node, "alias", None)
-                    if alias is not None:
-                        attrs["alias"] = alias
-                    span = tracer.span(
-                        f"node.{_SPAN_KINDS[node.kind]}", **attrs
-                    )
-                try:
-                    result, tin, pair_count = yield from self._run_node(
-                        node, parents, outputs
-                    )
-                except BaseException:
-                    if span is not None:
-                        span.__exit__(*sys.exc_info())
-                    raise
-                candidates += pair_count
-                outputs[node_id] = result
-                calls_made = self.pool.log.total_calls() - before_calls
-                first_latency = (
-                    self.pool.log.records[before_calls].latency
-                    if calls_made
-                    else 0.0
-                )
-                stats[node_id] = NodeRunStats(
-                    tin=tin,
-                    tout=len(result),
-                    calls=calls_made,
-                    busy_time=self.pool.log.total_latency() - before_busy,
-                    first_call_latency=first_latency,
-                    pairs_probed=self._pairs_probed - before_probes,
-                    dispatch=self._dispatch.get(node_id, ""),
-                    rows_built=self._rows.get(node_id, (0, 0))[0],
-                    rows_scored=self._rows.get(node_id, (0, 0))[1],
-                    final_check=self.final_check,
-                )
-                if span is not None:
-                    span.set("tin", tin)
-                    span.set("tout", len(result))
-                    if calls_made:
-                        span.set("calls", calls_made)
-                    if stats[node_id].pairs_probed:
-                        span.set("pairs_probed", stats[node_id].pairs_probed)
-                    span.__exit__(None, None, None)
+            if rows is None:
+                rows, stats, candidates = yield from self._run_nodes()
+            else:
+                stats = yield from self._replay(rows.recording)
+                candidates = rows.recording.total_candidates
             plan_span.set("final_check", self.final_check)
             plan_span.set("rows_built", self.rows_total(0))
             plan_span.set("rows_scored", self.rows_total(1))
 
-        execution_time = self._critical_path(stats)
-        time_to_screen = self._critical_path(stats, first_call_only=True)
+        if key is not None and rows.recording is None:
+            rows.recording = Recording(
+                plan=self.plan,
+                query=self.query,
+                node_stats=stats,
+                fetches=self._fetches_issued,
+                total_candidates=candidates,
+                pairs_probed=self._pairs_probed,
+            )
+            cache.recorded[key] = rows
         return ExecutionResult(
-            tuples=outputs[self.plan.output_node.node_id],
+            tuples=rows,
             log=self.pool.log,
             node_stats=stats,
-            execution_time=execution_time,
-            time_to_screen=time_to_screen,
+            execution_time=self._critical_path(stats),
+            time_to_screen=self._critical_path(stats, first_call_only=True),
             total_candidates=candidates,
             pairs_probed=self._pairs_probed,
             cache_stats=self.cache_stats,
             failed_aliases=tuple(sorted(self.failed_aliases)),
             join_kernel=self.join_kernel,
+            result_memo=self.result_memo,
         )
+
+    def _memo_key(self) -> tuple | None:
+        """This execution's result-memo key; ``None``, with the reason left
+        in :attr:`result_memo`, when it may neither record nor replay.
+
+        Rows are a pure function of the key only while no call can fail
+        (a failure depends on the attempt, and degraded rows must never be
+        shared), and the index lives on a cache somebody else holds.
+        """
+        if self._private_cache:
+            reason = "private_cache"
+        elif self.pool.can_fault:
+            reason = "faults"
+        elif self.retry.call_timeout is not None:
+            reason = "call_timeout"
+        elif not self._RESULT_MEMO:
+            reason = "disabled"
+        else:
+            return (
+                id(self.plan),
+                id(self.query),
+                self.join_kernel,
+                self.k,
+                self.final_semantic_check,
+                tuple(
+                    sorted(
+                        (name, *_value_key(value))
+                        for name, value in self.inputs.items()
+                    )
+                ),
+                tuple(sorted(self.fetches.items())),
+            )
+        self.result_memo = f"off({reason})"
+        return None
+
+    def _calls_since(self, before_calls: int, before_busy: float) -> dict[str, Any]:
+        """A node's call figures: what the log gained since ``before_*``."""
+        log = self.pool.log
+        calls = log.total_calls() - before_calls
+        return {
+            "calls": calls,
+            "busy_time": log.total_latency() - before_busy,
+            "first_call_latency": (
+                log.records[before_calls].latency if calls else 0.0
+            ),
+        }
+
+    def _replay(self, recording: Recording):
+        """Step generator re-issuing a recorded execution's fetches; returns
+        the per-node stats.
+
+        Each fetch goes through :meth:`_fetch` with the arguments the
+        recording run passed, in its order — so cache lookups and LRU
+        touches, round trips after an eviction, step events, log records
+        and clock ticks are a fresh execution's, whose rows would be the
+        recorded ones.  What the cache's state decides (calls, busy time,
+        first-call latency) is measured from this run's log; the rest is
+        the recording's.  No node runs: the trace gets this run's
+        ``service.invoke``/``fetch.chunk`` spans and no ``node.*`` ones.
+        """
+        log = self.pool.log
+        stats: dict[str, NodeRunStats] = {}
+        for node_id, recorded in recording.node_stats.items():
+            self._rows[node_id] = [recorded.rows_built, recorded.rows_scored]
+            issued = recording.fetches.get(node_id)
+            if issued is None:
+                stats[node_id] = recorded  # makes no calls: nothing to measure
+                continue
+            node, factor, availability, specs = issued
+            before = log.total_calls(), log.total_latency()
+            for spec in specs:
+                yield from self._fetch(node, *spec, factor, availability)
+            stats[node_id] = replace(recorded, **self._calls_since(*before))
+        self.final_check = stats[self.plan.output_node.node_id].final_check
+        self._pairs_probed = recording.pairs_probed
+        return stats
+
+    def _run_nodes(self):
+        """Step generator running every node in topological order; returns
+        ``(output rows, per-node stats, candidate pairs)``."""
+        outputs: dict[str, list[CompositeTuple]] = {}
+        stats: dict[str, NodeRunStats] = {}
+        candidates = 0
+        tracer = self.tracer
+        self._fetches_issued = {}
+        for node_id in self.plan.topological_order():
+            node = self.plan.node(node_id)
+            parents = self.plan.parents(node_id)
+            before_calls = self.pool.log.total_calls()
+            before_busy = self.pool.log.total_latency()
+            before_probes = self._pairs_probed
+
+            span = None
+            if tracer.enabled:
+                attrs = {"node": node_id}
+                alias = getattr(node, "alias", None)
+                if alias is not None:
+                    attrs["alias"] = alias
+                span = tracer.span(f"node.{_SPAN_KINDS[node.kind]}", **attrs)
+            try:
+                result, tin, pair_count = yield from self._run_node(
+                    node, parents, outputs
+                )
+            except BaseException:
+                if span is not None:
+                    span.__exit__(*sys.exc_info())
+                raise
+            candidates += pair_count
+            outputs[node_id] = result
+            node_stats = stats[node_id] = NodeRunStats(
+                tin=tin,
+                tout=len(result),
+                **self._calls_since(before_calls, before_busy),
+                pairs_probed=self._pairs_probed - before_probes,
+                dispatch=self._dispatch.get(node_id, ""),
+                rows_built=self._rows.get(node_id, (0, 0))[0],
+                rows_scored=self._rows.get(node_id, (0, 0))[1],
+                final_check=self.final_check,
+            )
+            if span is not None:
+                span.set("tin", tin)
+                span.set("tout", len(result))
+                if node_stats.calls:
+                    span.set("calls", node_stats.calls)
+                if node_stats.pairs_probed:
+                    span.set("pairs_probed", node_stats.pairs_probed)
+                span.__exit__(None, None, None)
+        return outputs[self.plan.output_node.node_id], stats, candidates
 
     # -- node runners ---------------------------------------------------------------
 
@@ -621,22 +810,40 @@ class PlanExecutor:
             for key in sorted(template)
         ]
 
+        # Rows built from one source tuple share its spec, the object: a
+        # join fans a tuple out over many rows, and a recorded execution
+        # keeps every spec it issued (:attr:`Recording.fetches`).  Keyed by
+        # ``id``: the upstream rows hold the tuples while the node runs.
+        aliases = tuple(dict.fromkeys(sources))
+        built: dict[tuple, tuple] = {}
+
         def spec(components: Mapping[str, Any]) -> tuple | None:
-            for alias in sources:
-                if alias not in components:
-                    return None
-            bindings = dict(template)
-            for path_key, (alias, group, name) in pipes.items():
-                # Nested paths pipe the first group member as witness.
-                if group is None:
-                    bindings[path_key] = components[alias].values.get(name)
-                else:
-                    members = components[alias].group_members(group)
-                    bindings[path_key] = members[0].get(name) if members else None
-            entries = [
-                entry or (key, *_value_key(bindings[key])) for key, entry in skeleton
-            ]
-            return bindings, constraints, (*base[:3], tuple(entries), *base[4:])
+            try:
+                piped = tuple([id(components[alias]) for alias in aliases])
+            except KeyError:
+                return None
+            found = built.get(piped)
+            if found is None:
+                bindings = dict(template)
+                for path_key, (alias, group, name) in pipes.items():
+                    # Nested paths pipe the first group member as witness.
+                    if group is None:
+                        bindings[path_key] = components[alias].values.get(name)
+                    else:
+                        members = components[alias].group_members(group)
+                        bindings[path_key] = (
+                            members[0].get(name) if members else None
+                        )
+                entries = [
+                    entry or (key, *_value_key(bindings[key]))
+                    for key, entry in skeleton
+                ]
+                found = built[piped] = (
+                    bindings,
+                    constraints,
+                    (*base[:3], tuple(entries), *base[4:]),
+                )
+            return found
 
         return spec
 
@@ -703,6 +910,8 @@ class PlanExecutor:
         # The availability gate: plan-invariant, so not per upstream row.
         availability = pipe_join_selectivity(node, self.query, self._estimator)
         out: list[CompositeTuple] = []
+        specs: list[tuple] = []
+        self._fetches_issued[node.node_id] = (node, factor, availability, specs)
 
         spec_of = self._call_specs(node, factor, availability)
         for composite in upstream:
@@ -710,6 +919,7 @@ class PlanExecutor:
             if spec is None:
                 out.append(composite)
                 continue
+            specs.append(spec)
             tuples, failed = yield from self._fetch(
                 node, *spec, factor, availability
             )
@@ -1185,7 +1395,7 @@ class PlanExecutor:
             inputs=self.inputs,
         )
 
-    def _finalise(self, upstream: list[CompositeTuple]) -> list[CompositeTuple]:
+    def _finalise(self, upstream: list[CompositeTuple]) -> ResultRows:
         query = self.query
         selections, joins = query.selections, query.joins
         if not self.final_semantic_check:
@@ -1216,10 +1426,11 @@ class PlanExecutor:
         for row in unscored:
             object.__setattr__(row, "score", score(row.components))
         self._count_rows(self.plan.output_node.node_id, 0, len(unscored))
-        result = sorted(result, key=lambda c: -c.score)
+        rows = ResultRows(result)
+        rows.sort(key=lambda c: -c.score)
         if self.k is not None:
-            result = result[: self.k]
-        return result
+            del rows[self.k :]
+        return rows
 
     # -- measurement -------------------------------------------------------------------
 

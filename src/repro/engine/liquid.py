@@ -295,7 +295,10 @@ class LiquidQuerySession:
         return executor
 
     def _absorb(self, result: ExecutionResult) -> ExecutionResult:
-        self._raw = list(result.tuples)
+        # The executor's own list, not a copy: nothing here mutates it, it
+        # carries its witness digest, and holding it is what keeps its
+        # recording replayable (:class:`~repro.engine.executor.ResultRows`).
+        self._raw = result.tuples
         self._last = result
         return result
 
@@ -371,9 +374,17 @@ class LiquidQuerySession:
 
         return await self._journaled_await({"kind": "run", "k": k}, go)
 
+    def _limit(self, k: int | None) -> int:
+        """The presentation cut-off: ``k``, or the query's.  Never negative
+        — as a slice bound that would drop rows from the wrong end."""
+        limit = self.query.k if k is None else k
+        if limit < 0:
+            raise ExecutionError(f"k must be non-negative, got {limit}")
+        return limit
+
     def _present(self, k: int | None) -> list[CompositeTuple]:
         """The best ``k`` rows of the raw list under the current ranking."""
-        limit = self.query.k if k is None else k
+        limit = self._limit(k)
         raw, score = self._raw, self._ranking.score_composite
         if self._ranking is self.query.ranking:
             # The executor scored every row with this very function, over
@@ -440,7 +451,7 @@ class LiquidQuerySession:
     def _present_more(self, before: int, k: int | None) -> list[CompositeTuple]:
         if len(self._raw) < before:  # pragma: no cover - defensive
             raise ExecutionError("result list shrank while fetching more")
-        limit = self.query.k if k is None else k
+        limit = self._limit(k)
         return self._present(max(limit, before + 1) if self._raw else limit)
 
     def rerank(

@@ -124,6 +124,8 @@ class ExplainReport:
     pairs_probed: int | None = None
     rows_built: int | None = None
     rows_scored: int | None = None
+    #: :attr:`~repro.engine.executor.ExecutionResult.result_memo`.
+    result_memo: str | None = None
     bottleneck_alias: str | None = None
     bottleneck_share: float | None = None
 
@@ -171,6 +173,10 @@ class ExplainReport:
             summary.append(f"join probes: {self.pairs_probed} pairs")
         if self.rows_built is not None:
             summary.append(f"rows: {self.rows_built} built, {self.rows_scored} scored")
+        if self.result_memo is not None:
+            # ``off(reason)`` names why this execution was neither recorded
+            # nor replayed (a private cache, possible faults, a call timeout).
+            summary.append(f"result memo: {self.result_memo}")
         if self.bottleneck_alias is not None:
             summary.append(
                 f"bottleneck: {self.bottleneck_alias} "
@@ -275,6 +281,7 @@ def build_explain(
         report.pairs_probed = result.pairs_probed
         report.rows_built = sum(s.rows_built for s in result.node_stats.values())
         report.rows_scored = sum(s.rows_scored for s in result.node_stats.values())
+        report.result_memo = result.result_memo
         if bottleneck is not None and bottleneck.busy_time:
             report.bottleneck_alias = bottleneck.alias
             report.bottleneck_share = (

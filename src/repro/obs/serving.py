@@ -588,7 +588,16 @@ def render_serve_report(
         if invocation_rate is not None:
             cache_bits.append(f"invocation cache {invocation_rate:.1%}")
         if cache_bits:
-            lines.append("caches: " + ", ".join(cache_bits) + " hit rate")
+            line = "caches: " + ", ".join(cache_bits) + " hit rate"
+            replayable = gauges.get("serve.invocation_cache.replayable")
+            if replayable:
+                line += (
+                    "; result memo replayed "
+                    f"{int(gauges['serve.invocation_cache.replays'])} of "
+                    f"{int(replayable)} executions "
+                    f"({gauges['serve.invocation_cache.replay_rate']:.1%})"
+                )
+            lines.append(line)
 
     if slo is not None:
         state = slo.snapshot() if hasattr(slo, "snapshot") else slo

@@ -365,14 +365,18 @@ def snapshot_cache_stats(sessions: SessionManager) -> tuple[
         if sessions.plan_cache is not None
         else None
     )
+    cache = sessions.invocation_cache
     invocation = (
         {
-            "hits": sessions.invocation_cache.stats.hits,
-            "misses": sessions.invocation_cache.stats.misses,
-            "evictions": sessions.invocation_cache.stats.evictions,
-            "entries": len(sessions.invocation_cache),
+            "hits": cache.stats.hits,
+            "misses": cache.stats.misses,
+            "evictions": cache.stats.evictions,
+            "entries": len(cache),
+            # The result memo: executions that consulted it / it replayed.
+            "replayable": cache.replayable,
+            "replays": cache.replays,
         }
-        if sessions.invocation_cache is not None
+        if cache is not None
         else None
     )
     return plan, invocation
@@ -423,6 +427,13 @@ def record_cache_gauges(
         )
         metrics.gauge("serve.invocation_cache.hits").set(hits)
         metrics.gauge("serve.invocation_cache.misses").set(misses)
+        replays = invocation_stats.get("replays", 0)
+        replayable = invocation_stats.get("replayable", 0)
+        metrics.gauge("serve.invocation_cache.replays").set(replays)
+        metrics.gauge("serve.invocation_cache.replayable").set(replayable)
+        metrics.gauge("serve.invocation_cache.replay_rate").set(
+            replays / replayable if replayable else 0.0
+        )
 
 
 class ServeScheduler:

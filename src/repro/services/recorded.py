@@ -486,6 +486,12 @@ class RecordedPool:
             call_timeout=call_timeout,
         )
 
+    @property
+    def can_fault(self) -> bool:
+        """See :attr:`ServicePool.can_fault`.  A replayed cassette carries
+        whatever failures were recorded, under any fault model."""
+        return self.mode == "replay" or self.fault_model.active
+
     def reset(self) -> None:
         """Zero the clock and clear the log in place (shared references)."""
         self.clock.reset()

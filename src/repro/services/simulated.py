@@ -133,6 +133,13 @@ class FaultModel:
     def profile(self, interface_name: str) -> FaultProfile:
         return self.per_interface.get(interface_name, self.default)
 
+    @property
+    def active(self) -> bool:
+        """Whether any interface's profile can produce a fault."""
+        return self.default.active or any(
+            profile.active for profile in self.per_interface.values()
+        )
+
     @classmethod
     def uniform(
         cls,
@@ -495,6 +502,12 @@ class ServicePool:
             availability=availability,
             call_timeout=call_timeout,
         )
+
+    @property
+    def can_fault(self) -> bool:
+        """Whether a call to this pool can fail or run slow.  While it
+        cannot, a plan's results are a pure function of its inputs."""
+        return self.fault_model.active
 
     def reset(self) -> None:
         """Zero the clock and clear the log; data stays identical (same seed).

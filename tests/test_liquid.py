@@ -1,9 +1,12 @@
 """Tests for liquid-query sessions (Section 3.2 user interactions)."""
 
+import asyncio
+
 import pytest
 
 from repro.core.optimizer import optimize_query
-from repro.engine.liquid import LiquidQuerySession
+from repro.engine.async_runner import AsyncExecutionContext
+from repro.engine.liquid import LiquidQuerySession, _drain
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import ExecutionError
 from repro.services.marts import RUNNING_EXAMPLE_INPUTS
@@ -349,3 +352,57 @@ class TestPresentation:
         assert repr(results[0].score) == "0"
         assert result_digest(results) == result_digest(_rebuild_and_sort(session, 10))
         assert _exact(session.more()) == _exact(_rebuild_and_sort(session, 10))
+
+
+class TestNegativeK:
+    """``k < 0`` is an error on every verb — as a slice bound it used to
+    drop rows from the wrong end (``run(k=-1)``: all but the last)."""
+
+    CHANGED = dict(RUNNING_EXAMPLE_INPUTS, INPUT1="genre#5")
+    WEIGHTS = {"M": 1.0, "T": 0.0, "R": 0.0}
+
+    VERBS = {
+        "run": lambda s, k: s.run(k),
+        "run_steps": lambda s, k: _drain(s.run_steps(k)),
+        "run_async": lambda s, k: asyncio.run(s.run_async(k)),
+        "more": lambda s, k: s.more(k),
+        "more_steps": lambda s, k: _drain(s.more_steps(k)),
+        "more_async": lambda s, k: asyncio.run(s.more_async(k)),
+        "resubmit": lambda s, k: s.resubmit(TestNegativeK.CHANGED, k),
+        "resubmit_steps": lambda s, k: _drain(
+            s.resubmit_steps(TestNegativeK.CHANGED, k)
+        ),
+        "resubmit_async": lambda s, k: asyncio.run(
+            s.resubmit_async(TestNegativeK.CHANGED, k)
+        ),
+        "rerank": lambda s, k: s.rerank(TestNegativeK.WEIGHTS, k),
+    }
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    @pytest.mark.parametrize("backend", ["virtual", "asyncio"])
+    def test_every_twin_raises_and_journals_the_failure(
+        self, verb, backend, movie_query, movie_registry
+    ):
+        if backend == "asyncio" and verb.endswith("_steps"):
+            pytest.skip("step generators are virtual-backend only")
+        session = LiquidQuerySession(
+            candidate=optimize_query(movie_query),
+            query=movie_query,
+            pool=ServicePool(movie_registry, global_seed=21),
+            inputs=dict(RUNNING_EXAMPLE_INPUTS),
+            backend=backend,
+            async_context=AsyncExecutionContext(time_scale=0.0),
+        )
+        everything = session.run(k=10**6)
+        assert len(everything) > 1
+        with pytest.raises(ExecutionError, match="non-negative"):
+            self.VERBS[verb](session, -1)
+        last = session.interaction_journal[-1]
+        assert last["kind"] == verb.split("_")[0]
+        assert last["k"] == -1 and last["failed"] is True
+        assert session.inflight_interaction is None
+        # The session is still usable, and nothing was dropped from it.
+        assert len(session.run(k=10**6)) >= len(everything)
+
+    def test_zero_is_an_empty_page_not_an_error(self, session):
+        assert session.run(k=0) == []

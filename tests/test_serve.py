@@ -11,6 +11,7 @@ result.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -365,6 +366,28 @@ def test_rerank_costs_no_round_trips():
     assert rerank_out.results
     # Re-weighting is pure CPU: it completes at its own arrival instant.
     assert rerank_out.latency == 0.0
+
+
+def test_negative_k_request_fails_with_the_typed_error():
+    """``k=-1`` used to complete with all rows but the last."""
+    template = default_templates()[0]
+    bad_run = replace(_run_request(0, arrival=0.1), k=-1)
+    bad_more = Request(
+        request_id=2,
+        kind="more",
+        template=template.name,
+        schema=template.schema,
+        arrival=500.0,
+        target=1,
+        k=-3,
+    )
+    requests = [bad_run, _run_request(1, arrival=0.2), bad_more]
+    report = ServeScheduler(_manager()).run(requests)
+    assert report.outcomes[1].status == "completed"
+    for request_id in (0, 2):
+        outcome = report.outcomes[request_id]
+        assert outcome.status == "failed" and outcome.results is None
+        assert outcome.error.startswith("ExecutionError: k must be non-negative")
 
 
 def test_rate_limit_stretches_makespan():
