@@ -24,20 +24,23 @@ from __future__ import annotations
 from conftest import report
 
 from repro.durability import run_crash_resume, serve_workload_durable
+from repro.serve import ServeConfig, WorkloadConfig, serve
 from repro.serve.bench import combined_digest
 from repro.serve.sharding import serve_workload_sharded
 from repro.serve.workload import scenario_templates
 
 SEED = 2009
 PACKS = ("travel", "shopping", "scholar", "all")
+#: The benchmark posture: an effectively unbounded queue, 4 calls/s per service.
+POSTURE = ServeConfig(data_seed=SEED, queue_limit=1_000_000, default_service_rate=4.0)
 
 
 def collect_crash_resume(num_requests=300, checkpoint_every=25, kill_after=2):
+    from dataclasses import replace
+
     return run_crash_resume(
-        num_requests=num_requests,
-        rate=4.0,
-        seed=SEED,
-        checkpoint_every=checkpoint_every,
+        replace(POSTURE, checkpoint_every=checkpoint_every),
+        WorkloadConfig(num_requests=num_requests, rate=4.0, seed=SEED),
         kill_after_checkpoints=kill_after,
     )
 
@@ -182,9 +185,9 @@ def test_e23_cassette_replay_deterministic():
 def test_e23_checkpointing_preserves_digests():
     import tempfile
 
-    from repro.serve.bench import serve_workload
-
-    _, plain = serve_workload(rate=4.0, num_requests=40, seed=SEED, shared=True)
+    plain = serve(
+        POSTURE, WorkloadConfig(num_requests=40, rate=4.0, seed=SEED)
+    ).digests()
     with tempfile.TemporaryDirectory() as tmp:
         _, durable, info = serve_workload_durable(
             rate=4.0, num_requests=40, seed=SEED,

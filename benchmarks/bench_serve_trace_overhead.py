@@ -31,8 +31,8 @@ from conftest import report
 
 from repro.obs.serving import SloTracker, serving_metrics_summary
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.serve import ServeConfig, WorkloadConfig, serve
 from repro.serve.bench import combined_digest, result_digest
-from repro.serve.sharding import serve_workload_sharded
 from repro.serve.workload import default_templates
 
 SEED = 2009
@@ -47,18 +47,26 @@ MAX_NOOP_SHARE = 0.05
 
 
 def _serve(tracer=None, slo=None, sample_metrics=False, num_requests=NUM_REQUESTS):
-    return serve_workload_sharded(
-        rate=RATE,
-        num_requests=num_requests,
-        seed=SEED,
-        num_shards=NUM_SHARDS,
-        session_space=SESSION_SPACE,
-        templates=default_templates(PARAM_SCALE),
-        digest_fn=result_digest,
+    report = serve(
+        ServeConfig(
+            templates=default_templates(PARAM_SCALE),
+            data_seed=SEED,
+            num_shards=NUM_SHARDS,
+            queue_limit=1_000_000,
+            default_service_rate=4.0,
+            sample_metrics=sample_metrics,
+        ),
+        WorkloadConfig(
+            num_requests=num_requests,
+            rate=RATE,
+            seed=SEED,
+            session_space=SESSION_SPACE,
+        ),
         tracer=tracer,
         slo=slo,
-        sample_metrics=sample_metrics,
+        digest_fn=result_digest,
     )
+    return report, report.digests()
 
 
 def _noop_costs(iterations=200_000):

@@ -25,18 +25,27 @@ import pytest
 
 from conftest import report
 
-from repro.serve import run_serving_benchmark
+from repro.serve import (
+    ServeConfig,
+    WorkloadConfig,
+    default_templates,
+    run_serving_benchmark,
+)
 
 SEED = 2009
 NUM_REQUESTS = 40
 LOAD_LEVELS = (0.5, 2.0)
+#: The benchmark posture: an effectively unbounded queue (both modes must
+#: complete every request to stay per-request comparable), 4 calls/s per
+#: service.
+POSTURE = ServeConfig(data_seed=SEED, queue_limit=1_000_000, default_service_rate=4.0)
 
 
 def collect_serving(num_requests=NUM_REQUESTS, load_levels=LOAD_LEVELS):
     return run_serving_benchmark(
+        POSTURE,
+        WorkloadConfig(num_requests=num_requests, seed=SEED),
         load_levels=load_levels,
-        num_requests=num_requests,
-        seed=SEED,
     )
 
 
@@ -163,15 +172,23 @@ if __name__ == "__main__":  # pragma: no cover - standalone report shim
         shard_counts = tuple(
             int(part) for part in args.shards.split(",") if part
         )
+        from dataclasses import replace
+
         payload = run_sharding_benchmark(
+            replace(
+                POSTURE,
+                templates=default_templates(args.param_scale),
+                steal=not args.no_steal,
+            ),
+            WorkloadConfig(
+                num_requests=args.requests,
+                rate=args.rate,
+                seed=SEED,
+                session_space=max(args.session_space, args.requests),
+            ),
             shard_counts=shard_counts,
-            num_requests=args.requests,
-            rate=args.rate,
-            seed=SEED,
-            session_space=args.session_space,
-            steal=not args.no_steal,
-            param_scale=args.param_scale,
         )
+        payload["param_scale"] = args.param_scale
         out = pathlib.Path(args.output) if args.output else (
             root / "BENCH_sharding.json"
         )

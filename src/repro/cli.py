@@ -56,6 +56,7 @@ import argparse
 import ast as python_ast
 import json
 import sys
+from dataclasses import replace
 from typing import Any
 
 from repro.core.cost import DEFAULT_METRICS
@@ -675,7 +676,7 @@ def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER):
                 tracer=tracer,
                 time_scale=args.time_scale,
                 max_connections=args.max_connections,
-                join_kernel=getattr(best, "join_kernel", "binary"),
+                join_kernel=best.join_kernel,
             )
         else:
             result = execute_plan(
@@ -688,7 +689,7 @@ def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER):
                 degradation=args.degradation,
                 invocation_cache_size=args.invocation_cache_size or None,
                 tracer=tracer,
-                join_kernel=getattr(best, "join_kernel", "binary"),
+                join_kernel=best.join_kernel,
             )
     except RetryExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -733,7 +734,7 @@ def _cmd_run(args) -> int:
         return code
     kernel_note = (
         f", join kernel {result.join_kernel}"
-        if getattr(result, "join_kernel", "binary") != "binary"
+        if result.join_kernel != "binary"
         else ""
     )
     print(
@@ -893,447 +894,171 @@ def _write_obs_artifacts(
         print(f"prometheus -> {args.prom}")
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.serve import run_serving_benchmark
+def _serve_rates(args) -> "tuple[float, ...] | None":
+    """``--rates`` parsed; ``None`` when it is not comma-separated numbers."""
+    try:
+        return tuple(float(token) for token in args.rates.split(",") if token.strip())
+    except ValueError:
+        return None
+
+
+def _serve_durable(args) -> bool:
+    return bool(args.checkpoint_every or args.resume)
+
+
+#: serve-bench flag compatibility, checked in order: (violated(args, rates),
+#: message).  The first violated row ends the command with its message on
+#: stderr and exit status 1.
+_SERVE_FLAG_RULES = (
+    (
+        lambda args, rates: rates is None,
+        "--rates needs comma-separated numbers, got {rates!r}",
+    ),
+    (lambda args, rates: not rates, "--rates needs at least one rate"),
+    (
+        lambda args, rates: _obs_requested(args) and len(rates) != 1,
+        "--trace/--metrics/--prom take exactly one --rates value "
+        "(one run, one trace)",
+    ),
+    (
+        lambda args, rates: _serve_durable(args) and len(rates) != 1,
+        "durable serving (--checkpoint-every/--resume) takes exactly "
+        "one --rates value",
+    ),
+    (
+        lambda args, rates: _serve_durable(args) and not args.checkpoint_dir,
+        "--checkpoint-every/--resume need --checkpoint-dir",
+    ),
+    (
+        lambda args, rates: _serve_durable(args)
+        and (args.backend == "asyncio" or args.parallel),
+        "durable serving runs in-process on the virtual backend "
+        "(drop --backend asyncio / --parallel)",
+    ),
+    (
+        lambda args, rates: args.shards
+        and args.backend == "asyncio"
+        and not args.parallel,
+        "--shards with --backend asyncio needs --parallel "
+        "(serial sharding runs on the virtual clock)",
+    ),
+    (
+        lambda args, rates: args.shards and args.parallel and _obs_requested(args),
+        "--trace/--metrics/--prom need the in-process runtime (drop --parallel)",
+    ),
+)
+
+#: mode -> (benchmark name, (reference label, subject label), the gate
+#: that says the two runs' digests matched, title).
+_SERVE_MODES = {
+    "plain": ("serving", ("isolated", "shared"), "results_identical",
+              "serving benchmark"),
+    "sharded": ("serve-sharded", ("1-shard", "sharded"), "results_identical",
+                "sharded serving"),
+    "observed": ("serve-observed", ("untraced", "traced"),
+                 "trace_noninterference", "observed serving"),
+    "asyncio": ("serving-asyncio", ("virtual", "asyncio"), "results_identical",
+                "async serving"),
+    "durable": ("serve-durable", ("", "durable"), None, "durable serving"),
+}
+
+
+def _serve_configs(args):
+    """serve-bench flags -> ``(mode, subject, reference)``.
+
+    The one place argparse becomes a :class:`~repro.serve.ServeConfig`:
+    ``subject`` is the run the flags ask for, ``reference`` the run its
+    digests are gated against (``None``: a durable run is gated on its
+    outcome mix alone).
+    """
+    from repro.serve import ServeConfig
     from repro.serve.workload import scenario_templates
 
-    try:
-        rates = tuple(
-            float(token) for token in args.rates.split(",") if token.strip()
-        )
-    except ValueError:
-        raise SystemExit(f"--rates needs comma-separated numbers, got {args.rates!r}")
-    if not rates:
-        raise SystemExit("--rates needs at least one rate")
-    _resolve_artifact_paths(args)
     observed = _obs_requested(args)
-    if observed and len(rates) != 1:
-        raise SystemExit(
-            "--trace/--metrics/--prom take exactly one --rates value "
-            "(one run, one trace)"
-        )
-    if args.checkpoint_every or args.resume:
-        return _serve_bench_durable(args, rates)
-    if args.shards:
-        if args.backend == "asyncio" and not args.parallel:
-            raise SystemExit(
-                "--shards with --backend asyncio needs --parallel "
-                "(serial sharding runs on the virtual clock)"
-            )
-        if observed and args.parallel:
-            raise SystemExit(
-                "--trace/--metrics/--prom need the in-process runtime "
-                "(drop --parallel)"
-            )
-        if observed:
-            return _serve_bench_observed(args, rates[0])
-        return _serve_bench_sharded(args, rates)
-    if args.backend == "asyncio":
-        return _serve_bench_asyncio(args, rates)
-    if observed:
-        return _serve_bench_observed(args, rates[0])
-    report = run_serving_benchmark(
-        load_levels=rates,
-        num_requests=args.requests,
-        seed=args.seed,
-        skew=args.skew,
-        followup_fraction=args.followups,
+    sharing = "shared" if args.shared_cache else "isolated"
+    base = ServeConfig(
+        templates=scenario_templates(args.scenario, args.param_scale),
+        data_seed=args.seed,
+        optimizer_config=OptimizerConfig(join_kernel=args.join_kernel),
         max_concurrency=args.concurrency,
+        queue_limit=1_000_000,  # both runs must complete every request
         default_service_rate=args.service_rate or None,
         plan_cache_size=args.plan_cache_size,
-        templates=scenario_templates(args.scenario, args.param_scale),
-        join_kernel=args.join_kernel,
+        time_scale=args.time_scale,
+        max_connections=args.max_connections,
     )
-    print(
-        f"serving benchmark: {args.requests} requests per level, "
-        f"seed {args.seed}, concurrency {args.concurrency}, "
-        f"scenario {args.scenario}, join kernel {args.join_kernel}"
-    )
-    for level in report["levels"]:
-        isolated, shared = level["isolated"], level["shared"]
-        print(f"rate {level['rate']:g} req/s:")
-        for mode, summary in (("isolated", isolated), ("shared", shared)):
+    if _serve_durable(args):
+        subject = replace(
+            base,
+            num_shards=args.shards or 1,
+            cache_mode=sharing,
+            sample_metrics=observed,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+        )
+        return "durable", subject, None
+    if args.shards:
+        base = replace(
+            base,
+            num_shards=args.shards,
+            steal=args.steal,
+            cache_mode="shared" if args.shared_cache else "private",
+        )
+    elif args.backend == "asyncio":
+        return "asyncio", replace(base, backend="asyncio"), base
+    elif observed:
+        base = replace(base, cache_mode=sharing)
+    if observed:
+        return "observed", replace(base, sample_metrics=True), base
+    if args.shards:
+        subject = replace(
+            base,
+            parallel=args.parallel,
+            backend=args.backend if args.parallel else "virtual",
+        )
+        return "sharded", subject, replace(base, num_shards=1, steal=False)
+    return "plain", base, replace(base, cache_mode="isolated")
+
+
+def _print_serve_level(args, subject, labels, level, baseline, report) -> None:
+    """One load level of serve-bench output, whatever the mode."""
+    print(f"rate {level['rate']:g} req/s:")
+    for label in labels:
+        summary = level.get(label)
+        if summary is not None:
             print(
-                f"  {mode:9s} round trips {summary['total_round_trips']:5d}  "
+                f"  {label:9s} round trips {summary['total_round_trips']:5d}  "
                 f"throughput {summary['throughput']:.3f}/s  "
                 f"latency p50 {summary['latency_p50']:7.2f}  "
                 f"p95 {summary['latency_p95']:7.2f}  "
                 f"p99 {summary['latency_p99']:7.2f}"
             )
+    completed = len(report.completed())
+    if subject.backend == "asyncio" and not subject.parallel:
+        wall = report.makespan * subject.time_scale
         print(
-            f"  sharing saves {level['round_trip_reduction']:.1%} of round "
-            f"trips; results identical: {level['results_identical']}"
+            f"  {completed} completed in {wall:.3f}s wall "
+            f"({completed / wall if wall else 0.0:.1f} req/s)"
         )
-    gates = report["gates"]
-    for name, passed in sorted(gates.items()):
-        print(f"gate {name}: {'PASS' if passed else 'FAIL'}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"report -> {args.output}")
-    hard = ("results_identical", "shared_never_more_round_trips")
-    requested = gates if args.gates == "all" else {
-        name: gates[name] for name in hard
-    }
-    failed = sorted(name for name, passed in requested.items() if not passed)
-    if failed:
-        print(
-            f"gate failure ({args.gates}): " + ", ".join(failed),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _serve_bench_sharded(args, rates) -> int:
-    """Serve per rate on N shards; gate digests against 1-shard mode."""
-    from repro.serve import serve_workload_parallel, serve_workload_sharded
-    from repro.serve.workload import scenario_templates
-
-    cache_mode = "shared" if args.shared_cache else "private"
-    all_identical = True
-    levels = []
-    print(
-        f"sharded serving: {args.requests} requests per rate, seed "
-        f"{args.seed}, {args.shards} shards, cache {cache_mode}, "
-        f"steal {'on' if args.steal else 'off'}, scenario {args.scenario}"
-        + (f", parallel ({args.backend} workers)" if args.parallel else "")
-    )
-    common = dict(
-        num_requests=args.requests,
-        seed=args.seed,
-        skew=args.skew,
-        followup_fraction=args.followups,
-        max_concurrency=args.concurrency,
-        default_service_rate=args.service_rate or None,
-        session_space=args.session_space,
-        templates=scenario_templates(args.scenario, args.param_scale),
-        join_kernel=args.join_kernel,
-    )
-    for rate in rates:
-        _, reference = serve_workload_sharded(
-            rate=rate, num_shards=1, cache_mode=cache_mode, steal=False,
-            plan_cache_size=args.plan_cache_size, **common,
-        )
-        level: dict[str, Any] = {"rate": rate, "num_shards": args.shards}
-        if args.parallel:
-            result = serve_workload_parallel(
-                rate=rate,
-                num_shards=args.shards,
-                backend=args.backend,
-                caches=cache_mode != "isolated",
-                time_scale=args.time_scale,
-                **common,
-            )
-            digests = result["digests"]
+    for outcome in report.outcomes.values():
+        if outcome.status == "failed":
+            request = outcome.request
+            print(f"  request {request.request_id} ({request.kind}): {outcome.error}")
+    if report.num_shards > 1:
+        steals = report.metrics.counters.get("serve.steals")
+        print(f"  steals {int(steals.value) if steals else 0}")
+        for stats in report.shard_stats:
+            cache = stats.get("invocation_cache")
             print(
-                f"rate {rate:g} req/s: {len(digests)} completed across "
-                f"{args.shards} workers, round trips "
-                f"{result['total_round_trips']}, p95 {result['latency_p95']:.2f}"
+                f"  shard {stats['shard']}: started {stats['started']:4d}  "
+                f"completed {stats['completed']:4d}  "
+                f"steals {stats['steals']:3d}  "
+                f"max queue {stats['max_queue_depth']:4d}"
+                + (f"  cache hit rate {cache['hit_rate']:.1%}" if cache else "")
             )
-            level.update(
-                parallel=True,
-                backend=args.backend,
-                total_round_trips=result["total_round_trips"],
-                latency_p95=result["latency_p95"],
-                by_status=result["by_status"],
-            )
-        else:
-            report, digests = serve_workload_sharded(
-                rate=rate, num_shards=args.shards, cache_mode=cache_mode,
-                steal=args.steal, plan_cache_size=args.plan_cache_size,
-                **common,
-            )
-            latency = report.latency_summary()
-            steals = report.metrics.counters.get("serve.steals")
-            print(
-                f"rate {rate:g} req/s: {len(report.completed())} completed, "
-                f"round trips {report.total_round_trips}, "
-                f"p50 {latency.get('p50', 0.0):.2f}  "
-                f"p95 {latency.get('p95', 0.0):.2f}, "
-                f"steals {int(steals.value) if steals else 0}"
-            )
-            for stats in report.shard_stats or ():
-                line = (
-                    f"  shard {stats['shard']}: started {stats['started']:4d}  "
-                    f"completed {stats['completed']:4d}  "
-                    f"steals {stats['steals']:3d}  "
-                    f"max queue {stats['max_queue_depth']:4d}"
-                )
-                cache = stats.get("invocation_cache")
-                if cache:
-                    line += f"  cache hit rate {cache['hit_rate']:.1%}"
-                print(line)
-            level.update(
-                parallel=False,
-                total_round_trips=report.total_round_trips,
-                latency_p95=latency.get("p95", 0.0),
-                by_status=report.by_status(),
-                shards=report.shard_stats,
-            )
-        identical = digests == reference
-        all_identical = all_identical and identical
-        level["results_identical"] = identical
-        levels.append(level)
-        print(f"  digests identical to 1-shard mode: {identical}")
-    print(f"gate results_identical: {'PASS' if all_identical else 'FAIL'}")
-    if args.output:
-        payload = {
-            "benchmark": "serve-sharded",
-            "seed": args.seed,
-            "requests": args.requests,
-            "shards": args.shards,
-            "cache_mode": cache_mode,
-            "steal": args.steal,
-            "scenario": args.scenario,
-            "levels": levels,
-            "gates": {"results_identical": all_identical},
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"report -> {args.output}")
-    return 0 if all_identical else 1
-
-
-def _serve_bench_observed(args, rate) -> int:
-    """One traced serving run (plain or sharded) on the virtual clock.
-
-    The same seeded workload is served twice: once bare, once with the
-    tracer/SLO/metrics sampling on.  The two runs' per-request digests
-    must be byte-identical — telemetry may never perturb results — and
-    that gate guards the artifacts this path writes.
-    """
-    from repro.serve import serve_workload, serve_workload_sharded
-    from repro.serve.bench import combined_digest, result_digest
-    from repro.serve.workload import scenario_templates
-
-    templates = scenario_templates(args.scenario, args.param_scale)
-    shards = args.shards or 0
-
-    def run_once(tracer=None, slo=None, sample_metrics=False):
-        if shards:
-            return serve_workload_sharded(
-                rate=rate,
-                num_requests=args.requests,
-                seed=args.seed,
-                num_shards=shards,
-                cache_mode="shared" if args.shared_cache else "private",
-                steal=args.steal,
-                skew=args.skew,
-                followup_fraction=args.followups,
-                max_concurrency=args.concurrency,
-                default_service_rate=args.service_rate or None,
-                session_space=args.session_space,
-                plan_cache_size=args.plan_cache_size,
-                templates=templates,
-                digest_fn=result_digest,
-                tracer=tracer,
-                slo=slo,
-                sample_metrics=sample_metrics,
-                join_kernel=args.join_kernel,
-            )
-        return serve_workload(
-            rate=rate,
-            num_requests=args.requests,
-            seed=args.seed,
-            shared=args.shared_cache,
-            skew=args.skew,
-            followup_fraction=args.followups,
-            max_concurrency=args.concurrency,
-            default_service_rate=args.service_rate or None,
-            plan_cache_size=args.plan_cache_size,
-            templates=templates,
-            tracer=tracer,
-            slo=slo,
-            sample_metrics=sample_metrics,
-            join_kernel=args.join_kernel,
-        )
-
-    print(
-        f"observed serving: {args.requests} requests at rate {rate:g}, "
-        f"seed {args.seed}, scenario {args.scenario}, "
-        f"{shards or 1} shard(s)"
-    )
-    _, baseline_digests = run_once()
-    tracer = Tracer()
-    slo = _build_slo(args)
-    report, digests = run_once(tracer=tracer, slo=slo, sample_metrics=True)
-    identical = digests == baseline_digests
-    latency = report.latency_summary()
-    print(
-        f"  {len(report.completed())} completed, "
-        f"round trips {report.total_round_trips}, "
-        f"p50 {latency.get('p50', 0.0):.2f}  p95 {latency.get('p95', 0.0):.2f}"
-    )
-    slo_state = slo.snapshot()
-    violation_bits = ", ".join(
-        f">{key}s {entry['fraction']:.1%}"
-        for key, entry in slo_state["violations"].items()
-    )
-    print(f"  slo: {slo_state['count']} observed; violations {violation_bits}")
-    print(
-        "gate trace_noninterference: "
-        + ("PASS" if identical else "FAIL")
-        + " (digests identical with tracing on)"
-    )
-    serving = serving_metrics_summary(report)
-    _write_obs_artifacts(args, tracer, report.metrics, slo, serving=serving)
-    if args.output:
-        payload = {
-            "benchmark": "serve-observed",
-            "seed": args.seed,
-            "requests": args.requests,
-            "rate": rate,
-            "scenario": args.scenario,
-            "shards": shards or 1,
-            "spans": len(tracer.spans),
-            "combined_digest": combined_digest(digests),
-            "serving_metrics": serving,
-            "slo": slo_state,
-            "gates": {"trace_noninterference": identical},
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"report -> {args.output}")
-    return 0 if identical else 1
-
-
-def _serve_bench_asyncio(args, rates) -> int:
-    """Serve the seeded workload on the asyncio backend, per rate, and
-    gate each request's result digest against the virtual scheduler's."""
-    from repro.obs.metrics import MetricsRegistry
-    from repro.serve import serve_workload
-    from repro.serve.async_serve import serve_workload_async
-    from repro.serve.workload import scenario_templates
-
-    observed = _obs_requested(args)
-    tracer = Tracer() if observed else None
-    obs_metrics = MetricsRegistry() if observed else None
-    slo = _build_slo(args) if observed else None
-    levels = []
-    all_identical = True
-    print(
-        f"async serving: {args.requests} requests per rate, seed {args.seed}, "
-        f"concurrency {args.concurrency}, time scale {args.time_scale:g}, "
-        f"scenario {args.scenario}"
-    )
-    templates = scenario_templates(args.scenario, args.param_scale)
-    for rate in rates:
-        kwargs = dict(
-            rate=rate,
-            num_requests=args.requests,
-            seed=args.seed,
-            shared=True,
-            skew=args.skew,
-            followup_fraction=args.followups,
-            max_concurrency=args.concurrency,
-            templates=templates,
-            join_kernel=args.join_kernel,
-        )
-        _, virtual_digests = serve_workload(**kwargs)
-        report = serve_workload_async(
-            **kwargs,
-            time_scale=args.time_scale,
-            max_connections=args.max_connections,
-            tracer=tracer,
-            metrics=obs_metrics,
-            slo=slo,
-            trace_engine=observed,
-        )
-        async_digests = report.digests()
-        identical = virtual_digests == async_digests
-        all_identical = all_identical and identical
-        errors = [o for o in report.outcomes if not o.completed]
-        print(
-            f"rate {rate:g} req/s: {len(report.completed())} completed in "
-            f"{report.wall_time:.3f}s wall ({report.throughput:.1f} req/s); "
-            f"digests match virtual scheduler: {identical}"
-        )
-        for outcome in errors:
-            print(
-                f"  request {outcome.request.request_id} "
-                f"({outcome.request.kind}): {outcome.error}"
-            )
-        levels.append(
-            {
-                "rate": rate,
-                "completed": len(report.completed()),
-                "errors": len(errors),
-                "wall_time": report.wall_time,
-                "throughput": report.throughput,
-                "results_identical": identical,
-            }
-        )
-    print(f"gate results_identical: {'PASS' if all_identical else 'FAIL'}")
-    if observed:
-        _write_obs_artifacts(args, tracer, obs_metrics, slo, label="serve-async")
-    if args.output:
-        payload = {
-            "benchmark": "serving-asyncio",
-            "seed": args.seed,
-            "num_requests": args.requests,
-            "time_scale": args.time_scale,
-            "max_concurrency": args.concurrency,
-            "levels": levels,
-            "gates": {"results_identical": all_identical},
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"report -> {args.output}")
-    return 0 if all_identical else 1
-
-
-def _serve_bench_durable(args, rates) -> int:
-    """Durable serving: periodic checkpoints, optional resume."""
-    from repro.durability import serve_workload_durable
-    from repro.serve.bench import combined_digest
-    from repro.serve.workload import scenario_templates
-
-    if len(rates) != 1:
-        raise SystemExit(
-            "durable serving (--checkpoint-every/--resume) takes exactly "
-            "one --rates value"
-        )
-    if not args.checkpoint_dir:
-        raise SystemExit("--checkpoint-every/--resume need --checkpoint-dir")
-    if args.backend == "asyncio" or args.parallel:
-        raise SystemExit(
-            "durable serving runs in-process on the virtual backend "
-            "(drop --backend asyncio / --parallel)"
-        )
-    rate = rates[0]
-    shards = args.shards or 1
-    observed = _obs_requested(args)
-    tracer = Tracer() if observed else None
-    slo = _build_slo(args) if observed else None
-    report, digests, info = serve_workload_durable(
-        rate=rate,
-        num_requests=args.requests,
-        seed=args.seed,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        scenario=args.scenario,
-        num_shards=shards,
-        shared=args.shared_cache,
-        skew=args.skew,
-        followup_fraction=args.followups,
-        max_concurrency=args.concurrency,
-        default_service_rate=args.service_rate or None,
-        session_space=args.session_space,
-        plan_cache_size=args.plan_cache_size,
-        templates=scenario_templates(args.scenario, args.param_scale),
-        tracer=tracer,
-        slo=slo,
-        sample_metrics=observed,
-        join_kernel=args.join_kernel,
-    )
-    digest = combined_digest(digests)
-    print(
-        f"durable serving: {args.requests} requests at rate {rate:g}, "
-        f"seed {args.seed}, scenario {args.scenario}, {shards} shard(s)"
-    )
-    if args.resume:
+    info = report.durability
+    if info is not None:
         if info["resumed"]:
             print(
                 f"  resumed from {info['resume_key']}: "
@@ -1341,53 +1066,133 @@ def _serve_bench_durable(args, rates) -> int:
                 f"{info['restored_sessions']} sessions restored, "
                 f"{info['served']} served now"
             )
-        else:
+        elif args.resume:
             print("  no checkpoint found — served from scratch")
-    print(
-        f"  checkpoints: {info['checkpoints_written']} written "
-        f"(every {args.checkpoint_every or 'n/a'} terminals) "
-        f"-> {args.checkpoint_dir}"
-    )
-    by_status = report.by_status()
-    print(
-        f"  completed {len(digests)}, statuses {by_status}, "
-        f"combined digest {digest[:16]}"
-    )
-    if observed:
+        print(
+            f"  checkpoints: {info['checkpoints_written']} written "
+            f"(every {args.checkpoint_every or 'n/a'} terminals) "
+            f"-> {args.checkpoint_dir}"
+        )
         if info["telemetry_replayed"]:
             print(
                 f"  telemetry: {info['telemetry_replayed']} pre-crash "
                 "outcomes replayed into the trace/metrics"
             )
+    print(
+        f"  completed {completed}, statuses {report.by_status()}, "
+        f"combined digest {level['combined_digest'][:16]}"
+    )
+    if baseline is not None:
+        print(
+            f"  {labels[1]} vs {labels[0]}: round trips "
+            f"{-level['round_trip_reduction']:+.1%}; results identical: "
+            f"{level['results_identical']}"
+        )
+
+
+def _cmd_serve_bench(args) -> int:
+    """Every serve-bench mode: reference run, subject run, digest gate,
+    print, ``--output`` — once."""
+    from repro.serve import WorkloadConfig
+    from repro.serve.bench import benchmark_report, compare_serving, sharing_gates
+
+    rates = _serve_rates(args)
+    for violated, message in _SERVE_FLAG_RULES:
+        if violated(args, rates):
+            raise SystemExit(message.format(rates=args.rates))
+    _resolve_artifact_paths(args)
+    mode, subject, reference = _serve_configs(args)
+    name, labels, identity_gate, title = _SERVE_MODES[mode]
+    observed = _obs_requested(args)
+    tracer = Tracer() if observed else None
+    slo = _build_slo(args) if observed else None
+    print(
+        f"{title}: {args.requests} requests per rate, seed {args.seed}, "
+        f"concurrency {args.concurrency}, scenario {args.scenario}, "
+        f"join kernel {args.join_kernel}, {subject.num_shards} shard(s), "
+        f"cache {subject.cache_mode}, steal {'on' if subject.steal else 'off'}"
+        + (f", parallel ({subject.backend} workers)" if subject.parallel else "")
+        + (f", time scale {subject.time_scale:g}" if subject.backend == "asyncio" else "")
+    )
+    last = []  # the latest level's subject report: artifacts read it live
+
+    def on_level(level, baseline, report) -> None:
+        last[:] = [report]
+        _print_serve_level(args, subject, labels, level, baseline, report)
+
+    workload = WorkloadConfig(
+        num_requests=args.requests,
+        skew=args.skew,
+        seed=args.seed,
+        followup_fraction=args.followups,
+        session_space=max(args.session_space, args.requests),
+    )
+    levels = compare_serving(
+        subject,
+        workload,
+        reference=reference,
+        load_levels=rates,
+        labels=labels,
+        tracer=tracer,
+        slo=slo,
+        on_level=on_level,
+    )
+    (report,) = last
+    by_status = report.by_status()
+    if mode == "plain":
+        gates = sharing_gates(levels)
+    elif reference is not None:
+        gates = {identity_gate: all(level["results_identical"] for level in levels)}
+    else:
+        # No reference to compare with: failed or rejected requests
+        # surface as a nonzero exit so crash/resume drills can gate on it.
+        failures = by_status.get("failed", 0) + by_status.get("rejected", 0)
+        gates = {"all_completed": failures == 0}
+    for gate, passed in sorted(gates.items()):
+        print(f"gate {gate}: {'PASS' if passed else 'FAIL'}")
+    payload = benchmark_report(name, subject, workload, rates, levels, gates)
+    payload.update(
+        requests=args.requests,
+        scenario=args.scenario,
+        default_service_rate=subject.default_service_rate,
+        by_status=by_status,
+    )
+    if report.durability is not None:
+        payload.update(
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            info=report.durability,
+        )
+    if observed:
+        state = payload["slo"] = slo.snapshot()
+        payload["spans"] = len(tracer.spans)
+        violation_bits = ", ".join(
+            f">{key}s {entry['fraction']:.1%}"
+            for key, entry in state["violations"].items()
+        )
+        print(f"slo: {state['count']} observed; violations {violation_bits}")
         _write_obs_artifacts(
             args,
             tracer,
             report.metrics,
             slo,
             serving=serving_metrics_summary(report),
-            label="serve-durable",
+            label="serve" if mode == "observed" else name,
         )
     if args.output:
-        payload = {
-            "benchmark": "serve-durable",
-            "seed": args.seed,
-            "requests": args.requests,
-            "rate": rate,
-            "scenario": args.scenario,
-            "shards": shards,
-            "checkpoint_every": args.checkpoint_every,
-            "resume": args.resume,
-            "by_status": by_status,
-            "combined_digest": digest,
-            "info": info,
-        }
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"report -> {args.output}")
-    # Failed or rejected requests surface as a nonzero exit so scripted
-    # crash/resume drills can gate on the CLI.
-    failures = by_status.get("failed", 0) + by_status.get("rejected", 0)
-    return 0 if failures == 0 else 1
+    hard = {identity_gate, "shared_never_more_round_trips", "all_completed"}
+    failed = sorted(
+        gate
+        for gate, passed in gates.items()
+        if not passed and (args.gates == "all" or gate in hard)
+    )
+    if failed:
+        print(f"gate failure ({args.gates}): " + ", ".join(failed), file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_serve_report(args) -> int:

@@ -54,7 +54,7 @@ from typing import Any, Callable, Mapping
 from repro.core.cost import DEFAULT_METRICS
 from repro.core.optimizer import Optimizer, OptimizerConfig, plan_signature
 from repro.engine.executor import ResultRows
-from repro.engine.liquid import LiquidQuerySession
+from repro.engine.liquid import INTERACTIONS, LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import (
     CheckpointError,
@@ -456,20 +456,22 @@ def checkpoint_session(
     return payload
 
 
-def _replay_entry(session: LiquidQuerySession, entry: Mapping[str, Any]) -> None:
+def _entry_args(entry: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
+    """A journal entry as ``(kind, arguments)`` of a session driver."""
     kind = entry["kind"]
-    k = entry.get("k")
+    if kind not in INTERACTIONS:
+        raise CheckpointError(f"unknown journal entry kind {kind!r}")
+    args: dict[str, Any] = {"k": entry.get("k")}
+    _, name = INTERACTIONS[kind]
+    if name is not None:
+        args[name] = _decode_mapping(entry[name])
+    return kind, args
+
+
+def _replay_entry(session: LiquidQuerySession, entry: Mapping[str, Any]) -> None:
+    kind, args = _entry_args(entry)
     try:
-        if kind == "run":
-            session.run(k)
-        elif kind == "more":
-            session.more(k)
-        elif kind == "rerank":
-            session.rerank(_decode_mapping(entry["weights"]), k)
-        elif kind == "resubmit":
-            session.resubmit(_decode_mapping(entry["inputs"]), k)
-        else:
-            raise CheckpointError(f"unknown journal entry kind {kind!r}")
+        session.perform(kind, **args)
     except SearchComputingError:
         if not entry.get("failed"):
             raise
@@ -479,18 +481,6 @@ def _replay_entry(session: LiquidQuerySession, entry: Mapping[str, Any]) -> None
             f"journaled {kind!r} interaction failed originally but "
             "succeeded on replay — the substrate diverged"
         )
-
-
-def _start_inflight(session: LiquidQuerySession, entry: Mapping[str, Any]):
-    kind = entry["kind"]
-    k = entry.get("k")
-    if kind == "run":
-        return session.run_steps(k)
-    if kind == "more":
-        return session.more_steps(k)
-    if kind == "resubmit":
-        return session.resubmit_steps(_decode_mapping(entry["inputs"]), k)
-    raise CheckpointError(f"cannot resume an in-flight {kind!r} interaction")
 
 
 def restore_session(
@@ -592,7 +582,8 @@ def restore_session(
     stepper = None
     inflight = payload.get("inflight")
     if inflight is not None:
-        stepper = _start_inflight(session, inflight)
+        kind, args = _entry_args(inflight)
+        stepper = session.steps(kind, **args)
         for _ in range(int(inflight.get("steps", 0))):
             try:
                 next(stepper)

@@ -6,11 +6,11 @@ already covered, and the resumed run's merged digests must be
 byte-identical to an uninterrupted run of the same seeded workload.
 
 The kill point is deterministic and race-free: the worker subprocess
-serves with :func:`~repro.durability.serve.serve_workload_durable` and
-an ``on_write`` hook that sends itself ``SIGKILL`` immediately after
-the N-th checkpoint is durably published (``os.replace`` has returned),
-so the harness never depends on timing and the surviving checkpoint is
-never torn.  The parent then:
+serves with :func:`~repro.serve.runtime.serve` and an ``on_checkpoint``
+hook that sends itself ``SIGKILL`` immediately after the N-th checkpoint
+is durably published (``os.replace`` has returned), so the harness never
+depends on timing and the surviving checkpoint is never torn.  The
+parent then:
 
 1. computes the **uninterrupted baseline** in-process (same workload,
    checkpointing off),
@@ -20,96 +20,66 @@ never torn.  The parent then:
    remainder,
 4. gates ``combined_digest(resumed) == combined_digest(baseline)``.
 
-Run as a module for the worker entry point::
+The worker receives its whole job — the pickled
+:class:`~repro.serve.scheduler.ServeConfig` and request stream the parent
+wrote — as one file::
 
-    python -m repro.durability.crash --worker --dir CKPTDIR ...
+    python -m repro.durability.crash --worker --job JOB.pickle --kill-after N
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from repro.durability.serve import ServeCheckpointer, serve_workload_durable
+from repro.serve.runtime import serve
+from repro.serve.scheduler import ServeConfig, combined_digest
+from repro.serve.workload import WorkloadConfig, generate_workload
 
 __all__ = ["run_crash_resume"]
 
 
-def _serve_args(options: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "rate": options["rate"],
-        "num_requests": options["num_requests"],
-        "seed": options["seed"],
-        "scenario": options["scenario"],
-        "num_shards": options["num_shards"],
-        "skew": options["skew"],
-        "followup_fraction": options["followup_fraction"],
-        "max_concurrency": options["max_concurrency"],
-        "default_service_rate": options["default_service_rate"],
-        "session_space": options["session_space"],
-    }
-
-
 def run_crash_resume(
+    config: ServeConfig,
+    workload: WorkloadConfig,
     *,
-    num_requests: int = 2_000,
-    rate: float = 4.0,
-    seed: int = 2009,
-    scenario: str = "default",
-    num_shards: int = 1,
-    checkpoint_every: int = 50,
     kill_after_checkpoints: int = 3,
-    skew: float = 1.3,
-    followup_fraction: float = 0.25,
-    max_concurrency: int = 4,
-    default_service_rate: float | None = 4.0,
-    session_space: int = 1_000_000,
     workdir: "str | Path | None" = None,
     timeout: float = 1_200.0,
 ) -> dict[str, Any]:
     """Kill a serving worker mid-run, resume it, gate digest equality.
 
+    ``config`` describes the run (its ``checkpoint_every`` paces the
+    checkpoints; the harness owns ``checkpoint_dir`` and ``resume``).
     Returns a JSON-serialisable report with the baseline and resumed
     combined digests and the gates: ``worker_killed`` (the subprocess
     really died to SIGKILL, not completion), ``checkpoint_survived``,
     and ``digests_equal``.
     """
-    from repro.serve.bench import combined_digest
-
-    options = {
-        "rate": rate,
-        "num_requests": num_requests,
-        "seed": seed,
-        "scenario": scenario,
-        "num_shards": num_shards,
-        "skew": skew,
-        "followup_fraction": followup_fraction,
-        "max_concurrency": max_concurrency,
-        "default_service_rate": default_service_rate,
-        "session_space": session_space,
-    }
     own_tmp = None
     if workdir is None:
         own_tmp = tempfile.TemporaryDirectory(prefix="repro-crash-")
         workdir = own_tmp.name
     workdir = Path(workdir)
+    requests = generate_workload(config.templates, workload)
     try:
         # 1. Uninterrupted baseline (checkpointing off — pure serving).
-        _, baseline_digests, _ = serve_workload_durable(
-            checkpoint_dir=workdir / "baseline",
-            checkpoint_every=0,
-            **_serve_args(options),
-        )
+        baseline_digests = serve(config, requests).digests()
         baseline = combined_digest(baseline_digests)
 
         # 2. The worker, killed after its N-th checkpoint write.
-        checkpoint_dir = workdir / "checkpoints"
+        durable = replace(config, checkpoint_dir=workdir / "checkpoints")
+        job = workdir / "job.pickle"
+        job.parent.mkdir(parents=True, exist_ok=True)
+        job.write_bytes(pickle.dumps((durable, requests)))
         import repro
 
         env = dict(os.environ)
@@ -118,46 +88,29 @@ def run_crash_resume(
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         command = [
-            sys.executable,
-            "-m",
-            "repro.durability.crash",
-            "--worker",
-            "--dir", str(checkpoint_dir),
-            "--num-requests", str(num_requests),
-            "--rate", str(rate),
-            "--seed", str(seed),
-            "--scenario", scenario,
-            "--num-shards", str(num_shards),
-            "--checkpoint-every", str(checkpoint_every),
-            "--kill-after", str(kill_after_checkpoints),
-            "--skew", str(skew),
-            "--followup-fraction", str(followup_fraction),
-            "--max-concurrency", str(max_concurrency),
-            "--session-space", str(session_space),
+            sys.executable, "-m", "repro.durability.crash", "--worker",
+            "--job", str(job), "--kill-after", str(kill_after_checkpoints),
         ]
-        if default_service_rate is not None:
-            command += ["--default-service-rate", str(default_service_rate)]
         worker = subprocess.run(
             command, env=env, capture_output=True, text=True, timeout=timeout
         )
         worker_killed = worker.returncode == -signal.SIGKILL
         surviving = sorted(
-            p.name for p in checkpoint_dir.glob("*.ckpt.json")
-        ) if checkpoint_dir.exists() else []
+            p.name for p in durable.checkpoint_dir.glob("*.ckpt.json")
+        ) if durable.checkpoint_dir.exists() else []
 
         # 3. Resume from the surviving checkpoint, serve the rest.
-        report, resumed_digests, info = serve_workload_durable(
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            resume=True,
-            **_serve_args(options),
-        )
+        report = serve(replace(durable, resume=True), requests)
+        resumed_digests, info = report.digests(), report.durability
         resumed = combined_digest(resumed_digests)
 
         return {
             "harness": "crash-resume",
-            **options,
-            "checkpoint_every": checkpoint_every,
+            "num_requests": len(requests),
+            "rate": workload.rate,
+            "seed": config.data_seed,
+            "num_shards": config.num_shards,
+            "checkpoint_every": config.checkpoint_every,
             "kill_after_checkpoints": kill_after_checkpoints,
             "worker_returncode": worker.returncode,
             "worker_stderr_tail": worker.stderr[-2000:],
@@ -185,42 +138,21 @@ def _worker_main(argv: "list[str] | None" = None) -> int:
         description="crash-harness serving worker (self-SIGKILLs)"
     )
     parser.add_argument("--worker", action="store_true", required=True)
-    parser.add_argument("--dir", required=True)
-    parser.add_argument("--num-requests", type=int, required=True)
-    parser.add_argument("--rate", type=float, required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--scenario", default="default")
-    parser.add_argument("--num-shards", type=int, default=1)
-    parser.add_argument("--checkpoint-every", type=int, required=True)
+    parser.add_argument(
+        "--job", required=True, help="pickled (ServeConfig, requests) to serve"
+    )
     parser.add_argument("--kill-after", type=int, required=True)
-    parser.add_argument("--skew", type=float, default=1.3)
-    parser.add_argument("--followup-fraction", type=float, default=0.25)
-    parser.add_argument("--max-concurrency", type=int, default=4)
-    parser.add_argument("--default-service-rate", type=float, default=None)
-    parser.add_argument("--session-space", type=int, default=1_000_000)
     args = parser.parse_args(argv)
+    # Written by run_crash_resume in this same harness, never by a stranger.
+    config, requests = pickle.loads(Path(args.job).read_bytes())
 
-    def kill_self(checkpointer: ServeCheckpointer) -> None:
+    def kill_self(checkpointer) -> None:
         if args.kill_after and checkpointer.written >= args.kill_after:
             # The N-th checkpoint is on disk (os.replace returned): die
             # the hard way, exactly like a power cut would.
             os.kill(os.getpid(), signal.SIGKILL)
 
-    serve_workload_durable(
-        rate=args.rate,
-        num_requests=args.num_requests,
-        seed=args.seed,
-        scenario=args.scenario,
-        num_shards=args.num_shards,
-        checkpoint_dir=args.dir,
-        checkpoint_every=args.checkpoint_every,
-        skew=args.skew,
-        followup_fraction=args.followup_fraction,
-        max_concurrency=args.max_concurrency,
-        default_service_rate=args.default_service_rate,
-        session_space=args.session_space,
-        on_checkpoint=kill_self,
-    )
+    serve(config, requests, on_checkpoint=kill_self)
     # Reaching here means the run finished before the kill threshold —
     # the harness treats that as a gate failure (worker_killed False).
     return 0

@@ -26,11 +26,11 @@ yet: it is *not yet* in the cached payload (refresh happens at finish),
 so like any running request it re-runs on resume — reranking is
 idempotent and call-free, so digests are unaffected either way.
 
-Resume (:func:`resume_state_from`) pre-seeds a
-:class:`~repro.serve.scheduler.SessionTable` with the pre-crash
-terminal outcomes and known runs, restores every checkpointed session
-into the :class:`~repro.serve.sessions.SessionManager`, and serves only
-the requests without a terminal outcome.  The merged report then covers
+Resume (:meth:`ServeCheckpointer.resume`, over :func:`resume_state_from`)
+pre-seeds a :class:`~repro.serve.scheduler.SessionTable` with the
+pre-crash terminal outcomes and known runs, restores every checkpointed
+session into the :class:`~repro.serve.sessions.SessionManager`, and
+serves only the requests without a terminal outcome.  The merged report then covers
 the full workload — pre-crash digests come from the checkpoint, the
 rest from the resumed run — and must equal an uninterrupted run's
 (:func:`repro.durability.crash.run_crash_resume` gates exactly that).
@@ -38,6 +38,7 @@ rest from the resumed run — and must equal an uninterrupted run's
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -47,25 +48,17 @@ from repro.durability.checkpoint import (
     checkpoint_session,
     restore_session,
 )
-from repro.core.optimizer import OptimizerConfig
-from repro.engine.executor import InvocationCache
 from repro.errors import CheckpointError
-from repro.serve.plancache import PlanCache
+from repro.obs.serving import replay_outcome_telemetry
+from repro.serve.runtime import serve
 from repro.serve.scheduler import (
     RequestOutcome,
     ServeConfig,
     ServeReport,
-    ServeScheduler,
     SessionTable,
 )
 from repro.serve.sessions import SessionManager
-from repro.serve.workload import (
-    QueryTemplate,
-    Request,
-    WorkloadConfig,
-    generate_workload,
-    scenario_templates,
-)
+from repro.serve.workload import Request, WorkloadConfig
 
 __all__ = [
     "ResumeState",
@@ -76,6 +69,19 @@ __all__ = [
 
 #: Outcome statuses that will never change again.
 _TERMINAL = ("completed", "failed", "rejected")
+
+#: What a checkpoint keeps of a terminal :class:`RequestOutcome`.  The
+#: first three are the durable contract; the rest is telemetry — what the
+#: observability layer needs to re-emit the outcome's span tree and
+#: re-absorb its metrics after a resume
+#: (:func:`repro.obs.serving.replay_outcome_telemetry`).  Result lists are
+#: never stored: the digest is the witness.
+_OUTCOME_FIELDS = (
+    "status", "digest", "error",
+    "finished_at", "started_at", "queue_wait", "rate_wait", "rate_hits",
+    "round_trips", "steps", "shard", "stolen", "stolen_from", "unparked_at",
+    "wake_reason", "plan_cached",
+)
 
 
 @dataclass
@@ -104,7 +110,90 @@ class ServeCheckpointer:
     on_write: "Callable[[ServeCheckpointer], None] | None" = None
     terminal_seen: int = 0
     written: int = 0
+    #: The table the scheduler serves on; :meth:`resume` replaces it with
+    #: one pre-seeded from the newest checkpoint.
+    table: SessionTable = field(default_factory=SessionTable)
+    #: What :meth:`resume` recovered (``None``: nothing to resume from).
+    resumed: "ResumeState | None" = None
+    telemetry_replayed: int = 0
     _payloads: dict[int, dict] = field(default_factory=dict)
+
+    @classmethod
+    def open(
+        cls,
+        config: ServeConfig,
+        workload: Sequence[Request],
+        sessions: SessionManager,
+        on_write: "Callable[[ServeCheckpointer], None] | None" = None,
+    ) -> "ServeCheckpointer":
+        """The checkpointer ``config`` describes for serving ``workload``.
+
+        The run fingerprint — data seed, templates, shard count and a hash
+        of the request stream itself — is stored in every checkpoint and
+        must match on resume.
+        """
+        stream = hashlib.sha256()
+        for request in workload:
+            stream.update(repr(request).encode())
+        return cls(
+            store=CheckpointStore(config.checkpoint_dir),
+            sessions=sessions,
+            every=config.checkpoint_every,
+            meta={
+                "seed": config.data_seed,
+                "templates": [template.name for template in config.templates],
+                "num_shards": config.num_shards,
+                "num_requests": len(workload),
+                "workload": stream.hexdigest(),
+            },
+            on_write=on_write,
+        )
+
+    def resume(
+        self, workload: Sequence[Request], metrics: Any, tracer: Any, slo: Any
+    ) -> Sequence[Request]:
+        """Continue from the newest checkpoint; returns what is left to serve.
+
+        Pre-crash terminal outcomes are **replayed** into the telemetry
+        first (:func:`repro.obs.serving.replay_outcome_telemetry`), so the
+        resumed run's trace and metrics cover the whole workload — span
+        trees and counters continue across the crash, not restart at it.
+        With no checkpoint in the store the whole workload is served.
+        """
+        state = resume_state_from(
+            self.store, workload, self.sessions, expected_meta=self.meta
+        )
+        if state is None:
+            return workload
+        # Continue the durable state, don't restart it: keep every
+        # restored session in the payload cache (a second crash must
+        # still find sessions untouched since the first), and number
+        # new checkpoints after the one we resumed from.
+        self.resumed, self.table = state, state.table
+        self._payloads.update(state.session_payloads)
+        self.written = int(state.key.rsplit("-", 1)[1])
+        self.telemetry_replayed = replay_outcome_telemetry(
+            state.table.outcomes.values(),
+            metrics=metrics,
+            tracer=tracer,
+            slo=slo,
+            emit_shard_metrics=True,  # as the merged-loop scheduler does
+        )
+        return state.remaining
+
+    def info(self, served: int) -> dict[str, Any]:
+        """The run's durability record (:attr:`ServeReport.durability`)."""
+        state = self.resumed
+        return {
+            "resumed": state is not None,
+            "resume_key": state.key if state is not None else None,
+            "restored_sessions": state.restored_sessions if state is not None else 0,
+            "pre_terminal": state.pre_terminal if state is not None else 0,
+            "served": served,
+            "checkpoints_written": self.written,
+            "terminal_seen": self.terminal_seen,
+            "telemetry_replayed": self.telemetry_replayed,
+        }
 
     def on_terminal(self, scheduler: Any, outcome: RequestOutcome) -> None:
         """Scheduler hook: one request just reached a terminal outcome."""
@@ -150,29 +239,7 @@ class ServeCheckpointer:
         self.written += 1
         key = f"{self.prefix}-{self.written:06d}"
         outcomes = {
-            str(rid): {
-                "status": outcome.status,
-                "digest": outcome.digest,
-                "error": outcome.error,
-                # Telemetry: everything the observability layer needs to
-                # re-emit this outcome's span tree and re-absorb its
-                # metrics after a resume (repro.obs.serving.
-                # replay_outcome_telemetry).  Results/digests above stay
-                # the durable contract; these fields only feed traces.
-                "finished_at": outcome.finished_at,
-                "started_at": outcome.started_at,
-                "queue_wait": outcome.queue_wait,
-                "rate_wait": outcome.rate_wait,
-                "rate_hits": outcome.rate_hits,
-                "round_trips": outcome.round_trips,
-                "steps": outcome.steps,
-                "shard": outcome.shard,
-                "stolen": outcome.stolen,
-                "stolen_from": outcome.stolen_from,
-                "unparked_at": outcome.unparked_at,
-                "wake_reason": outcome.wake_reason,
-                "plan_cached": outcome.plan_cached,
-            }
+            str(rid): {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
             for rid, outcome in table.outcomes.items()
             if outcome.status in _TERMINAL
         }
@@ -248,27 +315,11 @@ def resume_state_from(
                 f"checkpoint {key!r} records request {rid} absent from the "
                 "workload — workload/seed mismatch"
             )
-        # Telemetry fields default to zero/None when absent (checkpoints
-        # written before they were persisted): resume still works, the
-        # replayed spans just sit at t=0.
+        # Fields absent from an older checkpoint keep the outcome's
+        # defaults: resume still works, the replayed spans just sit at t=0.
         table.outcomes[rid] = RequestOutcome(
             request=request,
-            status=data["status"],
-            digest=data.get("digest"),
-            error=data.get("error"),
-            finished_at=data.get("finished_at", 0.0),
-            started_at=data.get("started_at", 0.0),
-            queue_wait=data.get("queue_wait", 0.0),
-            rate_wait=data.get("rate_wait", 0.0),
-            rate_hits=data.get("rate_hits", 0),
-            round_trips=data.get("round_trips", 0),
-            steps=data.get("steps", 0),
-            shard=data.get("shard", 0),
-            stolen=data.get("stolen", False),
-            stolen_from=data.get("stolen_from"),
-            unparked_at=data.get("unparked_at", 0.0),
-            wake_reason=data.get("wake_reason"),
-            plan_cached=data.get("plan_cached"),
+            **{name: data[name] for name in _OUTCOME_FIELDS if name in data},
         )
         if request.kind == "run":
             table.known_runs.add(rid)
@@ -305,7 +356,7 @@ def resume_state_from(
             registry=manager._registry(template),
             compiled=compiled,
             candidate=candidate,
-            invocation_cache=manager.invocation_cache,
+            invocation_cache=manager.cache_for(by_id[rid]),
         )
         manager.adopt(rid, session, template)
         session_payloads[rid] = session_payload
@@ -326,182 +377,26 @@ def resume_state_from(
 
 
 def serve_workload_durable(
-    *,
-    rate: float,
-    num_requests: int,
-    seed: int,
-    checkpoint_dir,
-    checkpoint_every: int = 25,
-    resume: bool = False,
-    scenario: str = "default",
-    num_shards: int = 1,
-    shared: bool = True,
-    skew: float = 1.3,
-    followup_fraction: float = 0.25,
-    max_concurrency: int = 4,
-    queue_limit: int = 1_000_000,
-    default_service_rate: float | None = 4.0,
-    session_space: int = 1_000_000,
-    plan_cache_size: int | None = None,
-    invocation_cache_size: int | None = None,
-    templates: Sequence[QueryTemplate] | None = None,
-    workload: Sequence[Request] | None = None,
-    on_checkpoint: "Callable[[ServeCheckpointer], None] | None" = None,
-    tracer: Any = None,
-    slo: Any = None,
-    sample_metrics: bool = False,
-    join_kernel: str = "binary",
+    *, rate, num_requests, seed, checkpoint_dir, checkpoint_every=25,
+    resume=False, skew=1.3, followup_fraction=0.25, templates=None,
+    workload=None, on_checkpoint=None,
 ) -> tuple[ServeReport, dict[int, str], dict[str, Any]]:
-    """Serve a seeded workload with periodic durable checkpoints.
+    """Keyword adapter over :func:`repro.serve.runtime.serve`, durable.
 
-    The durable twin of :func:`repro.serve.bench.serve_workload` /
-    :func:`repro.serve.sharding.serve_workload_sharded`: same seeded
-    workload and scheduler semantics, plus a :class:`ServeCheckpointer`
-    writing to ``checkpoint_dir`` every ``checkpoint_every`` terminal
-    outcomes.  With ``resume=True`` the newest checkpoint (if any) is
-    loaded first and only the unfinished requests are served; the
-    returned digests always cover the *whole* workload either way.
-
-    ``tracer``/``slo``/``sample_metrics`` thread the observability layer
-    through (see :func:`repro.serve.bench.serve_workload`).  On resume,
-    pre-crash terminal outcomes are **replayed** into the telemetry
-    first (:func:`repro.obs.serving.replay_outcome_telemetry`), so the
-    resumed run's trace and metrics cover the whole workload — span
-    trees and counters continue across the crash, not restart at it.
-
-    Returns ``(report, digests, info)`` — ``info`` records whether a
-    resume happened and from which key.
+    Kept for ``benchmarks/e2e``, which calls it by these names: one shard,
+    shared unbounded caches, an effectively unbounded queue and 4 calls/s
+    per service, checkpointing into ``checkpoint_dir``.  Returns the
+    report, its per-request digests (always the *whole* workload, resumed
+    or not) and :attr:`ServeReport.durability`.
     """
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.serving import replay_outcome_telemetry
-    from repro.serve.bench import result_digest
-
-    templates = tuple(templates or scenario_templates(scenario))
-    if workload is None:
-        workload = generate_workload(
-            templates,
-            WorkloadConfig(
-                num_requests=num_requests,
-                rate=rate,
-                skew=skew,
-                seed=seed,
-                followup_fraction=followup_fraction,
-                session_space=max(session_space, num_requests),
-            ),
-        )
-    store = CheckpointStore(checkpoint_dir)
-    meta = {
-        "seed": seed,
-        "num_requests": num_requests,
-        "rate": rate,
-        "scenario": scenario,
-        "num_shards": num_shards,
-        "skew": skew,
-        "followup_fraction": followup_fraction,
-    }
-    manager = SessionManager(
-        templates={template.name: template for template in templates},
-        data_seed=seed,
-        optimizer_config=OptimizerConfig(join_kernel=join_kernel),
-    )
-    if shared:
-        manager.plan_cache = PlanCache(max_size=plan_cache_size)
-        if num_shards > 1:
-            from repro.serve.sharding import ShardedInvocationCache
-
-            manager.invocation_cache = ShardedInvocationCache(
-                num_shards, max_size=invocation_cache_size
-            )
-        else:
-            manager.invocation_cache = InvocationCache(
-                max_size=invocation_cache_size
-            )
-    checkpointer = ServeCheckpointer(
-        store=store,
-        sessions=manager,
-        every=checkpoint_every,
-        meta=meta,
-        on_write=on_checkpoint,
-    )
-    state = None
-    if resume:
-        state = resume_state_from(
-            store, workload, manager, expected_meta=meta
-        )
-        if state is not None:
-            # Continue the durable state, don't restart it: keep every
-            # restored session in the payload cache (a second crash must
-            # still find sessions untouched since the first), and number
-            # new checkpoints after the one we resumed from.
-            checkpointer._payloads.update(state.session_payloads)
-            checkpointer.written = int(state.key.rsplit("-", 1)[1])
     config = ServeConfig(
-        max_concurrency=max_concurrency,
-        queue_limit=queue_limit,
-        default_service_rate=default_service_rate,
+        templates=templates, data_seed=seed, queue_limit=1_000_000,
+        default_service_rate=4.0, checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every, resume=resume,
     )
-    table = state.table if state is not None else None
-    to_serve = state.remaining if state is not None else list(workload)
-    metrics = MetricsRegistry()
-    telemetry_replayed = 0
-    if state is not None:
-        # Trace/metric continuity across the crash: re-emit the
-        # checkpointed outcomes' span trees and counters before the
-        # resumed scheduler adds the live ones.
-        telemetry_replayed = replay_outcome_telemetry(
-            state.table.outcomes.values(),
-            metrics=metrics,
-            tracer=tracer,
-            slo=slo,
-            emit_shard_metrics=(num_shards > 1),
-        )
-    if num_shards > 1:
-        from repro.serve.sharding import ShardedServeScheduler
-
-        scheduler: Any = ShardedServeScheduler(
-            manager,
-            config,
-            metrics,
-            tracer,
-            num_shards=num_shards,
-            digest_fn=result_digest,
-            table=table,
-            checkpointer=checkpointer,
-            slo=slo,
-            sample_metrics=sample_metrics,
-        )
-    else:
-        scheduler = ServeScheduler(
-            manager,
-            config,
-            metrics,
-            tracer,
-            table=table,
-            digest_fn=result_digest,
-            checkpointer=checkpointer,
-            slo=slo,
-            sample_metrics=sample_metrics,
-        )
-    report = scheduler.run(to_serve)
-    # The table was shared (and pre-seeded on resume), so the report's
-    # outcomes already cover the full workload: pre-crash digests from
-    # the checkpoint, the rest from this run.
-    digests = {
-        outcome.request.request_id: (
-            outcome.digest
-            if outcome.digest is not None
-            else result_digest(outcome.results or ())
-        )
-        for outcome in report.completed()
-    }
-    info = {
-        "resumed": state is not None,
-        "resume_key": state.key if state is not None else None,
-        "restored_sessions": state.restored_sessions if state is not None else 0,
-        "pre_terminal": state.pre_terminal if state is not None else 0,
-        "served": len(to_serve),
-        "checkpoints_written": checkpointer.written,
-        "terminal_seen": checkpointer.terminal_seen,
-        "telemetry_replayed": telemetry_replayed,
-    }
-    return report, digests, info
+    stream = workload if workload is not None else WorkloadConfig(
+        num_requests=num_requests, rate=rate, skew=skew, seed=seed,
+        followup_fraction=followup_fraction,
+    )
+    report = serve(config, stream, on_checkpoint=on_checkpoint)
+    return report, report.digests(), report.durability

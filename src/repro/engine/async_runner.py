@@ -452,9 +452,9 @@ class AsyncPlanExecutor:
             # sequential walk, where the second caller would hit the memo.
             sync._invocation_cache.stats.hits += 1
             sync.cache_stats.hits += 1
+            wait_start = self._now() if sync.tracer.enabled else 0.0
+            joined = await asyncio.shield(pending)
             if sync.tracer.enabled:
-                wait_start = self._now()
-                joined = await asyncio.shield(pending)
                 sync.tracer.record_span(
                     "service.invoke",
                     start=wait_start,
@@ -465,8 +465,10 @@ class AsyncPlanExecutor:
                     coalesced=True,
                     tuples=len(joined[0]),
                 )
-                return joined
-            return await asyncio.shield(pending)
+            if joined[1]:
+                # The call we joined was abandoned: we are degraded too.
+                sync.failed_aliases.add(node.alias)
+            return joined
         cached = sync._invocation_cache.get(key, sync.cache_stats)
         if cached is not None:
             if sync.tracer.enabled:
@@ -480,6 +482,8 @@ class AsyncPlanExecutor:
                     cached=True,
                     tuples=len(cached[0]),
                 )
+            if cached[1]:
+                sync.failed_aliases.add(node.alias)
             return cached
         task = asyncio.ensure_future(
             self._fetch_fresh(

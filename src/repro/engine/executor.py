@@ -956,6 +956,9 @@ class PlanExecutor:
                     cached=True,
                 ) as span:
                     span.set("tuples", len(cached[0]))
+            if cached[1]:
+                # Another execution abandoned this call: we are degraded too.
+                self.failed_aliases.add(node.alias)
             return cached
         invoke_span = (
             tracer.span(

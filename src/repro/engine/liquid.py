@@ -23,14 +23,17 @@ and supports:
   invocations, same plan);
 * a running :attr:`total_calls` account across the whole interaction.
 
-Every call-issuing interaction also has a **step-generator twin**
-(:meth:`run_steps`, :meth:`more_steps`, :meth:`resubmit_steps`) built on
-:meth:`~repro.engine.executor.PlanExecutor.steps`: the generator yields a
-:class:`~repro.engine.executor.StepEvent` before each service round trip
-and returns the presented result list.  The synchronous methods simply
-drain their twin, so a serving scheduler (:mod:`repro.serve`) can
-interleave session interactions with other in-flight queries while the
-interactive behaviour stays byte-identical.
+**One body, three drivers.**  Each interaction is written once, as a
+generator that yields :data:`EXECUTE` where the plan must be
+(re-)executed and returns the presented result list; :data:`INTERACTIONS`
+is the one ``kind ->`` body table.  Three drivers fulfil the marker:
+:meth:`LiquidQuerySession.perform` drains it, :meth:`~LiquidQuerySession.steps`
+yields a :class:`~repro.engine.executor.StepEvent` before each service
+round trip (what a serving scheduler interleaves with other in-flight
+queries), :meth:`~LiquidQuerySession.perform_async` awaits it on a running
+event loop — so the behaviour is byte-identical however a session is
+driven.  The verbs (``run`` / ``run_steps`` / ``run_async``, ...) are
+names for ``(driver, kind)`` pairs.
 
 ``executor_options`` forwards extra keyword arguments to every
 :class:`~repro.engine.executor.PlanExecutor` the session builds — the
@@ -53,6 +56,7 @@ offset and all.  That replay is the durability subsystem's restore path
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -67,7 +71,11 @@ from repro.errors import ExecutionError
 from repro.model.tuples import CompositeTuple, RankingFunction
 from repro.query.compile import CompiledQuery
 
-__all__ = ["LiquidQuerySession"]
+__all__ = ["EXECUTE", "INTERACTIONS", "LiquidQuerySession"]
+
+#: What an interaction body yields to have the plan (re-)executed *now*;
+#: the driver decides how (drain, step, await).
+EXECUTE = object()
 
 
 def _drain(stepper: Iterator):
@@ -147,46 +155,27 @@ class LiquidQuerySession:
 
     # -- interaction journal --------------------------------------------------
 
-    def _journaled_steps(self, entry: dict[str, Any], gen):
-        """Wrap an interaction's step generator with journal bookkeeping.
+    @contextmanager
+    def _interaction(self, kind: str, k: int | None, arg: Mapping[str, Any]):
+        """Start ``kind``'s body under the one journaling context.
 
-        ``entry["steps"]`` counts the yields already consumed, so a
-        checkpoint taken while the wrapper is suspended knows exactly how
-        far to re-drive the interaction on restore.  A failing
-        interaction is journaled with ``failed=True`` (its replay raises
-        the same error); an *abandoned* one (``close()``) is not
-        journaled at all — it never completed and absorbed no results.
+        Yields ``(entry, body)``.  ``entry["steps"]`` counts the step
+        yields already consumed, so a checkpoint taken while a stepper is
+        suspended knows exactly how far to re-drive the interaction on
+        restore.  A failing interaction is journaled with ``failed=True``
+        (its replay raises the same error); an *abandoned* one (a closed
+        stepper) is not journaled at all — it never completed and
+        absorbed no results.
         """
-        entry.setdefault("steps", 0)
-        entry["failed"] = False
-        self._inflight = entry
-        while True:
-            try:
-                step = next(gen)
-            except StopIteration as stop:
-                self._inflight = None
-                self._journal.append(entry)
-                return stop.value
-            except BaseException:
-                entry["failed"] = True
-                self._inflight = None
-                self._journal.append(entry)
-                raise
-            entry["steps"] += 1
-            try:
-                yield step
-            except GeneratorExit:
-                self._inflight = None
-                gen.close()
-                raise
-
-    def _journaled_call(self, entry: dict[str, Any], fn):
-        """Journal a non-stepping interaction (asyncio execute, rerank)."""
-        entry["steps"] = 0
-        entry["failed"] = False
+        if kind not in INTERACTIONS:
+            raise ExecutionError(f"unknown interaction kind {kind!r}")
+        entry = {"kind": kind, **arg, "k": k, "steps": 0, "failed": False}
         self._inflight = entry
         try:
-            result = fn()
+            yield entry, INTERACTIONS[kind][0](self, k, **arg)
+        except GeneratorExit:
+            self._inflight = None
+            raise
         except BaseException:
             entry["failed"] = True
             self._inflight = None
@@ -194,7 +183,6 @@ class LiquidQuerySession:
             raise
         self._inflight = None
         self._journal.append(entry)
-        return result
 
     @property
     def interaction_journal(self) -> tuple[dict[str, Any], ...]:
@@ -252,28 +240,24 @@ class LiquidQuerySession:
 
     # -- execution ------------------------------------------------------------
 
-    def _options_with_kernel(self) -> dict[str, Any]:
-        """Executor options, defaulting the join kernel from the plan.
+    def _make_executor(self, factory=PlanExecutor, **extra):
+        """A ``factory`` executor over the session's current state.
 
-        The optimizer resolved ``join_kernel`` per candidate (an
-        ``auto`` request became concrete at plan time); an explicit
-        option still wins so tests and ad-hoc callers can override.
+        The join kernel defaults from the plan — the optimizer resolved it
+        per candidate (an ``auto`` request became concrete at plan time) —
+        but an explicit executor option still wins, so tests and ad-hoc
+        callers can override.
         """
-        options = dict(self.executor_options)
-        options.setdefault(
-            "join_kernel", getattr(self.candidate, "join_kernel", "binary")
-        )
-        return options
-
-    def _make_executor(self) -> PlanExecutor:
-        executor = PlanExecutor(
+        options = {"join_kernel": self.candidate.join_kernel, **self.executor_options}
+        executor = factory(
             plan=self.candidate.plan,
             query=self.query,
             pool=self.pool,
             inputs=self.inputs,
             fetches=self._fetches,
             k=None,
-            **self._options_with_kernel(),
+            **extra,
+            **options,
         )
         # Materialise the *raw* (untruncated) list so re-ranking and
         # "more" can reuse it; presentation applies k.
@@ -281,18 +265,7 @@ class LiquidQuerySession:
         return executor
 
     def _make_async_executor(self) -> AsyncPlanExecutor:
-        executor = AsyncPlanExecutor(
-            plan=self.candidate.plan,
-            query=self.query,
-            pool=self.pool,
-            inputs=self.inputs,
-            fetches=self._fetches,
-            k=None,
-            context=self.async_context,
-            **self._options_with_kernel(),
-        )
-        executor.k = 10**9
-        return executor
+        return self._make_executor(AsyncPlanExecutor, context=self.async_context)
 
     def _absorb(self, result: ExecutionResult) -> ExecutionResult:
         # The executor's own list, not a copy: nothing here mutates it, it
@@ -322,57 +295,47 @@ class LiquidQuerySession:
         session's default ``backend``."""
         return self._absorb(await self._make_async_executor().execute())
 
-    def _execute(self) -> ExecutionResult:
-        if self.backend == "asyncio":
-            return self._absorb(self._make_async_executor().run())
-        return _drain(self.execute_steps())
+    # -- drivers: who fulfils a body's EXECUTE --------------------------------
 
-    async def _journaled_await(self, entry: dict[str, Any], thunk):
-        """Async twin of :meth:`_journaled_call` (``thunk`` is awaited)."""
-        entry["steps"] = 0
-        entry["failed"] = False
-        self._inflight = entry
-        try:
-            result = await thunk()
-        except BaseException:
-            entry["failed"] = True
-            self._inflight = None
-            self._journal.append(entry)
-            raise
-        self._inflight = None
-        self._journal.append(entry)
-        return result
+    def perform(self, kind: str, k: int | None = None, **arg):
+        """Run one interaction to completion, synchronously."""
+        if self.backend == "virtual":
+            return _drain(self.steps(kind, k, **arg))
+        with self._interaction(kind, k, arg) as (_, body):
+            try:
+                while True:
+                    next(body)
+                    self._absorb(self._make_async_executor().run())
+            except StopIteration as stop:
+                return stop.value
 
-    def run(self, k: int | None = None) -> list[CompositeTuple]:
-        """Execute (or re-present) the current query; returns the top-k."""
-        if self.backend == "asyncio":
+    def steps(self, kind: str, k: int | None = None, **arg):
+        """Step generator for one interaction (virtual backend only):
+        yields before each service round trip, returns the result list."""
+        with self._interaction(kind, k, arg) as (entry, body):
+            try:
+                while True:
+                    next(body)
+                    stepper = self.execute_steps()
+                    try:
+                        for event in stepper:
+                            entry["steps"] += 1
+                            yield event
+                    finally:
+                        stepper.close()
+            except StopIteration as stop:
+                return stop.value
 
-            def go() -> list[CompositeTuple]:
-                if self._last is None:
-                    self._execute()
-                return self._present(k)
-
-            return self._journaled_call({"kind": "run", "k": k}, go)
-        return _drain(self.run_steps(k))
-
-    def run_steps(self, k: int | None = None):
-        """Step-generator twin of :meth:`run` (virtual backend only)."""
-        return self._journaled_steps({"kind": "run", "k": k}, self._run_steps_impl(k))
-
-    def _run_steps_impl(self, k: int | None):
-        if self._last is None:
-            yield from self.execute_steps()
-        return self._present(k)
-
-    async def run_async(self, k: int | None = None) -> list[CompositeTuple]:
-        """Awaitable twin of :meth:`run` for a running event loop."""
-
-        async def go() -> list[CompositeTuple]:
-            if self._last is None:
-                await self.execute_async()
-            return self._present(k)
-
-        return await self._journaled_await({"kind": "run", "k": k}, go)
+    async def perform_async(self, kind: str, k: int | None = None, **arg):
+        """Run one interaction on a running event loop, whatever the
+        session's default ``backend``."""
+        with self._interaction(kind, k, arg) as (_, body):
+            try:
+                while True:
+                    next(body)
+                    await self.execute_async()
+            except StopIteration as stop:
+                return stop.value
 
     def _limit(self, k: int | None) -> int:
         """The presentation cut-off: ``k``, or the query's.  Never negative
@@ -402,44 +365,36 @@ class LiquidQuerySession:
         order = sorted(range(len(raw)), key=scores.__getitem__, reverse=True)
         return [CompositeTuple(raw[i].components, scores[i]) for i in order[:limit]]
 
-    # -- interactions --------------------------------------------------------------
+    # -- interactions: each body once ------------------------------------------
 
-    def more(self, k: int | None = None) -> list[CompositeTuple]:
-        """Ask for more results: grow every fetch factor and re-execute.
+    def _run_body(self, k: int | None):
+        if self._last is None:
+            yield EXECUTE
+        return self._present(k)
 
-        "A plan execution can be continued, after an explicit user
-        request, thereby producing more tuples."
-        """
-        if self.backend == "asyncio":
-
-            def go() -> list[CompositeTuple]:
-                before = self._grow_fetches()
-                self._execute()
-                return self._present_more(before, k)
-
-            return self._journaled_call({"kind": "more", "k": k}, go)
-        return _drain(self.more_steps(k))
-
-    def more_steps(self, k: int | None = None):
-        """Step-generator twin of :meth:`more` (virtual backend only)."""
-        return self._journaled_steps(
-            {"kind": "more", "k": k}, self._more_steps_impl(k)
-        )
-
-    def _more_steps_impl(self, k: int | None):
+    def _more_body(self, k: int | None):
         before = self._grow_fetches()
-        yield from self.execute_steps()
+        yield EXECUTE
         return self._present_more(before, k)
 
-    async def more_async(self, k: int | None = None) -> list[CompositeTuple]:
-        """Awaitable twin of :meth:`more` for a running event loop."""
+    def _rerank_body(self, k: int | None, weights: Mapping[str, float]):
+        for alias in weights:
+            if alias not in self.query.aliases:
+                raise ExecutionError(f"unknown alias {alias!r} in ranking weights")
+        calls_before = self.pool.log.total_calls()
+        self._ranking = RankingFunction(dict(weights))
+        if self._last is None:
+            yield EXECUTE
+            calls_before = None  # first run necessarily calls services
+        result = self._present(k)
+        if calls_before is not None:
+            assert self.pool.log.total_calls() == calls_before
+        return result
 
-        async def go() -> list[CompositeTuple]:
-            before = self._grow_fetches()
-            await self.execute_async()
-            return self._present_more(before, k)
-
-        return await self._journaled_await({"kind": "more", "k": k}, go)
+    def _resubmit_body(self, k: int | None, inputs: Mapping[str, Any]):
+        self._reset_inputs(inputs)
+        yield EXECUTE
+        return self._present(k)
 
     def _grow_fetches(self) -> int:
         """Grow every fetch factor; returns the pre-growth result count."""
@@ -454,6 +409,36 @@ class LiquidQuerySession:
         limit = self._limit(k)
         return self._present(max(limit, before + 1) if self._raw else limit)
 
+    # -- verbs: names for (driver, kind) -----------------------------------------
+
+    def run(self, k: int | None = None) -> list[CompositeTuple]:
+        """Execute (or re-present) the current query; returns the top-k."""
+        return self.perform("run", k)
+
+    def run_steps(self, k: int | None = None):
+        """:meth:`run` as a step generator (virtual backend only)."""
+        return self.steps("run", k)
+
+    async def run_async(self, k: int | None = None) -> list[CompositeTuple]:
+        """:meth:`run`, awaitable on a running event loop."""
+        return await self.perform_async("run", k)
+
+    def more(self, k: int | None = None) -> list[CompositeTuple]:
+        """Ask for more results: grow every fetch factor and re-execute.
+
+        "A plan execution can be continued, after an explicit user
+        request, thereby producing more tuples."
+        """
+        return self.perform("more", k)
+
+    def more_steps(self, k: int | None = None):
+        """:meth:`more` as a step generator (virtual backend only)."""
+        return self.steps("more", k)
+
+    async def more_async(self, k: int | None = None) -> list[CompositeTuple]:
+        """:meth:`more`, awaitable on a running event loop."""
+        return await self.perform_async("more", k)
+
     def rerank(
         self, weights: Mapping[str, float], k: int | None = None
     ) -> list[CompositeTuple]:
@@ -465,66 +450,23 @@ class LiquidQuerySession:
         time can be used for query optimization" — so the plan is kept
         and only presentation changes.
         """
-        for alias in weights:
-            if alias not in self.query.aliases:
-                raise ExecutionError(f"unknown alias {alias!r} in ranking weights")
-
-        def go() -> list[CompositeTuple]:
-            calls_before = self.pool.log.total_calls()
-            self._ranking = RankingFunction(dict(weights))
-            if self._last is None:
-                self._execute()
-                calls_before = None  # first run necessarily calls services
-            result = self._present(k)
-            if calls_before is not None:
-                assert self.pool.log.total_calls() == calls_before
-            return result
-
-        return self._journaled_call(
-            {"kind": "rerank", "weights": dict(weights), "k": k}, go
-        )
+        return self.perform("rerank", k, weights=dict(weights))
 
     def resubmit(
         self, inputs: Mapping[str, Any], k: int | None = None
     ) -> list[CompositeTuple]:
         """Change the INPUT keywords and re-execute the same plan."""
-        if self.backend == "asyncio":
-
-            def go() -> list[CompositeTuple]:
-                self._reset_inputs(inputs)
-                self._execute()
-                return self._present(k)
-
-            return self._journaled_call(
-                {"kind": "resubmit", "inputs": dict(inputs), "k": k}, go
-            )
-        return _drain(self.resubmit_steps(inputs, k))
+        return self.perform("resubmit", k, inputs=dict(inputs))
 
     def resubmit_steps(self, inputs: Mapping[str, Any], k: int | None = None):
-        """Step-generator twin of :meth:`resubmit` (virtual backend only)."""
-        return self._journaled_steps(
-            {"kind": "resubmit", "inputs": dict(inputs), "k": k},
-            self._resubmit_steps_impl(inputs, k),
-        )
-
-    def _resubmit_steps_impl(self, inputs: Mapping[str, Any], k: int | None):
-        self._reset_inputs(inputs)
-        yield from self.execute_steps()
-        return self._present(k)
+        """:meth:`resubmit` as a step generator (virtual backend only)."""
+        return self.steps("resubmit", k, inputs=dict(inputs))
 
     async def resubmit_async(
         self, inputs: Mapping[str, Any], k: int | None = None
     ) -> list[CompositeTuple]:
-        """Awaitable twin of :meth:`resubmit` for a running event loop."""
-
-        async def go() -> list[CompositeTuple]:
-            self._reset_inputs(inputs)
-            await self.execute_async()
-            return self._present(k)
-
-        return await self._journaled_await(
-            {"kind": "resubmit", "inputs": dict(inputs), "k": k}, go
-        )
+        """:meth:`resubmit`, awaitable on a running event loop."""
+        return await self.perform_async("resubmit", k, inputs=dict(inputs))
 
     def _reset_inputs(self, inputs: Mapping[str, Any]) -> None:
         self.inputs = dict(inputs)
@@ -544,3 +486,17 @@ class LiquidQuerySession:
     @property
     def result_count(self) -> int:
         return len(self._raw)
+
+
+#: kind -> (interaction body, its mapping argument): the one table the
+#: session's drivers, the serving layer
+#: (:class:`repro.serve.sessions.SessionManager`) and checkpoint replay
+#: (:mod:`repro.durability.checkpoint`) dispatch through.  A body takes
+#: ``k`` plus, for ``rerank`` / ``resubmit``, one mapping — named like the
+#: request field and the journal key that carry it.
+INTERACTIONS = {
+    "run": (LiquidQuerySession._run_body, None),
+    "more": (LiquidQuerySession._more_body, None),
+    "rerank": (LiquidQuerySession._rerank_body, "weights"),
+    "resubmit": (LiquidQuerySession._resubmit_body, "inputs"),
+}

@@ -157,7 +157,7 @@ def _session_of(request: Any) -> int:
 
 
 def record_request_span(
-    tracer: "Tracer", outcome: Any, lane: "int | None" = None
+    tracer: "Tracer", outcome: Any, lane: "int | None" = None, **extra: Any
 ) -> "SpanRecord | None":
     """Emit the lifecycle span tree for one terminal request outcome.
 
@@ -170,7 +170,8 @@ def record_request_span(
     ``rate_hits``) so the tree's shape — and hence resume
     reconciliation — does not depend on per-step event history.
     ``lane`` is the shard-local concurrency slot (Chrome ``tid``); it
-    is live-run only and absent from replayed spans.
+    is live-run only and absent from replayed spans.  ``extra`` adds root
+    attributes (the asyncio loop marks its requests ``backend="asyncio"``).
     """
     request = outcome.request
     shard = outcome.shard
@@ -183,6 +184,7 @@ def record_request_span(
         "shard": shard,
         "round_trips": outcome.round_trips,
         "steps": outcome.steps,
+        **extra,
     }
     if outcome.stolen:
         attrs["stolen"] = True
@@ -306,7 +308,7 @@ def replay_outcome_telemetry(
 ) -> int:
     """Re-absorb checkpointed terminal outcomes into fresh telemetry.
 
-    Called by ``serve_workload_durable`` on resume, before the scheduler
+    Called by the durable serving layer on resume, before the scheduler
     runs the remaining workload: every pre-crash terminal outcome is
     replayed into the registry, re-emitted as a span tree, and fed to
     the SLO tracker, in request-id order (deterministic span ids).

@@ -16,26 +16,26 @@ regime the ROADMAP's north star calls for:
 * :mod:`repro.serve.sessions` — liquid-query sessions
   (``more``/``rerank``/``resubmit``) routed through the same scheduler,
   optionally sharing one cross-query invocation cache;
-* :mod:`repro.serve.bench` — the shared-vs-isolated serving benchmark
-  behind ``repro serve-bench`` and ``BENCH_serving.json``;
-* :mod:`repro.serve.async_serve` — the same seeded workload served on
-  the asyncio real-execution backend (``serve-bench --backend asyncio``),
-  digest-comparable request by request with the virtual scheduler.
+* :mod:`repro.serve.sharding` — the merged-loop scheduler: N shards on
+  one deterministic timeline (``N = 1`` is the plain scheduler), the
+  consistent-hash ring, work stealing;
+* :mod:`repro.serve.async_serve` — the same workload on the asyncio
+  real-execution backend, digest-comparable request by request with the
+  virtual scheduler and reporting through the same ``ServeReport``;
+* :mod:`repro.serve.runtime` — **the one door**: ``serve(config,
+  workload)`` composes sessions, backend, placement and durability from
+  one picklable :class:`~repro.serve.scheduler.ServeConfig`;
+* :mod:`repro.serve.bench` — the reference-vs-subject comparisons behind
+  ``repro serve-bench``, ``BENCH_serving.json`` and ``BENCH_sharding.json``.
 """
 
-from repro.serve.async_serve import (
-    AsyncServeOutcome,
-    AsyncServeReport,
-    serve_workload_async,
-)
 from repro.serve.bench import (
-    combined_digest,
-    result_digest,
+    compare_serving,
     run_serving_benchmark,
     run_sharding_benchmark,
-    serve_workload,
 )
 from repro.serve.plancache import PlanCache, PlanCacheStats
+from repro.serve.runtime import build_sessions, serve
 from repro.serve.scheduler import (
     AdmissionController,
     RequestOutcome,
@@ -43,6 +43,8 @@ from repro.serve.scheduler import (
     ServeReport,
     ServeScheduler,
     SessionTable,
+    combined_digest,
+    result_digest,
 )
 from repro.serve.sessions import SessionManager
 from repro.serve.sharding import (
@@ -50,7 +52,6 @@ from repro.serve.sharding import (
     ShardedInvocationCache,
     ShardedServeScheduler,
     partition_workload,
-    serve_workload_parallel,
     serve_workload_sharded,
 )
 from repro.serve.workload import (
@@ -66,9 +67,6 @@ from repro.serve.workload import (
 
 __all__ = [
     "AdmissionController",
-    "AsyncServeOutcome",
-    "AsyncServeReport",
-    "serve_workload_async",
     "HashRing",
     "PlanCache",
     "PlanCacheStats",
@@ -83,7 +81,9 @@ __all__ = [
     "ShardedInvocationCache",
     "ShardedServeScheduler",
     "WorkloadConfig",
+    "build_sessions",
     "combined_digest",
+    "compare_serving",
     "default_templates",
     "generate_workload",
     "partition_workload",
@@ -92,8 +92,7 @@ __all__ = [
     "run_sharding_benchmark",
     "scenario_names",
     "scenario_templates",
-    "serve_workload",
-    "serve_workload_parallel",
+    "serve",
     "serve_workload_sharded",
     "session_key",
 ]

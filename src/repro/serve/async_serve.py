@@ -18,9 +18,8 @@ Correspondence with the virtual scheduler:
   sees the identical interaction sequence the virtual scheduler would
   deliver, and per-request result digests match the virtual run's;
 * a global admission semaphore bounds concurrently *executing* requests
-  (the analogue of ``ServeConfig.max_concurrency``); excess arrivals
-  queue — there is no rejection path, matching the benchmark's
-  effectively unbounded queue;
+  (``ServeConfig.max_concurrency``); excess arrivals queue — there is no
+  rejection path, matching the benchmark's effectively unbounded queue;
 * all sessions share one :class:`~repro.engine.async_runner.AsyncExecutionContext`,
   making the per-service connection pools a server-wide bound and
   coalescing concurrent identical invocations across queries.
@@ -30,167 +29,94 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Sequence
 
-from repro.core.optimizer import OptimizerConfig
-from repro.engine.async_runner import AsyncExecutionContext
-from repro.engine.executor import InvocationCache
-from repro.model.tuples import CompositeTuple
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.serving import absorb_outcome_metrics, record_request_span
 from repro.obs.tracer import coerce_tracer
-from repro.serve.bench import result_digest
-from repro.serve.plancache import PlanCache
-from repro.serve.sessions import SessionManager
-from repro.serve.workload import (
-    QueryTemplate,
-    Request,
-    WorkloadConfig,
-    default_templates,
-    generate_workload,
+from repro.serve.scheduler import (
+    RequestOutcome,
+    ServeConfig,
+    ServeReport,
+    build_report,
+    snapshot_cache_stats,
 )
+from repro.serve.sessions import SessionManager
+from repro.serve.workload import Request
 
-__all__ = ["AsyncServeOutcome", "AsyncServeReport", "serve_workload_async"]
-
-
-@dataclass
-class AsyncServeOutcome:
-    """Terminal state of one request served on the asyncio backend."""
-
-    request: Request
-    results: list[CompositeTuple] | None = None
-    #: Wall seconds from admission to completion (queueing excluded).
-    wall_latency: float = 0.0
-    error: str | None = None
-
-    @property
-    def completed(self) -> bool:
-        return self.error is None
+__all__ = ["serve_async"]
 
 
-@dataclass
-class AsyncServeReport:
-    """Outcomes plus wall-clock accounting of one async serving run."""
-
-    outcomes: list[AsyncServeOutcome] = field(default_factory=list)
-    #: Wall seconds from first arrival to last completion.
-    wall_time: float = 0.0
-
-    def completed(self) -> list[AsyncServeOutcome]:
-        return [o for o in self.outcomes if o.completed]
-
-    def digests(self) -> dict[int, str]:
-        """Per-request result digests — the equivalence witness against
-        the virtual scheduler's run of the same workload."""
-        return {
-            o.request.request_id: result_digest(o.results or ())
-            for o in self.completed()
-        }
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per wall second."""
-        done = len(self.completed())
-        return done / self.wall_time if self.wall_time > 0 else 0.0
-
-
-async def _serve_async(
+async def serve_async(
     workload: Sequence[Request],
     sessions: SessionManager,
-    *,
-    max_concurrency: int,
-    time_scale: float,
-    tracer=None,
-    metrics=None,
-    slo=None,
-) -> AsyncServeReport:
-    admission = asyncio.Semaphore(max_concurrency)
+    config: ServeConfig,
+    tracer: Any = None,
+    slo: Any = None,
+    digest_fn: "Callable | None" = None,
+) -> ServeReport:
+    """Serve ``workload`` on the running event loop.
+
+    Reports through the virtual scheduler's own
+    :class:`~repro.serve.scheduler.ServeReport`: every time in it is wall
+    time rescaled to the virtual axis (``/ time_scale``), the axis the
+    engine's ``service.invoke`` / ``pool.wait`` spans use, and an outcome's
+    request carries the instant it *actually* arrived on that axis.
+    """
+    admission = asyncio.Semaphore(config.max_concurrency)
     # One chain per session: request_id for a run, its target for
     # follow-ups.  Chaining serialises a session's interactions in
     # arrival order — the order the virtual scheduler delivers them.
     chains: dict[int, asyncio.Task] = {}
-    outcomes: list[AsyncServeOutcome] = []
+    outcomes: dict[int, RequestOutcome] = {}
+    metrics = MetricsRegistry()
     tracer = coerce_tracer(tracer)
+    baselines = snapshot_cache_stats(sessions)
     context = sessions.async_context
-    if context is not None:
-        # Bind the shared context to this loop *now* so its wall epoch is
-        # the serve start: engine spans (service.invoke, pool.wait) and
-        # the request spans below then share one timeline.
-        context.attach_loop()
-    started = (
-        context.wall_epoch
-        if context is not None and context.wall_epoch
-        else time.perf_counter()
-    )
+    # Bind the shared context to this loop *now* so its wall epoch is the
+    # serve start: engine spans and the request spans share one timeline.
+    context.attach_loop()
+    started = context.wall_epoch
+    time_scale = context.time_scale
 
     def axis() -> float:
         """Elapsed wall seconds rescaled to the virtual-time span axis."""
         elapsed = time.perf_counter() - started
         return elapsed / time_scale if time_scale > 0 else elapsed
 
-    async def handle(
-        request: Request, predecessor: asyncio.Task | None
-    ) -> AsyncServeOutcome:
-        arrived = axis()
-        unparked = arrived
+    async def handle(request: Request, predecessor: asyncio.Task | None) -> None:
+        outcome = RequestOutcome(
+            request=replace(request, arrival=axis()), status="running"
+        )
+        waited_from = outcome.request.arrival
         if predecessor is not None:
             # The parent chain must settle first; its failure surfaces
             # below as a missing session, not as our exception.
             await asyncio.gather(predecessor, return_exceptions=True)
-            unparked = axis()
-        outcome = AsyncServeOutcome(request=request)
+            waited_from = outcome.unparked_at = axis()
+            outcome.wake_reason = "target"
         async with admission:
-            admitted_axis = axis()
-            admitted = time.perf_counter()
+            outcome.started_at = axis()
+            outcome.queue_wait = outcome.started_at - waited_from
             try:
-                outcome.results = await sessions.perform_async(request)
+                results = await sessions.perform_async(request)
             except Exception as exc:
+                outcome.status = "failed"
                 outcome.error = f"{type(exc).__name__}: {exc}"
-            outcome.wall_latency = time.perf_counter() - admitted
-        done = axis()
-        status = "completed" if outcome.completed else "failed"
-        if metrics is not None:
-            metrics.counter(f"serve.{status}").inc()
-            name = "serve.latency" if outcome.completed else "serve.latency_failed"
-            metrics.histogram(name).observe(done - arrived)
-        if slo is not None and outcome.completed:
-            slo.observe(done - arrived, at=done)
+            else:
+                outcome.status = "completed"
+                if digest_fn is not None:
+                    outcome.digest = digest_fn(results or ())
+                else:
+                    outcome.results = results
+        outcome.finished_at = axis()
+        absorb_outcome_metrics(metrics, outcome)
+        if slo is not None and outcome.status == "completed":
+            slo.observe(outcome.latency, at=outcome.finished_at)
         if tracer.enabled:
-            session = (
-                request.request_id if request.kind == "run" else request.target
-            )
-            root = tracer.record_span(
-                "serve.request",
-                start=arrived,
-                end=done,
-                request=request.request_id,
-                kind=request.kind,
-                template=request.template,
-                session=session,
-                status=status,
-                backend="asyncio",
-            )
-            if predecessor is not None:
-                tracer.record_span(
-                    "serve.park",
-                    start=arrived,
-                    end=unparked,
-                    parent_id=root.span_id,
-                    reason="target",
-                )
-            tracer.record_span(
-                "serve.queue",
-                start=unparked,
-                end=admitted_axis,
-                parent_id=root.span_id,
-            )
-            tracer.record_span(
-                "serve.execute",
-                start=admitted_axis,
-                end=done,
-                parent_id=root.span_id,
-            )
-        outcomes.append(outcome)
-        return outcome
+            record_request_span(tracer, outcome, backend="asyncio")
+        outcomes[request.request_id] = outcome
 
     tasks: list[asyncio.Task] = []
     for request in sorted(workload, key=lambda r: (r.arrival, r.request_id)):
@@ -213,80 +139,4 @@ async def _serve_async(
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
         raise
-    return AsyncServeReport(
-        outcomes=sorted(outcomes, key=lambda o: o.request.request_id),
-        wall_time=time.perf_counter() - started,
-    )
-
-
-def serve_workload_async(
-    *,
-    rate: float,
-    num_requests: int,
-    seed: int,
-    shared: bool,
-    skew: float = 1.3,
-    followup_fraction: float = 0.25,
-    max_concurrency: int = 4,
-    time_scale: float = 0.001,
-    max_connections: int = 8,
-    templates: Sequence[QueryTemplate] | None = None,
-    context: AsyncExecutionContext | None = None,
-    tracer: Any = None,
-    metrics: Any = None,
-    slo: Any = None,
-    trace_engine: bool = False,
-    join_kernel: str = "binary",
-) -> AsyncServeReport:
-    """Serve one seeded workload on the asyncio backend.
-
-    Mirrors :func:`~repro.serve.bench.serve_workload` (same workload
-    generator, same sharing switch) so the two runs are comparable
-    request by request via :meth:`AsyncServeReport.digests`.
-
-    ``tracer`` records per-request span trees on the wall clock rescaled
-    to the virtual axis (``/ time_scale``), on the same timeline the
-    engine's ``service.invoke``/``pool.wait`` spans use; pass
-    ``trace_engine=True`` to also hand the tracer to every session's
-    executor for those inner spans.  ``metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) and ``slo`` (an
-    :class:`~repro.obs.serving.SloTracker`) accumulate outcome counters
-    and completed-latency quantiles.  All are off by default and never
-    affect results.
-    """
-    templates = tuple(templates or default_templates())
-    workload = generate_workload(
-        templates,
-        WorkloadConfig(
-            num_requests=num_requests,
-            rate=rate,
-            skew=skew,
-            seed=seed,
-            followup_fraction=followup_fraction,
-        ),
-    )
-    if context is None:
-        context = AsyncExecutionContext(
-            time_scale=time_scale, default_connections=max_connections
-        )
-    sessions = SessionManager(
-        templates={template.name: template for template in templates},
-        data_seed=seed,
-        optimizer_config=OptimizerConfig(join_kernel=join_kernel),
-        plan_cache=PlanCache() if shared else None,
-        invocation_cache=(InvocationCache(max_size=None) if shared else None),
-        backend="asyncio",
-        async_context=context,
-        tracer=tracer if trace_engine else None,
-    )
-    return asyncio.run(
-        _serve_async(
-            workload,
-            sessions,
-            max_concurrency=max_concurrency,
-            time_scale=time_scale,
-            tracer=tracer,
-            metrics=metrics,
-            slo=slo,
-        )
-    )
+    return build_report(sessions, metrics, baselines, outcomes, axis(), slo=slo)

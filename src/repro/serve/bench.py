@@ -26,131 +26,28 @@ latency on the seeded workload, and results must match exactly.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Mapping, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Sequence
 
-from repro.core.optimizer import OptimizerConfig
-from repro.engine.executor import InvocationCache
-from repro.model.tuples import CompositeTuple
-from repro.obs.serving import SloTracker, serving_metrics_summary
-from repro.serve.plancache import PlanCache
-from repro.serve.scheduler import ServeConfig, ServeReport, ServeScheduler
-from repro.serve.sessions import SessionManager
-from repro.serve.workload import (
-    QueryTemplate,
-    WorkloadConfig,
-    default_templates,
-    generate_workload,
+from repro.obs.serving import serving_metrics_summary
+from repro.serve.runtime import serve
+from repro.serve.scheduler import (
+    ServeConfig,
+    ServeReport,
+    combined_digest,
+    result_digest,
 )
+from repro.serve.workload import WorkloadConfig, generate_workload
 
 __all__ = [
+    "benchmark_report",
     "combined_digest",
+    "compare_serving",
     "result_digest",
     "run_serving_benchmark",
     "run_sharding_benchmark",
-    "serve_workload",
+    "sharing_gates",
 ]
-
-
-def result_digest(tuples: Sequence[CompositeTuple]) -> str:
-    """Stable content hash of a result list (order, components, scores).
-
-    Scores are rounded to 12 decimals purely for printability; both
-    serving modes compute them from identical component tuples, so the
-    digest is an exact equality witness.  Each component contributes
-    ``alias|`` + :meth:`ServiceTuple.values_text`, which the tuple renders
-    once: cached tuples recur across requests and checkpoints.
-    """
-    parts: list[str] = []
-    for comp in tuples:
-        components = comp.components
-        for alias in sorted(components):
-            parts.append(alias + "|" + components[alias].values_text())
-        parts.append(f"score={round(comp.score, 12)!r}")
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
-def serve_workload(
-    *,
-    rate: float,
-    num_requests: int,
-    seed: int,
-    shared: bool,
-    skew: float = 1.3,
-    followup_fraction: float = 0.25,
-    max_concurrency: int = 4,
-    queue_limit: int = 10_000,
-    default_service_rate: float | None = 4.0,
-    plan_cache_size: int | None = None,
-    templates: Sequence[QueryTemplate] | None = None,
-    tracer: Any = None,
-    slo: "SloTracker | None" = None,
-    sample_metrics: bool = False,
-    join_kernel: str = "binary",
-) -> tuple[ServeReport, dict[int, str]]:
-    """Serve one seeded workload; returns the report and per-request digests.
-
-    The benchmark's queue limit is effectively unbounded so both modes
-    complete every request — rejection behaviour is exercised by unit
-    tests, while here the modes must stay per-request comparable.
-
-    ``tracer``/``slo``/``sample_metrics`` thread the observability layer
-    through: request span trees on the virtual clock, SLO latency
-    accounting, and sampled queue-depth/occupancy time series.  All
-    default off, and none of them may perturb results — the digest
-    equality gates in :mod:`tests.test_serve_observability` enforce it.
-    """
-    templates = tuple(templates or default_templates())
-    workload = generate_workload(
-        templates,
-        WorkloadConfig(
-            num_requests=num_requests,
-            rate=rate,
-            skew=skew,
-            seed=seed,
-            followup_fraction=followup_fraction,
-        ),
-    )
-    sessions = SessionManager(
-        templates={template.name: template for template in templates},
-        data_seed=seed,
-        optimizer_config=OptimizerConfig(join_kernel=join_kernel),
-        plan_cache=PlanCache(max_size=plan_cache_size) if shared else None,
-        invocation_cache=(
-            InvocationCache(max_size=None) if shared else None
-        ),
-    )
-    scheduler = ServeScheduler(
-        sessions,
-        ServeConfig(
-            max_concurrency=max_concurrency,
-            queue_limit=queue_limit,
-            default_service_rate=default_service_rate,
-        ),
-        tracer=tracer,
-        emit_shard_metrics=True,
-        slo=slo,
-        sample_metrics=sample_metrics,
-    )
-    report = scheduler.run(workload)
-    digests = {
-        outcome.request.request_id: result_digest(outcome.results or ())
-        for outcome in report.completed()
-    }
-    return report, digests
-
-
-def combined_digest(digests: Mapping[int, str]) -> str:
-    """One hash over a whole run's per-request digests.
-
-    Sorted by request id, so it is invariant to completion order — the
-    compact byte-identity witness the sharding sweep compares across
-    shard counts (100k per-request digests would bloat the artifact).
-    """
-    hasher = hashlib.sha256()
-    for request_id in sorted(digests):
-        hasher.update(f"{request_id}:{digests[request_id]}\n".encode())
-    return hasher.hexdigest()
 
 
 def _mode_summary(report: ServeReport) -> dict[str, Any]:
@@ -163,116 +60,146 @@ def _mode_summary(report: ServeReport) -> dict[str, Any]:
     return summary
 
 
-def run_serving_benchmark(
+def compare_serving(
+    subject: ServeConfig,
+    workload: WorkloadConfig,
     *,
+    reference: ServeConfig | None = None,
     load_levels: Sequence[float] = (0.5, 2.0),
-    num_requests: int = 40,
-    seed: int = 2009,
-    skew: float = 1.3,
-    followup_fraction: float = 0.25,
-    max_concurrency: int = 4,
-    default_service_rate: float | None = 4.0,
-    plan_cache_size: int | None = None,
-    templates: Sequence[QueryTemplate] | None = None,
-    join_kernel: str = "binary",
-) -> dict[str, Any]:
-    """The full shared-vs-isolated comparison across load levels."""
+    labels: tuple[str, str] = ("reference", "subject"),
+    tracer: Any = None,
+    slo: Any = None,
+    on_level: "Callable[[dict, ServeReport | None, ServeReport], None] | None" = None,
+) -> list[dict[str, Any]]:
+    """Per load level: reference run, subject run, digests compared.
+
+    The *identical* seeded workload (``workload`` at each rate) is served
+    under ``reference`` — when there is one — and under ``subject``
+    (observed by ``tracer`` / ``slo``); a level records both summaries
+    under ``labels``, whether every request's result digest matched, and
+    the subject's combined digest.  ``on_level(level, reference_report,
+    subject_report)`` sees the live reports before they are dropped.
+    """
     levels: list[dict[str, Any]] = []
-    all_identical = True
-    never_more_calls = True
-    strictly_fewer_calls = True
-    p95_improves = True
     for rate in load_levels:
-        per_mode: dict[str, ServeReport] = {}
-        digests: dict[str, Mapping[int, str]] = {}
-        for mode, shared in (("isolated", False), ("shared", True)):
-            report, mode_digests = serve_workload(
-                rate=rate,
-                num_requests=num_requests,
-                seed=seed,
-                shared=shared,
-                skew=skew,
-                followup_fraction=followup_fraction,
-                max_concurrency=max_concurrency,
-                default_service_rate=default_service_rate,
-                plan_cache_size=plan_cache_size,
-                templates=templates,
-                join_kernel=join_kernel,
+        stream = generate_workload(subject.templates, replace(workload, rate=rate))
+        report = serve(subject, stream, tracer=tracer, slo=slo)
+        digests = report.digests()
+        level: dict[str, Any] = {
+            "rate": rate,
+            labels[1]: _mode_summary(report),
+            "combined_digest": combined_digest(digests),
+        }
+        baseline = None
+        if reference is not None:
+            baseline = serve(reference, stream)
+            calls, calls_baseline = report.total_round_trips, baseline.total_round_trips
+            level[labels[0]] = _mode_summary(baseline)
+            level["results_identical"] = digests == baseline.digests()
+            level["round_trip_reduction"] = (
+                1.0 - calls / calls_baseline if calls_baseline else 0.0
             )
-            per_mode[mode] = report
-            digests[mode] = mode_digests
-        identical = digests["isolated"] == digests["shared"]
-        all_identical = all_identical and identical
-        isolated, shared_report = per_mode["isolated"], per_mode["shared"]
-        calls_isolated = isolated.total_round_trips
-        calls_shared = shared_report.total_round_trips
-        never_more_calls = never_more_calls and calls_shared <= calls_isolated
-        strictly_fewer_calls = (
-            strictly_fewer_calls and calls_shared < calls_isolated
-        )
-        p95_isolated = isolated.latency_summary().get("p95", 0.0)
-        p95_shared = shared_report.latency_summary().get("p95", 0.0)
-        p95_improves = p95_improves and p95_shared < p95_isolated
-        levels.append(
-            {
-                "rate": rate,
-                "isolated": _mode_summary(isolated),
-                "shared": _mode_summary(shared_report),
-                "results_identical": identical,
-                "round_trip_reduction": (
-                    1.0 - calls_shared / calls_isolated
-                    if calls_isolated
-                    else 0.0
-                ),
-                "p95_latency_isolated": p95_isolated,
-                "p95_latency_shared": p95_shared,
-            }
-        )
+            for label, run in zip(labels, (baseline, report)):
+                level[f"p95_latency_{label}"] = run.latency_summary().get("p95", 0.0)
+        levels.append(level)
+        if on_level is not None:
+            on_level(level, baseline, report)
+    return levels
+
+
+def sharing_gates(levels: Sequence[dict[str, Any]]) -> dict[str, bool]:
+    """The acceptance checks of an isolated-vs-shared comparison: sharing
+    must never *increase* round trips, must strictly reduce them and
+    improve p95 latency on the seeded workload, and results must match."""
+    calls = [
+        (level["isolated"]["total_round_trips"], level["shared"]["total_round_trips"])
+        for level in levels
+    ]
     return {
-        "benchmark": "serving",
-        "seed": seed,
-        "num_requests": num_requests,
-        "skew": skew,
-        "followup_fraction": followup_fraction,
-        "max_concurrency": max_concurrency,
-        "default_service_rate": default_service_rate,
-        "join_kernel": join_kernel,
-        "load_levels": list(load_levels),
-        "levels": levels,
-        "gates": {
-            "results_identical": all_identical,
-            "shared_never_more_round_trips": never_more_calls,
-            "shared_strictly_fewer_round_trips": strictly_fewer_calls,
-            "shared_improves_p95_latency": p95_improves,
-        },
+        "results_identical": all(level["results_identical"] for level in levels),
+        "shared_never_more_round_trips": all(s <= i for i, s in calls),
+        "shared_strictly_fewer_round_trips": all(s < i for i, s in calls),
+        "shared_improves_p95_latency": all(
+            level["p95_latency_shared"] < level["p95_latency_isolated"]
+            for level in levels
+        ),
     }
 
 
+def benchmark_report(
+    name: str,
+    subject: ServeConfig,
+    workload: WorkloadConfig,
+    load_levels: Sequence[float],
+    levels: Sequence[dict[str, Any]],
+    gates: dict[str, bool],
+) -> dict[str, Any]:
+    """The JSON report of one comparison: what ran, its levels, its gates."""
+    return {
+        "benchmark": name,
+        "seed": workload.seed,
+        "num_requests": workload.num_requests,
+        "skew": workload.skew,
+        "followup_fraction": workload.followup_fraction,
+        "max_concurrency": subject.max_concurrency,
+        "join_kernel": subject.optimizer_config.join_kernel,
+        "shards": subject.num_shards,
+        "cache_mode": subject.cache_mode,
+        "steal": subject.steal,
+        "parallel": subject.parallel,
+        "backend": subject.backend,
+        "load_levels": list(load_levels),
+        "levels": list(levels),
+        "combined_digest": levels[-1]["combined_digest"],
+        "gates": gates,
+    }
+
+
+def run_serving_benchmark(
+    config: ServeConfig,
+    workload: WorkloadConfig,
+    *,
+    load_levels: Sequence[float] = (0.5, 2.0),
+) -> dict[str, Any]:
+    """The full shared-vs-isolated comparison across load levels.
+
+    ``config`` is the shared run; the isolated reference is the same
+    config with ``cache_mode="isolated"``.
+    """
+    shared = replace(config, cache_mode="shared")
+    levels = compare_serving(
+        shared,
+        workload,
+        reference=replace(config, cache_mode="isolated"),
+        load_levels=load_levels,
+        labels=("isolated", "shared"),
+    )
+    return benchmark_report(
+        "serving", shared, workload, load_levels, levels, sharing_gates(levels)
+    )
+
+
 def run_sharding_benchmark(
+    config: ServeConfig,
+    workload: WorkloadConfig,
     *,
     shard_counts: Sequence[int] = (1, 2, 4, 8),
-    num_requests: int = 100_000,
-    rate: float = 4.0,
-    seed: int = 2009,
-    skew: float = 1.3,
-    followup_fraction: float = 0.25,
-    max_concurrency: int = 4,
-    default_service_rate: float | None = 4.0,
-    session_space: int = 1_000_000,
-    steal: bool = True,
     include_no_steal: bool = False,
-    param_scale: int = 2,
-    templates: Sequence[QueryTemplate] | None = None,
 ) -> dict[str, Any]:
     """The shard-count sweep behind ``BENCH_sharding.json``.
 
-    One seeded workload (``num_requests`` over a ``session_space``-sized
+    One seeded workload (``workload``, over its ``session_space``-sized
     Zipf-skewed session universe) is served by the sharded runtime at
     each shard count with the shared caches on, plus a 1-shard
     **isolated** baseline (no plan cache, no invocation cache — every
     request fetches alone, the PR 4 comparison point for round trips).
     Per-shard ``max_concurrency`` is fixed, so the shard count *is* the
-    worker count being scaled.
+    worker count being scaled.  Serve scaled parameter universes
+    (``default_templates(param_scale)``) to keep the workload load-bearing
+    at population scale: the Zipf head stays cache-resident while the
+    tail sustains real service traffic, so per-shard capacity is actually
+    contended and the latency gates can develop (unscaled, ~100 distinct
+    bindings go fully resident and p95 collapses to 0 at every count).
 
     Gates:
 
@@ -288,35 +215,16 @@ def run_sharding_benchmark(
       round trips(shared 4-shard) > 4: cache sharing compounds with
       parallelism vs. the each-request-alone baseline.
     """
-    from repro.serve.sharding import serve_workload_sharded
-
-    # Scaled parameter universes keep the workload load-bearing at
-    # population scale: the Zipf head stays cache-resident while the
-    # tail sustains real service traffic, so per-shard capacity is
-    # actually contended and the latency gates can develop (unscaled,
-    # ~100 distinct bindings go fully resident and p95 collapses to 0
-    # at every shard count).
-    templates = tuple(templates or default_templates(param_scale))
-    workload = generate_workload(
-        templates,
-        WorkloadConfig(
-            num_requests=num_requests,
-            rate=rate,
-            skew=skew,
-            seed=seed,
-            followup_fraction=followup_fraction,
-            session_space=max(session_space, num_requests),
-        ),
-    )
+    requests = generate_workload(config.templates, workload)
     distinct_sessions = len(
-        {r.session_id for r in workload if r.session_id is not None}
+        {r.session_id for r in requests if r.session_id is not None}
     )
 
     configs: list[dict[str, Any]] = []
     for count in shard_counts:
         configs.append(
             {"label": f"shared-{count}", "num_shards": count,
-             "cache_mode": "shared", "steal": steal}
+             "cache_mode": "shared", "steal": config.steal}
         )
         if include_no_steal and count > 1:
             configs.append(
@@ -330,27 +238,17 @@ def run_sharding_benchmark(
 
     runs: list[dict[str, Any]] = []
     by_label: dict[str, dict[str, Any]] = {}
-    for config in configs:
-        report, digests = serve_workload_sharded(
-            rate=rate,
-            num_requests=num_requests,
-            seed=seed,
-            num_shards=config["num_shards"],
-            cache_mode=config["cache_mode"],
-            steal=config["steal"],
-            skew=skew,
-            followup_fraction=followup_fraction,
-            max_concurrency=max_concurrency,
-            default_service_rate=default_service_rate,
-            session_space=session_space,
-            templates=templates,
-            workload=workload,
+    for variant in configs:
+        report = serve(
+            replace(config, **{k: v for k, v in variant.items() if k != "label"}),
+            requests,
             digest_fn=result_digest,
         )
+        digests = report.digests()
         latency = report.latency_summary()
         steals = report.metrics.counters.get("serve.steals")
         entry = {
-            **config,
+            **variant,
             "digest": combined_digest(digests),
             "completed": len(digests),
             "by_status": report.by_status(),
@@ -402,15 +300,13 @@ def run_sharding_benchmark(
         gates["round_trips_superlinear_at_4"] = rt_reduction > 4.0
     return {
         "benchmark": "sharding",
-        "seed": seed,
-        "num_requests": num_requests,
-        "rate": rate,
-        "skew": skew,
-        "followup_fraction": followup_fraction,
-        "max_concurrency": max_concurrency,
-        "default_service_rate": default_service_rate,
-        "session_space": session_space,
-        "param_scale": param_scale,
+        "seed": workload.seed,
+        "num_requests": workload.num_requests,
+        "rate": workload.rate,
+        "skew": workload.skew,
+        "followup_fraction": workload.followup_fraction,
+        "max_concurrency": config.max_concurrency,
+        "session_space": workload.session_space,
         "distinct_sessions": distinct_sessions,
         "shard_counts": list(shard_counts),
         "sweep": sweep_labels,

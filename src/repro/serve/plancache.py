@@ -132,9 +132,7 @@ class PlanCache:
         return (
             schema,
             plan_signature(
-                query,
-                metric=config.metric,
-                join_kernel=getattr(config, "join_kernel", "binary"),
+                query, metric=config.metric, join_kernel=config.join_kernel
             ),
         )
 

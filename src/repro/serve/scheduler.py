@@ -47,20 +47,26 @@ clock".
 Sharding hooks: a standalone ``ServeScheduler`` owns all of its state.
 A sharded runtime constructs N of them over *shared* pieces — one
 :class:`SessionTable` (parking, serialization, outcomes), one
-:class:`AdmissionController`, one event heap, and an arrival ``router``
-that places (re-)arrivals on a session's home shard — while each shard
-keeps its own clock, admission queue, token buckets, and sequence
-counter.
+:class:`AdmissionController`, one event heap with its sequence counter,
+and a ``home`` function that places (re-)arrivals on a session's home
+shard — while each shard keeps its own clock, admission queue, and token
+buckets.  A shard never references the runtime that owns it, so a
+finished run is freed by reference counting, sessions and caches
+included.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from os import PathLike
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from repro.core.optimizer import OptimizerConfig
+from repro.engine.async_runner import BACKENDS
 from repro.engine.events import VirtualClock
 from repro.errors import ExecutionError, SearchComputingError
 from repro.model.tuples import CompositeTuple
@@ -68,7 +74,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import SloTracker, record_request_span
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.serve.sessions import SessionManager
-from repro.serve.workload import Request
+from repro.serve.workload import QueryTemplate, Request, default_templates
 
 __all__ = [
     "AdmissionController",
@@ -77,17 +83,25 @@ __all__ = [
     "ServeReport",
     "SessionTable",
     "RequestOutcome",
+    "combined_digest",
+    "result_digest",
 ]
+
+CACHE_MODES = ("shared", "private", "isolated")
 
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Scheduler knobs (admission, concurrency, backpressure).
+    """The one picklable description of a serving run.
 
-    In a sharded runtime these are **per-shard** bounds; the optional
-    process-global cap lives in :class:`AdmissionController`.
+    Everything :func:`repro.serve.runtime.serve` needs besides the
+    request stream and the live observers (tracer, SLO tracker, hooks):
+    what is served, how it is scheduled, where it is placed, what is
+    cached, on which backend, and whether it is durable.  A worker
+    process or the crash harness receives the whole object.
     """
 
+    # -- scheduling: **per-shard** admission, concurrency, backpressure ----
     max_concurrency: int = 4
     queue_limit: int = 64
     #: Interface name -> max calls per virtual second (token bucket).
@@ -97,8 +111,49 @@ class ServeConfig:
     default_service_rate: float | None = None
     #: Bucket depth: how many calls a service absorbs back-to-back.
     service_burst: float = 4.0
+    # -- what is served ----------------------------------------------------
+    #: The workload's templates (``None``: the chapter's two schemas).
+    templates: Sequence[QueryTemplate] | None = None
+    #: Global seed of every session's service pool.
+    data_seed: int = 2009
+    #: Plans every request (``join_kernel`` lives here).
+    optimizer_config: OptimizerConfig = field(default_factory=OptimizerConfig)
+    # -- placement ---------------------------------------------------------
+    num_shards: int = 1
+    #: Work stealing between shards.
+    steal: bool = True
+    #: Process-global cap on executing requests across all shards.
+    global_concurrency: int | None = None
+    #: One worker process per shard instead of the in-process merged loop.
+    parallel: bool = False
+    # -- caches ------------------------------------------------------------
+    #: ``shared`` (one plan cache, one cross-shard invocation cache),
+    #: ``private`` (one invocation cache per shard) or ``isolated`` (every
+    #: request plans and fetches alone).
+    cache_mode: str = "shared"
+    #: LRU bounds (``None``: unbounded).
+    cache_size: int | None = None
+    plan_cache_size: int | None = None
+    # -- backend and its pacing --------------------------------------------
+    backend: str = "virtual"
+    #: asyncio only: wall seconds per virtual second, and the per-service
+    #: connection-pool size.
+    time_scale: float = 0.001
+    max_connections: int = 8
+    #: Sample queue depth / admission occupancy time series (virtual only).
+    sample_metrics: bool = False
+    # -- durability (in-process virtual runs only) ---------------------------
+    #: Checkpoint store directory; ``None`` serves without durability.
+    checkpoint_dir: "str | PathLike[str] | None" = None
+    #: Write a checkpoint every N-th terminal outcome (0: only on demand).
+    checkpoint_every: int = 25
+    #: Load the newest checkpoint first and serve only what it leaves.
+    resume: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "templates", tuple(self.templates or default_templates())
+        )
         if self.max_concurrency <= 0:
             raise ExecutionError("max_concurrency must be positive")
         if self.queue_limit < 0:
@@ -110,6 +165,29 @@ class ServeConfig:
                 raise ExecutionError(f"service rate for {name!r} must be positive")
         if self.default_service_rate is not None and self.default_service_rate <= 0:
             raise ExecutionError("default_service_rate must be positive")
+        if self.num_shards <= 0:
+            raise ExecutionError("num_shards must be positive")
+        if self.cache_mode not in CACHE_MODES:
+            raise ExecutionError(
+                f"unknown cache_mode {self.cache_mode!r}; "
+                f"expected one of {CACHE_MODES}"
+            )
+        if self.backend not in BACKENDS:
+            raise ExecutionError(
+                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+            )
+        in_process = not self.parallel
+        if self.backend == "asyncio" and self.num_shards > 1 and in_process:
+            raise ExecutionError(
+                "in-process sharding runs on the virtual clock; the asyncio "
+                "backend shards one worker process per shard (parallel=True)"
+            )
+        if self.checkpoint_dir is not None and not (
+            in_process and self.backend == "virtual"
+        ):
+            raise ExecutionError(
+                "durable serving runs in-process on the virtual backend"
+            )
 
 
 class SessionTable:
@@ -255,6 +333,37 @@ class RequestOutcome:
         return self.finished_at - self.request.arrival
 
 
+def result_digest(tuples: Sequence[CompositeTuple]) -> str:
+    """Stable content hash of a result list (order, components, scores).
+
+    Scores are rounded to 12 decimals purely for printability; every
+    serving mode computes them from identical component tuples, so the
+    digest is an exact equality witness.  Each component contributes
+    ``alias|`` + :meth:`ServiceTuple.values_text`, which the tuple renders
+    once: cached tuples recur across requests and checkpoints.
+    """
+    parts: list[str] = []
+    for comp in tuples:
+        components = comp.components
+        for alias in sorted(components):
+            parts.append(alias + "|" + components[alias].values_text())
+        parts.append(f"score={round(comp.score, 12)!r}")
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def combined_digest(digests: Mapping[int, str]) -> str:
+    """One hash over a whole run's per-request digests.
+
+    Sorted by request id, so it is invariant to completion order — the
+    compact byte-identity witness compared across shard counts, cache
+    modes, backends and crash-resumed runs.
+    """
+    hasher = hashlib.sha256()
+    for request_id in sorted(digests):
+        hasher.update(f"{request_id}:{digests[request_id]}\n".encode())
+    return hasher.hexdigest()
+
+
 @dataclass
 class ServeReport:
     """Outcome of serving one workload."""
@@ -274,9 +383,26 @@ class ServeReport:
     admission_peak: int = 0
     #: SLO tracker the run observed completed latencies into (optional).
     slo: "SloTracker | None" = None
+    #: Durable runs only: whether a resume happened, from which key, how
+    #: many sessions were restored, checkpoints written (see
+    #: :meth:`repro.durability.serve.ServeCheckpointer.info`).
+    durability: dict[str, Any] | None = None
 
     def completed(self) -> list[RequestOutcome]:
         return [o for o in self.outcomes.values() if o.status == "completed"]
+
+    def digests(self) -> dict[int, str]:
+        """Per-request result digests of the completed requests — the
+        equality witness across every serving mode."""
+        return {
+            request_id: (
+                outcome.digest
+                if outcome.digest is not None
+                else result_digest(outcome.results or ())
+            )
+            for request_id, outcome in self.outcomes.items()
+            if outcome.status == "completed"
+        }
 
     def by_status(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -436,12 +562,85 @@ def record_cache_gauges(
         )
 
 
+def run_events(
+    scheduler: Any,
+    workload: Sequence[Request],
+    route: "Callable[[Request, float], None]",
+    loop: "Callable[[], float]",
+    reject: "Callable[[Request, float], None]",
+) -> ServeReport:
+    """What both ``run`` methods do around their own event loop.
+
+    ``scheduler`` is a :class:`ServeScheduler` or the merged-loop
+    :class:`~repro.serve.sharding.ShardedServeScheduler` (same ``table`` /
+    ``sessions`` / ``metrics`` / ``admission`` / ``slo`` attributes);
+    ``route`` schedules an arrival, ``loop`` drains the heap and returns
+    the makespan, ``reject`` rejects a request on its home shard.
+    """
+    table = scheduler.table
+    # Union, not assignment: a durability resume pre-seeds the table with
+    # pre-crash completed runs so surviving follow-ups still find them.
+    table.known_runs |= {r.request_id for r in workload if r.kind == "run"}
+    baselines = snapshot_cache_stats(scheduler.sessions)
+    for request in sorted(workload, key=lambda r: (r.arrival, r.request_id)):
+        route(request, request.arrival)
+    makespan = loop()
+    # Follow-ups still parked at drain time targeted a run that never
+    # completed (rejected or failed): account them as rejected.
+    for parked in table.parked.values():
+        for request in parked:
+            reject(request, makespan)
+    table.parked.clear()
+    missing = [r.request_id for r in workload if r.request_id not in table.outcomes]
+    if missing:
+        raise ExecutionError(
+            f"{len(missing)} workload requests drained without an "
+            f"outcome (first: {missing[:5]}) — stranded in the runtime"
+        )
+    return build_report(
+        scheduler.sessions,
+        scheduler.metrics,
+        baselines,
+        table.outcomes,
+        makespan,
+        admission_peak=scheduler.admission.peak,
+        slo=scheduler.slo,
+    )
+
+
+def build_report(
+    sessions: SessionManager,
+    metrics: MetricsRegistry,
+    baselines: tuple,
+    outcomes: Mapping[int, RequestOutcome],
+    makespan: float,
+    *,
+    admission_peak: int = 0,
+    slo: "SloTracker | None" = None,
+) -> ServeReport:
+    """The report every serving loop ends with: this run's cache deltas
+    (against its run-start ``baselines``), the gauges, the outcomes."""
+    plan_stats, invocation_stats = build_cache_stats(sessions, *baselines)
+    record_cache_gauges(metrics, plan_stats, invocation_stats)
+    metrics.gauge("serve.admission.peak").set(admission_peak)
+    return ServeReport(
+        outcomes=dict(sorted(outcomes.items())),
+        makespan=makespan,
+        total_round_trips=sessions.total_round_trips(),
+        metrics=metrics,
+        plan_cache_stats=plan_stats,
+        invocation_cache_stats=invocation_stats,
+        admission_peak=admission_peak,
+        slo=slo,
+    )
+
+
 class ServeScheduler:
     """Discrete-event loop interleaving many liquid-query sessions.
 
     Standalone it is the complete single-timeline serving runtime of
     PR 4.  With the sharding hooks (``shard_index``, shared ``table`` /
-    ``admission`` / ``events`` / ``router``) it is one shard of the
+    ``admission`` / ``events`` / ``seq``, and ``home``) it is one shard of the
     :class:`~repro.serve.sharding.ShardedServeScheduler`, which owns the
     merged event loop.
     """
@@ -457,12 +656,12 @@ class ServeScheduler:
         table: SessionTable | None = None,
         admission: AdmissionController | None = None,
         events: list | None = None,
-        router: "Callable[[Request, float], None] | None" = None,
+        seq: "Iterator[int] | None" = None,
+        home: "Callable[[Request], int] | None" = None,
         digest_fn: "Callable[[Sequence[CompositeTuple]], str] | None" = None,
         emit_shard_metrics: bool = False,
         checkpointer: Any = None,
         slo: "SloTracker | None" = None,
-        sample_metrics: bool = False,
     ) -> None:
         self.sessions = sessions
         self.config = config or ServeConfig()
@@ -474,7 +673,7 @@ class ServeScheduler:
         #: bounded :class:`~repro.obs.metrics.TimeSeries` instruments on
         #: every arrival/finish.  Off by default — the no-op path must
         #: stay near-free.
-        self.sample_metrics = sample_metrics
+        self.sample_metrics = self.config.sample_metrics
         self.clock = VirtualClock()
         self.shard_index = shard_index
         self.table = table if table is not None else SessionTable()
@@ -485,8 +684,8 @@ class ServeScheduler:
         #: N-th one.  ``None`` (the default) costs nothing.
         self.checkpointer = checkpointer
         self.emit_shard_metrics = emit_shard_metrics
-        self._router = router
-        self._seq = itertools.count()
+        self._home = home
+        self._seq = seq if seq is not None else itertools.count()
         #: (time, shard_index, seq, action, payload) — possibly shared
         #: with sibling shards (the deterministic merged timeline).
         self._events: list[tuple[float, int, int, str, Any]] = (
@@ -505,17 +704,16 @@ class ServeScheduler:
 
     # -- event plumbing ------------------------------------------------------
 
-    def _schedule(self, at: float, action: str, payload: Any) -> None:
-        heapq.heappush(
-            self._events, (at, self.shard_index, next(self._seq), action, payload)
-        )
+    def _schedule(
+        self, at: float, action: str, payload: Any, shard: int | None = None
+    ) -> None:
+        index = self.shard_index if shard is None else shard
+        heapq.heappush(self._events, (at, index, next(self._seq), action, payload))
 
     def _route_arrival(self, request: Request, at: float) -> None:
         """Schedule an (re-)arrival on the session's home shard."""
-        if self._router is not None:
-            self._router(request, at)
-        else:
-            self._schedule(at, "arrival", request)
+        home = self._home(request) if self._home is not None else None
+        self._schedule(at, "arrival", request, home)
 
     def _shard_counter(self, name: str):
         """Per-shard counter, or ``None`` when shard metrics are off."""
@@ -545,40 +743,15 @@ class ServeScheduler:
 
     def run(self, workload: Sequence[Request]) -> ServeReport:
         """Serve the workload to completion; returns the report."""
-        # Union, not assignment: a durability resume pre-seeds the table
-        # with pre-crash completed runs so surviving follow-ups can still
-        # find their targets.
-        self.table.known_runs |= {r.request_id for r in workload if r.kind == "run"}
-        plan_base, invocation_base = snapshot_cache_stats(self.sessions)
-        for request in sorted(
-            workload, key=lambda r: (r.arrival, r.request_id)
-        ):
-            self._schedule(request.arrival, "arrival", request)
-        while self._events:
-            at, _, _, action, payload = heapq.heappop(self._events)
-            self.clock.advance_to(at)
-            self.dispatch(action, payload, at)
-        # Follow-ups still parked at drain time targeted a run that never
-        # completed (rejected or failed): account them as rejected.
-        for parked in self.table.parked.values():
-            for request in parked:
-                self._reject(request, self.clock.now)
-        self.table.parked.clear()
-        plan_stats, invocation_stats = build_cache_stats(
-            self.sessions, plan_base, invocation_base
-        )
-        record_cache_gauges(self.metrics, plan_stats, invocation_stats)
-        self.metrics.gauge("serve.admission.peak").set(self.admission.peak)
-        return ServeReport(
-            outcomes=dict(sorted(self.table.outcomes.items())),
-            makespan=self.clock.now,
-            total_round_trips=self.sessions.total_round_trips(),
-            metrics=self.metrics,
-            plan_cache_stats=plan_stats,
-            invocation_cache_stats=invocation_stats,
-            admission_peak=self.admission.peak,
-            slo=self.slo,
-        )
+
+        def loop() -> float:
+            while self._events:
+                at, _, _, action, payload = heapq.heappop(self._events)
+                self.clock.advance_to(at)
+                self.dispatch(action, payload, at)
+            return self.clock.now
+
+        return run_events(self, workload, self._route_arrival, loop, self._reject)
 
     def dispatch(self, action: str, payload: Any, at: float) -> None:
         """Process one popped event (the shard-level transition table)."""

@@ -8,8 +8,8 @@ else a fresh optimizer search), builds a **per-request**
 :class:`~repro.services.simulated.ServicePool`, and opens a
 :class:`~repro.engine.liquid.LiquidQuerySession`.  Follow-up requests
 (``more`` / ``rerank`` / ``resubmit``) resolve their target's session
-and flow through its step-generator twins, so every service round trip a
-session interaction issues is scheduled exactly like a fresh query's.
+and flow through its step driver, so every service round trip a session
+interaction issues is scheduled exactly like a fresh query's.
 
 Each session's pool has its **own** virtual clock and call log: a
 request's service time and round trips stay attributable to it, and
@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator, Mapping
 from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.engine.async_runner import BACKENDS, AsyncExecutionContext
 from repro.engine.executor import InvocationCache
-from repro.engine.liquid import LiquidQuerySession
+from repro.engine.liquid import INTERACTIONS, LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import ExecutionError, OptimizationError
 from repro.model.registry import ServiceRegistry
@@ -75,8 +75,8 @@ class SessionManager:
         Execution backend for every session: ``"virtual"`` (default,
         step-resumable, scheduled on the shared virtual timeline) or
         ``"asyncio"`` (really concurrent service calls; driven through
-        :func:`~repro.serve.async_serve.serve_workload_async` instead of
-        the step scheduler).
+        :func:`~repro.serve.async_serve.serve_async` instead of the step
+        scheduler).
     async_context:
         Shared wall-clock context for the asyncio backend — one context
         across all sessions makes the per-service connection pools a
@@ -150,15 +150,18 @@ class SessionManager:
             raise OptimizationError("no feasible plan found")
         return outcome.best
 
+    def cache_for(self, request: Request) -> InvocationCache | None:
+        """The invocation cache ``request``'s session executes against."""
+        if self.invocation_cache_selector is not None:
+            return self.invocation_cache_selector(request)
+        return self.invocation_cache
+
     def _executor_options(self, request: Request) -> dict[str, Any]:
         options: dict[str, Any] = {
             "retry": self.retry,
             "degradation": self.degradation,
         }
-        if self.invocation_cache_selector is not None:
-            cache = self.invocation_cache_selector(request)
-        else:
-            cache = self.invocation_cache
+        cache = self.cache_for(request)
         if cache is not None:
             options["invocation_cache"] = cache
         if self.tracer is not None:
@@ -218,16 +221,27 @@ class SessionManager:
             raise ExecutionError(f"no session for request {request_id}")
         return session
 
+    def _interaction(
+        self, request: Request, *kinds: str
+    ) -> tuple[LiquidQuerySession, dict[str, Any]]:
+        """The session ``request`` acts on and its interaction's arguments
+        (``k`` plus the request field named after the body's mapping)."""
+        if request.kind not in (kinds or INTERACTIONS):
+            raise ExecutionError(
+                f"cannot execute request kind {request.kind!r} here"
+            )
+        args: dict[str, Any] = {"k": request.k}
+        if request.kind == "run":
+            return self.open(request), args
+        _, name = INTERACTIONS[request.kind]
+        if name is not None:
+            args[name] = dict(getattr(request, name) or {})
+        return self.session_for(self._target_of(request)), args
+
     def stepper(self, request: Request) -> Iterator:
         """The step generator executing ``request`` (not for ``rerank``)."""
-        if request.kind == "run":
-            return self.open(request).run_steps(request.k)
-        session = self.session_for(self._target_of(request))
-        if request.kind == "more":
-            return session.more_steps(request.k)
-        if request.kind == "resubmit":
-            return session.resubmit_steps(dict(request.inputs or {}), request.k)
-        raise ExecutionError(f"request kind {request.kind!r} has no steps")
+        session, args = self._interaction(request, "run", "more", "resubmit")
+        return session.steps(request.kind, **args)
 
     async def perform_async(self, request: Request) -> list[CompositeTuple]:
         """Execute one request to completion on the asyncio backend.
@@ -236,25 +250,13 @@ class SessionManager:
         ``run`` opens a session, follow-ups resolve their target; service
         round trips overlap on the event loop instead of being stepped.
         """
-        if request.kind == "run":
-            return await self.open(request).run_async(request.k)
-        if request.kind == "rerank":
-            return self.rerank(request)
-        session = self.session_for(self._target_of(request))
-        if request.kind == "more":
-            return await session.more_async(request.k)
-        if request.kind == "resubmit":
-            return await session.resubmit_async(
-                dict(request.inputs or {}), request.k
-            )
-        raise ExecutionError(f"cannot execute request kind {request.kind!r}")
+        session, args = self._interaction(request)
+        return await session.perform_async(request.kind, **args)
 
     def rerank(self, request: Request) -> list[CompositeTuple]:
         """Apply a ``rerank`` follow-up — synchronous, no service calls."""
-        if request.kind != "rerank":
-            raise ExecutionError(f"cannot rerank a {request.kind!r} request")
-        session = self.session_for(self._target_of(request))
-        return session.rerank(dict(request.weights or {}), request.k)
+        session, args = self._interaction(request, "rerank")
+        return session.perform("rerank", **args)
 
     def pool_for(self, request: Request) -> ServicePool:
         """The service pool the request's round trips are logged to."""

@@ -44,53 +44,43 @@ can never interleave with its own in-flight interaction.  Thief and
 victim selection is deterministic (shard-index order, longest queue
 first), preserving replayability.
 
-**Parallel path.**  :func:`serve_workload_parallel` runs the ring's
-shard subsets in real worker processes (virtual backend per worker, or
-the PR 5 asyncio backend) — subsets are self-contained because a
-follow-up shares its target's session id and therefore its home shard.
+**Parallel placement.**  :func:`partition_workload` splits a workload
+into the ring's shard subsets — self-contained because a follow-up
+shares its target's session id and therefore its home shard — which
+:func:`repro.serve.runtime.serve` maps over one worker process per shard
+when ``ServeConfig.parallel`` is set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 from bisect import bisect_right
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.core.optimizer import OptimizerConfig
 from repro.engine.executor import InvocationCache, InvocationCacheStats
 from repro.errors import ExecutionError
 from repro.model.tuples import CompositeTuple
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import SloTracker
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
-from repro.serve.plancache import PlanCache
 from repro.serve.scheduler import (
     AdmissionController,
     ServeConfig,
     ServeReport,
     ServeScheduler,
     SessionTable,
-    build_cache_stats,
-    record_cache_gauges,
-    snapshot_cache_stats,
+    run_events,
 )
 from repro.serve.sessions import SessionManager
-from repro.serve.workload import (
-    QueryTemplate,
-    Request,
-    WorkloadConfig,
-    default_templates,
-    generate_workload,
-    session_key,
-)
+from repro.serve.workload import Request, WorkloadConfig, session_key
 
 __all__ = [
     "HashRing",
     "ShardedInvocationCache",
     "ShardedServeScheduler",
     "serve_workload_sharded",
-    "serve_workload_parallel",
     "partition_workload",
 ]
 
@@ -206,7 +196,12 @@ class ShardedInvocationCache(InvocationCache):
 
 
 class ShardedServeScheduler:
-    """N per-session-partitioned scheduler shards on one merged timeline."""
+    """N per-session-partitioned scheduler shards on one merged timeline.
+
+    The in-process virtual runtime at every shard count — ``N = 1`` is
+    the plain scheduler, event for event.  Shard count, stealing and the
+    global admission cap come from ``config``.
+    """
 
     def __init__(
         self,
@@ -215,29 +210,28 @@ class ShardedServeScheduler:
         metrics: MetricsRegistry | None = None,
         tracer: "Tracer | NullTracer | None" = None,
         *,
-        num_shards: int,
         ring: HashRing | None = None,
-        steal: bool = True,
-        global_concurrency: int | None = None,
         digest_fn: "Callable[[Sequence[CompositeTuple]], str] | None" = None,
         table: SessionTable | None = None,
         checkpointer: Any = None,
         slo: "SloTracker | None" = None,
-        sample_metrics: bool = False,
     ) -> None:
         self.sessions = sessions
         self.config = config or ServeConfig()
         self.metrics = metrics or MetricsRegistry()
         self.tracer = coerce_tracer(tracer)
         self.slo = slo
-        self.ring = ring if ring is not None else HashRing(num_shards)
-        self.steal = steal
+        self.ring = ring if ring is not None else HashRing(self.config.num_shards)
+        self.steal = self.config.steal
         # A durability resume passes a pre-seeded table (pre-crash
         # outcomes + known runs); fresh runs build their own.
         self.table = table if table is not None else SessionTable()
-        self.admission = AdmissionController(global_concurrency)
+        self.admission = AdmissionController(self.config.global_concurrency)
         #: The merged timeline: (time, shard_index, seq, action, payload).
+        #: One counter for all shards orders same-instant events of a shard
+        #: by push order, whichever shard pushed them.
         self._events: list[tuple[float, int, int, str, Any]] = []
+        seq = itertools.count()
         self.shards = [
             ServeScheduler(
                 sessions,
@@ -248,23 +242,19 @@ class ShardedServeScheduler:
                 table=self.table,
                 admission=self.admission,
                 events=self._events,
-                router=self._route,
+                seq=seq,
+                home=self.ring.shard_of,
                 digest_fn=digest_fn,
                 emit_shard_metrics=True,
                 checkpointer=checkpointer,
                 slo=slo,
-                sample_metrics=sample_metrics,
             )
-            for index in range(num_shards)
+            for index in range(self.config.num_shards)
         ]
 
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    def _route(self, request: Request, at: float) -> None:
-        """Schedule an arrival on the session's home shard."""
-        self.shards[self.ring.shard_of(request)]._schedule(at, "arrival", request)
 
     def _set_cache_shard(self, index: int) -> None:
         cache = self.sessions.invocation_cache
@@ -273,12 +263,15 @@ class ShardedServeScheduler:
 
     def run(self, workload: Sequence[Request]) -> ServeReport:
         """Serve the workload across all shards; returns the merged report."""
-        # Union (see ServeScheduler.run): a durability resume pre-seeds
-        # pre-crash completed runs into the table.
-        self.table.known_runs |= {r.request_id for r in workload if r.kind == "run"}
-        plan_base, invocation_base = snapshot_cache_stats(self.sessions)
-        for request in sorted(workload, key=lambda r: (r.arrival, r.request_id)):
-            self._route(request, request.arrival)
+        # Any shard routes an arrival to its session's home shard.
+        route = self.shards[0]._route_arrival
+        report = run_events(self, workload, route, self._loop, self._reject)
+        report.shard_stats = self._shard_stats()
+        report.num_shards = self.num_shards
+        return report
+
+    def _loop(self) -> float:
+        """Drain the merged heap; returns the makespan."""
         while self._events:
             at, shard_index, _, action, payload = heapq.heappop(self._events)
             shard = self.shards[shard_index]
@@ -296,40 +289,11 @@ class ShardedServeScheduler:
                     f"{len(shard._queue)} requests still queued — "
                     "admission grant pass failed to wake them"
                 )
-        makespan = max(shard.clock.now for shard in self.shards)
-        # Follow-ups still parked at drain time targeted a run that never
-        # completed: reject them on their home shard.
-        for parked in self.table.parked.values():
-            for request in parked:
-                self.shards[self.ring.shard_of(request)]._reject(request, makespan)
-        self.table.parked.clear()
-        missing = [
-            request.request_id
-            for request in workload
-            if request.request_id not in self.table.outcomes
-        ]
-        if missing:
-            raise ExecutionError(
-                f"{len(missing)} workload requests drained without an "
-                f"outcome (first: {missing[:5]}) — stranded in the runtime"
-            )
-        plan_stats, invocation_stats = build_cache_stats(
-            self.sessions, plan_base, invocation_base
-        )
-        record_cache_gauges(self.metrics, plan_stats, invocation_stats)
-        self.metrics.gauge("serve.admission.peak").set(self.admission.peak)
-        return ServeReport(
-            outcomes=dict(sorted(self.table.outcomes.items())),
-            makespan=makespan,
-            total_round_trips=self.sessions.total_round_trips(),
-            metrics=self.metrics,
-            plan_cache_stats=plan_stats,
-            invocation_cache_stats=invocation_stats,
-            shard_stats=self._shard_stats(),
-            num_shards=self.num_shards,
-            admission_peak=self.admission.peak,
-            slo=self.slo,
-        )
+        return max(shard.clock.now for shard in self.shards)
+
+    def _reject(self, request: Request, at: float) -> None:
+        """Reject on the request's home shard."""
+        self.shards[self.ring.shard_of(request)]._reject(request, at)
 
     # -- admission granting --------------------------------------------------
 
@@ -433,42 +397,33 @@ class ShardedServeScheduler:
 
     def _shard_stats(self) -> list[dict[str, Any]]:
         cache = self.sessions.invocation_cache
-        stats: list[dict[str, Any]] = []
-        for shard in self.shards:
-            index = shard.shard_index
-
-            def count(name: str) -> int:
-                counter = self.metrics.counters.get(
-                    f"serve.shard.{index}.{name}"
-                )
-                return int(counter.value) if counter is not None else 0
-
-            entry: dict[str, Any] = {
-                "shard": index,
-                "started": count("started"),
-                "completed": count("completed"),
-                "failed": count("failed"),
-                "rejected": count("rejected"),
-                "steals": count("steals"),
-                "stolen_from": count("stolen_from"),
-                "max_queue_depth": int(
-                    self.metrics.gauges.get(
-                        f"serve.shard.{index}.max_queue_depth",
-                    ).value
-                    if f"serve.shard.{index}.max_queue_depth" in self.metrics.gauges
-                    else 0
-                ),
-                "makespan": shard.clock.now,
-            }
-            if isinstance(cache, ShardedInvocationCache):
-                view = cache.shard_stats[index]
+        stats = [
+            shard_entry(self.metrics, shard.shard_index, shard.clock.now)
+            for shard in self.shards
+        ]
+        if isinstance(cache, ShardedInvocationCache):
+            for entry, view in zip(stats, cache.shard_stats):
                 entry["invocation_cache"] = {
                     "hits": view.hits,
                     "misses": view.misses,
                     "hit_rate": view.hit_rate,
                 }
-            stats.append(entry)
         return stats
+
+
+def shard_entry(metrics: MetricsRegistry, index: int, makespan: float) -> dict[str, Any]:
+    """One shard's row of :attr:`ServeReport.shard_stats`, read off the
+    ``serve.shard.<index>.*`` instruments of the run's registry."""
+    prefix = f"serve.shard.{index}."
+    names = ("started", "completed", "failed", "rejected", "steals", "stolen_from")
+    entry: dict[str, Any] = {"shard": index}
+    for name in names:
+        counter = metrics.counters.get(prefix + name)
+        entry[name] = int(counter.value) if counter is not None else 0
+    depth = metrics.gauges.get(prefix + "max_queue_depth")
+    entry["max_queue_depth"] = int(depth.value) if depth is not None else 0
+    entry["makespan"] = makespan
+    return entry
 
 
 # -- workload partitioning & serving entry points -----------------------------
@@ -489,328 +444,27 @@ def partition_workload(
     return subsets
 
 
-def _build_manager(
-    templates: Sequence[QueryTemplate],
-    *,
-    seed: int,
-    cache_mode: str,
-    num_shards: int,
-    ring: HashRing,
-    cache_size: int | None,
-    plan_cache_size: int | None = None,
-    backend: str = "virtual",
-    join_kernel: str = "binary",
-) -> SessionManager:
-    if cache_mode not in ("shared", "private", "isolated"):
-        raise ExecutionError(
-            f"unknown cache_mode {cache_mode!r}; "
-            "expected shared, private, or isolated"
-        )
-    manager = SessionManager(
-        templates={template.name: template for template in templates},
-        data_seed=seed,
-        optimizer_config=OptimizerConfig(join_kernel=join_kernel),
-        backend=backend,
-    )
-    if cache_mode == "isolated":
-        return manager
-    manager.plan_cache = PlanCache(max_size=plan_cache_size)
-    if cache_mode == "shared":
-        manager.invocation_cache = ShardedInvocationCache(
-            num_shards, max_size=cache_size
-        )
-    else:  # private: one cache per shard, routed by the session's home
-        per_shard = [InvocationCache(max_size=cache_size) for _ in range(num_shards)]
-        manager.invocation_cache_selector = (
-            lambda request: per_shard[ring.shard_of(request)]
-        )
-    return manager
-
-
 def serve_workload_sharded(
-    *,
-    rate: float,
-    num_requests: int,
-    seed: int,
-    num_shards: int,
-    cache_mode: str = "shared",
-    steal: bool = True,
-    skew: float = 1.3,
-    followup_fraction: float = 0.25,
-    max_concurrency: int = 4,
-    queue_limit: int = 1_000_000,
-    default_service_rate: float | None = 4.0,
-    session_space: int = 1_000_000,
-    cache_size: int | None = None,
-    plan_cache_size: int | None = None,
-    global_concurrency: int | None = None,
-    templates: Sequence[QueryTemplate] | None = None,
-    workload: Sequence[Request] | None = None,
-    digest_fn: "Callable[[Sequence[CompositeTuple]], str] | None" = None,
-    tracer: "Tracer | NullTracer | None" = None,
-    slo: "SloTracker | None" = None,
-    sample_metrics: bool = False,
-    join_kernel: str = "binary",
+    *, rate, num_requests, seed, num_shards, steal=True, skew=1.3,
+    followup_fraction=0.25, cache_size=None, templates=None, workload=None,
+    digest_fn=None,
 ) -> tuple[ServeReport, dict[int, str]]:
-    """Serve one seeded workload on ``num_shards`` shards.
+    """Keyword adapter over :func:`repro.serve.runtime.serve`.
 
-    Returns the merged report and per-request result digests (the
-    equality witness across shard counts and cache modes).  With
-    ``digest_fn`` set (the benchmark does this) outcomes carry digests
-    instead of materialised result lists, keeping 100k-request runs
-    memory-bounded; otherwise digests are computed here from the
-    results.  ``max_concurrency``/``queue_limit`` are per-shard, so the
-    execution capacity scales with the shard count — that is the scaling
-    being measured.
+    Kept for ``benchmarks/e2e``, which calls it by these names: the
+    benchmark posture (an effectively unbounded queue, 4 calls/s per
+    service, shared unbounded caches unless ``cache_size`` bounds them).
+    Returns the report and its per-request digests.
     """
-    from repro.serve.bench import result_digest
+    from repro.serve.runtime import serve
 
-    templates = tuple(templates or default_templates())
-    if workload is None:
-        workload = generate_workload(
-            templates,
-            WorkloadConfig(
-                num_requests=num_requests,
-                rate=rate,
-                skew=skew,
-                seed=seed,
-                followup_fraction=followup_fraction,
-                session_space=max(session_space, num_requests),
-            ),
-        )
-    ring = HashRing(num_shards)
-    sessions = _build_manager(
-        templates,
-        seed=seed,
-        cache_mode=cache_mode,
-        num_shards=num_shards,
-        ring=ring,
-        cache_size=cache_size,
-        plan_cache_size=plan_cache_size,
-        join_kernel=join_kernel,
+    config = ServeConfig(
+        templates=templates, data_seed=seed, num_shards=num_shards, steal=steal,
+        cache_size=cache_size, queue_limit=1_000_000, default_service_rate=4.0,
     )
-    scheduler = ShardedServeScheduler(
-        sessions,
-        ServeConfig(
-            max_concurrency=max_concurrency,
-            queue_limit=queue_limit,
-            default_service_rate=default_service_rate,
-        ),
-        tracer=tracer,
-        num_shards=num_shards,
-        ring=ring,
-        steal=steal,
-        global_concurrency=global_concurrency,
-        digest_fn=digest_fn,
-        slo=slo,
-        sample_metrics=sample_metrics,
+    stream = workload if workload is not None else WorkloadConfig(
+        num_requests=num_requests, rate=rate, skew=skew, seed=seed,
+        followup_fraction=followup_fraction,
     )
-    report = scheduler.run(workload)
-    digests: dict[int, str] = {}
-    for outcome in report.completed():
-        if outcome.digest is not None:
-            digests[outcome.request.request_id] = outcome.digest
-        else:
-            digests[outcome.request.request_id] = result_digest(
-                outcome.results or ()
-            )
-    return report, digests
-
-
-# -- parallel path: shard subsets in worker processes -------------------------
-
-
-def _parallel_worker(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Serve one shard's subset in a worker process.
-
-    Each worker owns a full private runtime (its own SessionManager and
-    caches — cross-shard cache sharing needs shared memory the parallel
-    path deliberately avoids), so results still match every serial mode:
-    the substrate is deterministic per ``(data seed, interface,
-    bindings)`` regardless of which process fetches.
-    """
-    from repro.serve.bench import result_digest
-
-    subset: Sequence[Request] = payload["subset"]
-    templates: Sequence[QueryTemplate] = payload["templates"]
-    seed: int = payload["seed"]
-    backend: str = payload["backend"]
-    manager = SessionManager(
-        templates={template.name: template for template in templates},
-        data_seed=seed,
-        optimizer_config=OptimizerConfig(
-            join_kernel=payload.get("join_kernel", "binary")
-        ),
-        plan_cache=PlanCache() if payload["caches"] else None,
-        invocation_cache=(
-            InvocationCache(max_size=payload["cache_size"])
-            if payload["caches"]
-            else None
-        ),
-        backend=backend,
-    )
-    if backend == "asyncio":
-        import asyncio
-
-        from repro.serve.async_serve import _serve_async
-
-        report = asyncio.run(
-            _serve_async(
-                subset,
-                manager,
-                max_concurrency=payload["max_concurrency"],
-                time_scale=payload["time_scale"],
-            )
-        )
-        return {
-            "shard": payload["shard"],
-            "backend": backend,
-            "outcomes": [
-                {
-                    "request_id": o.request.request_id,
-                    "status": "completed" if o.completed else "failed",
-                    "digest": (
-                        result_digest(o.results or ()) if o.completed else None
-                    ),
-                    "latency": o.wall_latency,
-                    "error": o.error,
-                }
-                for o in report.outcomes
-            ],
-            "makespan": report.wall_time,
-            "round_trips": manager.total_round_trips(),
-        }
-    scheduler = ServeScheduler(
-        manager,
-        ServeConfig(
-            max_concurrency=payload["max_concurrency"],
-            queue_limit=payload["queue_limit"],
-            default_service_rate=payload["default_service_rate"],
-        ),
-        digest_fn=result_digest,
-    )
-    report = scheduler.run(subset)
-    return {
-        "shard": payload["shard"],
-        "backend": backend,
-        "outcomes": [
-            {
-                "request_id": o.request.request_id,
-                "status": o.status,
-                "digest": o.digest,
-                "latency": o.latency if o.status == "completed" else 0.0,
-                "error": o.error,
-            }
-            for o in report.outcomes.values()
-        ],
-        "makespan": report.makespan,
-        "round_trips": report.total_round_trips,
-    }
-
-
-def serve_workload_parallel(
-    *,
-    rate: float,
-    num_requests: int,
-    seed: int,
-    num_shards: int,
-    backend: str = "virtual",
-    caches: bool = True,
-    skew: float = 1.3,
-    followup_fraction: float = 0.25,
-    max_concurrency: int = 4,
-    queue_limit: int = 1_000_000,
-    default_service_rate: float | None = 4.0,
-    session_space: int = 1_000_000,
-    cache_size: int | None = None,
-    time_scale: float = 0.001,
-    templates: Sequence[QueryTemplate] | None = None,
-    workload: Sequence[Request] | None = None,
-    join_kernel: str = "binary",
-) -> dict[str, Any]:
-    """Serve the workload with one real worker process per shard.
-
-    The ring partitions the workload into self-contained subsets; each
-    worker serves its subset on a private runtime (virtual scheduler or
-    the asyncio backend), and the parent merges digests and accounting.
-    Digest-equivalent to the serial sharded runtime in ``private`` cache
-    mode — the parallel analogue of the determinism argument.  Templates
-    must be picklable (the built-ins are).
-    """
-    import multiprocessing
-
-    if backend not in ("virtual", "asyncio"):
-        raise ExecutionError(f"unknown parallel backend {backend!r}")
-    templates = tuple(templates or default_templates())
-    if workload is None:
-        workload = generate_workload(
-            templates,
-            WorkloadConfig(
-                num_requests=num_requests,
-                rate=rate,
-                skew=skew,
-                seed=seed,
-                followup_fraction=followup_fraction,
-                session_space=max(session_space, num_requests),
-            ),
-        )
-    ring = HashRing(num_shards)
-    subsets = partition_workload(workload, ring)
-    payloads = [
-        {
-            "shard": index,
-            "subset": subset,
-            "templates": templates,
-            "seed": seed,
-            "backend": backend,
-            "caches": caches,
-            "cache_size": cache_size,
-            "max_concurrency": max_concurrency,
-            "queue_limit": queue_limit,
-            "default_service_rate": default_service_rate,
-            "time_scale": time_scale,
-            "join_kernel": join_kernel,
-        }
-        for index, subset in enumerate(subsets)
-    ]
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=num_shards) as pool:
-        worker_reports = pool.map(_parallel_worker, payloads)
-    digests: dict[int, str] = {}
-    by_status: dict[str, int] = {}
-    latencies: list[float] = []
-    for worker in worker_reports:
-        for outcome in worker["outcomes"]:
-            by_status[outcome["status"]] = by_status.get(outcome["status"], 0) + 1
-            if outcome["status"] == "completed":
-                digests[outcome["request_id"]] = outcome["digest"]
-                latencies.append(outcome["latency"])
-    latencies.sort()
-
-    def pct(q: float) -> float:
-        if not latencies:
-            return 0.0
-        return latencies[min(len(latencies) - 1, int(q * len(latencies)))]
-
-    return {
-        "backend": backend,
-        "num_shards": num_shards,
-        "digests": digests,
-        "by_status": by_status,
-        "makespan": max((w["makespan"] for w in worker_reports), default=0.0),
-        "total_round_trips": sum(w["round_trips"] for w in worker_reports),
-        "latency_p50": pct(0.50),
-        "latency_p95": pct(0.95),
-        "shards": [
-            {
-                "shard": w["shard"],
-                "requests": len(w["outcomes"]),
-                "makespan": w["makespan"],
-                "round_trips": w["round_trips"],
-            }
-            for w in worker_reports
-        ],
-    }
+    report = serve(config, stream, digest_fn=digest_fn)
+    return report, report.digests()

@@ -15,12 +15,50 @@ from repro.model.service import (
 )
 from repro.query.compile import compile_query
 from repro.query.parser import parse_query
+from repro.serve import ServeConfig, WorkloadConfig, serve
 from repro.services.marts import (
     CONFERENCE_QUERY,
     RUNNING_EXAMPLE_QUERY,
     conference_trip_registry,
     movie_night_registry,
 )
+
+
+def serve_seeded(
+    *,
+    rate,
+    num_requests,
+    seed,
+    skew=1.3,
+    followup_fraction=0.25,
+    tracer=None,
+    slo=None,
+    digest_fn=None,
+    on_checkpoint=None,
+    **config,
+):
+    """``serve()`` one seeded workload in the benchmark posture.
+
+    One ``seed`` for workload and data, an effectively unbounded queue and
+    4 calls/s per service (what the replaced ``serve_workload*`` entry
+    points defaulted to); any other keyword is a ``ServeConfig`` field.
+    Returns the :class:`~repro.serve.ServeReport`.
+    """
+    posture = {"data_seed": seed, "queue_limit": 1_000_000, "default_service_rate": 4.0}
+    return serve(
+        ServeConfig(**{**posture, **config}),
+        WorkloadConfig(
+            num_requests=num_requests,
+            rate=rate,
+            skew=skew,
+            seed=seed,
+            followup_fraction=followup_fraction,
+        ),
+        tracer=tracer,
+        slo=slo,
+        digest_fn=digest_fn,
+        on_checkpoint=on_checkpoint,
+    )
 
 
 @pytest.fixture(scope="session")

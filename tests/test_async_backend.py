@@ -34,10 +34,10 @@ from repro.engine.liquid import LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import ExecutionError
 from repro.query.feasibility import enumerate_binding_choices
-from repro.serve.bench import result_digest, serve_workload
-from repro.serve.async_serve import serve_workload_async
+from repro.serve.bench import result_digest
 from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import FaultModel, ServicePool
+from tests.conftest import serve_seeded
 
 pytestmark = pytest.mark.async_backend
 
@@ -378,11 +378,10 @@ def test_serve_workload_async_digest_equality():
         rate=2.0,
         num_requests=12,
         seed=2009,
-        shared=True,
         followup_fraction=0.25,
     )
-    _, virtual_digests = serve_workload(**kwargs)
-    report = serve_workload_async(time_scale=INSTANT, **kwargs)
+    virtual_digests = serve_seeded(**kwargs).digests()
+    report = serve_seeded(backend="asyncio", time_scale=INSTANT, **kwargs)
     async_digests = report.digests()
     assert async_digests == virtual_digests
     assert len(report.completed()) == len(report.outcomes)

@@ -192,6 +192,76 @@ class TestServeBench:
                 "--checkpoint-dir", "/tmp/x", "--rates", "1.0,2.0",
             ])
 
+    #: One argv per row of ``cli._SERVE_FLAG_RULES``, in table order, each
+    #: violating that row and none before it.
+    INCOMPATIBLE = [
+        ["--rates", "fast"],
+        ["--rates", " , "],
+        ["--rates", "0.5,2.0", "--trace", "-"],
+        ["--rates", "0.5,2.0", "--checkpoint-every", "5", "--checkpoint-dir", "d"],
+        ["--rates", "1.0", "--resume"],
+        ["--rates", "1.0", "--checkpoint-every", "5", "--checkpoint-dir", "d",
+         "--backend", "asyncio"],
+        ["--rates", "1.0", "--shards", "2", "--backend", "asyncio"],
+        ["--rates", "1.0", "--shards", "2", "--parallel", "--prom", "m.prom"],
+    ]
+
+    def test_every_flag_rule_has_a_case(self):
+        from repro.cli import _SERVE_FLAG_RULES
+
+        assert len(self.INCOMPATIBLE) == len(_SERVE_FLAG_RULES)
+
+    @pytest.mark.parametrize("row", range(len(INCOMPATIBLE)))
+    def test_incompatible_flags_exit_with_the_rule_message(self, row, capsys):
+        from repro.cli import _SERVE_FLAG_RULES
+
+        argv = ["serve-bench", *self.INCOMPATIBLE[row]]
+        args = build_parser().parse_args(argv)
+        _, message = _SERVE_FLAG_RULES[row]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        # ``SystemExit(message)``: the message goes to stderr, status is 1.
+        assert exit_info.value.code == message.format(rates=args.rates)
+        assert capsys.readouterr().out == ""  # refused before serving anything
+
+    def test_incompatible_flags_exit_status_is_one(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve-bench", "--rates", "fast"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "--rates needs comma-separated numbers, got 'fast'" in done.stderr
+
+    def test_every_mode_reports_the_same_combined_digest(self, capsys, tmp_path):
+        import json
+
+        digests = {}
+        for benchmark, flags in {
+            "serving": (),
+            "serve-sharded": ("--shards", "2"),
+            "serve-observed": ("--shards", "2", "--trace", "trace.jsonl"),
+            "serve-durable": ("--checkpoint-every", "4", "--checkpoint-dir",
+                              str(tmp_path / "ckpt")),
+        }.items():
+            code, _ = run_cli(
+                capsys, "serve-bench", "--requests", "12", "--rates", "2.0",
+                "--artifacts-dir", str(tmp_path), "--output", "report.json", *flags,
+            )
+            assert code == 0
+            payload = json.loads((tmp_path / "report.json").read_text())
+            assert payload["benchmark"] == benchmark
+            digests[benchmark] = payload["combined_digest"]
+        # Same seeded workload, so one digest whatever the mode.
+        assert len(set(digests.values())) == 1, digests
+
 
 class TestScenarios:
     def test_lists_all_packs(self, capsys):

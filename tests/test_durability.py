@@ -34,13 +34,15 @@ from repro.engine.retry import RetryPolicy
 from repro.errors import CheckpointError, CheckpointIntegrityError
 from repro.query.compile import compile_query
 from repro.query.parser import parse_query
-from repro.serve.bench import combined_digest, result_digest, serve_workload
+from repro.serve import ServeConfig, WorkloadConfig, scenario_templates
+from repro.serve.bench import combined_digest, result_digest
 from repro.services.marts import (
     RUNNING_EXAMPLE_INPUTS,
     RUNNING_EXAMPLE_QUERY,
     movie_night_registry,
 )
 from repro.services.simulated import FaultModel, ServicePool
+from tests.conftest import serve_seeded
 
 
 def _session(seed=2009, failure_rate=0.0, retry=None, backend="virtual"):
@@ -194,14 +196,16 @@ def test_migration_hook_upgrades_old_payloads(tmp_path):
 
 
 def test_serve_durable_matches_plain_serving(tmp_path):
-    _, plain_digests = serve_workload(rate=4.0, num_requests=40, seed=2009, shared=True)
-    _, durable_digests, info = serve_workload_durable(
+    plain_digests = serve_seeded(rate=4.0, num_requests=40, seed=2009, ).digests()
+    report = serve_seeded(
         rate=4.0,
         num_requests=40,
         seed=2009,
         checkpoint_dir=tmp_path,
         checkpoint_every=10,
     )
+    durable_digests = report.digests()
+    info = report.durability
     assert durable_digests == plain_digests
     assert info["checkpoints_written"] >= 3
 
@@ -211,21 +215,21 @@ def test_serve_resume_midrun_digest_equal(tmp_path, num_shards):
     """Resume from an *early* checkpoint (later ones deleted, as after a
     crash) and the merged digests equal an uninterrupted run's."""
     workdir = tmp_path / f"shards-{num_shards}"
-    _, baseline, _ = serve_workload_durable(
+    baseline = serve_seeded(
         rate=4.0,
         num_requests=60,
         seed=2009,
-        scenario="all",
+        templates=scenario_templates("all"),
         num_shards=num_shards,
         checkpoint_dir=workdir / "baseline",
         checkpoint_every=0,
-    )
+    ).digests()
     ckpt_dir = workdir / "ckpt"
-    serve_workload_durable(
+    serve_seeded(
         rate=4.0,
         num_requests=60,
         seed=2009,
-        scenario="all",
+        templates=scenario_templates("all"),
         num_shards=num_shards,
         checkpoint_dir=ckpt_dir,
         checkpoint_every=10,
@@ -236,16 +240,18 @@ def test_serve_resume_midrun_digest_equal(tmp_path, num_shards):
     for key in keys[1:]:  # keep only the earliest checkpoint
         store.delete(key)
 
-    _, resumed, info = serve_workload_durable(
+    report = serve_seeded(
         rate=4.0,
         num_requests=60,
         seed=2009,
-        scenario="all",
+        templates=scenario_templates("all"),
         num_shards=num_shards,
         checkpoint_dir=ckpt_dir,
         checkpoint_every=10,
         resume=True,
     )
+    resumed = report.digests()
+    info = report.durability
     assert info["resumed"] and info["resume_key"] == keys[0]
     assert info["served"] > 0, "the early checkpoint left nothing to serve"
     assert combined_digest(resumed) == combined_digest(baseline)
@@ -268,10 +274,10 @@ def test_crash_harness_sigkill_and_resume(tmp_path):
     from repro.durability import run_crash_resume
 
     report = run_crash_resume(
-        num_requests=120,
-        rate=4.0,
-        seed=2009,
-        checkpoint_every=15,
+        ServeConfig(
+            queue_limit=1_000_000, default_service_rate=4.0, checkpoint_every=15
+        ),
+        WorkloadConfig(num_requests=120, rate=4.0, seed=2009),
         kill_after_checkpoints=1,
         workdir=tmp_path,
         timeout=600.0,
@@ -330,7 +336,7 @@ def test_asyncio_session_checkpoint_at_interaction_boundary():
 
 def _checkpointed_run(tmp_path, **options):
     """A durable run cut back to its middle checkpoint, as after a crash."""
-    serve_workload_durable(checkpoint_dir=tmp_path, checkpoint_every=10, **options)
+    serve_seeded(checkpoint_dir=tmp_path, checkpoint_every=10, **options)
     store = CheckpointStore(tmp_path)
     keys = store.keys()
     for key in keys[len(keys) // 2 + 1 :]:
@@ -339,10 +345,12 @@ def _checkpointed_run(tmp_path, **options):
 
 
 def test_resume_plans_once_per_template_not_once_per_session(tmp_path, monkeypatch):
-    options = dict(rate=4.0, num_requests=60, seed=2009, scenario="all")
-    _, baseline, _ = serve_workload_durable(
-        checkpoint_dir=tmp_path / "baseline", checkpoint_every=0, **options
+    options = dict(
+        rate=4.0, num_requests=60, seed=2009, templates=scenario_templates("all")
     )
+    baseline = serve_seeded(
+        checkpoint_dir=tmp_path / "baseline", checkpoint_every=0, **options
+    ).digests()
     store, key = _checkpointed_run(tmp_path / "ckpt", **options)
     sessions = store.load(key)["sessions"]
     templates = {payload["template"] for payload in sessions.values()}
@@ -353,9 +361,11 @@ def test_resume_plans_once_per_template_not_once_per_session(tmp_path, monkeypat
     monkeypatch.setattr(
         Optimizer, "optimize", lambda self: searches.append(self) or optimize(self)
     )
-    _, resumed, info = serve_workload_durable(
+    report = serve_seeded(
         checkpoint_dir=tmp_path / "ckpt", checkpoint_every=10, resume=True, **options
     )
+    resumed = report.digests()
+    info = report.durability
     assert info["resumed"] and info["restored_sessions"] == len(sessions)
     assert combined_digest(resumed) == combined_digest(baseline)
     # One search per template the whole resumed run touched — restored
@@ -365,10 +375,10 @@ def test_resume_plans_once_per_template_not_once_per_session(tmp_path, monkeypat
 
     # Without a plan cache the resume itself still plans once per template.
     searches.clear()
-    _, isolated, _ = serve_workload_durable(
+    isolated = serve_seeded(
         checkpoint_dir=tmp_path / "ckpt", checkpoint_every=0, resume=True,
-        shared=False, **options
-    )
+        cache_mode="isolated", **options
+    ).digests()
     assert combined_digest(isolated) == combined_digest(baseline)
     served_runs = 60 - len(sessions)  # an upper bound on post-resume runs
     assert len(searches) <= len(templates) + served_runs

@@ -22,10 +22,10 @@ from repro.errors import OptimizationError
 from repro.obs.tracer import Tracer
 from repro.query.compile import compile_query
 from repro.query.parser import parse_query
-from repro.serve.bench import serve_workload
 from repro.serve.plancache import PlanCache
 from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import ServicePool
+from tests.conftest import serve_seeded
 
 
 def run_kernel(query, registry, inputs, kernel, tracer=None):
@@ -201,13 +201,12 @@ def test_plan_cache_never_crosses_kernels(movie_query):
 @pytest.mark.slow
 def test_serving_digests_survive_kernel_flip():
     def serve(kernel):
-        _, digests = serve_workload(
+        digests = serve_seeded(
             rate=4.0,
             num_requests=40,
             seed=77,
-            shared=True,
-            join_kernel=kernel,
-        )
+            optimizer_config=OptimizerConfig(join_kernel=kernel),
+        ).digests()
         return digests
 
     digests_binary = serve("binary")

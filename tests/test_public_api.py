@@ -36,6 +36,9 @@ def test_star_import_matches_all():
 
 
 def test_key_serving_entry_points_exported():
+    # The one door lives in the subpackage (``repro.serve`` *is* the
+    # package, so the function cannot also be a top-level attribute).
+    assert callable(repro.serve.serve) and callable(repro.serve.build_sessions)
     # The serving runtime's user-facing surface, by name.
     for name in (
         "LiquidQuerySession",
@@ -65,3 +68,41 @@ def test_subpackages_importable():
         "repro.serve.bench",
     ):
         assert importlib.import_module(module) is not None
+
+
+def test_benchmark_ledger_contract_resolves():
+    """``benchmarks/e2e/entrypoints.py`` names every ``repro`` symbol and
+    keyword the wall-clock ledger uses; ``load()`` exits naming the first
+    one a refactor dropped.  Checked here so that fails in tier-1, not in
+    the benchmark pipeline.  Read-only: the file is loaded by path."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "benchmarks" / "e2e" / "entrypoints.py"
+    spec = importlib.util.spec_from_file_location("e2e_entrypoints", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    resolved = module.load()
+    assert set(vars(resolved)) == set(module.ENTRY_POINTS)
+
+
+def test_serve_config_pickles_with_builtin_templates_and_packs(tmp_path):
+    """The crash harness and the one-process-per-shard placement pass the
+    config whole, so it must survive pickling with everything built in."""
+    import pickle
+
+    from repro.core.optimizer import OptimizerConfig
+    from repro.serve import ServeConfig, scenario_templates
+
+    for templates in (None, scenario_templates("all", param_scale=8)):
+        config = ServeConfig(
+            templates=templates,
+            optimizer_config=OptimizerConfig(join_kernel="wcoj"),
+            service_rates={"Movie1": 2.0},
+            num_shards=4,
+            cache_mode="private",
+            checkpoint_dir=tmp_path,
+        )
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        assert [t.name for t in clone.templates] == [t.name for t in config.templates]

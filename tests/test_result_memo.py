@@ -56,6 +56,7 @@ from repro.serve import (
 )
 from repro.services.marts import RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import FaultModel, ServicePool
+from tests.conftest import serve_seeded
 
 OTHER_INPUTS = dict(RUNNING_EXAMPLE_INPUTS, INPUT1="genre#5")
 
@@ -93,11 +94,11 @@ def serve_observed(workload, templates, *, cache_size, shards, steal, traced):
     ring = HashRing(shards)
     scheduler = ShardedServeScheduler(
         manager,
-        ServeConfig(queue_limit=10_000, default_service_rate=4.0),
+        ServeConfig(
+            queue_limit=10_000, default_service_rate=4.0, num_shards=shards, steal=steal
+        ),
         tracer=Tracer() if traced else None,
-        num_shards=shards,
         ring=ring,
-        steal=steal,
     )
     report = scheduler.run(workload)
     observed = {
@@ -201,11 +202,10 @@ def test_random_streams_are_served_alike_with_and_without_the_memo(
 def test_report_counts_replays_and_shows_the_rate():
     from repro.obs.export import metrics_to_prometheus
     from repro.obs.serving import render_serve_report
-    from repro.serve import serve_workload
 
     tracer = Tracer()
-    report, _ = serve_workload(
-        rate=2.0, num_requests=40, seed=2009, shared=True, tracer=tracer
+    report = serve_seeded(
+        rate=2.0, num_requests=40, seed=2009, tracer=tracer
     )
     stats = report.invocation_cache_stats
     assert 0 < stats["replays"] < stats["replayable"]
@@ -222,7 +222,7 @@ def test_report_counts_replays_and_shows_the_rate():
     prom = metrics_to_prometheus(report.metrics)
     assert f"repro_serve_invocation_cache_replays {stats['replays']}" in prom
     assert "repro_serve_invocation_cache_replay_rate " in prom
-    isolated, _ = serve_workload(rate=2.0, num_requests=10, seed=2009, shared=False)
+    isolated = serve_seeded(rate=2.0, num_requests=10, seed=2009, cache_mode="isolated")
     assert isolated.invocation_cache_stats is None
 
 
@@ -359,9 +359,9 @@ def test_memo_is_bypassed_wherever_a_call_can_fail(
 ):
     options = dict(FAULTY[case])
     fault_model = options.pop("fault_model", FaultModel())
-    # One execution under the outage: a second one on the same shared cache
-    # dies on the cached ``failed`` entry, memo or no memo (ROADMAP, open).
-    runs = 1 if case == "outage" else 2
+    # Two executions on one shared cache: under the outage the second meets
+    # the first's cached ``failed`` entry and must degrade exactly like it.
+    runs = 2
 
     def executed():
         cache = InvocationCache(max_size=None)
@@ -392,7 +392,63 @@ def test_memo_is_bypassed_wherever_a_call_can_fail(
         for spec in dataclasses.fields(ExecutionResult):
             assert getattr(ours, spec.name) == getattr(theirs, spec.name)
     if case == "outage":
-        assert bypassed[0].failed_aliases == ("R",) and bypassed[0].tuples
+        for result in bypassed:
+            assert result.failed_aliases == ("R",) and result.tuples
+        assert result_digest(bypassed[1].tuples) == result_digest(bypassed[0].tuples)
+
+
+@pytest.mark.async_backend
+def test_asyncio_executions_meeting_an_abandoned_call_degrade_alike(
+    candidate, movie_query, movie_registry
+):
+    """The asyncio twin: a cached *or coalesced* ``failed`` fetch marks its
+    alias degraded in the execution that met it, not only in the one that
+    abandoned the call."""
+    import asyncio
+
+    from repro.engine.async_runner import AsyncExecutionContext, AsyncPlanExecutor
+
+    cache = InvocationCache(max_size=None)
+    context = AsyncExecutionContext(time_scale=0.0)
+
+    def executor():
+        return AsyncPlanExecutor(
+            plan=candidate.plan,
+            query=movie_query,
+            pool=ServicePool(
+                movie_registry,
+                global_seed=21,
+                fault_model=FaultModel().with_outage("Restaurant1"),
+            ),
+            inputs=RUNNING_EXAMPLE_INPUTS,
+            fetches=candidate.fetch_vector(),
+            degradation=Degradation.PARTIAL,
+            invocation_cache=cache,
+            context=context,
+        )
+
+    async def concurrently():
+        # Same loop, same context: the second execution joins the first's
+        # in-flight fetches (the coalesced branch).
+        return await asyncio.gather(executor().execute(), executor().execute())
+
+    coalesced = asyncio.run(concurrently())
+    cached = executor().run()  # a later loop: every fetch is a cache hit
+    reference = execute(
+        candidate,
+        movie_query,
+        movie_registry,
+        None,
+        pool=ServicePool(
+            movie_registry,
+            global_seed=21,
+            fault_model=FaultModel().with_outage("Restaurant1"),
+        ),
+        degradation=Degradation.PARTIAL,
+    )
+    for result in (*coalesced, cached):
+        assert result.failed_aliases == ("R",) and result.tuples
+        assert result_digest(result.tuples) == result_digest(reference.tuples)
 
 
 def test_private_cache_neither_records_nor_replays(
@@ -535,9 +591,9 @@ class _Crash(Exception):
 
 def test_crash_resume_digests_hold_with_replays_on_both_sides(tmp_path):
     config = dict(rate=2.0, num_requests=40, seed=2009, checkpoint_every=5)
-    _, reference, _ = serve_workload_durable(
+    reference = serve_seeded(
         checkpoint_dir=tmp_path / "reference", **config
-    )
+    ).digests()
     replays_before_crash = []
 
     def crash(checkpointer):
@@ -549,9 +605,11 @@ def test_crash_resume_digests_hold_with_replays_on_both_sides(tmp_path):
         serve_workload_durable(
             checkpoint_dir=tmp_path / "crashed", on_checkpoint=crash, **config
         )
-    report, resumed, info = serve_workload_durable(
+    report = serve_seeded(
         checkpoint_dir=tmp_path / "crashed", resume=True, **config
     )
+    resumed = report.digests()
+    info = report.durability
     assert info["resumed"] and 0 < info["served"] < config["num_requests"]
     assert combined_digest(resumed) == combined_digest(reference)
     assert replays_before_crash[0] > 0
@@ -559,9 +617,9 @@ def test_crash_resume_digests_hold_with_replays_on_both_sides(tmp_path):
     # they replay each other, and the requests served after them replay them.
     assert report.invocation_cache_stats["replays"] > 0
     with memo_disabled():
-        _, plain, _ = serve_workload_durable(
+        plain = serve_seeded(
             checkpoint_dir=tmp_path / "crashed-plain", **config
-        )
+        ).digests()
     assert plain == resumed
 
 

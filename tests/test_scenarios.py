@@ -14,14 +14,13 @@ from repro.engine.executor import execute_plan
 from repro.errors import ExecutionError, SchemaError
 from repro.query.compile import compile_query
 from repro.query.parser import parse_query
-from repro.serve.bench import serve_workload
-from repro.serve.sharding import serve_workload_sharded
 from repro.serve.workload import (
     default_templates,
     scenario_names,
     scenario_templates,
 )
 from repro.services.scenarios import SCENARIOS, scenario_pack
+from tests.conftest import serve_seeded
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -87,8 +86,8 @@ def test_cross_shard_digest_equality(scenario):
         seed=2009,
         templates=scenario_templates(scenario),
     )
-    _, one = serve_workload_sharded(num_shards=1, **common)
-    _, two = serve_workload_sharded(num_shards=2, **common)
+    one = serve_seeded(num_shards=1, **common).digests()
+    two = serve_seeded(num_shards=2, **common).digests()
     assert one == two
     assert len(one) > 0
 
@@ -99,9 +98,8 @@ def test_scenario_serving_is_deterministic(scenario):
         rate=3.0,
         num_requests=20,
         seed=2009,
-        shared=True,
         templates=scenario_templates(scenario),
     )
-    _, first = serve_workload(**common)
-    _, second = serve_workload(**common)
+    first = serve_seeded(**common).digests()
+    second = serve_seeded(**common).digests()
     assert first == second and len(first) == 20

@@ -27,10 +27,10 @@ from repro.serve import (
     default_templates,
     generate_workload,
     result_digest,
-    serve_workload,
 )
 from repro.serve.scheduler import _TokenBucket
 from repro.serve.workload import zipf_index
+from tests.conftest import serve_seeded
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +459,11 @@ def test_session_manager_tracks_sessions_and_round_trips():
 
 def test_sharing_preserves_results_and_saves_round_trips():
     kwargs = dict(rate=1.5, num_requests=14, seed=2009)
-    isolated, isolated_digests = serve_workload(shared=False, **kwargs)
-    shared, shared_digests = serve_workload(shared=True, **kwargs)
+    isolated = serve_seeded(cache_mode="isolated", **kwargs)
+    shared = serve_seeded(cache_mode="shared", **kwargs)
     assert isolated.by_status() == shared.by_status()
     # Byte-identical per-request results...
-    assert isolated_digests == shared_digests
+    assert isolated.digests() == shared.digests()
     # ...for strictly less service work.
     assert shared.total_round_trips < isolated.total_round_trips
     assert shared.plan_cache_stats["hits"] > 0

@@ -22,7 +22,7 @@ import json
 
 import pytest
 
-from repro.durability import CheckpointStore, serve_workload_durable
+from repro.durability import CheckpointStore
 from repro.obs.export import (
     metrics_to_prometheus,
     spans_to_chrome_trace,
@@ -37,8 +37,8 @@ from repro.obs.serving import (
     serving_metrics_summary,
 )
 from repro.obs.tracer import Tracer
-from repro.serve.bench import combined_digest, result_digest, serve_workload
-from repro.serve.sharding import serve_workload_sharded
+from repro.serve.bench import combined_digest, result_digest
+from tests.conftest import serve_seeded
 
 SEED = 2009
 RATE = 4.0
@@ -47,21 +47,21 @@ RATE = 4.0
 def serve_traced(num_requests=40, **kwargs):
     tracer = Tracer()
     slo = SloTracker()
-    report, digests = serve_workload(
+    report = serve_seeded(
         rate=RATE,
         num_requests=num_requests,
         seed=SEED,
-        shared=True,
         tracer=tracer,
         slo=slo,
         sample_metrics=True,
         **kwargs,
     )
+    digests = report.digests()
     return report, digests, tracer, slo
 
 
 def serve_sharded_traced(num_requests=40, num_shards=2, tracer=None, **kwargs):
-    return serve_workload_sharded(
+    report = serve_seeded(
         rate=RATE,
         num_requests=num_requests,
         seed=SEED,
@@ -70,6 +70,7 @@ def serve_sharded_traced(num_requests=40, num_shards=2, tracer=None, **kwargs):
         tracer=tracer,
         **kwargs,
     )
+    return report, report.digests()
 
 
 # -- SloTracker ---------------------------------------------------------------
@@ -124,9 +125,7 @@ class TestSloTracker:
 
 class TestNonInterference:
     def test_plain_serving_digests_identical(self):
-        _, untraced = serve_workload(
-            rate=RATE, num_requests=40, seed=SEED, shared=True
-        )
+        untraced = serve_seeded(rate=RATE, num_requests=40, seed=SEED).digests()
         _, traced, tracer, slo = serve_traced(num_requests=40)
         assert traced == untraced
         assert tracer.spans, "tracing was on but recorded nothing"
@@ -146,15 +145,15 @@ class TestNonInterference:
         assert shards == {0, 1}
 
     def test_durable_crash_resume_digests_identical(self, tmp_path):
-        _, baseline, _ = serve_workload_durable(
+        baseline = serve_seeded(
             rate=RATE,
             num_requests=40,
             seed=SEED,
             checkpoint_dir=tmp_path / "base",
             checkpoint_every=0,
-        )
+        ).digests()
         ckpt = tmp_path / "ckpt"
-        serve_workload_durable(
+        serve_seeded(
             rate=RATE,
             num_requests=40,
             seed=SEED,
@@ -165,7 +164,7 @@ class TestNonInterference:
         for key in store.keys()[1:]:  # crash: only the earliest survives
             store.delete(key)
         tracer = Tracer()
-        _, resumed, info = serve_workload_durable(
+        report = serve_seeded(
             rate=RATE,
             num_requests=40,
             seed=SEED,
@@ -176,6 +175,8 @@ class TestNonInterference:
             slo=SloTracker(),
             sample_metrics=True,
         )
+        resumed = report.digests()
+        info = report.durability
         assert info["resumed"]
         assert combined_digest(resumed) == combined_digest(baseline)
         assert info["telemetry_replayed"] > 0
@@ -313,7 +314,7 @@ class TestResumeReconciliation:
         digest equality plus presence in the trace and outcome counters.
         """
         live_tracer = Tracer()
-        live_report, live_digests, _ = serve_workload_durable(
+        live_report = serve_seeded(
             rate=RATE,
             num_requests=40,
             seed=SEED,
@@ -322,8 +323,9 @@ class TestResumeReconciliation:
             tracer=live_tracer,
             slo=SloTracker(),
         )
+        live_digests = live_report.digests()
         ckpt = tmp_path / "ckpt"
-        serve_workload_durable(
+        serve_seeded(
             rate=RATE,
             num_requests=40,
             seed=SEED,
@@ -339,7 +341,7 @@ class TestResumeReconciliation:
         }
         resumed_tracer = Tracer()
         resumed_slo = SloTracker()
-        resumed_report, resumed_digests, info = serve_workload_durable(
+        resumed_report = serve_seeded(
             rate=RATE,
             num_requests=40,
             seed=SEED,
@@ -349,6 +351,8 @@ class TestResumeReconciliation:
             tracer=resumed_tracer,
             slo=resumed_slo,
         )
+        resumed_digests = resumed_report.digests()
+        info = resumed_report.durability
         assert info["resumed"]
         assert info["telemetry_replayed"] == len(replayed_ids) > 0
         assert resumed_digests == live_digests
@@ -389,7 +393,7 @@ class TestResumeReconciliation:
 
     def test_replay_is_deterministic_and_ordered(self, tmp_path):
         tracer = Tracer()
-        report, _, _ = serve_workload_durable(
+        report = serve_seeded(
             rate=RATE,
             num_requests=30,
             seed=SEED,
@@ -578,46 +582,36 @@ class TestCli:
 @pytest.mark.async_backend
 class TestAsyncBackend:
     def test_traced_async_digests_match_virtual(self):
-        from repro.serve.async_serve import serve_workload_async
-
-        _, virtual_digests = serve_workload(
-            rate=RATE, num_requests=15, seed=SEED, shared=True
-        )
+        virtual_digests = serve_seeded(
+            rate=RATE, num_requests=15, seed=SEED
+        ).digests()
         tracer = Tracer()
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        report = serve_workload_async(
+        report = serve_seeded(
             rate=RATE,
             num_requests=15,
             seed=SEED,
-            shared=True,
+            backend="asyncio",
             tracer=tracer,
-            metrics=metrics,
             slo=SloTracker(),
-            trace_engine=True,
         )
         assert report.digests() == virtual_digests
         names = {s.name for s in tracer.spans}
         assert "serve.request" in names
-        assert "service.invoke" in names  # trace_engine wired through
+        assert "service.invoke" in names  # the engine shares the tracer
         roots = [s for s in tracer.spans if s.name == "serve.request"]
         assert all(s.attrs["backend"] == "asyncio" for s in roots)
-        counters = metrics.snapshot()["counters"]
+        counters = report.metrics.snapshot()["counters"]
         assert counters.get("serve.completed", 0) == len(report.completed())
 
     def test_untraced_async_unchanged(self):
-        from repro.serve.async_serve import serve_workload_async
-
-        plain = serve_workload_async(
-            rate=RATE, num_requests=10, seed=SEED, shared=True
+        plain = serve_seeded(
+            rate=RATE, num_requests=10, seed=SEED, backend="asyncio"
         )
-        traced = serve_workload_async(
+        traced = serve_seeded(
             rate=RATE,
             num_requests=10,
             seed=SEED,
-            shared=True,
+            backend="asyncio",
             tracer=Tracer(),
-            trace_engine=True,
         )
         assert traced.digests() == plain.digests()

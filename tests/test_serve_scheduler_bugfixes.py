@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.bench import serve_workload
 from repro.serve.scheduler import ServeConfig, ServeScheduler
 from repro.serve.sessions import SessionManager
 from repro.serve.workload import Request, default_templates
 from repro.services.simulated import FaultModel, FaultProfile
+from tests.conftest import serve_seeded
 
 
 def _kind_counts(metrics) -> dict[str, float]:
@@ -76,11 +76,10 @@ def _failing_run_with_parked_followup():
 
 def test_kind_counters_reconcile_under_admission_pressure():
     """Sum of ``serve.kind.*`` == total outcomes, even with rejections."""
-    report, _ = serve_workload(
+    report = serve_seeded(
         rate=8.0,
         num_requests=24,
         seed=2009,
-        shared=True,
         followup_fraction=0.5,
         max_concurrency=1,
         queue_limit=1,
@@ -138,11 +137,10 @@ def test_failed_requests_observed_in_failed_latency_histogram():
 def test_completed_latency_histogram_excludes_failures():
     """Mixed workloads keep the two histograms disjoint and exhaustive:
     completed observations + failed observations == executed requests."""
-    report, _ = serve_workload(
+    report = serve_seeded(
         rate=4.0,
         num_requests=16,
         seed=7,
-        shared=True,
         followup_fraction=0.25,
     )
     by_status = report.by_status()

@@ -38,11 +38,10 @@ from repro.serve import (
     generate_workload,
     partition_workload,
     result_digest,
-    serve_workload_parallel,
-    serve_workload_sharded,
     session_key,
 )
 from repro.serve.workload import zipf_index
+from tests.conftest import serve_seeded
 
 
 def make_workload(num_requests=60, rate=2.0, seed=7, **kwargs):
@@ -156,7 +155,7 @@ def test_one_shard_equals_plain_scheduler():
     workload = make_workload()
     config = ServeConfig(queue_limit=10_000, default_service_rate=4.0)
     plain = ServeScheduler(make_manager(), config).run(workload)
-    sharded, _ = serve_workload_sharded(
+    sharded = serve_seeded(
         rate=2.0, num_requests=60, seed=7, num_shards=1,
         queue_limit=10_000,
     )
@@ -175,10 +174,11 @@ def test_digests_identical_across_shard_counts_and_modes():
         (4, "shared", False),
         (4, "isolated", True),
     ]:
-        report, digests = serve_workload_sharded(
+        report = serve_seeded(
             rate=2.0, num_requests=50, seed=11,
             num_shards=num_shards, cache_mode=cache_mode, steal=steal,
         )
+        digests = report.digests()
         assert report.by_status() == {"completed": 50}
         if reference is None:
             reference = digests
@@ -189,7 +189,7 @@ def test_digests_identical_across_shard_counts_and_modes():
 def test_sharded_replay_is_bit_deterministic():
     signatures = []
     for _ in range(2):
-        report, _ = serve_workload_sharded(
+        report = serve_seeded(
             rate=2.0, num_requests=60, seed=7, num_shards=4,
         )
         signatures.append(
@@ -202,29 +202,31 @@ def test_sharded_replay_is_bit_deterministic():
 
 
 def test_digest_fn_replaces_materialised_results():
-    report, digests = serve_workload_sharded(
+    report = serve_seeded(
         rate=2.0, num_requests=30, seed=7, num_shards=2,
         digest_fn=result_digest,
     )
+    digests = report.digests()
     assert digests  # digests still produced
     for outcome in report.completed():
         assert outcome.results is None
         assert outcome.digest == digests[outcome.request.request_id]
-    _, plain_digests = serve_workload_sharded(
+    plain_digests = serve_seeded(
         rate=2.0, num_requests=30, seed=7, num_shards=2,
-    )
+    ).digests()
     assert digests == plain_digests
 
 
 def test_global_admission_cap_binds_across_shards():
-    report, digests = serve_workload_sharded(
+    report = serve_seeded(
         rate=2.0, num_requests=40, seed=7, num_shards=4,
         global_concurrency=2,
     )
+    digests = report.digests()
     assert report.admission_peak <= 2
-    _, reference = serve_workload_sharded(
+    reference = serve_seeded(
         rate=2.0, num_requests=40, seed=7, num_shards=4,
-    )
+    ).digests()
     assert digests == reference  # capacity never changes answers
 
 
@@ -240,17 +242,18 @@ def test_global_cap_never_strands_queued_requests(steal):
     grant pass must deliver every request an outcome regardless of the
     steal flag.
     """
-    report, digests = serve_workload_sharded(
+    report = serve_seeded(
         rate=4.0, num_requests=40, seed=7, num_shards=4,
         global_concurrency=2, steal=steal,
     )
+    digests = report.digests()
     assert len(report.outcomes) == 40
     assert sum(report.by_status().values()) == 40
     assert report.admission_peak <= 2
     # Capacity pressure still never changes answers.
-    _, reference = serve_workload_sharded(
+    reference = serve_seeded(
         rate=4.0, num_requests=40, seed=7, num_shards=4,
-    )
+    ).digests()
     assert digests == reference
 
 
@@ -283,10 +286,10 @@ def serve_pinned(steal=True, num_requests=60, max_concurrency=2):
             max_concurrency=max_concurrency,
             queue_limit=10_000,
             default_service_rate=4.0,
+            num_shards=4,
+            steal=steal,
         ),
-        num_shards=4,
         ring=PinnedRing(4),
-        steal=steal,
     )
     return scheduler.run(workload), scheduler
 
@@ -366,8 +369,7 @@ def test_sharded_cache_attribution_sums_to_global_stats():
     sessions.invocation_cache = cache
     scheduler = ShardedServeScheduler(
         sessions,
-        ServeConfig(queue_limit=10_000, default_service_rate=4.0),
-        num_shards=4,
+        ServeConfig(queue_limit=10_000, default_service_rate=4.0, num_shards=4),
     )
     scheduler.run(workload)
     assert cache.stats.hits == sum(v.hits for v in cache.shard_stats)
@@ -416,20 +418,21 @@ def test_report_counts_only_its_own_runs_traffic():
 
 
 def test_private_mode_routes_sessions_to_per_shard_caches():
-    report, digests = serve_workload_sharded(
+    report = serve_seeded(
         rate=2.0, num_requests=40, seed=7, num_shards=3, cache_mode="private",
     )
+    digests = report.digests()
     assert report.invocation_cache_stats is None  # no global cache
     assert report.plan_cache_stats is not None  # plan cache stays shared
-    _, reference = serve_workload_sharded(
+    reference = serve_seeded(
         rate=2.0, num_requests=40, seed=7, num_shards=3, cache_mode="shared",
-    )
+    ).digests()
     assert digests == reference
 
 
 def test_unknown_cache_mode_rejected():
     with pytest.raises(ExecutionError):
-        serve_workload_sharded(
+        serve_seeded(
             rate=2.0, num_requests=10, seed=7, num_shards=2,
             cache_mode="bogus",
         )
@@ -498,10 +501,11 @@ def test_scaled_templates_serve_and_digest_identically_across_shards():
     templates = default_templates(param_scale=4)
     reference = None
     for num_shards in (1, 4):
-        report, digests = serve_workload_sharded(
+        report = serve_seeded(
             rate=4.0, num_requests=30, seed=13, num_shards=num_shards,
             templates=templates,
         )
+        digests = report.digests()
         assert report.by_status().get("completed", 0) == 30
         if reference is None:
             reference = digests
@@ -550,11 +554,11 @@ def test_partition_subsets_are_self_contained():
 
 @pytest.mark.slow
 def test_parallel_workers_match_serial_digests():
-    _, serial = serve_workload_sharded(
+    serial = serve_seeded(
         rate=2.0, num_requests=40, seed=7, num_shards=2,
+    ).digests()
+    parallel = serve_seeded(
+        rate=2.0, num_requests=40, seed=7, num_shards=2, parallel=True,
     )
-    parallel = serve_workload_parallel(
-        rate=2.0, num_requests=40, seed=7, num_shards=2,
-    )
-    assert parallel["digests"] == serial
-    assert parallel["by_status"] == {"completed": 40}
+    assert parallel.digests() == serial
+    assert parallel.by_status() == {"completed": 40}
