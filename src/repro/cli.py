@@ -85,7 +85,7 @@ from repro.services.marts import (
     movie_night_registry,
 )
 from repro.services.scenarios import SCENARIOS
-from repro.services.simulated import FaultModel, ServicePool
+from repro.services.simulated import FaultModel, ServicePool, SimulatedWorld
 
 __all__ = ["main", "build_parser"]
 
@@ -628,8 +628,9 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER):
-    """Run ``best`` on the simulator; returns ``(exit_code, result)``."""
+def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER, world=None):
+    """Run ``best`` on the simulator (over ``world``, when the caller wants
+    its counters afterwards); returns ``(exit_code, result)``."""
     fetches = {
         alias: factor * args.fetch_boost
         for alias, factor in best.fetch_vector().items()
@@ -658,7 +659,9 @@ def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER):
     except SearchComputingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
-    pool = ServicePool(registry, global_seed=args.seed, fault_model=fault_model)
+    pool = ServicePool(
+        registry, global_seed=args.seed, fault_model=fault_model, world=world
+    )
     backend = getattr(args, "backend", "virtual")
     if backend == "virtual":
         tracer.bind_clock(pool.clock)
@@ -792,7 +795,8 @@ def _cmd_run(args) -> int:
 def _cmd_explain(args) -> int:
     registry, compiled, inputs, query_text, outcome = _optimize(args)
     best = outcome.best
-    code, result = _execute(args, registry, compiled, inputs, best)
+    world = SimulatedWorld(registry, args.seed)
+    code, result = _execute(args, registry, compiled, inputs, best, world=world)
     if code:
         return code
     print(f"query:   {query_text}")
@@ -807,7 +811,9 @@ def _cmd_explain(args) -> int:
         f"{stats.plans_materialised} plans materialised"
     )
     print()
-    report = build_explain(best.plan, best.annotations, result)
+    report = build_explain(
+        best.plan, best.annotations, result, world=world.stats.as_dict()
+    )
     print(report.render())
     return 0
 

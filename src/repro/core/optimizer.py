@@ -933,7 +933,8 @@ def plan_signature(
     :func:`_operand_signature`).  The signature does **not** identify the
     registry — callers caching across registries must scope their keys by
     a registry identity of their own (the serving runtime keys by schema
-    name).
+    name).  Built once per ``(metric, k, join_kernel)`` and kept on the
+    (immutable) compiled query.
     """
     metric_name = (
         metric
@@ -942,6 +943,18 @@ def plan_signature(
         if metric is not None
         else None
     )
+    memo_key = (metric_name, k, join_kernel)
+    signature = query._signatures.get(memo_key)
+    if signature is None:
+        signature = query._signatures[memo_key] = _build_signature(
+            query, metric_name, query.k if k is None else k, join_kernel
+        )
+    return signature
+
+
+def _build_signature(
+    query: CompiledQuery, metric_name: str | None, k: int, join_kernel: str
+) -> tuple:
     atoms = tuple(
         sorted(
             (
@@ -980,7 +993,7 @@ def plan_signature(
         _SIGNATURE_VERSION,
         metric_name,
         join_kernel,
-        query.k if k is None else k,
+        k,
         atoms,
         selections,
         joins,

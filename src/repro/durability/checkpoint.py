@@ -48,6 +48,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -492,6 +493,7 @@ def restore_session(
     candidate=None,
     invocation_cache=None,
     tracer=None,
+    pool_factory=None,
     verify: bool = True,
 ) -> LiquidQuerySession:
     """Rebuild a session from a checkpoint payload by journal replay.
@@ -506,8 +508,12 @@ def restore_session(
     or the compiled query and cached plan a serving runtime already holds
     for the template, so resuming N sessions does not plan N times);
     ``invocation_cache``/``tracer`` reattach the shared state that
-    checkpoints deliberately do not capture.  With ``verify`` (default)
-    the replayed state is checked against the recorded witnesses.
+    checkpoints deliberately do not capture, and ``pool_factory`` — called
+    with the checkpoint's ``global_seed``, ``latency_model`` and
+    ``fault_model`` — builds the session's pool over the caller's
+    simulated world (default: a private :class:`ServicePool` over
+    ``registry``).  With ``verify`` (default) the replayed state is
+    checked against the recorded witnesses.
     """
     payload = _migrate(dict(payload))
     if payload.get("kind") != "liquid-session":
@@ -550,8 +556,7 @@ def restore_session(
             raise CheckpointIntegrityError(
                 "re-optimized fetch vector differs from the checkpointed one"
             )
-    pool = ServicePool(
-        registry,
+    pool = (pool_factory or partial(ServicePool, registry))(
         global_seed=payload["data_seed"],
         latency_model=LatencyModel(jitter_fraction=payload["latency_jitter"]),
         fault_model=_decode_fault_model(payload["fault_model"]),

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.durability.checkpoint import (
@@ -357,6 +358,7 @@ def resume_state_from(
             compiled=compiled,
             candidate=candidate,
             invocation_cache=manager.cache_for(by_id[rid]),
+            pool_factory=partial(manager.open_pool, template),
         )
         manager.adopt(rid, session, template)
         session_payloads[rid] = session_payload

@@ -28,7 +28,7 @@ A node's ``est a -> b | act c -> d`` reads "estimated ``tin`` a producing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.plans.nodes import OutputNode, ParallelJoinNode, ServiceNode
 from repro.plans.plan import PlanAnnotations, QueryPlan
@@ -36,7 +36,7 @@ from repro.plans.plan import PlanAnnotations, QueryPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from repro.engine.executor import ExecutionResult
 
-__all__ = ["ExplainNode", "ExplainReport", "build_explain"]
+__all__ = ["ExplainNode", "ExplainReport", "build_explain", "world_line"]
 
 
 @dataclass
@@ -126,6 +126,9 @@ class ExplainReport:
     rows_scored: int | None = None
     #: :attr:`~repro.engine.executor.ExecutionResult.result_memo`.
     result_memo: str | None = None
+    #: :meth:`~repro.services.simulated.WorldStats.as_dict` of the
+    #: simulated world the plan ran against.
+    world: Mapping[str, int] | None = None
     bottleneck_alias: str | None = None
     bottleneck_share: float | None = None
 
@@ -177,6 +180,8 @@ class ExplainReport:
             # ``off(reason)`` names why this execution was neither recorded
             # nor replayed (a private cache, possible faults, a call timeout).
             summary.append(f"result memo: {self.result_memo}")
+        if self.world is not None:
+            summary.append(world_line(self.world))
         if self.bottleneck_alias is not None:
             summary.append(
                 f"bottleneck: {self.bottleneck_alias} "
@@ -188,13 +193,27 @@ class ExplainReport:
         return "\n".join(lines)
 
 
+def world_line(world: Mapping[str, Any]) -> str:
+    """One line for a simulated world's generation counters (``explain``
+    and ``serve-report`` print the same words)."""
+    return (
+        f"world: {int(world['result_lists_opened'])} result lists, "
+        f"{int(world['tuples_generated'])} tuples generated in "
+        f"{int(world['sampling_attempts'])} attempts, "
+        f"{int(world['tuples_shared'])} served from another session's prefix, "
+        f"{int(world['fallback_checks'])} fallback constraint checks"
+    )
+
+
 def build_explain(
     plan: QueryPlan,
     annotations: PlanAnnotations | None = None,
     result: "ExecutionResult | None" = None,
+    world: Mapping[str, int] | None = None,
 ) -> ExplainReport:
     """Assemble the explain tree from a plan, its estimates, and (when the
-    plan was executed) the measured :class:`ExecutionResult`."""
+    plan was executed) the measured :class:`ExecutionResult` and the
+    counters of the simulated ``world`` it ran against."""
     node_stats: Mapping[str, object] = result.node_stats if result is not None else {}
     busy_by_node = {
         node_id: getattr(stats, "busy_time", 0.0)
@@ -261,7 +280,7 @@ def build_explain(
             if node is not bottleneck:
                 node.bottleneck_share = None
 
-    report = ExplainReport(root=root)
+    report = ExplainReport(root=root, world=world)
     if annotations is not None:
         out_node = plan.output_node.node_id
         if out_node in annotations.by_node:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
+from repro.obs.explain import world_line
 from repro.obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
@@ -600,6 +601,13 @@ def render_serve_report(
                     f"({gauges['serve.invocation_cache.replay_rate']:.1%})"
                 )
             lines.append(line)
+        world = {
+            name.removeprefix("serve.world."): value
+            for name, value in gauges.items()
+            if name.startswith("serve.world.")
+        }
+        if world:
+            lines.append(world_line(world))
 
     if slo is not None:
         state = slo.snapshot() if hasattr(slo, "snapshot") else slo

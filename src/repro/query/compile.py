@@ -69,6 +69,11 @@ class CompiledQuery:
     #: Lowered predicate subsets, by value: a plan node's check is built
     #: the first time any execution of this query reaches it.
     _checks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    #: :func:`~repro.core.optimizer.plan_signature` of this query, by
+    #: ``(metric name, k, join kernel)``: a plan-cache lookup per request.
+    _signatures: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def aliases(self) -> tuple[str, ...]:

@@ -263,6 +263,7 @@ def run_sharding_benchmark(
             "admission_peak": report.admission_peak,
             "plan_cache": report.plan_cache_stats,
             "invocation_cache": report.invocation_cache_stats,
+            "world": report.world_stats,
             "shards": report.shard_stats,
             "serving_metrics": serving_metrics_summary(report),
         }

@@ -41,6 +41,7 @@ from repro.serve.sharding import (
     shard_entry,
 )
 from repro.serve.workload import Request, WorkloadConfig, generate_workload
+from repro.services.simulated import WorldStats
 
 __all__ = ["build_sessions", "serve"]
 
@@ -193,6 +194,7 @@ def _serve_parallel(config: ServeConfig, workload: Sequence[Request]) -> ServeRe
         metrics=metrics,
         plan_cache_stats=None,
         invocation_cache_stats=None,
+        world_stats=WorldStats.total(report.world_stats for report in reports),
         shard_stats=[
             {
                 **shard_entry(metrics, index, report.makespan),

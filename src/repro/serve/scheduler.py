@@ -374,6 +374,11 @@ class ServeReport:
     metrics: MetricsRegistry
     plan_cache_stats: dict[str, float] | None
     invocation_cache_stats: dict[str, float] | None
+    #: What the run made the simulated world generate: result lists
+    #: opened, tuples generated, tuples served from a prefix another
+    #: session generated, sampling attempts, fallback constraint checks
+    #: (:class:`~repro.services.simulated.WorldStats`).
+    world_stats: dict[str, int] | None = None
     #: Per-shard accounting (sharded runtimes only).
     shard_stats: list[dict[str, Any]] | None = None
     #: Number of scheduler shards that served the workload.
@@ -444,6 +449,7 @@ class ServeReport:
             "queue_wait": self.metrics.histogram("serve.queue_wait").summary(),
             "plan_cache": self.plan_cache_stats,
             "invocation_cache": self.invocation_cache_stats,
+            "world": self.world_stats,
         }
         if self.slo is not None:
             payload["slo"] = self.slo.snapshot()
@@ -483,9 +489,10 @@ def _stats_delta(
 
 
 def snapshot_cache_stats(sessions: SessionManager) -> tuple[
-    dict[str, float] | None, dict[str, float] | None
+    dict[str, float] | None, dict[str, float] | None, dict[str, int]
 ]:
-    """Run-start snapshot of the manager's plan/invocation cache counters."""
+    """Run-start snapshot of the manager's plan/invocation cache counters
+    and of its simulated worlds' generation counters."""
     plan = (
         sessions.plan_cache.stats.snapshot()
         if sessions.plan_cache is not None
@@ -505,35 +512,41 @@ def snapshot_cache_stats(sessions: SessionManager) -> tuple[
         if cache is not None
         else None
     )
-    return plan, invocation
+    return plan, invocation, sessions.world_stats()
 
 
 def build_cache_stats(
     sessions: SessionManager,
     plan_baseline: dict[str, float] | None,
     invocation_baseline: dict[str, float] | None,
-) -> tuple[dict[str, float] | None, dict[str, float] | None]:
-    """Current cache stats as *this run's* deltas against the snapshots."""
+    world_baseline: dict[str, int],
+) -> tuple[dict[str, float] | None, dict[str, float] | None, dict[str, int]]:
+    """Current cache and world stats as *this run's* deltas against the
+    snapshots."""
     plan = (
         sessions.plan_cache.stats.delta(plan_baseline)
         if sessions.plan_cache is not None
         else None
     )
-    _, invocation_now = snapshot_cache_stats(sessions)
+    _, invocation_now, world_now = snapshot_cache_stats(sessions)
     invocation = (
         _stats_delta(invocation_now, invocation_baseline)
         if invocation_now is not None
         else None
     )
-    return plan, invocation
+    return plan, invocation, _stats_delta(world_now, world_baseline)
 
 
 def record_cache_gauges(
     metrics: MetricsRegistry,
     plan_stats: Mapping[str, float] | None,
     invocation_stats: Mapping[str, float] | None,
+    world_stats: Mapping[str, int],
 ) -> None:
-    """Expose the run's cache hit rates as gauges (Prometheus surface)."""
+    """Expose the run's cache hit rates and world counters as gauges
+    (Prometheus surface)."""
+    for name, value in world_stats.items():
+        metrics.gauge(f"serve.world.{name}").set(value)
     if plan_stats is not None:
         metrics.gauge("serve.plan_cache.hit_rate").set(
             plan_stats.get("hit_rate", 0.0)
@@ -620,8 +633,10 @@ def build_report(
 ) -> ServeReport:
     """The report every serving loop ends with: this run's cache deltas
     (against its run-start ``baselines``), the gauges, the outcomes."""
-    plan_stats, invocation_stats = build_cache_stats(sessions, *baselines)
-    record_cache_gauges(metrics, plan_stats, invocation_stats)
+    plan_stats, invocation_stats, world_stats = build_cache_stats(
+        sessions, *baselines
+    )
+    record_cache_gauges(metrics, plan_stats, invocation_stats, world_stats)
     metrics.gauge("serve.admission.peak").set(admission_peak)
     return ServeReport(
         outcomes=dict(sorted(outcomes.items())),
@@ -630,6 +645,7 @@ def build_report(
         metrics=metrics,
         plan_cache_stats=plan_stats,
         invocation_cache_stats=invocation_stats,
+        world_stats=world_stats,
         admission_peak=admission_peak,
         slo=slo,
     )

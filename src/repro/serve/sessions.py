@@ -14,12 +14,15 @@ interaction issues is scheduled exactly like a fresh query's.
 Each session's pool has its **own** virtual clock and call log: a
 request's service time and round trips stay attributable to it, and
 per-session results are exactly what a single-user run with the same
-data seed would produce.  What *is* shared — when the manager is given a
-cross-query :class:`~repro.engine.executor.InvocationCache` — is the
-invocation memo, which is safe precisely because the simulated substrate
-derives results, latencies, and fault draws from
-``(data seed, interface, bindings)`` alone, never from clock state or
-call order (see DESIGN.md).
+data seed would produce.  What *is* shared is the remote side — every
+pool the manager builds (:meth:`SessionManager.open_pool`, for fresh and
+restored sessions alike) is a view over the manager's one
+:class:`~repro.services.simulated.SimulatedWorld` per schema — and, when
+the manager is given a cross-query
+:class:`~repro.engine.executor.InvocationCache`, the invocation memo.
+Both are safe for one reason: the simulated substrate derives results,
+latencies, and fault draws from ``(data seed, interface, bindings)``
+alone, never from clock state or call order (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -39,7 +42,13 @@ from repro.query.compile import CompiledQuery, compile_query
 from repro.query.parser import parse_query
 from repro.serve.plancache import PlanCache
 from repro.serve.workload import QueryTemplate, Request
-from repro.services.simulated import FaultModel, ServicePool
+from repro.services.simulated import (
+    FaultModel,
+    LatencyModel,
+    ServicePool,
+    SimulatedWorld,
+    WorldStats,
+)
 
 __all__ = ["SessionManager"]
 
@@ -104,6 +113,10 @@ class SessionManager:
     async_context: AsyncExecutionContext | None = None
     tracer: Any = None
     _registries: dict[str, ServiceRegistry] = field(default_factory=dict)
+    #: The simulated remote side, one per schema (over its memoised
+    #: registry): the server's, not a session's — and not a client cache,
+    #: so every cache mode shares it.
+    _worlds: dict[str, SimulatedWorld] = field(default_factory=dict)
     _compiled: dict[str, CompiledQuery] = field(default_factory=dict)
     _sessions: dict[int, LiquidQuerySession] = field(default_factory=dict)
     _session_templates: dict[int, QueryTemplate] = field(default_factory=dict)
@@ -131,6 +144,44 @@ class SessionManager:
                 template.registry_factory()
             )
         return registry
+
+    def _world(self, template: QueryTemplate) -> SimulatedWorld:
+        world = self._worlds.get(template.schema)
+        if world is None:
+            world = self._worlds[template.schema] = SimulatedWorld(
+                self._registry(template), self.data_seed
+            )
+        return world
+
+    def open_pool(
+        self,
+        template: QueryTemplate,
+        *,
+        global_seed: int | None = None,
+        latency_model: LatencyModel | None = None,
+        fault_model: FaultModel | None = None,
+    ) -> ServicePool:
+        """A session's pool: its own clock and log over the schema's world.
+
+        The one place pools are built — for a fresh ``run`` (the manager's
+        posture, the defaults) and for a restored session (its
+        checkpoint's).  A checkpoint from another data seed raises here
+        rather than read this server's world.
+        """
+        world = self._world(template)
+        return ServicePool(
+            world.registry,
+            global_seed=self.data_seed if global_seed is None else global_seed,
+            latency_model=LatencyModel() if latency_model is None else latency_model,
+            fault_model=self.fault_model if fault_model is None else fault_model,
+            world=world,
+        )
+
+    def world_stats(self) -> dict[str, int]:
+        """The worlds' generation counters, summed (see :class:`WorldStats`)."""
+        return WorldStats.total(
+            world.stats.as_dict() for world in self._worlds.values()
+        )
 
     def _compile(self, template: QueryTemplate) -> CompiledQuery:
         compiled = self._compiled.get(template.name)
@@ -175,15 +226,10 @@ class SessionManager:
         template = self._template(request.template)
         compiled = self._compile(template)
         candidate = self._plan(template, compiled)
-        pool = ServicePool(
-            self._registry(template),
-            global_seed=self.data_seed,
-            fault_model=self.fault_model,
-        )
         session = LiquidQuerySession(
             candidate=candidate,
             query=compiled,
-            pool=pool,
+            pool=self.open_pool(template),
             inputs=dict(request.inputs or {}),
             executor_options=self._executor_options(request),
             backend=self.backend,

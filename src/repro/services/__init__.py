@@ -31,6 +31,8 @@ from repro.services.simulated import (
     ServicePool,
     SimulatedInvocation,
     SimulatedService,
+    SimulatedWorld,
+    WorldStats,
 )
 
 __all__ = [
@@ -50,6 +52,8 @@ __all__ = [
     "ServicePool",
     "SimulatedInvocation",
     "SimulatedService",
+    "SimulatedWorld",
+    "WorldStats",
     "Cassette",
     "RecordedPool",
     "RecordedService",

@@ -57,10 +57,12 @@ from repro.model.service import ServiceInterface
 from repro.model.tuples import ServiceTuple
 from repro.services.simulated import (
     FaultModel,
+    FaultProfile,
     LatencyModel,
     ServicePool,
     SimulatedInvocation,
     SimulatedService,
+    SimulatedWorld,
 )
 
 __all__ = [
@@ -360,6 +362,10 @@ class RecordedService:
     cassette: Cassette
     mode: str = "replay"
     inner: SimulatedService | None = None
+    #: Record mode: the recording pool's latency model and fault profile
+    #: for this interface (``None``: the inner service's own).
+    latency_model: LatencyModel | None = None
+    fault_profile: FaultProfile | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("record", "replay"):
@@ -395,6 +401,8 @@ class RecordedService:
                 constraints=constraints,
                 availability=availability,
                 call_timeout=call_timeout,
+                latency_model=self.latency_model,
+                fault_profile=self.fault_profile,
             )
             entries = self.cassette.recordings.setdefault(key, [])
             return _RecordingInvocation(inner_invocation, entries, log)
@@ -419,9 +427,10 @@ class RecordedPool:
     """Cassette-backed drop-in for :class:`~repro.services.simulated.ServicePool`.
 
     ``record`` mode owns a private simulated pool over the same clock
-    and log, so recorded latencies land on the same timeline the live
-    run sees; ``replay`` mode needs only the registry (for interface
-    metadata) and the cassette.
+    and log (and over ``world``, when the recording client shares one),
+    so recorded latencies land on the same timeline the live run sees;
+    ``replay`` mode needs only the registry (for interface metadata) and
+    the cassette.
     """
 
     registry: ServiceRegistry
@@ -432,6 +441,7 @@ class RecordedPool:
     fault_model: FaultModel = field(default_factory=FaultModel)
     clock: VirtualClock = field(default_factory=VirtualClock)
     log: CallLog = field(default_factory=CallLog)
+    world: SimulatedWorld | None = None
     _services: dict[str, RecordedService] = field(default_factory=dict)
     _inner: ServicePool | None = field(default=None, repr=False)
 
@@ -449,6 +459,7 @@ class RecordedPool:
                 fault_model=self.fault_model,
                 clock=self.clock,
                 log=self.log,
+                world=self.world,
             )
 
     def service(self, interface_name: str) -> RecordedService:
@@ -464,6 +475,8 @@ class RecordedPool:
                 cassette=self.cassette,
                 mode=self.mode,
                 inner=inner,
+                latency_model=self.latency_model,
+                fault_profile=self.fault_model.profile(interface_name),
             )
         return self._services[interface_name]
 

@@ -1,7 +1,7 @@
 """Simulated Web services: the invokable substrate behind every benchmark.
 
 A :class:`SimulatedService` wraps a service interface with a deterministic
-:class:`~repro.services.datagen.TupleGenerator` and a seeded latency model.
+:class:`~repro.services.datagen.TupleGenerator`.
 Invoking it yields a :class:`SimulatedInvocation`, which is a
 :class:`~repro.joins.methods.ChunkSource`: each ``next_chunk()`` models one
 request-response round trip — it advances the virtual clock by a latency
@@ -12,9 +12,14 @@ it, and kept by the service, so invoking again with the same bindings
 (``more`` does, at twice the fetch factor) costs the same round trips on
 the clock but generates only what nobody drew before.
 
-A :class:`ServicePool` manages one simulated service per registered
-interface, sharing a clock, log, and global seed — this is the "execution
-environment ... capable of executing query plans" of Section 3.
+The services of one registry under one data seed are a
+:class:`SimulatedWorld` — the *remote* side: data, result lists and the
+per-binding seeds, all pure functions of ``(seed, interface, bindings)``.
+A :class:`ServicePool` is one client's view of a world — its own clock,
+call log, latency model and fault posture: the "execution environment ...
+capable of executing query plans" of Section 3.  A pool built without a
+world makes its own; a server hands every session's pool the same one,
+so what one session made the world generate the next one is served.
 
 Services can misbehave on demand: a :class:`FaultModel` assigns each
 interface a :class:`FaultProfile` (transient-failure probability, slow-call
@@ -47,7 +52,7 @@ from repro.model.registry import ServiceRegistry
 from repro.model.scoring import ScoringFunction
 from repro.model.service import ServiceInterface
 from repro.model.tuples import ServiceTuple
-from repro.services.datagen import TupleGenerator, derive_seed
+from repro.services.datagen import TupleGenerator, WorldStats, derive_seed
 
 __all__ = [
     "LatencyModel",
@@ -57,7 +62,9 @@ __all__ = [
     "ResultList",
     "SimulatedInvocation",
     "SimulatedService",
+    "SimulatedWorld",
     "ServicePool",
+    "WorldStats",
 ]
 
 
@@ -180,26 +187,33 @@ class ResultList:
     and generates only the chunks nobody drew before.
     """
 
-    __slots__ = ("tuples", "_rest")
+    __slots__ = ("tuples", "_rest", "stats")
 
-    def __init__(self, rest: Iterator[ServiceTuple] | None = None) -> None:
+    def __init__(
+        self,
+        rest: Iterator[ServiceTuple] | None = None,
+        stats: WorldStats | None = None,
+    ) -> None:
         self.tuples: list[ServiceTuple] = []
         self._rest = rest
+        self.stats = WorldStats() if stats is None else stats
 
     def through(self, end: int | None) -> list[ServiceTuple]:
         """The generated prefix, first extended to ``end`` tuples
         (``None``: the whole list) as far as the list goes."""
         rest = self._rest
-        if rest is not None:
-            tuples = self.tuples
+        tuples = self.tuples
+        if rest is not None and (end is None or end > len(tuples)):
+            before = len(tuples)
             if end is None:
                 tuples.extend(rest)
                 self._rest = None
-            elif end > len(tuples):
-                tuples.extend(islice(rest, end - len(tuples)))
+            else:
+                tuples.extend(islice(rest, end - before))
                 if len(tuples) < end:
                     self._rest = None
-        return self.tuples
+            self.stats.tuples_generated += len(tuples) - before
+        return tuples
 
 
 @dataclass
@@ -216,6 +230,9 @@ class SimulatedInvocation(ChunkSource):
     fault_profile: FaultProfile = NO_FAULTS
     fault_rng: random.Random | None = None
     call_timeout: float | None = None
+    #: The invoking pool's read marks (result list -> tuples it has read),
+    #: for :attr:`WorldStats.tuples_shared`; ``None``: not accounted.
+    seen: "dict[ResultList, int] | None" = None
     chunk_size: int = field(init=False)
     scoring: ScoringFunction = field(init=False)
     _cursor: int = 0
@@ -260,7 +277,9 @@ class SimulatedInvocation(ChunkSource):
         # Generate through the requested chunk before asking whether the
         # list has ended: what lies beyond it may never be read.
         end = self._cursor + self.chunk_size if self.interface.is_chunked else None
-        results = self.source.through(end)
+        source = self.source
+        generated = len(source.tuples)  # by whoever read this far first
+        results = source.through(end)
         if self._cursor >= len(results):
             if not self._terminal_recorded:
                 if self._calls == 0:
@@ -274,8 +293,16 @@ class SimulatedInvocation(ChunkSource):
             return None
 
         chunk = results[self._cursor : end]
+        upto = self._cursor + len(chunk)
+        if self.seen is not None:
+            mark = self.seen.get(source, 0)
+            if upto > mark:
+                # New to this pool; what was generated before this call and
+                # lies past the pool's own mark, another pool's read drew.
+                self.seen[source] = upto
+                source.stats.tuples_shared += max(0, min(upto, generated) - mark)
         self._record(len(chunk), slow=slow)
-        self._cursor += len(chunk)
+        self._cursor = upto
         return chunk
 
     def _fault_draw(self) -> float:
@@ -350,17 +377,24 @@ class SimulatedInvocation(ChunkSource):
 
 @dataclass
 class SimulatedService:
-    """A deterministic stand-in for one Web service interface."""
+    """A deterministic stand-in for one Web service interface.
+
+    The remote side only: the lowered generator and, per distinct
+    invocation, its lazily generated :class:`ResultList` and derived
+    seeds.  ``latency_model`` and ``fault_profile`` are what a direct
+    :meth:`invoke` applies; a :class:`ServicePool` passes its own.
+    """
 
     interface: ServiceInterface
     global_seed: int = 0
     latency_model: LatencyModel = field(default_factory=LatencyModel)
     fault_profile: FaultProfile = NO_FAULTS
+    stats: WorldStats = field(default_factory=WorldStats, repr=False)
     generator: TupleGenerator = field(init=False)
-    #: Result lists by (bindings, constraints, availability), kept for the
-    #: life of the service — i.e. of its pool, which serving opens per
-    #: session — so every invocation with one key reads one list.
-    _result_lists: dict[tuple, ResultList] = field(
+    #: ``(result list, latency seed, fault seed)`` by (bindings,
+    #: constraints, availability), kept for the life of the service — of
+    #: its world — so every invocation with one key reads one list.
+    _opened: dict[tuple, tuple[ResultList, int, int]] = field(
         init=False, default_factory=dict, repr=False
     )
 
@@ -378,6 +412,10 @@ class SimulatedService:
         constraints: Sequence["SelectionPredicate"] = (),
         availability: float = 1.0,
         call_timeout: float | None = None,
+        *,
+        latency_model: LatencyModel | None = None,
+        fault_profile: FaultProfile | None = None,
+        seen: "dict[ResultList, int] | None" = None,
     ) -> SimulatedInvocation:
         """Start one invocation with the given input bindings.
 
@@ -388,40 +426,40 @@ class SimulatedService:
         "only 40% of theatres have a good restaurant close by"
         (Section 5.6's DinnerPlace estimate).  The draw is a deterministic
         function of the bindings.  ``call_timeout`` bounds each round
-        trip's virtual duration (see :class:`FaultProfile`).  Raises
+        trip's virtual duration (see :class:`FaultProfile`).
+        ``latency_model`` / ``fault_profile`` / ``seen`` are the invoking
+        pool's (see :class:`SimulatedInvocation`).  Raises
         :class:`~repro.errors.ServiceInvocationError` when a declared input
         path is missing from ``inputs``.
         """
-        rng = random.Random(
-            derive_seed(self.global_seed ^ 0x5EC0, self.interface.name, inputs)
+        source, latency_seed, fault_seed = self._open(
+            inputs, constraints, availability
         )
-        fault_rng = (
-            random.Random(
-                derive_seed(self.global_seed ^ 0xFA17, self.interface.name, inputs)
-            )
-            if self.fault_profile.active
-            else None
-        )
+        profile = self.fault_profile if fault_profile is None else fault_profile
         return SimulatedInvocation(
             interface=self.interface,
-            source=self._result_list(inputs, constraints, availability),
+            source=source,
             alias=alias or self.interface.name,
             clock=clock,
             log=log,
-            latency_model=self.latency_model,
-            rng=rng,
-            fault_profile=self.fault_profile,
-            fault_rng=fault_rng,
+            latency_model=(
+                self.latency_model if latency_model is None else latency_model
+            ),
+            rng=random.Random(latency_seed),
+            fault_profile=profile,
+            fault_rng=random.Random(fault_seed) if profile.active else None,
             call_timeout=call_timeout,
+            seen=seen,
         )
 
-    def _result_list(
+    def _open(
         self,
         inputs: Mapping[str, Any],
         constraints: Sequence["SelectionPredicate"],
         availability: float,
-    ) -> ResultList:
-        """The (shared, lazily generated) result list of one invocation.
+    ) -> tuple[ResultList, int, int]:
+        """The (shared, lazily generated) result list of one invocation,
+        with the seeds of its latency and fault draws.
 
         Values are keyed the way :func:`derive_seed` renders them — by
         ``repr`` — because that rendering is what seeds the generator
@@ -441,29 +479,63 @@ class SimulatedService:
             ),
             availability,
         )
-        results = self._result_lists.get(key)
-        if results is None:
+        opened = self._opened.get(key)
+        if opened is None:
+            seed, name = self.global_seed, self.interface.name
             # The availability gate: a deterministic draw on the bindings.
             closed = availability < 1.0 and (
-                random.Random(
-                    derive_seed(
-                        self.global_seed ^ 0xA7A11, self.interface.name, inputs
-                    )
-                ).random()
+                random.Random(derive_seed(seed ^ 0xA7A11, name, inputs)).random()
                 >= availability
             )
-            results = (
-                ResultList()
+            source = ResultList(
+                None
                 if closed
-                else ResultList(self.generator.stream(inputs, constraints))
+                else self.generator.stream(inputs, constraints, self.stats),
+                self.stats,
             )
-            self._result_lists[key] = results
-        return results
+            self.stats.result_lists_opened += 1
+            opened = self._opened[key] = (
+                source,
+                derive_seed(seed ^ 0x5EC0, name, inputs),
+                derive_seed(seed ^ 0xFA17, name, inputs),
+            )
+        return opened
+
+
+@dataclass
+class SimulatedWorld:
+    """Every simulated service of one registry under one data seed.
+
+    What a world holds is a pure function of ``(seed, interface,
+    bindings, constraints)`` — never of a clock, a call log or the order
+    of calls — so any number of :class:`ServicePool`\\ s may read one world
+    and each sees exactly what it would have generated alone.
+    """
+
+    registry: ServiceRegistry
+    seed: int = 0
+    stats: WorldStats = field(default_factory=WorldStats)
+    _services: dict[str, SimulatedService] = field(default_factory=dict, repr=False)
+
+    def service(self, interface_name: str) -> SimulatedService:
+        service = self._services.get(interface_name)
+        if service is None:
+            service = self._services[interface_name] = SimulatedService(
+                self.registry.interface(interface_name),
+                global_seed=self.seed,
+                stats=self.stats,
+            )
+        return service
 
 
 @dataclass
 class ServicePool:
-    """Shared execution context over a registry's interfaces."""
+    """One client's execution context over a :class:`SimulatedWorld`:
+    its clock, call log, latency model and fault posture.
+
+    ``world`` defaults to a private one; a given world must be over this
+    pool's registry and seed.
+    """
 
     registry: ServiceRegistry
     global_seed: int = 0
@@ -471,18 +543,24 @@ class ServicePool:
     fault_model: FaultModel = field(default_factory=FaultModel)
     clock: VirtualClock = field(default_factory=VirtualClock)
     log: CallLog = field(default_factory=CallLog)
-    _services: dict[str, SimulatedService] = field(default_factory=dict)
+    world: SimulatedWorld | None = None
+    #: Result list -> how many of its tuples this pool has read.
+    _seen: dict[ResultList, int] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.world is None:
+            self.world = SimulatedWorld(self.registry, self.global_seed)
+        elif (
+            self.world.registry is not self.registry
+            or self.world.seed != self.global_seed
+        ):
+            raise ServiceInvocationError(
+                f"pool (seed {self.global_seed}) handed the world of another "
+                f"registry or seed ({self.world.seed}): their data would mix"
+            )
 
     def service(self, interface_name: str) -> SimulatedService:
-        if interface_name not in self._services:
-            interface = self.registry.interface(interface_name)
-            self._services[interface_name] = SimulatedService(
-                interface=interface,
-                global_seed=self.global_seed,
-                latency_model=self.latency_model,
-                fault_profile=self.fault_model.profile(interface_name),
-            )
-        return self._services[interface_name]
+        return self.world.service(interface_name)
 
     def invoke(
         self,
@@ -493,7 +571,7 @@ class ServicePool:
         availability: float = 1.0,
         call_timeout: float | None = None,
     ) -> SimulatedInvocation:
-        return self.service(interface_name).invoke(
+        return self.world.service(interface_name).invoke(
             inputs,
             clock=self.clock,
             log=self.log,
@@ -501,6 +579,9 @@ class ServicePool:
             constraints=constraints,
             availability=availability,
             call_timeout=call_timeout,
+            latency_model=self.latency_model,
+            fault_profile=self.fault_model.profile(interface_name),
+            seen=self._seen,
         )
 
     @property
@@ -512,10 +593,10 @@ class ServicePool:
     def reset(self) -> None:
         """Zero the clock and clear the log; data stays identical (same seed).
 
-        Both are reset *in place*: cached :class:`SimulatedService`\\ s and
-        in-flight :class:`SimulatedInvocation`\\ s hold references to the
-        pool's clock and log, so swapping in fresh objects would leave
-        them recording to an orphaned log and advancing a dead clock.
+        Both are reset *in place*: in-flight :class:`SimulatedInvocation`\\ s
+        hold references to the pool's clock and log, so swapping in fresh
+        objects would leave them recording to an orphaned log and
+        advancing a dead clock.
         """
         self.clock.reset()
         self.log.clear()

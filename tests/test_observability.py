@@ -621,6 +621,7 @@ class TestObservabilityCLI:
         assert "OUTPUT" in out
         assert "[est " in out and "| act " in out
         assert "bottleneck:" in out
+        assert "world: " in out and "0 fallback constraint checks" in out
 
     def test_explain_with_faults_shows_delivered(self, capsys):
         code, out = self.run_cli(
