@@ -66,7 +66,6 @@ from repro.engine.async_runner import run_plan_async
 from repro.engine.executor import execute_plan
 from repro.engine.retry import RetryPolicy
 from repro.errors import RetryExhaustedError, SearchComputingError
-from repro.joins.wcoj import KNOWN_JOIN_KERNELS
 from repro.obs.explain import build_explain
 from repro.obs.export import TRACE_FORMATS, write_prometheus, write_trace
 from repro.obs.metrics import snapshot_run
@@ -150,14 +149,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         help="anytime expansion budget (default: run to exhaustion)",
-    )
-    parser.add_argument(
-        "--join-kernel",
-        choices=KNOWN_JOIN_KERNELS,
-        default="binary",
-        help="multiway equi-join kernel: binary (pairwise hash cascade, "
-        "default), wcoj (worst-case-optimal leapfrog triejoin), or auto "
-        "(wcoj for cyclic/multi-predicate join shapes, binary otherwise)",
     )
 
 
@@ -412,15 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound on the shared plan cache (default: unbounded)",
     )
     serve_cmd.add_argument(
-        "--join-kernel",
-        choices=KNOWN_JOIN_KERNELS,
-        default="binary",
-        help="multiway equi-join kernel every served plan is compiled "
-        "for: binary (default), wcoj, or auto; participates in the plan "
-        "cache key, so flipping it mid-fleet never replays a plan "
-        "compiled for the other kernel",
-    )
-    serve_cmd.add_argument(
         "--gates",
         choices=("hard", "all"),
         default="hard",
@@ -601,7 +583,6 @@ def _optimize(args, tracer=NULL_TRACER):
     config = OptimizerConfig(
         metric=DEFAULT_METRICS[args.metric],
         budget=args.budget,
-        join_kernel=getattr(args, "join_kernel", "binary"),
     )
     outcome = Optimizer(compiled, config, tracer=tracer).optimize()
     if outcome.best is None:
@@ -617,7 +598,6 @@ def _cmd_plan(args) -> int:
         f"metric:  {args.metric}  cost: {best.cost:.2f}  "
         f"estimated results: {best.estimated_results:.1f}"
     )
-    print(f"kernel:  {best.join_kernel} (requested: {args.join_kernel})")
     print(
         f"search:  {outcome.stats.expanded} expanded, "
         f"{outcome.stats.pruned} pruned, {outcome.stats.leaves} plans priced"
@@ -679,7 +659,6 @@ def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER, world=N
                 tracer=tracer,
                 time_scale=args.time_scale,
                 max_connections=args.max_connections,
-                join_kernel=best.join_kernel,
             )
         else:
             result = execute_plan(
@@ -692,7 +671,6 @@ def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER, world=N
                 degradation=args.degradation,
                 invocation_cache_size=args.invocation_cache_size or None,
                 tracer=tracer,
-                join_kernel=best.join_kernel,
             )
     except RetryExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -735,16 +713,10 @@ def _cmd_run(args) -> int:
     code, result = _execute(args, registry, compiled, inputs, best, tracer)
     if code:
         return code
-    kernel_note = (
-        f", join kernel {result.join_kernel}"
-        if result.join_kernel != "binary"
-        else ""
-    )
     print(
         f"{result.total_calls} service calls, "
         f"{result.execution_time:.2f} virtual seconds, "
         f"{len(result.tuples)} combinations"
-        + kernel_note
     )
     if result.backend == "asyncio":
         serial = result.log.total_latency() * args.time_scale
@@ -985,7 +957,6 @@ def _serve_configs(args):
     base = ServeConfig(
         templates=scenario_templates(args.scenario, args.param_scale),
         data_seed=args.seed,
-        optimizer_config=OptimizerConfig(join_kernel=args.join_kernel),
         max_concurrency=args.concurrency,
         queue_limit=1_000_000,  # both runs must complete every request
         default_service_rate=args.service_rate or None,
@@ -1115,7 +1086,7 @@ def _cmd_serve_bench(args) -> int:
     print(
         f"{title}: {args.requests} requests per rate, seed {args.seed}, "
         f"concurrency {args.concurrency}, scenario {args.scenario}, "
-        f"join kernel {args.join_kernel}, {subject.num_shards} shard(s), "
+        f"{subject.num_shards} shard(s), "
         f"cache {subject.cache_mode}, steal {'on' if subject.steal else 'off'}"
         + (f", parallel ({subject.backend} workers)" if subject.parallel else "")
         + (f", time scale {subject.time_scale:g}" if subject.backend == "asyncio" else "")

@@ -78,11 +78,9 @@ from repro.core.topology import (
 from repro.errors import OptimizationError
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.joins.spec import JoinMethodSpec
-from repro.joins.wcoj import KNOWN_JOIN_KERNELS
 from repro.model.service import ServiceInterface
-from repro.plans.nodes import ParallelJoinNode, ServiceNode
+from repro.plans.nodes import ServiceNode
 from repro.plans.plan import PlanAnnotations, QueryPlan
-from repro.query.ast import Comparator
 from repro.query.compile import CompiledQuery
 from repro.query.feasibility import (
     BindingChoice,
@@ -98,39 +96,8 @@ __all__ = [
     "Optimizer",
     "optimize_query",
     "plan_signature",
-    "resolve_plan_join_kernel",
 ]
 
-
-def resolve_plan_join_kernel(plan: QueryPlan, requested: str) -> str:
-    """Concrete kernel for ``plan`` under a ``join_kernel`` request.
-
-    ``auto`` picks ``wcoj`` exactly when some merge node carries two or
-    more equality predicates — the shape a cyclic / multi-predicate join
-    graph collapses into (the topology builder attaches *every*
-    unrealized crossing predicate to the merge that first connects its
-    aliases, so a triangle's closing edge lands on an already-
-    predicated node).  Single-predicate plans stay on the binary kernel,
-    whose hash index is already optimal for them.
-    """
-    if requested not in KNOWN_JOIN_KERNELS:
-        raise OptimizationError(
-            f"unknown join kernel {requested!r}; "
-            f"expected one of {KNOWN_JOIN_KERNELS}"
-        )
-    if requested != "auto":
-        return requested
-    for node in plan.nodes.values():
-        if not isinstance(node, ParallelJoinNode):
-            continue
-        eq_predicates = sum(
-            1
-            for pred in node.predicates
-            if pred.comparator is Comparator.EQ
-        )
-        if eq_predicates >= 2:
-            return "wcoj"
-    return "binary"
 
 #: Entries kept in the per-optimizer annotation memo; beyond this the
 #: least-recently-used annotations are evicted (they can be recomputed).
@@ -148,10 +115,6 @@ class PlanCandidate:
     estimated_results: float
     satisfies_k: bool
     assignment: Mapping[str, ServiceInterface] = field(default_factory=dict)
-    #: Join kernel the executor should run this plan with ("binary" or
-    #: "wcoj" — an ``auto`` request resolves here, at plan time, so a
-    #: cached candidate always names its concrete kernel).
-    join_kernel: str = "binary"
 
     def fetch_vector(self) -> dict[str, int]:
         return {alias: int(f) for alias, f in self.fetches.items()}
@@ -187,20 +150,6 @@ class OptimizerConfig:
     #: Pareto-prune fetch states dominated by a queued sibling of the
     #: same plan (componentwise >= fetch vector at >= cost bound).
     dominance: bool = True
-    #: Parallel-join execution kernel: ``"binary"`` (the hash-indexed
-    #: pairwise cascade), ``"wcoj"`` (leapfrog intersection — see
-    #: :mod:`repro.joins.wcoj`), or ``"auto"`` (wcoj for plans whose
-    #: merges carry multi-predicate equality closures, binary otherwise).
-    #: Resolved per plan into :attr:`PlanCandidate.join_kernel` and part
-    #: of :func:`plan_signature`, so cached plans are kernel-correct.
-    join_kernel: str = "binary"
-
-    def __post_init__(self) -> None:
-        if self.join_kernel not in KNOWN_JOIN_KERNELS:
-            raise OptimizationError(
-                f"unknown join kernel {self.join_kernel!r}; "
-                f"expected one of {KNOWN_JOIN_KERNELS}"
-            )
 
     @classmethod
     def legacy(cls, **overrides) -> "OptimizerConfig":
@@ -723,9 +672,6 @@ class Optimizer:
             estimated_results=results,
             satisfies_k=results >= self.k,
             assignment=dict(state.assignment),
-            join_kernel=resolve_plan_join_kernel(
-                state.plan, self.config.join_kernel
-            ),
         )
         return cost, candidate, candidate.satisfies_k
 
@@ -892,8 +838,8 @@ def optimize_query(
 
 #: Signature schema version; bump when the normalization rules change so
 #: persisted/capped caches keyed on old signatures cannot alias new ones.
-#: v2: the join-kernel choice joined the signature — a plan compiled for
-#: one kernel must never be replayed under another.
+#: v2: a kernel slot joined the signature (a constant since the engine's
+#: kernel knob was deleted; see :func:`_build_signature`).
 _SIGNATURE_VERSION = 2
 
 
@@ -919,22 +865,19 @@ def plan_signature(
     query: CompiledQuery,
     metric: "CostMetric | str | None" = None,
     k: int | None = None,
-    join_kernel: str = "binary",
 ) -> tuple:
     """Canonical, hashable signature of a compiled query for plan caching.
 
     Two compiled queries with equal signatures are interchangeable for
     optimization: same atoms (alias → mart/interface), same predicate
-    structure, same ranking weights, same ``k``, the same cost metric,
-    and the same requested ``join_kernel`` (an ``auto`` request is its
-    own signature: it resolves per plan, so it can never alias an
-    explicit choice).  Alias *order* and join-side order are normalised
-    away; INPUT bindings are deliberately excluded (see
+    structure, same ranking weights, same ``k`` and the same cost metric.
+    Alias *order* and join-side order are normalised away; INPUT bindings
+    are deliberately excluded (see
     :func:`_operand_signature`).  The signature does **not** identify the
     registry — callers caching across registries must scope their keys by
     a registry identity of their own (the serving runtime keys by schema
-    name).  Built once per ``(metric, k, join_kernel)`` and kept on the
-    (immutable) compiled query.
+    name).  Built once per ``(metric, k)`` and kept on the (immutable)
+    compiled query.
     """
     metric_name = (
         metric
@@ -943,17 +886,17 @@ def plan_signature(
         if metric is not None
         else None
     )
-    memo_key = (metric_name, k, join_kernel)
+    memo_key = (metric_name, k)
     signature = query._signatures.get(memo_key)
     if signature is None:
         signature = query._signatures[memo_key] = _build_signature(
-            query, metric_name, query.k if k is None else k, join_kernel
+            query, metric_name, query.k if k is None else k
         )
     return signature
 
 
 def _build_signature(
-    query: CompiledQuery, metric_name: str | None, k: int, join_kernel: str
+    query: CompiledQuery, metric_name: str | None, k: int
 ) -> tuple:
     atoms = tuple(
         sorted(
@@ -992,7 +935,9 @@ def _build_signature(
         "plan-sig",
         _SIGNATURE_VERSION,
         metric_name,
-        join_kernel,
+        # The slot of the deleted engine-level ``join_kernel`` knob, kept as
+        # the one value it ever resolved to: pinned digests hash this tuple.
+        "binary",
         k,
         atoms,
         selections,

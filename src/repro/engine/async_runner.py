@@ -28,23 +28,28 @@ concurrent service calls —
   rescaled back to virtual seconds so traces from both backends are
   comparable.
 
-**Why equivalence holds.**  All CPU work — binding construction,
-selection filtering, join kernels, the final joint-witness check — is
-delegated to the same :class:`~repro.engine.executor.PlanExecutor`
-methods the virtual backend runs, and results are composed in upstream
-order regardless of fetch completion order.  The simulated substrate
-derives result tuples, latency draws, and fault draws from
-``(global seed, interface, bindings)`` via per-invocation RNGs, never
-from clock state or call order; chunks within one invocation stay
-sequential, so each invocation consumes its RNG streams identically in
-both backends.  Hence both backends return digest-identical result
+**Why equivalence holds.**  :class:`AsyncPlanExecutor` *is* a
+:class:`~repro.engine.executor.PlanExecutor` with another driver: the
+node bodies — kind dispatch, binding construction, selection filtering,
+join kernels, the final joint-witness check, the per-node statistics —
+the cache-hit branch and the abandon rule are the virtual backend's own
+code, and results are composed in upstream order regardless of fetch
+completion order.  This module owns only *when* fetches happen.  The
+simulated substrate derives result tuples, latency draws, and fault
+draws from ``(global seed, interface, bindings)`` via per-invocation
+RNGs, never from clock state or call order; chunks within one invocation
+stay sequential, so each invocation consumes its RNG streams identically
+in both backends.  Hence both backends return digest-identical result
 lists — the virtual clock stays the planner/test oracle, the asyncio
 runner supplies real throughput (see DESIGN.md, "Execution backends").
 
 Duplicate invocations issued concurrently are **single-flighted**
 through :class:`AsyncExecutionContext`: the first caller fetches, later
 callers await the same task, so the asyncio backend issues the same
-round trips the memoised sequential walk would.
+round trips the memoised sequential walk would.  A waiter takes the
+owner's *outcome*, never its fate: if the owner is cancelled, or gives up
+under its own ``fail`` policy, nothing was memoised and the waiter looks
+the call up for itself — as the sequential walk's second caller would.
 """
 
 from __future__ import annotations
@@ -55,29 +60,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.annotate import pipe_join_selectivity
-from repro.engine.executor import (
-    _SPAN_KINDS,
-    ExecutionResult,
-    InvocationCache,
-    NodeRunStats,
-    PlanExecutor,
-)
-from repro.engine.retry import Degradation, RetryPolicy
+from repro.engine.executor import ExecutionResult, InvocationCache, PlanExecutor
 from repro.errors import (
     ExecutionError,
     RetryExhaustedError,
     ServiceTimeoutError,
     ServiceUnavailableError,
 )
-from repro.model.tuples import CompositeTuple
-from repro.plans.nodes import (
-    InputNode,
-    OutputNode,
-    ParallelJoinNode,
-    SelectionNode,
-    ServiceNode,
-)
+from repro.plans.nodes import ServiceNode
 
 __all__ = [
     "AsyncExecutionContext",
@@ -180,79 +170,77 @@ class AsyncExecutionContext:
         await asyncio.sleep(virtual_seconds * self.time_scale)
 
 
-class AsyncPlanExecutor:
+async def _gather(tasks: list) -> list:
+    """``asyncio.gather`` that leaves nothing running: if one task fails
+    (or the caller is cancelled) the rest are cancelled and waited out."""
+    try:
+        return await asyncio.gather(*tasks)
+    except BaseException:
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        raise
+
+
+class _WallSpan:
+    """A span on the wall axis: opened now, recorded — flat, concurrent
+    tasks share no stack to nest on — when it exits."""
+
+    __slots__ = ("_executor", "name", "start", "attrs")
+
+    def __init__(
+        self, executor: "AsyncPlanExecutor", name: str, start: float, attrs: dict
+    ) -> None:
+        self._executor = executor
+        self.name = name
+        self.start = start
+        self.attrs = attrs
+
+    def set(self, key: str, value: Any) -> None:
+        self.attrs[key] = value
+
+    def __enter__(self) -> "_WallSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None:
+            self.attrs.setdefault("error", exc_type.__name__)
+        executor = self._executor
+        executor.tracer.record_span(
+            self.name, start=self.start, end=executor._now(), **self.attrs
+        )
+        return False
+
+
+class AsyncPlanExecutor(PlanExecutor):
     """Executes one plan concurrently on an asyncio event loop.
 
-    Construction mirrors :class:`~repro.engine.executor.PlanExecutor`
-    (same plan/query/pool/options); ``context`` adds the wall-clock
-    knobs.  All CPU work is delegated to an inner ``PlanExecutor`` so
-    the two backends cannot drift apart: this class only owns *when*
-    fetches happen, never *what* they produce.
+    A :class:`~repro.engine.executor.PlanExecutor` (same plan / query /
+    pool / options; ``context`` adds the wall-clock knobs) whose fetch
+    batches are gathered on the loop instead of stepped on the virtual
+    clock.  Everything a fetch *produces* is the base class's; this class
+    only owns *when* fetches happen: a task per node, the batch fan-out,
+    connection pools, single-flight, wall-clock retry and backoff, spans
+    on the wall axis.
     """
 
     def __init__(
         self,
-        plan,
-        query,
-        pool,
-        inputs: Mapping[str, Any],
-        fetches: Mapping[str, int] | None = None,
-        k: int | None = None,
-        final_semantic_check: bool = True,
-        retry: RetryPolicy | None = None,
-        degradation: Degradation | str = Degradation.FAIL,
-        invocation_cache_size: int | None = 1024,
-        tracer=None,
-        invocation_cache: InvocationCache | None = None,
+        *args: Any,
         context: AsyncExecutionContext | None = None,
-        join_kernel: str = "binary",
+        **options: Any,
     ) -> None:
         self.context = context or AsyncExecutionContext()
-        if invocation_cache is None:
-            invocation_cache = self.context.invocation_cache
-        self._sync = PlanExecutor(
-            plan=plan,
-            query=query,
-            pool=pool,
-            inputs=inputs,
-            fetches=fetches,
-            k=k,
-            final_semantic_check=final_semantic_check,
-            retry=retry,
-            degradation=degradation,
-            invocation_cache_size=invocation_cache_size,
-            tracer=tracer,
-            invocation_cache=invocation_cache,
-            join_kernel=join_kernel,
-        )
-        self._backoff_rng = random.Random(pool.global_seed ^ 0xA51C)
+        if options.get("invocation_cache") is None:
+            options["invocation_cache"] = self.context.invocation_cache
+        super().__init__(*args, **options)
+        self.result_memo = "off(backend)"  # this driver never consults it
+        self._backoff_rng = random.Random(self.pool.global_seed ^ 0xA51C)
         #: Total re-attempts issued across all calls (wall-time retries).
         self.retries = 0
         #: Calls abandoned after exhausting the policy.
         self.gave_up = 0
         self._wall_start = 0.0
-
-    # -- properties mirroring the sync executor ------------------------------
-
-    @property
-    def plan(self):
-        return self._sync.plan
-
-    @property
-    def pool(self):
-        return self._sync.pool
-
-    @property
-    def tracer(self):
-        return self._sync.tracer
-
-    @property
-    def k(self) -> int | None:
-        return self._sync.k
-
-    @k.setter
-    def k(self, value: int | None) -> None:
-        self._sync.k = value
 
     def _now(self) -> float:
         """Elapsed wall time rescaled to virtual seconds (span axis).
@@ -266,174 +254,89 @@ class AsyncPlanExecutor:
         scale = self.context.time_scale
         return elapsed / scale if scale > 0 else elapsed
 
+    def _span(self, name: str, *, started: float | None = None, **attrs: Any):
+        return _WallSpan(
+            self, name, self._now() if started is None else started, attrs
+        )
+
     # -- entry points --------------------------------------------------------
 
     def run(self) -> ExecutionResult:
         """Execute on a fresh event loop (synchronous convenience)."""
         return asyncio.run(self.execute())
 
+    def steps(self):
+        raise ExecutionError(
+            "step generators require the virtual backend; the asyncio "
+            "backend interleaves via the event loop instead"
+        )
+
     async def execute(self) -> ExecutionResult:
         """Execute the plan; node tasks overlap wherever the DAG allows."""
         self.context.attach_loop()
         self._wall_start = time.perf_counter()
-        sync = self._sync
-        outputs: dict[str, list[CompositeTuple]] = {}
-        stats: dict[str, NodeRunStats] = {}
+        outputs: dict[str, list] = {}
         tasks: dict[str, asyncio.Task] = {}
-        for node_id in sync.plan.topological_order():
-            tasks[node_id] = asyncio.ensure_future(
-                self._run_node(node_id, tasks, outputs, stats)
-            )
-        try:
-            pair_counts = await asyncio.gather(*tasks.values())
-        except BaseException:
-            for task in tasks.values():
-                task.cancel()
-            await asyncio.gather(*tasks.values(), return_exceptions=True)
-            raise
-        wall = time.perf_counter() - self._wall_start
-        if sync.tracer.enabled:
-            sync.tracer.record_span(
-                "plan.execute",
-                start=0.0,
-                end=self._now(),
-                nodes=len(sync.plan.nodes),
-                k=sync.k,
-                backend="asyncio",
-                final_check=sync.final_check,
-                rows_built=sync.rows_total(0),
-                rows_scored=sync.rows_total(1),
-            )
-        return ExecutionResult(
-            tuples=outputs[sync.plan.output_node.node_id],
-            log=sync.pool.log,
-            node_stats=stats,
-            execution_time=sync._critical_path(stats),
-            time_to_screen=sync._critical_path(stats, first_call_only=True),
-            total_candidates=sum(pair_counts),
-            pairs_probed=sync._pairs_probed,
-            cache_stats=sync.cache_stats,
-            failed_aliases=tuple(sorted(sync.failed_aliases)),
+        with self._plan_span(backend="asyncio"):
+            for node_id in self.plan.topological_order():
+                tasks[node_id] = asyncio.ensure_future(
+                    self._node_task(node_id, tasks, outputs)
+                )
+            finished = await _gather(list(tasks.values()))
+        return self._result(
+            outputs[self.plan.output_node.node_id],
+            {node_id: stats for node_id, (stats, _) in zip(tasks, finished)},
+            sum(pair_count for _, pair_count in finished),
             backend="asyncio",
-            wall_time=wall,
-            join_kernel=sync.join_kernel,
+            wall_time=time.perf_counter() - self._wall_start,
         )
 
-    # -- node tasks ----------------------------------------------------------
+    # -- the driver: node tasks and fetch batches -------------------------------
 
-    async def _run_node(
-        self,
-        node_id: str,
-        tasks: dict[str, asyncio.Task],
-        outputs: dict[str, list[CompositeTuple]],
-        stats: dict[str, NodeRunStats],
-    ) -> int:
-        sync = self._sync
-        node = sync.plan.node(node_id)
-        parents = sync.plan.parents(node_id)
-        for parent in parents:
+    async def _node_task(
+        self, node_id: str, tasks: dict[str, asyncio.Task], outputs: dict[str, list]
+    ):
+        """One node on the loop: await the parents, run the shared body,
+        fulfil the fetch batch it hands over; its ``(stats, pairs)``."""
+        for parent in self.plan.parents(node_id):
             await tasks[parent]
-        started = self._now()
-        acc = NodeRunStats()
-        pairs = 0
-        if isinstance(node, InputNode):
-            result: list[CompositeTuple] = [CompositeTuple({}, 0.0)]
-        elif isinstance(node, ServiceNode):
-            upstream = outputs[parents[0]]
-            acc.tin = len(upstream)
-            result = await self._run_service(node, upstream, acc)
-        elif isinstance(node, SelectionNode):
-            upstream = outputs[parents[0]]
-            acc.tin = len(upstream)
-            result = sync._filter(upstream, node.selections, node.join_filters)
-        elif isinstance(node, ParallelJoinNode):
-            left = outputs[parents[0]]
-            right = outputs[parents[1]]
-            acc.tin = len(left) * len(right)
-            probes_before = sync._pairs_probed
-            # Join kernels are pure CPU (no awaits): the probe-counter
-            # delta cannot interleave with another node's.
-            result, pairs = sync._run_parallel_join(node, left, right)
-            acc.pairs_probed = sync._pairs_probed - probes_before
-            acc.dispatch = sync._dispatch[node_id]
-        elif isinstance(node, OutputNode):
-            upstream = outputs[parents[0]]
-            acc.tin = len(upstream)
-            result = sync._finalise(upstream)
-            acc.final_check = sync.final_check
-        else:  # pragma: no cover - future node kinds
-            raise ExecutionError(f"cannot execute node kind {node.kind}")
-        acc.rows_built, acc.rows_scored = sync._rows.get(node_id, (0, 0))
-        acc.tout = len(result)
-        outputs[node_id] = result
-        stats[node_id] = acc
-        if sync.tracer.enabled:
-            attrs: dict[str, Any] = {
-                "node": node_id,
-                "tin": acc.tin,
-                "tout": acc.tout,
-            }
-            alias = getattr(node, "alias", None)
-            if alias is not None:
-                attrs["alias"] = alias
-            if acc.calls:
-                attrs["calls"] = acc.calls
-            if acc.pairs_probed:
-                attrs["pairs_probed"] = acc.pairs_probed
-            sync.tracer.record_span(
-                f"node.{_SPAN_KINDS[node.kind]}",
-                start=started,
-                end=self._now(),
-                **attrs,
-            )
-        return pairs
-
-    # -- service fetches -----------------------------------------------------
-
-    async def _run_service(
-        self,
-        node: ServiceNode,
-        upstream: list[CompositeTuple],
-        acc: NodeRunStats,
-    ) -> list[CompositeTuple]:
-        """Fan the node's invocations out concurrently; compose in order."""
-        sync = self._sync
-        factor = max(1, int(sync.fetches.get(node.alias, 1)))
-        check = sync._selection_check(node.alias)
-        availability = pipe_join_selectivity(node, sync.query, sync._estimator)
-        spec_of = sync._call_specs(node, factor, availability)
-        fetches: list[asyncio.Task | None] = []
-        for spec in [spec_of(comp.components) for comp in upstream]:
-            if spec is None:
-                fetches.append(None)
-                continue
-            fetches.append(
-                asyncio.ensure_future(
-                    self._fetch(node, *spec, factor, availability, acc)
-                )
-            )
-        live = [task for task in fetches if task is not None]
+        body = self._run_node(node_id, outputs)
         try:
-            await asyncio.gather(*live)
-        except BaseException:
-            for task in live:
-                task.cancel()
-            await asyncio.gather(*live, return_exceptions=True)
-            raise
-        out: list[CompositeTuple] = []
-        for composite, task in zip(upstream, fetches):
-            if task is None:
-                # Pipe source never materialised (partial degradation):
-                # the upstream combination flows through unchanged.
-                out.append(composite)
-                continue
-            tuples, failed = task.result()
-            sync._compose_service_results(
-                node, composite, tuples, failed, check, out
-            )
-        return out
+            batch = next(body)
+            while True:
+                try:
+                    fulfilled = await self._gather_batch(batch)
+                except BaseException as error:
+                    body.throw(error)  # closes the node's span, re-raises
+                    raise
+                batch = body.send(fulfilled)
+        except StopIteration as done:
+            return done.value
 
-    async def _fetch(
+    def _fetch_batch(self, batch: tuple):
+        """Hand the batch to the node's task (:meth:`_node_task`), which
+        gathers it on the loop and sends back what the virtual driver's
+        :meth:`~repro.engine.executor.PlanExecutor._fetch_batch` returns."""
+        return (yield batch)
+
+    async def _gather_batch(self, batch: tuple) -> tuple[list, dict[str, Any]]:
+        """Fulfil one fetch batch the loop's way: every call spec at once
+        (the pools bound what is really in flight), outcomes in spec order.
+        The call figures accumulate per node as its round trips land — the
+        log is shared with every other node running meanwhile."""
+        node, factor, availability, specs = batch
+        acc = {"calls": 0, "busy_time": 0.0, "first_call_latency": 0.0}
+        fetched = await _gather(
+            [
+                asyncio.ensure_future(
+                    self._single_flight(node, *spec, factor, availability, acc)
+                )
+                for spec in specs
+            ]
+        )
+        return fetched, acc
+
+    async def _single_flight(
         self,
         node: ServiceNode,
         bindings: Mapping[str, Any],
@@ -441,124 +344,74 @@ class AsyncPlanExecutor:
         key: tuple,
         factor: int,
         availability: float,
-        acc: NodeRunStats,
+        acc: dict[str, Any],
     ) -> tuple[list, bool]:
-        """Memoised, single-flighted fetch of one invocation's chunks."""
-        sync = self._sync
-        assert node.interface is not None
-        pending = self.context._inflight.get(key)
-        if pending is not None:
-            # An identical invocation is in flight: join it.  Mirrors the
-            # sequential walk, where the second caller would hit the memo.
-            sync._invocation_cache.stats.hits += 1
-            sync.cache_stats.hits += 1
-            wait_start = self._now() if sync.tracer.enabled else 0.0
-            joined = await asyncio.shield(pending)
-            if sync.tracer.enabled:
-                sync.tracer.record_span(
-                    "service.invoke",
-                    start=wait_start,
-                    end=self._now(),
-                    alias=node.alias,
-                    interface=node.interface.name,
-                    cached=True,
-                    coalesced=True,
-                    tuples=len(joined[0]),
+        """One call spec's outcome: joined from an identical invocation in
+        flight, met in the memo, or fetched — and put in flight for others."""
+        inflight = self.context._inflight
+        while (pending := inflight.get(key)) is not None:
+            # ``wait``, not ``await pending``: whatever ends the owner's
+            # fetch, a CancelledError raised here is ours alone.
+            started = self._now()
+            await asyncio.wait([pending])
+            if not pending.cancelled() and pending.exception() is None:
+                # Mirrors the sequential walk, where the second caller
+                # would hit the memo.
+                self._invocation_cache.stats.hits += 1
+                self.cache_stats.hits += 1
+                return self._met(
+                    node, pending.result(), started=started, coalesced=True
                 )
-            if joined[1]:
-                # The call we joined was abandoned: we are degraded too.
-                sync.failed_aliases.add(node.alias)
-            return joined
-        cached = sync._invocation_cache.get(key, sync.cache_stats)
+            # The owner was cancelled, or gave up under *its* degradation
+            # policy: nothing was memoised, so look again for ourselves.
+        cached = self._invocation_cache.get(key, self.cache_stats)
         if cached is not None:
-            if sync.tracer.enabled:
-                now = self._now()
-                sync.tracer.record_span(
-                    "service.invoke",
-                    start=now,
-                    end=now,
-                    alias=node.alias,
-                    interface=node.interface.name,
-                    cached=True,
-                    tuples=len(cached[0]),
-                )
-            if cached[1]:
-                sync.failed_aliases.add(node.alias)
-            return cached
+            return self._met(node, cached)
         task = asyncio.ensure_future(
             self._fetch_fresh(
-                node, bindings, constraints, factor, key, availability, acc
+                node, bindings, constraints, key, factor, availability, acc
             )
         )
-        self.context._inflight[key] = task
+        inflight[key] = task
         try:
             return await task
         finally:
-            if self.context._inflight.get(key) is task:
-                self.context._inflight.pop(key, None)
+            if inflight.get(key) is task:
+                del inflight[key]
 
     async def _fetch_fresh(
         self,
         node: ServiceNode,
         bindings: Mapping[str, Any],
         constraints: list,
-        factor: int,
         key: tuple,
+        factor: int,
         availability: float,
-        acc: NodeRunStats,
+        acc: dict[str, Any],
     ) -> tuple[list, bool]:
-        sync = self._sync
-        assert node.interface is not None
-        started = self._now()
-        invocation = sync.pool.invoke(
-            node.interface.name,
-            bindings,
-            alias=node.alias,
-            constraints=constraints,
-            availability=availability,
-            call_timeout=sync.retry.call_timeout,
+        invocation, span = self._begin_fetch(
+            node, bindings, constraints, factor, availability
         )
         tuples: list = []
-        failed = False
+        error = None
         try:
             # Chunks stay sequential within one invocation — chunk i+1
             # requests the page after chunk i, and the invocation's RNG
             # streams must be consumed in the virtual backend's order.
-            for index in range(factor):
-                chunk = await self._fetch_one_chunk(invocation, node, acc)
+            for _ in range(factor):
+                chunk = await self._draw_chunk(invocation, node, acc)
                 if chunk is None:
                     break
                 tuples.extend(chunk)
-        except RetryExhaustedError:
-            if sync.degradation is Degradation.FAIL:
-                raise
-            failed = True
-            sync.failed_aliases.add(node.alias)
-        sync._invocation_cache.put(key, (tuples, failed), sync.cache_stats)
-        if sync.tracer.enabled:
-            sync.tracer.record_span(
-                "service.invoke",
-                start=started,
-                end=self._now(),
-                alias=node.alias,
-                interface=node.interface.name,
-                cached=False,
-                factor=factor,
-                tuples=len(tuples),
-                failed=failed,
-            )
-        return tuples, failed
+        except RetryExhaustedError as exhausted:
+            error = exhausted
+        return self._end_fetch(node, key, tuples, error, span)
 
-    async def _fetch_one_chunk(
-        self, invocation, node: ServiceNode, acc: NodeRunStats
-    ):
+    async def _draw_chunk(self, invocation, node: ServiceNode, acc: dict[str, Any]):
         """One chunk draw under the retry policy, backoff on wall time."""
-        sync = self._sync
-        policy = sync.retry
-        assert node.interface is not None
+        policy = self.retry
         attempt = 1
         while True:
-            failed_index = -1
             try:
                 return await self._round_trip(invocation, node, acc)
             except (ServiceTimeoutError, ServiceUnavailableError) as exc:
@@ -575,7 +428,7 @@ class AsyncPlanExecutor:
                     ) from exc
                 wait = policy.backoff(attempt, self._backoff_rng)
                 if wait:
-                    log = sync.pool.log
+                    log = self.pool.log
                     if 0 <= failed_index < len(log.records):
                         record = log.records[failed_index]
                         # Amend only our own failed attempt — by index,
@@ -584,53 +437,35 @@ class AsyncPlanExecutor:
                         # appends, so positional guesses misattribute.
                         if record.failed and record.service == service:
                             log.amend_at(failed_index, backoff_wait=wait)
-                    acc.busy_time += wait
-                    if sync.tracer.enabled:
-                        span_start = self._now()
-                        await self.context.sleep(wait)
-                        sync.tracer.record_span(
-                            "retry.backoff",
-                            start=span_start,
-                            end=self._now(),
-                            service=service,
-                            attempt=attempt,
-                            wait=wait,
-                        )
-                    else:
+                    acc["busy_time"] += wait
+                    with self._span(
+                        "retry.backoff", service=service, attempt=attempt, wait=wait
+                    ):
                         await self.context.sleep(wait)
                 self.retries += 1
                 attempt += 1
 
-    async def _round_trip(self, invocation, node: ServiceNode, acc: NodeRunStats):
+    async def _round_trip(self, invocation, node: ServiceNode, acc: dict[str, Any]):
         """One request-response: holds a pooled connection for its latency."""
-        sync = self._sync
         assert node.interface is not None
         semaphore = self.context.semaphore(node.interface.name)
-        if sync.tracer.enabled and semaphore.locked():
+        if self.tracer.enabled and semaphore.locked():
             # The pool is saturated: attribute the connection wait so the
             # timeline shows queueing at the service, not "slow" calls.
-            wait_start = self._now()
-            await semaphore.acquire()
-            sync.tracer.record_span(
-                "pool.wait",
-                start=wait_start,
-                end=self._now(),
-                alias=node.alias,
-                interface=node.interface.name,
-            )
+            with self._span(
+                "pool.wait", alias=node.alias, interface=node.interface.name
+            ):
+                await semaphore.acquire()
         else:
             await semaphore.acquire()
         try:
-            return await self._round_trip_locked(invocation, node, acc)
+            return await self._round_trip_locked(invocation, acc)
         finally:
             semaphore.release()
 
-    async def _round_trip_locked(
-        self, invocation, node: ServiceNode, acc: NodeRunStats
-    ):
+    async def _round_trip_locked(self, invocation, acc: dict[str, Any]):
         """The round trip proper, with the pooled connection already held."""
-        sync = self._sync
-        log = sync.pool.log
+        log = self.pool.log
         before = len(log.records)
         try:
             chunk = invocation.next_chunk()
@@ -648,15 +483,14 @@ class AsyncPlanExecutor:
         await self.context.sleep(latency)
         return chunk
 
-    def _account(self, before: int, acc: NodeRunStats) -> float:
-        """Fold records appended by one call into the node's stats."""
-        records = self._sync.pool.log.records
+    def _account(self, before: int, acc: dict[str, Any]) -> float:
+        """Fold records appended by one call into the node's call figures."""
         latency = 0.0
-        for record in records[before:]:
-            if acc.calls == 0:
-                acc.first_call_latency = record.latency
-            acc.calls += 1
-            acc.busy_time += record.latency
+        for record in self.pool.log.records[before:]:
+            if acc["calls"] == 0:
+                acc["first_call_latency"] = record.latency
+            acc["calls"] += 1
+            acc["busy_time"] += record.latency
             latency += record.latency
         return latency
 
@@ -666,26 +500,21 @@ def run_plan_async(
     query,
     pool,
     inputs: Mapping[str, Any],
-    fetches: Mapping[str, int] | None = None,
-    k: int | None = None,
-    *,
-    retry: RetryPolicy | None = None,
-    degradation: Degradation | str = Degradation.FAIL,
-    invocation_cache_size: int | None = 1024,
-    tracer=None,
-    invocation_cache: InvocationCache | None = None,
+    *args: Any,
     context: AsyncExecutionContext | None = None,
     time_scale: float = 0.001,
     max_connections: int = 8,
     connection_limits: Mapping[str, int] | None = None,
-    join_kernel: str = "binary",
+    **options: Any,
 ) -> ExecutionResult:
     """Convenience wrapper: run one plan on the asyncio backend.
 
     Builds an :class:`AsyncPlanExecutor` (and, unless ``context`` is
     given, a private :class:`AsyncExecutionContext` from the keyword
-    knobs) and drives it with ``asyncio.run``.  The virtual-clock twin
-    is :func:`~repro.engine.executor.execute_plan`.
+    knobs) and drives it with ``asyncio.run``; ``fetches``, ``k`` and the
+    remaining keyword options are
+    :class:`~repro.engine.executor.PlanExecutor`'s.  The virtual-clock
+    twin is :func:`~repro.engine.executor.execute_plan`.
     """
     if context is None:
         context = AsyncExecutionContext(
@@ -693,19 +522,6 @@ def run_plan_async(
             default_connections=max_connections,
             connection_limits=dict(connection_limits or {}),
         )
-    executor = AsyncPlanExecutor(
-        plan=plan,
-        query=query,
-        pool=pool,
-        inputs=inputs,
-        fetches=fetches,
-        k=k,
-        retry=retry,
-        degradation=degradation,
-        invocation_cache_size=invocation_cache_size,
-        tracer=tracer,
-        invocation_cache=invocation_cache,
-        context=context,
-        join_kernel=join_kernel,
-    )
-    return executor.run()
+    return AsyncPlanExecutor(
+        plan, query, pool, inputs, *args, context=context, **options
+    ).run()

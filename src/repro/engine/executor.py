@@ -36,6 +36,16 @@ pausing a query before each round trip, granting it when admission,
 concurrency, and rate-limit checks pass.  :meth:`PlanExecutor.run`
 simply drains the generator, so single-query behaviour is unchanged.
 
+**One walk, two drivers.**  The node bodies (:meth:`PlanExecutor._run_node`,
+:meth:`~PlanExecutor._run_service`) are written once.  A service node asks
+for one *fetch batch* — its call specs in upstream order — and composes
+the outcomes it gets back; *when* the fetches happen is the driver's.
+This class fulfils a batch on the virtual clock (:meth:`~PlanExecutor._fetch_batch`:
+spec by spec, a step before each round trip);
+:class:`~repro.engine.async_runner.AsyncPlanExecutor` overrides that
+seam to gather the batch on an event loop, and :meth:`~PlanExecutor._span`
+to put spans on the wall axis (see DESIGN.md, "Execution backends").
+
 The invocation memo is likewise factored into a standalone
 :class:`InvocationCache` that may be **shared across executors**:
 identical service calls issued by concurrent queries then coalesce into
@@ -54,17 +64,15 @@ from __future__ import annotations
 
 import random
 import sys
-from bisect import bisect_left
 from collections import OrderedDict
+from contextlib import contextmanager
 from itertools import product
 from dataclasses import dataclass, field, replace
 from weakref import WeakValueDictionary
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.annotate import pipe_join_selectivity
-from repro.core.optimizer import resolve_plan_join_kernel
 from repro.engine.events import CallLog
-from repro.joins.wcoj import KNOWN_JOIN_KERNELS
 from repro.engine.retry import NO_RETRY, Degradation, Retrier, RetryPolicy
 from repro.errors import ExecutionError, RetryExhaustedError
 from repro.joins.spec import CompletionStrategy
@@ -283,8 +291,8 @@ class NodeRunStats:
     first_call_latency: float = 0.0
     #: Candidate pairs this node's join kernel examined (0 for non-joins).
     pairs_probed: int = 0
-    #: Join nodes: the kernel that ran (``hash`` / ``hash_multikey`` /
-    #: ``leapfrog``) or why the nested loop did (``non_eq``, ...).
+    #: Join nodes: the kernel that ran (``hash`` / ``hash_multikey``) or
+    #: why the nested loop did (``non_eq``, ...).
     dispatch: str = ""
     #: Composite rows this node built, and how many it scored.
     rows_built: int = 0
@@ -363,10 +371,6 @@ class ExecutionResult:
     #: Which backend produced this result: ``"virtual"`` (discrete-event
     #: simulation) or ``"asyncio"`` (real concurrent execution).
     backend: str = "virtual"
-    #: Concrete join kernel the parallel-join nodes ran under
-    #: (``"binary"`` or ``"wcoj"``; ``auto`` requests resolve per plan
-    #: before execution).
-    join_kernel: str = "binary"
     #: Wall-clock seconds the run took (asyncio backend only; the
     #: virtual-clock backend reports 0.0 — its cost axis is virtual time).
     wall_time: float = 0.0
@@ -469,7 +473,6 @@ class PlanExecutor:
         invocation_cache_size: int | None = 1024,
         tracer: "Tracer | NullTracer | None" = None,
         invocation_cache: InvocationCache | None = None,
-        join_kernel: str = "binary",
     ) -> None:
         self.plan = plan
         self.query = query
@@ -499,7 +502,8 @@ class PlanExecutor:
         self._private_cache = invocation_cache is None
         self.cache_stats = InvocationCacheStats()
         self.result_memo = ""  # decided when execution starts (steps)
-        #: Service node id -> its :attr:`Recording.fetches` entry, this run's.
+        #: Service node id -> the fetch batch it asked for, this run's
+        #: (:attr:`Recording.fetches`).
         self._fetches_issued: dict[str, tuple] = {}
         self._pairs_probed = 0
         #: node id -> [rows built, rows scored] (see :class:`NodeRunStats`).
@@ -510,14 +514,6 @@ class PlanExecutor:
         #: (alias, id of a fetched tuple list) -> (the list, its survivors
         #: under the alias's selection check).
         self._survivors: dict[tuple[str, int], tuple[Sequence[Any], list]] = {}
-        if join_kernel not in KNOWN_JOIN_KERNELS:
-            raise ExecutionError(
-                f"unknown join kernel {join_kernel!r}; "
-                f"expected one of {KNOWN_JOIN_KERNELS}"
-            )
-        # Resolve an "auto" request against this plan's merge shapes once;
-        # the executor then dispatches on a concrete kernel name.
-        self.join_kernel = resolve_plan_join_kernel(plan, join_kernel)
 
     # -- public entry points -----------------------------------------------------
 
@@ -555,20 +551,12 @@ class PlanExecutor:
                 cache.replays += 1
             self.result_memo = "miss" if rows is None else "hit"
 
-        with self.tracer.span(
-            "plan.execute",
-            nodes=len(self.plan.nodes),
-            k=self.k,
-            result_memo=self.result_memo,
-        ) as plan_span:
+        with self._plan_span(result_memo=self.result_memo):
             if rows is None:
                 rows, stats, candidates = yield from self._run_nodes()
             else:
                 stats = yield from self._replay(rows.recording)
                 candidates = rows.recording.total_candidates
-            plan_span.set("final_check", self.final_check)
-            plan_span.set("rows_built", self.rows_total(0))
-            plan_span.set("rows_scored", self.rows_total(1))
 
         if key is not None and rows.recording is None:
             rows.recording = Recording(
@@ -580,6 +568,17 @@ class PlanExecutor:
                 pairs_probed=self._pairs_probed,
             )
             cache.recorded[key] = rows
+        return self._result(rows, stats, candidates)
+
+    def _result(
+        self,
+        rows: ResultRows,
+        stats: dict[str, NodeRunStats],
+        candidates: int,
+        **backend: Any,
+    ) -> ExecutionResult:
+        """Assemble the outcome of a finished walk (``backend``: the fields
+        only the asyncio driver sets)."""
         return ExecutionResult(
             tuples=rows,
             log=self.pool.log,
@@ -590,9 +589,25 @@ class PlanExecutor:
             pairs_probed=self._pairs_probed,
             cache_stats=self.cache_stats,
             failed_aliases=tuple(sorted(self.failed_aliases)),
-            join_kernel=self.join_kernel,
             result_memo=self.result_memo,
+            **backend,
         )
+
+    def _span(self, name: str, **attrs: Any):
+        """Open a span on the driver's time axis: here the virtual clock's
+        stack of nested spans (the asyncio driver records wall intervals)."""
+        return self.tracer.span(name, **attrs)
+
+    @contextmanager
+    def _plan_span(self, **attrs: Any):
+        """The ``plan.execute`` span around a whole walk."""
+        with self._span(
+            "plan.execute", nodes=len(self.plan.nodes), k=self.k, **attrs
+        ) as span:
+            yield
+            span.set("final_check", self.final_check)
+            span.set("rows_built", self.rows_total(0))
+            span.set("rows_scored", self.rows_total(1))
 
     def _memo_key(self) -> tuple | None:
         """This execution's result-memo key; ``None``, with the reason left
@@ -614,7 +629,6 @@ class PlanExecutor:
             return (
                 id(self.plan),
                 id(self.query),
-                self.join_kernel,
                 self.k,
                 self.final_semantic_check,
                 tuple(
@@ -628,131 +642,114 @@ class PlanExecutor:
         self.result_memo = f"off({reason})"
         return None
 
-    def _calls_since(self, before_calls: int, before_busy: float) -> dict[str, Any]:
-        """A node's call figures: what the log gained since ``before_*``."""
-        log = self.pool.log
-        calls = log.total_calls() - before_calls
-        return {
-            "calls": calls,
-            "busy_time": log.total_latency() - before_busy,
-            "first_call_latency": (
-                log.records[before_calls].latency if calls else 0.0
-            ),
-        }
-
     def _replay(self, recording: Recording):
         """Step generator re-issuing a recorded execution's fetches; returns
         the per-node stats.
 
-        Each fetch goes through :meth:`_fetch` with the arguments the
-        recording run passed, in its order — so cache lookups and LRU
-        touches, round trips after an eviction, step events, log records
-        and clock ticks are a fresh execution's, whose rows would be the
-        recorded ones.  What the cache's state decides (calls, busy time,
-        first-call latency) is measured from this run's log; the rest is
-        the recording's.  No node runs: the trace gets this run's
-        ``service.invoke``/``fetch.chunk`` spans and no ``node.*`` ones.
+        Each fetch batch goes through :meth:`_fetch_batch` as the recording
+        run issued it — so cache lookups and LRU touches, round trips
+        after an eviction, step events, log records and clock ticks are a
+        fresh execution's, whose rows would be the recorded ones.  What
+        the cache's state decides (calls, busy time, first-call latency)
+        is measured from this run's log; the rest is the recording's.  No
+        node runs: the trace gets this run's ``service.invoke``/
+        ``fetch.chunk`` spans and no ``node.*`` ones.
         """
-        log = self.pool.log
         stats: dict[str, NodeRunStats] = {}
         for node_id, recorded in recording.node_stats.items():
             self._rows[node_id] = [recorded.rows_built, recorded.rows_scored]
-            issued = recording.fetches.get(node_id)
-            if issued is None:
+            batch = recording.fetches.get(node_id)
+            if batch is None:
                 stats[node_id] = recorded  # makes no calls: nothing to measure
                 continue
-            node, factor, availability, specs = issued
-            before = log.total_calls(), log.total_latency()
-            for spec in specs:
-                yield from self._fetch(node, *spec, factor, availability)
-            stats[node_id] = replace(recorded, **self._calls_since(*before))
+            _, measured = yield from self._fetch_batch(batch)
+            stats[node_id] = replace(recorded, **measured)
         self.final_check = stats[self.plan.output_node.node_id].final_check
         self._pairs_probed = recording.pairs_probed
         return stats
 
     def _run_nodes(self):
-        """Step generator running every node in topological order; returns
-        ``(output rows, per-node stats, candidate pairs)``."""
+        """The virtual driver's walk: every node in topological order, each
+        run to completion; returns ``(output rows, per-node stats,
+        candidate pairs)``."""
         outputs: dict[str, list[CompositeTuple]] = {}
         stats: dict[str, NodeRunStats] = {}
         candidates = 0
-        tracer = self.tracer
         self._fetches_issued = {}
         for node_id in self.plan.topological_order():
-            node = self.plan.node(node_id)
-            parents = self.plan.parents(node_id)
-            before_calls = self.pool.log.total_calls()
-            before_busy = self.pool.log.total_latency()
-            before_probes = self._pairs_probed
-
-            span = None
-            if tracer.enabled:
-                attrs = {"node": node_id}
-                alias = getattr(node, "alias", None)
-                if alias is not None:
-                    attrs["alias"] = alias
-                span = tracer.span(f"node.{_SPAN_KINDS[node.kind]}", **attrs)
-            try:
-                result, tin, pair_count = yield from self._run_node(
-                    node, parents, outputs
-                )
-            except BaseException:
-                if span is not None:
-                    span.__exit__(*sys.exc_info())
-                raise
+            stats[node_id], pair_count = yield from self._run_node(node_id, outputs)
             candidates += pair_count
-            outputs[node_id] = result
-            node_stats = stats[node_id] = NodeRunStats(
-                tin=tin,
-                tout=len(result),
-                **self._calls_since(before_calls, before_busy),
-                pairs_probed=self._pairs_probed - before_probes,
-                dispatch=self._dispatch.get(node_id, ""),
-                rows_built=self._rows.get(node_id, (0, 0))[0],
-                rows_scored=self._rows.get(node_id, (0, 0))[1],
-                final_check=self.final_check,
-            )
-            if span is not None:
-                span.set("tin", tin)
-                span.set("tout", len(result))
-                if node_stats.calls:
-                    span.set("calls", node_stats.calls)
-                if node_stats.pairs_probed:
-                    span.set("pairs_probed", node_stats.pairs_probed)
-                span.__exit__(None, None, None)
         return outputs[self.plan.output_node.node_id], stats, candidates
 
-    # -- node runners ---------------------------------------------------------------
+    # -- node bodies: written once, fulfilled by either driver ---------------------
 
-    def _run_node(
-        self,
-        node,
-        parents: tuple[str, ...],
-        outputs: dict[str, list[CompositeTuple]],
-    ):
-        """Dispatch one node (a step generator); returns
-        ``(result, tin, candidate_pairs)``."""
-        if isinstance(node, InputNode):
-            return [CompositeTuple({}, 0.0)], 0, 0
-        if isinstance(node, ServiceNode):
-            upstream = outputs[parents[0]]
-            result = yield from self._run_service(node, upstream)
-            return result, len(upstream), 0
-        if isinstance(node, SelectionNode):
-            upstream = outputs[parents[0]]
-            result = self._filter(upstream, node.selections, node.join_filters)
-            return result, len(upstream), 0
-        if isinstance(node, ParallelJoinNode):
-            left = outputs[parents[0]]
-            right = outputs[parents[1]]
-            result, pair_count = self._run_parallel_join(node, left, right)
-            return result, len(left) * len(right), pair_count
-        if isinstance(node, OutputNode):
-            upstream = outputs[parents[0]]
-            return self._finalise(upstream), len(upstream), 0
-        raise ExecutionError(  # pragma: no cover - future node kinds
-            f"cannot execute node kind {node.kind}"
+    def _run_node(self, node_id: str, outputs: dict[str, list[CompositeTuple]]):
+        """One node's whole body, whichever driver walks the plan: kind
+        dispatch, the node's span, its :class:`NodeRunStats`.
+
+        A generator.  Its parents' outputs are in ``outputs`` and its own
+        is left there; it returns ``(stats, candidate pairs)``.  Only a
+        service node suspends, inside :meth:`_fetch_batch`.
+        """
+        node = self.plan.node(node_id)
+        parents = self.plan.parents(node_id)
+        span = None
+        if self.tracer.enabled:
+            attrs = {"node": node_id}
+            alias = getattr(node, "alias", None)
+            if alias is not None:
+                attrs["alias"] = alias
+            span = self._span(f"node.{_SPAN_KINDS[node.kind]}", **attrs)
+        measured: dict[str, Any] = {}  # only a service node makes calls
+        pair_count = probes = 0
+        try:
+            if isinstance(node, InputNode):
+                result, tin = [CompositeTuple({}, 0.0)], 0
+            elif isinstance(node, ServiceNode):
+                upstream = outputs[parents[0]]
+                result, measured = yield from self._run_service(node, upstream)
+                tin = len(upstream)
+            elif isinstance(node, SelectionNode):
+                upstream = outputs[parents[0]]
+                result = self._filter(upstream, node.selections, node.join_filters)
+                tin = len(upstream)
+            elif isinstance(node, ParallelJoinNode):
+                left, right = outputs[parents[0]], outputs[parents[1]]
+                # Pure CPU, no suspension: the counter's delta is this node's.
+                before = self._pairs_probed
+                result, pair_count = self._run_parallel_join(node, left, right)
+                probes = self._pairs_probed - before
+                tin = len(left) * len(right)
+            elif isinstance(node, OutputNode):
+                upstream = outputs[parents[0]]
+                result, tin = self._finalise(upstream), len(upstream)
+            else:  # pragma: no cover - future node kinds
+                raise ExecutionError(f"cannot execute node kind {node.kind}")
+        except BaseException:
+            if span is not None:
+                span.__exit__(*sys.exc_info())
+            raise
+        outputs[node_id] = result
+        built, scored = self._rows.get(node_id, (0, 0))
+        stats = NodeRunStats(
+            tin=tin,
+            tout=len(result),
+            **measured,
+            pairs_probed=probes,
+            dispatch=self._dispatch.get(node_id, ""),
+            rows_built=built,
+            rows_scored=scored,
+            final_check=self.final_check,
         )
+        if span is not None:
+            span.set("tin", tin)
+            span.set("tout", len(result))
+            if stats.calls:
+                span.set("calls", stats.calls)
+            if probes:
+                span.set("pairs_probed", probes)
+            span.__exit__(None, None, None)
+        return stats, pair_count
 
     def _call_specs(
         self, node: ServiceNode, factor: int, availability: float
@@ -903,30 +900,59 @@ class PlanExecutor:
         return self.query.predicate_check(selections) if selections else None
 
     def _run_service(self, node: ServiceNode, upstream: list[CompositeTuple]):
-        """Step generator over one service node's invocations."""
+        """A service node's body: one call spec per upstream row, **one
+        fetch batch** for the driver to fulfil, the outcomes composed in
+        upstream order.  Returns ``(output rows, call figures)``."""
         assert node.interface is not None
         factor = max(1, int(self.fetches.get(node.alias, 1)))
         check = self._selection_check(node.alias)
         # The availability gate: plan-invariant, so not per upstream row.
         availability = pipe_join_selectivity(node, self.query, self._estimator)
-        out: list[CompositeTuple] = []
-        specs: list[tuple] = []
-        self._fetches_issued[node.node_id] = (node, factor, availability, specs)
-
         spec_of = self._call_specs(node, factor, availability)
-        for composite in upstream:
-            spec = spec_of(composite.components)
+        specs = [spec_of(composite.components) for composite in upstream]
+        batch = self._fetches_issued[node.node_id] = (
+            node,
+            factor,
+            availability,
+            [spec for spec in specs if spec is not None],
+        )
+        fetched, measured = yield from self._fetch_batch(batch)
+        outcomes = iter(fetched)
+        out: list[CompositeTuple] = []
+        for composite, spec in zip(upstream, specs):
             if spec is None:
+                # Pipe source never materialised (partial degradation):
+                # the upstream combination flows through unchanged.
                 out.append(composite)
-                continue
-            specs.append(spec)
-            tuples, failed = yield from self._fetch(
-                node, *spec, factor, availability
-            )
-            self._compose_service_results(
-                node, composite, tuples, failed, check, out
-            )
-        return out
+            else:
+                self._compose_service_results(
+                    node, composite, *next(outcomes), check, out
+                )
+        return out, measured
+
+    # -- fetching: the virtual driver, and what both drivers share ------------------
+
+    def _fetch_batch(self, batch: tuple):
+        """Fulfil one fetch batch — ``(node, factor, availability, call
+        specs in upstream order)``, as :meth:`_run_service` asks for it and
+        a :class:`Recording` keeps it — the virtual driver's way: one
+        :meth:`_fetch` per spec, in order, a :class:`StepEvent` before every
+        round trip.  Returns the ``(tuples, failed)`` outcomes in spec
+        order and the node's call figures: what the log gained meanwhile.
+        """
+        node, factor, availability, specs = batch
+        log = self.pool.log
+        first, busy = log.total_calls(), log.total_latency()
+        fetched = []
+        for spec in specs:
+            outcome = yield from self._fetch(node, *spec, factor, availability)
+            fetched.append(outcome)
+        calls = log.total_calls() - first
+        return fetched, {
+            "calls": calls,
+            "busy_time": log.total_latency() - busy,
+            "first_call_latency": log.records[first].latency if calls else 0.0,
+        }
 
     def _fetch(
         self,
@@ -945,42 +971,14 @@ class PlanExecutor:
         ``partial`` degradation (``fail`` mode propagates instead).
         """
         assert node.interface is not None
-        tracer = self.tracer
         cached = self._invocation_cache.get(key, self.cache_stats)
         if cached is not None:
-            if tracer.enabled:
-                with tracer.span(
-                    "service.invoke",
-                    alias=node.alias,
-                    interface=node.interface.name,
-                    cached=True,
-                ) as span:
-                    span.set("tuples", len(cached[0]))
-            if cached[1]:
-                # Another execution abandoned this call: we are degraded too.
-                self.failed_aliases.add(node.alias)
-            return cached
-        invoke_span = (
-            tracer.span(
-                "service.invoke",
-                alias=node.alias,
-                interface=node.interface.name,
-                cached=False,
-                factor=factor,
-            )
-            if tracer.enabled
-            else None
-        )
-        invocation = self.pool.invoke(
-            node.interface.name,
-            bindings,
-            alias=node.alias,
-            constraints=constraints,
-            availability=availability,
-            call_timeout=self.retry.call_timeout,
+            return self._met(node, cached)
+        invocation, span = self._begin_fetch(
+            node, bindings, constraints, factor, availability
         )
         tuples: list = []
-        failed = False
+        error = None
         try:
             for index in range(factor):
                 yield StepEvent(
@@ -992,18 +990,85 @@ class PlanExecutor:
                 if chunk is None:
                     break
                 tuples.extend(chunk)
-        except RetryExhaustedError:
-            if self.degradation is Degradation.FAIL:
-                if invoke_span is not None:
-                    invoke_span.set("error", "RetryExhaustedError")
-                    invoke_span.__exit__(None, None, None)
-                raise
-            failed = True
+        except RetryExhaustedError as exhausted:
+            error = exhausted
+        return self._end_fetch(node, key, tuples, error, span)
+
+    def _met(self, node: ServiceNode, outcome: tuple[list, bool], **span: Any):
+        """Take an outcome somebody already fetched: a cache entry or, on
+        the asyncio driver, a fetch that was in flight (``span`` says which,
+        and since when).  Whoever meets an abandoned call is degraded too,
+        not only the execution that abandoned it."""
+        if self.tracer.enabled:
+            self._span(
+                "service.invoke",
+                alias=node.alias,
+                interface=node.interface.name,
+                cached=True,
+                **span,
+                tuples=len(outcome[0]),
+            ).__exit__(None, None, None)
+        if outcome[1]:
             self.failed_aliases.add(node.alias)
-        if invoke_span is not None:
-            invoke_span.set("tuples", len(tuples))
-            invoke_span.set("failed", failed)
-            invoke_span.__exit__(None, None, None)
+        return outcome
+
+    def _begin_fetch(
+        self,
+        node: ServiceNode,
+        bindings: Mapping[str, Any],
+        constraints: list[SelectionPredicate],
+        factor: int,
+        availability: float,
+    ):
+        """Open an invocation nobody has memoised; ``(invocation, its
+        ``service.invoke`` span or None)``.  The driver draws the chunks."""
+        span = (
+            self._span(
+                "service.invoke",
+                alias=node.alias,
+                interface=node.interface.name,
+                cached=False,
+                factor=factor,
+            )
+            if self.tracer.enabled
+            else None
+        )
+        invocation = self.pool.invoke(
+            node.interface.name,
+            bindings,
+            alias=node.alias,
+            constraints=constraints,
+            availability=availability,
+            call_timeout=self.retry.call_timeout,
+        )
+        return invocation, span
+
+    def _end_fetch(
+        self,
+        node: ServiceNode,
+        key: tuple,
+        tuples: list,
+        error: RetryExhaustedError | None,
+        span,
+    ) -> tuple[list, bool]:
+        """Close a fetch whose chunks a driver drew, memoising its outcome.
+
+        Holds the **abandon rule**: a call that exhausted its retries
+        (``error``) ends the execution under ``fail``; under ``partial``
+        the tuples drawn so far stand, flagged ``failed``, and the alias
+        joins :attr:`failed_aliases`.
+        """
+        failed = error is not None
+        if failed:
+            if self.degradation is Degradation.FAIL:
+                if span is not None:
+                    span.__exit__(type(error), error, None)
+                raise error
+            self.failed_aliases.add(node.alias)
+        if span is not None:
+            span.set("tuples", len(tuples))
+            span.set("failed", failed)
+            span.__exit__(None, None, None)
         self._invocation_cache.put(key, (tuples, failed), self.cache_stats)
         return tuples, failed
 
@@ -1028,38 +1093,32 @@ class PlanExecutor:
         """Pick a probe-list builder, then emit through :meth:`_emit_pairs`.
 
         ``dispatch`` (on the ``join.probe`` span and the node's run stats)
-        names the kernel that ran — ``hash``, ``hash_multikey``,
-        ``leapfrog`` — or why the join fell back to the nested loop.
+        names the kernel that ran — ``hash``, ``hash_multikey`` — or why
+        the join fell back to the nested loop.
         """
         sides = self._uniform_aliases(left), self._uniform_aliases(right)
         # Aliases both branches carry (tuples stemming from one upstream
         # row must agree); unknown per plan when a branch is degraded.
         shared = None if None in sides else tuple(sorted(sides[0] & sides[1]))
         keys = self._equi_join_keys(node, left, right, shared)
-        kernel, dispatch, candidates, extras = "nested_loop", keys, None, {}
+        kernel, dispatch, candidates = "nested_loop", keys, None
         if not isinstance(keys, str):
             left_keys, right_keys, multikey = keys
             try:
-                if self.join_kernel == "wcoj":
-                    candidates, extras = self._leapfrog_candidates(
-                        left, right, left_keys, right_keys
-                    )
-                    kernel = dispatch = "leapfrog"
-                else:
-                    candidates = self._hash_candidates(
-                        left, right, left_keys, right_keys
-                    )
-                    kernel, dispatch = (
-                        ("hash_multikey", "hash_multikey")
-                        if multikey
-                        else ("hash_indexed", "hash")
-                    )
+                candidates = self._hash_candidates(
+                    left, right, left_keys, right_keys
+                )
+                kernel, dispatch = (
+                    ("hash_multikey", "hash_multikey")
+                    if multikey
+                    else ("hash_indexed", "hash")
+                )
                 shared = ()  # equal keys subsume shared-alias agreement
             except (TypeError, KeyError):
                 dispatch = "unhashable_key"
         self._dispatch[node.node_id] = dispatch
         probes_before = self._pairs_probed
-        with self.tracer.span(
+        with self._span(
             "join.probe",
             kernel=kernel,
             dispatch=dispatch,
@@ -1068,8 +1127,6 @@ class PlanExecutor:
         ) as span:
             out, pair_count = self._emit_pairs(node, left, right, candidates, shared)
             span.set("pairs_probed", self._pairs_probed - probes_before)
-            for name, value in extras.items():
-                span.set(name, value)
             span.set("produced", len(out))
         return out, pair_count
 
@@ -1279,73 +1336,6 @@ class PlanExecutor:
             for lc in left
         ]
 
-    @staticmethod
-    def _leapfrog_intersect(
-        left_ids: list[int], right_ids: list[int]
-    ) -> tuple[set[int], int]:
-        """Leapfrog intersection of two sorted distinct id lists.
-
-        The classic alternating gallop: whichever side is behind seeks
-        (binary search) to the other's key.  Returns the common ids and
-        the number of seeks performed.
-        """
-        common: set[int] = set()
-        seeks = 0
-        ia = ib = 0
-        while ia < len(left_ids) and ib < len(right_ids):
-            ka, kb = left_ids[ia], right_ids[ib]
-            if ka == kb:
-                common.add(ka)
-                ia += 1
-                ib += 1
-            elif ka < kb:
-                seeks += 1
-                ia = bisect_left(left_ids, kb, ia + 1)
-            else:
-                seeks += 1
-                ib = bisect_left(right_ids, ka, ib + 1)
-        return common, seeks
-
-    def _leapfrog_candidates(
-        self,
-        left: list[CompositeTuple],
-        right: list[CompositeTuple],
-        left_keys: Callable,
-        right_keys: Callable,
-    ) -> tuple[list[Sequence[int]], dict[str, int]]:
-        """Leapfrog (wcoj) probe lists plus the span's work profile.
-
-        Key vectors are dictionary-encoded (each distinct vector gets a
-        dense id, a standard LFTJ ingredient — encoding keeps key
-        *equality* authoritative while giving the trie a totally ordered
-        domain), both sides' distinct ids are intersected with leapfrog
-        seeks, and only rows with an id in the intersection get
-        candidates.  What changes against the hash kernel is the work
-        profile (seek-bounded intersection instead of per-row probing),
-        never the candidates.
-        """
-        ids: dict[tuple, int] = {}
-        buckets: dict[int, list[int]] = {}
-        for j, rc in enumerate(right):
-            for key in right_keys(rc.components):
-                buckets.setdefault(ids.setdefault(key, len(ids)), []).append(j)
-        left_ids = [
-            [ids[key] for key in left_keys(lc.components) if key in ids]
-            for lc in left
-        ]
-        common, seeks = self._leapfrog_intersect(
-            sorted({kid for row in left_ids for kid in row}), sorted(buckets)
-        )
-        candidates = [
-            self._merged([buckets[kid] for kid in row if kid in common])
-            for row in left_ids
-        ]
-        return candidates, {
-            "distinct_keys": len(ids),
-            "intersection": len(common),
-            "seeks": seeks,
-        }
-
     def _check_for(
         self,
         selections: Sequence[SelectionPredicate],
@@ -1461,27 +1451,9 @@ def execute_plan(
     query: CompiledQuery,
     pool: "ServicePool",
     inputs: Mapping[str, Any],
-    fetches: Mapping[str, int] | None = None,
-    k: int | None = None,
-    retry: RetryPolicy | None = None,
-    degradation: Degradation | str = Degradation.FAIL,
-    invocation_cache_size: int | None = 1024,
-    tracer: "Tracer | NullTracer | None" = None,
-    invocation_cache: InvocationCache | None = None,
-    join_kernel: str = "binary",
+    *args: Any,
+    **options: Any,
 ) -> ExecutionResult:
-    """Convenience wrapper: build a :class:`PlanExecutor` and run it."""
-    return PlanExecutor(
-        plan=plan,
-        query=query,
-        pool=pool,
-        inputs=inputs,
-        fetches=fetches,
-        k=k,
-        retry=retry,
-        degradation=degradation,
-        invocation_cache_size=invocation_cache_size,
-        tracer=tracer,
-        invocation_cache=invocation_cache,
-        join_kernel=join_kernel,
-    ).run()
+    """Convenience wrapper: build a :class:`PlanExecutor` — ``fetches``,
+    ``k`` and every keyword option are its constructor's — and run it."""
+    return PlanExecutor(plan, query, pool, inputs, *args, **options).run()

@@ -241,14 +241,7 @@ class LiquidQuerySession:
     # -- execution ------------------------------------------------------------
 
     def _make_executor(self, factory=PlanExecutor, **extra):
-        """A ``factory`` executor over the session's current state.
-
-        The join kernel defaults from the plan — the optimizer resolved it
-        per candidate (an ``auto`` request became concrete at plan time) —
-        but an explicit executor option still wins, so tests and ad-hoc
-        callers can override.
-        """
-        options = {"join_kernel": self.candidate.join_kernel, **self.executor_options}
+        """A ``factory`` executor over the session's current state."""
         executor = factory(
             plan=self.candidate.plan,
             query=self.query,
@@ -257,7 +250,7 @@ class LiquidQuerySession:
             fetches=self._fetches,
             k=None,
             **extra,
-            **options,
+            **self.executor_options,
         )
         # Materialise the *raw* (untruncated) list so re-ranking and
         # "more" can reuse it; presentation applies k.

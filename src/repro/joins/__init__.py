@@ -61,7 +61,6 @@ from repro.joins.topk import (
     topk_join,
 )
 from repro.joins.wcoj import (
-    KNOWN_JOIN_KERNELS,
     BinaryCascadeExecutor,
     EquiPredicate,
     JoinGraph,
@@ -118,7 +117,6 @@ __all__ = [
     "RankedEnumerationStatistics",
     "RankedEnumerator",
     "RankedResult",
-    "KNOWN_JOIN_KERNELS",
     "BinaryCascadeExecutor",
     "EquiPredicate",
     "JoinGraph",

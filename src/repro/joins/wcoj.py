@@ -56,7 +56,6 @@ from repro.joins.methods import ChunkSource
 from repro.model.tuples import RankingFunction, ServiceTuple
 
 __all__ = [
-    "KNOWN_JOIN_KERNELS",
     "BinaryCascadeExecutor",
     "EquiPredicate",
     "JoinGraph",
@@ -73,13 +72,6 @@ __all__ = [
     "score_components",
     "triangle_graph",
 ]
-
-#: The kernel knob's vocabulary, threaded through ``OptimizerConfig``,
-#: ``PlanExecutor``, and the CLI.  ``auto`` resolves per plan: wcoj when
-#: a merge node carries >= 2 equality predicates (the cyclic-closure
-#: shape), binary otherwise.
-KNOWN_JOIN_KERNELS = ("binary", "wcoj", "auto")
-
 
 # ----------------------------------------------------------------------------- #
 # Canonical ordering helpers

@@ -19,8 +19,8 @@ node per line::
 
 A node's ``est a -> b | act c -> d`` reads "estimated ``tin`` a producing
 ``tout`` b; measured ``tin`` c producing ``tout`` d".  After a join's
-``probes=`` comes why it took the kernel it took: ``hash``,
-``hash_multikey`` or ``leapfrog``, or the reason it ran the nested loop
+``probes=`` comes why it took the kernel it took: ``hash`` or
+``hash_multikey``, or the reason it ran the nested loop
 (``non_eq``, ``no_predicates``, ``degraded``, ``empty_side``,
 ``same_side``, ``unhashable_key``).
 """

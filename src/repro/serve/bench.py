@@ -142,7 +142,6 @@ def benchmark_report(
         "skew": workload.skew,
         "followup_fraction": workload.followup_fraction,
         "max_concurrency": subject.max_concurrency,
-        "join_kernel": subject.optimizer_config.join_kernel,
         "shards": subject.num_shards,
         "cache_mode": subject.cache_mode,
         "steal": subject.steal,

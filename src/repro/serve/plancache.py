@@ -122,19 +122,8 @@ class PlanCache:
     def key_for(
         schema: str, query: "CompiledQuery", config: OptimizerConfig
     ) -> tuple:
-        """Scope the plan signature by schema, cost metric, and kernel.
-
-        The join-kernel knob participates via :func:`plan_signature`:
-        toggling ``join_kernel`` between serving runs must never replay
-        a candidate compiled for the other kernel (the candidate carries
-        its resolved kernel into the executor).
-        """
-        return (
-            schema,
-            plan_signature(
-                query, metric=config.metric, join_kernel=config.join_kernel
-            ),
-        )
+        """Scope the plan signature by schema and cost metric."""
+        return (schema, plan_signature(query, metric=config.metric))
 
     def plan(
         self,

@@ -116,7 +116,7 @@ class ServeConfig:
     templates: Sequence[QueryTemplate] | None = None
     #: Global seed of every session's service pool.
     data_seed: int = 2009
-    #: Plans every request (``join_kernel`` lives here).
+    #: Plans every request.
     optimizer_config: OptimizerConfig = field(default_factory=OptimizerConfig)
     # -- placement ---------------------------------------------------------
     num_shards: int = 1

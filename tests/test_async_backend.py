@@ -10,14 +10,15 @@ These tests pin that contract on the chapter's two example plans, under
 faults/retries/partial degradation, through the liquid-session twins,
 and across the serving layer.
 
-Marked ``async_backend`` (deselected from tier-1 by default): wall-clock
-sleeps make these slower than the discrete-event tests.  CI runs them in
-the dedicated ``async-equivalence`` job.
+Marked ``async_backend`` and part of tier-1: all but one run at
+``time_scale=0.0``, so the whole marker takes about a second.  Select it
+alone with ``-m async_backend`` after touching either driver.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 from collections import defaultdict
 
 import pytest
@@ -29,12 +30,20 @@ from repro.engine.async_runner import (
     AsyncPlanExecutor,
     run_plan_async,
 )
-from repro.engine.executor import execute_plan
+from repro.engine.executor import (
+    InvocationCache,
+    NodeRunStats,
+    PlanExecutor,
+    execute_plan,
+)
 from repro.engine.liquid import LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, RetryExhaustedError
+from repro.query.compile import compile_query
 from repro.query.feasibility import enumerate_binding_choices
+from repro.query.parser import parse_query
 from repro.serve.bench import result_digest
+from repro.serve.workload import scenario_templates
 from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import FaultModel, ServicePool
 from tests.conftest import serve_seeded
@@ -81,15 +90,20 @@ def assert_equivalent(virtual, real):
     assert real.execution_time == pytest.approx(virtual.execution_time)
     assert real.failed_aliases == virtual.failed_aliases
     assert real.wall_time >= 0.0 and virtual.wall_time == 0.0
-    # Same rows built and scored per node, same final-check decision.
-    assert _row_work(real) == _row_work(virtual)
-
-
-def _row_work(result):
-    return {
-        node_id: (stats.rows_built, stats.rows_scored, stats.final_check)
-        for node_id, stats in result.node_stats.items()
-    }
+    # Same work per node: tuple flow, calls, probes, dispatch, rows built and
+    # scored, final-check decision — exactly; the two time figures are sums
+    # of the same latencies in another order.
+    assert real.node_stats.keys() == virtual.node_stats.keys()
+    for node_id, ours in real.node_stats.items():
+        theirs = virtual.node_stats[node_id]
+        for spec in dataclasses.fields(NodeRunStats):
+            mine, other = getattr(ours, spec.name), getattr(theirs, spec.name)
+            if spec.name in ("busy_time", "first_call_latency"):
+                other = pytest.approx(other, rel=1e-9)
+            assert mine == other, (node_id, spec.name)
+    assert real.cache_stats == virtual.cache_stats
+    assert real.total_candidates == virtual.total_candidates
+    assert real.pairs_probed == virtual.pairs_probed
 
 
 def _calls_by_alias(log):
@@ -223,6 +237,51 @@ def test_partial_degradation_on_outage(movie_query, movie_registry):
     assert_equivalent(virtual, real)
 
 
+@pytest.mark.parametrize("outage", [False, True], ids=["fault_free", "outage"])
+@pytest.mark.parametrize(
+    "template", scenario_templates("all"), ids=lambda template: template.schema
+)
+def test_equivalence_on_every_builtin_schema(template, outage):
+    """One template of each built-in schema, fault-free and with the plan's
+    last service down under ``partial``: the whole per-node account agrees."""
+    registry = template.registry_factory()
+    query = compile_query(parse_query(template.query_text), registry)
+    candidate = optimizer_candidate(query)
+    inputs = {name: options[0] for name, options in template.parameter_space.items()}
+    faults = FaultModel()
+    if outage:
+        last = [
+            candidate.plan.node(node_id)
+            for node_id in candidate.plan.topological_order()
+            if getattr(candidate.plan.node(node_id), "interface", None) is not None
+        ][-1]
+        faults = faults.with_outage(last.interface.name)
+    options = dict(
+        retry=RetryPolicy(max_attempts=2, base_backoff=0.1, jitter_fraction=0.0),
+        degradation=Degradation.PARTIAL,
+    )
+    virtual = execute_plan(
+        candidate.plan,
+        query,
+        ServicePool(registry, global_seed=2009, fault_model=faults),
+        inputs,
+        candidate.fetch_vector(),
+        **options,
+    )
+    real = run_plan_async(
+        candidate.plan,
+        query,
+        ServicePool(registry, global_seed=2009, fault_model=faults),
+        inputs,
+        candidate.fetch_vector(),
+        time_scale=INSTANT,
+        **options,
+    )
+    assert virtual.incomplete == outage
+    assert virtual.tuples
+    assert_equivalent(virtual, real)
+
+
 # -- concurrency mechanics -----------------------------------------------------
 
 
@@ -272,6 +331,169 @@ def test_connection_pool_bounds_concurrency(movie_query, movie_registry):
     # The fan-out stages actually exercised the pool: at least one
     # interface had more invocations than connections.
     assert max(peak.values()) == limit
+
+
+# -- single-flight across executions: a waiter takes outcomes, not fates ---------
+
+
+def hold(context, interface):
+    """Hold every round trip to ``interface`` until the returned event is
+    set: an event-gated latency, so a test keeps a fetch in flight for as
+    long as it needs instead of racing sleeps."""
+    gate = asyncio.Event()
+    real_semaphore = AsyncExecutionContext.semaphore
+
+    class Held:
+        def __init__(self, inner: asyncio.Semaphore) -> None:
+            self.inner = inner
+
+        def locked(self) -> bool:
+            return self.inner.locked()
+
+        async def acquire(self):
+            await gate.wait()
+            return await self.inner.acquire()
+
+        def release(self) -> None:
+            self.inner.release()
+
+    context.semaphore = lambda name: (
+        Held(real_semaphore(context, name))
+        if name == interface
+        else real_semaphore(context, name)
+    )
+    return gate
+
+
+def theatre_outage_setup(movie_query, movie_registry):
+    """Fig. 10 with the Theatre interface down; ``executor(factory,
+    degradation, fetches, cache, **extra)`` builds one execution of it."""
+    plan = fig10_plan(movie_query)
+    theatre = plan.service_node_for("T").interface.name
+    movie = plan.service_node_for("M").interface.name
+
+    def executor(factory, degradation, fetches, cache, **extra):
+        return factory(
+            plan,
+            movie_query,
+            ServicePool(
+                movie_registry,
+                global_seed=42,
+                fault_model=FaultModel().with_outage(theatre),
+            ),
+            RUNNING_EXAMPLE_INPUTS,
+            fetches=fetches,
+            degradation=degradation,
+            invocation_cache=cache,
+            **extra,
+        )
+
+    return executor, movie, theatre
+
+
+def test_failing_request_does_not_cancel_fetches_others_wait_on(
+    movie_query, movie_registry
+):
+    """A (``fail``) dies on the Theatre outage and cancels its task tree,
+    the Movie fetch B had joined included.  B was not cancelled: it must
+    fetch for itself and finish, not surface a bare ``CancelledError``."""
+    executor, movie, _ = theatre_outage_setup(movie_query, movie_registry)
+    context = AsyncExecutionContext(time_scale=INSTANT)
+    cache = InvocationCache(max_size=None)
+    # ``T: 4`` gives B a Theatre key of its own: only Movie is coalesced.
+    own_theatre = {**FIG10_FETCHES, "T": 4}
+    failing = executor(
+        AsyncPlanExecutor, Degradation.FAIL, FIG10_FETCHES, cache, context=context
+    )
+    waiting = executor(
+        AsyncPlanExecutor, Degradation.PARTIAL, own_theatre, cache, context=context
+    )
+
+    async def scenario():
+        movie_gate = hold(context, movie)
+        first = asyncio.ensure_future(failing.execute())
+        second = asyncio.ensure_future(waiting.execute())
+        with pytest.raises(RetryExhaustedError):
+            await asyncio.wait_for(first, timeout=10)
+        movie_gate.set()
+        return await asyncio.wait_for(second, timeout=10)
+
+    result = asyncio.run(scenario())
+    # B had joined A's Movie fetch and, when that died, made the calls itself.
+    assert "M" not in failing.pool.log.calls_by_alias()
+    assert waiting.pool.log.calls_by_alias()["M"] == FIG10_FETCHES["M"]
+    alone = executor(PlanExecutor, Degradation.PARTIAL, own_theatre, None).run()
+    assert result.failed_aliases == alone.failed_aliases == ("T",)
+    assert alone.tuples
+    assert result_digest(result.tuples) == result_digest(alone.tuples)
+
+
+@pytest.mark.parametrize(
+    "owner, waiter",
+    [
+        (Degradation.FAIL, Degradation.PARTIAL),
+        (Degradation.PARTIAL, Degradation.FAIL),
+    ],
+    ids=["fail_owner-partial_waiter", "partial_owner-fail_waiter"],
+)
+def test_coalesced_waiter_degrades_under_its_own_policy(
+    movie_query, movie_registry, owner, waiter
+):
+    """B joins A's Theatre fetch, which A abandons.  Under A's ``fail``
+    nothing is memoised, so B (``partial``) looks the call up for itself
+    and degrades — it does not raise A's error; under A's ``partial`` the
+    ``failed`` outcome is memoised and degrades whoever meets it, a
+    ``fail`` execution included.  Either way B sees what the sequential
+    walk's second execution sees, hit for hit."""
+    executor, _, theatre = theatre_outage_setup(movie_query, movie_registry)
+
+    def outcome(run):
+        try:
+            return run()
+        except RetryExhaustedError as error:
+            return error
+
+    # The oracle: the same two executions, one after the other.
+    virtual_cache = InvocationCache(max_size=None)
+    virtual = [
+        outcome(executor(PlanExecutor, mode, FIG10_FETCHES, virtual_cache).run)
+        for mode in (owner, waiter)
+    ]
+
+    context = AsyncExecutionContext(time_scale=INSTANT)
+    cache = InvocationCache(max_size=None)
+    first, second = (
+        executor(AsyncPlanExecutor, mode, FIG10_FETCHES, cache, context=context)
+        for mode in (owner, waiter)
+    )
+
+    async def scenario():
+        theatre_gate = hold(context, theatre)
+        running = [
+            asyncio.ensure_future(first.execute()),
+            asyncio.ensure_future(second.execute()),
+        ]
+        # Let the Movie fetch land first, so Theatre alone is in flight
+        # (and joined by B) when A abandons it.
+        for _ in range(1000):
+            if len(cache):
+                break
+            await asyncio.sleep(0)
+        assert len(cache) == 1 and not any(task.done() for task in running)
+        theatre_gate.set()
+        return await asyncio.wait_for(
+            asyncio.gather(*running, return_exceptions=True), timeout=10
+        )
+
+    real = asyncio.run(scenario())
+    assert isinstance(real[0], RetryExhaustedError) == (owner is Degradation.FAIL)
+    for ours, theirs in zip(real, virtual):
+        assert type(ours) is type(theirs)
+    assert real[1].failed_aliases == virtual[1].failed_aliases == ("T",)
+    assert real[1].tuples
+    assert result_digest(real[1].tuples) == result_digest(virtual[1].tuples)
+    assert real[1].cache_stats == virtual[1].cache_stats
+    assert cache.stats == virtual_cache.stats
 
 
 def test_context_reusable_across_event_loops(movie_query, movie_registry):

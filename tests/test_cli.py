@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -319,3 +322,56 @@ class TestParser:
     def test_unknown_metric_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "--metric", "nope"])
+
+    def test_artifacts_dir_parses_and_the_kernel_flag_is_gone(self):
+        parser = build_parser()
+        serve_args = parser.parse_args(["serve-bench", "--artifacts-dir", "out"])
+        assert serve_args.artifacts_dir == "out"
+        # The engine has no kernel knob (DESIGN.md, "Why the engine has no
+        # kernel knob"): the flag is rejected, not silently accepted.
+        for command in ("plan", "run", "explain", "serve-bench"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--join-kernel", "wcoj"])
+
+
+# -- artifact-path plumbing (--artifacts-dir) ------------------------------------
+
+
+def _artifact_args(**kwargs):
+    defaults = {
+        "artifacts_dir": "artifacts",
+        "trace": None,
+        "metrics_output": None,
+        "prom": None,
+        "output": None,
+    }
+    defaults.update(kwargs)
+    return argparse.Namespace(**defaults)
+
+
+def test_artifact_paths_land_under_artifacts_dir(tmp_path, monkeypatch):
+    from repro.cli import _resolve_artifact_paths
+
+    monkeypatch.chdir(tmp_path)
+    args = _artifact_args(trace="serve-trace.jsonl", prom="serve-metrics.prom")
+    _resolve_artifact_paths(args)
+    assert args.trace == os.path.join("artifacts", "serve-trace.jsonl")
+    assert args.prom == os.path.join("artifacts", "serve-metrics.prom")
+    assert (tmp_path / "artifacts").is_dir()
+    assert args.output is None  # untouched when unset
+
+
+def test_artifact_paths_leave_stdout_and_absolute_alone(tmp_path, monkeypatch):
+    from repro.cli import _resolve_artifact_paths
+
+    monkeypatch.chdir(tmp_path)
+    absolute = str(tmp_path / "elsewhere" / "t.json")
+    args = _artifact_args(trace="-", output=absolute)
+    _resolve_artifact_paths(args)
+    assert args.trace == "-"
+    assert args.output == absolute
+    assert not (tmp_path / "artifacts").exists()  # nothing to place
+
+    disabled = _artifact_args(artifacts_dir="", trace="x.jsonl")
+    _resolve_artifact_paths(disabled)
+    assert disabled.trace == "x.jsonl"

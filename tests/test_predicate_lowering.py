@@ -2,7 +2,7 @@
 
 ``compile_predicates`` must agree with ``satisfies`` — result *and* raised
 ``QueryError`` — on predicate sets nobody hand-wrote, and every parallel
-join kernel (nested loop, hash, multi-valued hash key, leapfrog) must emit
+join kernel (nested loop, hash, multi-valued hash key) must emit
 the byte-identical list the nested loop emits, under both completion
 strategies.
 """
@@ -168,10 +168,10 @@ def test_compiled_query_builds_each_check_once():
     assert not query.predicate_check(odd)({"S": ServiceTuple({"x": 1})})
 
 
-# -- one emission loop, four probe-list builders ---------------------------------
+# -- one emission loop, three probe-list builders --------------------------------
 
 
-def executor(kernel, tracer=None):
+def executor(tracer=None):
     query = CompiledQuery(
         ServiceRegistry(), (), (), (), RankingFunction({"L": 0.6, "R": 0.4}), 10
     )
@@ -180,7 +180,6 @@ def executor(kernel, tracer=None):
         query=query,
         pool=ServicePool(ServiceRegistry(), global_seed=0),
         inputs={},
-        join_kernel=kernel,
         tracer=tracer,
     )
 
@@ -216,9 +215,9 @@ def emitted(result):
     return [(c.score, list(c.components.items())) for c in composites], pair_count
 
 
-def run_join(kernel, predicates, completion, left, right, nested=False):
+def run_join(predicates, completion, left, right, nested=False):
     tracer = Tracer()
-    runner = executor(kernel, tracer)
+    runner = executor(tracer)
     if nested:
         runner._equi_join_keys = lambda *args: "non_eq"
     result = runner._run_parallel_join(join_node(predicates, completion), left, right)
@@ -261,19 +260,18 @@ def test_every_kernel_emits_the_nested_loops_list(left, right, case, completion,
     )
     lrows, rrows = rows("L", left, shared), rows("R", right, shared)
     nested, nested_attrs, nested_probed = run_join(
-        "binary", predicates, completion, lrows, rrows, nested=True
+        predicates, completion, lrows, rrows, nested=True
     )
     assert nested_attrs["kernel"] == "nested_loop"
     # The nested loop probes the whole completion region.
     assert nested_probed == nested[1]
-    for kernel, name in (("binary", dispatch), ("wcoj", "leapfrog")):
-        got, attrs, probed = run_join(kernel, predicates, completion, lrows, rrows)
-        assert got == nested, (kernel, attrs)
-        assert probed <= nested_probed
-        if lrows and rrows:
-            assert attrs["dispatch"] == name
-        else:
-            assert attrs["dispatch"] == "empty_side" and got == ([], nested[1])
+    got, attrs, probed = run_join(predicates, completion, lrows, rrows)
+    assert got == nested, attrs
+    assert probed <= nested_probed
+    if lrows and rrows:
+        assert attrs["dispatch"] == dispatch
+    else:
+        assert attrs["dispatch"] == "empty_side" and got == ([], nested[1])
 
 
 def test_none_keys_collide_in_the_index_but_never_join():
@@ -281,16 +279,15 @@ def test_none_keys_collide_in_the_index_but_never_join():
     right = rows("R", [(None, [None]), (1, [1, 1, None])])
     for predicates in ([eq("L.k", "R.k")], [eq("L.G.v", "R.G.v")]):
         nested, _, nested_probed = run_join(
-            "binary", predicates, CompletionStrategy.RECTANGULAR, left, right, True
+            predicates, CompletionStrategy.RECTANGULAR, left, right, True
         )
-        for kernel in ("binary", "wcoj"):
-            got, attrs, probed = run_join(
-                kernel, predicates, CompletionStrategy.RECTANGULAR, left, right
-            )
-            assert got == nested
-            assert len(got[0]) == 1  # only 1 == 1; None == None is not a match
-            # ... though the None keys did meet in a bucket and were probed.
-            assert len(got[0]) < probed <= nested_probed
+        got, attrs, probed = run_join(
+            predicates, CompletionStrategy.RECTANGULAR, left, right
+        )
+        assert got == nested
+        assert len(got[0]) == 1  # only 1 == 1; None == None is not a match
+        # ... though the None keys did meet in a bucket and were probed.
+        assert len(got[0]) < probed <= nested_probed
 
 
 def test_multikey_candidates_are_visited_once_in_j_order():
@@ -299,7 +296,7 @@ def test_multikey_candidates_are_visited_once_in_j_order():
     left = rows("L", [(0, [1, 2])])
     right = rows("R", [(0, [2, 1, 1]), (0, [2])])
     got, attrs, probed = run_join(
-        "binary", [eq("L.G.v", "R.G.v")], CompletionStrategy.RECTANGULAR, left, right
+        [eq("L.G.v", "R.G.v")], CompletionStrategy.RECTANGULAR, left, right
     )
     assert attrs["dispatch"] == "hash_multikey" and probed == 2
     assert [dict(items)["R"].position for _, items in got[0]] == [0, 1]
@@ -310,31 +307,29 @@ def test_unhashable_key_values_fall_back_without_raising():
         tup = ServiceTuple({"k": bytearray(b"x"), "G": []}, source=alias)
         return [CompositeTuple({alias: tup}, 1.0)]
 
-    for kernel in ("binary", "wcoj"):
-        got, attrs, _ = run_join(
-            kernel,
-            [eq("L.k", "R.k")],
-            CompletionStrategy.TRIANGULAR,
-            odd_rows("L"),
-            odd_rows("R"),
-        )
-        assert attrs["kernel"] == "nested_loop"
-        assert attrs["dispatch"] == "unhashable_key"
-        assert len(got[0]) == 1 and got[1] == 1
+    got, attrs, _ = run_join(
+        [eq("L.k", "R.k")],
+        CompletionStrategy.TRIANGULAR,
+        odd_rows("L"),
+        odd_rows("R"),
+    )
+    assert attrs["kernel"] == "nested_loop"
+    assert attrs["dispatch"] == "unhashable_key"
+    assert len(got[0]) == 1 and got[1] == 1
 
 
 def test_decline_reasons_are_recorded():
     left, right = rows("L", [(1, [1])]), rows("R", [(1, [1])])
     rect = CompletionStrategy.RECTANGULAR
     lt = JoinPredicate(AttrRef.parse("L.k"), Comparator.LT, AttrRef.parse("R.k"))
-    assert run_join("binary", [lt], rect, left, right)[1]["dispatch"] == "non_eq"
-    assert run_join("wcoj", [], rect, left, right)[1]["dispatch"] == "no_predicates"
-    assert run_join("binary", [eq("L.k", "R.k")], rect, [], right)[1]["dispatch"] == (
+    assert run_join([lt], rect, left, right)[1]["dispatch"] == "non_eq"
+    assert run_join([], rect, left, right)[1]["dispatch"] == "no_predicates"
+    assert run_join([eq("L.k", "R.k")], rect, [], right)[1]["dispatch"] == (
         "empty_side"
     )
     one_sided = [eq("L.k", "L.G.v")]
-    assert run_join("binary", one_sided, rect, left, right)[1]["dispatch"] == "same_side"
-    degraded = executor("binary", tracer := Tracer())
+    assert run_join(one_sided, rect, left, right)[1]["dispatch"] == "same_side"
+    degraded = executor(tracer := Tracer())
     degraded.failed_aliases.add("X")
     degraded._run_parallel_join(join_node([eq("L.k", "R.k")], rect), left, right)
     (span,) = [s for s in tracer.spans if s.name == "join.probe"]

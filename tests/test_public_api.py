@@ -97,7 +97,7 @@ def test_serve_config_pickles_with_builtin_templates_and_packs(tmp_path):
     for templates in (None, scenario_templates("all", param_scale=8)):
         config = ServeConfig(
             templates=templates,
-            optimizer_config=OptimizerConfig(join_kernel="wcoj"),
+            optimizer_config=OptimizerConfig(budget=64),
             service_rates={"Movie1": 2.0},
             num_shards=4,
             cache_mode="private",

@@ -685,8 +685,11 @@ def test_plan_signature_is_memoised_per_metric_k_and_kernel(movie_registry):
         plan_signature(compiled, metric="execution-time"),
         plan_signature(compiled, metric="sum-cost"),
         plan_signature(compiled, metric="execution-time", k=3),
-        plan_signature(compiled, metric="execution-time", join_kernel="wcoj"),
         plan_signature(compiled),
     }
-    assert len(variants) == 5
+    assert len(variants) == 4
+    # The kernel slot is a constant now: one value, no keyword to vary it.
+    assert {variant[3] for variant in variants} == {"binary"}
+    with pytest.raises(TypeError):
+        plan_signature(compiled, join_kernel="wcoj")
     assert plan_signature(compiled, k=compiled.k) == plan_signature(compiled)

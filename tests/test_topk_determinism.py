@@ -2,9 +2,8 @@
 
 Quantized scores manufacture score ties on purpose; the binary cascade,
 leapfrog triejoin, and ranked enumerator must still emit byte-identical
-``(score, canonical row key)`` sequences — the property the plan cache
-and the serving digests lean on when the ``join_kernel`` knob flips
-mid-workload.
+``(score, canonical row key)`` sequences — the property that makes
+``topk_join(kernel=)`` a choice of work profile, never of results.
 """
 
 import random
