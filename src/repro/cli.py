@@ -43,6 +43,14 @@ partial).  ``--strict`` turns degradation into exit code 3 with the
 failed aliases on stderr — for scripts that must not mistake partial
 answers for complete ones.
 
+A library error never reaches the shell as a traceback: any
+:class:`~repro.errors.SearchComputingError` a command lets through ends
+it with one line ``repro: <ErrorClass>: <message>`` on stderr and exit
+code 2 (the query, schema or plan is wrong, or no plan exists), 4 (a
+checkpoint or cassette is corrupt, missing or does not verify) or 1
+(anything else, e.g. an execution failure).  ``repro --traceback
+<command> ...`` re-raises instead.
+
 Built-in schemas: ``movie`` (the running example), ``conference``
 (Figs. 2/3), and the scenario-pack schemas ``travel``, ``shopping``,
 and ``scholar``.  Custom queries are accepted with ``--query``; INPUT
@@ -65,7 +73,16 @@ from repro.core.topology import enumerate_topologies
 from repro.engine.async_runner import run_plan_async
 from repro.engine.executor import execute_plan
 from repro.engine.retry import RetryPolicy
-from repro.errors import RetryExhaustedError, SearchComputingError
+from repro.errors import (
+    CassetteError,
+    CheckpointError,
+    OptimizationError,
+    PlanError,
+    QueryError,
+    RetryExhaustedError,
+    SchemaError,
+    SearchComputingError,
+)
 from repro.obs.explain import build_explain
 from repro.obs.export import TRACE_FORMATS, write_prometheus, write_trace
 from repro.obs.metrics import snapshot_run
@@ -252,6 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Search Computing: multi-domain query optimization & execution",
+    )
+    parser.add_argument(
+        "--traceback",
+        action="store_true",
+        help="let a library error propagate with its traceback instead of "
+        "the one-line 'repro: <ErrorClass>: <message>' and an exit code",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -1362,6 +1385,13 @@ def _cmd_topologies(args) -> int:
     return 0
 
 
+#: Exit code per error family (first match); any other library error is 1.
+_EXIT_CODES = (
+    ((QueryError, SchemaError, PlanError, OptimizationError), 2),
+    ((CheckpointError, CassetteError), 4),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -1379,6 +1409,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except SearchComputingError as exc:
+        if args.traceback:
+            raise
+        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(
+            (code for family, code in _EXIT_CODES if isinstance(exc, family)), 1
+        )
     except BrokenPipeError:  # e.g. `python -m repro ... | head`
         try:
             sys.stdout.close()

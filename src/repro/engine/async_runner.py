@@ -277,14 +277,16 @@ class AsyncPlanExecutor(PlanExecutor):
         self._wall_start = time.perf_counter()
         outputs: dict[str, list] = {}
         tasks: dict[str, asyncio.Task] = {}
-        with self._plan_span(backend="asyncio"):
+        with self._plan_span(backend="asyncio") as span:
             for node_id in self.plan.topological_order():
                 tasks[node_id] = asyncio.ensure_future(
                     self._node_task(node_id, tasks, outputs)
                 )
             finished = await _gather(list(tasks.values()))
+            rows = outputs[self.plan.output_node.node_id]
+            span.set("result_rows", f"built {len(rows.built)} of {len(rows)}")
         return self._result(
-            outputs[self.plan.output_node.node_id],
+            rows,
             {node_id: stats for node_id, (stats, _) in zip(tasks, finished)},
             sum(pair_count for _, pair_count in finished),
             backend="asyncio",

@@ -8,9 +8,11 @@ topological order, materialising each node's composite-tuple output —
 * a **service node** invokes its interface once per distinct input
   binding (invocations are memoised, so serial compositions that pipe no
   attributes cost one call batch), draws its fetch factor's worth of
-  chunks, filters results through the alias's selection predicates with
+  chunks, filters results through the alias's selection predicates — and
+  the join predicates with upstream aliases no other node checks — with
   joint-witness semantics, and composes survivors with the upstream
-  composite;
+  composite (the plan's last node only ranks them: rows are built when
+  read, see :class:`ResultRows`);
 * a **selection node** filters composites through its residual predicates;
 * a **parallel-join node** matches the two branch outputs — composites
   must agree on shared aliases (tuples stemming from the same upstream
@@ -64,12 +66,13 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import OrderedDict
+from collections import OrderedDict, abc
 from contextlib import contextmanager
-from itertools import product
+from functools import cached_property
+from itertools import islice, product
 from dataclasses import dataclass, field, replace
 from weakref import WeakValueDictionary
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.annotate import pipe_join_selectivity
 from repro.engine.events import CallLog
@@ -291,10 +294,13 @@ class NodeRunStats:
     first_call_latency: float = 0.0
     #: Candidate pairs this node's join kernel examined (0 for non-joins).
     pairs_probed: int = 0
-    #: Join nodes: the kernel that ran (``hash`` / ``hash_multikey``) or
-    #: why the nested loop did (``non_eq``, ...).
+    #: Join nodes: the kernel that ran (``hash`` / ``hash_multikey`` /
+    #: ``hash_shared``) or why the nested loop did (``non_eq``, ...).
     dispatch: str = ""
-    #: Composite rows this node built, and how many it scored.
+    #: Service nodes: join predicates checked here, with the selections.
+    staged: int = 0
+    #: Composite rows this node built, and how many it scored, during the
+    #: execution: 0 where rows were ranked unbuilt (``len`` counts those).
     rows_built: int = 0
     rows_scored: int = 0
     #: Output node: ``elided``, ``residual(n predicates)`` or ``full(reason)``.
@@ -323,8 +329,8 @@ class Recording:
     pairs_probed: int
 
 
-class ResultRows(list):
-    """The row list an execution returns; immutable from then on.
+class ResultRows(abc.Sequence):
+    """The rows an execution returns, in final order; immutable from then on.
 
     Nothing appends to, reorders or drops from it once the executor hands
     it out (sessions present slices and re-scored copies), so what is
@@ -333,24 +339,73 @@ class ResultRows(list):
     on a shared :class:`InvocationCache`, its :class:`Recording`.  Like
     :class:`~repro.model.tuples.ServiceTuple`'s memos, neither is copied
     or pickled — both yield a plain ``list`` of the rows.
+
+    Given a ``length``, ``rows`` is an iterator that builds them: a row
+    then exists once it is read, as part of the prefix up to it
+    (:attr:`built`, which only grows — so sessions replaying one recording
+    share this object while presenting different ``k``).  Not a ``list``,
+    whose C fast paths would take the prefix for the whole.
     """
 
-    __slots__ = ("recording", "digest", "__weakref__")
+    __slots__ = ("built", "_later", "_length", "recording", "digest", "__weakref__")
 
-    def __init__(self, rows: Sequence[CompositeTuple] = ()) -> None:
-        super().__init__(rows)
+    def __init__(self, rows: Iterable[CompositeTuple] = (), length: int | None = None):
+        #: The rows that exist so far, in order.
+        self.built: list[CompositeTuple] = list(rows) if length is None else []
+        self._later = None if length is None else rows
+        self._length = len(self.built) if length is None else length
         self.recording: Recording | None = None
         self.digest: str | None = None
+
+    def _first(self, count: int) -> list[CompositeTuple]:
+        """:attr:`built`, grown to ``count`` rows if it was shorter."""
+        rows = self.built
+        if self._later is not None and count > len(rows):
+            rows.extend(islice(self._later, count - len(rows)))
+            if len(rows) == self._length:
+                self._later = None  # and whatever it was building from
+        return rows
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        wanted = range(self._length)[index]  # a position, or a slice's
+        if isinstance(wanted, int):
+            return self._first(wanted + 1)[wanted]
+        rows = self._first(max(wanted[0], wanted[-1]) + 1 if wanted else 0)
+        return [rows[i] for i in wanted]
+
+    def __iter__(self) -> Iterator[CompositeTuple]:
+        return iter(self._first(self._length))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, ResultRows)):
+            return self._first(self._length) == list(other)
+        return NotImplemented
 
     def __reduce__(self):
         return list, (list(self),)
 
 
 @dataclass
+class _Blocks:
+    """A plan's last service node's output, unbuilt: per upstream row its
+    components and the alias's surviving tuples, for
+    :meth:`PlanExecutor._finalise` to rank before any row exists."""
+
+    alias: str
+    blocks: list[tuple[dict, Sequence[Any]]]
+
+    def __len__(self) -> int:
+        return sum(len(tuples) for _, tuples in self.blocks)
+
+
+@dataclass
 class ExecutionResult:
     """Outcome of one plan execution."""
 
-    tuples: list[CompositeTuple]
+    tuples: Sequence[CompositeTuple]
     log: CallLog
     node_stats: dict[str, NodeRunStats]
     execution_time: float
@@ -426,6 +481,8 @@ class PlanExecutor:
     final_semantic_check:
         Re-evaluate the full predicate set on every output combination
         with joint-witness semantics (recommended; see module docstring).
+        ``False`` elides the *output node's* check only: what a service,
+        selection or join node stages is always checked there.
     retry:
         Retry policy for failing service calls (default: no retries, no
         per-call timeout).  Backoff waits advance the pool's virtual
@@ -511,9 +568,10 @@ class PlanExecutor:
         self.final_check = ""  # what the output node checked (_finalise)
         self._dispatch: dict[str, str] = {}
         self._estimator = Estimator(query)
-        #: (alias, id of a fetched tuple list) -> (the list, its survivors
-        #: under the alias's selection check).
-        self._survivors: dict[tuple[str, int], tuple[Sequence[Any], list]] = {}
+        #: (alias, id of a fetched tuple list, ids of the source tuples its
+        #: staged joins read) -> (the list, its survivors under the node's
+        #: check).
+        self._survivors: dict[tuple, tuple[Sequence[Any], list]] = {}
 
     # -- public entry points -----------------------------------------------------
 
@@ -551,12 +609,13 @@ class PlanExecutor:
                 cache.replays += 1
             self.result_memo = "miss" if rows is None else "hit"
 
-        with self._plan_span(result_memo=self.result_memo):
+        with self._plan_span(result_memo=self.result_memo) as span:
             if rows is None:
                 rows, stats, candidates = yield from self._run_nodes()
             else:
                 stats = yield from self._replay(rows.recording)
                 candidates = rows.recording.total_candidates
+            span.set("result_rows", f"built {len(rows.built)} of {len(rows)}")
 
         if key is not None and rows.recording is None:
             rows.recording = Recording(
@@ -604,7 +663,7 @@ class PlanExecutor:
         with self._span(
             "plan.execute", nodes=len(self.plan.nodes), k=self.k, **attrs
         ) as span:
-            yield
+            yield span
             span.set("final_check", self.final_check)
             span.set("rows_built", self.rows_total(0))
             span.set("rows_scored", self.rows_total(1))
@@ -746,6 +805,8 @@ class PlanExecutor:
             span.set("tout", len(result))
             if stats.calls:
                 span.set("calls", stats.calls)
+            if stats.staged:
+                span.set("staged", stats.staged)
             if probes:
                 span.set("pairs_probed", probes)
             span.__exit__(None, None, None)
@@ -851,12 +912,16 @@ class PlanExecutor:
         tuples: Sequence[Any],
         failed: bool,
         check: PredicateCheck | None,
-        out: list[CompositeTuple],
+        out: list,
+        sources: Sequence[str] = (),
+        deferred: bool = False,
     ) -> None:
         """Filter one invocation's tuples and compose survivors into ``out``.
 
-        ``check`` is the lowered check of the alias's selections (see
-        :meth:`_selection_check`).  Pure CPU work shared by both execution
+        ``check`` is the lowered check of the alias's selections and of
+        the joins staged here, which read the upstream row's ``sources``;
+        ``deferred`` has ``out`` take the survivors as a block, unbuilt
+        (:class:`_Blocks`).  Pure CPU work shared by both execution
         backends; appending in upstream order keeps the output list
         byte-identical however the fetches themselves were interleaved.
         """
@@ -865,23 +930,26 @@ class PlanExecutor:
             # upstream combination flows on without this component.
             out.append(composite)
             return
-        alias = node.alias
+        alias, upstream = node.alias, composite.components
         if check is not None:
-            # The check reads the tuple and ``self.inputs`` only, and the
-            # invocation memo hands every upstream row with one binding
-            # the same list: filter each list once.  The entry holds the
-            # list, so its ``id`` cannot be reused while the entry lives.
-            kept = self._survivors.get((alias, id(tuples)))
+            # The check reads the tuple, the source components and
+            # ``self.inputs`` only, and the invocation memo hands every
+            # upstream row with one binding the same list: filter each
+            # (list, source tuples) once.  The entry holds the list, the
+            # upstream rows the sources: no ``id`` is reused meanwhile.
+            key = (alias, id(tuples), *[id(upstream[a]) for a in sources])
+            kept = self._survivors.get(key)
             if kept is None:
                 inputs = self.inputs
-                kept = self._survivors[alias, id(tuples)] = (
-                    tuples,
-                    [tup for tup in tuples if check({alias: tup}, inputs)],
-                )
+                keep = [t for t in tuples if check({**upstream, alias: t}, inputs)]
+                kept = self._survivors[key] = (tuples, keep)
             tuples = kept[1]
+        if deferred:
+            out.append((upstream, tuples))
+            return
         # Unscored: a downstream join scores its own output, and
         # ``_finalise`` scores whatever reaches it without one.
-        row, upstream = CompositeTuple._owned, composite.components
+        row = CompositeTuple._owned
         out.extend([row({**upstream, alias: tup}, None) for tup in tuples])
         self._count_rows(node.node_id, len(tuples), 0)
 
@@ -902,10 +970,10 @@ class PlanExecutor:
     def _run_service(self, node: ServiceNode, upstream: list[CompositeTuple]):
         """A service node's body: one call spec per upstream row, **one
         fetch batch** for the driver to fulfil, the outcomes composed in
-        upstream order.  Returns ``(output rows, call figures)``."""
+        upstream order.  Returns ``(output, call figures and ``staged``)``."""
         assert node.interface is not None
-        factor = max(1, int(self.fetches.get(node.alias, 1)))
-        check = self._selection_check(node.alias)
+        alias = node.alias
+        factor = max(1, int(self.fetches.get(alias, 1)))
         # The availability gate: plan-invariant, so not per upstream row.
         availability = pipe_join_selectivity(node, self.query, self._estimator)
         spec_of = self._call_specs(node, factor, availability)
@@ -917,8 +985,24 @@ class PlanExecutor:
             [spec for spec in specs if spec is not None],
         )
         fetched, measured = yield from self._fetch_batch(batch)
+        joins = self._staging[0][alias]
+        sources = sorted({a for join in joins for a in join.aliases} - {alias})
+        if self.failed_aliases.intersection(sources):
+            # Degraded: rows may lack the components the joins read.  The
+            # sources are upstream, hence settled — on either driver.
+            joins, sources = (), []
+        check = self._selection_check(alias)
+        if joins:  # with the selections, under one witness assignment
+            check = self.query.predicate_check(self.query.selections_on(alias), joins)
+        # The output node's parent runs after every other node: what the
+        # output will check is settled, and if nothing, rows can wait.
+        deferred = (
+            self.plan.children(node.node_id) == (self.plan.output_node.node_id,)
+            and not self.failed_aliases
+            and not any(self._final_predicates()[1:])
+        )
         outcomes = iter(fetched)
-        out: list[CompositeTuple] = []
+        out: list = []
         for composite, spec in zip(upstream, specs):
             if spec is None:
                 # Pipe source never materialised (partial degradation):
@@ -926,9 +1010,10 @@ class PlanExecutor:
                 out.append(composite)
             else:
                 self._compose_service_results(
-                    node, composite, *next(outcomes), check, out
+                    node, composite, *next(outcomes), check, out, sources, deferred
                 )
-        return out, measured
+        measured["staged"] = len(joins)
+        return _Blocks(alias, out) if deferred else out, measured
 
     # -- fetching: the virtual driver, and what both drivers share ------------------
 
@@ -1093,8 +1178,8 @@ class PlanExecutor:
         """Pick a probe-list builder, then emit through :meth:`_emit_pairs`.
 
         ``dispatch`` (on the ``join.probe`` span and the node's run stats)
-        names the kernel that ran — ``hash``, ``hash_multikey`` — or why
-        the join fell back to the nested loop.
+        names the kernel that ran — ``hash``, ``hash_multikey``,
+        ``hash_shared`` — or why the join fell back to the nested loop.
         """
         sides = self._uniform_aliases(left), self._uniform_aliases(right)
         # Aliases both branches carry (tuples stemming from one upstream
@@ -1103,16 +1188,12 @@ class PlanExecutor:
         keys = self._equi_join_keys(node, left, right, shared)
         kernel, dispatch, candidates = "nested_loop", keys, None
         if not isinstance(keys, str):
-            left_keys, right_keys, multikey = keys
+            left_keys, right_keys, dispatch = keys
             try:
                 candidates = self._hash_candidates(
                     left, right, left_keys, right_keys
                 )
-                kernel, dispatch = (
-                    ("hash_multikey", "hash_multikey")
-                    if multikey
-                    else ("hash_indexed", "hash")
-                )
+                kernel = dispatch if dispatch == "hash_multikey" else "hash_indexed"
                 shared = ()  # equal keys subsume shared-alias agreement
             except (TypeError, KeyError):
                 dispatch = "unhashable_key"
@@ -1201,7 +1282,7 @@ class PlanExecutor:
         left: list[CompositeTuple],
         right: list[CompositeTuple],
         shared: tuple[str, ...] | None,
-    ) -> tuple[Callable, Callable, bool] | str:
+    ) -> tuple[Callable, Callable, str] | str:
         """Key extractors when this join is hash-indexable, else the reason
         it is not (``degraded``, ``empty_side``, ``no_predicates``,
         ``non_eq``, ``same_side``).
@@ -1214,7 +1295,9 @@ class PlanExecutor:
         equal keys subsume the agreement check) with the EQ attribute
         values from the row's own side — one vector when every path is
         atomic, one per joint choice of repeating-group members
-        otherwise (the third element of the result says which).  EQ
+        otherwise.  The third element names the kernel: ``hash``,
+        ``hash_multikey``, or — no predicate, the shared components are the
+        whole key — ``hash_shared`` (``no_predicates``: nothing shared).  EQ
         compares with plain ``==`` and key equality over-approximates the
         predicate set (``None == None`` collides though SQL nulls never
         match; members are chosen per side, not jointly with the other
@@ -1225,7 +1308,7 @@ class PlanExecutor:
             return "degraded"
         if not left or not right:
             return "empty_side"
-        if not node.predicates:
+        if not node.predicates and not shared:
             return "no_predicates"
         if shared is None:
             return "degraded"
@@ -1286,7 +1369,9 @@ class PlanExecutor:
             make_keys(left_refs),
             make_keys(right_refs),
         )
-        return left_keys, right_keys, left_multi or right_multi
+        if left_multi or right_multi:
+            return left_keys, right_keys, "hash_multikey"
+        return left_keys, right_keys, "hash" if node.predicates else "hash_shared"
 
     @staticmethod
     def _triangular_cutoff(i: int, n_left: int, n_right: int, limit: int) -> int:
@@ -1388,42 +1473,91 @@ class PlanExecutor:
             inputs=self.inputs,
         )
 
-    def _finalise(self, upstream: list[CompositeTuple]) -> ResultRows:
-        query = self.query
-        selections, joins = query.selections, query.joins
+    @cached_property
+    def _staging(self) -> tuple[dict[str, tuple], tuple[str, tuple, tuple]]:
+        """``(service alias -> the joins its node checks with its selections,
+        the (label, selections, joins) left to the output node)``.
+
+        A service node takes the joins between its alias and aliases
+        upstream that no selection or join node checks — those a pipe
+        binding realises — the moment they are evaluable (Section 3.2).
+        Every node checks its subset under its own witnesses, so only what
+        factorises out of the subsets is left (:meth:`CompiledQuery.final_predicates`);
+        if a repeating-group occurrence then spans two subsets, which leaves
+        the full check, nothing is staged and the joins stay residual.
+        """
+        plan, query = self.plan, self.query
+        checked = [(sel.selections, sel.join_filters) for sel in plan.selection_nodes()]
+        checked += [((), join.predicates) for join in plan.join_nodes()]
+        placed = {join for _, joins in checked for join in joins}
+        unplaced = [join for join in query.joins if join not in placed]
+        reach: dict[str, frozenset[str]] = {}
+        staged: dict[str, tuple] = {}
+        for node_id in plan.topological_order():
+            node = plan.nodes[node_id]
+            aliases = frozenset().union(*[reach[p] for p in plan.parents(node_id)])
+            if isinstance(node, ServiceNode):
+                aliases |= {node.alias}
+                mine = [j for j in unplaced if node.alias in j.aliases]
+                staged[node.alias] = tuple(j for j in mine if j.aliases <= aliases)
+            reach[node_id] = aliases
+
+        def final(staged: dict[str, tuple]) -> tuple[str, tuple, tuple]:
+            return query.final_predicates(
+                (*checked, *[(query.selections_on(a), j) for a, j in staged.items()])
+            )
+
+        left = final(staged)
+        if left[0].startswith("full"):
+            staged = dict.fromkeys(staged, ())
+            left = final(staged)
+        return staged, left
+
+    def _final_predicates(self) -> tuple[str, tuple, tuple]:
+        """``(label, selections, joins)`` the output node checks on this run."""
         if not self.final_semantic_check:
-            self.final_check, selections, joins = "elided", (), ()
-        elif self.failed_aliases:
+            return "elided", (), ()
+        if self.failed_aliases:
             # Rows skipped the nodes whose components they lack.
-            self.final_check = "full(degraded)"
-        else:
-            # Every node checked its own subset on every row that passed
-            # it: only what factorises out of those is left to check.
-            staged = []
-            for node in self.plan.nodes.values():
-                if isinstance(node, ServiceNode):
-                    staged.append((query.selections_on(node.alias), ()))
-                elif isinstance(node, SelectionNode):
-                    staged.append((node.selections, node.join_filters))
-                elif isinstance(node, ParallelJoinNode):
-                    staged.append(((), node.predicates))
-            self.final_check, selections, joins = query.final_predicates(
-                tuple(staged)
+            return "full(degraded)", self.query.selections, self.query.joins
+        return self._staging[1]
+
+    def _finalise(self, upstream: "list[CompositeTuple] | _Blocks") -> ResultRows:
+        self.final_check, selections, joins = self._final_predicates()
+        ranking = self.query.ranking
+        if isinstance(upstream, _Blocks):
+            # Ranked before built, by ``score_composite``'s very expression:
+            # ``sum`` over the same terms in component order (a running
+            # prefix is not bit-equal where ``sum`` compensates, >= 3.12).
+            alias, weight = upstream.alias, ranking.weights.get
+            own = weight(alias, 0.0)
+            heads, tails, scores = [], [], []  # per would-be row, in row order
+            for components, tuples in upstream.blocks:
+                terms = [weight(a, 0.0) * tup.score for a, tup in components.items()]
+                scores.extend([sum(terms + [own * tup.score]) for tup in tuples])
+                heads.extend([components] * len(tuples))
+                tails.extend(tuples)
+            order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+            if self.k is not None:
+                del order[self.k :]
+            row = CompositeTuple._owned
+            return ResultRows(
+                (row({**heads[i], alias: tails[i]}, scores[i]) for i in order),
+                length=len(order),
             )
         result = upstream
         if selections or joins:
             result = self._filter(result, selections, joins)
-        score = query.ranking.score_composite
+        score = ranking.score_composite
         # Rows a service node built reach here unscored.
         unscored = [row for row in result if row.score is None]
         for row in unscored:
             object.__setattr__(row, "score", score(row.components))
         self._count_rows(self.plan.output_node.node_id, 0, len(unscored))
-        rows = ResultRows(result)
-        rows.sort(key=lambda c: -c.score)
+        rows = sorted(result, key=lambda c: -c.score)
         if self.k is not None:
             del rows[self.k :]
-        return rows
+        return ResultRows(rows)
 
     # -- measurement -------------------------------------------------------------------
 

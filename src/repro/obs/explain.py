@@ -19,10 +19,14 @@ node per line::
 
 A node's ``est a -> b | act c -> d`` reads "estimated ``tin`` a producing
 ``tout`` b; measured ``tin`` c producing ``tout`` d".  After a join's
-``probes=`` comes why it took the kernel it took: ``hash`` or
-``hash_multikey``, or the reason it ran the nested loop
+``probes=`` comes why it took the kernel it took: ``hash``,
+``hash_multikey`` or ``hash_shared`` (no predicate: keyed on the shared
+upstream components), or the reason it ran the nested loop
 (``non_eq``, ``no_predicates``, ``degraded``, ``empty_side``,
-``same_side``, ``unhashable_key``).
+``same_side``, ``unhashable_key``).  ``staged=n`` on a service line:
+the node checked ``n`` join predicates with its selections.  The summary
+says how many of the result's rows exist, ``rows built b of n`` (a plan
+ending in a service node ranks first and builds a row when it is read).
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ class ExplainNode:
     busy_time: float | None = None
     pairs_probed: int | None = None
     dispatch: str | None = None
+    staged: int | None = None
     final_check: str | None = None
     bottleneck_share: float | None = None
     children: "list[ExplainNode]" = field(default_factory=list)
@@ -90,6 +95,8 @@ class ExplainNode:
         if self.pairs_probed is not None:
             via = f" ({self.dispatch})" if self.dispatch else ""
             parts.append(f"probes={self.pairs_probed}{via}")
+        if self.staged:
+            parts.append(f"staged={self.staged}")
         if self.final_check:
             parts.append(f"final_check={self.final_check}")
         if self.busy_time:
@@ -124,6 +131,7 @@ class ExplainReport:
     pairs_probed: int | None = None
     rows_built: int | None = None
     rows_scored: int | None = None
+    result_built: int | None = None  # result rows that exist by now
     #: :attr:`~repro.engine.executor.ExecutionResult.result_memo`.
     result_memo: str | None = None
     #: :meth:`~repro.services.simulated.WorldStats.as_dict` of the
@@ -175,7 +183,10 @@ class ExplainReport:
         if self.pairs_probed is not None:
             summary.append(f"join probes: {self.pairs_probed} pairs")
         if self.rows_built is not None:
-            summary.append(f"rows: {self.rows_built} built, {self.rows_scored} scored")
+            line = f"rows: {self.rows_built} built, {self.rows_scored} scored"
+            if self.result_built is not None:
+                line += f"; result rows built {self.result_built} of {self.actual_results}"
+            summary.append(line)
         if self.result_memo is not None:
             # ``off(reason)`` names why this execution was neither recorded
             # nor replayed (a private cache, possible faults, a call timeout).
@@ -250,6 +261,7 @@ def build_explain(
             if isinstance(node, ParallelJoinNode) and probed is not None:
                 out.pairs_probed = probed
                 out.dispatch = getattr(stats, "dispatch", "") or None
+            out.staged = getattr(stats, "staged", 0) or None
             out.final_check = getattr(stats, "final_check", "") or None
             busy = busy_by_node.get(node_id, 0.0)
             if busy:
@@ -300,6 +312,8 @@ def build_explain(
         report.pairs_probed = result.pairs_probed
         report.rows_built = sum(s.rows_built for s in result.node_stats.values())
         report.rows_scored = sum(s.rows_scored for s in result.node_stats.values())
+        if hasattr(result.tuples, "built"):  # not an unpickled result's list
+            report.result_built = len(result.tuples.built)
         report.result_memo = result.result_memo
         if bottleneck is not None and bottleneck.busy_time:
             report.bottleneck_alias = bottleneck.alias

@@ -307,6 +307,58 @@ class TestCheckpointResume:
         assert code == 2
 
 
+class TestTypedFailureAtTheDoor:
+    """A library error ends a command with one stderr line and a documented
+    exit code, never a traceback — unless ``--traceback`` asks for one."""
+
+    @staticmethod
+    def failing(capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        (line,) = captured.err.splitlines()
+        return code, line
+
+    def test_malformed_query_exits_two(self, capsys):
+        code, line = self.failing(capsys, "run", "--query", "SELECT")
+        assert code == 2
+        assert line.startswith("repro: QueryParseError: ")
+
+    def test_unknown_interface_in_a_plan_exits_two(self, capsys):
+        code, line = self.failing(
+            capsys, "plan", "--query", "SELECT Nowhere1 AS N WHERE N.X = 1"
+        )
+        assert code == 2 and line.startswith("repro: ")
+
+    def test_truncated_checkpoint_exits_four(self, capsys, tmp_path):
+        code, _ = run_cli(
+            capsys, "checkpoint", "--schema", "scholar", "--steps", "2",
+            "--dir", str(tmp_path), "--key", "v",
+        )
+        assert code == 0
+        (path,) = tmp_path.iterdir()
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
+        assert code == 4
+        assert line.startswith("repro: CheckpointIntegrityError: ")
+
+    def test_execution_failure_keeps_exit_one_and_its_hint(self, capsys):
+        code = main(["run", "--seed", "3", "--outage", "Restaurant1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "hint:" in captured.err and "Traceback" not in captured.err
+
+    def test_traceback_flag_reraises(self, capsys, tmp_path):
+        from repro.errors import CheckpointError, QueryParseError
+
+        with pytest.raises(QueryParseError):
+            main(["--traceback", "run", "--query", "SELECT"])
+        (tmp_path / "v.ckpt.json").write_text("{")
+        with pytest.raises(CheckpointError):
+            main(["--traceback", "resume", "--dir", str(tmp_path)])
+
+
 class TestTopologies:
     def test_running_example_lists_four(self, capsys):
         code, out = run_cli(capsys, "topologies")

@@ -118,6 +118,70 @@ def test_midplan_checkpoint_matches_uninterrupted(tmp_path):
     assert _log_signature(restored.pool) == _log_signature(baseline_pool)
 
 
+def test_travel_chain_checkpoint_mid_journal_keeps_its_witness(tmp_path):
+    """The travel plan ends in a service node: the executor ranks its
+    combinations and a row is built when read.  The checkpoint witness
+    digests the *whole* raw list — building it — and must be the digest of
+    the list built eagerly; the restored session, which re-drives the
+    journal and defers again, must reproduce it."""
+    from repro.engine.executor import PlanExecutor
+    from repro.services.scenarios import SCENARIOS
+    from tests.test_row_life import _built_then_checked
+
+    pack = SCENARIOS["travel"]
+
+    def travel():
+        registry = pack.registry_factory()
+        compiled = compile_query(parse_query(pack.query_text), registry)
+        return LiquidQuerySession(
+            candidate=Optimizer(compiled, OptimizerConfig()).optimize().best,
+            query=compiled,
+            pool=ServicePool(registry, global_seed=2009),
+            inputs=dict(pack.default_inputs),
+        )
+
+    session = travel()
+    session.run()
+    session.more()
+    raw = session._raw
+    assert 0 < len(raw.built) < len(raw) and raw.digest is None
+    payload = session.checkpoint(schema="travel", query_text=pack.query_text)
+    witness = payload["witness"]
+    assert witness["result_count"] == len(raw) == len(raw.built)
+    # The same rows with nothing staged and nothing deferred.
+    eager = _built_then_checked(
+        PlanExecutor(
+            session.candidate.plan, session.query,
+            ServicePool(pack.registry_factory(), global_seed=2009),
+            session.inputs, session.fetch_factors, k=10**9,
+        )
+    )
+    assert witness["result_digest"] == raw.digest == result_digest(eager.run().tuples)
+
+    store = CheckpointStore(tmp_path)
+    store.save("travel", payload)
+    restored = restore_session(store.load("travel"))  # verifies the witnesses
+    assert [e["kind"] for e in restored.interaction_journal] == ["run", "more"]
+    assert restored.result_count == session.result_count
+    assert restored.pool.clock.now == session.pool.clock.now
+    assert _log_signature(restored.pool) == _log_signature(session.pool)
+    weights = {"F": 0.2, "H": 0.2, "E": 0.6}
+    for step in (
+        lambda s: s.run(),
+        lambda s: s.rerank(weights, k=25),
+        lambda s: s.more(k=40),
+    ):
+        assert result_digest(step(restored)) == result_digest(step(session))
+    again = restored.checkpoint(schema="travel", query_text=pack.query_text)
+    assert again["witness"] == session.checkpoint(
+        schema="travel", query_text=pack.query_text
+    )["witness"]
+
+    payload["witness"]["result_digest"] = "0" * 64
+    with pytest.raises(CheckpointIntegrityError, match="result digest"):
+        restore_session(payload)
+
+
 def test_checkpoint_mid_retry_continues_retry_state(tmp_path):
     """Satellite: checkpoint while retries are in flight, resume, and the
     retry counters/backoffs *continue* — the resumed call log is the

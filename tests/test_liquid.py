@@ -323,6 +323,73 @@ class TestPresentation:
         tied = session.rerank({"M": 0.0, "T": 0.0, "R": 0.0}, k=10**6)
         assert [c.components for c in tied] == [c.components for c in session._raw]
 
+    @staticmethod
+    def travel_sessions(count=1, seed=21):
+        """Sessions over the travel chain ``F -> H -> E``: its last node is
+        a service node, so the executor ranks the combinations and a row is
+        built when presented.  They share plan, query and invocation cache:
+        each one after the first replays the first's recording."""
+        from repro.engine.executor import InvocationCache
+        from repro.query.compile import compile_query
+        from repro.query.parser import parse_query
+        from repro.services.scenarios import SCENARIOS
+
+        pack = SCENARIOS["travel"]
+        registry = pack.registry_factory()
+        query = compile_query(parse_query(pack.query_text), registry)
+        candidate = optimize_query(query)
+        cache = InvocationCache(max_size=None)
+        return query, [
+            LiquidQuerySession(
+                candidate=candidate,
+                query=query,
+                pool=ServicePool(registry, global_seed=seed),
+                inputs=dict(pack.default_inputs),
+                executor_options={"invocation_cache": cache},
+            )
+            for _ in range(count)
+        ]
+
+    def test_travel_chain_run_more_rerank_more_rerank_back(self):
+        query, (session,) = self.travel_sessions()
+        k = query.k
+        shown = session.run()
+        raw = session._raw
+        # Ranked, not built: the session built what it presented.
+        assert session.result_count == len(raw) > k == len(shown) == len(raw.built)
+        assert _exact(shown) == _exact(_rebuild_and_sort(session, k))
+        before = session.result_count
+        more = session.more()
+        assert session._raw is not raw and session.result_count > before
+        assert len(more) == before + 1 == len(session._raw.built)
+        assert _exact(more) == _exact(_rebuild_and_sort(session, len(more)))
+        weights = {"F": 0.1, "H": 0.1, "E": 0.8}
+        assert _exact(session.rerank(weights, k=7)) == _exact(
+            _rebuild_and_sort(session, 7)
+        )
+        count = session.result_count
+        more = session.more(k=10**6)
+        assert len(more) == session.result_count > count
+        assert _exact(more) == _exact(_rebuild_and_sort(session, 10**6))
+        back = session.rerank(dict(query.ranking.weights), k=10**6)
+        assert _exact(back) == _exact(_rebuild_and_sort(session, 10**6))
+        assert _exact(back) == _exact(session._raw)
+
+    def test_sessions_sharing_a_recording_present_different_k(self):
+        _, (first, second, third) = self.travel_sessions(3)
+        three = first.run(k=3)
+        raw = first._raw
+        assert first._last.result_memo == "miss" and len(raw.built) == 3
+        seven = second.run(k=7)
+        assert second._last.result_memo == "hit" and second._raw is raw
+        # Append-only: the rows the first session holds are the second's.
+        assert len(raw.built) == 7
+        assert all(ours is theirs for ours, theirs in zip(three, seven))
+        assert first.run(k=5) == seven[:5] and len(raw.built) == 7
+        assert third.run(k=0) == [] and third._raw is raw
+        assert third.result_count == first.result_count == len(raw) > 7
+        assert _exact(second.run(k=10**6)) == _exact(_rebuild_and_sort(first, 10**6))
+
     def test_fully_degraded_empty_composite_keeps_its_score_repr(
         self, movie_query, movie_registry
     ):

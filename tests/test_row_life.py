@@ -7,6 +7,11 @@
   (``satisfies`` over the whole predicate set) on plans where a repeating
   group is mentioned by one node, by two nodes, or only by a pipe-realised
   join — degraded and ``final_semantic_check=False`` runs included;
+* a pipe-realised join checked at the service node that makes it
+  evaluable, and a plan's last service node ranked before its rows are
+  built ≡ every row built and checked against every predicate at the
+  output node — on the residual cases and the five scenario templates,
+  under faults; the deferred sequence ≡ the eager list under every read;
 * rows are scored on demand, yet every returned row carries exactly
   ``score_composite(components)``;
 * ``result_digest`` over warm per-tuple memos equals a cold recomputation
@@ -44,13 +49,19 @@ from repro.model.service import (
 from repro.model.tuples import CompositeTuple, RankingFunction, ServiceTuple
 from repro.obs.explain import build_explain
 from repro.obs.tracer import Tracer
-from repro.plans.nodes import OutputNode, ParallelJoinNode
+from repro.plans.nodes import (
+    OutputNode,
+    ParallelJoinNode,
+    SelectionNode,
+    ServiceNode,
+)
 from repro.query.ast import AttrRef, Comparator, SelectionPredicate
 from repro.query.compile import compile_query
 from repro.query.feasibility import enumerate_binding_choices
 from repro.query.parser import parse_query
 from repro.query.predicates import satisfies
 from repro.serve.bench import result_digest
+from repro.serve.workload import scenario_templates
 from repro.services import datagen
 from repro.services.datagen import TupleGenerator, derive_seed, domain_value
 from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
@@ -278,6 +289,13 @@ RESIDUAL_QUERIES = {
         "AND A.G.X = B.H.X AND B.H.Y = C.K AND C.J.X = 0",
         True,
     ),
+    # A.G in two pipe-realised joins, one bound at B and one at C: together
+    # in the residual they share a witness; staged apart they would not.
+    "split_group": (
+        "SELECT A1 AS A, B1 AS B, C1 AS C WHERE A.K = INPUT1 "
+        "AND A.G.X = B.K AND A.G.Y = C.K",
+        False,
+    ),
 }
 
 
@@ -312,6 +330,68 @@ def _rows(result):
     return [(row.components, row.score) for row in result.tuples]
 
 
+def _exact_rows(result):
+    """Components, order, score type and bits."""
+    return [
+        (row.components, type(row.score), float(row.score).hex())
+        for row in result.tuples
+    ]
+
+
+def _unstaged_label(query, plan):
+    """The output node's label when service nodes check selections only
+    (as they did before joins were staged at them)."""
+    staged = []
+    for node in plan.nodes.values():
+        if isinstance(node, ServiceNode):
+            staged.append((query.selections_on(node.alias), ()))
+        elif isinstance(node, SelectionNode):
+            staged.append((node.selections, node.join_filters))
+        elif isinstance(node, ParallelJoinNode):
+            staged.append(((), node.predicates))
+    return query.final_predicates(tuple(staged))[0]
+
+
+def _built_then_checked(executor):
+    """The reference life of a row: every service node checks its
+    selections only and builds every row, the output node checks the
+    whole predicate set on each.  (Pins the executor's staging decision.)"""
+    query = executor.query
+    executor.__dict__["_staging"] = (
+        dict.fromkeys(query.aliases, ()),
+        ("full(reference)", query.selections, query.joins),
+    )
+    return executor
+
+
+def _check_against_the_oracles(make, inputs):
+    """``make(**options)`` builds an executor of one plan in one world.
+    The run as the executor decides it must equal (a) the run with the
+    output node's check off, filtered by ``satisfies`` over the whole
+    predicate set, and (b) the rows built first and checked last."""
+    executor = make()
+    query, plan = executor.query, executor.plan
+    checked = executor.run()
+    unchecked_executor = make(final_semantic_check=False)
+    unchecked = unchecked_executor.run()
+    assert unchecked_executor.final_check == "elided"
+    # Both sorts are stable, so filtering after the sort keeps the order.
+    assert _rows(checked) == [
+        (components, score)
+        for components, score in _rows(unchecked)
+        if _full_check(query, components, inputs)
+    ]
+    assert _exact_rows(checked) == _exact_rows(_built_then_checked(make()).run())
+    label = executor.final_check
+    assert label == checked.node_stats[plan.output_node.node_id].final_check
+    if checked.failed_aliases:
+        assert label == "full(degraded)"
+    elif not _unstaged_label(query, plan).startswith("full"):
+        # Staging never costs a plan its residual check.
+        assert label == "elided" or label.startswith("residual("), label
+    return label, checked
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(RESIDUAL_CASES),
@@ -323,8 +403,8 @@ def test_residual_final_check_equals_the_full_check(case, seed, factor, outage):
     name, query, plan, shared = case
     faults = FaultModel() if outage is None else FaultModel().with_outage(outage)
 
-    def run(**options):
-        executor = PlanExecutor(
+    def make(**options):
+        return PlanExecutor(
             plan,
             query,
             ServicePool(REGISTRY, global_seed=seed, fault_model=faults),
@@ -334,25 +414,61 @@ def test_residual_final_check_equals_the_full_check(case, seed, factor, outage):
             degradation=Degradation.PARTIAL,
             **options,
         )
-        return executor, executor.run()
 
-    executor, checked = run()
-    unchecked_executor, unchecked = run(final_semantic_check=False)
-    assert unchecked_executor.final_check == "elided"
-    # Both sorts are stable, so filtering after the sort keeps the order.
-    assert _rows(checked) == [
-        (components, score)
-        for components, score in _rows(unchecked)
-        if _full_check(query, components, RESIDUAL_INPUTS)
-    ]
-    label = executor.final_check
-    assert label == checked.node_stats[plan.output_node.node_id].final_check
-    if checked.failed_aliases:
-        assert label == "full(degraded)"
-    elif shared:
-        assert label == "full(shared_group)"
-    else:
-        assert label == "elided" or label.startswith("residual("), label
+    label, checked = _check_against_the_oracles(make, RESIDUAL_INPUTS)
+    if not checked.failed_aliases:
+        assert (label == "full(shared_group)") == shared
+
+
+def _template_cases():
+    for template in scenario_templates("all"):
+        registry = template.registry_factory()
+        query = compile_query(parse_query(template.query_text), registry)
+        candidate = Optimizer(query, OptimizerConfig()).optimize().best
+        inputs = {name: options[0] for name, options in template.parameter_space.items()}
+        yield template.name, registry, query, candidate, inputs
+
+
+TEMPLATE_CASES = list(_template_cases())
+FAULTS = {
+    "none": lambda registry, rng: FaultModel(),
+    "outage": lambda registry, rng: FaultModel().with_outage(
+        rng.choice(sorted(registry.interface_names))
+    ),
+    "flaky": lambda registry, rng: FaultModel.uniform(failure_rate=0.3),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(TEMPLATE_CASES),
+    st.integers(0, 10**6),
+    st.integers(1, 2),
+    st.sampled_from(sorted(FAULTS)),
+)
+def test_the_scenario_templates_stage_and_defer_like_the_oracles(
+    case, seed, factor, profile
+):
+    name, registry, query, candidate, inputs = case
+    faults = FAULTS[profile](registry, random.Random(seed))
+
+    def make(**options):
+        return PlanExecutor(
+            candidate.plan,
+            query,
+            ServicePool(registry, global_seed=seed, fault_model=faults),
+            inputs,
+            fetches={a: f * factor for a, f in candidate.fetch_vector().items()},
+            k=10**6,
+            degradation=Degradation.PARTIAL,
+            **options,
+        )
+
+    label, checked = _check_against_the_oracles(make, inputs)
+    if not checked.failed_aliases:
+        # Flat pipe joins, every one staged: nothing is left to the output.
+        assert label == "elided"
+        assert sum(s.staged for s in checked.node_stats.values()) > 0
 
 
 def test_every_residual_shape_is_exercised():
@@ -363,10 +479,155 @@ def test_every_residual_shape_is_exercised():
         )
         executor.run()
         labels.setdefault(name, set()).add(executor.final_check)
-    assert labels["one_node"] >= {"elided", "residual(1)"}
-    assert labels["pipe_only"] == {"residual(1)"}
+    # A pipe-realised join is checked at the service node it binds ...
+    assert labels["one_node"] == labels["pipe_only"] == {"elided"}
+    # ... unless that would split a repeating group between two nodes.
+    assert labels["split_group"] == {"residual(2)"}
     for name in ("two_nodes", "pipe_and_selection", "three_services"):
         assert labels[name] == {"full(shared_group)"}
+
+
+# -- ranked before built, built when read ------------------------------------------
+
+
+def _chain_runs(seed=3, factor=3, **options):
+    """One A -> B chain (``pipe_only``: its last node is a service node),
+    as the executor runs it and built first, checked last."""
+    _, query, plan, _ = next(case for case in RESIDUAL_CASES if case[0] == "pipe_only")
+
+    def make():
+        return PlanExecutor(
+            plan,
+            query,
+            ServicePool(REGISTRY, global_seed=seed),
+            RESIDUAL_INPUTS,
+            fetches={alias: factor for alias in query.aliases},
+            **{"k": 10**6, **options},
+        )
+
+    return make().run().tuples, list(_built_then_checked(make()).run().tuples)
+
+
+READS = {
+    "len": len,
+    "bool": bool,
+    "first": lambda rows: rows[0],
+    "third": lambda rows: rows[2],
+    "last": lambda rows: rows[-1],
+    "below": lambda rows: rows[:4],
+    "at": lambda rows: rows[: len(rows)],
+    "above": lambda rows: rows[: len(rows) + 5],
+    "middle": lambda rows: rows[3:6],
+    "all_but_two": lambda rows: rows[:-2],
+    "stride": lambda rows: rows[1:8:3],
+    "reversed_slice": lambda rows: rows[5:1:-1],
+    "empty_slice": lambda rows: rows[4:2],
+    "iteration": list,
+    "reversed": lambda rows: list(reversed(rows)),
+    "contains": lambda rows: rows[1] in rows and object() not in rows,
+    "index": lambda rows: rows.index(rows[2]),
+    "equals_list": lambda rows: (rows == list(rows), list(rows) == rows, rows != []),
+    "equals_itself": lambda rows: rows == rows,
+    "pickle": lambda rows: pickle.loads(pickle.dumps(rows)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "sorted": lambda rows: sorted(rows, key=lambda row: row.score),
+    "digest": result_digest,
+}
+#: How long a prefix each read builds (``None``: every row).
+PREFIX = {
+    "len": 0, "bool": 0, "first": 1, "third": 3, "below": 4, "middle": 6,
+    "stride": 8, "reversed_slice": 6, "empty_slice": 0, "index": 3,
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_the_deferred_sequence_reads_like_the_eager_list(read, monkeypatch):
+    built = []
+    real = CompositeTuple.__dict__["_owned"].__func__
+
+    def counting(cls, components, score):
+        built.append(row := real(cls, components, score))
+        return row
+
+    monkeypatch.setattr(CompositeTuple, "_owned", classmethod(counting))
+    deferred, eager = _chain_runs()
+    assert len(eager) > 8 and deferred.built == []
+    del built[:]  # what the two executions built: from here on, the reads
+    got, want = READS[read](deferred), READS[read](eager)
+    assert type(got) is type(want)
+
+    def exact(value):
+        if isinstance(value, CompositeTuple):
+            return (list(value.components.items()), type(value.score), value.score)
+        if isinstance(value, list):
+            return [exact(item) for item in value]
+        return value
+
+    assert exact(got) == exact(want)
+    # Only the rows read were built, as a prefix, and none twice ...
+    expected = PREFIX.get(read, len(eager))
+    if read == "all_but_two":
+        expected = len(eager) - 2
+    assert len(built) == len(deferred.built) == expected
+    assert all(ours is theirs for ours, theirs in zip(built, deferred.built))
+    # ... and reading on builds the rest, once: the same objects stay.
+    prefix = list(deferred.built)
+    assert exact(list(deferred)) == exact(eager)
+    assert len(built) == len(eager) and deferred.built[: len(prefix)] == prefix
+    assert all(ours is theirs for ours, theirs in zip(prefix, deferred.built))
+    list(deferred), deferred[-1], deferred[:3]
+    assert len(built) == len(eager)
+
+
+def test_out_of_range_and_odd_indices_fail_like_a_lists():
+    deferred, eager = _chain_runs()
+    for bad in (len(eager), -len(eager) - 1):
+        with pytest.raises(IndexError):
+            deferred[bad]
+    with pytest.raises(TypeError):
+        deferred["0"]
+    assert deferred.built == [] and deferred != tuple(eager)
+    with pytest.raises(TypeError):
+        hash(deferred)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 10**6])
+def test_a_bounded_execution_can_only_build_its_top_k(k):
+    deferred, eager = _chain_runs(k=k)
+    assert len(deferred) == len(eager) == min(k, len(_chain_runs()[1]))
+    assert _exact_rows(SimpleNamespace(tuples=deferred)) == _exact_rows(
+        SimpleNamespace(tuples=eager)
+    )
+    assert len(deferred.built) == len(eager)
+
+
+def test_the_travel_chain_builds_ten_rows_for_k_ten(monkeypatch):
+    name, registry, query, candidate, inputs = next(
+        case for case in TEMPLATE_CASES if case[0] == "travel"
+    )
+    built = []
+    real = CompositeTuple.__dict__["_owned"].__func__
+
+    def counting(cls, components, score):
+        built.append(len(components))
+        return real(cls, components, score)
+
+    monkeypatch.setattr(CompositeTuple, "_owned", classmethod(counting))
+    result = execute_plan(
+        candidate.plan, query, ServicePool(registry, global_seed=2009), inputs,
+        fetches={a: f * 4 for a, f in candidate.fetch_vector().items()}, k=10,
+    )
+    output = result.node_stats[candidate.plan.output_node.node_id]
+    assert output.tin > 1000 and output.tout == len(result.tuples) == 10
+    assert built.count(3) == 0  # ranked, not built: no F.H.E row exists yet
+    rows = list(result.tuples)
+    assert built.count(3) == 10 == len(rows)
+    assert [row.score for row in rows] == sorted(
+        (row.score for row in rows), reverse=True
+    )
+    last = result.node_stats["svc:E"]
+    assert (last.rows_built, last.rows_scored, last.tout) == (0, 0, output.tin)
 
 
 def test_final_predicates_are_decided_once_per_staged_split(movie_query):
@@ -684,14 +945,57 @@ def test_final_check_and_row_counters_reach_span_stats_and_explain(
         s for node_id, s in stats.items()
         if isinstance(candidate.plan.node(node_id), OutputNode)
     )
-    assert span.attrs["final_check"] == output.final_check == "residual(3)"
+    assert span.attrs["final_check"] == output.final_check == "elided"
     assert span.attrs["rows_built"] == sum(s.rows_built for s in stats.values())
     assert span.attrs["rows_scored"] == sum(s.rows_scored for s in stats.values())
     assert 0 < span.attrs["rows_scored"] < span.attrs["rows_built"]
     assert all(s.final_check == "" for s in stats.values() if s is not output)
     text = build_explain(candidate.plan, candidate.annotations, traced).render()
-    assert "final_check=residual(3)" in text
+    assert "final_check=elided" in text
     assert (
         f"rows: {span.attrs['rows_built']} built, "
         f"{span.attrs['rows_scored']} scored" in text
     )
+
+
+def test_staged_joins_and_built_rows_reach_spans_stats_and_explain():
+    name, registry, query, candidate, inputs = next(
+        case for case in TEMPLATE_CASES if case[0] == "travel"
+    )
+    runs = []
+    for tracer in (None, Tracer()):
+        runs.append(
+            execute_plan(
+                candidate.plan, query, ServicePool(registry, global_seed=42),
+                inputs, fetches=candidate.fetch_vector(), k=10**6, tracer=tracer,
+            )
+        )
+    untraced, traced = runs
+    assert untraced.node_stats == traced.node_stats
+    stats = traced.node_stats
+    staged = {
+        span.attrs["alias"]: span.attrs.get("staged", 0)
+        for span in tracer.finished("node.service")
+    }
+    assert staged == {"F": 0, "H": 1, "E": 1}
+    assert staged == {
+        candidate.plan.node(node_id).alias: s.staged
+        for node_id, s in stats.items()
+        if isinstance(candidate.plan.node(node_id), ServiceNode)
+    }
+    (span,) = tracer.finished("plan.execute")
+    total = len(traced.tuples)
+    assert total > 10 and span.attrs["result_rows"] == f"built 0 of {total}"
+    assert span.attrs["rows_built"] == sum(s.rows_built for s in stats.values())
+    # Nobody has read a row yet; the CLI reads what it prints.
+    explain = lambda: build_explain(candidate.plan, candidate.annotations, traced)
+    text = explain().render()
+    assert text.count("staged=1") == 2 and "final_check=elided" in text
+    assert f"result rows built 0 of {total}" in text
+    assert explain().actual_results == total
+    shown = traced.tuples[:10]
+    assert f"result rows built 10 of {total}" in explain().render()
+    assert result_digest(shown) == result_digest(untraced.tuples[:10])
+    assert result_digest(untraced.tuples) == result_digest(traced.tuples)
+    assert f"result rows built {total} of {total}" in explain().render()
+    assert traced.metrics()["counters"]["executor.combinations"] == total
