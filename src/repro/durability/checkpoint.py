@@ -221,9 +221,11 @@ class CheckpointStore:
 
     def save(self, key: str, payload: dict) -> Path:
         path = self.path_for(key)
-        record = {"checksum": content_hash(payload), "payload": payload}
+        # One canonical rendering is both what is hashed and what is written.
+        body = canonical_json(payload)
+        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        data = f'{{"checksum":"{checksum}","payload":{body}}}'
         tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        data = json.dumps(record, sort_keys=True, indent=1)
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(data)
             handle.flush()

@@ -274,8 +274,11 @@ def topk_join(
     All kernels honour the shared determinism contract (alias-sorted
     score summation, ``(-score, canonical row key)`` emission order), so
     the returned rows are identical — including tie order — whichever
-    kernel ran; only ``stats`` differs.
+    kernel ran; only ``stats`` differs.  A non-positive ``k`` is an
+    :class:`~repro.errors.ExecutionError` under every kernel.
     """
+    if k <= 0:
+        raise ExecutionError("k must be positive")
     if kernel == "binary":
         outcome = BinaryCascadeExecutor(
             relations, graph, ranking=ranking, k=k

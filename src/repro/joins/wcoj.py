@@ -37,19 +37,25 @@ Building blocks
     forms.
 
 Determinism contract (shared with ``joins/ranked.py`` and
-``joins/topk.py``): every kernel scores components through
-:func:`score_components` (alias-sorted summation, so float addition
-associates identically) and finalizes through :func:`finalize_rows`
-(sort by ``(-score, canonical_row_key)``, cut to ``k``) — equal-score
-rows therefore enumerate in the same order under every kernel, and
-top-k outputs are byte-identical across kernels.
+``joins/topk.py``): every kernel scores components by
+:func:`score_components`' expression (alias-sorted summation, so float
+addition associates identically) and finalizes through
+:func:`finalize_rows` (sort by ``(-score, canonical_row_key)``, cut to
+``k``) — equal-score rows therefore enumerate in the same order under
+every kernel, and top-k outputs are byte-identical across kernels.
+
+A join row's life in the two full-enumeration kernels: a tuple of
+components until the cut; scored as a tuple; a :class:`JoinedRow`, with
+its canonical key, only if its score is at or above the k-th best.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from repro.errors import ExecutionError
 from repro.joins.methods import ChunkSource
@@ -151,6 +157,35 @@ def finalize_rows(
     canonical row key, cut to ``k``."""
     ordered = sorted(rows, key=lambda r: (-r.score, r.key()))
     return ordered if k is None else ordered[:k]
+
+
+def _dress_top(
+    aliases: Sequence[str],
+    combos: Sequence[tuple[ServiceTuple, ...]],
+    ranking: RankingFunction,
+    k: int | None,
+) -> list[JoinedRow]:
+    """:func:`finalize_rows` over ``combos`` (component tuples in
+    ``aliases`` order), building a row only where the cut can keep it.
+
+    The score is :func:`score_components`' own expression — the same
+    terms summed in alias-sorted order — so it is bit-equal to the score
+    of the dressed row; every row tied with the k-th best score survives
+    to the finalizer, whose canonical keys then decide among them.
+    """
+    slots = sorted(range(len(aliases)), key=aliases.__getitem__)
+    weights = [ranking.weight(aliases[slot]) for slot in slots]
+    scores = [
+        sum([w * combo[slot].score for w, slot in zip(weights, slots)])
+        for combo in combos
+    ]
+    scored: Iterable[tuple[float, tuple[ServiceTuple, ...]]] = zip(scores, combos)
+    if k is not None and 0 < k < len(scores):
+        floor = heapq.nlargest(k, scores)[-1]
+        scored = [entry for entry in scored if entry[0] >= floor]
+    return finalize_rows(
+        [JoinedRow(dict(zip(aliases, combo)), score) for score, combo in scored], k
+    )
 
 
 # ----------------------------------------------------------------------------- #
@@ -553,7 +588,7 @@ class MultiwayJoinExecutor:
             [i for i, levels in enumerate(levels_of) if var in levels]
             for var in range(len(variables))
         ]
-        rows: list[JoinedRow] = []
+        rows: list[tuple[ServiceTuple, ...]] = []  # components in alias order
 
         def emit() -> None:
             groups = [it.group() if it.attrs else range(len(it.relation)) for it in iters]
@@ -605,38 +640,28 @@ class MultiwayJoinExecutor:
             search(0)
         stats.seeks = sum(it.seeks for it in iters)
         stats.results = len(rows)
-        return MultiwayJoinResult(rows=finalize_rows(rows, self.k), stats=stats)
+        return MultiwayJoinResult(
+            rows=_dress_top(self.graph.aliases, rows, self.ranking, self.k),
+            stats=stats,
+        )
 
     def _emit_product(
         self,
         groups: Sequence[Sequence[int]],
         iters: Sequence[TrieIterator],
-        rows: list[JoinedRow],
+        rows: list[tuple[ServiceTuple, ...]],
         stats: MultiwayJoinStatistics,
     ) -> None:
-        components: dict[str, ServiceTuple] = {}
-
-        def expand(level: int) -> None:
-            if level == len(groups):
-                stats.pairs_probed += 1
-                if self.post_filter is not None and not self.post_filter(
-                    components
-                ):
-                    return
-                rows.append(
-                    JoinedRow(
-                        components=dict(components),
-                        score=score_components(self.ranking, components),
-                    )
-                )
-                return
-            relation = iters[level].relation
-            for index in groups[level]:
-                components[relation.alias] = relation.tuples[index]
-                expand(level + 1)
-            components.pop(relation.alias, None)
-
-        expand(0)
+        leaves = [
+            [it.relation.tuples[index] for index in group]
+            for it, group in zip(iters, groups)
+        ]
+        for combo in itertools.product(*leaves):
+            stats.pairs_probed += 1
+            if self.post_filter is None or self.post_filter(
+                dict(zip(self.graph.aliases, combo))
+            ):
+                rows.append(combo)
 
 
 # ----------------------------------------------------------------------------- #
@@ -677,7 +702,7 @@ class BinaryCascadeExecutor:
             raise ExecutionError("order must permute the graph's aliases")
 
     def _binding_attrs(
-        self, bound: set[str], alias: str
+        self, bound: Collection[str], alias: str
     ) -> list[tuple[str, str, str]]:
         """``(bound_alias, bound_attr, new_attr)`` for evaluable predicates."""
         out: list[tuple[str, str, str]] = []
@@ -695,47 +720,63 @@ class BinaryCascadeExecutor:
 
     def run(self) -> MultiwayJoinResult:
         stats = MultiwayJoinStatistics(relations=len(self.order))
-        first = self.relations[self.order[0]]
-        current: list[dict[str, ServiceTuple]] = [
-            {first.alias: tup}
-            for tup in self.graph.self_consistent(first.alias, first.tuples)
-        ]
-        bound = {first.alias}
-        for step, alias in enumerate(self.order[1:]):
-            relation = self.relations[alias]
-            bindings = self._binding_attrs(bound, alias)
+        kept = {
+            alias: self.graph.self_consistent(alias, self.relations[alias].tuples)
+            for alias in self.order
+        }
+        # The probing side's join-key columns, rendered once per relation
+        # tuple and keyed by tuple identity.  They live for this run only:
+        # a column kept on the ``Relation`` would let a second join of the
+        # same objects skip work the first one paid for.
+        columns: dict[tuple[str, str], dict[int, tuple]] = {}
+
+        def column(alias: str, attr: str) -> dict[int, tuple]:
+            if (alias, attr) not in columns:
+                columns[alias, attr] = {
+                    id(tup): orderable_key(tup.values.get(attr))
+                    for tup in kept[alias]
+                }
+            return columns[alias, attr]
+
+        # Intermediate rows are tuples of components in ``self.order``.
+        current = [(tup,) for tup in kept[self.order[0]]]
+        slot_of = {self.order[0]: 0}
+        for step, alias in enumerate(self.order[1:], 1):
+            bindings = self._binding_attrs(slot_of, alias)
             index: dict[tuple, list[ServiceTuple]] = {}
-            for tup in self.graph.self_consistent(alias, relation.tuples):
+            for tup in kept[alias]:
                 key = tuple(
                     orderable_key(tup.values.get(attr))
                     for _, _, attr in bindings
                 )
                 index.setdefault(key, []).append(tup)
-            joined: list[dict[str, ServiceTuple]] = []
+            probes = [
+                (slot_of[b_alias], column(b_alias, b_attr))
+                for b_alias, b_attr, _ in bindings
+            ]
+            joined: list[tuple[ServiceTuple, ...]] = []
             for row in current:
-                key = tuple(
-                    orderable_key(row[b_alias].values.get(b_attr))
-                    for b_alias, b_attr, _ in bindings
+                bucket = index.get(
+                    tuple([col[id(row[slot])] for slot, col in probes])
                 )
-                for tup in index.get(key, ()):
-                    stats.pairs_probed += 1
-                    extended = dict(row)
-                    extended[alias] = tup
-                    joined.append(extended)
+                if bucket:
+                    stats.pairs_probed += len(bucket)
+                    joined.extend([row + (tup,) for tup in bucket])
             current = joined
-            bound.add(alias)
-            is_last = step == len(self.order) - 2
-            if not is_last:
+            slot_of[alias] = step
+            if step < len(self.order) - 1:
                 stats.intermediate_rows += len(current)
                 stats.max_intermediate = max(
                     stats.max_intermediate, len(current)
                 )
-        rows = [
-            JoinedRow(
-                components=row, score=score_components(self.ranking, row)
-            )
-            for row in current
-            if self.post_filter is None or self.post_filter(row)
-        ]
-        stats.results = len(rows)
-        return MultiwayJoinResult(rows=finalize_rows(rows, self.k), stats=stats)
+        if self.post_filter is not None:
+            current = [
+                row
+                for row in current
+                if self.post_filter(dict(zip(self.order, row)))
+            ]
+        stats.results = len(current)
+        return MultiwayJoinResult(
+            rows=_dress_top(self.order, current, self.ranking, self.k),
+            stats=stats,
+        )

@@ -29,6 +29,7 @@ from repro.durability import (
     restore_session,
     serve_workload_durable,
 )
+from repro.durability.checkpoint import canonical_json, content_hash
 from repro.engine.liquid import LiquidQuerySession
 from repro.engine.retry import RetryPolicy
 from repro.errors import CheckpointError, CheckpointIntegrityError
@@ -237,6 +238,37 @@ def test_store_rejects_tampered_and_unknown(tmp_path):
         store.load("never-written")
     with pytest.raises(CheckpointError):
         store.path_for("../escape")
+
+
+def test_store_writes_one_canonical_rendering_and_reads_the_indented_form(tmp_path):
+    session, _ = _session()
+    session.run()
+    payload = session.checkpoint(schema="movie", query_text=RUNNING_EXAMPLE_QUERY)
+    store = CheckpointStore(tmp_path)
+    path = store.save("ok", payload)
+    text = path.read_text()
+    assert text == '{"checksum":"%s","payload":%s}' % (
+        content_hash(payload), canonical_json(payload)
+    )
+    loaded = store.load("ok")
+    assert loaded == json.loads(canonical_json(payload))
+
+    # What every earlier writer produced: the record dumped with indent.
+    record = {"checksum": content_hash(payload), "payload": payload}
+    path.write_text(json.dumps(record, sort_keys=True, indent=1))
+    assert store.load("ok") == loaded
+
+    plan_render = payload["witness"]["plan_render"]
+    flipped = "0" if plan_render[0] != "0" else "1"
+    for damaged in (
+        text[: len(text) // 2],  # truncated
+        text.replace('"data_seed":', '"data_seed":1', 1),  # one byte added
+        text.replace(plan_render, flipped + plan_render[1:], 1),  # edited witness
+    ):
+        assert damaged != text
+        path.write_text(damaged)
+        with pytest.raises(CheckpointIntegrityError):
+            store.load("ok")
 
 
 def test_migration_hook_upgrades_old_payloads(tmp_path):

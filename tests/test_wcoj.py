@@ -13,7 +13,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.joins.extraction import JoinEvent
 from repro.joins.methods import ListChunkSource
-from repro.joins.topk import tile_trace, topk_join
+from repro.joins.topk import TOPK_JOIN_KERNELS, tile_trace, topk_join
 from repro.joins.wcoj import (
     BinaryCascadeExecutor,
     EquiPredicate,
@@ -327,6 +327,20 @@ def test_topk_join_rejects_unknown_kernel():
     ]
     with pytest.raises(ExecutionError):
         topk_join(relations, triangle_graph(), kernel="nope")
+
+
+@pytest.mark.parametrize("kernel", TOPK_JOIN_KERNELS)
+@pytest.mark.parametrize("k", [0, -1])
+def test_topk_join_rejects_non_positive_k_under_every_kernel(kernel, k):
+    # binary and wcoj used to answer k=0 with [] (and k=-1 with all rows
+    # but the last) where ranked raised.
+    relations = [
+        make_relation("R", 5, {"a": 2, "b": 2}, 0),
+        make_relation("S", 5, {"b": 2, "c": 2}, 1),
+        make_relation("T", 5, {"c": 2, "a": 2}, 2),
+    ]
+    with pytest.raises(ExecutionError, match="k must be positive"):
+        topk_join(relations, triangle_graph(), k=k, kernel=kernel)
 
 
 def test_tile_trace_maps_rows_to_chunk_tiles():
