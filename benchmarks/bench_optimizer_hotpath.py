@@ -96,6 +96,7 @@ def _run_optimizer(compiled, legacy):
         "annotation_node_evals": ANNOTATION_COUNTERS.node_evals,
         "incremental_nodes": ANNOTATION_COUNTERS.incremental_nodes,
         "children_priced": phase2.children_priced,
+        "children_built": phase2.children_built,
         "plans_materialised": phase2.plans_materialised,
         "node_evals_per_child": round(
             ANNOTATION_COUNTERS.incremental_nodes
@@ -253,6 +254,8 @@ def test_e18_hotpath_speedup(benchmark):
         assert metrics[name]["node_evals_per_child_gate"], metrics[name]
     star6 = metrics["star6"]["optimized"]
     assert star6["plans_materialised"] <= star6["enqueued"], star6
+    # A child dropped on its bound is priced, never built.
+    assert star6["children_built"] < star6["children_priced"], star6
     # Acceptance criteria on the Fig. 10 running example at default
     # budgets: >= 3x less per-node annotation recomputation, >= 2x wall.
     # (The conference query's search is too small — ~100 node evals, 8

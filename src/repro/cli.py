@@ -799,11 +799,16 @@ def _cmd_explain(args) -> int:
         f"metric:  {args.metric}  cost: {best.cost:.2f}  "
         f"estimated results: {best.estimated_results:.1f}"
     )
-    stats = outcome.stats
+    stats, phase2 = outcome.stats, outcome.phase2
+    # Priced / built / materialised over the whole optimization: the
+    # search takes over the warm start's children, so its own share can
+    # read 0.
+    plans = phase2.plans_materialised
     print(
         f"search:  {stats.expanded} expanded, {stats.pruned} pruned, "
-        f"{stats.children_priced} children priced, "
-        f"{stats.plans_materialised} plans materialised"
+        f"{phase2.children_priced} children priced, "
+        f"{phase2.children_built} built, "
+        f"{plans} plan{'' if plans == 1 else 's'} materialised"
     )
     print()
     report = build_explain(

@@ -93,30 +93,18 @@ def pipe_join_selectivity(
     node: ServiceNode, query: CompiledQuery, estimator: Estimator
 ) -> float:
     """Selectivity of the join predicates this pipe consumer realises."""
-    result = 1.0
-    seen: set[frozenset[str]] = set()
-    for producer in node.pipe_sources:
-        pair = frozenset((node.alias, producer))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        result *= estimator.join_selectivity(node.alias, producer)
-    return result
+    return estimator.pipe_selectivity(node)
 
 
 def _service_annotation(
     node: ServiceNode,
     tin: float,
-    query: CompiledQuery,
     estimator: Estimator,
     fetches: Mapping[str, int],
 ) -> NodeAnnotation:
     interface = node.interface
     assert interface is not None
-    pushed = combined_selection_selectivity(
-        node.pushed_selections, query.atom(node.alias).mart
-    )
-    pipe_sel = pipe_join_selectivity(node, query, estimator)
+    pushed, pipe_sel = estimator.service_selectivities(node)
 
     # A piped consumer needs one invocation per upstream tuple (each tuple
     # carries fresh bindings); a service bound only by constants/INPUT
@@ -138,7 +126,7 @@ def _service_annotation(
         calls = invocations
 
     tout = tin * per_input * pushed * pipe_sel
-    return NodeAnnotation(tin=tin, tout=tout, fetches=factor, calls=calls)
+    return NodeAnnotation._frozen(tin, tout, factor, calls)
 
 
 def annotate(
@@ -164,31 +152,14 @@ def annotate(
     estimator = estimator or Estimator(query)
     annotations = PlanAnnotations()
 
-    for node_id in plan.topological_order():
-        annotations.by_node[node_id] = _node_annotation(
-            plan, node_id, annotations.by_node, query, estimator, fetches
+    by_node = annotations.by_node
+    for node_id, node, parents in plan.walk():
+        by_node[node_id] = annotate_node(
+            node, [by_node[parent] for parent in parents], query, estimator, fetches
         )
 
     ANNOTATION_COUNTERS.full_annotations += 1
     return annotations
-
-
-def _node_annotation(
-    plan: QueryPlan,
-    node_id: str,
-    by_node: Mapping[str, NodeAnnotation],
-    query: CompiledQuery,
-    estimator: Estimator,
-    fetches: Mapping[str, int],
-) -> NodeAnnotation:
-    """Annotation of one node given its parents' annotations in ``by_node``."""
-    return annotate_node(
-        plan.node(node_id),
-        [by_node[parent] for parent in plan.parents(node_id)],
-        query,
-        estimator,
-        fetches,
-    )
 
 
 def annotate_node(
@@ -208,7 +179,7 @@ def annotate_node(
     ANNOTATION_COUNTERS.node_evals += 1
     node_id = node.node_id
     if isinstance(node, InputNode):
-        return NodeAnnotation(tin=0.0, tout=1.0)
+        return NodeAnnotation._frozen(0.0, 1.0)
 
     if isinstance(node, ParallelJoinNode):
         if len(parents) != 2:
@@ -222,23 +193,23 @@ def annotate_node(
         )
         candidates = left_out * right_out * factor
         selectivity = estimator.predicates_selectivity(node.predicates)
-        return NodeAnnotation(tin=candidates, tout=candidates * selectivity)
+        return NodeAnnotation._frozen(candidates, candidates * selectivity)
 
     if len(parents) != 1:
         raise PlanError(f"node {node_id!r} must have exactly one parent")
     tin = parents[0].tout
 
     if isinstance(node, ServiceNode):
-        return _service_annotation(node, tin, query, estimator, fetches)
+        return _service_annotation(node, tin, estimator, fetches)
     if isinstance(node, SelectionNode):
         selectivity = combined_selection_selectivity(
             node.selections,
             query.atom(node.selections[0].attr.alias).mart,
         ) if node.selections else 1.0
         selectivity *= estimator.predicates_selectivity(node.join_filters)
-        return NodeAnnotation(tin=tin, tout=tin * selectivity)
+        return NodeAnnotation._frozen(tin, tin * selectivity)
     if isinstance(node, OutputNode):
-        return NodeAnnotation(tin=tin, tout=tin)
+        return NodeAnnotation._frozen(tin, tin)
     raise PlanError(f"cannot annotate node kind {node.kind}")  # pragma: no cover
 
 
@@ -272,16 +243,14 @@ def annotate_delta(
     fetches = dict(fetches)
     by_node = dict(base.by_node)
     changed: set[str] = set()
-    for node_id in plan.topological_order():
-        node = plan.node(node_id)
-        parents = plan.parents(node_id)
+    for node_id, node, parents in plan.walk():
         needs_recompute = (
             isinstance(node, ServiceNode) and node.alias in dirty_aliases
-        ) or any(parent in changed for parent in parents)
+        ) or not changed.isdisjoint(parents)
         if not needs_recompute:
             continue
-        new_annotation = _node_annotation(
-            plan, node_id, by_node, query, estimator, fetches
+        new_annotation = annotate_node(
+            node, [by_node[parent] for parent in parents], query, estimator, fetches
         )
         if new_annotation != by_node.get(node_id):
             changed.add(node_id)

@@ -21,9 +21,12 @@ over abstract states with
 * ``signature_of(state)`` — optional canonical signature: two states with
   the same signature root identical subtrees, so only the first one
   *actually enqueued* claims it (hash-consing; ``stats.deduped`` counts
-  the drops).  Signatures of states rejected by pruning or dominance are
-  not recorded — a later equivalent push must be re-judged, because the
-  rejected state was never going to be explored;
+  the drops).  It is asked only of a state that survives its bound (so a
+  state that is both prunable and a duplicate counts as ``pruned``, and a
+  caller whose signatures are costly to build never builds one for a
+  state pruned on arrival).  Signatures of states rejected by pruning or
+  dominance are not recorded — a later equivalent push must be re-judged,
+  because the rejected state was never going to be explored;
 * ``dominance_of(state)`` — optional ``(group, vector)``: a state whose
   (bound, \\*vector) is componentwise >= that of a state **currently in
   the open queue** of the same group explores a subset of that state's
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from operator import le
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
@@ -77,10 +81,12 @@ class BnBStats:
     dominated: int = 0
     budget_exhausted: bool = False
     #: Filled in by the caller that owns the states (the engine cannot see
-    #: them): phase-2 children derived from ``(parent state, move)``, and
-    #: plan objects actually built for them — the gap is what pricing a
-    #: child before building it saved.
+    #: them): phase-2 children derived from ``(parent state, move)``, those
+    #: of them whose leaves and signature were built, and plan objects
+    #: actually built — the gaps are what pricing a child before building
+    #: it saved.
     children_priced: int = 0
+    children_built: int = 0
     plans_materialised: int = 0
 
 
@@ -205,7 +211,11 @@ class BranchAndBound(Generic[S, P]):
                 frontier.remove(full)
 
         def push(state: S) -> None:
-            """Enqueue unless deduplicated, prunable, or dominated."""
+            """Enqueue unless prunable, deduplicated, or dominated."""
+            bound = self._lower_bound(state)
+            if self._prune and best_satisfies and bound >= best_cost:
+                stats.pruned += 1
+                return
             signature = (
                 self._signature_of(state)
                 if self._signature_of is not None
@@ -214,18 +224,12 @@ class BranchAndBound(Generic[S, P]):
             if signature is not None and signature in seen:
                 stats.deduped += 1
                 return
-            bound = self._lower_bound(state)
-            if self._prune and best_satisfies and bound >= best_cost:
-                stats.pruned += 1
-                return
             entry = frontier_entry(state, bound)
             if entry is not None:
                 group, full = entry
                 frontier = frontiers.setdefault(group, [])
                 for other in frontier:
-                    if len(other) == len(full) and all(
-                        a <= b for a, b in zip(other, full)
-                    ):
+                    if len(other) == len(full) and all(map(le, other, full)):
                         stats.dominated += 1
                         return
                 if len(frontier) < _MAX_FRONTIER:

@@ -159,15 +159,13 @@ def _path_cost(
     node is returned instead.
     """
     finish: dict[str, float] = {}
-    nodes = plan.nodes
-    for node_id in plan.topological_order():
-        parents = plan.parents(node_id)
+    for node_id, node, parents in plan.walk():
         start = 0.0
         for parent in parents:
             t = finish[parent]
             if t > start:
                 start = t
-        finish[node_id] = start + node_time(nodes[node_id], annotations)
+        finish[node_id] = start + node_time(node, annotations)
     if to_output:
         return finish[plan.output_node.node_id]
     return max(finish.values(), default=0.0)

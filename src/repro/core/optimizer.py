@@ -39,11 +39,15 @@ Hot-path memoization (see DESIGN.md, "Performance architecture"):
   :func:`~repro.core.annotate.annotate_delta` — only the services whose
   factor changed, plus their downstream cone, are recomputed;
 * a phase-2 state is **priced before it is built**: its builder carries
-  the topology signature, the ``fetches={}`` annotations and the partial
-  cost incrementally (:class:`~repro.core.topology.TopologyBuilder`), so
-  a child costs the one or two nodes its move adds, and a
-  :class:`~repro.plans.plan.QueryPlan` is only materialised for a
-  finished topology the engine actually pops.
+  the ``fetches={}`` annotations and the partial cost incrementally
+  (:class:`~repro.core.topology.TopologyBuilder`), so a child costs the
+  one or two nodes its move adds; its leaves, topology signature and
+  dedup key are put together only if the engine keeps it past its bound,
+  and a :class:`~repro.plans.plan.QueryPlan` is only materialised for a
+  finished topology the engine actually pops;
+* the greedy warm start's expansions are the search's own: both start
+  from one root object, and the search takes over the very children
+  lists the dive computed instead of pricing those states again.
 
 The ``incremental`` / ``dedup`` / ``dominance`` config flags switch the
 layers off individually; with all three off the optimizer reproduces the
@@ -151,6 +155,24 @@ class OptimizerConfig:
     #: same plan (componentwise >= fetch vector at >= cost bound).
     dominance: bool = True
 
+    def __post_init__(self) -> None:
+        if self.k is not None and self.k < 1:
+            raise OptimizationError(f"k must be None or >= 1, got {self.k}")
+        if self.budget is not None and self.budget < 0:
+            # 0 is legal: the warm start's plan, no search.
+            raise OptimizationError(
+                f"budget must be None or >= 0 expansions, got {self.budget}"
+            )
+        if self.binding_choice_limit is not None and self.binding_choice_limit < 1:
+            raise OptimizationError(
+                "binding_choice_limit must be None or >= 1, got "
+                f"{self.binding_choice_limit}"
+            )
+        if self.max_phase3_depth < 0:
+            raise OptimizationError(
+                f"max_phase3_depth must be >= 0, got {self.max_phase3_depth}"
+            )
+
     @classmethod
     def legacy(cls, **overrides) -> "OptimizerConfig":
         """The seed implementation's behaviour: no memoization layers."""
@@ -167,6 +189,9 @@ class OptimizationOutcome:
     best: PlanCandidate | None
     stats: BnBStats
     incumbents: list[tuple[int, float, bool]]
+    #: Phase-2 accounting of the whole optimization (warm start plus
+    #: search; ``stats`` holds the search's own share).
+    phase2: TopologyCounters = field(default_factory=TopologyCounters)
 
     @property
     def found(self) -> bool:
@@ -185,7 +210,22 @@ class _AssignState:
     depth: int
 
 
-@dataclass(frozen=True)
+class _Key:
+    """A dedup signature whose (deep) tuple is hashed once."""
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: tuple) -> None:
+        self.key, self._hash = key, hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Key) and self.key == other.key
+
+
+@dataclass(slots=True, eq=False)
 class _TopoState:
     builder: TopologyBuilder
     assignment: tuple[tuple[str, ServiceInterface], ...]
@@ -197,13 +237,30 @@ class _TopoState:
     #: *completions* differ (unplaced aliases have different pipe
     #: dependencies), so the choice participates in the dedup signature.
     choice_index: int
-    #: ``topology_signature`` of the partial plan (reused by the bound).
-    partial_sig: tuple
-    #: Engine dedup signature; ``None`` exempts the state.
-    signature: Hashable = None
+    #: A from-scratch ``topology_signature`` (legacy); ``None`` reads the
+    #: builder's when first asked.
+    _partial_sig: tuple | None = None
+    _signature: _Key | None = None
+
+    @property
+    def partial_sig(self) -> tuple:
+        """``topology_signature`` of the partial plan."""
+        if self._partial_sig is None:
+            self._partial_sig = self.builder.signature
+        return self._partial_sig
+
+    @property
+    def signature(self) -> _Key:
+        """Engine dedup signature, put together and hashed on first read —
+        which a state pruned on its bound never reaches."""
+        if self._signature is None:
+            self._signature = _Key(
+                ("topo", self.assignment_key, self.choice_index, self.partial_sig)
+            )
+        return self._signature
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class _FetchState:
     #: The sealed builder of the finished topology; its plan is built the
     #: first time the state is looked into (a state pruned or deduplicated
@@ -269,6 +326,13 @@ class Optimizer:
         self._ann_cache: OrderedDict[tuple, PlanAnnotations] = OrderedDict()
         self._cost_cache: dict[tuple, float] = {}
         self._proposal_cache: dict[tuple, list[dict[str, int]]] = {}
+        # The warm start and the search start from this one object, and
+        # the search takes over the children lists the dive computed:
+        # ``id(state) -> (state, children)``, held until the search
+        # expands the state (off without dedup, whose seen-sets filter
+        # children).
+        self._root = _AssignState(assignment=(), next_index=0, depth=0)
+        self._dive_expansions: dict[int, tuple[object, list]] = {}
 
     # -- phase 1 ----------------------------------------------------------------
 
@@ -330,22 +394,18 @@ class Optimizer:
         choice_index: int,
         depth: int,
     ) -> _TopoState:
-        partial_sig = (
-            builder.signature
-            if self.config.incremental
-            else topology_signature(builder.plan)
-        )
-        signature = None
-        if self.config.dedup:
-            signature = ("topo", assignment_key, choice_index, partial_sig)
         return _TopoState(
             builder=builder,
             assignment=assignment,
             depth=depth,
             assignment_key=assignment_key,
             choice_index=choice_index,
-            partial_sig=partial_sig,
-            signature=signature,
+            # Incremental states read the builder's signature when asked.
+            _partial_sig=(
+                None
+                if self.config.incremental
+                else topology_signature(builder.plan)
+            ),
         )
 
     def _fetch_state(
@@ -644,6 +704,9 @@ class Optimizer:
     # -- B&B callbacks --------------------------------------------------------------
 
     def _expand(self, state) -> list:
+        shared = self._dive_expansions.pop(id(state), None)
+        if shared is not None:
+            return shared[1]
         if isinstance(state, _AssignState):
             return self._expand_assign(state)
         if isinstance(state, _TopoState):
@@ -731,8 +794,7 @@ class Optimizer:
         "heuristics for choosing the branches so as to build efficient
         plans quickly"; its result seeds the branch-and-bound incumbent.
         """
-        root = _AssignState(assignment=(), next_index=0, depth=0)
-        stack = [root]
+        stack = [self._root]
         dive_seen: set[Hashable] = set()
         steps = 0
         while stack:
@@ -745,6 +807,7 @@ class Optimizer:
                 return candidate
             children = self._expand(state)
             if self.config.dedup:
+                self._dive_expansions[id(state)] = (state, children)
                 # The engine's hash-consing does not apply to this local
                 # dive; an own seen-set keeps it from revisiting states.
                 fresh = []
@@ -794,31 +857,34 @@ class Optimizer:
         self._seen_topologies.clear()
         self._seen_partial.clear()
         self._seen_fetches.clear()
-        root = _AssignState(assignment=(), next_index=0, depth=0)
         counters = self.topology_counters
-        priced, built = counters.children_priced, counters.plans_materialised
+        before = replace(counters)
         with tracer.span("optimize.search", k=self.k) as span:
             outcome = engine.run(
-                root, budget=self.config.budget, initial=initial
+                self._root, budget=self.config.budget, initial=initial
             )
+            stats = outcome.stats
             # The search's own share (the warm start priced children too).
-            outcome.stats.children_priced = counters.children_priced - priced
-            outcome.stats.plans_materialised = (
-                counters.plans_materialised - built
-            )
-            span.set("expanded", outcome.stats.expanded)
-            span.set("pruned", outcome.stats.pruned)
-            span.set("leaves", outcome.stats.leaves)
-            span.set("deduped", outcome.stats.deduped)
-            span.set("dominated", outcome.stats.dominated)
-            span.set("children_priced", outcome.stats.children_priced)
-            span.set("plans_materialised", outcome.stats.plans_materialised)
+            for name in ("children_priced", "children_built", "plans_materialised"):
+                setattr(stats, name, getattr(counters, name) - getattr(before, name))
+            for name in (
+                "expanded",
+                "pruned",
+                "leaves",
+                "deduped",
+                "dominated",
+                "children_priced",
+                "children_built",
+                "plans_materialised",
+            ):
+                span.set(name, getattr(stats, name))
             if outcome.payload is not None:
                 span.set("best_cost", outcome.cost)
         return OptimizationOutcome(
             best=outcome.payload,
             stats=outcome.stats,
             incumbents=outcome.incumbents,
+            phase2=replace(counters),
         )
 
 

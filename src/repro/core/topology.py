@@ -43,8 +43,14 @@ plus the sorted leaves, the three sorted entry lists of its signature and
 the running partial cost.  Everything a node contributes is fixed when it
 is attached — nothing attached later changes it — so :meth:`~
 TopologyBuilder.apply` extends a child by the one or two nodes its move
-adds and shares the rest with its parent; the :class:`QueryPlan` itself is
-only built when somebody asks for :attr:`~TopologyBuilder.plan`.
+adds and shares the rest with its parent.  A child is *priced* on
+creation (annotations, running cost, placed and realised sets, a leaf
+count) and *built* — sorted leaves and signature entries put together —
+only when something reads :attr:`~TopologyBuilder.signature` or
+:meth:`~TopologyBuilder.leaves`, applies a move to it or seals it, so a
+child the search drops on its bound is never built; the
+:class:`QueryPlan` itself is only built when somebody asks for
+:attr:`~TopologyBuilder.plan`.
 :func:`topology_signature`, :func:`~repro.core.annotate.annotate` and
 ``metric.partial_cost`` remain the from-scratch definitions the carried
 values are tested against.
@@ -120,6 +126,8 @@ class TopologyCounters:
 
     #: Children derived with :meth:`TopologyBuilder.apply`.
     children_priced: int = 0
+    #: Of those, children whose leaves and signature were put together.
+    children_built: int = 0
     #: :class:`QueryPlan` objects actually built.
     plans_materialised: int = 0
 
@@ -263,9 +271,11 @@ class TopologyBuilder:
         "_lineage",
         "placed",
         "realized",
-        "signature",
+        "_signature",
+        "_pending",
         "_counter",
         "_leaves",
+        "_leaf_count",
         "_running",
         "_sealed",
         "_parent",
@@ -300,10 +310,12 @@ class TopologyBuilder:
         self.placed: frozenset[str] = frozenset()
         #: Join predicates realised so far (pipes, selections, merges).
         self.realized: frozenset[JoinPredicate] = frozenset()
-        #: :func:`topology_signature` of :attr:`plan`, kept incrementally.
-        self.signature: tuple = ((), (), ())
+        self._signature: tuple = ((), (), ())
+        #: Signature entries of the nodes this builder added, not yet
+        #: sorted in (``None``: built).
+        self._pending: list[tuple] | None = None
         self._counter = 0
-        self._leaves: tuple[str, ...] = ()
+        self._leaf_count = 1
         # None: no metric, or one that cannot be folded node by node.
         self._running: float | None = 0.0 if metric is not None else None
         self._sealed = False
@@ -313,6 +325,7 @@ class TopologyBuilder:
         self._plan: QueryPlan | None = None
         self._place(InputNode(), (), (), frozenset())
         self._table.update(self._added)
+        self._leaves: tuple[str, ...] = tuple(self._table)
         return self
 
     @property
@@ -377,6 +390,12 @@ class TopologyBuilder:
         )
 
     @property
+    def signature(self) -> tuple:
+        """:func:`topology_signature` of :attr:`plan`, kept incrementally."""
+        self._settle()
+        return self._signature
+
+    @property
     def bound(self) -> float | None:
         """``metric.partial_cost`` of the construction (``metric.cost``
         once sealed) under the lineage's metric; ``None`` without one."""
@@ -390,6 +409,7 @@ class TopologyBuilder:
 
     def leaves(self) -> tuple[str, ...]:
         """Current open branches: nodes with no children, sorted."""
+        self._settle()
         return self._leaves
 
     def upstream_aliases(self, node_id: str) -> frozenset[str]:
@@ -401,7 +421,7 @@ class TopologyBuilder:
 
     @property
     def is_complete(self) -> bool:
-        return self.placed == self._lineage.complete and len(self._leaves) == 1
+        return self.placed == self._lineage.complete and self._leaf_count == 1
 
     def dependencies(self, alias: str) -> frozenset[str]:
         return self._lineage.deps[alias]
@@ -416,7 +436,7 @@ class TopologyBuilder:
         lineage = self._lineage
         moves: list[Move] = []
         table = self._nodes()
-        leaves = self._leaves
+        leaves = self.leaves()
         leaf_set = set(leaves)
 
         for alias in lineage.aliases:
@@ -490,10 +510,13 @@ class TopologyBuilder:
     def apply(self, move: Move) -> "TopologyBuilder":
         """Return a new builder with ``move`` applied (self is untouched).
 
-        The child is priced here — signature, annotations of its new
-        nodes, :attr:`bound` — from this builder's tables; it copies
-        nothing until it is itself looked into.
+        The child is priced here — annotations of its new nodes,
+        :attr:`bound`, :attr:`placed`, :attr:`realized` — from this
+        builder's tables; its leaves and signature are built when first
+        read (:meth:`_settle`), and it copies nothing until it is itself
+        looked into.
         """
+        self._settle()
         table = self._nodes()
         child = self._child()
         if move.kind in ("start", "extend", "fork"):
@@ -514,9 +537,11 @@ class TopologyBuilder:
         child._lineage = self._lineage
         child.placed = self.placed
         child.realized = self.realized
-        child.signature = self.signature
+        child._signature = self._signature
+        child._pending = []
         child._counter = self._counter
         child._leaves = self._leaves
+        child._leaf_count = self._leaf_count
         child._running = self._running
         child._sealed = False
         child._parent = self
@@ -536,8 +561,8 @@ class TopologyBuilder:
         parents: Sequence[_Placed],
         through: frozenset[str],
     ) -> _Placed:
-        """Record ``node`` below ``parents`` and move the leaves; under a
-        metric, annotate it and fold it into the running cost."""
+        """Record ``node`` below ``parents``; under a metric, annotate it
+        and fold it into the running cost."""
         lineage = self._lineage
         annotation, finish = None, 0.0
         if lineage.metric is not None:
@@ -562,13 +587,46 @@ class TopologyBuilder:
                     finish, self._running = step
         placed = _Placed(node, parent_ids, through, annotation, finish)
         self._added.append((node.node_id, placed))
-        self._leaves = tuple(
-            sorted(
-                [leaf for leaf in self._leaves if leaf not in parent_ids]
-                + [node.node_id]
-            )
-        )
         return placed
+
+    def _settle(self) -> None:
+        """Build what :meth:`apply` deferred: the sorted leaves and the
+        signature entries of the nodes this builder added."""
+        pending = self._pending
+        if pending is None:
+            return
+        self._pending = None
+        lineage = self._lineage
+        leaves = set(self._leaves)
+        for node_id, placed in self._added:
+            leaves.difference_update(placed.parents)
+            leaves.add(node_id)
+        self._leaves = tuple(sorted(leaves))
+        services, joins, selections = self._signature
+        for kind, *args in pending:
+            if kind == "service":
+                # ``upstream`` is ``None`` for an unpiped service.
+                alias, interface, upstream = args
+                ordered = None if upstream is None else lineage.ordered(upstream)
+                services = _with(
+                    services, (alias, interface, upstream is not None, ordered)
+                )
+            elif kind == "selection":
+                predicates, through = args
+                selections = _with(
+                    selections,
+                    (lineage.texts(predicates), lineage.ordered(through)),
+                )
+            else:
+                predicates, left, right, label = args
+                branches = {lineage.ordered(left), lineage.ordered(right)}
+                joins = _with(
+                    joins,
+                    (lineage.texts(predicates), tuple(sorted(branches)), label),
+                )
+        self._signature = (services, joins, selections)
+        if not self._sealed:
+            lineage.counters.children_built += 1
 
     def _attach(
         self, table: Mapping[str, _Placed], alias: str, parent_id: str
@@ -582,17 +640,18 @@ class TopologyBuilder:
             raise PlanError(f"unknown node {parent_id!r}")
         through = parent.through | {alias}
         head = self._place(service.node, (parent_id,), (parent,), through)
+        # Attached below a leaf, the node takes its place; elsewhere it
+        # opens a branch.  (A selection below it keeps the count.)
+        if parent_id not in self._leaves:
+            self._leaf_count += 1
         assert service.node.interface is not None
-        piped = bool(service.node.pipe_sources)
-        services, joins, selections = self.signature
-        services = _with(
-            services,
+        self._pending.append(
             (
+                "service",
                 alias,
                 service.node.interface.name,
-                piped,
-                lineage.ordered(parent.through) if piped else None,
-            ),
+                parent.through if service.node.pipe_sources else None,
+            )
         )
         self.placed = self.placed | {alias}
         realized = self.realized | service.consumed
@@ -606,12 +665,9 @@ class TopologyBuilder:
                 node_id=self._next_id("sel"), join_filters=residual
             )
             self._place(selection, (service.node.node_id,), (head,), through)
-            selections = _with(
-                selections, (lineage.texts(residual), lineage.ordered(through))
-            )
+            self._pending.append(("selection", residual, through))
             realized = realized | frozenset(residual)
         self.realized = realized
-        self.signature = (services, joins, selections)
 
     def _merge(
         self,
@@ -620,7 +676,6 @@ class TopologyBuilder:
         j: int,
         method: JoinMethodSpec,
     ) -> None:
-        lineage = self._lineage
         left_id, right_id = self._leaves[i], self._leaves[j]
         left, right = table[left_id], table[right_id]
         predicates = self._crossing_joins(left.through, right.through)
@@ -630,14 +685,11 @@ class TopologyBuilder:
         self._place(
             node, (left_id, right_id), (left, right), left.through | right.through
         )
-        services, joins, selections = self.signature
-        branches = {lineage.ordered(left.through), lineage.ordered(right.through)}
-        joins = _with(
-            joins,
-            (lineage.texts(predicates), tuple(sorted(branches)), method.label),
+        self._leaf_count -= 1
+        self._pending.append(
+            ("join", predicates, left.through, right.through, method.label)
         )
         self.realized = self.realized | frozenset(predicates)
-        self.signature = (services, joins, selections)
 
     def seal(self) -> "TopologyBuilder":
         """The finished topology: the single remaining leaf connected to
@@ -651,6 +703,7 @@ class TopologyBuilder:
             return self
         if not self.is_complete:
             raise PlanError("cannot finish an incomplete topology")
+        self._settle()
         table = self._nodes()
         sealed = self._child()
         sealed._sealed = True
@@ -664,19 +717,9 @@ class TopologyBuilder:
             selection = SelectionNode(node_id="sel:final", join_filters=leftovers)
             head = sealed._place(selection, (head_id,), (head,), head.through)
             head_id = selection.node_id
-            services, joins, selections = self.signature
-            sealed.signature = (
-                services,
-                joins,
-                _with(
-                    selections,
-                    (
-                        self._lineage.texts(leftovers),
-                        self._lineage.ordered(head.through),
-                    ),
-                ),
-            )
+            sealed._pending.append(("selection", leftovers, head.through))
         sealed._place(OutputNode(), (head_id,), (head,), head.through)
+        sealed._settle()
         return sealed
 
     def finish(self) -> QueryPlan:

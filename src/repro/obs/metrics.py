@@ -284,6 +284,7 @@ def record_optimization(
         "deduped",
         "dominated",
         "children_priced",
+        "children_built",
         "plans_materialised",
     ):
         registry.counter(f"optimizer.{name}").inc(getattr(stats, name))

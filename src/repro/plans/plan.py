@@ -39,6 +39,7 @@ class _PlanStructure:
     parents: Mapping[str, tuple[str, ...]]
     children: Mapping[str, tuple[str, ...]]
     topo_order: tuple[str, ...] | None = None
+    walk: "tuple[tuple[str, PlanNode, tuple[str, ...]], ...] | None" = None
 
 
 @dataclass
@@ -170,6 +171,17 @@ class QueryPlan:
             raise PlanError("plan graph contains a cycle")
         structure.topo_order = tuple(order)
         return structure.topo_order
+
+    def walk(self) -> tuple[tuple[str, PlanNode, tuple[str, ...]], ...]:
+        """``(node_id, node, parent ids)`` per node in topological order —
+        what every annotation and cost walk reads, put together once."""
+        structure = self._adjacency()
+        if structure.walk is None:
+            structure.walk = tuple(
+                (node_id, self.nodes[node_id], structure.parents[node_id])
+                for node_id in self.topological_order()
+            )
+        return structure.walk
 
     def validate(self) -> "QueryPlan":
         """Check the structural invariants of Section 3.2 plans.
@@ -317,6 +329,17 @@ class NodeAnnotation:
     tout: float
     fetches: int | None = None
     calls: float = 0.0
+
+    @classmethod
+    def _frozen(cls, tin, tout, fetches=None, calls=0.0) -> "NodeAnnotation":
+        """Trusted constructor: skips the frozen ``__init__``'s per-field
+        ``object.__setattr__`` (the annotator builds one per node it
+        prices)."""
+        ann = object.__new__(cls)
+        fields = ann.__dict__
+        fields["tin"], fields["tout"] = tin, tout
+        fields["fetches"], fields["calls"] = fetches, calls
+        return ann
 
 
 @dataclass

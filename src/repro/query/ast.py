@@ -174,6 +174,21 @@ class JoinPredicate:
         if self.left.alias == self.right.alias and self.left.path == self.right.path:
             raise QueryError(f"degenerate join predicate over {self.left}")
 
+    def __hash__(self) -> int:
+        # The generated hash, kept like ``ServiceTuple``'s: the optimizer
+        # tests a predicate against realised sets once per child it prices.
+        memo = self.__dict__
+        if "_hash" not in memo:
+            memo["_hash"] = hash(
+                (self.left, self.comparator, self.right, self.selectivity, self.pattern)
+            )
+        return memo["_hash"]
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Copies and pickles carry the fields, never the memo: a string
+        # hash is wrong in another process.
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
     @property
     def aliases(self) -> frozenset[str]:
         return frozenset((self.left.alias, self.right.alias))

@@ -293,11 +293,11 @@ def enumerate_binding_choices(
     count = 0
     aliases = query.aliases
     for combo in itertools.product(*option_lists):
+        if limit is not None and count >= limit:
+            return
         choice = BindingChoice(providers=tuple(combo))
         deps = choice.dependencies_over(aliases)
         if not _is_acyclic(deps):
             continue
         yield choice
         count += 1
-        if limit is not None and count >= limit:
-            return

@@ -121,6 +121,36 @@ class Estimator:
     #: Join selectivities by alias pair / predicate tuple: functions of the
     #: query alone, asked once per annotated node by the optimizer.
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    #: ``id(node) -> (node, pushed, pipe)``: each entry holds its node, so
+    #: the id cannot be reused while it is cached.
+    _by_node: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def service_selectivities(self, node) -> tuple[float, float]:
+        """``(pushed, pipe)`` of a service node of the wrapped query: the
+        selectivity of its pushed-down selections and of the join
+        predicates its pipe bindings realise.  Functions of the node
+        alone, computed once per node object however often it is priced."""
+        entry = self._by_node.get(id(node))
+        if entry is None:
+            pushed = combined_selection_selectivity(
+                node.pushed_selections, self.query.atom(node.alias).mart
+            )
+            entry = self._by_node[id(node)] = (
+                node, pushed, self.pipe_selectivity(node)
+            )
+        return entry[1], entry[2]
+
+    def pipe_selectivity(self, node) -> float:
+        """Selectivity of the join predicates a pipe consumer realises."""
+        result = 1.0
+        seen: set[frozenset[str]] = set()
+        for producer in node.pipe_sources:
+            pair = frozenset((node.alias, producer))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            result *= self.join_selectivity(node.alias, producer)
+        return result
 
     def pushed_selectivity(
         self, alias: str, exclude: Iterable[SelectionPredicate] = ()

@@ -106,6 +106,26 @@ class TestJoinPredicate:
         )
         assert join.aliases == frozenset({"A", "B"})
 
+    def test_kept_hash_is_the_field_hash_and_never_travels(self):
+        """The hash is kept on first use (the optimizer asks once per child
+        it prices), equals the fields' hash, and is left out of copies and
+        pickles — a string hash is wrong in another process."""
+        import copy
+        import pickle
+
+        join = JoinPredicate(
+            AttrRef.parse("A.X"), Comparator.LT, AttrRef.parse("B.Y"), 0.4, "P"
+        )
+        fields = (join.left, join.comparator, join.right, 0.4, "P")
+        assert hash(join) == hash(fields) == hash(join)
+        assert "_hash" in vars(join)
+        for twin in (pickle.loads(pickle.dumps(join)), copy.copy(join)):
+            assert twin == join and twin is not join
+            assert set(vars(twin)) == {
+                "left", "comparator", "right", "selectivity", "pattern"
+            }
+            assert hash(twin) == hash(join)
+
 
 class TestQueryValidation:
     def atoms(self):

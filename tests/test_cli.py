@@ -343,6 +343,12 @@ class TestTypedFailureAtTheDoor:
         assert code == 4
         assert line.startswith("repro: CheckpointIntegrityError: ")
 
+    def test_negative_budget_exits_two(self, capsys):
+        code, line = self.failing(capsys, "plan", "--budget", "-1")
+        assert code == 2
+        assert line.startswith("repro: OptimizationError: ")
+        assert "budget" in line
+
     def test_execution_failure_keeps_exit_one_and_its_hint(self, capsys):
         code = main(["run", "--seed", "3", "--outage", "Restaurant1"])
         captured = capsys.readouterr()

@@ -147,6 +147,13 @@ class TestProviders:
     def test_choice_limit(self, conference_query):
         assert len(list(enumerate_binding_choices(conference_query, limit=1))) == 1
 
+    @pytest.mark.parametrize("limit", [0, 2])
+    def test_choice_limit_is_exact(self, conference_query, limit):
+        everything = list(enumerate_binding_choices(conference_query))
+        assert len(everything) > 2
+        capped = list(enumerate_binding_choices(conference_query, limit=limit))
+        assert capped == everything[:limit]
+
     def test_consumed_joins_marked(self, movie_query):
         choice = next(enumerate_binding_choices(movie_query))
         consumed = choice.consumed_joins()

@@ -623,6 +623,32 @@ class TestObservabilityCLI:
         assert "bottleneck:" in out
         assert "world: " in out and "0 fallback constraint checks" in out
 
+    def test_explain_search_line_counts_the_whole_optimization(self, capsys):
+        """The ``search:`` line reads warm start plus search: the search
+        takes over the dive's children, so its own share can read 0."""
+        import re
+
+        from repro.cli import _optimize, build_parser
+
+        code, out = self.run_cli(capsys, "explain")
+        assert code == 0
+        (line,) = [row for row in out.splitlines() if row.startswith("search:")]
+        match = re.search(
+            r"(\d+) children priced, (\d+) built, (\d+) plans? materialised",
+            line,
+        )
+        assert match, line
+        priced, built, plans = map(int, match.groups())
+        outcome = _optimize(build_parser().parse_args(["explain"]))[-1]
+        phase2 = outcome.phase2
+        assert (priced, built, plans) == (
+            phase2.children_priced,
+            phase2.children_built,
+            phase2.plans_materialised,
+        )
+        assert 0 < built <= priced and plans >= 1
+        assert outcome.stats.children_priced <= priced
+
     def test_explain_with_faults_shows_delivered(self, capsys):
         code, out = self.run_cli(
             capsys,

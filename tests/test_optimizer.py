@@ -80,12 +80,56 @@ class TestPruningAndAnytime:
         outcome = Optimizer(movie_query, config).optimize()
         assert outcome.best is not None
 
+    def test_zero_budget_is_the_warm_start(self, movie_query):
+        config = OptimizerConfig(metric=ExecutionTimeMetric(), budget=0)
+        outcome = Optimizer(movie_query, config).optimize()
+        assert outcome.stats.expanded == 0
+        assert outcome.best is not None and outcome.best.satisfies_k
+
     def test_greedy_candidate_standalone(self, movie_query):
         candidate = Optimizer(
             movie_query, OptimizerConfig(metric=ExecutionTimeMetric())
         ).greedy_candidate()
         assert candidate is not None
         assert candidate.satisfies_k
+
+
+class TestConfigValidation:
+    """An ``OptimizerConfig`` that cannot describe a search is refused at
+    construction, not carried into one."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("k", 0),
+            ("k", -3),
+            ("budget", -1),
+            ("binding_choice_limit", 0),
+            ("max_phase3_depth", -1),
+        ],
+    )
+    def test_rejects(self, field, value):
+        with pytest.raises(OptimizationError, match=field):
+            OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("k", None),
+            ("k", 1),
+            ("budget", None),
+            ("budget", 0),
+            ("binding_choice_limit", None),
+            ("binding_choice_limit", 1),
+            ("max_phase3_depth", 0),
+        ],
+    )
+    def test_accepts(self, field, value):
+        assert getattr(OptimizerConfig(**{field: value}), field) == value
+
+    def test_legacy_is_validated_too(self):
+        with pytest.raises(OptimizationError):
+            OptimizerConfig.legacy(k=-3)
 
 
 class TestHeuristicGrid:

@@ -4,7 +4,9 @@ A :class:`~repro.core.topology.TopologyBuilder` carries its signature,
 annotations, leaves, alias sets and partial cost incrementally; after
 every move each of them must equal what ``topology_signature``,
 ``annotate``, ``metric.partial_cost`` and the plain DAG scans compute on
-``builder.plan`` — bit for bit, on random legal move sequences.
+``builder.plan`` — bit for bit, on random legal move sequences.  A child
+is priced when it is derived and built (leaves, signature) when first
+read, so every child is checked both before and after it is built.
 """
 
 import hashlib
@@ -24,7 +26,11 @@ import repro.core.topology as topology_module
 from repro.core.annotate import ANNOTATION_COUNTERS, annotate
 from repro.core.cost import DEFAULT_METRICS, ExecutionTimeMetric, SumCostMetric
 from repro.core.optimizer import Optimizer, OptimizerConfig, plan_signature
-from repro.core.topology import TopologyBuilder, topology_signature
+from repro.core.topology import (
+    TopologyBuilder,
+    TopologyCounters,
+    topology_signature,
+)
 from repro.plans.nodes import ServiceNode
 from repro.plans.plan import QueryPlan
 from repro.query.compile import compile_query
@@ -108,6 +114,39 @@ def snapshot(builder: TopologyBuilder):
     )
 
 
+def priced(builder: TopologyBuilder):
+    """What a child carries before it is built."""
+    return (
+        builder.bound,
+        dict(builder.annotations.by_node),
+        builder.is_complete,
+        builder.placed,
+        builder.realized,
+        {node_id: builder.upstream_aliases(node_id) for node_id in builder.plan.nodes},
+    )
+
+
+def check_unbuilt(builders, counters, query):
+    """A freshly derived child's priced values equal their from-scratch
+    definitions, and reading them (or its plan) builds nothing."""
+    built = {name: c.children_built for name, c in counters.items()}
+    first = next(iter(builders.values()))
+    plan = first.plan
+    scratch = annotate(plan, query, fetches={})
+    assert first.annotations.by_node == scratch.by_node
+    assert first.is_complete == (
+        first.placed == frozenset(query.aliases) and len(scan_leaves(plan)) == 1
+    )
+    for node_id in plan.nodes:
+        assert first.upstream_aliases(node_id) == walk_upstream(plan, node_id)
+    for name, builder in builders.items():
+        expected = DEFAULT_METRICS[name].partial_cost(builder.plan, scratch)
+        assert repr(float(builder.bound)) == repr(float(expected)), name
+    values = {name: priced(builder) for name, builder in builders.items()}
+    assert {name: c.children_built for name, c in counters.items()} == built
+    return values
+
+
 def check_against_scratch(builders, query, sealed=False):
     """Every carried value of the lock-stepped ``builders`` (one per
     metric) equals its from-scratch definition on the materialised plan."""
@@ -137,8 +176,11 @@ def check_against_scratch(builders, query, sealed=False):
 @given(case=st.sampled_from(CASES), data=st.data())
 def test_carried_state_equals_scratch_after_every_move(case, data):
     _, query, assignment, choice = case
+    counters = {name: TopologyCounters() for name in DEFAULT_METRICS}
     builders = {
-        name: TopologyBuilder.initial(query, assignment, choice, metric=metric)
+        name: TopologyBuilder.initial(
+            query, assignment, choice, metric=metric, counters=counters[name]
+        )
         for name, metric in DEFAULT_METRICS.items()
     }
     check_against_scratch(builders, query)
@@ -155,9 +197,21 @@ def test_carried_state_equals_scratch_after_every_move(case, data):
         for name, builder in builders.items():
             assert builder.available_moves() == moves
             children[name] = builder.apply(move)
+        unbuilt = check_unbuilt(children, counters, query)
+        built = {name: c.children_built for name, c in counters.items()}
         # Persistence: deriving (and looking into) a child leaves the
         # parent exactly as it was.
         check_against_scratch(children, query)
+        first = next(iter(children.values()))
+        for child in children.values():
+            assert child.signature == first.signature
+            assert child.leaves() == first.leaves()
+        # Reading the signature and leaves built each child once, and
+        # building changed nothing it had been priced with.
+        assert {n: c.children_built - built[n] for n, c in counters.items()} == (
+            dict.fromkeys(counters, 1)
+        )
+        assert {name: priced(b) for name, b in children.items()} == unbuilt
         for name, builder in builders.items():
             assert snapshot(builder) == before[name], name
         builders = children
@@ -372,3 +426,44 @@ def test_default_path_does_no_from_scratch_work_per_child(monkeypatch):
     assert calls["topology_signature"] >= legacy.stats.children_priced > 0
     assert calls["annotate"] > 0
     assert legacy.stats.plans_materialised >= legacy.stats.children_priced
+
+
+def _expansion_bodies(monkeypatch):
+    """Count, per state object, how often an ``_expand_*`` body ran."""
+    runs: dict[int, list] = {}
+    for name in ("_expand_assign", "_expand_topology", "_expand_fetch"):
+        body = getattr(Optimizer, name)
+
+        def counting(self, state, body=body):
+            runs.setdefault(id(state), [state, 0])[1] += 1
+            return body(self, state)
+
+        monkeypatch.setattr(Optimizer, name, counting)
+    return runs
+
+
+@pytest.mark.parametrize("legacy", [False, True])
+def test_the_search_takes_over_the_dives_expansions(monkeypatch, legacy):
+    """Every state the greedy dive expanded is handed to the search with
+    its children: no ``_expand`` body runs twice on one state object.
+    (``legacy()`` keeps the seed's seen-set dedup, which filters children
+    per walk, so there the search re-expands the dive's states.)"""
+    runs = _expansion_bodies(monkeypatch)
+    w = star_workload(5)
+    query = _compiled(w.query_text, w.registry)
+    factory = OptimizerConfig.legacy if legacy else OptimizerConfig
+    optimizer = Optimizer(query, factory(metric=ExecutionTimeMetric()))
+    optimizer.greedy_candidate()
+    dived = {key for key, (_, count) in runs.items() if count}
+    assert dived
+    outcome = optimizer.optimize()  # dives again, then searches
+    assert outcome.best is not None
+    twice = {key for key, (_, count) in runs.items() if count > 1}
+    root = id(optimizer._root)
+    assert root in dived
+    if legacy:
+        assert twice == {root}  # the search's children are its own
+    else:
+        assert not twice
+        # The search popped the root and took the dive's children over.
+        assert root not in optimizer._dive_expansions
