@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.model.scoring import fold
 from repro.plans.nodes import (
     OutputNode,
     ParallelJoinNode,
@@ -251,7 +252,7 @@ class SumCostMetric(CostMetric):
         return 0.0, running + self._charge(node, annotation)
 
     def interfaces_lower_bound(self, interfaces) -> float:
-        return sum(i.stats.invocation_fee for i in interfaces)
+        return fold(i.stats.invocation_fee for i in interfaces)
 
 
 @dataclass
@@ -270,7 +271,7 @@ class RequestResponseMetric(CostMetric):
         return 0.0, running + _service_fee(node, annotation)
 
     def interfaces_lower_bound(self, interfaces) -> float:
-        return sum(i.stats.invocation_fee for i in interfaces)
+        return fold(i.stats.invocation_fee for i in interfaces)
 
 
 @dataclass

@@ -21,6 +21,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError
+from repro.model.scoring import fold
 
 __all__ = ["VirtualClock", "CallRecord", "CallLog", "FAILURE_OUTCOMES"]
 
@@ -143,12 +144,12 @@ class CallLog:
     def total_latency(self) -> float:
         """Total virtual time attributable to calls: latencies plus the
         backoff waits spent between retry attempts."""
-        return sum(r.latency + r.backoff_wait for r in self.records)
+        return fold(r.latency + r.backoff_wait for r in self.records)
 
     def busy_time(self, alias: str) -> float:
         """Total request-response time spent by one alias's service,
         including retry backoff waits."""
-        return sum(
+        return fold(
             r.latency + r.backoff_wait for r in self.records if r.alias == alias
         )
 

@@ -18,7 +18,8 @@ topological order, materialising each node's composite-tuple output —
   must agree on shared aliases (tuples stemming from the same upstream
   row) and satisfy the join predicates; a triangular completion strategy
   restricts the candidate pairs to the most promising half of the rank
-  Cartesian product, mirroring the annotation model;
+  Cartesian product, mirroring the annotation model (the plan's last
+  join, too, only ranks what it matches);
 * the **output node** applies the final joint-witness semantic check over
   the *entire* predicate set (the Section 3.1 semantics is defined over
   one witness mapping for all predicates, which staged evaluation alone
@@ -389,16 +390,24 @@ class ResultRows(abc.Sequence):
 
 
 @dataclass
-class _Blocks:
-    """A plan's last service node's output, unbuilt: per upstream row its
-    components and the alias's surviving tuples, for
-    :meth:`PlanExecutor._finalise` to rank before any row exists."""
+class _Unbuilt:
+    """A plan's last node's rows, unbuilt: per row, in order, its score,
+    folded by that node, and its components — ``heads[i]`` plus ``alias:
+    tails[i]`` from a service node, ``heads[i]`` from a join (``alias``
+    ``None``).  :meth:`PlanExecutor._finalise` ranks, cuts, builds when read."""
 
-    alias: str
-    blocks: list[tuple[dict, Sequence[Any]]]
+    alias: str | None
+    scores: list[float] = field(default_factory=list)
+    heads: list[dict] = field(default_factory=list)
+    tails: list = field(default_factory=list)
 
     def __len__(self) -> int:
-        return sum(len(tuples) for _, tuples in self.blocks)
+        return len(self.scores)
+
+    def components(self, i: int) -> dict:
+        if self.alias is None:
+            return self.heads[i]
+        return {**self.heads[i], self.alias: self.tails[i]}
 
 
 @dataclass
@@ -776,7 +785,9 @@ class PlanExecutor:
                 left, right = outputs[parents[0]], outputs[parents[1]]
                 # Pure CPU, no suspension: the counter's delta is this node's.
                 before = self._pairs_probed
-                result, pair_count = self._run_parallel_join(node, left, right)
+                result, pair_count = self._run_parallel_join(
+                    node, left, right, self._defers(node_id)
+                )
                 probes = self._pairs_probed - before
                 tin = len(left) * len(right)
             elif isinstance(node, OutputNode):
@@ -912,18 +923,17 @@ class PlanExecutor:
         tuples: Sequence[Any],
         failed: bool,
         check: PredicateCheck | None,
-        out: list,
+        out: "list | _Unbuilt",
         sources: Sequence[str] = (),
-        deferred: bool = False,
     ) -> None:
         """Filter one invocation's tuples and compose survivors into ``out``.
 
         ``check`` is the lowered check of the alias's selections and of
         the joins staged here, which read the upstream row's ``sources``;
-        ``deferred`` has ``out`` take the survivors as a block, unbuilt
-        (:class:`_Blocks`).  Pure CPU work shared by both execution
-        backends; appending in upstream order keeps the output list
-        byte-identical however the fetches themselves were interleaved.
+        an :class:`_Unbuilt` ``out`` takes the survivors scored, unbuilt.
+        Pure CPU work shared by both execution backends; appending in
+        upstream order keeps the output byte-identical however the
+        fetches themselves were interleaved.
         """
         if failed and not tuples:
             # Best-effort degradation: the branch is down, so the
@@ -944,8 +954,16 @@ class PlanExecutor:
                 keep = [t for t in tuples if check({**upstream, alias: t}, inputs)]
                 kept = self._survivors[key] = (tuples, keep)
             tuples = kept[1]
-        if deferred:
-            out.append((upstream, tuples))
+        if type(out) is _Unbuilt:
+            # The upstream's terms folded once, then each tuple's own.
+            weight = self.query.ranking.weights.get
+            prefix = 0
+            for a, tup in upstream.items():
+                prefix += weight(a, 0.0) * tup.score
+            own = weight(alias, 0.0)
+            out.scores.extend([prefix + own * tup.score for tup in tuples])
+            out.heads.extend([upstream] * len(tuples))
+            out.tails.extend(tuples)
             return
         # Unscored: a downstream join scores its own output, and
         # ``_finalise`` scores whatever reaches it without one.
@@ -994,15 +1012,8 @@ class PlanExecutor:
         check = self._selection_check(alias)
         if joins:  # with the selections, under one witness assignment
             check = self.query.predicate_check(self.query.selections_on(alias), joins)
-        # The output node's parent runs after every other node: what the
-        # output will check is settled, and if nothing, rows can wait.
-        deferred = (
-            self.plan.children(node.node_id) == (self.plan.output_node.node_id,)
-            and not self.failed_aliases
-            and not any(self._final_predicates()[1:])
-        )
         outcomes = iter(fetched)
-        out: list = []
+        out = _Unbuilt(alias) if self._defers(node.node_id) else []
         for composite, spec in zip(upstream, specs):
             if spec is None:
                 # Pipe source never materialised (partial degradation):
@@ -1010,10 +1021,21 @@ class PlanExecutor:
                 out.append(composite)
             else:
                 self._compose_service_results(
-                    node, composite, *next(outcomes), check, out, sources, deferred
+                    node, composite, *next(outcomes), check, out, sources
                 )
         measured["staged"] = len(joins)
-        return _Blocks(alias, out) if deferred else out, measured
+        return out, measured
+
+    def _defers(self, node_id: str) -> bool:
+        """Whether ``node_id`` hands the output node its rows unbuilt
+        (:class:`_Unbuilt`): the output is its only child, nothing is left
+        for the output to check, and no alias has failed.  The output's
+        parent runs after every other node, so all three are settled."""
+        return (
+            self.plan.children(node_id) == (self.plan.output_node.node_id,)
+            and not self.failed_aliases
+            and not any(self._final_predicates()[1:])
+        )
 
     # -- fetching: the virtual driver, and what both drivers share ------------------
 
@@ -1174,8 +1196,10 @@ class PlanExecutor:
         node: ParallelJoinNode,
         left: list[CompositeTuple],
         right: list[CompositeTuple],
-    ) -> tuple[list[CompositeTuple], int]:
-        """Pick a probe-list builder, then emit through :meth:`_emit_pairs`.
+        deferred: bool = False,
+    ) -> "tuple[list[CompositeTuple] | _Unbuilt, int]":
+        """Pick a probe-list builder, then emit through :meth:`_emit_pairs`
+        (``deferred``: scored, unbuilt — see :meth:`_defers`).
 
         ``dispatch`` (on the ``join.probe`` span and the node's run stats)
         names the kernel that ran — ``hash``, ``hash_multikey``,
@@ -1205,8 +1229,11 @@ class PlanExecutor:
             dispatch=dispatch,
             left=len(left),
             right=len(right),
+            deferred=deferred,
         ) as span:
-            out, pair_count = self._emit_pairs(node, left, right, candidates, shared)
+            out, pair_count = self._emit_pairs(
+                node, left, right, candidates, shared, deferred
+            )
             span.set("pairs_probed", self._pairs_probed - probes_before)
             span.set("produced", len(out))
         return out, pair_count
@@ -1230,7 +1257,8 @@ class PlanExecutor:
         right: list[CompositeTuple],
         candidates: list[Sequence[int]] | None,
         shared: tuple[str, ...] | None,
-    ) -> tuple[list[CompositeTuple], int]:
+        deferred: bool = False,
+    ) -> "tuple[list[CompositeTuple] | _Unbuilt, int]":
         """The pair-emission loop every join kernel shares.
 
         ``candidates[i]`` lists, ascending, the right rows worth probing
@@ -1242,14 +1270,19 @@ class PlanExecutor:
         (tile area inside the completion region) however few pairs a
         kernel probed.  The predicate check is authoritative on every
         probed pair — kernels only narrow the candidates.
+
+        ``deferred`` emits an unsorted :class:`_Unbuilt`: a pair's score is
+        its left row's fold (once it has a match) plus the right row's new
+        terms — ``score_composite``'s fold over ``{**mine, **theirs}``.
         """
         triangular = node.method.completion is CompletionStrategy.TRIANGULAR
         n_left, n_right, limit = max(1, len(left)), max(1, len(right)), len(right)
         check = self._check_for((), node.predicates) if node.predicates else None
         inputs = self.inputs
         score, row = self.query.ranking.score_composite, CompositeTuple._owned
+        weight = self.query.ranking.weights.get
         every = range(limit)
-        out: list[CompositeTuple] = []
+        out = _Unbuilt(None) if deferred else []
         pair_count = probed = 0
         for i, lc in enumerate(left):
             cutoff = (
@@ -1258,7 +1291,7 @@ class PlanExecutor:
                 else limit
             )
             pair_count += cutoff
-            mine = lc.components
+            mine, prefix = lc.components, None
             for j in every if candidates is None else candidates[i]:
                 if j >= cutoff:
                     break  # outside the "most promising" diagonal half
@@ -1270,10 +1303,23 @@ class PlanExecutor:
                 components = {**mine, **theirs}
                 if check is not None and not check(components, inputs):
                     continue
-                out.append(row(components, score(components)))
+                if not deferred:
+                    out.append(row(components, score(components)))
+                    continue
+                if prefix is None:
+                    prefix = 0
+                    for a, tup in mine.items():
+                        prefix += weight(a, 0.0) * tup.score
+                total = prefix
+                for a, tup in theirs.items():
+                    if a not in mine:
+                        total += weight(a, 0.0) * tup.score
+                out.scores.append(total)
+                out.heads.append(components)
         self._pairs_probed += probed
-        self._count_rows(node.node_id, len(out), len(out))
-        out.sort(key=lambda c: -c.score)
+        if not deferred:
+            self._count_rows(node.node_id, len(out), len(out))
+            out.sort(key=lambda c: -c.score)
         return out, pair_count
 
     def _equi_join_keys(
@@ -1522,33 +1568,23 @@ class PlanExecutor:
             return "full(degraded)", self.query.selections, self.query.joins
         return self._staging[1]
 
-    def _finalise(self, upstream: "list[CompositeTuple] | _Blocks") -> ResultRows:
+    def _finalise(self, upstream: "list[CompositeTuple] | _Unbuilt") -> ResultRows:
         self.final_check, selections, joins = self._final_predicates()
-        ranking = self.query.ranking
-        if isinstance(upstream, _Blocks):
-            # Ranked before built, by ``score_composite``'s very expression:
-            # ``sum`` over the same terms in component order (a running
-            # prefix is not bit-equal where ``sum`` compensates, >= 3.12).
-            alias, weight = upstream.alias, ranking.weights.get
-            own = weight(alias, 0.0)
-            heads, tails, scores = [], [], []  # per would-be row, in row order
-            for components, tuples in upstream.blocks:
-                terms = [weight(a, 0.0) * tup.score for a, tup in components.items()]
-                scores.extend([sum(terms + [own * tup.score]) for tup in tuples])
-                heads.extend([components] * len(tuples))
-                tails.extend(tuples)
+        if isinstance(upstream, _Unbuilt):
+            # Ranked before built: the same stable descending sort, on the
+            # scores the last node folded.
+            scores = upstream.scores
             order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
             if self.k is not None:
                 del order[self.k :]
-            row = CompositeTuple._owned
+            row, components = CompositeTuple._owned, upstream.components
             return ResultRows(
-                (row({**heads[i], alias: tails[i]}, scores[i]) for i in order),
-                length=len(order),
+                (row(components(i), scores[i]) for i in order), length=len(order)
             )
         result = upstream
         if selections or joins:
             result = self._filter(result, selections, joins)
-        score = ranking.score_composite
+        score = self.query.ranking.score_composite
         # Rows a service node built reach here unscored.
         unscored = [row for row in result if row.score is None]
         for row in unscored:

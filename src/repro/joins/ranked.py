@@ -76,6 +76,7 @@ from repro.joins.wcoj import (
     orderable_key,
     score_components,
 )
+from repro.model.scoring import fold
 from repro.model.tuples import RankingFunction, ServiceTuple
 
 __all__ = ["RankedEnumerationStatistics", "RankedEnumerator", "RankedResult"]
@@ -384,7 +385,7 @@ class RankedEnumerator:
         if all(index):
             roots = candidates(0, ())
             # Every tree root's best value: the score no row can exceed.
-            top = sum(
+            top = fold(
                 best[j][()] for j, level in enumerate(levels) if level.parent is None
             )
             push((), (), top, roots, 0)

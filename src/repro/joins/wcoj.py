@@ -38,8 +38,8 @@ Building blocks
 
 Determinism contract (shared with ``joins/ranked.py`` and
 ``joins/topk.py``): every kernel scores components by
-:func:`score_components`' expression (alias-sorted summation, so float
-addition associates identically) and finalizes through
+:func:`score_components`' fold (alias-sorted, so float addition
+associates identically) and finalizes through
 :func:`finalize_rows` (sort by ``(-score, canonical_row_key)``, cut to
 ``k``) — equal-score rows therefore enumerate in the same order under
 every kernel, and top-k outputs are byte-identical across kernels.
@@ -59,6 +59,7 @@ from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from repro.errors import ExecutionError
 from repro.joins.methods import ChunkSource
+from repro.model.scoring import fold
 from repro.model.tuples import RankingFunction, ServiceTuple
 
 __all__ = [
@@ -123,14 +124,14 @@ def canonical_row_key(components: Mapping[str, ServiceTuple]) -> tuple:
 def score_components(
     ranking: RankingFunction, components: Mapping[str, ServiceTuple]
 ) -> float:
-    """Weighted-sum score with alias-sorted summation order.
+    """Weighted-sum score, the terms folded in alias-sorted order.
 
     Float addition is not associative; kernels build their component
     dicts in different orders, so scoring through this helper (rather
     than ``ranking.score_composite``) is what makes scores — and hence
     sort keys — bit-identical across kernels.
     """
-    return sum(
+    return fold(
         ranking.weight(alias) * components[alias].score
         for alias in sorted(components)
     )
@@ -168,17 +169,19 @@ def _dress_top(
     """:func:`finalize_rows` over ``combos`` (component tuples in
     ``aliases`` order), building a row only where the cut can keep it.
 
-    The score is :func:`score_components`' own expression — the same
-    terms summed in alias-sorted order — so it is bit-equal to the score
-    of the dressed row; every row tied with the k-th best score survives
-    to the finalizer, whose canonical keys then decide among them.
+    The score is :func:`score_components`' fold, inline — the same terms
+    in alias-sorted order — so it is bit-equal to the score of the
+    dressed row; every row tied with the k-th best score survives to the
+    finalizer, whose canonical keys then decide among them.
     """
     slots = sorted(range(len(aliases)), key=aliases.__getitem__)
-    weights = [ranking.weight(aliases[slot]) for slot in slots]
-    scores = [
-        sum([w * combo[slot].score for w, slot in zip(weights, slots)])
-        for combo in combos
-    ]
+    terms = [(ranking.weight(aliases[slot]), slot) for slot in slots]
+    scores = []
+    for combo in combos:
+        total = 0
+        for w, slot in terms:
+            total += w * combo[slot].score
+        scores.append(total)
     scored: Iterable[tuple[float, tuple[ServiceTuple, ...]]] = zip(scores, combos)
     if k is not None and 0 < k < len(scores):
         floor = heapq.nlargest(k, scores)[-1]

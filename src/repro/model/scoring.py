@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import SchemaError
 
 __all__ = [
+    "fold",
     "ScoringFunction",
     "StepScoring",
     "LinearScoring",
@@ -34,6 +36,18 @@ __all__ = [
     "ConstantScoring",
     "OpaqueScoring",
 ]
+
+
+def fold(terms: Iterable[float], start: float = 0) -> float:
+    """The score rule: ``start + t1 + t2 + ...``, left to right — builtin
+    ``sum`` before Python 3.12, which compensates floats.  It composes,
+    ``fold(a + b) == fold(b, fold(a))``: a row's score is its upstream
+    prefix's plus its own terms.  Hot loops inline it (``total += w * s``).
+    """
+    total = start
+    for term in terms:
+        total += term
+    return total
 
 
 class ScoringFunction:

@@ -20,6 +20,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.errors import QueryError, SchemaError
 from repro.model.attributes import AttributePath
+from repro.model.scoring import fold
 
 __all__ = ["ServiceTuple", "CompositeTuple", "RankingFunction", "freeze_value"]
 
@@ -203,7 +204,7 @@ class RankingFunction:
         for alias, weight in weights.items():
             if weight < 0:
                 raise QueryError(f"negative ranking weight for {alias!r}")
-        total = sum(weights.values())
+        total = fold(weights.values())
         if self.normalise and total > 0:
             weights = {alias: w / total for alias, w in weights.items()}
         object.__setattr__(self, "weights", weights)
@@ -213,17 +214,18 @@ class RankingFunction:
 
     def score(self, component_scores: Mapping[str, float]) -> float:
         """Global score of a combination given per-alias component scores."""
-        return sum(
+        return fold(
             self.weight(alias) * score for alias, score in component_scores.items()
         )
 
     def score_composite(self, components: Mapping[str, ServiceTuple]) -> float:
-        # Same terms in the same order as :meth:`score`, without the
-        # intermediate ``{alias: score}`` dict and per-alias method call.
+        # :meth:`score`'s fold, inline, without the intermediate
+        # ``{alias: score}`` dict and per-alias method call.
         weight = self.weights.get
-        return sum(
-            [weight(alias, 0.0) * tup.score for alias, tup in components.items()]
-        )
+        total = 0
+        for alias, tup in components.items():
+            total += weight(alias, 0.0) * tup.score
+        return total
 
     def combine(self, components: Mapping[str, ServiceTuple]) -> CompositeTuple:
         """Build a scored :class:`CompositeTuple` from components."""

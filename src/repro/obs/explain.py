@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.model.scoring import fold
 from repro.plans.nodes import OutputNode, ParallelJoinNode, ServiceNode
 from repro.plans.plan import PlanAnnotations, QueryPlan
 
@@ -230,7 +231,7 @@ def build_explain(
         node_id: getattr(stats, "busy_time", 0.0)
         for node_id, stats in node_stats.items()
     }
-    total_busy = sum(busy_by_node.values())
+    total_busy = fold(busy_by_node.values())
     calls_ok = (
         result.log.calls_by_alias(ok_only=True) if result is not None else {}
     )

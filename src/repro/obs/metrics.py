@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from repro.model.scoring import fold
+
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from repro.core.bnb import BnBStats
     from repro.engine.events import CallLog
@@ -90,12 +92,13 @@ class Histogram:
             index = min(count - 1, max(0, round(q * (count - 1))))
             return ordered[index]
 
+        total = fold(ordered)
         return {
             "count": count,
-            "sum": sum(ordered),
+            "sum": total,
             "min": ordered[0],
             "max": ordered[-1],
-            "mean": sum(ordered) / count,
+            "mean": total / count,
             "p50": quantile(0.50),
             "p95": quantile(0.95),
             "p99": quantile(0.99),

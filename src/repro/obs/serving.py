@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
+from repro.model.scoring import fold
 from repro.obs.explain import world_line
 from repro.obs.metrics import Histogram
 
@@ -567,7 +568,7 @@ def render_serve_report(
         )
 
     ranked = sorted(
-        by_template.items(), key=lambda item: -sum(item[1])
+        by_template.items(), key=lambda item: -fold(item[1])
     )[: max(0, top)]
     if ranked:
         lines.append(f"templates (top {len(ranked)} by total request time):")
