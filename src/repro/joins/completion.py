@@ -58,14 +58,25 @@ class CompletionPolicy:
     ) -> list[Tile]:
         """Subset of ``pending`` to process now, in processing order.
 
-        ``pending`` holds loaded-but-unprocessed tiles.  Policies may defer
-        tiles (triangular); :meth:`relax` is called by the scheduler's
-        flush to widen the admission bound until everything drains.
+        ``pending`` holds loaded-but-unprocessed tiles, in no particular
+        order.  Policies may defer tiles (triangular); :meth:`relax_to_next`
+        is called by the scheduler's flush to widen the admission bound
+        until everything drains.
         """
         raise NotImplementedError
 
     def relax(self) -> None:
         """Widen the admission bound one step (used to drain deferred tiles)."""
+
+    def relax_to_next(
+        self, pending: list[Tile], loaded_x: int, loaded_y: int
+    ) -> None:
+        """Widen the bound after a drain admitted none of ``pending``.
+
+        The default takes one :meth:`relax` step; the scheduler calls again
+        until a batch is admitted.
+        """
+        self.relax()
 
     def order_batch(self, tiles: list[Tile], geometric_key) -> list[Tile]:
         """Order one admitted batch: by score when possible, else geometry."""
@@ -105,9 +116,10 @@ class TriangularCompletion(CompletionPolicy):
 
     The cutoff ``c`` tracks exploration progress:
     ``c = max(r1*r2, min(loaded_x*r2, loaded_y*r1)) + slack`` where
-    ``slack`` starts at 0 and is raised only by :meth:`relax` (end-of-input
-    draining).  At ratio 1/1 this admits, after ``n`` balanced rounds,
-    exactly the triangle ``x + y < n`` — about half of the loaded square.
+    ``slack`` starts at 0 and is raised only when a flush relaxes the bound
+    (end-of-input draining).  At ratio 1/1 this admits, after ``n``
+    balanced rounds, exactly the triangle ``x + y < n`` — about half of
+    the loaded square.
     """
 
     r1: int = 1
@@ -140,6 +152,14 @@ class TriangularCompletion(CompletionPolicy):
     def relax(self) -> None:
         self.slack += 1
 
+    def relax_to_next(
+        self, pending: list[Tile], loaded_x: int, loaded_y: int
+    ) -> None:
+        """Jump to the lightest pending weight: the same batch and final
+        ``slack`` that unit :meth:`relax` steps reach, in one step."""
+        lightest = min(self.weight(t) for t in pending)
+        self.slack += max(1, lightest + 1 - self.cutoff(loaded_x, loaded_y))
+
 
 @dataclass
 class TileScheduler:
@@ -149,6 +169,12 @@ class TileScheduler:
     :meth:`on_fetch` returns tiles newly handed to the join, in order.
     The full processing trace (:attr:`processed`) is kept for
     extraction-optimality analysis.
+
+    The loaded-but-unprocessed tiles are kept as a frontier list: a fetch
+    appends only the row or column of tiles it adds, and a drain removes
+    the admitted batch, so each fetch costs the new tiles plus the pending
+    ones, never the whole loaded rectangle.  Every built-in policy sorts
+    its batch by a total key, so the frontier's order does not matter.
     """
 
     policy: CompletionPolicy
@@ -156,29 +182,36 @@ class TileScheduler:
     loaded_y: int = 0
     processed: list[Tile] = field(default_factory=list)
     _processed_set: set[Tile] = field(default_factory=set)
+    _pending: list[Tile] = field(default_factory=list)
 
     def on_fetch(self, axis: Axis) -> list[Tile]:
         """Record one fetched chunk on ``axis``; return tiles to process."""
         if axis is Axis.X:
+            x = self.loaded_x
             self.loaded_x += 1
+            self._pending.extend(Tile(x, y) for y in range(self.loaded_y))
         else:
+            y = self.loaded_y
             self.loaded_y += 1
+            self._pending.extend(Tile(x, y) for x in range(self.loaded_x))
         return self._drain()
 
     def flush(self) -> list[Tile]:
         """Process every remaining loaded tile (end-of-input draining).
 
-        Repeatedly relaxes the policy until the pending set drains; with
-        rectangular completion a single drain suffices.
+        Relaxes the policy whenever a drain admits nothing, until the
+        pending set drains; with rectangular completion a single drain
+        suffices, and triangular completion admits a batch per relaxation.
         """
         out: list[Tile] = []
         guard = 0
-        while self._pending():
+        while self._pending:
             batch = self._drain()
             if batch:
                 out.extend(batch)
+                guard = 0
                 continue
-            self.policy.relax()
+            self.policy.relax_to_next(self._pending, self.loaded_x, self.loaded_y)
             guard += 1
             if guard > 10_000:  # pragma: no cover - defensive
                 raise PlanError("completion policy failed to drain pending tiles")
@@ -186,24 +219,20 @@ class TileScheduler:
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending())
-
-    def _pending(self) -> list[Tile]:
-        return [
-            Tile(x, y)
-            for x in range(self.loaded_x)
-            for y in range(self.loaded_y)
-            if Tile(x, y) not in self._processed_set
-        ]
+        return len(self._pending)
 
     def _drain(self) -> list[Tile]:
-        pending = self._pending()
+        pending = self._pending
         if not pending:
             return []
         batch = self.policy.admissible(pending, self.loaded_x, self.loaded_y)
+        if not batch:
+            return []
+        processed = self._processed_set
         for tile in batch:
-            if tile in self._processed_set:
+            if tile in processed:
                 raise PlanError(f"policy re-admitted processed tile {tile}")
-            self._processed_set.add(tile)
-            self.processed.append(tile)
+            processed.add(tile)
+        self.processed.extend(batch)
+        self._pending = [t for t in pending if t not in processed]
         return list(batch)

@@ -87,28 +87,31 @@ def count_local_violations(
     loaded_x = 0
     loaded_y = 0
     processed: set[Tile] = set()
+    # Loaded-but-unprocessed tiles and their representative scores; a
+    # fetch adds only its new row or column, as the tile scheduler does.
+    pending: dict[Tile, float] = {}
     violations = 0
     for event in events:
         if event.kind == "fetch":
             assert event.axis is not None
             if event.axis is Axis.X:
+                added = [Tile(loaded_x, y) for y in range(loaded_y)]
                 loaded_x += 1
             else:
+                added = [Tile(x, loaded_y) for x in range(loaded_x)]
                 loaded_y += 1
+            for t in added:
+                if t not in processed:
+                    pending[t] = space.representative_score(t)
             continue
         tile = event.tile
         assert tile is not None
-        pending = [
-            Tile(x, y)
-            for x in range(loaded_x)
-            for y in range(loaded_y)
-            if Tile(x, y) not in processed
-        ]
         if pending:
-            best = max(space.representative_score(t) for t in pending)
+            best = max(pending.values())
             if space.representative_score(tile) < best - _EPS:
                 violations += 1
         processed.add(tile)
+        pending.pop(tile, None)
     return violations
 
 
@@ -118,11 +121,12 @@ def adjacency_rule_holds(trace: Sequence[Tile]) -> bool:
     "If two tiles are adjacent, then the one with smaller index sum is
     extracted first by extraction-optimal methods."  Returns True when no
     adjacent pair appears in the trace with the larger index sum first.
+    Adjacent index sums differ by one, so each tile is checked against its
+    two neighbours of larger sum only.
     """
     position = {tile: i for i, tile in enumerate(trace)}
     for tile, pos in position.items():
-        for other, other_pos in position.items():
-            if tile.is_adjacent(other) and tile.index_sum < other.index_sum:
-                if other_pos < pos:
-                    return False
+        for later in (Tile(tile.x + 1, tile.y), Tile(tile.x, tile.y + 1)):
+            if position.get(later, pos) < pos:
+                return False
     return True

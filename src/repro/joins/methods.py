@@ -389,6 +389,8 @@ class ParallelJoinExecutor:
         chunk_x = chunks_x[tile.x]
         chunk_y = chunks_y[tile.y]
         stats.candidates += len(chunk_x) * len(chunk_y)
+        predicate = self.predicate
+        scorer = self.scorer
         if self.equi_key_x is not None and self.equi_key_y is not None:
             index = self._y_indexes.get(tile.y)
             if index is None:
@@ -401,8 +403,6 @@ class ParallelJoinExecutor:
             # below yields byte-identical output.
             matches = []
             key_of = self.equi_key_x
-            predicate = self.predicate
-            scorer = self.scorer
             for left in chunk_x:
                 bucket = index.get(key_of(left))
                 if not bucket:
@@ -416,10 +416,10 @@ class ParallelJoinExecutor:
         else:
             stats.pairs_probed += len(chunk_x) * len(chunk_y)
             matches = [
-                JoinedPair(left, right, self.scorer(left, right), tile)
+                JoinedPair(left, right, scorer(left, right), tile)
                 for left in chunk_x
                 for right in chunk_y
-                if self.predicate(left, right)
+                if predicate(left, right)
             ]
         # Within a tile, emit best combinations first: results are then
         # presented "in the order in which they are computed, tile by tile".
