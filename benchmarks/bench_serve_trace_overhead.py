@@ -188,6 +188,7 @@ if __name__ == "__main__":  # pragma: no cover - standalone report shim
         "benchmark": "serving observability: no-op overhead + trace artifacts "
         "(ISSUE 9)",
         "serve": _public(metrics),
+        "gates": {"digests_identical": metrics["digests_identical"]},
     }
     out = root / "BENCH_serve_observability.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

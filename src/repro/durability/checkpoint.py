@@ -363,16 +363,6 @@ def _decode_retry(data: Mapping[str, Any] | None) -> RetryPolicy | None:
     )
 
 
-def _metric_name(metric) -> str:
-    name = getattr(metric, "name", None)
-    if name not in DEFAULT_METRICS:
-        raise CheckpointError(
-            f"optimizer metric {metric!r} is not one of the named metrics; "
-            "checkpoints can only record metrics from DEFAULT_METRICS"
-        )
-    return name
-
-
 def _encode_entry(entry: Mapping[str, Any]) -> dict:
     encoded: dict[str, Any] = {
         "kind": entry["kind"],

@@ -19,10 +19,10 @@ concurrent service calls —
   real ``await asyncio.sleep`` — the latency draw itself still comes
   from the seeded simulator, so the data, faults, and per-call costs are
   bit-for-bit those of the virtual backend;
-* per-call timeouts and retries reuse the same :class:`RetryPolicy`,
-  with backoff waits slept on wall time and amended onto the failing
-  attempt's own call record (by index — with concurrent callers "the
-  last record" is somebody else's);
+* per-call timeouts and retries follow the virtual backend's one rule
+  (:meth:`~repro.engine.retry.Retrier.retry_or_give_up`, on the
+  executor's ``Retrier`` with this driver's own jitter stream); only the
+  wait differs: backoff is slept on wall time;
 * spans go through the existing :mod:`repro.obs` tracer via
   :meth:`~repro.obs.tracer.Tracer.record_span`, on a wall-clock axis
   rescaled back to virtual seconds so traces from both backends are
@@ -235,11 +235,7 @@ class AsyncPlanExecutor(PlanExecutor):
             options["invocation_cache"] = self.context.invocation_cache
         super().__init__(*args, **options)
         self.result_memo = "off(backend)"  # this driver never consults it
-        self._backoff_rng = random.Random(self.pool.global_seed ^ 0xA51C)
-        #: Total re-attempts issued across all calls (wall-time retries).
-        self.retries = 0
-        #: Calls abandoned after exhausting the policy.
-        self.gave_up = 0
+        self._retrier.rng = random.Random(self.pool.global_seed ^ 0xA51C)
         self._wall_start = 0.0
 
     def _now(self) -> float:
@@ -410,41 +406,19 @@ class AsyncPlanExecutor(PlanExecutor):
         return self._end_fetch(node, key, tuples, error, span)
 
     async def _draw_chunk(self, invocation, node: ServiceNode, acc: dict[str, Any]):
-        """One chunk draw under the retry policy, backoff on wall time."""
-        policy = self.retry
+        """One chunk draw under the retry rule, backoff slept on wall time."""
         attempt = 1
         while True:
             try:
                 return await self._round_trip(invocation, node, acc)
             except (ServiceTimeoutError, ServiceUnavailableError) as exc:
-                failed_index = getattr(exc, "_log_index", -1)
-                service = exc.service
-                permanent = getattr(exc, "permanent", False)
-                if permanent or attempt >= policy.max_attempts:
-                    self.gave_up += 1
-                    raise RetryExhaustedError(
-                        f"service {service!r} failed after {attempt} "
-                        f"attempt{'s' if attempt != 1 else ''}: {exc}",
-                        service=service,
-                        attempts=attempt,
-                    ) from exc
-                wait = policy.backoff(attempt, self._backoff_rng)
+                wait = self._retrier.retry_or_give_up(exc, attempt, exc._log_index)
                 if wait:
-                    log = self.pool.log
-                    if 0 <= failed_index < len(log.records):
-                        record = log.records[failed_index]
-                        # Amend only our own failed attempt — by index,
-                        # verified against the failing service (see the
-                        # Retrier bugfix): concurrent callers interleave
-                        # appends, so positional guesses misattribute.
-                        if record.failed and record.service == service:
-                            log.amend_at(failed_index, backoff_wait=wait)
                     acc["busy_time"] += wait
                     with self._span(
-                        "retry.backoff", service=service, attempt=attempt, wait=wait
+                        "retry.backoff", service=exc.service, attempt=attempt, wait=wait
                     ):
                         await self.context.sleep(wait)
-                self.retries += 1
                 attempt += 1
 
     async def _round_trip(self, invocation, node: ServiceNode, acc: dict[str, Any]):
@@ -473,12 +447,10 @@ class AsyncPlanExecutor(PlanExecutor):
             chunk = invocation.next_chunk()
         except (ServiceTimeoutError, ServiceUnavailableError) as exc:
             latency = self._account(before, acc)
-            # Remember which record was ours so the retry loop can
-            # amend the backoff wait onto it, not onto whatever a
-            # concurrent task logged afterwards.
-            exc._log_index = (
-                len(log.records) - 1 if len(log.records) > before else -1
-            )
+            # Find our record now, before the latency sleep lets concurrent
+            # tasks append theirs; the log only grows, so the index stays
+            # ours for the retry rule to amend the backoff onto.
+            exc._log_index = self._retrier.failed_record(before, exc.service)
             await self.context.sleep(latency)
             raise
         latency = self._account(before, acc)

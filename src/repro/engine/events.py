@@ -94,12 +94,6 @@ class CallLog:
         """Drop all records *in place*, keeping existing references live."""
         self.records.clear()
 
-    def amend_last(self, **changes: object) -> CallRecord:
-        """Replace fields of the most recent record (e.g. its backoff wait)."""
-        if not self.records:
-            raise ExecutionError("cannot amend an empty call log")
-        return self.amend_at(len(self.records) - 1, **changes)
-
     def amend_at(self, index: int, **changes: object) -> CallRecord:
         """Replace fields of the record at ``index``.
 

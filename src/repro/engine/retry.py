@@ -9,18 +9,21 @@ provides:
 
 * :class:`RetryPolicy` — max attempts, exponential backoff with
   deterministic jitter, and an optional per-call timeout;
-* :class:`Retrier` — a small harness executing one fetch under a policy.
-  Every backoff wait advances the shared :class:`~repro.engine.events.VirtualClock`
-  and is amended onto the failed call's
-  :class:`~repro.engine.events.CallRecord`, so retry latency enters
-  measured execution time exactly like request-response latency does;
+* :class:`Retrier` — the retry rule, once for both backends
+  (:meth:`Retrier.retry_or_give_up`), and a harness executing one fetch
+  under it on virtual time.  Every backoff wait is amended onto the
+  failed call's :class:`~repro.engine.events.CallRecord` and advances the
+  shared :class:`~repro.engine.events.VirtualClock` (the asyncio driver
+  sleeps it instead), so retry latency enters measured execution time
+  exactly like request-response latency does;
 * :class:`Degradation` — what an executor does once retries are
   exhausted: propagate (``fail``) or return best-effort partial results
   (``partial``).
 
-Determinism: backoff jitter is drawn from the retrier's own seeded RNG,
-and injected faults are drawn from per-invocation RNGs derived from the
-global seed — the same seed replays the same failures, retries, and
+Determinism: backoff jitter is drawn from the retrier's own seeded RNG
+(``global_seed ^ 0xB0FF`` on the virtual backend, ``^ 0xA51C`` on the
+asyncio one), and injected faults from per-invocation RNGs derived from
+the global seed — the same seed replays the same failures, retries, and
 waits.
 """
 
@@ -115,7 +118,8 @@ NO_RETRY = RetryPolicy(max_attempts=1, base_backoff=0.0, jitter_fraction=0.0)
 
 @dataclass
 class Retrier:
-    """Executes fetches under a :class:`RetryPolicy` on virtual time.
+    """The retry rule (:meth:`retry_or_give_up`) and its virtual-time
+    driver (:meth:`call`); the asyncio driver sleeps the same rule's waits.
 
     ``clock`` and ``log`` are the shared execution context (typically the
     service pool's): backoff waits advance the clock and are amended onto
@@ -148,47 +152,59 @@ class Retrier:
             try:
                 return fn()
             except (ServiceTimeoutError, ServiceUnavailableError) as exc:
-                service = exc.service
-                permanent = getattr(exc, "permanent", False)
-                if permanent or attempt >= self.policy.max_attempts:
-                    self.gave_up += 1
-                    raise RetryExhaustedError(
-                        f"service {service!r} failed after {attempt} "
-                        f"attempt{'s' if attempt != 1 else ''}: {exc}",
-                        service=service,
-                        attempts=attempt,
-                    ) from exc
-                wait = self.policy.backoff(attempt, self.rng)
+                wait = self.retry_or_give_up(
+                    exc, attempt, self.failed_record(logged_before, exc.service)
+                )
                 with self.tracer.span(
-                    "retry.backoff",
-                    service=service,
-                    attempt=attempt,
-                    wait=wait,
+                    "retry.backoff", service=exc.service, attempt=attempt, wait=wait
                 ):
                     if wait and self.clock is not None:
                         self.clock.advance(wait)
-                if wait and self.log is not None:
-                    self._amend_failed_attempt(logged_before, service, wait)
-                self.retries += 1
                 attempt += 1
 
-    def _amend_failed_attempt(
-        self, logged_before: int, service: str | None, wait: float
-    ) -> None:
-        """Amend the backoff wait onto the failed attempt's own record.
+    def retry_or_give_up(
+        self,
+        exc: ServiceTimeoutError | ServiceUnavailableError,
+        attempt: int,
+        failed_index: int,
+    ) -> float:
+        """The wait before retrying ``attempt``; the caller waits it.
 
-        A fault can fire *before* the attempt appends its record (the
-        invocation machinery raised early), and with a shared log another
-        caller may have appended in between — blindly amending the last
-        record would then charge the wait to an unrelated call.  Only a
-        record this attempt appended, matching the failing service and a
-        failed outcome, is amended; otherwise the wait advances the clock
-        but is attributed to no call.
+        Gives up (:class:`~repro.errors.RetryExhaustedError`) on a
+        permanent outage or the policy's last attempt.  Otherwise draws
+        the backoff and amends it onto the failed attempt's record at
+        ``failed_index`` (:meth:`failed_record`), so the wait is charged
+        like request-response latency.
         """
-        log = self.log
-        assert log is not None
-        for index in range(len(log.records) - 1, logged_before - 1, -1):
-            record = log.records[index]
+        service = exc.service
+        if getattr(exc, "permanent", False) or attempt >= self.policy.max_attempts:
+            self.gave_up += 1
+            raise RetryExhaustedError(
+                f"service {service!r} failed after {attempt} "
+                f"attempt{'s' if attempt != 1 else ''}: {exc}",
+                service=service,
+                attempts=attempt,
+            ) from exc
+        wait = self.policy.backoff(attempt, self.rng)
+        if wait and failed_index >= 0 and self.log is not None:
+            self.log.amend_at(failed_index, backoff_wait=wait)
+        self.retries += 1
+        return wait
+
+    def failed_record(self, logged_before: int, service: str | None) -> int:
+        """Index of the failed attempt's own record, ``-1`` if it has none.
+
+        Run when the fault is raised, on the records appended since
+        ``logged_before``.  A fault can fire before the attempt appends its
+        record, and with a shared log another caller may append afterwards
+        — "the last record" may be an unrelated call's.  Only a record this
+        attempt appended, failed and of the failing service, qualifies.
+        """
+        if self.log is None:
+            return -1
+        records = self.log.records
+        for index in range(len(records) - 1, logged_before - 1, -1):
+            record = records[index]
             if record.failed and (service is None or record.service == service):
-                log.amend_at(index, backoff_wait=wait)
-                return
+                return index
+        return -1

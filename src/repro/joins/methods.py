@@ -20,6 +20,7 @@ binary joins:
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
@@ -195,12 +196,20 @@ def _coerce_degradation(value: object) -> str:
 
 
 def _fetch_chunk(
-    source: ChunkSource, retry: "Retrier | None"
+    source: ChunkSource, retry: "Retrier | None", degradation: str
 ) -> list[ServiceTuple] | None:
-    """One (possibly retried) chunk fetch."""
-    if retry is None:
-        return source.next_chunk()
-    return retry.call(source.next_chunk)
+    """One (possibly retried) chunk fetch; ``None`` once the source is done.
+
+    A source whose retries are exhausted is done under ``partial`` (the
+    join goes on with what already arrived); under ``fail`` the
+    :class:`~repro.errors.RetryExhaustedError` propagates.
+    """
+    try:
+        return source.next_chunk() if retry is None else retry.call(source.next_chunk)
+    except RetryExhaustedError:
+        if degradation == "fail":
+            raise
+        return None
 
 
 class ParallelJoinExecutor:
@@ -274,7 +283,9 @@ class ParallelJoinExecutor:
         #: reused across every tile sharing that chunk).
         self._y_indexes: dict[int, dict[Hashable, list[ServiceTuple]]] = {}
         self.schedule = schedule or MergeScanSchedule()
-        self.policy = policy or TriangularCompletion()
+        # A copy: the executor attaches its own space, and a triangular
+        # flush raises the policy's slack, neither on the caller's object.
+        self.policy = copy.copy(policy) if policy else TriangularCompletion()
         self.k = k
         self.scorer = scorer
         self.max_calls = max_calls
@@ -288,8 +299,7 @@ class ParallelJoinExecutor:
         )
         # Let the completion policy order batches by representative score
         # (Section 4.4's local extraction-optimality).
-        if getattr(self.policy, "space", None) is None:
-            self.policy.space = self.space
+        self.policy.space = self.space
 
     def run(self) -> JoinResult:
         chunks_x: list[list[ServiceTuple]] = []
@@ -302,15 +312,8 @@ class ParallelJoinExecutor:
         def fetch(axis: Axis) -> bool:
             """Fetch one chunk on ``axis``; False when that axis is done."""
             source = self.source_x if axis is Axis.X else self.source_y
-            try:
-                chunk = _fetch_chunk(source, self.retry)
-            except RetryExhaustedError:
-                if self.degradation == "fail":
-                    raise
-                # The service is down: join what already arrived.
-                exhausted[axis] = True
-                return False
-            if chunk is None or not chunk:
+            chunk = _fetch_chunk(source, self.retry, self.degradation)
+            if not chunk:
                 exhausted[axis] = True
                 return False
             if axis is Axis.X:
@@ -464,14 +467,7 @@ class PipeJoinExecutor:
                 break
             source = self.invoke(left)
             for fetch_index in range(self.fetches):
-                try:
-                    chunk = _fetch_chunk(source, self.retry)
-                except RetryExhaustedError:
-                    if self.degradation == "fail":
-                        raise
-                    # This invocation is down; move to the next upstream
-                    # tuple and join what already arrived.
-                    break
+                chunk = _fetch_chunk(source, self.retry, self.degradation)
                 if chunk is None:
                     break
                 stats.calls_y += 1

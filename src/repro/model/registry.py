@@ -78,9 +78,6 @@ class ServiceRegistry:
     def has_interface(self, name: str) -> bool:
         return name in self._interfaces
 
-    def has_mart(self, name: str) -> bool:
-        return name in self._marts
-
     def interfaces_of(self, mart_name: str) -> tuple[ServiceInterface, ...]:
         """All interfaces registered for a mart, in registration order."""
         if mart_name not in self._marts:
@@ -111,10 +108,6 @@ class ServiceRegistry:
         raise SchemaError(f"{name!r} names neither an interface nor a mart")
 
     # -- introspection ----------------------------------------------------------
-
-    @property
-    def mart_names(self) -> tuple[str, ...]:
-        return tuple(self._marts)
 
     @property
     def interface_names(self) -> tuple[str, ...]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import SchemaError
 from repro.model.attributes import (
@@ -312,15 +312,3 @@ class ServiceInterface:
         for path in self.mart.paths():
             parts.append(f"{path}^{self.access_pattern.adornment_of(path).value}")
         return f"{self.name}({', '.join(parts)})"
-
-
-def interfaces_by_name(
-    interfaces: Iterable[ServiceInterface],
-) -> dict[str, ServiceInterface]:
-    """Index interfaces by name, rejecting duplicates."""
-    index: dict[str, ServiceInterface] = {}
-    for iface in interfaces:
-        if iface.name in index:
-            raise SchemaError(f"duplicate service interface name {iface.name!r}")
-        index[iface.name] = iface
-    return index

@@ -68,10 +68,6 @@ class ExplainNode:
     bottleneck_share: float | None = None
     children: "list[ExplainNode]" = field(default_factory=list)
 
-    @property
-    def is_bottleneck(self) -> bool:
-        return (self.bottleneck_share or 0.0) >= 0.5
-
     def render_line(self) -> str:
         parts = [self.label]
         est = _flow(self.est_tin, self.est_tout)

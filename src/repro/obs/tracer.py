@@ -249,9 +249,6 @@ class Tracer:
     def roots(self) -> list[SpanRecord]:
         return [span for span in self.ordered() if span.parent_id is None]
 
-    def children_of(self, span_id: int) -> list[SpanRecord]:
-        return [span for span in self.ordered() if span.parent_id == span_id]
-
     def render_tree(self) -> str:
         """Indented text rendering of the span tree (debugging aid)."""
         by_parent: dict[int | None, list[SpanRecord]] = {}

@@ -128,10 +128,6 @@ class SelectionPredicate:
     operand: Any
 
     @property
-    def is_input_bound(self) -> bool:
-        return isinstance(self.operand, InputRef)
-
-    @property
     def binds(self) -> bool:
         """True when the predicate can *bind* its attribute.
 
