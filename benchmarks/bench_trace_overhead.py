@@ -15,8 +15,8 @@ and compare ``touchpoints x per-op cost`` against the measured pipeline
 wall time.  The enabled-tracer run is also timed and reported (it may
 legitimately cost more; it is not gated).
 
-``collect_trace_overhead`` feeds ``benchmarks/harness.py``, which
-serialises it to ``BENCH_observability.json``.
+Run as a script, ``PYTHONPATH=src python benchmarks/bench_trace_overhead.py``
+writes ``BENCH_observability.json`` and exits non-zero on a failed gate.
 """
 
 import time
@@ -89,7 +89,7 @@ def _noop_costs(iterations=200_000):
 
 
 def collect_trace_overhead(repeats=3):
-    """Measure no-op tracing cost vs Fig. 10 wall; harness serialises this."""
+    """Measure no-op tracing cost vs Fig. 10 wall."""
     wall_off, _, result_off = _time_pipeline(NULL_TRACER, repeats)
 
     enabled = Tracer()

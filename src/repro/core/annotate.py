@@ -62,9 +62,8 @@ class AnnotationCounters:
     ``full_annotations``/``delta_annotations`` count whole-plan walks vs.
     incremental re-walks; ``incremental_nodes`` is the share of
     ``node_evals`` the phase-2 builder spent annotating nodes as it
-    attached them (no walk at all).  The benchmark harness resets and
-    reads these to measure how much recomputation the memoization layers
-    avoid.
+    attached them (no walk at all).  Tests reset and read these to pin
+    how much recomputation the memoization layers avoid.
     """
 
     node_evals: int = 0

@@ -47,7 +47,7 @@ CostFn = Callable[..., float]
 def _default_annotate_fn(
     plan: QueryPlan, query: CompiledQuery, estimator: Estimator
 ) -> AnnotateFn:
-    """Plain full re-annotation (the seed behaviour, no memoization)."""
+    """Plain full re-annotation, no memoization (no annotator passed)."""
 
     def annotate_fn(
         fetches: Mapping[str, int],

@@ -49,10 +49,10 @@ Hot-path memoization (see DESIGN.md, "Performance architecture"):
   from one root object, and the search takes over the very children
   lists the dive computed instead of pricing those states again.
 
-The ``incremental`` / ``dedup`` / ``dominance`` config flags switch the
-layers off individually; with all three off the optimizer reproduces the
-seed implementation's behaviour exactly (the benchmark harness uses that
-as its baseline).
+Tests hold the layers to three oracles: the from-scratch definitions
+(``topology_signature``, ``annotate``, ``partial_cost``), the pinned
+searches of ``tests/data/plan_cold_search.json`` and
+:mod:`repro.baselines.exhaustive`.
 """
 
 from __future__ import annotations
@@ -74,11 +74,7 @@ from repro.core.heuristics import (
     Phase2Heuristic,
     Phase3Heuristic,
 )
-from repro.core.topology import (
-    TopologyBuilder,
-    TopologyCounters,
-    topology_signature,
-)
+from repro.core.topology import TopologyBuilder, TopologyCounters
 from repro.errors import OptimizationError
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.joins.spec import JoinMethodSpec
@@ -146,14 +142,6 @@ class OptimizerConfig:
     warm_start: bool = True  # greedy heuristic dive seeds the incumbent
     binding_choice_limit: int | None = 64
     max_phase3_depth: int = 256
-    #: Derive annotations/costs incrementally from the parent state and
-    #: memoize them per (plan key, fetch vector).
-    incremental: bool = True
-    #: Hash-cons search states in the engine by canonical signature.
-    dedup: bool = True
-    #: Pareto-prune fetch states dominated by a queued sibling of the
-    #: same plan (componentwise >= fetch vector at >= cost bound).
-    dominance: bool = True
 
     def __post_init__(self) -> None:
         if self.k is not None and self.k < 1:
@@ -172,14 +160,6 @@ class OptimizerConfig:
             raise OptimizationError(
                 f"max_phase3_depth must be >= 0, got {self.max_phase3_depth}"
             )
-
-    @classmethod
-    def legacy(cls, **overrides) -> "OptimizerConfig":
-        """The seed implementation's behaviour: no memoization layers."""
-        overrides.setdefault("incremental", False)
-        overrides.setdefault("dedup", False)
-        overrides.setdefault("dominance", False)
-        return cls(**overrides)
 
 
 @dataclass
@@ -237,25 +217,16 @@ class _TopoState:
     #: *completions* differ (unplaced aliases have different pipe
     #: dependencies), so the choice participates in the dedup signature.
     choice_index: int
-    #: A from-scratch ``topology_signature`` (legacy); ``None`` reads the
-    #: builder's when first asked.
-    _partial_sig: tuple | None = None
     _signature: _Key | None = None
-
-    @property
-    def partial_sig(self) -> tuple:
-        """``topology_signature`` of the partial plan."""
-        if self._partial_sig is None:
-            self._partial_sig = self.builder.signature
-        return self._partial_sig
 
     @property
     def signature(self) -> _Key:
         """Engine dedup signature, put together and hashed on first read —
         which a state pruned on its bound never reaches."""
         if self._signature is None:
+            builder = self.builder
             self._signature = _Key(
-                ("topo", self.assignment_key, self.choice_index, self.partial_sig)
+                ("topo", self.assignment_key, self.choice_index, builder.signature)
             )
         return self._signature
 
@@ -277,8 +248,7 @@ class _FetchState:
     #: corrupt incremental re-annotation.
     plan_key: int = -1
     #: Interned id of ``(assignment_key, topology_signature(plan))`` —
-    #: the engine-level dedup scope (one representative per cost class,
-    #: exactly the seed's topology dedup).
+    #: the engine-level dedup scope (one representative per cost class).
     dedup_key: int = -1
     #: Fetch vector of the state this one was derived from; lets the
     #: annotator recompute only the changed cone (``annotate_delta``).
@@ -310,18 +280,11 @@ class Optimizer:
         self._open_aliases = tuple(
             atom.alias for atom in query.atoms if atom.interface is None
         )
-        # Legacy-mode (dedup=False) seen-sets, replicating the seed
-        # implementation's optimizer-side deduplication.
-        self._seen_topologies: set[tuple] = set()
-        self._seen_partial: set[tuple] = set()
-        self._seen_fetches: set[tuple] = set()
-        # Every finished topology, indexed by plan key.  (Legacy fetch
-        # dedup keys on id(plan): keeping the builders — hence their plans
-        # — alive stops a recycled id from shadowing fetch vectors.)
+        # Every finished topology, indexed by plan key.
         self._finished: list[TopologyBuilder] = []
         #: Phase-2 accounting across every lineage of this optimizer.
         self.topology_counters = TopologyCounters()
-        # Memoization layers (incremental mode).
+        # Memoization layers.
         self._dedup_keys: dict[tuple, int] = {}
         self._ann_cache: OrderedDict[tuple, PlanAnnotations] = OrderedDict()
         self._cost_cache: dict[tuple, float] = {}
@@ -329,8 +292,7 @@ class Optimizer:
         # The warm start and the search start from this one object, and
         # the search takes over the children lists the dive computed:
         # ``id(state) -> (state, children)``, held until the search
-        # expands the state (off without dedup, whose seen-sets filter
-        # children).
+        # expands the state.
         self._root = _AssignState(assignment=(), next_index=0, depth=0)
         self._dive_expansions: dict[int, tuple[object, list]] = {}
 
@@ -371,42 +333,18 @@ class Optimizer:
                 self.query,
                 assignment,
                 choice,
-                # Legacy states are priced from scratch, so carry no cost.
-                metric=self.config.metric if self.config.incremental else None,
+                metric=self.config.metric,
                 estimator=self.estimator,
                 counters=self.topology_counters,
             )
             children.append(
-                self._topo_state(
-                    builder, state.assignment, assignment_key, index,
-                    state.depth + 1,
+                _TopoState(
+                    builder, state.assignment, state.depth + 1, assignment_key, index
                 )
             )
         return children
 
     # -- phase 2 ----------------------------------------------------------------
-
-    def _topo_state(
-        self,
-        builder: TopologyBuilder,
-        assignment: tuple[tuple[str, ServiceInterface], ...],
-        assignment_key: tuple[tuple[str, str], ...],
-        choice_index: int,
-        depth: int,
-    ) -> _TopoState:
-        return _TopoState(
-            builder=builder,
-            assignment=assignment,
-            depth=depth,
-            assignment_key=assignment_key,
-            choice_index=choice_index,
-            # Incremental states read the builder's signature when asked.
-            _partial_sig=(
-                None
-                if self.config.incremental
-                else topology_signature(builder.plan)
-            ),
-        )
 
     def _fetch_state(
         self,
@@ -418,7 +356,6 @@ class Optimizer:
         parent_fetches: tuple[tuple[str, int], ...] | None,
         depth: int,
     ) -> _FetchState:
-        signature = ("fetch", dedup_key, fetches) if self.config.dedup else None
         return _FetchState(
             topology=topology,
             assignment=assignment,
@@ -427,7 +364,7 @@ class Optimizer:
             plan_key=plan_key,
             dedup_key=dedup_key,
             parent_fetches=parent_fetches,
-            signature=signature,
+            signature=("fetch", dedup_key, fetches),
         )
 
     def _intern_dedup_key(self, assignment_key: tuple, plan_sig: tuple) -> int:
@@ -463,16 +400,6 @@ class Optimizer:
             for builder in applied:
                 if builder.is_complete:
                     topology = builder.seal()
-                    full_key = (
-                        state.assignment_key,
-                        topology.signature
-                        if self.config.incremental
-                        else topology_signature(topology.plan),
-                    )
-                    if not self.config.dedup:
-                        if full_key in self._seen_topologies:
-                            continue
-                        self._seen_topologies.add(full_key)
                     plan_key = len(self._finished)
                     self._finished.append(topology)
                     fetches = self._initial_fetches(topology)
@@ -486,28 +413,24 @@ class Optimizer:
                             topology,
                             state.assignment,
                             plan_key,
-                            self._intern_dedup_key(*full_key),
+                            self._intern_dedup_key(
+                                state.assignment_key, topology.signature
+                            ),
                             fetches,
                             None,
                             state.depth + 1,
                         )
                     )
                 else:
-                    child = self._topo_state(
-                        builder,
-                        state.assignment,
-                        state.assignment_key,
-                        state.choice_index,
-                        state.depth + 1,
+                    children.append(
+                        _TopoState(
+                            builder,
+                            state.assignment,
+                            state.depth + 1,
+                            state.assignment_key,
+                            state.choice_index,
+                        )
                     )
-                    if not self.config.dedup:
-                        # Different move orders reach identical partial
-                        # DAGs; enqueue one representative per signature.
-                        partial = (state.assignment_key, child.partial_sig)
-                        if partial in self._seen_partial:
-                            continue
-                        self._seen_partial.add(partial)
-                    children.append(child)
         return children
 
     def _suggested_methods(self, builder, move) -> list[JoinMethodSpec]:
@@ -588,13 +511,6 @@ class Optimizer:
         return annotations
 
     def _annotations(self, state: _FetchState) -> PlanAnnotations:
-        if not self.config.incremental:
-            return annotate(
-                state.plan,
-                self.query,
-                fetches=dict(state.fetches),
-                estimator=self.estimator,
-            )
         return self._cached_annotations(
             state.plan, state.plan_key, state.fetches, state.parent_fetches
         )
@@ -604,8 +520,6 @@ class Optimizer:
 
     def _full_cost(self, state: _FetchState) -> float:
         """Memoized full-plan cost of a fetch state."""
-        if not self.config.incremental:
-            return self.config.metric.cost(state.plan, self._annotations(state))
         key = (state.plan_key, state.fetches)
         cost = self._cost_cache.get(key)
         if cost is None:
@@ -650,15 +564,6 @@ class Optimizer:
 
     def _proposals(self, state: _FetchState) -> list[dict[str, int]]:
         """Phase-3 successor vectors, memoized per (plan, fetch vector)."""
-        if not self.config.incremental:
-            return self.config.phase3.propose(
-                state.plan,
-                self.query,
-                dict(state.fetches),
-                self.estimator,
-                self.config.metric,
-                self.k,
-            )
         key = (state.plan_key, state.fetches)
         cached = self._proposal_cache.get(key)
         if cached is None:
@@ -680,26 +585,18 @@ class Optimizer:
             return []  # leaf: handled by _is_leaf
         if state.depth >= self.config.max_phase3_depth:
             return []
-        children = []
-        for vector in self._proposals(state):
-            fetches = tuple(sorted(vector.items()))
-            if not self.config.dedup:
-                key = (id(state.plan), fetches)
-                if key in self._seen_fetches:
-                    continue
-                self._seen_fetches.add(key)
-            children.append(
-                self._fetch_state(
-                    state.topology,
-                    state.assignment,
-                    state.plan_key,
-                    state.dedup_key,
-                    fetches,
-                    state.fetches,
-                    state.depth + 1,
-                )
+        return [
+            self._fetch_state(
+                state.topology,
+                state.assignment,
+                state.plan_key,
+                state.dedup_key,
+                tuple(sorted(vector.items())),
+                state.fetches,
+                state.depth + 1,
             )
-        return children
+            for vector in self._proposals(state)
+        ]
 
     # -- B&B callbacks --------------------------------------------------------------
 
@@ -749,13 +646,7 @@ class Optimizer:
             chosen = [iface for _, iface in state.assignment]
             return metric.interfaces_lower_bound(fixed + chosen)
         if isinstance(state, _TopoState):
-            if self.config.incremental:
-                return state.builder.bound
-            plan = state.builder.plan
-            return metric.partial_cost(
-                plan,
-                annotate(plan, self.query, fetches={}, estimator=self.estimator),
-            )
+            return state.builder.bound
         return self._full_cost(state)
 
     def _signature(self, state) -> Hashable:
@@ -806,19 +697,18 @@ class Optimizer:
                 _, candidate, _ = self._leaf_value(state)
                 return candidate
             children = self._expand(state)
-            if self.config.dedup:
-                self._dive_expansions[id(state)] = (state, children)
-                # The engine's hash-consing does not apply to this local
-                # dive; an own seen-set keeps it from revisiting states.
-                fresh = []
-                for child in children:
-                    signature = getattr(child, "signature", None)
-                    if signature is not None:
-                        if signature in dive_seen:
-                            continue
-                        dive_seen.add(signature)
-                    fresh.append(child)
-                children = fresh
+            self._dive_expansions[id(state)] = (state, children)
+            # The engine's hash-consing does not apply to this local
+            # dive; an own seen-set keeps it from revisiting states.
+            fresh = []
+            for child in children:
+                signature = getattr(child, "signature", None)
+                if signature is not None:
+                    if signature in dive_seen:
+                        continue
+                    dive_seen.add(signature)
+                fresh.append(child)
+            children = fresh
             # Depth-first along the heuristics' first choice, backtracking
             # out of dead ends (e.g. a fork whose merge is degenerate).
             stack.extend(reversed(children))
@@ -834,12 +724,8 @@ class Optimizer:
             lower_bound=self._lower_bound,
             prune=self.config.prune,
             depth_of=self._depth,
-            signature_of=self._signature if self.config.dedup else None,
-            dominance_of=(
-                self._dominance
-                if self.config.dominance and self.config.prune
-                else None
-            ),
+            signature_of=self._signature,
+            dominance_of=self._dominance if self.config.prune else None,
             tracer=tracer,
             describe=self._phase_of,
         )
@@ -851,12 +737,8 @@ class Optimizer:
                     initial = (seed.cost, seed, seed.satisfies_k)
                     warm_span.set("cost", seed.cost)
                     warm_span.set("satisfies_k", seed.satisfies_k)
-        # The warm start consumed the legacy dedup sets; reset so the
-        # search space is complete.  (The memoization caches survive on
-        # purpose: a cached annotation is valid whoever asks for it.)
-        self._seen_topologies.clear()
-        self._seen_partial.clear()
-        self._seen_fetches.clear()
+        # The memoization caches survive the warm start on purpose: a
+        # cached annotation is valid whoever asks for it.
         counters = self.topology_counters
         before = replace(counters)
         with tracer.span("optimize.search", k=self.k) as span:

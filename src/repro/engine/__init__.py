@@ -9,7 +9,6 @@ from repro.engine.clock import JoinClock
 from repro.engine.events import CallLog, CallRecord, VirtualClock
 from repro.engine.liquid import LiquidQuerySession
 from repro.engine.retry import NO_RETRY, Degradation, Retrier, RetryPolicy
-from repro.engine.streaming import StreamedJoin, stream_binary_join
 from repro.engine.executor import (
     ExecutionResult,
     NodeRunStats,
@@ -22,8 +21,6 @@ __all__ = [
     "AsyncPlanExecutor",
     "run_plan_async",
     "LiquidQuerySession",
-    "StreamedJoin",
-    "stream_binary_join",
     "JoinClock",
     "CallLog",
     "CallRecord",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError, RetryExhaustedError
 
@@ -152,9 +152,8 @@ class JoinStatistics:
     #: Logical candidate-pair count: the full tile area, independent of the
     #: pairing kernel.  This is the paper's "candidate combinations" figure.
     candidates: int = 0
-    #: Pairs the kernel actually evaluated the predicate on.  Equals
-    #: ``candidates`` for the nested-loop kernel; with hash-indexed
-    #: equi-joins only key-colliding pairs are probed.
+    #: Pairs the kernel actually evaluated the predicate on (for the
+    #: nested-loop tile kernel, ``candidates``).
     pairs_probed: int = 0
     results: int = 0
     trace: list[Tile] = field(default_factory=list)
@@ -226,8 +225,8 @@ class ParallelJoinExecutor:
     policy:
         Completion policy (which loaded tiles to process when).
     k:
-        Stop once this many result pairs are emitted; ``None`` runs to
-        exhaustion.
+        Stop once this many result pairs are emitted (must be positive);
+        ``None`` runs to exhaustion.
     scorer:
         Combined score for emitted pairs (defaults to the ranking product).
     max_calls:
@@ -244,17 +243,8 @@ class ParallelJoinExecutor:
         Observability context; each processed tile becomes a
         ``join.tile`` span (its probe batch: candidates, pairs probed,
         matches) on virtual time.  ``None`` uses the shared no-op tracer.
-    equi_key_x, equi_key_y:
-        Optional equi-join key extractors.  When both are supplied the
-        tile kernel builds a hash index over each Y chunk (memoized per
-        chunk, since triangular completion revisits the same chunk across
-        many tiles) and probes it with X tuples, evaluating ``predicate``
-        only on key-colliding pairs.  The caller must guarantee that
-        ``equi_key_x(l) != equi_key_y(r)`` implies ``not predicate(l, r)``
-        — the predicate stays authoritative on probed pairs, so a key
-        that over-approximates the predicate is safe, one that
-        under-approximates it silently drops results.  Without extractors
-        the kernel is the plain nested loop over the tile.
+
+    Each tile is joined by a nested loop over its two chunks.
     """
 
     def __init__(
@@ -269,19 +259,14 @@ class ParallelJoinExecutor:
         max_calls: int = 10_000,
         retry: "Retrier | None" = None,
         degradation: str = "partial",
-        equi_key_x: Callable[[ServiceTuple], Hashable] | None = None,
-        equi_key_y: Callable[[ServiceTuple], Hashable] | None = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> None:
+        if k is not None and k <= 0:
+            raise ExecutionError("k must be positive")
         self.source_x = source_x
         self.source_y = source_y
         self.predicate = predicate
         self.tracer = coerce_tracer(tracer)
-        self.equi_key_x = equi_key_x
-        self.equi_key_y = equi_key_y
-        #: Hash indexes over Y chunks, keyed by chunk ordinal (built lazily,
-        #: reused across every tile sharing that chunk).
-        self._y_indexes: dict[int, dict[Hashable, list[ServiceTuple]]] = {}
         self.schedule = schedule or MergeScanSchedule()
         # A copy: the executor attaches its own space, and a triangular
         # flush raises the policy's slack, neither on the caller's object.
@@ -391,39 +376,17 @@ class ParallelJoinExecutor:
         stats.tiles_processed += 1
         chunk_x = chunks_x[tile.x]
         chunk_y = chunks_y[tile.y]
-        stats.candidates += len(chunk_x) * len(chunk_y)
+        area = len(chunk_x) * len(chunk_y)
+        stats.candidates += area
+        stats.pairs_probed += area
         predicate = self.predicate
         scorer = self.scorer
-        if self.equi_key_x is not None and self.equi_key_y is not None:
-            index = self._y_indexes.get(tile.y)
-            if index is None:
-                index = {}
-                for right in chunk_y:
-                    index.setdefault(self.equi_key_y(right), []).append(right)
-                self._y_indexes[tile.y] = index
-            # Probing left-major with buckets in chunk order reproduces
-            # the nested loop's match order exactly, so the stable sort
-            # below yields byte-identical output.
-            matches = []
-            key_of = self.equi_key_x
-            for left in chunk_x:
-                bucket = index.get(key_of(left))
-                if not bucket:
-                    continue
-                stats.pairs_probed += len(bucket)
-                for right in bucket:
-                    if predicate(left, right):
-                        matches.append(
-                            JoinedPair(left, right, scorer(left, right), tile)
-                        )
-        else:
-            stats.pairs_probed += len(chunk_x) * len(chunk_y)
-            matches = [
-                JoinedPair(left, right, scorer(left, right), tile)
-                for left in chunk_x
-                for right in chunk_y
-                if predicate(left, right)
-            ]
+        matches = [
+            JoinedPair(left, right, scorer(left, right), tile)
+            for left in chunk_x
+            for right in chunk_y
+            if predicate(left, right)
+        ]
         # Within a tile, emit best combinations first: results are then
         # presented "in the order in which they are computed, tile by tile".
         matches.sort(key=lambda pair: -pair.score)
@@ -451,6 +414,8 @@ class PipeJoinExecutor:
     ) -> None:
         if fetches <= 0:
             raise ExecutionError("fetches must be positive")
+        if k is not None and k <= 0:
+            raise ExecutionError("k must be positive")
         self.upstream = upstream
         self.invoke = invoke
         self.fetches = fetches
@@ -497,8 +462,6 @@ def make_executor(
     max_calls: int = 10_000,
     retry: "Retrier | None" = None,
     degradation: str = "partial",
-    equi_key_x: Callable[[ServiceTuple], Hashable] | None = None,
-    equi_key_y: Callable[[ServiceTuple], Hashable] | None = None,
     tracer: "Tracer | NullTracer | None" = None,
 ) -> ParallelJoinExecutor:
     """Instantiate a parallel-join executor from a method specification."""
@@ -523,7 +486,5 @@ def make_executor(
         max_calls=max_calls,
         retry=retry,
         degradation=degradation,
-        equi_key_x=equi_key_x,
-        equi_key_y=equi_key_y,
         tracer=tracer,
     )

@@ -244,17 +244,14 @@ def _same_key(a, b):
     return a.values["k"] == b.values["k"]
 
 
-def _run_join(spec, chunk, k, equi):
+def _run_join(spec, chunk, k):
     scoring = PowerLawScoring(exponent=0.7)
-    key = (lambda t: t.values["k"]) if equi else None
     result = make_executor(
         spec,
         ListChunkSource(_ranked("X", 90, 11), chunk, scoring),
         ListChunkSource(_ranked("Y", 70, 12), chunk, scoring),
         _same_key,
         k=k,
-        equi_key_x=key,
-        equi_key_y=key,
     ).run()
     stats = result.stats
     return (
@@ -270,7 +267,6 @@ def _run_join(spec, chunk, k, equi):
     )
 
 
-@pytest.mark.parametrize("equi", [False, True])
 @pytest.mark.parametrize("chunk", [7, 20])
 @pytest.mark.parametrize("k", [None, 1, 37])
 @pytest.mark.parametrize(
@@ -284,10 +280,10 @@ def _run_join(spec, chunk, k, equi):
     ],
     ids=str,
 )
-def test_executor_matches_rescanning_scheduler(monkeypatch, spec, k, chunk, equi):
-    got = _run_join(spec, chunk, k, equi)
+def test_executor_matches_rescanning_scheduler(monkeypatch, spec, k, chunk):
+    got = _run_join(spec, chunk, k)
     monkeypatch.setattr(methods, "TileScheduler", RescanScheduler)
-    assert got == _run_join(spec, chunk, k, equi)
+    assert got == _run_join(spec, chunk, k)
 
 
 # --------------------------------------------------------------------------- #

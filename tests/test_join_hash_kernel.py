@@ -1,7 +1,6 @@
 """Hash-indexed join kernels must be invisible except in the counters.
 
-Covers the ISSUE-2 join hot-path work: the tile-level hash kernel in
-:mod:`repro.joins.methods`, the hash-indexed combination assembly in
+Covers the join hot-path work: the hash-indexed combination assembly in
 :mod:`repro.engine.executor`, the LRU bound on the executor's invocation
 memo, and the memoized ranking-order validation of ``ListChunkSource``.
 """
@@ -12,9 +11,7 @@ import pytest
 
 from repro.engine.executor import PlanExecutor
 from repro.errors import ExecutionError
-from repro.joins.completion import RectangularCompletion, TriangularCompletion
-from repro.joins.methods import ListChunkSource, ParallelJoinExecutor
-from repro.joins.strategies import MergeScanSchedule, NestedLoopSchedule
+from repro.joins.methods import ListChunkSource
 from repro.model.scoring import LinearScoring
 from repro.model.tuples import ServiceTuple
 from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
@@ -33,79 +30,6 @@ def ranked_tuples(n, source, seed=0, keys=7):
         )
         for i in range(n)
     ], scoring
-
-
-def make_source(n, source, seed=0, chunk=5, keys=7):
-    tuples, scoring = ranked_tuples(n, source, seed=seed, keys=keys)
-    return ListChunkSource(tuples, chunk, scoring)
-
-
-def key_predicate(a, b):
-    return a.values["key"] == b.values["key"]
-
-
-def run_pair(make_schedule, make_policy, k, seed):
-    """The same join with and without the hash kernel.
-
-    Schedules and completion policies are stateful (the policy owns the
-    search-space handle and the scheduler's deferred tiles), so each
-    executor gets fresh instances.
-    """
-    results = []
-    for equi in (False, True):
-        kwargs = (
-            {
-                "equi_key_x": lambda t: t.values["key"],
-                "equi_key_y": lambda t: t.values["key"],
-            }
-            if equi
-            else {}
-        )
-        executor = ParallelJoinExecutor(
-            make_source(40, "X", seed=seed),
-            make_source(40, "Y", seed=seed + 100),
-            key_predicate,
-            schedule=make_schedule(),
-            policy=make_policy(),
-            k=k,
-            **kwargs,
-        )
-        results.append(executor.run())
-    return results
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("k", [None, 10])
-@pytest.mark.parametrize(
-    "make_schedule,make_policy",
-    [
-        (MergeScanSchedule, TriangularCompletion),
-        (MergeScanSchedule, RectangularCompletion),
-        (lambda: NestedLoopSchedule(2), RectangularCompletion),
-    ],
-)
-def test_hash_kernel_is_equivalent(make_schedule, make_policy, k, seed):
-    nested, hashed = run_pair(make_schedule, make_policy, k, seed)
-    assert [
-        (p.left.position, p.right.position, p.score, p.tile)
-        for p in nested.pairs
-    ] == [
-        (p.left.position, p.right.position, p.score, p.tile)
-        for p in hashed.pairs
-    ]
-    # Logical tile-area accounting is kernel-independent; only the probe
-    # count reflects the index.
-    assert nested.stats.candidates == hashed.stats.candidates
-    assert nested.stats.results == hashed.stats.results
-    assert nested.stats.pairs_probed == nested.stats.candidates
-    assert hashed.stats.pairs_probed <= nested.stats.pairs_probed
-
-
-def test_hash_kernel_probes_fewer_on_selective_keys():
-    nested, hashed = run_pair(
-        MergeScanSchedule, RectangularCompletion, None, seed=3
-    )
-    assert hashed.stats.pairs_probed < nested.stats.pairs_probed / 2
 
 
 def test_list_chunk_source_rejects_unranked_repeatedly():

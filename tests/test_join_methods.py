@@ -191,6 +191,18 @@ class TestPipeJoinExecutor:
         with pytest.raises(ExecutionError):
             PipeJoinExecutor([], lambda t: None, fetches=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("kind", ["parallel", "pipe"])
+    def test_rejects_non_positive_k(self, sources, kind, k):
+        # ``None`` runs to exhaustion; a non-positive k is an error, as for
+        # the rank join, not a join that makes no call and returns nothing.
+        x, y = sources
+        with pytest.raises(ExecutionError, match="k must be positive"):
+            if kind == "parallel":
+                make_executor(JoinMethodSpec(), x, y, key_equal, k=k)
+            else:
+                PipeJoinExecutor([], lambda t: None, k=k)
+
 
 class TestMakeExecutor:
     def test_method_spec_mapping(self, sources):

@@ -127,10 +127,6 @@ class TestConfigValidation:
     def test_accepts(self, field, value):
         assert getattr(OptimizerConfig(**{field: value}), field) == value
 
-    def test_legacy_is_validated_too(self):
-        with pytest.raises(OptimizationError):
-            OptimizerConfig.legacy(k=-3)
-
 
 class TestHeuristicGrid:
     @pytest.mark.parametrize("phase1", [BoundIsBetter(), UnboundIsEasier()])

@@ -7,7 +7,8 @@ invocations — calls then show up in the pool's log and advance its clock.
 
 import pytest
 
-from repro.joins.methods import ParallelJoinExecutor
+from repro.joins.methods import ParallelJoinExecutor, make_executor
+from repro.joins.spec import CompletionStrategy, InvocationStrategy, JoinMethodSpec
 from repro.joins.topk import RankJoinExecutor
 from repro.model.attributes import Attribute, DataType, Domain
 from repro.model.registry import ServiceRegistry
@@ -83,6 +84,22 @@ class TestRankJoinOverServices:
         result = ParallelJoinExecutor(left, right, key_equal, k=8).run()
         assert len(result.pairs) <= 8
         assert result.stats.total_calls < 16  # no exhaustion needed
+
+    def test_fast_join_spec_over_live_invocations(self, pool):
+        left = pool.invoke("Left1", {"Topic": "spec"}, alias="L")
+        right = pool.invoke("Right1", {"Topic": "spec"}, alias="R")
+        spec = JoinMethodSpec(
+            invocation=InvocationStrategy.NESTED_LOOP,
+            completion=CompletionStrategy.RECTANGULAR,
+            step_chunks=2,
+        )
+        result = make_executor(spec, left, right, key_equal, k=8).run()
+        assert 0 < len(result.pairs) <= 8
+        assert all(key_equal(p.left, p.right) for p in result.pairs)
+        assert result.stats.calls_x <= 2  # the h=2 step bound
+        # The parallel join's calls are logged in the pool, per alias.
+        assert pool.log.total_calls() == result.stats.total_calls
+        assert set(pool.log.calls_by_alias()) == {"L", "R"}
 
     def test_fast_join_cheaper_or_equal_to_rank_join(self, pool):
         fast_left = pool.invoke("Left1", {"Topic": "fast"}, alias="L")

@@ -379,12 +379,12 @@ def test_default_path_does_no_from_scratch_work_per_child(monkeypatch):
 
         return wrapper
 
-    for module in (optimizer_module, topology_module):
-        monkeypatch.setattr(
-            module,
-            "topology_signature",
-            counting("topology_signature", topology_signature),
-        )
+    # The optimizer does not import it: only the builder could call it.
+    monkeypatch.setattr(
+        topology_module,
+        "topology_signature",
+        counting("topology_signature", topology_signature),
+    )
     for module in (optimizer_module, annotate_module):
         monkeypatch.setattr(module, "annotate", counting("annotate", annotate))
     monkeypatch.setattr(QueryPlan, "copy", counting("copy", QueryPlan.copy))
@@ -413,19 +413,12 @@ def test_default_path_does_no_from_scratch_work_per_child(monkeypatch):
     assert calls["plans"] == optimizer.topology_counters.plans_materialised == 1
     assert stats.plans_materialised <= stats.enqueued
     assert stats.plans_materialised < stats.children_priced
+    # A child is built (leaves, signature) only if its bound keeps it.
+    assert stats.children_built < stats.children_priced
     assert (
         ANNOTATION_COUNTERS.incremental_nodes
         <= 3 * optimizer.topology_counters.children_priced
     )
-
-    # The oracle configuration still re-walks every child.
-    calls.update(dict.fromkeys(calls, 0))
-    legacy = Optimizer(
-        query, OptimizerConfig.legacy(metric=ExecutionTimeMetric())
-    ).optimize()
-    assert calls["topology_signature"] >= legacy.stats.children_priced > 0
-    assert calls["annotate"] > 0
-    assert legacy.stats.plans_materialised >= legacy.stats.children_priced
 
 
 def _expansion_bodies(monkeypatch):
@@ -442,17 +435,13 @@ def _expansion_bodies(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("legacy", [False, True])
-def test_the_search_takes_over_the_dives_expansions(monkeypatch, legacy):
+def test_the_search_takes_over_the_dives_expansions(monkeypatch):
     """Every state the greedy dive expanded is handed to the search with
-    its children: no ``_expand`` body runs twice on one state object.
-    (``legacy()`` keeps the seed's seen-set dedup, which filters children
-    per walk, so there the search re-expands the dive's states.)"""
+    its children: no ``_expand`` body runs twice on one state object."""
     runs = _expansion_bodies(monkeypatch)
     w = star_workload(5)
     query = _compiled(w.query_text, w.registry)
-    factory = OptimizerConfig.legacy if legacy else OptimizerConfig
-    optimizer = Optimizer(query, factory(metric=ExecutionTimeMetric()))
+    optimizer = Optimizer(query, OptimizerConfig(metric=ExecutionTimeMetric()))
     optimizer.greedy_candidate()
     dived = {key for key, (_, count) in runs.items() if count}
     assert dived
@@ -461,9 +450,6 @@ def test_the_search_takes_over_the_dives_expansions(monkeypatch, legacy):
     twice = {key for key, (_, count) in runs.items() if count > 1}
     root = id(optimizer._root)
     assert root in dived
-    if legacy:
-        assert twice == {root}  # the search's children are its own
-    else:
-        assert not twice
-        # The search popped the root and took the dive's children over.
-        assert root not in optimizer._dive_expansions
+    assert not twice
+    # The search popped the root and took the dive's children over.
+    assert root not in optimizer._dive_expansions
