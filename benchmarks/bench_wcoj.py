@@ -29,8 +29,9 @@ anti-correlated 4-chain with no dangling tuples):
 * ``wall_ms`` per kernel (one run each; informational, not gated —
   shared CI runners are too noisy for a wall gate).
 
-Run standalone (``python benchmarks/bench_wcoj.py [--smoke]``) to write
-``BENCH_wcoj.json``; the exit code reflects the gates.
+``collect_wcoj(scale=1)`` is the sweep the E25 test runs and asserts;
+``tests/test_join_kernels_differential.py`` runs the same sweep in
+tier-1, asserts every gate and pins the work counters.
 """
 
 import random
@@ -384,33 +385,3 @@ def test_e25_wcoj_vs_binary_cascade(benchmark):
     ]
     report("E25 worst-case-optimal join kernels", _lines(data))
 
-
-if __name__ == "__main__":  # pragma: no cover - standalone report shim
-    import argparse
-    import json
-    import pathlib
-    import sys
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI scale: smaller relations, same gates",
-    )
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=None,
-        help="relation-size multiplier (default: 3, or 1 with --smoke)",
-    )
-    args = parser.parse_args()
-    scale = args.scale if args.scale is not None else (1 if args.smoke else 3)
-
-    data = collect_wcoj(scale=scale)
-    root = pathlib.Path(__file__).resolve().parent.parent
-    out = root / "BENCH_wcoj.json"
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    for line in _lines(data):
-        print("  " + line)
-    sys.exit(0 if all(data["gates"].values()) else 1)

@@ -73,7 +73,6 @@ from repro.serve import (
     SessionManager,
     WorkloadConfig,
     generate_workload,
-    run_serving_benchmark,
 )
 from repro.services.simulated import FaultModel, FaultProfile, ServicePool
 
@@ -111,7 +110,6 @@ __all__ = [
     "SessionManager",
     "WorkloadConfig",
     "generate_workload",
-    "run_serving_benchmark",
     "CheckpointStore",
     "checkpoint_session",
     "restore_session",

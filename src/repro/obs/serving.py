@@ -17,7 +17,8 @@ engine; this module is the serving-side vocabulary on top of it:
   contract: re-absorbs checkpointed terminal outcomes into a fresh
   registry/tracer/SLO tracker exactly the way the scheduler would have.
 * :func:`serving_metrics_summary` — the compact per-shard metrics
-  digest embedded in ``BENCH_serving.json`` / ``BENCH_sharding.json``.
+  digest embedded in every ``repro serve-bench`` report
+  (``BENCH_serving.json``).
 * :func:`render_serve_report` — the ``repro serve-report`` renderer: a
   post-run shard-utilization and bottleneck summary built from a JSONL
   span trace plus an optional metrics snapshot.

@@ -25,15 +25,11 @@ regime the ROADMAP's north star calls for:
 * :mod:`repro.serve.runtime` — **the one door**: ``serve(config,
   workload)`` composes sessions, backend, placement and durability from
   one picklable :class:`~repro.serve.scheduler.ServeConfig`;
-* :mod:`repro.serve.bench` — the reference-vs-subject comparisons behind
-  ``repro serve-bench``, ``BENCH_serving.json`` and ``BENCH_sharding.json``.
+* :mod:`repro.serve.bench` — the reference-vs-subject comparison behind
+  ``repro serve-bench`` and its ``BENCH_serving.json`` report.
 """
 
-from repro.serve.bench import (
-    compare_serving,
-    run_serving_benchmark,
-    run_sharding_benchmark,
-)
+from repro.serve.bench import compare_serving
 from repro.serve.plancache import PlanCache, PlanCacheStats
 from repro.serve.runtime import build_sessions, serve
 from repro.serve.scheduler import (
@@ -88,8 +84,6 @@ __all__ = [
     "generate_workload",
     "partition_workload",
     "result_digest",
-    "run_serving_benchmark",
-    "run_sharding_benchmark",
     "scenario_names",
     "scenario_templates",
     "serve",

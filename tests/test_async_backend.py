@@ -10,7 +10,7 @@ These tests pin that contract on the chapter's two example plans, under
 faults/retries/partial degradation, through the liquid-session twins,
 and across the serving layer.
 
-Marked ``async_backend`` and part of tier-1: all but one run at
+Marked ``async_backend`` and part of tier-1: all but two run at
 ``time_scale=0.0``, so the whole marker takes about a second.  Select it
 alone with ``-m async_backend`` after touching either driver.
 """
@@ -331,6 +331,33 @@ def test_connection_pool_bounds_concurrency(movie_query, movie_registry):
     # The fan-out stages actually exercised the pool: at least one
     # interface had more invocations than connections.
     assert max(peak.values()) == limit
+
+
+#: Virtual->wall scale for the overlap check: Fig. 10's calls at mean
+#: latencies of a second-plus become tens of wall milliseconds each, so
+#: concurrency — not event-loop overhead — dominates the wall time.
+OVERLAP_TIME_SCALE = 0.02
+
+
+def test_fig10_overlaps_service_calls(movie_query, movie_registry):
+    """Round trips the simulator walks one at a time overlap on the loop:
+    the serial sleep budget (total simulated latency x time scale) is more
+    than 1.5x the wall time, best of three runs so that one scheduler
+    hiccup on a busy host cannot fail it."""
+    plan = fig10_plan(movie_query)
+    speedups = []
+    for _ in range(3):
+        result = run_plan_async(
+            plan,
+            movie_query,
+            ServicePool(movie_registry, global_seed=42),
+            RUNNING_EXAMPLE_INPUTS,
+            FIG10_FETCHES,
+            time_scale=OVERLAP_TIME_SCALE,
+        )
+        serial = result.log.total_latency() * OVERLAP_TIME_SCALE
+        speedups.append(serial / result.wall_time)
+    assert max(speedups) > 1.5, speedups
 
 
 # -- single-flight across executions: a waiter takes outcomes, not fates ---------

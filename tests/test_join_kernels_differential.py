@@ -10,7 +10,7 @@ equality, every row dressed as ``JoinedRow(score_components)``, then
 cuts fall inside a run of exactly tied rows and the canonical row key —
 computed only for the rows that survive the floor — decides the order.
 The work counters are pinned to what the kernels counted before the
-change, on the topologies ``benchmarks/bench_wcoj.py --smoke`` runs.
+change, on the E25 sweep ``benchmarks/bench_wcoj.py`` runs at scale 1.
 """
 
 import importlib
@@ -166,7 +166,7 @@ def test_every_row_tied_at_the_floor_is_ordered_by_canonical_key():
 
 
 #: ``MultiwayJoinStatistics`` at the parent commit (6752197) on
-#: ``collect_wcoj(scale=1)``, the sweep ``bench_wcoj.py --smoke`` runs.
+#: ``collect_wcoj(scale=1)``, the sweep the E25 test in ``bench_wcoj.py`` runs.
 #: Per kernel: results, pairs_probed, max_intermediate, intermediate_rows, seeks.
 PARENT_COUNTS = {
     "triangle": {"binary": (47, 3697, 3650, 3650, 0), "wcoj": (47, 200, 0, 0, 141)},

@@ -49,7 +49,6 @@ def test_key_serving_entry_points_exported():
         "InvocationCache",
         "WorkloadConfig",
         "generate_workload",
-        "run_serving_benchmark",
         "plan_signature",
     ):
         assert name in repro.__all__, f"{name} missing from repro.__all__"

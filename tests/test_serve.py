@@ -466,7 +466,13 @@ def test_sharing_preserves_results_and_saves_round_trips():
     assert isolated.digests() == shared.digests()
     # ...for strictly less service work.
     assert shared.total_round_trips < isolated.total_round_trips
+    # ...and a shorter tail (54.5 -> 33.8 virtual s p95 at this size).
+    assert shared.latency_summary()["p95"] < isolated.latency_summary()["p95"]
+    # One optimizer search per template; every other request reuses a plan.
+    assert shared.plan_cache_stats["misses"] == 2
     assert shared.plan_cache_stats["hits"] > 0
-    assert shared.invocation_cache_stats["hits"] > 0
+    invocations = shared.invocation_cache_stats
+    assert invocations["hits"] > 0
+    assert invocations["entries"] <= invocations["misses"]
     assert isolated.plan_cache_stats is None
     assert isolated.invocation_cache_stats is None
