@@ -36,11 +36,6 @@ from repro.core.optimizer import (
     optimize_query,
 )
 from repro.core.optimizer import plan_signature
-from repro.engine.async_runner import (
-    AsyncExecutionContext,
-    AsyncPlanExecutor,
-    run_plan_async,
-)
 from repro.engine.executor import (
     ExecutionResult,
     InvocationCache,
@@ -122,3 +117,12 @@ __all__ = [
     "write_trace",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The asyncio backend's names load ``asyncio`` on first access (PEP 562).
+    from repro import engine
+
+    if name in engine._ASYNC_NAMES:
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -70,7 +70,6 @@ from typing import Any
 from repro.core.cost import DEFAULT_METRICS
 from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.core.topology import enumerate_topologies
-from repro.engine.async_runner import run_plan_async
 from repro.engine.executor import execute_plan
 from repro.engine.retry import RetryPolicy
 from repro.errors import (
@@ -670,6 +669,8 @@ def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER, world=N
         tracer.bind_clock(pool.clock)
     try:
         if backend == "asyncio":
+            from repro.engine.async_runner import run_plan_async
+
             result = run_plan_async(
                 best.plan,
                 compiled,

@@ -1,10 +1,5 @@
 """Execution engine: virtual time, call logging, clocks, plan execution."""
 
-from repro.engine.async_runner import (
-    AsyncExecutionContext,
-    AsyncPlanExecutor,
-    run_plan_async,
-)
 from repro.engine.clock import JoinClock
 from repro.engine.events import CallLog, CallRecord, VirtualClock
 from repro.engine.liquid import LiquidQuerySession
@@ -34,3 +29,15 @@ __all__ = [
     "PlanExecutor",
     "execute_plan",
 ]
+
+#: Exported names that live in :mod:`repro.engine.async_runner`, which
+#: loads :mod:`asyncio`: imported on first access (PEP 562).
+_ASYNC_NAMES = ("AsyncExecutionContext", "AsyncPlanExecutor", "run_plan_async")
+
+
+def __getattr__(name: str):
+    if name in _ASYNC_NAMES:
+        from repro.engine import async_runner
+
+        return getattr(async_runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.engine.executor import ExecutionResult, InvocationCache, PlanExecutor
+from repro.engine.liquid import BACKENDS
 from repro.errors import (
     ExecutionError,
     RetryExhaustedError,
@@ -75,9 +76,6 @@ __all__ = [
     "run_plan_async",
     "BACKENDS",
 ]
-
-#: The execution backends a caller may select.
-BACKENDS = ("virtual", "asyncio")
 
 
 @dataclass

@@ -58,20 +58,23 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.core.optimizer import PlanCandidate
-from repro.engine.async_runner import (
-    BACKENDS,
-    AsyncExecutionContext,
-    AsyncPlanExecutor,
-)
 from repro.engine.executor import ExecutionResult, PlanExecutor
 from repro.errors import ExecutionError
 from repro.model.tuples import CompositeTuple, RankingFunction
 from repro.query.compile import CompiledQuery
 
-__all__ = ["EXECUTE", "INTERACTIONS", "LiquidQuerySession"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.async_runner import AsyncExecutionContext, AsyncPlanExecutor
+
+__all__ = ["BACKENDS", "EXECUTE", "INTERACTIONS", "LiquidQuerySession"]
+
+#: The execution backends a caller may select.  The asyncio one
+#: (:mod:`repro.engine.async_runner`, which loads :mod:`asyncio`) is
+#: imported on first use, so a virtual-backend process never loads it.
+BACKENDS = ("virtual", "asyncio")
 
 #: What an interaction body yields to have the plan (re-)executed *now*;
 #: the driver decides how (drain, step, await).
@@ -148,6 +151,8 @@ class LiquidQuerySession:
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
         if self.backend == "asyncio" and self.async_context is None:
+            from repro.engine.async_runner import AsyncExecutionContext
+
             self.async_context = AsyncExecutionContext()
         self._fetches = dict(self.candidate.fetch_vector())
         self._ranking = self.query.ranking
@@ -258,6 +263,8 @@ class LiquidQuerySession:
         return executor
 
     def _make_async_executor(self) -> AsyncPlanExecutor:
+        from repro.engine.async_runner import AsyncPlanExecutor
+
         return self._make_executor(AsyncPlanExecutor, context=self.async_context)
 
     def _absorb(self, result: ExecutionResult) -> ExecutionResult:

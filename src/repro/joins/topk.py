@@ -277,8 +277,6 @@ def topk_join(
     kernel ran; only ``stats`` differs.  A non-positive ``k`` is an
     :class:`~repro.errors.ExecutionError` under every kernel.
     """
-    if k <= 0:
-        raise ExecutionError("k must be positive")
     if kernel == "binary":
         outcome = BinaryCascadeExecutor(
             relations, graph, ranking=ranking, k=k

@@ -55,6 +55,7 @@ import heapq
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from repro.errors import ExecutionError
@@ -558,6 +559,8 @@ class MultiwayJoinExecutor:
     ) -> None:
         if tuple(r.alias for r in relations) != graph.aliases:
             raise ExecutionError("relations must match the graph's aliases")
+        if k is not None and k <= 0:
+            raise ExecutionError("k must be positive")
         self.relations = tuple(relations)
         self.graph = graph
         self.ranking = ranking or RankingFunction.uniform(graph.aliases)
@@ -695,6 +698,8 @@ class BinaryCascadeExecutor:
     ) -> None:
         if tuple(r.alias for r in relations) != graph.aliases:
             raise ExecutionError("relations must match the graph's aliases")
+        if k is not None and k <= 0:
+            raise ExecutionError("k must be positive")
         self.relations = {r.alias: r for r in relations}
         self.graph = graph
         self.ranking = ranking or RankingFunction.uniform(graph.aliases)
@@ -746,25 +751,34 @@ class BinaryCascadeExecutor:
         slot_of = {self.order[0]: 0}
         for step, alias in enumerate(self.order[1:], 1):
             bindings = self._binding_attrs(slot_of, alias)
-            index: dict[tuple, list[ServiceTuple]] = {}
+            # Buckets hold 1-tuples, so a hit row extends by ``row + entry``.
+            index: dict[tuple, list[tuple[ServiceTuple]]] = {}
             for tup in kept[alias]:
                 key = tuple(
                     orderable_key(tup.values.get(attr))
                     for _, _, attr in bindings
                 )
-                index.setdefault(key, []).append(tup)
-            probes = [
-                (slot_of[b_alias], column(b_alias, b_attr))
-                for b_alias, b_attr, _ in bindings
-            ]
+                index.setdefault(key, []).append((tup,))
+            # Probe keys column-wise, one ``map`` per binding over the whole
+            # intermediate: a per-row comprehension cost more than the bucket
+            # lookup it fed.  ``zip()`` of no columns is empty, so a step that
+            # binds nothing (a cross product) probes every row with ``()``.
+            keys = (
+                zip(*[
+                    map(
+                        column(b_alias, b_attr).__getitem__,
+                        map(id, map(itemgetter(slot_of[b_alias]), current)),
+                    )
+                    for b_alias, b_attr, _ in bindings
+                ])
+                if bindings
+                else itertools.repeat((), len(current))
+            )
             joined: list[tuple[ServiceTuple, ...]] = []
-            for row in current:
-                bucket = index.get(
-                    tuple([col[id(row[slot])] for slot, col in probes])
-                )
+            for row, bucket in zip(current, map(index.get, keys)):
                 if bucket:
                     stats.pairs_probed += len(bucket)
-                    joined.extend([row + (tup,) for tup in bucket])
+                    joined.extend(map(row.__add__, bucket))
             current = joined
             slot_of[alias] = step
             if step < len(self.order) - 1:

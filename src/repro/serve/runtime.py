@@ -19,17 +19,13 @@ All of them answer with the same :class:`~repro.serve.scheduler.ServeReport`.
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
-from repro.engine.async_runner import AsyncExecutionContext
 from repro.engine.executor import InvocationCache
 from repro.model.tuples import CompositeTuple
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import absorb_outcome_metrics
-from repro.serve.async_serve import serve_async
 from repro.serve.plancache import PlanCache
 from repro.serve.scheduler import ServeConfig, ServeReport, result_digest
 from repro.serve.sessions import SessionManager
@@ -55,20 +51,20 @@ def build_sessions(
     mode (pass the scheduler's, so both agree on placement); ``tracer`` is
     the engine-level tracer handed to every session's executor.
     """
-    asyncio_backend = config.backend == "asyncio"
+    async_context = None
+    if config.backend == "asyncio":
+        from repro.engine.async_runner import AsyncExecutionContext
+
+        async_context = AsyncExecutionContext(
+            time_scale=config.time_scale,
+            default_connections=config.max_connections,
+        )
     manager = SessionManager(
         templates={template.name: template for template in config.templates},
         data_seed=config.data_seed,
         optimizer_config=config.optimizer_config,
         backend=config.backend,
-        async_context=(
-            AsyncExecutionContext(
-                time_scale=config.time_scale,
-                default_connections=config.max_connections,
-            )
-            if asyncio_backend
-            else None
-        ),
+        async_context=async_context,
         tracer=tracer,
     )
     if config.cache_mode == "isolated":
@@ -116,6 +112,10 @@ def serve(
         return _serve_parallel(config, workload)
     ring = HashRing(config.num_shards)
     if config.backend == "asyncio":
+        import asyncio
+
+        from repro.serve.async_serve import serve_async
+
         # The engine's service.invoke / pool.wait spans share the request
         # spans' wall-clock axis, so the one tracer serves both layers.
         sessions = build_sessions(config, ring, tracer)
@@ -172,6 +172,8 @@ def _serve_parallel(config: ServeConfig, workload: Sequence[Request]) -> ServeRe
     cache mode.  The config crosses the process boundary whole, so its
     templates must be picklable (the built-ins are).
     """
+    import multiprocessing
+
     subsets = partition_workload(workload, HashRing(config.num_shards))
     worker = replace(config, num_shards=1, parallel=False)
     try:

@@ -66,8 +66,8 @@ from os import PathLike
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.optimizer import OptimizerConfig
-from repro.engine.async_runner import BACKENDS
 from repro.engine.events import VirtualClock
+from repro.engine.liquid import BACKENDS
 from repro.errors import ExecutionError, SearchComputingError
 from repro.model.tuples import CompositeTuple
 from repro.obs.metrics import MetricsRegistry

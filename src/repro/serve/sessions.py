@@ -28,12 +28,11 @@ alone, never from clock state or call order (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.core.optimizer import Optimizer, OptimizerConfig
-from repro.engine.async_runner import BACKENDS, AsyncExecutionContext
 from repro.engine.executor import InvocationCache
-from repro.engine.liquid import INTERACTIONS, LiquidQuerySession
+from repro.engine.liquid import BACKENDS, INTERACTIONS, LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import ExecutionError, OptimizationError
 from repro.model.registry import ServiceRegistry
@@ -49,6 +48,9 @@ from repro.services.simulated import (
     SimulatedWorld,
     WorldStats,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.async_runner import AsyncExecutionContext
 
 __all__ = ["SessionManager"]
 
@@ -127,6 +129,8 @@ class SessionManager:
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
         if self.backend == "asyncio" and self.async_context is None:
+            from repro.engine.async_runner import AsyncExecutionContext
+
             self.async_context = AsyncExecutionContext()
 
     # -- plumbing ------------------------------------------------------------

@@ -105,3 +105,34 @@ def test_serve_config_pickles_with_builtin_templates_and_packs(tmp_path):
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
         assert [t.name for t in clone.templates] == [t.name for t in config.templates]
+
+
+def test_import_leaves_the_asyncio_backend_unloaded():
+    """``import repro`` (CLI and every subpackage included) must not load
+    ``asyncio`` or the asyncio backend; its three names still resolve on
+    first access.  Run in a fresh interpreter: in this one an earlier
+    test has already imported the backend."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import repro, repro.cli\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if info.ispkg:\n"
+        "        importlib.import_module(info.name)\n"
+        "loaded = [m for m in ('asyncio', 'repro.engine.async_runner') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "from repro import AsyncExecutionContext, AsyncPlanExecutor, run_plan_async\n"
+        "from repro.engine import AsyncPlanExecutor as engine_executor\n"
+        "assert engine_executor is AsyncPlanExecutor\n"
+        "assert 'repro.engine.async_runner' in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

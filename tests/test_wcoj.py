@@ -28,6 +28,7 @@ from repro.joins.wcoj import (
     score_components,
     triangle_graph,
 )
+from repro.joins.ranked import RankedEnumerator
 from repro.model.scoring import LinearScoring
 from repro.model.tuples import RankingFunction, ServiceTuple
 
@@ -314,6 +315,61 @@ def test_cascade_order_changes_work_not_answers():
     assert row_keys(default.rows) == row_keys(reordered.rows)
     with pytest.raises(ExecutionError):
         BinaryCascadeExecutor(relations, graph, order=("R", "S"))
+
+
+#: ``(results, pairs_probed, intermediate_rows, max_intermediate)`` of the
+#: cascade on the 4-chain below, counted before its probe went column-wise.
+CHAIN4_CASCADE_COUNTS = {
+    ("R", "S", "T", "U"): (9527, 11414, 1887, 1663),
+    # The first step binds nothing: a 30 x 30 cross product.
+    ("R", "T", "S", "U"): (9527, 12090, 2563, 1663),
+    ("T", "R", "U", "S"): (9527, 15707, 6180, 5280),
+}
+
+
+@pytest.mark.parametrize("order", sorted(CHAIN4_CASCADE_COUNTS))
+def test_cascade_counters_hold_under_every_join_order(order):
+    relations = [
+        make_relation("R", 30, {"a": 5, "b": 4}, 1),
+        make_relation("S", 30, {"b": 4, "c": 4}, 2),
+        make_relation("T", 30, {"c": 4, "d": 5}, 3),
+        make_relation("U", 30, {"d": 5, "e": 6}, 4),
+    ]
+    graph = JoinGraph(
+        ("R", "S", "T", "U"),
+        (
+            EquiPredicate("R", "b", "S", "b"),
+            EquiPredicate("S", "c", "T", "c"),
+            EquiPredicate("T", "d", "U", "d"),
+        ),
+    )
+    cascade = BinaryCascadeExecutor(relations, graph, order=order).run()
+    leapfrog = MultiwayJoinExecutor(relations, graph).run()
+    assert row_keys(cascade.rows) == row_keys(leapfrog.rows)
+    stats = cascade.stats
+    counted = (
+        stats.results,
+        stats.pairs_probed,
+        stats.intermediate_rows,
+        stats.max_intermediate,
+    )
+    assert counted == CHAIN4_CASCADE_COUNTS[order]
+
+
+@pytest.mark.parametrize(
+    "executor", [BinaryCascadeExecutor, MultiwayJoinExecutor, RankedEnumerator]
+)
+@pytest.mark.parametrize("k", [0, -1])
+def test_multiway_executors_reject_non_positive_k(executor, k):
+    # The cascade and leapfrog used to answer k=0 with no rows and k=-1
+    # with all rows but the last.
+    relations = [
+        make_relation("R", 6, {"a": 2, "b": 2}, 0),
+        make_relation("S", 6, {"b": 2, "c": 2}, 1),
+        make_relation("T", 6, {"c": 2, "a": 2}, 2),
+    ]
+    with pytest.raises(ExecutionError, match="k must be positive"):
+        executor(relations, triangle_graph(), k=k)
 
 
 # -- facade + extraction tie-in ----------------------------------------------
