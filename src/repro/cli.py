@@ -46,7 +46,8 @@ answers for complete ones.
 A library error never reaches the shell as a traceback: any
 :class:`~repro.errors.SearchComputingError` a command lets through ends
 it with one line ``repro: <ErrorClass>: <message>`` on stderr and exit
-code 2 (the query, schema or plan is wrong, or no plan exists), 4 (a
+code 2 (the query, schema or plan is wrong, no plan exists, or the
+``serve-bench`` flags describe no valid ``ServeConfig``), 4 (a
 checkpoint or cassette is corrupt, missing or does not verify) or 1
 (anything else, e.g. an execution failure).  ``repro --traceback
 <command> ...`` re-raises instead.
@@ -75,6 +76,7 @@ from repro.engine.retry import RetryPolicy
 from repro.errors import (
     CassetteError,
     CheckpointError,
+    ExecutionError,
     OptimizationError,
     PlanError,
     QueryError,
@@ -1107,7 +1109,10 @@ def _cmd_serve_bench(args) -> int:
         if violated(args, rates):
             raise SystemExit(message.format(rates=args.rates))
     _resolve_artifact_paths(args)
-    mode, subject, reference = _serve_configs(args)
+    try:
+        mode, subject, reference = _serve_configs(args)
+    except ExecutionError as refused:  # flags no ServeConfig takes: usage
+        return _refuse(args, refused, 2)
     name, labels, identity_gate, title = _SERVE_MODES[mode]
     observed = _obs_requested(args)
     tracer = Tracer() if observed else None
@@ -1398,6 +1403,15 @@ _EXIT_CODES = (
 )
 
 
+def _refuse(args, exc: SearchComputingError, code: int) -> int:
+    """End a command on a library error: one stderr line and ``code``
+    (``--traceback``: re-raise)."""
+    if args.traceback:
+        raise exc
+    print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -1416,12 +1430,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except SearchComputingError as exc:
-        if args.traceback:
-            raise
-        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return next(
+        code = next(
             (code for family, code in _EXIT_CODES if isinstance(exc, family)), 1
         )
+        return _refuse(args, exc, code)
     except BrokenPipeError:  # e.g. `python -m repro ... | head`
         try:
             sys.stdout.close()

@@ -67,10 +67,12 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_left
 from collections import OrderedDict, abc
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import islice, product
+from itertools import islice, product, repeat
+from operator import add, eq, itemgetter
 from dataclasses import dataclass, field, replace
 from weakref import WeakValueDictionary
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -90,7 +92,7 @@ from repro.plans.nodes import (
     ServiceNode,
 )
 from repro.plans.plan import QueryPlan
-from repro.query.ast import Comparator, JoinPredicate, SelectionPredicate
+from repro.query.ast import Comparator, InputRef, JoinPredicate, SelectionPredicate
 from repro.query.compile import CompiledQuery
 from repro.query.feasibility import ProviderKind
 from repro.query.predicates import PredicateCheck, satisfies
@@ -214,6 +216,14 @@ class InvocationCache:
     has no size and no eviction: an entry goes when its last holder does.
     ``replayable`` counts the executions that consulted it, ``replays``
     those it served.
+
+    Beside an unfailed entry lives what selection checks kept of its list
+    (:meth:`verdicts`); overwriting or evicting the entry drops them.
+    ``verdicts_reused`` counts the lists an execution found checked there.
+    Like ``replays`` it counts work skipped, not lookups: which execution
+    checks a list first depends on the interleaving, and a replay checks
+    nothing, so no per-execution figure could both count it and stay equal
+    between a replayed and a fresh execution.
     """
 
     max_size: int | None = 1024
@@ -224,6 +234,10 @@ class InvocationCache:
     )
     replayable: int = field(default=0, init=False)
     replays: int = field(default=0, init=False)
+    verdicts_reused: int = field(default=0, init=False)
+    _verdicts: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.max_size is not None and self.max_size <= 0:
@@ -251,15 +265,27 @@ class InvocationCache:
         stats: InvocationCacheStats | None = None,
     ) -> None:
         self._data[key] = value
+        self._verdicts.pop(key, None)
         if self.max_size is not None:
             while len(self._data) > self.max_size:
-                self._data.popitem(last=False)
+                self._verdicts.pop(self._data.popitem(last=False)[0], None)
                 self.stats.evictions += 1
                 if stats is not None:
                     stats.evictions += 1
 
+    def verdicts(self, key: tuple, tuples: list) -> dict | None:
+        """The survivors memo of the entry under ``key`` while it holds
+        ``tuples`` (the object) unfailed, else ``None``: (check, the INPUT
+        values it reads) -> the tuples it kept, for checks that read
+        nothing else.  Neither a counted lookup nor an LRU touch."""
+        entry = self._data.get(key)
+        if entry is None or entry[0] is not tuples or entry[1]:
+            return None
+        return self._verdicts.setdefault(key, {})
+
     def clear(self) -> None:
         self._data.clear()
+        self._verdicts.clear()
         self.recorded.clear()
 
     def __len__(self) -> int:
@@ -298,6 +324,8 @@ class NodeRunStats:
     #: Join nodes: the kernel that ran (``hash`` / ``hash_multikey`` /
     #: ``hash_shared``) or why the nested loop did (``non_eq``, ...).
     dispatch: str = ""
+    #: Join nodes: key equality decided every pair, so none was checked.
+    exact: bool = False
     #: Service nodes: join predicates checked here, with the selections.
     staged: int = 0
     #: Composite rows this node built, and how many it scored, during the
@@ -393,8 +421,9 @@ class ResultRows(abc.Sequence):
 class _Unbuilt:
     """A plan's last node's rows, unbuilt: per row, in order, its score,
     folded by that node, and its components — ``heads[i]`` plus ``alias:
-    tails[i]`` from a service node, ``heads[i]`` from a join (``alias``
-    ``None``).  :meth:`PlanExecutor._finalise` ranks, cuts, builds when read."""
+    tails[i]`` from a service node, ``heads[i]`` merged with ``tails[i]``
+    from a join (``alias`` ``None``).  :meth:`PlanExecutor._finalise`
+    ranks, cuts, builds when read."""
 
     alias: str | None
     scores: list[float] = field(default_factory=list)
@@ -406,7 +435,7 @@ class _Unbuilt:
 
     def components(self, i: int) -> dict:
         if self.alias is None:
-            return self.heads[i]
+            return {**self.heads[i], **self.tails[i]}
         return {**self.heads[i], self.alias: self.tails[i]}
 
 
@@ -575,7 +604,8 @@ class PlanExecutor:
         #: node id -> [rows built, rows scored] (see :class:`NodeRunStats`).
         self._rows: dict[str, list[int]] = {}
         self.final_check = ""  # what the output node checked (_finalise)
-        self._dispatch: dict[str, str] = {}
+        #: Join node id -> (its dispatch, whether it was exact).
+        self._dispatch: dict[str, tuple[str, bool]] = {}
         self._estimator = Estimator(query)
         #: (alias, id of a fetched tuple list, ids of the source tuples its
         #: staged joins read) -> (the list, its survivors under the node's
@@ -801,12 +831,14 @@ class PlanExecutor:
             raise
         outputs[node_id] = result
         built, scored = self._rows.get(node_id, (0, 0))
+        dispatch, exact = self._dispatch.get(node_id, ("", False))
         stats = NodeRunStats(
             tin=tin,
             tout=len(result),
             **measured,
             pairs_probed=probes,
-            dispatch=self._dispatch.get(node_id, ""),
+            dispatch=dispatch,
+            exact=exact,
             rows_built=built,
             rows_scored=scored,
             final_check=self.final_check,
@@ -925,12 +957,16 @@ class PlanExecutor:
         check: PredicateCheck | None,
         out: "list | _Unbuilt",
         sources: Sequence[str] = (),
+        cached: tuple | None = None,
     ) -> None:
         """Filter one invocation's tuples and compose survivors into ``out``.
 
         ``check`` is the lowered check of the alias's selections and of
         the joins staged here, which read the upstream row's ``sources``;
         an :class:`_Unbuilt` ``out`` takes the survivors scored, unbuilt.
+        ``cached`` — ``(cache key of the list, verdict key)``, given when
+        the check reads no source — looks the survivors up beside the
+        shared cache's entry first (:meth:`InvocationCache.verdicts`).
         Pure CPU work shared by both execution backends; appending in
         upstream order keeps the output byte-identical however the
         fetches themselves were interleaved.
@@ -950,8 +986,15 @@ class PlanExecutor:
             key = (alias, id(tuples), *[id(upstream[a]) for a in sources])
             kept = self._survivors.get(key)
             if kept is None:
-                inputs = self.inputs
-                keep = [t for t in tuples if check({**upstream, alias: t}, inputs)]
+                memo = cached and self._invocation_cache.verdicts(cached[0], tuples)
+                keep = memo.get(cached[1]) if memo else None
+                if keep is None:
+                    inputs = self.inputs
+                    keep = [t for t in tuples if check({**upstream, alias: t}, inputs)]
+                    if memo is not None:
+                        memo[cached[1]] = keep
+                else:
+                    self._invocation_cache.verdicts_reused += 1
                 kept = self._survivors[key] = (tuples, keep)
             tuples = kept[1]
         if type(out) is _Unbuilt:
@@ -1009,9 +1052,16 @@ class PlanExecutor:
             # Degraded: rows may lack the components the joins read.  The
             # sources are upstream, hence settled — on either driver.
             joins, sources = (), []
-        check = self._selection_check(alias)
+        selections = self.query.selections_on(alias)
+        check, verdict = self._selection_check(alias), None
         if joins:  # with the selections, under one witness assignment
-            check = self.query.predicate_check(self.query.selections_on(alias), joins)
+            check = self.query.predicate_check(selections, joins)
+        elif check is not None and not self._private_cache:
+            # What the check's verdicts depend on besides the tuple: kept
+            # beside the cache entry, they serve every execution.
+            names = [s.operand.name for s in selections if type(s.operand) is InputRef]
+            if all(name in self.inputs for name in names):
+                verdict = (check, *[_value_key(self.inputs[name]) for name in names])
         outcomes = iter(fetched)
         out = _Unbuilt(alias) if self._defers(node.node_id) else []
         for composite, spec in zip(upstream, specs):
@@ -1021,7 +1071,8 @@ class PlanExecutor:
                 out.append(composite)
             else:
                 self._compose_service_results(
-                    node, composite, *next(outcomes), check, out, sources
+                    node, composite, *next(outcomes), check, out, sources,
+                    verdict and (spec[2], verdict),
                 )
         measured["staged"] = len(joins)
         return out, measured
@@ -1203,119 +1254,148 @@ class PlanExecutor:
 
         ``dispatch`` (on the ``join.probe`` span and the node's run stats)
         names the kernel that ran — ``hash``, ``hash_multikey``,
-        ``hash_shared`` — or why the join fell back to the nested loop.
+        ``hash_shared`` — or why the join fell back to the nested loop;
+        ``exact`` whether key equality decided every pair, so buckets were
+        emitted unchecked (:meth:`_hash_candidates`).
         """
         sides = self._uniform_aliases(left), self._uniform_aliases(right)
         # Aliases both branches carry (tuples stemming from one upstream
         # row must agree); unknown per plan when a branch is degraded.
         shared = None if None in sides else tuple(sorted(sides[0] & sides[1]))
         keys = self._equi_join_keys(node, left, right, shared)
-        kernel, dispatch, candidates = "nested_loop", keys, None
+        kernel, dispatch, candidates, exact = "nested_loop", keys, None, False
         if not isinstance(keys, str):
             left_keys, right_keys, dispatch = keys
             try:
-                candidates = self._hash_candidates(
+                candidates, exact = self._hash_candidates(
                     left, right, left_keys, right_keys
                 )
                 kernel = dispatch if dispatch == "hash_multikey" else "hash_indexed"
                 shared = ()  # equal keys subsume shared-alias agreement
             except (TypeError, KeyError):
                 dispatch = "unhashable_key"
-        self._dispatch[node.node_id] = dispatch
+        exact = exact and dispatch == "hash"
+        self._dispatch[node.node_id] = dispatch, exact
         probes_before = self._pairs_probed
         with self._span(
             "join.probe",
             kernel=kernel,
             dispatch=dispatch,
+            exact=exact,
             left=len(left),
             right=len(right),
             deferred=deferred,
         ) as span:
             out, pair_count = self._emit_pairs(
-                node, left, right, candidates, shared, deferred
+                node, left, right, candidates, shared, deferred, exact
             )
             span.set("pairs_probed", self._pairs_probed - probes_before)
             span.set("produced", len(out))
         return out, pair_count
 
-    @staticmethod
-    def _uniform_aliases(rows: list[CompositeTuple]) -> frozenset[str] | None:
+    def _uniform_aliases(self, rows: list[CompositeTuple]) -> frozenset[str] | None:
         """The alias set every row carries; ``None`` when rows differ (a
         degraded branch let combinations through without a component)
-        or there are none."""
+        or there are none.  Rows are uniform by construction until an
+        alias fails, so only then are they compared."""
         if not rows:
             return None
         first = rows[0].components.keys()
-        if all(row.components.keys() == first for row in rows):
-            return frozenset(first)
-        return None
+        if self.failed_aliases and any(row.components.keys() != first for row in rows):
+            return None
+        return frozenset(first)
 
     def _emit_pairs(
         self,
         node: ParallelJoinNode,
         left: list[CompositeTuple],
         right: list[CompositeTuple],
-        candidates: list[Sequence[int]] | None,
+        candidates: "list[Sequence[int] | None] | None",
         shared: tuple[str, ...] | None,
         deferred: bool = False,
+        exact: bool = False,
     ) -> "tuple[list[CompositeTuple] | _Unbuilt, int]":
         """The pair-emission loop every join kernel shares.
 
         ``candidates[i]`` lists, ascending, the right rows worth probing
-        for left row ``i``; ``None`` probes them all (the nested loop).
-        Walking rows in order and candidates in ``j`` order under the
-        triangular cutoff emits matches in the nested loop's (i, j)
-        order, so the final stable sort gives every kernel the same
-        output; ``pair_count`` keeps the nested loop's logical meaning
-        (tile area inside the completion region) however few pairs a
-        kernel probed.  The predicate check is authoritative on every
-        probed pair — kernels only narrow the candidates.
+        for left row ``i`` (``None``: none); ``candidates`` ``None`` probes
+        them all (the nested loop).  Walking rows in order and candidates
+        in ``j`` order under the triangular cutoff emits matches in the
+        nested loop's (i, j) order, so the final stable sort gives every
+        kernel the same output; ``pair_count`` keeps the nested loop's
+        logical meaning (tile area inside the completion region) however
+        few pairs a kernel probed.  Where a pair can fail — shared aliases
+        to agree on, predicates key equality does not decide (not
+        ``exact``) — the check is authoritative on every probed pair:
+        kernels only narrow the candidates.  Where none can, a row's
+        candidates under the cutoff are its matches, cut with ``bisect``.
 
-        ``deferred`` emits an unsorted :class:`_Unbuilt`: a pair's score is
-        its left row's fold (once it has a match) plus the right row's new
-        terms — ``score_composite``'s fold over ``{**mine, **theirs}``.
+        ``deferred`` emits an unsorted :class:`_Unbuilt` of pairs
+        ``(mine, theirs)``, merged when built, each scored by its left
+        row's fold (once it has a match) plus the right row's new terms —
+        ``score_composite``'s fold over ``{**mine, **theirs}``.
         """
         triangular = node.method.completion is CompletionStrategy.TRIANGULAR
-        n_left, n_right, limit = max(1, len(left)), max(1, len(right)), len(right)
-        check = self._check_for((), node.predicates) if node.predicates else None
+        n_left, n_right, cutoff = max(1, len(left)), max(1, len(right)), len(right)
+        check = None
+        if node.predicates and not exact:
+            check = self._check_for((), node.predicates)
+        unchecked = check is None and shared == ()
         inputs = self.inputs
         score, row = self.query.ranking.score_composite, CompositeTuple._owned
         weight = self.query.ranking.weights.get
-        every = range(limit)
+        theirs_of = [rc.components for rc in right]
         out = _Unbuilt(None) if deferred else []
+        if deferred and left and right:
+            # Nothing defers once an alias failed, so rows are uniform: per
+            # alias only the right rows carry, its terms by right row.
+            known = left[0].components.keys()
+            terms = [
+                [weight(a, 0.0) * theirs[a].score for theirs in theirs_of]
+                for a in theirs_of[0]
+                if a not in known
+            ]
         pair_count = probed = 0
-        for i, lc in enumerate(left):
-            cutoff = (
-                self._triangular_cutoff(i, n_left, n_right, limit)
-                if triangular
-                else limit
-            )
+        every = repeat(range(len(right)))  # the nested loop probes them all
+        for i, (lc, found) in enumerate(zip(left, candidates or every)):
+            if triangular:  # the cutoff only falls as ``i`` grows
+                cutoff = self._triangular_cutoff(i, n_left, n_right, cutoff)
             pair_count += cutoff
-            mine, prefix = lc.components, None
-            for j in every if candidates is None else candidates[i]:
-                if j >= cutoff:
-                    break  # outside the "most promising" diagonal half
-                probed += 1
-                theirs = right[j].components
-                agree = mine.keys() & theirs.keys() if shared is None else shared
-                if agree and any(mine[a] != theirs[a] for a in agree):
-                    continue
-                components = {**mine, **theirs}
-                if check is not None and not check(components, inputs):
-                    continue
-                if not deferred:
+            if not found:
+                continue
+            mine = lc.components
+            if unchecked:
+                hits = found if found[-1] < cutoff else found[: bisect_left(found, cutoff)]
+                probed += len(hits)
+            else:
+                hits = []
+                for j in found:
+                    if j >= cutoff:
+                        break  # outside the "most promising" diagonal half
+                    probed += 1
+                    theirs = theirs_of[j]
+                    agree = mine.keys() & theirs.keys() if shared is None else shared
+                    if agree and any(mine[a] != theirs[a] for a in agree):
+                        continue
+                    if check is not None and not check({**mine, **theirs}, inputs):
+                        continue
+                    hits.append(j)
+            if not hits:
+                continue
+            if not deferred:
+                for j in hits:
+                    components = {**mine, **theirs_of[j]}
                     out.append(row(components, score(components)))
-                    continue
-                if prefix is None:
-                    prefix = 0
-                    for a, tup in mine.items():
-                        prefix += weight(a, 0.0) * tup.score
-                total = prefix
-                for a, tup in theirs.items():
-                    if a not in mine:
-                        total += weight(a, 0.0) * tup.score
-                out.scores.append(total)
-                out.heads.append(components)
+                continue
+            prefix = 0
+            for a, tup in mine.items():
+                prefix += weight(a, 0.0) * tup.score
+            scores = [prefix] * len(hits)
+            for column in terms:  # the fold, one new alias at a time
+                scores = list(map(add, scores, map(column.__getitem__, hits)))
+            out.scores.extend(scores)
+            out.heads.extend([mine] * len(hits))
+            out.tails.extend([theirs_of[j] for j in hits])
         self._pairs_probed += probed
         if not deferred:
             self._count_rows(node.node_id, len(out), len(out))
@@ -1329,26 +1409,28 @@ class PlanExecutor:
         right: list[CompositeTuple],
         shared: tuple[str, ...] | None,
     ) -> tuple[Callable, Callable, str] | str:
-        """Key extractors when this join is hash-indexable, else the reason
+        """Key builders when this join is hash-indexable, else the reason
         it is not (``degraded``, ``empty_side``, ``no_predicates``,
         ``non_eq``, ``same_side``).
 
         Eligibility: every predicate is an EQ with one side per branch,
         both branches expose uniform component sets, and no branch is
-        degraded (a missing component would make keys non-uniform).  An
-        extractor maps a row's components to its **key vectors**: the
+        degraded (a missing component would make keys non-uniform).  A
+        builder maps a side's rows to their **key vectors**: the
         shared-alias components (shared-alias agreement is equality, so
         equal keys subsume the agreement check) with the EQ attribute
-        values from the row's own side — one vector when every path is
-        atomic, one per joint choice of repeating-group members
-        otherwise.  The third element names the kernel: ``hash``,
-        ``hash_multikey``, or — no predicate, the shared components are the
-        whole key — ``hash_shared`` (``no_predicates``: nothing shared).  EQ
-        compares with plain ``==`` and key equality over-approximates the
-        predicate set (``None == None`` collides though SQL nulls never
-        match; members are chosen per side, not jointly with the other
-        predicates' witnesses), so the predicate stays authoritative on
-        probed pairs.
+        values from the row's own side.  When every path is atomic a row
+        has one vector, built by column, and the builder returns ``(keys,
+        exact)`` — ``exact``: no value is ``None`` or unequal to itself
+        (NaN); otherwise ``(per row, its distinct vectors — one per joint
+        choice of repeating-group members; None)``.  The third element
+        names the kernel: ``hash``, ``hash_multikey``, or — no predicate,
+        the shared components are the whole key — ``hash_shared``
+        (``no_predicates``: nothing shared).  EQ compares with plain
+        ``==``, and key equality over-approximates the predicate set
+        where a value may be ``None`` (``None == None`` collides though SQL
+        nulls never match) or members are chosen per side, not jointly
+        with the other predicates' witnesses: see :meth:`_hash_candidates`.
         """
         if self.failed_aliases:
             return "degraded"
@@ -1384,58 +1466,54 @@ class PlanExecutor:
                 for ref in refs
             ]
 
-            def atomic_keys(components: Mapping[str, Any]) -> list[tuple]:
-                values = [components[a].values.get(n) for a, _, n in terms]
-                return [(tuple([components[a] for a in shared]), tuple(values))]
+            def by_column(rows: list[CompositeTuple]) -> tuple[list[tuple], bool]:
+                every = [row.components for row in rows]
+                agreed = [list(map(itemgetter(a), every)) for a in shared]
+                values = [[c[a].values.get(n) for c in every] for a, _, n in terms]
+                exact = all(None not in col and all(map(eq, col, col)) for col in values)
+                # A hashed join has a predicate or a shared alias: never zip().
+                return list(zip(*agreed, *values)), exact
 
-            if not groups:  # one vector, no witness product to walk
-                return atomic_keys, False
-
-            def keys(components: Mapping[str, Any]) -> list[tuple]:
-                agreed = tuple(components[a] for a in shared)
+            def vectors(components: Mapping[str, Any]) -> list[tuple]:
+                agreed = tuple([components[a] for a in shared])
                 members = [components[a].group_members(g) for a, g in groups]
-                vectors = [
-                    (
-                        agreed,
-                        tuple(
+                found = [
+                    agreed
+                    + tuple(
+                        [
                             components[alias].values.get(name)
                             if slot < 0
                             else witnesses[slot].get(name)
                             for alias, slot, name in terms
-                        ),
+                        ]
                     )
                     for witnesses in product(*members)
                 ]
                 # Distinct, so no right row enters one bucket twice.
-                return vectors if len(vectors) < 2 else list(dict.fromkeys(vectors))
+                return found if len(found) < 2 else list(dict.fromkeys(found))
 
-            return keys, bool(groups)
+            if not groups:  # one vector, no witness product to walk
+                return by_column
+            return lambda rows: ([vectors(row.components) for row in rows], None)
 
-        (left_keys, left_multi), (right_keys, right_multi) = (
-            make_keys(left_refs),
-            make_keys(right_refs),
-        )
-        if left_multi or right_multi:
+        left_keys, right_keys = make_keys(left_refs), make_keys(right_refs)
+        if any(ref.path.is_nested for ref in (*left_refs, *right_refs)):
             return left_keys, right_keys, "hash_multikey"
         return left_keys, right_keys, "hash" if node.predicates else "hash_shared"
 
     @staticmethod
     def _triangular_cutoff(i: int, n_left: int, n_right: int, limit: int) -> int:
-        """First ``j`` outside the diagonal half for row ``i``.
+        """First ``j`` outside the diagonal half for row ``i``, at most
+        ``limit``: the previous row's cutoff makes the walk two-pointer.
 
-        Bisects the exact float expression the nested loop evaluates —
-        ``j / n_right`` is monotone in ``j`` — so the admitted prefix is
+        Steps down the exact float expression the nested loop evaluates —
+        monotone in ``j`` and in ``i`` — so the admitted prefix is
         bit-for-bit the nested loop's.
         """
         a = i / n_left
-        lo, hi = 0, limit
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (a + mid / n_right) >= 1.0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        while limit and (a + (limit - 1) / n_right) >= 1.0:
+            limit -= 1
+        return limit
 
     @staticmethod
     def _merged(buckets: list[list[int] | None]) -> Sequence[int]:
@@ -1451,21 +1529,34 @@ class PlanExecutor:
         right: list[CompositeTuple],
         left_keys: Callable,
         right_keys: Callable,
-    ) -> list[Sequence[int]]:
-        """Hash-indexed probe lists; raises ``TypeError`` on an unhashable key.
+    ) -> tuple[list[Sequence[int] | None], bool]:
+        """Hash-indexed probe lists and whether the key is exact; raises
+        ``TypeError`` on an unhashable key.
 
         Every right row is indexed under each of its key vectors, in
         ``j`` order; a left row's candidates are the rows sharing any of
-        its vectors.
+        its vectors — one ``map(index.get, ...)`` over a side with one
+        vector per row, a :meth:`_merged` union per row otherwise.
+
+        **Exact**: both sides have one vector per row and neither has a
+        ``None`` or NaN value.  A dict matches keys by identity, else
+        ``==``; for a self-equal, non-``None`` value that is the lowered
+        check's ``_equal``, term by term.  So every candidate of an exact
+        ``hash`` join satisfies its predicates.
         """
+        (right_vectors, right_exact), (left_vectors, left_exact) = (
+            right_keys(right),
+            left_keys(left),
+        )
         index: dict[tuple, list[int]] = {}
-        for j, rc in enumerate(right):
-            for key in right_keys(rc.components):
+        several = right_exact is None
+        for j, vectors in enumerate(right_vectors if several else zip(right_vectors)):
+            for key in vectors:
                 index.setdefault(key, []).append(j)
-        return [
-            self._merged([index.get(key) for key in left_keys(lc.components)])
-            for lc in left
-        ]
+        if left_exact is None:
+            merged = self._merged
+            return [merged([index.get(k) for k in keys]) for keys in left_vectors], False
+        return list(map(index.get, left_vectors)), bool(left_exact and right_exact)
 
     def _check_for(
         self,

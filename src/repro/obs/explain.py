@@ -21,7 +21,8 @@ A node's ``est a -> b | act c -> d`` reads "estimated ``tin`` a producing
 ``tout`` b; measured ``tin`` c producing ``tout`` d".  After a join's
 ``probes=`` comes why it took the kernel it took: ``hash``,
 ``hash_multikey`` or ``hash_shared`` (no predicate: keyed on the shared
-upstream components), or the reason it ran the nested loop
+upstream components), with ``, exact`` when key equality decided every
+pair so none was checked, or the reason it ran the nested loop
 (``non_eq``, ``no_predicates``, ``degraded``, ``empty_side``,
 ``same_side``, ``unhashable_key``).  ``staged=n`` on a service line:
 the node checked ``n`` join predicates with its selections.  The summary
@@ -63,6 +64,7 @@ class ExplainNode:
     busy_time: float | None = None
     pairs_probed: int | None = None
     dispatch: str | None = None
+    exact: bool = False
     staged: int | None = None
     final_check: str | None = None
     bottleneck_share: float | None = None
@@ -90,7 +92,8 @@ class ExplainNode:
         if self.est_fetches is not None:
             parts.append(f"fetches={self.est_fetches}")
         if self.pairs_probed is not None:
-            via = f" ({self.dispatch})" if self.dispatch else ""
+            exact = ", exact" if self.exact else ""
+            via = f" ({self.dispatch}{exact})" if self.dispatch else ""
             parts.append(f"probes={self.pairs_probed}{via}")
         if self.staged:
             parts.append(f"staged={self.staged}")
@@ -258,6 +261,7 @@ def build_explain(
             if isinstance(node, ParallelJoinNode) and probed is not None:
                 out.pairs_probed = probed
                 out.dispatch = getattr(stats, "dispatch", "") or None
+                out.exact = getattr(stats, "exact", False)
             out.staged = getattr(stats, "staged", 0) or None
             out.final_check = getattr(stats, "final_check", "") or None
             busy = busy_by_node.get(node_id, 0.0)

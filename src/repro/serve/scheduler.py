@@ -167,6 +167,8 @@ class ServeConfig:
             raise ExecutionError("default_service_rate must be positive")
         if self.num_shards <= 0:
             raise ExecutionError("num_shards must be positive")
+        if self.checkpoint_every < 0:
+            raise ExecutionError("checkpoint_every cannot be negative")
         if self.cache_mode not in CACHE_MODES:
             raise ExecutionError(
                 f"unknown cache_mode {self.cache_mode!r}; "

@@ -349,6 +349,18 @@ class TestTypedFailureAtTheDoor:
         assert line.startswith("repro: OptimizationError: ")
         assert "budget" in line
 
+    def test_negative_checkpoint_cadence_exits_two(self, capsys, tmp_path):
+        # Regression: it served, printed ``gate all_completed: PASS``, exited
+        # 0 and left the checkpoint directory empty.
+        store = tmp_path / "ckpt"
+        code, line = self.failing(
+            capsys, "serve-bench", "--requests", "6", "--rates", "2",
+            "--checkpoint-every", "-1", "--checkpoint-dir", str(store),
+        )
+        assert code == 2
+        assert line == "repro: ExecutionError: checkpoint_every cannot be negative"
+        assert not store.exists()
+
     def test_execution_failure_keeps_exit_one_and_its_hint(self, capsys):
         code = main(["run", "--seed", "3", "--outage", "Restaurant1"])
         captured = capsys.readouterr()

@@ -354,6 +354,19 @@ def test_serve_resume_midrun_digest_equal(tmp_path, num_shards):
     assert len(resumed) == len(baseline)
 
 
+@pytest.mark.parametrize("every", [-1, -2])
+def test_negative_checkpoint_cadence_is_refused(tmp_path, every):
+    """Regression: a negative cadence served without writing a single
+    checkpoint, so durability was silently off.  ``0`` (no periodic
+    writes) stays valid."""
+    from repro.errors import ExecutionError
+
+    with pytest.raises(ExecutionError, match="checkpoint_every cannot be negative"):
+        ServeConfig(checkpoint_dir=tmp_path, checkpoint_every=every)
+    assert not any(tmp_path.iterdir())
+    assert ServeConfig(checkpoint_dir=tmp_path, checkpoint_every=0).checkpoint_every == 0
+
+
 def test_resume_rejects_mismatched_workload(tmp_path):
     serve_workload_durable(
         rate=4.0, num_requests=30, seed=2009,

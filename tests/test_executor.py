@@ -5,10 +5,14 @@ import pytest
 from repro.core.annotate import annotate
 from repro.core.optimizer import OptimizerConfig, Optimizer, optimize_query
 from repro.core.topology import enumerate_topologies
-from repro.engine.executor import PlanExecutor, execute_plan
+from repro.engine.executor import InvocationCache, PlanExecutor, execute_plan
 from repro.query.feasibility import enumerate_binding_choices
 from repro.query.predicates import satisfies
-from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
+from repro.services.marts import (
+    CONFERENCE_INPUTS,
+    RUNNING_EXAMPLE_INPUTS,
+    RUNNING_EXAMPLE_QUERY,
+)
 from repro.services.simulated import ServicePool
 
 FETCHES = {"M": 5, "T": 5, "R": 1}
@@ -225,6 +229,110 @@ class TestMeasuredTimeToScreen:
             annotations = annotate(plan, movie_query, fetches=FETCHES)
             estimate = TimeToScreenMetric().cost(plan, annotations)
             assert result.time_to_screen == pytest.approx(estimate, rel=0.25)
+
+
+class TestVerdictsLiveWithTheCachedList:
+    """What a selection check kept of a fetched list is kept beside the
+    shared cache's entry: a later execution that meets the same list and
+    reads the same INPUT values does not check it again.  Counted on the
+    Movie alias, whose check reads INPUT1-3 (server-side, in the cache key
+    too) and INPUT7 (client-side only)."""
+
+    QUERY = RUNNING_EXAMPLE_QUERY.replace(
+        " RANK BY", " AND M.Year > INPUT7 RANK BY"
+    )
+    INPUTS = {**RUNNING_EXAMPLE_INPUTS, "INPUT7": 0}
+
+    @pytest.fixture
+    def setup(self, movie_registry, monkeypatch):
+        from collections import Counter
+
+        from repro.query.compile import compile_query
+        from repro.query.parser import parse_query
+
+        query = compile_query(parse_query(self.QUERY), movie_registry)
+        best = Optimizer(query, OptimizerConfig()).optimize().best
+        calls: Counter = Counter()
+        counting: dict = {}
+        real = PlanExecutor._selection_check
+
+        def selection_check(executor, alias):
+            check = real(executor, alias)
+            if check is not None and check not in counting:
+
+                def counted(components, inputs, check=check, alias=alias):
+                    calls[alias] += 1
+                    return check(components, inputs)
+
+                counting[check] = counted
+            return counting.get(check)
+
+        # One counting wrapper per memoised check, so it keys verdicts as
+        # the check itself would; executions run their nodes, not a replay.
+        monkeypatch.setattr(PlanExecutor, "_selection_check", selection_check)
+        monkeypatch.setattr(PlanExecutor, "_RESULT_MEMO", False)
+
+        def execute(cache, inputs=self.INPUTS, **options):
+            calls.clear()
+            result = PlanExecutor(
+                best.plan, query, ServicePool(movie_registry, global_seed=42),
+                inputs, best.fetch_vector(), invocation_cache=cache, **options,
+            ).run()
+            return calls["M"], result
+
+        return execute
+
+    @staticmethod
+    def movie_entries(cache):
+        return [(key, entry) for key, entry in cache._data.items() if key[1] == "M"]
+
+    def test_a_second_execution_checks_nothing(self, setup):
+        cache = InvocationCache(max_size=None)
+        first, _ = setup(cache)
+        assert cache.verdicts_reused == 0
+        again, _ = setup(cache)
+        assert first > 0 and again == 0
+        # Movie's list, and any other list checked without upstream sources.
+        assert cache.verdicts_reused >= len(self.movie_entries(cache)) > 0
+
+    def test_an_evicted_entry_takes_its_verdicts_along(self, setup):
+        cache = InvocationCache(max_size=1)
+        first, _ = setup(cache)
+        again, _ = setup(cache)
+        assert not self.movie_entries(cache)  # a later service's call won the slot
+        assert again == first > 0 and cache.verdicts_reused == 0
+
+    def test_an_overwritten_entry_drops_its_verdicts(self, setup):
+        cache = InvocationCache(max_size=None)
+        first, _ = setup(cache)
+        for key, (tuples, failed) in self.movie_entries(cache):
+            cache.put(key, (list(tuples), failed))  # equal, but another list
+        again, _ = setup(cache)
+        assert again == first > 0
+
+    def test_only_the_inputs_the_check_reads_key_its_verdicts(self, setup):
+        cache = InvocationCache(max_size=None)
+        first, _ = setup(cache)
+        entries = len(cache)
+        read, _ = setup(cache, {**self.INPUTS, "INPUT7": 1})
+        # INPUT7 is no binding: the same lists, checked again.
+        assert len(cache) == entries and read == first > 0
+        unread, _ = setup(cache, {**self.INPUTS, "INPUT4": "address#3"})
+        assert unread == 0  # a Theatre binding: Movie's verdicts stand
+
+    def test_a_failed_outcome_shares_nothing(self, setup):
+        from repro.engine.retry import Degradation
+
+        cache = InvocationCache(max_size=None)
+        first, _ = setup(cache)
+        for key, (tuples, _) in self.movie_entries(cache):
+            cache.put(key, (tuples, True))  # abandoned after these tuples
+        partial = dict(degradation=Degradation.PARTIAL)
+        for _ in range(2):
+            again, result = setup(cache, **partial)
+            assert result.failed_aliases == ("M",)
+            assert again == first > 0
+        assert not any(key[1] == "M" for key in cache._verdicts)
 
 
 class TestInvocationCacheKey:

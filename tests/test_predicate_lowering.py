@@ -7,6 +7,8 @@ the byte-identical list the nested loop emits, under both completion
 strategies.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,6 +274,56 @@ def test_every_kernel_emits_the_nested_loops_list(left, right, case, completion,
         assert attrs["dispatch"] == dispatch
     else:
         assert attrs["dispatch"] == "empty_side" and got == ([], nested[1])
+
+
+#: Atomic keys on which dict equality and the EQ predicate may part: ``None``
+#: (never matches) and one NaN object (a dict matches it by identity, ``==``
+#: does not); ``1``, ``1.0`` and ``True`` are equal both ways.
+MIXED_KEYS = st.sampled_from([None, math.nan, 1, 1.0, True, 0, "a", "b"])
+
+
+def listed(out):
+    """``(score, components)`` per row in emission order, built or not."""
+    if isinstance(out, list):
+        return [(c.score, list(c.components.items())) for c in out]
+    return [(out.scores[i], list(out.components(i).items())) for i in range(len(out))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    left=st.lists(MIXED_KEYS, max_size=8),
+    right=st.lists(MIXED_KEYS, max_size=8),
+    completion=COMPLETIONS,
+    share=st.booleans(),
+    deferred=st.booleans(),
+)
+def test_exact_buckets_emit_what_the_checked_loop_emits(
+    left, right, completion, share, deferred
+):
+    shared = (
+        [ServiceTuple({"u": n}, source="U", position=n) for n in range(2)]
+        if share
+        else None
+    )
+    lrows = rows("L", [(key, []) for key in left], shared)
+    rrows = rows("R", [(key, []) for key in right], shared)
+    node = join_node([eq("L.k", "R.k")], completion)
+
+    def run(checked):
+        tracer = Tracer()
+        runner = executor(tracer)
+        if checked:  # the same candidates, every pair checked
+            hashed = runner._hash_candidates
+            runner._hash_candidates = lambda *args: (hashed(*args)[0], False)
+        out, pair_count = runner._run_parallel_join(node, lrows, rrows, deferred)
+        (span,) = [s for s in tracer.spans if s.name == "join.probe"]
+        return (listed(out), pair_count, runner._pairs_probed), span.attrs
+
+    (exact, attrs), (checked, checked_attrs) = run(False), run(True)
+    assert exact == checked
+    clean = all(key is not None and key == key for key in left + right)
+    assert attrs["exact"] == (bool(left and right) and clean)
+    assert not checked_attrs["exact"]
 
 
 def test_none_keys_collide_in_the_index_but_never_join():
