@@ -1090,6 +1090,7 @@ def _print_serve_level(args, subject, labels, level, baseline, report) -> None:
         f"  completed {completed}, statuses {report.by_status()}, "
         f"combined digest {level['combined_digest'][:16]}"
     )
+    print(f"  cyclic garbage {report.cyclic_garbage} (the serving loop makes none)")
     if baseline is not None:
         print(
             f"  {labels[1]} vs {labels[0]}: round trips "

@@ -389,7 +389,6 @@ class AsyncPlanExecutor(PlanExecutor):
             node, bindings, constraints, factor, availability
         )
         tuples: list = []
-        error = None
         try:
             # Chunks stay sequential within one invocation — chunk i+1
             # requests the page after chunk i, and the invocation's RNG
@@ -400,8 +399,8 @@ class AsyncPlanExecutor(PlanExecutor):
                     break
                 tuples.extend(chunk)
         except RetryExhaustedError as exhausted:
-            error = exhausted
-        return self._end_fetch(node, key, tuples, error, span)
+            return self._end_fetch(node, key, tuples, exhausted, span)
+        return self._end_fetch(node, key, tuples, None, span)
 
     async def _draw_chunk(self, invocation, node: ServiceNode, acc: dict[str, Any]):
         """One chunk draw under the retry rule, backoff slept on wall time."""

@@ -1136,7 +1136,6 @@ class PlanExecutor:
             node, bindings, constraints, factor, availability
         )
         tuples: list = []
-        error = None
         try:
             for index in range(factor):
                 yield StepEvent(
@@ -1149,8 +1148,8 @@ class PlanExecutor:
                     break
                 tuples.extend(chunk)
         except RetryExhaustedError as exhausted:
-            error = exhausted
-        return self._end_fetch(node, key, tuples, error, span)
+            return self._end_fetch(node, key, tuples, exhausted, span)
+        return self._end_fetch(node, key, tuples, None, span)
 
     def _met(self, node: ServiceNode, outcome: tuple[list, bool], **span: Any):
         """Take an outcome somebody already fetched: a cache entry or, on
@@ -1221,7 +1220,13 @@ class PlanExecutor:
             if self.degradation is Degradation.FAIL:
                 if span is not None:
                     span.__exit__(type(error), error, None)
-                raise error
+                # Raised inside the caller's handler, which drops its name
+                # for it; this frame drops its own, or the traceback would
+                # hold the exception that holds it (a reference cycle).
+                try:
+                    raise error
+                finally:
+                    del error
             self.failed_aliases.add(node.alias)
         if span is not None:
             span.set("tuples", len(tuples))

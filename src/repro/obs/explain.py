@@ -142,13 +142,12 @@ class ExplainReport:
 
     def render(self) -> str:
         lines: list[str] = []
-
-        def walk(node: ExplainNode, depth: int) -> None:
+        # Pre-order on an explicit stack (a recursive closure is a cycle).
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             lines.append("  " * depth + node.render_line())
-            for child in node.children:
-                walk(child, depth + 1)
-
-        walk(self.root, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children))
         summary: list[str] = []
         if self.estimated_results is not None or self.actual_results is not None:
             summary.append(

@@ -255,18 +255,18 @@ class Tracer:
         for span in self.ordered():
             by_parent.setdefault(span.parent_id, []).append(span)
         lines: list[str] = []
-
-        def walk(parent_id: int | None, depth: int) -> None:
-            for span in by_parent.get(parent_id, ()):
-                attrs = ", ".join(f"{k}={v}" for k, v in span.attrs.items())
-                lines.append(
-                    "  " * depth
-                    + f"{span.name} [{span.start:.3f}..{span.end:.3f}]"
-                    + (f" {{{attrs}}}" if attrs else "")
-                )
-                walk(span.span_id, depth + 1)
-
-        walk(None, 0)
+        # Pre-order on an explicit stack (a recursive closure is a cycle).
+        stack = [(span, 0) for span in reversed(by_parent.get(None, ()))]
+        while stack:
+            span, depth = stack.pop()
+            attrs = ", ".join(f"{k}={v}" for k, v in span.attrs.items())
+            lines.append(
+                "  " * depth
+                + f"{span.name} [{span.start:.3f}..{span.end:.3f}]"
+                + (f" {{{attrs}}}" if attrs else "")
+            )
+            children = by_parent.get(span.span_id, ())
+            stack.extend((child, depth + 1) for child in reversed(children))
         return "\n".join(lines)
 
 

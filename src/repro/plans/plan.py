@@ -278,9 +278,11 @@ class QueryPlan:
     def render(self, annotations: "PlanAnnotations | None" = None) -> str:
         """Multi-line indented rendering of the DAG, output-rooted."""
         lines: list[str] = []
-
-        def walk(node_id: str, depth: int) -> None:
-            node = self.nodes[node_id]
+        # An explicit stack, not a recursive closure: a closure that calls
+        # itself is a reference cycle, and this runs on every checkpoint.
+        stack = [(self.output_node.node_id, 0)]
+        while stack:
+            node_id, depth = stack.pop()
             note = ""
             if annotations is not None and node_id in annotations.by_node:
                 ann = annotations.by_node[node_id]
@@ -288,11 +290,9 @@ class QueryPlan:
                 if ann.fetches is not None:
                     bits.append(f"fetches={ann.fetches}")
                 note = "  [" + ", ".join(bits) + "]"
-            lines.append("  " * depth + node.label() + note)
-            for parent in self.parents(node_id):
-                walk(parent, depth + 1)
-
-        walk(self.output_node.node_id, 0)
+            lines.append("  " * depth + self.nodes[node_id].label() + note)
+            parents = reversed(self.parents(node_id))
+            stack.extend((parent, depth + 1) for parent in parents)
         return "\n".join(lines)
 
     def to_dot(self) -> str:

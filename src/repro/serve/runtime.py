@@ -19,6 +19,7 @@ All of them answer with the same :class:`~repro.serve.scheduler.ServeReport`.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
@@ -105,7 +106,44 @@ def serve(
     result lists (bounded-memory serving — durable and multi-process runs
     always digest); ``on_checkpoint`` is called after each durable
     checkpoint write.  Per-request digests: :meth:`ServeReport.digests`.
+
+    The run makes no reference cycles (reference counting frees all it
+    drops), so the cyclic collector is paused for all of it rather than
+    walking the live world and caches again and again to find nothing.
+    One young collection at the end counts what it would have found into
+    :attr:`ServeReport.cyclic_garbage`; the caller's collector state is
+    restored on every exit.
     """
+    # A module's first import makes cycles of its own (its classes), so the
+    # modules a mode loads lazily load first, and a young collection clears
+    # them and the caller's: the count at the end is the run's own.
+    if config.backend == "asyncio":
+        import repro.engine.async_runner  # noqa: F401
+        import repro.serve.async_serve  # noqa: F401
+    if config.parallel:
+        import multiprocessing.pool  # noqa: F401
+    if config.checkpoint_dir is not None:
+        import repro.durability.serve  # noqa: F401
+    enabled = gc.isenabled()
+    gc.collect(0)
+    gc.disable()
+    try:
+        report = _serve(config, workload, tracer, slo, digest_fn, on_checkpoint)
+        report.cyclic_garbage += gc.collect(0)
+    finally:
+        if enabled:
+            gc.enable()
+    return report
+
+
+def _serve(
+    config: ServeConfig,
+    workload: "WorkloadConfig | Sequence[Request]",
+    tracer: Any,
+    slo: Any,
+    digest_fn: "Callable[[Sequence[CompositeTuple]], str] | None",
+    on_checkpoint: "Callable[[Any], None] | None",
+) -> ServeReport:
     if isinstance(workload, WorkloadConfig):
         workload = generate_workload(config.templates, workload)
     if config.parallel:
@@ -205,4 +243,5 @@ def _serve_parallel(config: ServeConfig, workload: Sequence[Request]) -> ServeRe
             for index, report in enumerate(reports)
         ],
         num_shards=config.num_shards,
+        cyclic_garbage=sum(report.cyclic_garbage for report in reports),
     )

@@ -154,6 +154,10 @@ class ServeConfig:
         object.__setattr__(
             self, "templates", tuple(self.templates or default_templates())
         )
+        if not isinstance(self.data_seed, int) or isinstance(self.data_seed, bool):
+            raise ExecutionError(
+                f"data_seed must be an int, not {type(self.data_seed).__name__}"
+            )
         if self.max_concurrency <= 0:
             raise ExecutionError("max_concurrency must be positive")
         if self.queue_limit < 0:
@@ -394,6 +398,10 @@ class ServeReport:
     #: many sessions were restored, checkpoints written (see
     #: :meth:`repro.durability.serve.ServeCheckpointer.info`).
     durability: dict[str, Any] | None = None
+    #: Unreachable objects the collection at the end of :func:`serve` found
+    #: (summed over worker processes): the serving loop makes no reference
+    #: cycles, so this is 0.
+    cyclic_garbage: int = 0
 
     def completed(self) -> list[RequestOutcome]:
         return [o for o in self.outcomes.values() if o.status == "completed"]
@@ -452,6 +460,7 @@ class ServeReport:
             "plan_cache": self.plan_cache_stats,
             "invocation_cache": self.invocation_cache_stats,
             "world": self.world_stats,
+            "cyclic_garbage": self.cyclic_garbage,
         }
         if self.slo is not None:
             payload["slo"] = self.slo.snapshot()

@@ -163,6 +163,14 @@ def test_serve_config_validation(kwargs):
         ServeConfig(**kwargs)
 
 
+@pytest.mark.parametrize("seed", ["x", 3.5, None, True])
+def test_non_integer_data_seed_is_refused(seed):
+    """Regression: the config took any seed, and the run died later in
+    the executor with a bare ``TypeError`` from ``seed ^ ...``."""
+    with pytest.raises(ExecutionError, match="data_seed must be an int"):
+        ServeConfig(data_seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Plan cache
 # ---------------------------------------------------------------------------
