@@ -143,6 +143,17 @@ def _load(args) -> tuple:
     return registry, compiled, inputs, query_text
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of a count: an integer, 1 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--schema",
@@ -202,7 +213,7 @@ def _add_execution(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2009, help="simulator seed")
     parser.add_argument(
         "--fetch-boost",
-        type=int,
+        type=_at_least_one,
         default=1,
         help="multiply every fetch factor (ask for more results)",
     )
@@ -372,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--shards",
-        type=int,
+        type=_at_least_one,
         metavar="N",
         help="serve on N scheduler shards (consistent-hash partitioned "
         "sessions, merged deterministic timeline) instead of the "
@@ -866,6 +877,10 @@ def _build_slo(args) -> "SloTracker":
         )
     if not thresholds:
         raise SystemExit("--slo-thresholds needs at least one threshold")
+    if min(thresholds) <= 0:
+        raise SystemExit(
+            f"--slo-thresholds needs positive thresholds, got {args.slo_thresholds!r}"
+        )
     return SloTracker(thresholds=thresholds)
 
 

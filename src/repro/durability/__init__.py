@@ -11,14 +11,11 @@ crash without losing them.  This package provides:
 * :mod:`repro.durability.serve` — scheduler-level periodic
   checkpointing for :class:`~repro.serve.scheduler.ServeScheduler` /
   :class:`~repro.serve.sharding.ShardedServeScheduler`, plus the resume
-  path that reloads sessions and serves the remaining workload;
-* :mod:`repro.durability.crash` — a crash-injection harness: run a
-  serving worker in a subprocess, SIGKILL it mid-run, resume from the
-  surviving checkpoint, and gate digest equality against an
-  uninterrupted run.
+  path that reloads sessions and serves the remaining workload.
 
 The record/replay service adapter lives with the other service layers
-as :mod:`repro.services.recorded`.
+as :mod:`repro.services.recorded`; the SIGKILL crash harness that proves
+resume digest-identical is a test harness, ``tests/support/crash.py``.
 """
 
 from repro.durability.checkpoint import (
@@ -46,18 +43,6 @@ __all__ = [
     "register_registry_factory",
     "restore_session",
     "resume_state_from",
-    "run_crash_resume",
     "serve_workload_durable",
 ]
 
-
-def __getattr__(name: str):
-    # ``run_crash_resume`` is exported lazily: its module is also the
-    # crash worker's entry point (``python -m repro.durability.crash``),
-    # and importing it here would put it in ``sys.modules`` before runpy
-    # executes it as ``__main__`` (a RuntimeWarning on the worker's stderr).
-    if name == "run_crash_resume":
-        from repro.durability.crash import run_crash_resume
-
-        return run_crash_resume
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,7 @@ session into the :class:`~repro.serve.sessions.SessionManager`, and
 serves only the requests without a terminal outcome.  The merged report then covers
 the full workload — pre-crash digests come from the checkpoint, the
 rest from the resumed run — and must equal an uninterrupted run's
-(:func:`repro.durability.crash.run_crash_resume` gates exactly that).
+(``tests/support/crash.py`` gates exactly that under SIGKILL).
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
-"""Execution engine: virtual time, call logging, clocks, plan execution."""
+"""Execution engine: virtual time, call logging, plan execution."""
 
-from repro.engine.clock import JoinClock
 from repro.engine.events import CallLog, CallRecord, VirtualClock
 from repro.engine.liquid import LiquidQuerySession
 from repro.engine.retry import NO_RETRY, Degradation, Retrier, RetryPolicy
@@ -16,7 +15,6 @@ __all__ = [
     "AsyncPlanExecutor",
     "run_plan_async",
     "LiquidQuerySession",
-    "JoinClock",
     "CallLog",
     "CallRecord",
     "VirtualClock",

@@ -1,6 +1,5 @@
 """Query-plan DAG model (Fig. 1 elements, Section 3.2 structure)."""
 
-from repro.plans.export import plan_to_dict, plan_to_json
 from repro.plans.nodes import (
     InputNode,
     OutputNode,
@@ -17,8 +16,6 @@ from repro.plans.plan import (
 )
 
 __all__ = [
-    "plan_to_dict",
-    "plan_to_json",
     "InputNode",
     "OutputNode",
     "ParallelJoinNode",

@@ -5,8 +5,7 @@ elements of :mod:`repro.plans.nodes` and whose arcs "indicate data flow and
 parameter passing".  The class offers a small builder API plus the
 structural services the optimizer and engine need: validation, topological
 ordering, parent/child lookup with stable arc order (a parallel join's
-first parent is its *left* input), structural keys for deduplication, and
-plan statistics.
+first parent is its *left* input), and plan statistics.
 
 Annotations (``tin``/``tout``/fetch counts per node — Figs. 3 and 10) are
 kept separate in :class:`PlanAnnotations`; a plan plus its annotations is a
@@ -249,30 +248,6 @@ class QueryPlan:
         del order
         return self
 
-    # -- deduplication ---------------------------------------------------------------
-
-    def structural_key(self) -> str:
-        """Canonical string identifying the plan's structure.
-
-        Two plans with the same key are the same DAG up to node ids.  The
-        two inputs of a parallel join are treated as unordered (joining A
-        with B equals joining B with A).
-        """
-        memo: dict[str, str] = {}
-
-        def key_of(node_id: str) -> str:
-            if node_id in memo:
-                return memo[node_id]
-            node = self.nodes[node_id]
-            parent_keys = [key_of(p) for p in self.parents(node_id)]
-            if isinstance(node, ParallelJoinNode):
-                parent_keys.sort()
-            body = f"{node.signature()}({';'.join(parent_keys)})"
-            memo[node_id] = body
-            return body
-
-        return key_of(self.output_node.node_id)
-
     # -- rendering ------------------------------------------------------------------
 
     def render(self, annotations: "PlanAnnotations | None" = None) -> str:
@@ -294,23 +269,6 @@ class QueryPlan:
             parents = reversed(self.parents(node_id))
             stack.extend((parent, depth + 1) for parent in parents)
         return "\n".join(lines)
-
-    def to_dot(self) -> str:
-        """GraphViz rendering for documentation and debugging."""
-        out = ["digraph plan {", "  rankdir=LR;"]
-        for node_id, node in self.nodes.items():
-            shape = {
-                "InputNode": "circle",
-                "OutputNode": "doublecircle",
-                "ServiceNode": "box",
-                "ParallelJoinNode": "diamond",
-                "SelectionNode": "hexagon",
-            }[node.kind]
-            out.append(f'  "{node_id}" [shape={shape}, label="{node.label()}"];')
-        for src, dst in self.arcs:
-            out.append(f'  "{src}" -> "{dst}";')
-        out.append("}")
-        return "\n".join(out)
 
     def copy(self) -> "QueryPlan":
         return QueryPlan(nodes=dict(self.nodes), arcs=list(self.arcs))

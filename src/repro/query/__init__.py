@@ -34,12 +34,7 @@ from repro.query.feasibility import (
     require_feasible,
 )
 from repro.query.parser import parse_query
-from repro.query.predicates import (
-    filter_tuples,
-    group_occurrences,
-    satisfies,
-    tuple_satisfies_selections,
-)
+from repro.query.predicates import group_occurrences, satisfies
 
 __all__ = [
     "AugmentationResult",
@@ -65,8 +60,6 @@ __all__ = [
     "input_providers",
     "require_feasible",
     "parse_query",
-    "filter_tuples",
     "group_occurrences",
     "satisfies",
-    "tuple_satisfies_selections",
 ]

@@ -44,8 +44,6 @@ __all__ = [
     "compile_predicates",
     "group_occurrences",
     "satisfies",
-    "tuple_satisfies_selections",
-    "filter_tuples",
 ]
 
 #: A repeating-group occurrence: (alias, group name).
@@ -259,36 +257,3 @@ def compile_predicates(
         return False
 
     return check_witnesses
-
-
-def tuple_satisfies_selections(
-    tup: ServiceTuple,
-    alias: str,
-    selections: Sequence[SelectionPredicate],
-    inputs: Mapping[str, Any] | None = None,
-) -> bool:
-    """Single-service specialisation of :func:`satisfies`.
-
-    Used when selection predicates are pushed down to the service node that
-    makes them evaluable (Section 3.2: each predicate is "independently
-    evaluated ... immediately after the service call that makes the
-    selection or join predicates evaluable").
-    """
-    return satisfies({alias: tup}, selections=selections, inputs=inputs)
-
-
-def filter_tuples(
-    tuples: Iterable[ServiceTuple],
-    alias: str,
-    selections: Sequence[SelectionPredicate],
-    inputs: Mapping[str, Any] | None = None,
-) -> list[ServiceTuple]:
-    """Filter a tuple stream through pushed-down selection predicates."""
-    predicates = list(selections)
-    if not predicates:
-        return list(tuples)
-    return [
-        tup
-        for tup in tuples
-        if tuple_satisfies_selections(tup, alias, predicates, inputs)
-    ]

@@ -173,6 +173,9 @@ class ServeConfig:
             raise ExecutionError("num_shards must be positive")
         if self.checkpoint_every < 0:
             raise ExecutionError("checkpoint_every cannot be negative")
+        for name in ("cache_size", "plan_cache_size"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ExecutionError(f"{name} must be positive (None: unbounded)")
         if self.cache_mode not in CACHE_MODES:
             raise ExecutionError(
                 f"unknown cache_mode {self.cache_mode!r}; "

@@ -361,6 +361,32 @@ class TestTypedFailureAtTheDoor:
         assert line == "repro: ExecutionError: checkpoint_every cannot be negative"
         assert not store.exists()
 
+    def test_zero_plan_cache_size_exits_two_before_serving(self, capsys):
+        # Regression: the header printed, then PlanCache died with exit 1.
+        code = main(
+            ["serve-bench", "--requests", "6", "--rates", "2", "--plan-cache-size", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: ExecutionError: plan_cache_size must be positive "
+            "(None: unbounded)\n"
+        )
+
+    @pytest.mark.parametrize("thresholds", ["0", "1,-2"])
+    def test_non_positive_slo_thresholds_are_refused(self, thresholds, capsys):
+        # Regression: SloTracker's ValueError escaped as a traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve-bench", "--requests", "8", "--rates", "1",
+                f"--slo-thresholds={thresholds}", "--metrics", "json",
+            ])
+        assert exit_info.value.code == (
+            f"--slo-thresholds needs positive thresholds, got {thresholds!r}"
+        )
+        assert capsys.readouterr().out == ""
+
     def test_execution_failure_keeps_exit_one_and_its_hint(self, capsys):
         code = main(["run", "--seed", "3", "--outage", "Restaurant1"])
         captured = capsys.readouterr()
@@ -392,6 +418,26 @@ class TestParser:
     def test_unknown_metric_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "--metric", "nope"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--fetch-boost", "0"),
+            ("run", "--fetch-boost", "-3"),
+            ("explain", "--fetch-boost", "0"),
+            ("serve-bench", "--shards", "0"),
+            ("serve-bench", "--shards", "-1"),
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, argv, capsys):
+        # Regression: --fetch-boost 0 ran with every factor clamped to 1 and
+        # --shards 0 silently served the unsharded comparison.
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert f"argument {argv[1]}: must be at least 1" in captured.err
 
     def test_artifacts_dir_parses_and_the_kernel_flag_is_gone(self):
         parser = build_parser()

@@ -380,7 +380,7 @@ def test_resume_rejects_mismatched_workload(tmp_path):
 
 
 def test_crash_harness_sigkill_and_resume(tmp_path):
-    from repro.durability import run_crash_resume
+    from tests.support.crash import run_crash_resume
 
     report = run_crash_resume(
         ServeConfig(
@@ -394,27 +394,24 @@ def test_crash_harness_sigkill_and_resume(tmp_path):
     assert report["gates"]["worker_killed"], report["worker_stderr_tail"]
     assert report["gates"]["checkpoint_survived"]
     assert report["gates"]["digests_equal"]
-    # The killed worker said nothing: in particular no runpy RuntimeWarning
-    # about its own module having been imported by the package first.
+    # The killed worker said nothing before it died.
     assert report["worker_stderr_tail"] == ""
 
 
 def test_crash_worker_module_runs_without_warnings():
-    """``python -m repro.durability.crash`` must find its module *not yet*
-    imported: the package exports ``run_crash_resume`` lazily."""
+    """The harness's worker runs as a script with only ``src`` on the
+    path, and says nothing on stderr; the harness is not in ``repro``."""
     import os
     import subprocess
     import sys
 
     import repro
+    from tests.support import crash
 
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(repro.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
     done = subprocess.run(
-        [sys.executable, "-m", "repro.durability.crash", "--help"],
+        [sys.executable, crash.__file__, "--help"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0
@@ -422,8 +419,7 @@ def test_crash_worker_module_runs_without_warnings():
     assert "--kill-after" in done.stdout
     from repro import durability
 
-    assert "run_crash_resume" in durability.__all__
-    assert callable(durability.run_crash_resume)
+    assert not hasattr(durability, "run_crash_resume")
 
 
 @pytest.mark.async_backend

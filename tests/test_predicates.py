@@ -7,12 +7,7 @@ import pytest
 from repro.model.tuples import ServiceTuple
 from repro.query.ast import AttrRef, Comparator, JoinPredicate, SelectionPredicate
 from repro.query.parser import parse_query
-from repro.query.predicates import (
-    filter_tuples,
-    group_occurrences,
-    satisfies,
-    tuple_satisfies_selections,
-)
+from repro.query.predicates import group_occurrences, satisfies
 
 
 def rg_tuple(source, *members):
@@ -124,19 +119,6 @@ class TestWitnessMechanics:
         # Selection B='x' forces member <1,x>, whose A=1 cannot join: rejected.
         sel_x = (SelectionPredicate(AttrRef.parse("S1.R.B"), Comparator.EQ, "x"),)
         assert not satisfies({"S1": s1, "S2": s2}, selections=sel_x, joins=join)
-
-
-class TestHelpers:
-    def test_tuple_satisfies_selections(self):
-        assert tuple_satisfies_selections(T1, "S1", Q1_SELECTIONS)
-        assert not tuple_satisfies_selections(T2, "S1", Q1_SELECTIONS)
-
-    def test_filter_tuples(self):
-        kept = filter_tuples([T1, T2], "S1", Q1_SELECTIONS)
-        assert kept == [T1]
-
-    def test_filter_without_predicates_is_identity(self):
-        assert filter_tuples([T1, T2], "S1", ()) == [T1, T2]
 
 
 def test_running_example_opening_condition_semantics():

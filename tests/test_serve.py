@@ -156,6 +156,11 @@ def test_token_bucket_grants_are_fifo():
         {"service_burst": 0.5},
         {"service_rates": {"Movie1": 0.0}},
         {"default_service_rate": -1.0},
+        # Regression: cache bounds were taken, and the run died later
+        # inside PlanCache / InvocationCache (None is unbounded).
+        {"cache_size": 0},
+        {"plan_cache_size": 0},
+        {"plan_cache_size": -4},
     ],
 )
 def test_serve_config_validation(kwargs):
