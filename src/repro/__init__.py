@@ -18,8 +18,7 @@ Subpackages:
 * :mod:`repro.serve` -- multi-query serving runtime: workload
   generation, cooperative scheduling, plan cache, cross-query sharing.
 * :mod:`repro.durability` -- checkpoint/resume for sessions and the
-  serving schedulers, plus the crash-injection harness; the
-  record/replay cassette adapter lives in :mod:`repro.services.recorded`.
+  serving schedulers.
 * :mod:`repro.services` -- simulated service substrate, example
   schemas, and the heterogeneous scenario packs.
 * :mod:`repro.baselines` -- exhaustive, WSMS, and naive planners.

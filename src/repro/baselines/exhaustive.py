@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.annotate import annotate
 from repro.core.cost import CostMetric, ExecutionTimeMetric
 from repro.core.heuristics import fetch_cap
-from repro.core.optimizer import PlanCandidate
+from repro.core.optimizer import BINDING_CHOICE_LIMIT, PlanCandidate
 from repro.core.topology import enumerate_topologies
-from repro.joins.spec import JoinMethodSpec
 from repro.plans.plan import QueryPlan
 from repro.query.compile import CompiledQuery
 from repro.query.feasibility import enumerate_binding_choices
@@ -85,8 +84,6 @@ def exhaustive_optimum(
     metric: CostMetric | None = None,
     k: int | None = None,
     max_fetch: int | None = 8,
-    join_method_options: Sequence[JoinMethodSpec] = (JoinMethodSpec(),),
-    binding_choice_limit: int | None = 64,
 ) -> ExhaustiveResult:
     """Enumerate everything; return the cheapest k-satisfying candidate.
 
@@ -103,11 +100,9 @@ def exhaustive_optimum(
     for assignment in _assignments(query):
         result.assignments += 1
         for choice in enumerate_binding_choices(
-            query, assignment, limit=binding_choice_limit
+            query, assignment, limit=BINDING_CHOICE_LIMIT
         ):
-            for plan in enumerate_topologies(
-                query, assignment, choice, method_options=join_method_options
-            ):
+            for plan in enumerate_topologies(query, assignment, choice):
                 result.topologies += 1
                 for fetches in _fetch_grid(plan, max_fetch):
                     result.candidates_priced += 1

@@ -48,7 +48,7 @@ A library error never reaches the shell as a traceback: any
 it with one line ``repro: <ErrorClass>: <message>`` on stderr and exit
 code 2 (the query, schema or plan is wrong, no plan exists, or the
 ``serve-bench`` flags describe no valid ``ServeConfig``), 4 (a
-checkpoint or cassette is corrupt, missing or does not verify) or 1
+checkpoint is corrupt, missing, of another version or does not verify) or 1
 (anything else, e.g. an execution failure).  ``repro --traceback
 <command> ...`` re-raises instead.
 
@@ -74,7 +74,6 @@ from repro.core.topology import enumerate_topologies
 from repro.engine.executor import execute_plan
 from repro.engine.retry import RetryPolicy
 from repro.errors import (
-    CassetteError,
     CheckpointError,
     ExecutionError,
     OptimizationError,
@@ -101,7 +100,7 @@ from repro.services.marts import (
     conference_trip_registry,
     movie_night_registry,
 )
-from repro.services.scenarios import SCENARIOS
+from repro.services.scenarios import SCENARIOS, scenario_names
 from repro.services.simulated import FaultModel, ServicePool, SimulatedWorld
 
 __all__ = ["main", "build_parser"]
@@ -116,10 +115,6 @@ _SCHEMAS.update(
     (pack.schema, (pack.registry_factory, pack.query_text, pack.default_inputs))
     for pack in SCENARIOS.values()
 )
-
-# Mirrors repro.serve.workload.scenario_names() without importing the
-# serving stack at parse time.
-_SCENARIO_CHOICES = ("default", "all", *sorted(SCENARIOS))
 
 
 def _parse_value(text: str) -> Any:
@@ -425,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--scenario",
-        choices=_SCENARIO_CHOICES,
+        choices=scenario_names(),
         default="default",
         help="workload scenario: the chapter's two example schemas "
         "(default), one named pack, or 'all' five schemas mixed into "
@@ -940,6 +935,10 @@ _SERVE_FLAG_RULES = (
     ),
     (lambda args, rates: not rates, "--rates needs at least one rate"),
     (
+        lambda args, rates: not all(rate > 0 for rate in rates),  # NaN too
+        "--rates needs positive numbers, got {rates!r}",
+    ),
+    (
         lambda args, rates: _obs_requested(args) and len(rates) != 1,
         "--trace/--metrics/--prom take exactly one --rates value "
         "(one run, one trace)",
@@ -1298,7 +1297,7 @@ def _cmd_checkpoint(args) -> int:
         inputs=dict(inputs),
     )
     if args.steps is not None:
-        stepper = session.run_steps(args.k)
+        stepper = session.steps("run", args.k)
         taken = 0
         try:
             for _ in range(args.steps):
@@ -1415,7 +1414,7 @@ def _cmd_topologies(args) -> int:
 #: Exit code per error family (first match); any other library error is 1.
 _EXIT_CODES = (
     ((QueryError, SchemaError, PlanError, OptimizationError), 2),
-    ((CheckpointError, CassetteError), 4),
+    (CheckpointError, 4),
 )
 
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 from repro.core.annotate import annotate, annotate_delta
 from repro.core.bnb import BnBStats, BranchAndBound
@@ -103,6 +103,11 @@ __all__ = [
 #: least-recently-used annotations are evicted (they can be recomputed).
 _ANN_CACHE_CAP = 8192
 
+#: Safety bounds of the search: binding choices branched per interface
+#: assignment, and fetch-factor increments along one phase-3 path.
+BINDING_CHOICE_LIMIT = 64
+MAX_PHASE3_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class PlanCandidate:
@@ -131,7 +136,6 @@ class OptimizerConfig:
     phase1: Phase1Heuristic = field(default_factory=BoundIsBetter)
     phase2: Phase2Heuristic = field(default_factory=ParallelIsBetter)
     phase3: Phase3Heuristic = field(default_factory=GreedyFetch)
-    join_method_options: Sequence[JoinMethodSpec] = (JoinMethodSpec(),)
     #: When True, merges additionally try the join methods suggested by
     #: the branches' scoring shapes (nested-loop for step services —
     #: Section 4.3's strategy-selection rule).
@@ -140,8 +144,6 @@ class OptimizerConfig:
     prune: bool = True  # disable for the E12 pruning ablation
     budget: int | None = None  # max expansions (anytime behaviour)
     warm_start: bool = True  # greedy heuristic dive seeds the incumbent
-    binding_choice_limit: int | None = 64
-    max_phase3_depth: int = 256
 
     def __post_init__(self) -> None:
         if self.k is not None and self.k < 1:
@@ -150,15 +152,6 @@ class OptimizerConfig:
             # 0 is legal: the warm start's plan, no search.
             raise OptimizationError(
                 f"budget must be None or >= 0 expansions, got {self.budget}"
-            )
-        if self.binding_choice_limit is not None and self.binding_choice_limit < 1:
-            raise OptimizationError(
-                "binding_choice_limit must be None or >= 1, got "
-                f"{self.binding_choice_limit}"
-            )
-        if self.max_phase3_depth < 0:
-            raise OptimizationError(
-                f"max_phase3_depth must be >= 0, got {self.max_phase3_depth}"
             )
 
 
@@ -326,7 +319,7 @@ class Optimizer:
         children = []
         for index, choice in enumerate(
             enumerate_binding_choices(
-                self.query, assignment, limit=self.config.binding_choice_limit
+                self.query, assignment, limit=BINDING_CHOICE_LIMIT
             )
         ):
             builder = TopologyBuilder.initial(
@@ -382,7 +375,7 @@ class Optimizer:
         )
         for move in moves:
             if move.kind == "merge":
-                methods = list(self.config.join_method_options)
+                methods = [JoinMethodSpec()]
                 if self.config.auto_join_methods:
                     methods.extend(self._suggested_methods(state.builder, move))
                     # Deduplicate while keeping order.
@@ -583,7 +576,7 @@ class Optimizer:
     def _expand_fetch(self, state: _FetchState) -> list:
         if self._estimated_results(state) >= self.k:
             return []  # leaf: handled by _is_leaf
-        if state.depth >= self.config.max_phase3_depth:
+        if state.depth >= MAX_PHASE3_DEPTH:
             return []
         return [
             self._fetch_state(
@@ -615,7 +608,7 @@ class Optimizer:
             return False
         if self._estimated_results(state) >= self.k:
             return True
-        if state.depth >= self.config.max_phase3_depth:
+        if state.depth >= MAX_PHASE3_DEPTH:
             return True
         # Saturated: no proposal can move any factor.
         return not self._proposals(state)

@@ -1,4 +1,4 @@
-"""Durability subsystem: checkpoints, crash recovery, record/replay.
+"""Durability subsystem: checkpoints and crash recovery.
 
 Liquid-query sessions are long-lived — a user asks for *more*, reranks,
 resubmits, over minutes or days — so the serving runtime must survive a
@@ -13,9 +13,8 @@ crash without losing them.  This package provides:
   :class:`~repro.serve.sharding.ShardedServeScheduler`, plus the resume
   path that reloads sessions and serves the remaining workload.
 
-The record/replay service adapter lives with the other service layers
-as :mod:`repro.services.recorded`; the SIGKILL crash harness that proves
-resume digest-identical is a test harness, ``tests/support/crash.py``.
+The SIGKILL crash harness that proves resume digest-identical is a test
+harness, ``tests/support/crash.py``.
 """
 
 from repro.durability.checkpoint import (
@@ -23,8 +22,6 @@ from repro.durability.checkpoint import (
     CheckpointStore,
     REGISTRY_FACTORIES,
     checkpoint_session,
-    register_migration,
-    register_registry_factory,
     restore_session,
 )
 from repro.durability.serve import (
@@ -39,8 +36,6 @@ __all__ = [
     "REGISTRY_FACTORIES",
     "ServeCheckpointer",
     "checkpoint_session",
-    "register_migration",
-    "register_registry_factory",
     "restore_session",
     "resume_state_from",
     "serve_workload_durable",

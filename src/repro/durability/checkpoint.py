@@ -37,8 +37,8 @@ serving different data.
 **Store.**  :class:`CheckpointStore` is an atomic file backend: write
 to a temp file, fsync, ``os.replace`` — a crash mid-write leaves the
 previous checkpoint intact, never a torn one.  Payloads carry a schema
-``version`` and a content hash; :func:`register_migration` installs
-hooks that upgrade older payloads on load.
+``version`` and a content hash; a payload of any other version than
+:data:`CHECKPOINT_VERSION` is refused on load.
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ __all__ = [
     "checkpoint_session",
     "decode_value",
     "encode_value",
-    "register_migration",
-    "register_registry_factory",
     "restore_session",
 ]
 
@@ -95,48 +93,16 @@ REGISTRY_FACTORIES: dict[str, Callable[[], Any]] = {
     **{pack.schema: pack.registry_factory for pack in SCENARIOS.values()},
 }
 
-#: Payload migrations: version N -> callable upgrading an N payload to N+1.
-_MIGRATIONS: dict[int, Callable[[dict], dict]] = {}
 
-
-def register_registry_factory(schema: str, factory: Callable[[], Any]) -> None:
-    """Make a registry resolvable by schema name at restore time."""
-    REGISTRY_FACTORIES[schema] = factory
-
-
-def register_migration(from_version: int, migrate: Callable[[dict], dict]) -> None:
-    """Install a payload migration hook (``from_version`` → next).
-
-    On load, a payload older than :data:`CHECKPOINT_VERSION` is passed
-    through the chain of migrations until current; a gap in the chain
-    raises :class:`~repro.errors.CheckpointError`.
-    """
-    _MIGRATIONS[from_version] = migrate
-
-
-def _migrate(payload: dict) -> dict:
+def _check_version(payload: Mapping[str, Any]) -> None:
+    """Refuse, naming both versions, a payload whose ``version`` this
+    build does not read (older or newer alike)."""
     version = payload.get("version")
-    if not isinstance(version, int):
-        raise CheckpointError("checkpoint payload has no integer 'version'")
-    while version < CHECKPOINT_VERSION:
-        migrate = _MIGRATIONS.get(version)
-        if migrate is None:
-            raise CheckpointError(
-                f"no migration registered from checkpoint version {version}"
-            )
-        payload = migrate(payload)
-        new_version = payload.get("version")
-        if not isinstance(new_version, int) or new_version <= version:
-            raise CheckpointError(
-                f"migration from version {version} did not advance the payload"
-            )
-        version = new_version
-    if version > CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint version {version} is newer than this build "
-            f"({CHECKPOINT_VERSION})"
+            f"checkpoint version {version!r} is not {CHECKPOINT_VERSION}, "
+            "the version this build reads"
         )
-    return payload
 
 
 # -- value codec ---------------------------------------------------------------
@@ -204,8 +170,8 @@ class CheckpointStore:
     One file per key under ``root``.  Writes go to a temp file in the
     same directory and are published with ``os.replace`` after fsync, so
     a reader (or a crash) never observes a torn checkpoint — at worst
-    the previous one.  ``load`` verifies the content hash and applies
-    registered migrations.
+    the previous one.  ``load`` verifies the content hash and the
+    payload's version.
     """
 
     root: Path
@@ -254,7 +220,8 @@ class CheckpointStore:
             raise CheckpointIntegrityError(
                 f"checkpoint {key!r} failed its content-hash check"
             )
-        return _migrate(payload)
+        _check_version(payload)
+        return payload
 
     def keys(self, prefix: str = "") -> list[str]:
         found = []
@@ -507,7 +474,7 @@ def restore_session(
     ``registry``).  With ``verify`` (default) the replayed state is
     checked against the recorded witnesses.
     """
-    payload = _migrate(dict(payload))
+    _check_version(payload)
     if payload.get("kind") != "liquid-session":
         raise CheckpointError(
             f"payload kind {payload.get('kind')!r} is not a session checkpoint"
@@ -517,8 +484,7 @@ def restore_session(
         factory = REGISTRY_FACTORIES.get(schema)
         if factory is None:
             raise CheckpointError(
-                f"no registry factory for schema {schema!r}; pass registry= "
-                "or register one via register_registry_factory"
+                f"no registry factory for schema {schema!r}; pass registry="
             )
         registry = factory()
     if compiled is None:

@@ -96,10 +96,8 @@ class AsyncExecutionContext:
         still yields to the loop, preserving cooperative interleaving —
         the right setting for equivalence tests that only check results.
     default_connections:
-        Connection-pool size for interfaces absent from
-        ``connection_limits``.
-    connection_limits:
-        Interface name -> max in-flight round trips to that service.
+        Connection-pool size of every interface: max in-flight round
+        trips to that service.
     invocation_cache:
         Optional cross-executor invocation memo (the serving hook); an
         executor built with this context and no cache of its own adopts
@@ -108,7 +106,6 @@ class AsyncExecutionContext:
 
     time_scale: float = 0.001
     default_connections: int = 8
-    connection_limits: Mapping[str, int] = field(default_factory=dict)
     invocation_cache: InvocationCache | None = None
     _semaphores: dict[str, asyncio.Semaphore] = field(
         default_factory=dict, repr=False
@@ -128,11 +125,6 @@ class AsyncExecutionContext:
             raise ExecutionError("time_scale cannot be negative")
         if self.default_connections < 1:
             raise ExecutionError("default_connections must be at least 1")
-        for name, limit in self.connection_limits.items():
-            if limit < 1:
-                raise ExecutionError(
-                    f"connection limit for {name!r} must be at least 1"
-                )
 
     def attach_loop(self) -> None:
         """Bind to the running loop; a new loop drops stale pool state.
@@ -153,10 +145,9 @@ class AsyncExecutionContext:
         """The connection-pool semaphore for ``interface`` (lazily built)."""
         semaphore = self._semaphores.get(interface)
         if semaphore is None:
-            limit = self.connection_limits.get(
-                interface, self.default_connections
+            semaphore = self._semaphores[interface] = asyncio.Semaphore(
+                self.default_connections
             )
-            semaphore = self._semaphores[interface] = asyncio.Semaphore(limit)
         return semaphore
 
     async def sleep(self, virtual_seconds: float) -> None:
@@ -475,7 +466,6 @@ def run_plan_async(
     context: AsyncExecutionContext | None = None,
     time_scale: float = 0.001,
     max_connections: int = 8,
-    connection_limits: Mapping[str, int] | None = None,
     **options: Any,
 ) -> ExecutionResult:
     """Convenience wrapper: run one plan on the asyncio backend.
@@ -491,7 +481,6 @@ def run_plan_async(
         context = AsyncExecutionContext(
             time_scale=time_scale,
             default_connections=max_connections,
-            connection_limits=dict(connection_limits or {}),
         )
     return AsyncPlanExecutor(
         plan, query, pool, inputs, *args, context=context, **options

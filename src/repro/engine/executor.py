@@ -717,7 +717,7 @@ class PlanExecutor:
         """
         if self._private_cache:
             reason = "private_cache"
-        elif self.pool.can_fault:
+        elif self.pool.fault_model.active:
             reason = "faults"
         elif self.retry.call_timeout is not None:
             reason = "call_timeout"

@@ -32,8 +32,9 @@ yields a :class:`~repro.engine.executor.StepEvent` before each service
 round trip (what a serving scheduler interleaves with other in-flight
 queries), :meth:`~LiquidQuerySession.perform_async` awaits it on a running
 event loop — so the behaviour is byte-identical however a session is
-driven.  The verbs (``run`` / ``run_steps`` / ``run_async``, ...) are
-names for ``(driver, kind)`` pairs.
+driven.  The verbs :meth:`~LiquidQuerySession.run`, ``more``, ``rerank``
+and ``resubmit`` name the synchronous driver's kinds; the other drivers
+take the kind as their first argument.
 
 ``executor_options`` forwards extra keyword arguments to every
 :class:`~repro.engine.executor.PlanExecutor` the session builds — the
@@ -115,8 +116,8 @@ class LiquidQuerySession:
         — deterministic, step-resumable, the oracle.  ``"asyncio"`` runs
         the same plan with genuinely concurrent service calls; results
         are digest-identical (see :mod:`repro.engine.async_runner`), but
-        the step-generator twins are unavailable — concurrency replaces
-        cooperative stepping.
+        :meth:`steps` is unavailable — concurrency replaces cooperative
+        stepping.
     async_context:
         Wall-clock knobs (and shared connection pools / single-flight
         state) for the asyncio backend; a private default-configured
@@ -409,19 +410,11 @@ class LiquidQuerySession:
         limit = self._limit(k)
         return self._present(max(limit, before + 1) if self._raw else limit)
 
-    # -- verbs: names for (driver, kind) -----------------------------------------
+    # -- verbs: the synchronous driver's kinds ----------------------------------
 
     def run(self, k: int | None = None) -> list[CompositeTuple]:
         """Execute (or re-present) the current query; returns the top-k."""
         return self.perform("run", k)
-
-    def run_steps(self, k: int | None = None):
-        """:meth:`run` as a step generator (virtual backend only)."""
-        return self.steps("run", k)
-
-    async def run_async(self, k: int | None = None) -> list[CompositeTuple]:
-        """:meth:`run`, awaitable on a running event loop."""
-        return await self.perform_async("run", k)
 
     def more(self, k: int | None = None) -> list[CompositeTuple]:
         """Ask for more results: grow every fetch factor and re-execute.
@@ -430,14 +423,6 @@ class LiquidQuerySession:
         request, thereby producing more tuples."
         """
         return self.perform("more", k)
-
-    def more_steps(self, k: int | None = None):
-        """:meth:`more` as a step generator (virtual backend only)."""
-        return self.steps("more", k)
-
-    async def more_async(self, k: int | None = None) -> list[CompositeTuple]:
-        """:meth:`more`, awaitable on a running event loop."""
-        return await self.perform_async("more", k)
 
     def rerank(
         self, weights: Mapping[str, float], k: int | None = None
@@ -457,16 +442,6 @@ class LiquidQuerySession:
     ) -> list[CompositeTuple]:
         """Change the INPUT keywords and re-execute the same plan."""
         return self.perform("resubmit", k, inputs=dict(inputs))
-
-    def resubmit_steps(self, inputs: Mapping[str, Any], k: int | None = None):
-        """:meth:`resubmit` as a step generator (virtual backend only)."""
-        return self.steps("resubmit", k, inputs=dict(inputs))
-
-    async def resubmit_async(
-        self, inputs: Mapping[str, Any], k: int | None = None
-    ) -> list[CompositeTuple]:
-        """:meth:`resubmit`, awaitable on a running event loop."""
-        return await self.perform_async("resubmit", k, inputs=dict(inputs))
 
     def _reset_inputs(self, inputs: Mapping[str, Any]) -> None:
         self.inputs = dict(inputs)

@@ -162,12 +162,3 @@ class CheckpointIntegrityError(CheckpointError):
     journal replay diverges from the witnesses recorded at checkpoint
     time (plan signature, result digest, clock offset, call log).
     """
-
-
-class CassetteError(SearchComputingError):
-    """A record/replay cassette is missing, exhausted, or malformed.
-
-    Raised when replay is asked for an invocation the cassette never
-    recorded, for more chunks than the recording fetched, or when the
-    cassette file fails its integrity check.
-    """

@@ -10,11 +10,12 @@ scheduler owns the interleaving:
 * **Admission control** — at most ``max_concurrency`` requests execute
   at once; excess arrivals wait in a bounded FIFO queue; a full queue
   rejects the arrival (backpressure to the client).  A process-global
-  :class:`AdmissionController` can additionally cap the *total* across
+  :class:`AdmissionController` counts the *total* executing across
   every scheduler shard of a sharded runtime.
-* **Per-service rate limits** — each interface has a token bucket on
-  virtual time.  A paused query about to call interface ``S`` (the
-  yielded :class:`~repro.engine.executor.StepEvent` names it) resumes
+* **Per-service rate limits** — with ``default_service_rate`` set, each
+  interface has a token bucket on virtual time.  A paused query about to
+  call interface ``S`` (the yielded
+  :class:`~repro.engine.executor.StepEvent` names it) resumes
   only once a token is available, so a hot service throttles *all* its
   callers without stalling queries bound elsewhere.
 * **Follow-up parking** — a ``more``/``rerank``/``resubmit`` arriving
@@ -89,6 +90,10 @@ __all__ = [
 
 CACHE_MODES = ("shared", "private", "isolated")
 
+#: Token-bucket depth: how many calls a rate-limited service absorbs
+#: back-to-back.
+SERVICE_BURST = 4.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -104,13 +109,9 @@ class ServeConfig:
     # -- scheduling: **per-shard** admission, concurrency, backpressure ----
     max_concurrency: int = 4
     queue_limit: int = 64
-    #: Interface name -> max calls per virtual second (token bucket).
-    service_rates: Mapping[str, float] = field(default_factory=dict)
-    #: Rate applied to interfaces absent from ``service_rates``
-    #: (``None`` leaves them unlimited).
+    #: Max calls per virtual second to each interface (a token bucket of
+    #: depth :data:`SERVICE_BURST`); ``None`` leaves them unlimited.
     default_service_rate: float | None = None
-    #: Bucket depth: how many calls a service absorbs back-to-back.
-    service_burst: float = 4.0
     # -- what is served ----------------------------------------------------
     #: The workload's templates (``None``: the chapter's two schemas).
     templates: Sequence[QueryTemplate] | None = None
@@ -122,8 +123,6 @@ class ServeConfig:
     num_shards: int = 1
     #: Work stealing between shards.
     steal: bool = True
-    #: Process-global cap on executing requests across all shards.
-    global_concurrency: int | None = None
     #: One worker process per shard instead of the in-process merged loop.
     parallel: bool = False
     # -- caches ------------------------------------------------------------
@@ -162,17 +161,14 @@ class ServeConfig:
             raise ExecutionError("max_concurrency must be positive")
         if self.queue_limit < 0:
             raise ExecutionError("queue_limit cannot be negative")
-        if self.service_burst < 1.0:
-            raise ExecutionError("service_burst must be at least 1")
-        for name, rate in self.service_rates.items():
-            if rate <= 0:
-                raise ExecutionError(f"service rate for {name!r} must be positive")
         if self.default_service_rate is not None and self.default_service_rate <= 0:
             raise ExecutionError("default_service_rate must be positive")
         if self.num_shards <= 0:
             raise ExecutionError("num_shards must be positive")
         if self.checkpoint_every < 0:
             raise ExecutionError("checkpoint_every cannot be negative")
+        if self.resume and self.checkpoint_dir is None:
+            raise ExecutionError("resume needs a checkpoint_dir to resume from")
         for name in ("cache_size", "plan_cache_size"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ExecutionError(f"{name} must be positive (None: unbounded)")
@@ -224,28 +220,20 @@ class SessionTable:
 
 
 class AdmissionController:
-    """Process-global cap on concurrently executing requests.
+    """Process-global count of concurrently executing requests.
 
-    ``limit=None`` (the default for a standalone scheduler) admits
-    everything the per-shard bounds allow; a sharded runtime passes one
-    controller to all shards so total concurrency — not just per-shard
-    concurrency — stays bounded.
+    A sharded runtime passes one controller to all shards, so ``peak``
+    is the total concurrency across shards (``ServeReport.admission_peak``).
     """
 
-    def __init__(self, limit: int | None = None) -> None:
-        if limit is not None and limit <= 0:
-            raise ExecutionError("global admission limit must be positive")
-        self.limit = limit
+    def __init__(self) -> None:
         self.active = 0
         self.peak = 0
 
-    def try_acquire(self) -> bool:
-        if self.limit is not None and self.active >= self.limit:
-            return False
+    def acquire(self) -> None:
         self.active += 1
         if self.active > self.peak:
             self.peak = self.active
-        return True
 
     def release(self) -> None:
         self.active -= 1
@@ -759,13 +747,11 @@ class ServeScheduler:
     def _bucket(self, interface: str) -> _TokenBucket | None:
         bucket = self._buckets.get(interface)
         if bucket is None:
-            rate = self.config.service_rates.get(
-                interface, self.config.default_service_rate
-            )
+            rate = self.config.default_service_rate
             if rate is None:
                 return None
             bucket = self._buckets[interface] = _TokenBucket(
-                rate=rate, burst=self.config.service_burst
+                rate=rate, burst=SERVICE_BURST
             )
         return bucket
 
@@ -816,7 +802,7 @@ class ServeScheduler:
                 ).append(request)
                 return
             self.table.busy_sessions.add(request.target)
-        if self._active < self.config.max_concurrency and self.admission.try_acquire():
+        if self._active < self.config.max_concurrency:
             self._start(request, now)
         elif len(self._queue) < self.config.queue_limit:
             self._queue.append(request)
@@ -844,8 +830,9 @@ class ServeScheduler:
         )
 
     def _start(self, request: Request, now: float) -> None:
-        """Begin executing an admitted request (global slot already held)."""
+        """Begin executing an admitted request."""
         self._active += 1
+        self.admission.acquire()
         self._inc_shard("started")
         if self.tracer.enabled:
             if self._lane_free:
@@ -996,11 +983,7 @@ class ServeScheduler:
         if request.target is not None:
             self._release_session(request.target, now)
         # Grant freed slots to the admission queue (FIFO).
-        while (
-            self._queue
-            and self._active < self.config.max_concurrency
-            and self.admission.try_acquire()
-        ):
+        while self._queue and self._active < self.config.max_concurrency:
             self._start(self._queue.popleft(), now)
         if self.sample_metrics:
             self._sample_load(now)

@@ -11,10 +11,8 @@ buckets — while four pieces stay process-global:
   per-session serialization, outcomes): a follow-up parks until its
   target finishes even across shards, and arrival-order waiter grants
   are a property of the runtime, not of any one shard;
-* the :class:`~repro.serve.scheduler.AdmissionController`, optionally
-  capping *total* in-flight requests across all shards — a slot freed
-  on one shard is re-granted across **every** shard's queue by the
-  merged loop's grant pass, so liveness never depends on stealing;
+* the :class:`~repro.serve.scheduler.AdmissionController`, counting
+  *total* in-flight requests across all shards;
 * the shared :class:`~repro.serve.plancache.PlanCache`;
 * the cross-shard :class:`ShardedInvocationCache` — one LRU-bounded
   memo, global hit/miss counters as the single source of truth plus
@@ -199,8 +197,8 @@ class ShardedServeScheduler:
     """N per-session-partitioned scheduler shards on one merged timeline.
 
     The in-process virtual runtime at every shard count — ``N = 1`` is
-    the plain scheduler, event for event.  Shard count, stealing and the
-    global admission cap come from ``config``.
+    the plain scheduler, event for event.  Shard count and stealing come
+    from ``config``.
     """
 
     def __init__(
@@ -226,7 +224,7 @@ class ShardedServeScheduler:
         # A durability resume passes a pre-seeded table (pre-crash
         # outcomes + known runs); fresh runs build their own.
         self.table = table if table is not None else SessionTable()
-        self.admission = AdmissionController(self.config.global_concurrency)
+        self.admission = AdmissionController()
         #: The merged timeline: (time, shard_index, seq, action, payload).
         #: One counter for all shards orders same-instant events of a shard
         #: by push order, whichever shard pushed them.
@@ -278,51 +276,19 @@ class ShardedServeScheduler:
             shard.clock.advance_to(at)
             self._set_cache_shard(shard_index)
             shard.dispatch(action, payload, at)
-            if self.admission.limit is not None:
-                self._grant_pass(at)
             if self.steal:
                 self._steal_pass(at)
         for shard in self.shards:
             if shard._queue:
                 raise ExecutionError(
                     f"shard {shard.shard_index} drained with "
-                    f"{len(shard._queue)} requests still queued — "
-                    "admission grant pass failed to wake them"
+                    f"{len(shard._queue)} requests still queued"
                 )
         return max(shard.clock.now for shard in self.shards)
 
     def _reject(self, request: Request, at: float) -> None:
         """Reject on the request's home shard."""
         self.shards[self.ring.shard_of(request)]._reject(request, at)
-
-    # -- admission granting --------------------------------------------------
-
-    def _grant_pass(self, now: float) -> None:
-        """Grant freed global slots to *any* shard's queue, FIFO per shard.
-
-        A shard's ``_on_finish`` drains only its own queue, which is
-        complete for per-shard bounds: a request queues on shard ``i``
-        because ``i`` was at ``max_concurrency``, and only a finish on
-        ``i`` can free that.  Under a *global* admission cap the freeing
-        finish can happen on another shard, so the merged loop must
-        re-run the grant over every shard after each event — otherwise
-        requests queued at the global cap strand forever (work stealing
-        is an optimisation, not a liveness guarantee: thieves require an
-        empty local queue).  Runs in shard-index order, so grants stay
-        deterministic; with one shard it is a no-op after the shard's
-        own drain, preserving instruction-for-instruction equality.
-        """
-        for shard in self.shards:
-            while (
-                shard._queue
-                and shard._active < self.config.max_concurrency
-                and self.admission.try_acquire()
-            ):
-                # Remaining heap events are all >= now, so jumping the
-                # shard's clock forward cannot reorder anything.
-                shard.clock.advance_to(now)
-                self._set_cache_shard(shard.shard_index)
-                shard._start(shard._queue.popleft(), now)
 
     # -- work stealing -------------------------------------------------------
 
@@ -350,16 +316,14 @@ class ShardedServeScheduler:
                 )
                 if victim is None:
                     continue
-                if self._steal_one(thief, victim, now):
-                    stolen_any = True
+                self._steal_one(thief, victim, now)
+                stolen_any = True
             if not stolen_any:
                 return
 
     def _steal_one(
         self, thief: ServeScheduler, victim: ServeScheduler, now: float
-    ) -> bool:
-        if not self.admission.try_acquire():
-            return False
+    ) -> None:
         request = victim._queue.popleft()  # FIFO head: the oldest wait
         thief._queued_at[request.request_id] = victim._queued_at.pop(
             request.request_id, now
@@ -368,8 +332,6 @@ class ShardedServeScheduler:
         # clock forward cannot reorder anything already scheduled.
         thief.clock.advance_to(now)
         self._set_cache_shard(thief.shard_index)
-        # _start expects the caller to hold the global admission slot
-        # (acquired above) and claims the thief-local slot itself.
         thief._start(request, now)
         outcome = self.table.outcomes[request.request_id]
         outcome.stolen = True
@@ -391,7 +353,6 @@ class ShardedServeScheduler:
         self.metrics.counter(
             f"serve.shard.{victim.shard_index}.stolen_from"
         ).inc()
-        return True
 
     # -- reporting -----------------------------------------------------------
 

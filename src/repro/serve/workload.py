@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
@@ -37,7 +37,12 @@ from repro.services.marts import (
     conference_trip_registry,
     movie_night_registry,
 )
-from repro.services.scenarios import SCENARIOS, ScenarioPack, scenario_pack
+from repro.services.scenarios import (
+    SCENARIOS,
+    ScenarioPack,
+    scenario_names,
+    scenario_pack,
+)
 
 __all__ = [
     "QueryTemplate",
@@ -49,6 +54,9 @@ __all__ = [
     "scenario_templates",
     "session_key",
 ]
+
+#: Relative odds of each follow-up kind when a follow-up is drawn.
+FOLLOWUP_MIX = {"more": 0.4, "rerank": 0.35, "resubmit": 0.25}
 
 
 @lru_cache(maxsize=1024)
@@ -155,10 +163,6 @@ class WorkloadConfig:
     skew: float = 1.3  # Zipf exponent over parameter popularity
     seed: int = 2009
     followup_fraction: float = 0.25
-    #: Relative odds of each follow-up kind when a follow-up is drawn.
-    followup_mix: Mapping[str, float] = field(
-        default_factory=lambda: {"more": 0.4, "rerank": 0.35, "resubmit": 0.25}
-    )
     #: Size of the sparse session-id universe run requests draw their
     #: :attr:`Request.session_id` from (the space the sharding ring
     #: hashes — ~1M ids at production scale).
@@ -167,7 +171,7 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_requests <= 0:
             raise ExecutionError("num_requests must be positive")
-        if self.rate <= 0:
+        if not self.rate > 0:  # NaN too
             raise ExecutionError("arrival rate must be positive")
         if not 0.0 <= self.followup_fraction < 1.0:
             raise ExecutionError("followup_fraction must be in [0, 1)")
@@ -304,11 +308,6 @@ def _pack_template(pack: ScenarioPack) -> QueryTemplate:
     )
 
 
-def scenario_names() -> tuple[str, ...]:
-    """Valid ``scenario`` arguments for :func:`scenario_templates`."""
-    return ("default", "all", *sorted(SCENARIOS))
-
-
 def scenario_templates(
     scenario: str = "default", param_scale: int = 1
 ) -> tuple[QueryTemplate, ...]:
@@ -364,8 +363,8 @@ def generate_workload(
                 used_sids.add(sid)
                 return sid
 
-    kinds = sorted(config.followup_mix)
-    kind_weights = [config.followup_mix[kind] for kind in kinds]
+    kinds = sorted(FOLLOWUP_MIX)
+    kind_weights = [FOLLOWUP_MIX[kind] for kind in kinds]
     now = 0.0
     requests: list[Request] = []
     runs: list[Request] = []

@@ -9,12 +9,6 @@ from repro.services.marts import (
     conference_trip_registry,
     movie_night_registry,
 )
-from repro.services.recorded import (
-    Cassette,
-    RecordedPool,
-    RecordedService,
-    ReplayInvocation,
-)
 from repro.services.scenarios import (
     SCENARIOS,
     ScenarioPack,
@@ -54,10 +48,6 @@ __all__ = [
     "SimulatedService",
     "SimulatedWorld",
     "WorldStats",
-    "Cassette",
-    "RecordedPool",
-    "RecordedService",
-    "ReplayInvocation",
     "SCENARIOS",
     "ScenarioPack",
     "scenario_pack",

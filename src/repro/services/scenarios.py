@@ -45,6 +45,7 @@ from repro.model.service import (
 __all__ = [
     "ScenarioPack",
     "SCENARIOS",
+    "scenario_names",
     "scenario_pack",
     "travel_registry",
     "shopping_registry",
@@ -488,6 +489,14 @@ SCENARIOS: dict[str, ScenarioPack] = {
         ),
     )
 }
+
+
+def scenario_names() -> tuple[str, ...]:
+    """Valid ``scenario`` arguments of
+    :func:`repro.serve.workload.scenario_templates`: the chapter's two
+    schemas (``default``), every pack mixed with them (``all``), or one
+    pack alone."""
+    return ("default", "all", *sorted(SCENARIOS))
 
 
 def scenario_pack(name: str) -> ScenarioPack:

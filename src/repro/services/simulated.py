@@ -142,7 +142,8 @@ class FaultModel:
 
     @property
     def active(self) -> bool:
-        """Whether any interface's profile can produce a fault."""
+        """Whether any interface's profile can produce a fault.  While none
+        can, a plan's results are a pure function of its inputs."""
         return self.default.active or any(
             profile.active for profile in self.per_interface.values()
         )
@@ -583,12 +584,6 @@ class ServicePool:
             fault_profile=self.fault_model.profile(interface_name),
             seen=self._seen,
         )
-
-    @property
-    def can_fault(self) -> bool:
-        """Whether a call to this pool can fail or run slow.  While it
-        cannot, a plan's results are a pure function of its inputs."""
-        return self.fault_model.active
 
     def reset(self) -> None:
         """Zero the clock and clear the log; data stays identical (same seed).

@@ -7,8 +7,8 @@ substrate derives results, latencies, and fault draws from
 ``(global seed, interface, bindings)`` alone — never from clock state or
 call order — both backends must produce byte-identical result lists.
 These tests pin that contract on the chapter's two example plans, under
-faults/retries/partial degradation, through the liquid-session twins,
-and across the serving layer.
+faults/retries/partial degradation, through the liquid session's
+drivers, and across the serving layer.
 
 Marked ``async_backend`` and part of tier-1: all but two run at
 ``time_scale=0.0``, so the whole marker takes about a second.  Select it
@@ -597,12 +597,13 @@ def test_liquid_session_backend_equality(movie_query, movie_registry):
 
 
 def test_liquid_session_async_twins_await(movie_query, movie_registry):
+    """The awaitable driver gives what the synchronous verbs give."""
     session = _liquid_session(movie_query, movie_registry, "asyncio")
     reference = _liquid_session(movie_query, movie_registry, "virtual")
 
     async def drive():
-        first = await session.run_async(5)
-        more = await session.more_async(5)
+        first = await session.perform_async("run", 5)
+        more = await session.perform_async("more", 5)
         return first, more
 
     first_a, more_a = asyncio.run(drive())
@@ -615,7 +616,7 @@ def test_step_generators_rejected_on_asyncio_backend(
 ):
     session = _liquid_session(movie_query, movie_registry, "asyncio")
     with pytest.raises(ExecutionError):
-        next(session.run_steps(5))
+        next(session.steps("run", 5))
 
 
 # -- serving layer -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import argparse
+import json
 import os
 
 import pytest
@@ -200,6 +201,7 @@ class TestServeBench:
     INCOMPATIBLE = [
         ["--rates", "fast"],
         ["--rates", " , "],
+        ["--rates", "1.0,nan"],
         ["--rates", "0.5,2.0", "--trace", "-"],
         ["--rates", "0.5,2.0", "--checkpoint-every", "5", "--checkpoint-dir", "d"],
         ["--rates", "1.0", "--resume"],
@@ -342,6 +344,28 @@ class TestTypedFailureAtTheDoor:
         code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
         assert code == 4
         assert line.startswith("repro: CheckpointIntegrityError: ")
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_checkpoint_of_another_version_exits_four(
+        self, capsys, tmp_path, version
+    ):
+        from repro.durability import CheckpointStore
+
+        code, _ = run_cli(
+            capsys, "checkpoint", "--schema", "scholar", "--steps", "2",
+            "--dir", str(tmp_path), "--key", "v",
+        )
+        assert code == 0
+        (path,) = tmp_path.iterdir()
+        payload = json.loads(path.read_text())["payload"]
+        payload["version"] = version
+        CheckpointStore(tmp_path).save("v", payload)
+        code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
+        assert code == 4
+        assert line == (
+            f"repro: CheckpointError: checkpoint version {version} is not 1, "
+            "the version this build reads"
+        )
 
     def test_negative_budget_exits_two(self, capsys):
         code, line = self.failing(capsys, "plan", "--budget", "-1")

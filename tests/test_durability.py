@@ -6,8 +6,8 @@ The claims under test, in increasing scope:
   byte-identical (results, virtual clock, call log) to never having
   stopped — including mid-plan, and including mid-retry under active
   fault injection;
-* the checkpoint store never serves a torn or tampered payload, and
-  versioned payloads pass through registered migrations;
+* the checkpoint store never serves a torn or tampered payload, nor one
+  of another version;
 * a serving run resumed from a mid-run checkpoint produces the same
   per-request digests as an uninterrupted run, on one shard and on
   many;
@@ -25,7 +25,6 @@ from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.durability import (
     CHECKPOINT_VERSION,
     CheckpointStore,
-    register_migration,
     restore_session,
     serve_workload_durable,
 )
@@ -103,7 +102,7 @@ def test_midplan_checkpoint_matches_uninterrupted(tmp_path):
     expected = baseline.run()
 
     session, _ = _session()
-    stepper = session.run_steps()
+    stepper = session.steps("run")
     for _ in range(5):
         next(stepper)
     payload = session.checkpoint(schema="movie", query_text=RUNNING_EXAMPLE_QUERY)
@@ -196,7 +195,7 @@ def test_checkpoint_mid_retry_continues_retry_state(tmp_path):
     )
 
     session, pool = _session(failure_rate=0.25, retry=retry)
-    stepper = session.run_steps()
+    stepper = session.steps("run")
     # Step until the log shows a retried call: the checkpoint boundary
     # lands inside an active retry sequence.
     steps = 0
@@ -271,24 +270,20 @@ def test_store_writes_one_canonical_rendering_and_reads_the_indented_form(tmp_pa
             store.load("ok")
 
 
-def test_migration_hook_upgrades_old_payloads(tmp_path):
+@pytest.mark.parametrize("version", [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1])
+def test_checkpoint_of_another_version_is_refused(tmp_path, version):
+    """One rule for version skew, older or newer: the error names both."""
     session, _ = _session()
     session.run()
     payload = session.checkpoint(schema="movie", query_text=RUNNING_EXAMPLE_QUERY)
-    payload["version"] = 0  # pretend an older writer produced it
-
-    def upgrade(old):
-        new = dict(old)
-        new["version"] = 1
-        return new
-
-    register_migration(0, upgrade)
+    payload["version"] = version  # as another build would have written it
+    expected = f"checkpoint version {version} is not {CHECKPOINT_VERSION}"
+    with pytest.raises(CheckpointError, match=expected):
+        restore_session(payload)
     store = CheckpointStore(tmp_path)
-    store.save("old", payload)
-    loaded = store.load("old")
-    assert loaded["version"] == CHECKPOINT_VERSION
-    restored = restore_session(loaded)
-    assert restored.pending_stepper is None
+    store.save("other", payload)
+    with pytest.raises(CheckpointError, match=expected):
+        store.load("other")
 
 
 def test_serve_durable_matches_plain_serving(tmp_path):

@@ -29,7 +29,6 @@ from repro.model.service import (
     ServiceStats,
 )
 from repro.query.ast import AttrRef, Comparator, SelectionPredicate
-from repro.services.recorded import Cassette, RecordedPool
 from repro.services.simulated import FaultModel, FaultProfile, ServicePool
 
 MART = ServiceMart(
@@ -256,33 +255,3 @@ def test_caller_may_reuse_its_bindings_dict():
     assert invocation.results == _pool(3, FaultProfile()).invoke(
         "Chunked", {"Key": 4}
     ).results
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    name=INTERFACES,
-    key=st.integers(0, 9),
-    seed=st.integers(0, 20),
-    constraints=CONSTRAINTS,
-    faults=FAULTS,
-)
-def test_cassette_record_then_replay_is_unchanged(name, key, seed, constraints, faults):
-    options = dict(alias="X", constraints=constraints, call_timeout=3.0)
-    cassette = Cassette()
-    model = FaultModel(default=faults)
-    recording = RecordedPool(
-        REGISTRY, cassette, mode="record", global_seed=seed, fault_model=model
-    )
-
-    def served(pool):
-        return _drain(pool.invoke(name, {"Key": key}, **options), past_the_end=False)
-
-    recorded = served(recording)
-    live = _pool(seed, faults)
-    assert recorded == served(live)
-    assert recording.log.records == live.log.records
-
-    replaying = RecordedPool(REGISTRY, cassette, mode="replay", global_seed=seed)
-    assert served(replaying) == recorded
-    assert replaying.log.records == live.log.records
-    assert replaying.clock.now == live.clock.now

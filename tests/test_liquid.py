@@ -422,25 +422,28 @@ class TestPresentation:
 
 
 class TestNegativeK:
-    """``k < 0`` is an error on every verb — as a slice bound it used to
-    drop rows from the wrong end (``run(k=-1)``: all but the last)."""
+    """``k < 0`` is an error on every interaction and driver — as a slice
+    bound it used to drop rows from the wrong end (``run(k=-1)``: all but
+    the last).  ``VERBS`` keys read ``kind`` (the synchronous verb) or
+    ``kind_driver`` (the same interaction through ``steps`` /
+    ``perform_async``)."""
 
     CHANGED = dict(RUNNING_EXAMPLE_INPUTS, INPUT1="genre#5")
     WEIGHTS = {"M": 1.0, "T": 0.0, "R": 0.0}
 
     VERBS = {
         "run": lambda s, k: s.run(k),
-        "run_steps": lambda s, k: _drain(s.run_steps(k)),
-        "run_async": lambda s, k: asyncio.run(s.run_async(k)),
+        "run_steps": lambda s, k: _drain(s.steps("run", k)),
+        "run_async": lambda s, k: asyncio.run(s.perform_async("run", k)),
         "more": lambda s, k: s.more(k),
-        "more_steps": lambda s, k: _drain(s.more_steps(k)),
-        "more_async": lambda s, k: asyncio.run(s.more_async(k)),
+        "more_steps": lambda s, k: _drain(s.steps("more", k)),
+        "more_async": lambda s, k: asyncio.run(s.perform_async("more", k)),
         "resubmit": lambda s, k: s.resubmit(TestNegativeK.CHANGED, k),
         "resubmit_steps": lambda s, k: _drain(
-            s.resubmit_steps(TestNegativeK.CHANGED, k)
+            s.steps("resubmit", k, inputs=TestNegativeK.CHANGED)
         ),
         "resubmit_async": lambda s, k: asyncio.run(
-            s.resubmit_async(TestNegativeK.CHANGED, k)
+            s.perform_async("resubmit", k, inputs=TestNegativeK.CHANGED)
         ),
         "rerank": lambda s, k: s.rerank(TestNegativeK.WEIGHTS, k),
     }

@@ -104,8 +104,6 @@ class TestConfigValidation:
             ("k", 0),
             ("k", -3),
             ("budget", -1),
-            ("binding_choice_limit", 0),
-            ("max_phase3_depth", -1),
         ],
     )
     def test_rejects(self, field, value):
@@ -119,9 +117,6 @@ class TestConfigValidation:
             ("k", 1),
             ("budget", None),
             ("budget", 0),
-            ("binding_choice_limit", None),
-            ("binding_choice_limit", 1),
-            ("max_phase3_depth", 0),
         ],
     )
     def test_accepts(self, field, value):

@@ -97,7 +97,7 @@ def test_serve_config_pickles_with_builtin_templates_and_packs(tmp_path):
         config = ServeConfig(
             templates=templates,
             optimizer_config=OptimizerConfig(budget=64),
-            service_rates={"Movie1": 2.0},
+            default_service_rate=2.0,
             num_shards=4,
             cache_mode="private",
             checkpoint_dir=tmp_path,

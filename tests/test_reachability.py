@@ -6,7 +6,10 @@ fresh interpreter and lists the modules none of whose functions was
 entered.  That set must *equal* :data:`UNREACHED`: a new module no command
 enters fails, and so does an allowlisted module that a command now enters
 (its entry must go).  Package ``__init__`` modules whose only functions
-are PEP 562 hooks (a lazy ``__getattr__``) are exempt.
+are PEP 562 hooks (a lazy ``__getattr__``) are exempt.  The total of
+unreached function lines may not exceed :data:`UNREACHED_LINES_MAX`, so a
+function no command enters fails inside a reached module too; lower the
+ceiling when a change deletes such code.
 
 The audit is ``slow`` (run with ``-m slow``); tier-1 checks only the
 allowlist's shape.  It writes ``artifacts/reachability.json``: per module,
@@ -55,10 +58,11 @@ UNREACHED = {
         "Sec. 2.3 query augmentation; ROADMAP item 8 serves it through "
         "`repro run` on an unfeasible query"
     ),
-    "repro.services.recorded": (
-        "cassette record/replay: ROADMAP item 2's cassette-replay axis"
-    ),
 }
+
+#: Ceiling on the audit's total of unreached function lines (its measured
+#: total, the same on Python 3.10, 3.11 and 3.12).
+UNREACHED_LINES_MAX = 3167
 
 
 def test_the_allowlist_names_real_modules_with_one_line_reasons():
@@ -68,6 +72,7 @@ def test_the_allowlist_names_real_modules_with_one_line_reasons():
         path = SRC.joinpath(*module.split(".")).with_suffix(".py")
         assert path.is_file(), f"{module}: no {path.relative_to(ROOT)}"
         assert reason.strip() and "\n" not in reason, module
+    assert type(UNREACHED_LINES_MAX) is int
 
 
 @pytest.mark.slow
@@ -79,7 +84,8 @@ def test_every_module_no_command_enters_is_allowlisted():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=900,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    unreached = set(json.loads(REPORT.read_text())["unreached_modules"])
+    report = json.loads(REPORT.read_text())
+    unreached = set(report["unreached_modules"])
     assert not unreached - set(UNREACHED), (
         "no command enters these modules: serve, delete or allowlist them "
         f"with a reason: {sorted(unreached - set(UNREACHED))}"
@@ -87,4 +93,10 @@ def test_every_module_no_command_enters_is_allowlisted():
     assert not set(UNREACHED) - unreached, (
         "a command now enters these allowlisted modules: drop their "
         f"entries: {sorted(set(UNREACHED) - unreached)}"
+    )
+    lines = report["total"]["unreached"]
+    assert lines <= UNREACHED_LINES_MAX, (
+        f"{lines} function lines no command enters, over the ceiling of "
+        f"{UNREACHED_LINES_MAX}: serve or delete the new ones (the report "
+        "lists them per module)"
     )

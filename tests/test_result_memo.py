@@ -459,24 +459,6 @@ def test_private_cache_neither_records_nor_replays(
     assert result.tuples.recording is None
 
 
-def test_replayed_cassette_pool_is_treated_as_faulty(
-    candidate, movie_query, movie_registry
-):
-    from repro.services.recorded import Cassette, RecordedPool
-
-    cassette = Cassette()
-    recording = RecordedPool(movie_registry, cassette, mode="record", global_seed=21)
-    cache = InvocationCache(max_size=None)
-    recorded = execute(candidate, movie_query, movie_registry, cache, pool=recording)
-    assert recorded.result_memo == "miss"
-    replaying = RecordedPool(movie_registry, cassette, mode="replay", global_seed=21)
-    result = execute(
-        candidate, movie_query, movie_registry, InvocationCache(), pool=replaying
-    )
-    assert result.result_memo == "off(faults)"
-    assert result_digest(result.tuples) == result_digest(recorded.tuples)
-
-
 # ---------------------------------------------------------------------------
 # Sessions: the index is weak, interleavings are safe
 # ---------------------------------------------------------------------------
@@ -534,7 +516,7 @@ def test_identical_requests_interleaved_before_either_finishes(
             open_session(candidate, movie_query, movie_registry, cache)
             for _ in range(3)
         ]
-        steppers = [session.run_steps() for session in sessions[:2]]
+        steppers = [session.steps("run") for session in sessions[:2]]
         results = [None, None]
         while steppers[0] is not None or steppers[1] is not None:
             for index, stepper in enumerate(steppers):

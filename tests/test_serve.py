@@ -110,6 +110,8 @@ def test_zipf_rejects_empty_domain():
         {"rate": 0.0},
         {"followup_fraction": 1.0},
         {"followup_fraction": -0.1},
+        # Regression: NaN passed ``rate <= 0`` and served NaN arrivals.
+        {"rate": float("nan")},
     ],
 )
 def test_workload_config_validation(kwargs):
@@ -153,8 +155,9 @@ def test_token_bucket_grants_are_fifo():
     [
         {"max_concurrency": 0},
         {"queue_limit": -1},
-        {"service_burst": 0.5},
-        {"service_rates": {"Movie1": 0.0}},
+        # Regression: resume without a directory served from scratch.
+        {"resume": True},
+        {"num_shards": 0},
         {"default_service_rate": -1.0},
         # Regression: cache bounds were taken, and the run died later
         # inside PlanCache / InvocationCache (None is unbounded).
@@ -407,7 +410,7 @@ def test_rate_limit_stretches_makespan():
     requests = [_run_request(i, arrival=0.1, seed=i) for i in range(2)]
     fast = ServeScheduler(_manager(), ServeConfig()).run(requests)
     slow = ServeScheduler(
-        _manager(), ServeConfig(default_service_rate=0.5, service_burst=1.0)
+        _manager(), ServeConfig(default_service_rate=0.5)
     ).run(requests)
     assert fast.by_status() == {"completed": 2}
     assert slow.by_status() == {"completed": 2}

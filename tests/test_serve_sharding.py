@@ -222,44 +222,14 @@ def test_digest_fn_replaces_materialised_results():
     assert digests == plain_digests
 
 
-def test_global_admission_cap_binds_across_shards():
-    report = serve_seeded(
-        rate=2.0, num_requests=40, seed=7, num_shards=4,
-        global_concurrency=2,
-    )
-    digests = report.digests()
-    assert report.admission_peak <= 2
-    reference = serve_seeded(
-        rate=2.0, num_requests=40, seed=7, num_shards=4,
-    ).digests()
-    assert digests == reference  # capacity never changes answers
-
-
-@pytest.mark.parametrize("steal", [False, True])
-def test_global_cap_never_strands_queued_requests(steal):
-    """Regression: a slot freed on one shard must wake *any* shard's queue.
-
-    Requests queued because the global admission cap was hit (not the
-    local ``max_concurrency``) used to strand forever when the freeing
-    finish happened on another shard — ``_on_finish`` drains only its
-    own queue, and with ``steal=False`` nothing else ran them: this
-    exact workload drained with only 25/40 outcomes.  The merged loop's
-    grant pass must deliver every request an outcome regardless of the
-    steal flag.
-    """
-    report = serve_seeded(
-        rate=4.0, num_requests=40, seed=7, num_shards=4,
-        global_concurrency=2, steal=steal,
-    )
-    digests = report.digests()
-    assert len(report.outcomes) == 40
-    assert sum(report.by_status().values()) == 40
-    assert report.admission_peak <= 2
-    # Capacity pressure still never changes answers.
-    reference = serve_seeded(
-        rate=4.0, num_requests=40, seed=7, num_shards=4,
-    ).digests()
-    assert digests == reference
+def test_admission_peak_counts_executing_requests_across_shards():
+    """One controller counts for every shard: four shards at the default
+    ``max_concurrency`` run more requests at once than one shard may."""
+    per_shard = ServeConfig().max_concurrency
+    one = serve_seeded(rate=4.0, num_requests=40, seed=7)
+    four = serve_seeded(rate=4.0, num_requests=40, seed=7, num_shards=4)
+    assert one.admission_peak == per_shard
+    assert per_shard < four.admission_peak <= 4 * per_shard
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ once per session.  The contract these tests pin:
   one ``domain_value`` per (sub-)attribute does, and the layout constraint
   check agrees with ``compile_predicates`` on accepted *and* rejected
   candidates, raising what it raises where it falls back;
-* faults, crash/resume and cassette record → replay behave over a shared
-  world exactly as over private ones; a pool refuses a world of another
+* faults and crash/resume behave over a shared world exactly as over
+  private ones; a pool refuses a world of another
   registry or seed.
 """
 
@@ -75,7 +75,6 @@ from repro.services.marts import (
     RUNNING_EXAMPLE_QUERY,
     movie_night_registry,
 )
-from repro.services.recorded import Cassette, RecordedPool
 from repro.services.simulated import FaultModel, ServicePool, SimulatedWorld
 from tests.conftest import serve_seeded
 from tests.test_row_life import BOUND, _paths, marts, reference_stream
@@ -469,7 +468,7 @@ def test_group_member_bounds_are_validated(movie_registry):
 
 
 # ---------------------------------------------------------------------------
-# (c) Pools over one world: faults, typed refusal, restore, cassettes
+# (c) Pools over one world: faults, typed refusal, restore
 # ---------------------------------------------------------------------------
 
 
@@ -641,32 +640,6 @@ def test_crash_and_resume_share_the_resumed_servers_world(tmp_path):
             checkpoint_dir=tmp_path, checkpoint_every=8, resume=True,
             **dict(options, seed=2010),
         )
-
-
-def test_cassette_recorded_over_a_shared_world_replays_like_a_private_one():
-    registry, compiled, best = _movie_plan()
-    faults = FaultModel.uniform(failure_rate=0.3)
-    options = dict(retry=RetryPolicy(max_attempts=8, base_backoff=0.1))
-    alone = ServicePool(registry, global_seed=13, fault_model=faults)
-    live = _run(alone, compiled, best, **options)
-
-    world = SimulatedWorld(registry, 13)
-    _run(ServicePool(registry, global_seed=13, world=world), compiled, best)
-    generated = world.stats.tuples_generated
-    cassette = Cassette()
-    recorder = RecordedPool(
-        registry, cassette, mode="record", global_seed=13, fault_model=faults,
-        world=world,
-    )
-    recorded = _run(recorder, compiled, best, **options)
-    assert world.stats.tuples_generated == generated  # all from the prefix
-    assert _signature(recorder) == _signature(alone)
-
-    replayer = RecordedPool(registry, cassette, mode="replay", global_seed=13)
-    replayed = _run(replayer, compiled, best, **options)
-    for result in (recorded, replayed):
-        assert result_digest(result.tuples) == result_digest(live.tuples)
-    assert _signature(replayer) == _signature(alone)
 
 
 # ---------------------------------------------------------------------------
