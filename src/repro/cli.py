@@ -939,6 +939,10 @@ _SERVE_FLAG_RULES = (
         "--rates needs positive numbers, got {rates!r}",
     ),
     (
+        lambda args, rates: not args.service_rate >= 0,  # NaN too
+        "--service-rate needs a number >= 0 (0: unlimited)",
+    ),
+    (
         lambda args, rates: _obs_requested(args) and len(rates) != 1,
         "--trace/--metrics/--prom take exactly one --rates value "
         "(one run, one trace)",

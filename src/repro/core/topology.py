@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.annotate import ANNOTATION_COUNTERS, annotate_node
@@ -814,15 +814,12 @@ def enumerate_topologies(
     query: CompiledQuery,
     assignment: Mapping[str, ServiceInterface],
     choice: BindingChoice,
-    method_options: Sequence[JoinMethodSpec] = (JoinMethodSpec(),),
     limit: int | None = None,
 ) -> Iterator[QueryPlan]:
     """Yield all distinct complete topologies (deduplicated by signature).
 
-    ``method_options`` lists the join-method specifications tried at every
-    merge (the default is the sensible parallel default, merge-scan with
-    triangular completion); passing several multiplies the space
-    accordingly.
+    Every merge tries the one join-method specification its move carries,
+    ``JoinMethodSpec()`` (merge-scan with triangular completion).
     """
     seen: set[tuple] = set()
     seen_partial: set[tuple] = set()
@@ -845,10 +842,6 @@ def enumerate_topologies(
             return
         seen_partial.add(state.signature)
         for move in state.available_moves():
-            if move.kind == "merge":
-                for method in method_options:
-                    yield from recurse(state.apply(replace(move, method=method)))
-            else:
-                yield from recurse(state.apply(move))
+            yield from recurse(state.apply(move))
 
     yield from recurse(TopologyBuilder.initial(query, assignment, choice))

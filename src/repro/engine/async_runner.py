@@ -121,8 +121,8 @@ class AsyncExecutionContext:
     wall_epoch: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.time_scale < 0:
-            raise ExecutionError("time_scale cannot be negative")
+        if not self.time_scale >= 0:
+            raise ExecutionError("time_scale must be a number >= 0")  # NaN too
         if self.default_connections < 1:
             raise ExecutionError("default_connections must be at least 1")
 

@@ -85,7 +85,7 @@ class ServiceTuple:
 
     def __getstate__(self) -> dict[str, Any]:
         # Copies and pickles carry the fields, never the memos (``_members``,
-        # ``_hash``, ``_text``): a string hash is wrong in another process.
+        # ``_hash``, ``_lines``): a string hash is wrong in another process.
         return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
     def value_at(self, path: AttributePath) -> Any:
@@ -123,15 +123,16 @@ class ServiceTuple:
             self.__dict__.setdefault("_members", {})[group] = members
             return members
 
-    def values_text(self) -> str:
-        """``name=repr(value)`` per attribute, sorted by name, ``|``-joined:
-        the tuple's segment of a result digest, rendered once and kept."""
-        text = self.__dict__.get("_text")
-        if text is None:
-            text = self.__dict__["_text"] = "|".join(
+    def digest_line(self, alias: str) -> str:
+        """``alias|`` then ``name=repr(value)`` per attribute, sorted by
+        name, ``|``-joined: the tuple's line in a result digest under
+        ``alias``, rendered once per alias and kept."""
+        lines = self.__dict__.setdefault("_lines", {})
+        if alias not in lines:
+            lines[alias] = alias + "|" + "|".join(
                 [f"{name}={value!r}" for name, value in sorted(self.values.items())]
             )
-        return text
+        return lines[alias]
 
     def __hash__(self) -> int:
         # Kept like ``_members``: joins hash one tuple once per row it is in.

@@ -161,8 +161,10 @@ class ServeConfig:
             raise ExecutionError("max_concurrency must be positive")
         if self.queue_limit < 0:
             raise ExecutionError("queue_limit cannot be negative")
-        if self.default_service_rate is not None and self.default_service_rate <= 0:
-            raise ExecutionError("default_service_rate must be positive")
+        if self.default_service_rate is not None and not self.default_service_rate > 0:
+            raise ExecutionError("default_service_rate must be positive")  # NaN too
+        if not self.time_scale >= 0:
+            raise ExecutionError("time_scale must be a number >= 0")  # NaN too
         if self.num_shards <= 0:
             raise ExecutionError("num_shards must be positive")
         if self.checkpoint_every < 0:
@@ -335,16 +337,35 @@ def result_digest(tuples: Sequence[CompositeTuple]) -> str:
 
     Scores are rounded to 12 decimals purely for printability; every
     serving mode computes them from identical component tuples, so the
-    digest is an exact equality witness.  Each component contributes
-    ``alias|`` + :meth:`ServiceTuple.values_text`, which the tuple renders
-    once: cached tuples recur across requests and checkpoints.
+    digest is an exact equality witness.  A row contributes, per alias in
+    sorted order, :meth:`ServiceTuple.digest_line`, then its score text.
+    Only what depends on the row is done per row: the aliases are sorted
+    again only when the key set changes, a tuple renders its line once
+    per alias (cached tuples recur across requests and checkpoints), and
+    a non-zero float score is formatted once per call — ``0.0``/``-0.0``
+    and ``1``/``1.0`` compare equal but render apart.
     """
     parts: list[str] = []
+    keys = order = None
+    score_texts: dict[float, str] = {}
     for comp in tuples:
         components = comp.components
-        for alias in sorted(components):
-            parts.append(alias + "|" + components[alias].values_text())
-        parts.append(f"score={round(comp.score, 12)!r}")
+        if components.keys() != keys:
+            keys, order = components.keys(), sorted(components)
+        for alias in order:
+            tup = components[alias]
+            try:  # the kept line, read without a call: most rows are warm
+                parts.append(tup._lines[alias])
+            except (AttributeError, KeyError):
+                parts.append(tup.digest_line(alias))
+        score = comp.score
+        if type(score) is float and score:
+            text = score_texts.get(score)
+            if text is None:
+                text = score_texts[score] = f"score={round(score, 12)!r}"
+            parts.append(text)
+        else:
+            parts.append(f"score={round(score, 12)!r}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 

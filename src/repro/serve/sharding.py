@@ -302,9 +302,10 @@ class ShardedServeScheduler:
         index order; the victim is the longest queue (lowest index on
         ties).  A steal only happens when the thief can *start* the
         request immediately — moving queued work between queues would
-        churn accounting without reducing latency.
+        churn accounting without reducing latency.  With every queue
+        empty there is no victim, so it returns before the thief loop.
         """
-        while True:
+        while any(shard._queue for shard in self.shards):
             stolen_any = False
             for thief in self.shards:
                 if thief._queue or thief._active >= self.config.max_concurrency:

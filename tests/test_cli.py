@@ -202,6 +202,7 @@ class TestServeBench:
         ["--rates", "fast"],
         ["--rates", " , "],
         ["--rates", "1.0,nan"],
+        ["--rates", "1.0", "--service-rate", "nan"],
         ["--rates", "0.5,2.0", "--trace", "-"],
         ["--rates", "0.5,2.0", "--checkpoint-every", "5", "--checkpoint-dir", "d"],
         ["--rates", "1.0", "--resume"],

@@ -875,7 +875,7 @@ def test_result_digest_warm_equals_cold_equals_legacy(specs, rows):
 
 def _warm(tup):
     hash(tup)
-    tup.values_text()
+    tup.digest_line("A")
     for group, value in tup.values.items():
         if isinstance(value, tuple):
             tup.group_members(group)

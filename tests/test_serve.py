@@ -159,6 +159,11 @@ def test_token_bucket_grants_are_fifo():
         {"resume": True},
         {"num_shards": 0},
         {"default_service_rate": -1.0},
+        # Regression: NaN passed ``rate <= 0`` and served as if unlimited.
+        {"default_service_rate": float("nan")},
+        # Regression: serve-bench printed its header, then the asyncio
+        # context refused the scale from inside the run (exit 1).
+        {"time_scale": float("nan")},
         # Regression: cache bounds were taken, and the run died later
         # inside PlanCache / InvocationCache (None is unbounded).
         {"cache_size": 0},
