@@ -120,6 +120,9 @@ class PlanCandidate:
     estimated_results: float
     satisfies_k: bool
     assignment: Mapping[str, ServiceInterface] = field(default_factory=dict)
+    #: The checkpoint witnesses of sessions on this plan, derived once per
+    #: compiled query and metric (:mod:`repro.durability.checkpoint`).
+    _witnesses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def fetch_vector(self) -> dict[str, int]:
         return {alias: int(f) for alias, f in self.fetches.items()}

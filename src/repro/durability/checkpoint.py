@@ -49,6 +49,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -92,6 +93,23 @@ REGISTRY_FACTORIES: dict[str, Callable[[], Any]] = {
     "conference": conference_trip_registry,
     **{pack.schema: pack.registry_factory for pack in SCENARIOS.values()},
 }
+
+
+#: What a session payload holds for :func:`restore_session` to read it.
+_SESSION_FIELDS = (
+    "schema", "query_text", "metric", "backend", "growth", "data_seed",
+    "latency_jitter", "fault_model", "inputs", "journal",
+)
+
+
+def require_fields(payload: Any, fields: tuple[str, ...], what: str) -> None:
+    """Refuse as damaged a ``payload`` that is not an object holding
+    ``fields`` (``what`` names it in the error)."""
+    if not isinstance(payload, dict):
+        raise CheckpointIntegrityError(f"{what} is not a JSON object")
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise CheckpointIntegrityError(f"{what} has no {', '.join(missing)}")
 
 
 def _check_version(payload: Mapping[str, Any]) -> None:
@@ -153,6 +171,12 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def canonical_object(members: Mapping[str, str]) -> str:
+    """:func:`canonical_json` of an object, given each member's
+    :func:`canonical_json` text: keys sorted, quoted as ``json`` quotes."""
+    return "{" + ",".join([f"{_quote(key)}:{members[key]}" for key in sorted(members)]) + "}"
+
+
 def content_hash(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -185,10 +209,12 @@ class CheckpointStore:
             raise CheckpointError(f"invalid checkpoint key {key!r}")
         return self.root / f"{key}{_SUFFIX}"
 
-    def save(self, key: str, payload: dict) -> Path:
+    def save(self, key: str, payload: dict | str) -> Path:
+        """Write ``payload`` under ``key``; a ``str`` is taken as the
+        payload's :func:`canonical_json` text, rendered by the caller."""
         path = self.path_for(key)
         # One canonical rendering is both what is hashed and what is written.
-        body = canonical_json(payload)
+        body = payload if isinstance(payload, str) else canonical_json(payload)
         checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
         data = f'{{"checksum":"{checksum}","payload":{body}}}'
         tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
@@ -210,16 +236,13 @@ class CheckpointStore:
                 raise CheckpointIntegrityError(
                     f"checkpoint {key!r} is not valid JSON: {exc}"
                 ) from exc
-        payload = record.get("payload")
-        checksum = record.get("checksum")
-        if payload is None or checksum is None:
-            raise CheckpointIntegrityError(
-                f"checkpoint {key!r} is missing payload or checksum"
-            )
-        if content_hash(payload) != checksum:
+        require_fields(record, ("payload", "checksum"), f"checkpoint {key!r}")
+        payload = record["payload"]
+        if content_hash(payload) != record["checksum"]:
             raise CheckpointIntegrityError(
                 f"checkpoint {key!r} failed its content-hash check"
             )
+        require_fields(payload, (), f"checkpoint {key!r}'s payload")
         _check_version(payload)
         return payload
 
@@ -252,15 +275,34 @@ def _result_digest(rows) -> str:
     An executor's :class:`~repro.engine.executor.ResultRows` never changes
     once returned, so it keeps its digest: ``rerank``, a replayed
     execution and a refresh with no new execution all checkpoint a list
-    that was digested before.
+    that was digested before.  Its rows not built yet are digested from
+    their unbuilt source, so a checkpoint builds none of them.
     """
     from repro.serve.bench import result_digest
 
     if not isinstance(rows, ResultRows):
         return result_digest(rows)
     if rows.digest is None:
-        rows.digest = result_digest(rows)
+        rows.digest = result_digest(rows.scored())
     return rows.digest
+
+
+def _plan_witness(query, candidate, metric: str) -> tuple[str, str, dict[str, int]]:
+    """``candidate``'s plan witnesses for ``query``: its signature's text,
+    the hash of its rendering and its fetch vector.  Neither a candidate
+    nor a compiled query changes once made, and a plan cache hands one
+    candidate to every session of a template, so they are derived once and
+    kept on the candidate (with the query, so its ``id`` stays unique)."""
+    key = (id(query), metric)
+    kept = candidate._witnesses.get(key)
+    if kept is None:
+        kept = candidate._witnesses[key] = (
+            query,
+            repr(plan_signature(query, metric=DEFAULT_METRICS[metric])),
+            hashlib.sha256(candidate.render().encode("utf-8")).hexdigest(),
+            dict(candidate.fetch_vector()),
+        )
+    return kept[1:]
 
 
 def _log_digest(records) -> str:
@@ -368,13 +410,13 @@ def checkpoint_session(
     options = session.executor_options
     shared_cache = options.get("invocation_cache") is not None
     exact = session.backend == "virtual" and not shared_cache
-    signature = plan_signature(session.query, metric=DEFAULT_METRICS[metric])
+    signature, render_hash, fetch_vector = _plan_witness(
+        session.query, session.candidate, metric
+    )
     witness = {
-        "plan_signature": repr(signature),
-        "plan_render": hashlib.sha256(
-            session.candidate.render().encode("utf-8")
-        ).hexdigest(),
-        "fetch_vector": dict(session.candidate.fetch_vector()),
+        "plan_signature": signature,
+        "plan_render": render_hash,
+        "fetch_vector": dict(fetch_vector),
         "fetches": dict(session.fetch_factors),
         "ranking": dict(session._ranking.weights),
         "result_digest": _result_digest(session._raw),
@@ -474,6 +516,7 @@ def restore_session(
     ``registry``).  With ``verify`` (default) the replayed state is
     checked against the recorded witnesses.
     """
+    require_fields(payload, _SESSION_FIELDS, "session checkpoint")
     _check_version(payload)
     if payload.get("kind") != "liquid-session":
         raise CheckpointError(
@@ -489,7 +532,9 @@ def restore_session(
         registry = factory()
     if compiled is None:
         compiled = compile_query(parse_query(payload["query_text"]), registry)
-    metric = DEFAULT_METRICS[payload["metric"]]
+    metric = DEFAULT_METRICS.get(payload["metric"])
+    if metric is None:
+        raise CheckpointError(f"unknown metric {payload['metric']!r} in a session checkpoint")
     if optimizer_config is None:
         optimizer_config = OptimizerConfig(metric=metric)
     if candidate is None:
@@ -498,19 +543,20 @@ def restore_session(
         raise CheckpointError("re-optimization produced no plan candidate")
     witness = payload.get("witness") or {}
     if verify and witness:
-        signature = plan_signature(compiled, metric=metric)
-        if repr(signature) != witness["plan_signature"]:
+        signature, render_hash, fetch_vector = _plan_witness(
+            compiled, candidate, payload["metric"]
+        )
+        if signature != witness["plan_signature"]:
             raise CheckpointIntegrityError(
                 "plan signature mismatch: the registry or query no longer "
                 "matches the checkpointed session"
             )
-        render_hash = hashlib.sha256(candidate.render().encode("utf-8")).hexdigest()
         if render_hash != witness["plan_render"]:
             raise CheckpointIntegrityError(
                 "re-optimized plan differs from the checkpointed plan "
                 "(optimizer config mismatch?)"
             )
-        if dict(candidate.fetch_vector()) != witness["fetch_vector"]:
+        if fetch_vector != witness["fetch_vector"]:
             raise CheckpointIntegrityError(
                 "re-optimized fetch vector differs from the checkpointed one"
             )

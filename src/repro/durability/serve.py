@@ -45,11 +45,15 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.durability.checkpoint import (
     CHECKPOINT_VERSION,
+    _SESSION_FIELDS,
     CheckpointStore,
+    canonical_json,
+    canonical_object,
     checkpoint_session,
+    require_fields,
     restore_session,
 )
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CheckpointIntegrityError
 from repro.obs.serving import replay_outcome_telemetry
 from repro.serve.runtime import serve
 from repro.serve.scheduler import (
@@ -117,7 +121,10 @@ class ServeCheckpointer:
     #: What :meth:`resume` recovered (``None``: nothing to resume from).
     resumed: "ResumeState | None" = None
     telemetry_replayed: int = 0
-    _payloads: dict[int, dict] = field(default_factory=dict)
+    #: Request id -> canonical text: each session's payload, renewed at each
+    #: refresh, and each terminal outcome, rendered once (it never changes).
+    _session_texts: dict[str, str] = field(default_factory=dict)
+    _outcome_texts: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def open(
@@ -171,7 +178,10 @@ class ServeCheckpointer:
         # still find sessions untouched since the first), and number
         # new checkpoints after the one we resumed from.
         self.resumed, self.table = state, state.table
-        self._payloads.update(state.session_payloads)
+        self._session_texts.update(
+            (str(rid), canonical_json(payload))
+            for rid, payload in state.session_payloads.items()
+        )
         self.written = int(state.key.rsplit("-", 1)[1])
         self.telemetry_replayed = replay_outcome_telemetry(
             state.table.outcomes.values(),
@@ -227,31 +237,37 @@ class ServeCheckpointer:
         if session is None or session.inflight_interaction is not None:
             return
         template = self.sessions.template_of(root)
-        self._payloads[root] = checkpoint_session(
-            session,
-            schema=template.schema,
-            query_text=template.query_text,
-            template=template.name,
-            metric=self.sessions.optimizer_config.metric.name,
+        self._session_texts[str(root)] = canonical_json(
+            checkpoint_session(
+                session,
+                schema=template.schema,
+                query_text=template.query_text,
+                template=template.name,
+                metric=self.sessions.optimizer_config.metric.name,
+            )
         )
 
     def write(self, table: SessionTable) -> str:
-        """Atomically persist the current durable state; returns the key."""
+        """Atomically persist the current durable state; returns the key.
+
+        The body is assembled from the members' kept texts: the bytes of
+        :func:`canonical_json` of the whole payload."""
         self.written += 1
         key = f"{self.prefix}-{self.written:06d}"
-        outcomes = {
-            str(rid): {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
-            for rid, outcome in table.outcomes.items()
-            if outcome.status in _TERMINAL
-        }
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "kind": "serve",
-            "meta": dict(self.meta),
-            "outcomes": outcomes,
-            "sessions": {str(rid): p for rid, p in self._payloads.items()},
-        }
-        self.store.save(key, payload)
+        outcomes = self._outcome_texts
+        for rid, outcome in table.outcomes.items():
+            if outcome.status in _TERMINAL and str(rid) not in outcomes:
+                outcomes[str(rid)] = canonical_json(
+                    {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
+                )
+        body = canonical_object({
+            "version": canonical_json(CHECKPOINT_VERSION),
+            "kind": canonical_json("serve"),
+            "meta": canonical_json(self.meta),
+            "outcomes": canonical_object(outcomes),
+            "sessions": canonical_object(self._session_texts),
+        })
+        self.store.save(key, body)
         if self.on_write is not None:
             self.on_write(self)
         return key
@@ -306,10 +322,10 @@ def resume_state_from(
             f"checkpoint {key!r} fingerprint {payload.get('meta')!r} does not "
             f"match this run {dict(expected_meta)!r} — refusing to resume"
         )
+    require_fields(payload, ("outcomes", "sessions"), f"checkpoint {key!r}")
     by_id = {request.request_id: request for request in workload}
     table = SessionTable()
-    for rid_str, data in payload["outcomes"].items():
-        rid = int(rid_str)
+    for rid, data in _by_request(payload, "outcomes", key):
         request = by_id.get(rid)
         if request is None:
             raise CheckpointError(
@@ -327,8 +343,10 @@ def resume_state_from(
     restored = 0
     session_payloads: dict[int, dict] = {}
     plans: dict[str, Any] = {}  # template name -> plan candidate
-    for rid_str, session_payload in payload["sessions"].items():
-        rid = int(rid_str)
+    for rid, session_payload in _by_request(payload, "sessions", key):
+        require_fields(
+            session_payload, _SESSION_FIELDS, f"checkpoint {key!r} session {rid}"
+        )
         template_name = session_payload.get("template")
         template = manager.templates.get(template_name)
         if template is None:
@@ -376,6 +394,18 @@ def resume_state_from(
         restored_sessions=restored,
         pre_terminal=len(table.outcomes),
     )
+
+
+def _by_request(payload: Mapping[str, Any], name: str, key: str) -> list[tuple[int, Any]]:
+    """``payload[name]``'s members as ``(request id, member)``; a key that
+    is not a request id is damage."""
+    require_fields(payload[name], (), f"checkpoint {key!r}'s {name}")
+    try:
+        return [(int(rid), member) for rid, member in payload[name].items()]
+    except ValueError as exc:
+        raise CheckpointIntegrityError(
+            f"checkpoint {key!r}'s {name} is keyed by a non-request id: {exc}"
+        ) from None
 
 
 def serve_workload_durable(

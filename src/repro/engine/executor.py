@@ -70,12 +70,12 @@ import sys
 from bisect import bisect_left
 from collections import OrderedDict, abc
 from contextlib import contextmanager
-from functools import cached_property
-from itertools import islice, product, repeat
+from functools import cached_property, partial
+from itertools import chain, product, repeat
 from operator import add, eq, itemgetter
 from dataclasses import dataclass, field, replace
 from weakref import WeakValueDictionary
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.annotate import pipe_join_selectivity
 from repro.engine.events import CallLog
@@ -358,6 +358,17 @@ class Recording:
     pairs_probed: int
 
 
+class Scored(NamedTuple):
+    """A row not built, as a result digest reads it."""
+
+    components: dict
+    score: float
+
+
+#: ``Scored`` from a ``(components, score)`` pair, with no Python call per row.
+_SCORED = partial(tuple.__new__, Scored)
+
+
 class ResultRows(abc.Sequence):
     """The rows an execution returns, in final order; immutable from then on.
 
@@ -369,31 +380,46 @@ class ResultRows(abc.Sequence):
     :class:`~repro.model.tuples.ServiceTuple`'s memos, neither is copied
     or pickled — both yield a plain ``list`` of the rows.
 
-    Given a ``length``, ``rows`` is an iterator that builds them: a row
-    then exists once it is read, as part of the prefix up to it
-    (:attr:`built`, which only grows — so sessions replaying one recording
-    share this object while presenting different ``k``).  Not a ``list``,
-    whose C fast paths would take the prefix for the whole.
+    Given a ``source`` — a plan's last node's rows, unbuilt, and the
+    positions of the ranked ones (:class:`_Unbuilt`, ``order``) — a row
+    exists once it is read, as part of the prefix up to it (:attr:`built`,
+    which only grows — so sessions replaying one recording share this
+    object while presenting different ``k``); the source is dropped once
+    every row is built.  Not a ``list``, whose C fast paths would take the
+    prefix for the whole.
     """
 
-    __slots__ = ("built", "_later", "_length", "recording", "digest", "__weakref__")
+    __slots__ = ("built", "_source", "_length", "recording", "digest", "__weakref__")
 
-    def __init__(self, rows: Iterable[CompositeTuple] = (), length: int | None = None):
+    def __init__(self, rows: Iterable[CompositeTuple] = (), source: tuple | None = None):
         #: The rows that exist so far, in order.
-        self.built: list[CompositeTuple] = list(rows) if length is None else []
-        self._later = None if length is None else rows
-        self._length = len(self.built) if length is None else length
+        self.built: list[CompositeTuple] = list(rows)
+        self._source = source if source is not None and source[1] else None
+        self._length = len(self.built) if source is None else len(source[1])
         self.recording: Recording | None = None
         self.digest: str | None = None
 
     def _first(self, count: int) -> list[CompositeTuple]:
         """:attr:`built`, grown to ``count`` rows if it was shorter."""
         rows = self.built
-        if self._later is not None and count > len(rows):
-            rows.extend(islice(self._later, count - len(rows)))
+        if self._source is not None and count > len(rows):
+            unbuilt, order = self._source
+            row, components, scores = CompositeTuple._owned, unbuilt.components, unbuilt.scores
+            rows.extend([row(components(i), scores[i]) for i in order[len(rows) : count]])
             if len(rows) == self._length:
-                self._later = None  # and whatever it was building from
+                self._source = None
         return rows
+
+    def scored(self) -> "Iterator[CompositeTuple | Scored]":
+        """Every row in order, for what reads only ``components`` and
+        ``score``: the built rows, then the others as :class:`Scored`
+        views of the source, none of them built."""
+        if self._source is None:
+            return iter(self.built)
+        (unbuilt, order), built = self._source, self.built[:]
+        rest = order[len(built) :]
+        scores = map(unbuilt.scores.__getitem__, rest)
+        return chain(built, map(_SCORED, zip(map(unbuilt.components, rest), scores)))
 
     def __len__(self) -> int:
         return self._length
@@ -472,6 +498,9 @@ class ExecutionResult:
     #: bypassed: ``private_cache``, ``faults``, ``call_timeout``, or
     #: ``backend`` (the asyncio executor never consults it).
     result_memo: str = "off(backend)"
+    #: Results short of ``k`` while some fetched list stopped at its fetch
+    #: factor, so fetching more could find more (0: every list ended first).
+    k_shortfall: int = 0
 
     def __getstate__(self) -> dict[str, Any]:
         # Copies and pickles carry plain rows, never the live list with
@@ -611,6 +640,7 @@ class PlanExecutor:
         #: staged joins read) -> (the list, its survivors under the node's
         #: check).
         self._survivors: dict[tuple, tuple[Sequence[Any], list]] = {}
+        self._cut = False  # a fetched list stopped at its fetch factor
 
     # -- public entry points -----------------------------------------------------
 
@@ -688,6 +718,7 @@ class PlanExecutor:
             cache_stats=self.cache_stats,
             failed_aliases=tuple(sorted(self.failed_aliases)),
             result_memo=self.result_memo,
+            k_shortfall=max(0, self.k - len(rows)) if self._cut and self.k else 0,
             **backend,
         )
 
@@ -760,7 +791,8 @@ class PlanExecutor:
             if batch is None:
                 stats[node_id] = recorded  # makes no calls: nothing to measure
                 continue
-            _, measured = yield from self._fetch_batch(batch)
+            fetched, measured = yield from self._fetch_batch(batch)
+            self._note_cut(batch, fetched)
             stats[node_id] = replace(recorded, **measured)
         self.final_check = stats[self.plan.output_node.node_id].final_check
         self._pairs_probed = recording.pairs_probed
@@ -1046,6 +1078,7 @@ class PlanExecutor:
             [spec for spec in specs if spec is not None],
         )
         fetched, measured = yield from self._fetch_batch(batch)
+        self._note_cut(batch, fetched)
         joins = self._staging[0][alias]
         sources = sorted({a for join in joins for a in join.aliases} - {alias})
         if self.failed_aliases.intersection(sources):
@@ -1111,6 +1144,13 @@ class PlanExecutor:
             "busy_time": log.total_latency() - busy,
             "first_call_latency": log.records[first].latency if calls else 0.0,
         }
+
+    def _note_cut(self, batch: tuple, fetched: list[tuple[list, bool]]) -> None:
+        """Note a list of the batch that filled every chunk it asked for."""
+        node, factor = batch[0], batch[1]
+        if node.interface.is_chunked and not self._cut:
+            full = factor * node.interface.chunk_size
+            self._cut = any(len(tuples) >= full for tuples, _ in fetched)
 
     def _fetch(
         self,
@@ -1673,10 +1713,7 @@ class PlanExecutor:
             order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
             if self.k is not None:
                 del order[self.k :]
-            row, components = CompositeTuple._owned, upstream.components
-            return ResultRows(
-                (row(components(i), scores[i]) for i in order), length=len(order)
-            )
+            return ResultRows(source=(upstream, order))
         result = upstream
         if selections or joins:
             result = self._filter(result, selections, joins)

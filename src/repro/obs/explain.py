@@ -132,6 +132,8 @@ class ExplainReport:
     rows_built: int | None = None
     rows_scored: int | None = None
     result_built: int | None = None  # result rows that exist by now
+    #: :attr:`~repro.engine.executor.ExecutionResult.k_shortfall`.
+    k_shortfall: int = 0
     #: :attr:`~repro.engine.executor.ExecutionResult.result_memo`.
     result_memo: str | None = None
     #: :meth:`~repro.services.simulated.WorldStats.as_dict` of the
@@ -155,6 +157,7 @@ class ExplainReport:
                 + (f"{self.estimated_results:g}" if self.estimated_results is not None else "?")
                 + ", actual "
                 + (f"{self.actual_results}" if self.actual_results is not None else "?")
+                + (f", k-shortfall {self.k_shortfall}" if self.k_shortfall else "")
             )
         if self.execution_time is not None:
             line = f"measured: {self.execution_time:.2f}s execution"
@@ -299,6 +302,7 @@ def build_explain(
             report.estimated_results = annotations.by_node[out_node].tout
     if result is not None:
         report.actual_results = len(result.tuples)
+        report.k_shortfall = result.k_shortfall
         report.execution_time = result.execution_time
         report.time_to_screen = result.time_to_screen
         report.total_calls = result.total_calls

@@ -110,6 +110,8 @@ async def serve_async(
                     outcome.digest = digest_fn(results or ())
                 else:
                     outcome.results = results
+                if request.kind == "run":
+                    outcome.k_shortfall = sessions.k_shortfall(request, results)
         outcome.finished_at = axis()
         absorb_outcome_metrics(metrics, outcome)
         if slo is not None and outcome.status == "completed":

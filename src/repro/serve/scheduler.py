@@ -64,7 +64,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from os import PathLike
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.optimizer import OptimizerConfig
 from repro.engine.events import VirtualClock
@@ -325,6 +325,9 @@ class RequestOutcome:
     wake_reason: str | None = None
     #: Plan-cache verdict for ``run`` requests (``None`` otherwise).
     plan_cached: bool | None = None
+    #: Completed ``run`` requests: :meth:`SessionManager.k_shortfall`.  Not
+    #: checkpointed, so a resumed run counts the runs it served itself.
+    k_shortfall: int = 0
 
     @property
     def latency(self) -> float:
@@ -332,8 +335,12 @@ class RequestOutcome:
         return self.finished_at - self.request.arrival
 
 
-def result_digest(tuples: Sequence[CompositeTuple]) -> str:
+def result_digest(tuples: Iterable[CompositeTuple]) -> str:
     """Stable content hash of a result list (order, components, scores).
+
+    The one definition of the digest's bytes: it reads only each row's
+    ``components`` and ``score``, so it also digests a deferred list from
+    its unbuilt source (:meth:`~repro.engine.executor.ResultRows.scored`).
 
     Scores are rounded to 12 decimals purely for printability; every
     serving mode computes them from identical component tuples, so the
@@ -343,7 +350,9 @@ def result_digest(tuples: Sequence[CompositeTuple]) -> str:
     again only when the key set changes, a tuple renders its line once
     per alias (cached tuples recur across requests and checkpoints), and
     a non-zero float score is formatted once per call — ``0.0``/``-0.0``
-    and ``1``/``1.0`` compare equal but render apart.
+    and ``1``/``1.0`` compare equal but render apart.  Between ``1e-4`` and
+    ``1e3`` in magnitude the score's 12-place text with its trailing zeros
+    cut is that ``repr`` (DESIGN.md "What a digest costs").
     """
     parts: list[str] = []
     keys = order = None
@@ -362,7 +371,12 @@ def result_digest(tuples: Sequence[CompositeTuple]) -> str:
         if type(score) is float and score:
             text = score_texts.get(score)
             if text is None:
-                text = score_texts[score] = f"score={round(score, 12)!r}"
+                if 1e-4 <= abs(score) < 1e3:  # the same text, one float parse fewer
+                    text = ("%.12f" % score).rstrip("0")
+                    text = f"score={text}0" if text[-1] == "." else f"score={text}"
+                else:
+                    text = f"score={round(score, 12)!r}"
+                score_texts[score] = text
             parts.append(text)
         else:
             parts.append(f"score={round(score, 12)!r}")
@@ -473,6 +487,7 @@ class ServeReport:
             "invocation_cache": self.invocation_cache_stats,
             "world": self.world_stats,
             "cyclic_garbage": self.cyclic_garbage,
+            "k_shortfall_runs": sum(1 for o in self.outcomes.values() if o.k_shortfall),
         }
         if self.slo is not None:
             payload["slo"] = self.slo.snapshot()
@@ -982,6 +997,8 @@ class ServeScheduler:
                 outcome.digest = self.digest_fn(job.result or ())
             else:
                 outcome.results = job.result
+            if request.kind == "run":
+                outcome.k_shortfall = self.sessions.k_shortfall(request, job.result)
             self.metrics.counter("serve.completed").inc()
             self._inc_shard("completed")
             self.metrics.histogram("serve.latency").observe(outcome.latency)

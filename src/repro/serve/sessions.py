@@ -28,7 +28,7 @@ alone, never from clock state or call order (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.engine.executor import InvocationCache
@@ -307,6 +307,14 @@ class SessionManager:
         """Apply a ``rerank`` follow-up — synchronous, no service calls."""
         session, args = self._interaction(request, "rerank")
         return session.perform("rerank", **args)
+
+    def k_shortfall(self, request: Request, results: Sequence) -> int:
+        """Rows a completed ``run`` came short of its ``k`` while a fetched list
+        stopped at its fetch factor (the execution, at unbounded ``k``, says)."""
+        session = self.session_for(request.request_id)
+        if session._last is None or not session._last.k_shortfall:
+            return 0
+        return max(0, session._limit(request.k) - len(results))
 
     def pool_for(self, request: Request) -> ServicePool:
         """The service pool the request's round trips are logged to."""

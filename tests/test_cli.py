@@ -346,6 +346,104 @@ class TestTypedFailureAtTheDoor:
         assert code == 4
         assert line.startswith("repro: CheckpointIntegrityError: ")
 
+    def test_checkpoint_that_is_not_an_object_exits_four(self, capsys, tmp_path):
+        # Regression: ``[]`` raised AttributeError (exit 1, a traceback).
+        (tmp_path / "v.ckpt.json").write_text("[]")
+        code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
+        assert code == 4
+        assert line == "repro: CheckpointIntegrityError: checkpoint 'v' is not a JSON object"
+
+    def test_checksummed_payload_that_is_not_an_object_exits_four(
+        self, capsys, tmp_path
+    ):
+        # Regression: a list payload with a valid checksum raised
+        # AttributeError reading its version.
+        from repro.durability import CheckpointStore
+
+        CheckpointStore(tmp_path).save("v", [1, 2])
+        code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
+        assert code == 4
+        assert line == (
+            "repro: CheckpointIntegrityError: checkpoint 'v''s payload is not "
+            "a JSON object"
+        )
+
+    def test_session_checkpoint_without_its_query_exits_four(self, capsys, tmp_path):
+        # Regression: a session payload without ``query_text`` raised KeyError.
+        from repro.durability import CheckpointStore
+
+        code, _ = run_cli(
+            capsys, "checkpoint", "--schema", "scholar", "--steps", "2",
+            "--dir", str(tmp_path), "--key", "v",
+        )
+        assert code == 0
+        store = CheckpointStore(tmp_path)
+        payload = store.load("v")
+        del payload["query_text"]
+        store.save("v", payload)
+        code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
+        assert code == 4
+        assert line == (
+            "repro: CheckpointIntegrityError: session checkpoint has no query_text"
+        )
+
+    def test_session_checkpoint_of_an_unknown_metric_exits_four(self, capsys, tmp_path):
+        # Regression: an unknown metric name raised KeyError at restore.
+        from repro.durability import CheckpointStore
+
+        code, _ = run_cli(
+            capsys, "checkpoint", "--schema", "scholar", "--steps", "2",
+            "--dir", str(tmp_path), "--key", "v",
+        )
+        assert code == 0
+        store = CheckpointStore(tmp_path)
+        payload = store.load("v")
+        payload["metric"] = "bogus"
+        store.save("v", payload)
+        code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
+        assert code == 4
+        assert line == (
+            "repro: CheckpointError: unknown metric 'bogus' in a session checkpoint"
+        )
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda p: p.pop("outcomes"), "checkpoint 'serve-000002' has no outcomes"),
+            (lambda p: p.pop("sessions"), "checkpoint 'serve-000002' has no sessions"),
+            (
+                lambda p: p["outcomes"].update(x=p["outcomes"].popitem()[1]),
+                "checkpoint 'serve-000002''s outcomes is keyed by a non-request id: "
+                "invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                lambda p: next(iter(p["sessions"].values())).pop("query_text"),
+                "checkpoint 'serve-000002' session 0 has no query_text",
+            ),
+        ],
+        ids=["no outcomes", "no sessions", "non-integer id", "session without query"],
+    )
+    def test_damaged_serve_checkpoint_exits_four_on_resume(
+        self, capsys, tmp_path, damage, message
+    ):
+        # Regression: KeyError / ValueError escaped ``serve-bench --resume``.
+        from repro.durability import CheckpointStore
+
+        common = [
+            "serve-bench", "--requests", "8", "--rates", "2",
+            "--checkpoint-every", "4", "--checkpoint-dir", str(tmp_path),
+        ]
+        code, _ = run_cli(capsys, *common)
+        assert code == 0
+        store = CheckpointStore(tmp_path)
+        key = store.latest()
+        payload = store.load(key)
+        damage(payload)
+        store.save(key, payload)
+        code, line = self.failing(capsys, *common, "--resume")
+        assert code == 4
+        assert line == f"repro: CheckpointIntegrityError: {message}"
+
     @pytest.mark.parametrize("version", [0, 2])
     def test_checkpoint_of_another_version_exits_four(
         self, capsys, tmp_path, version

@@ -121,9 +121,10 @@ def test_midplan_checkpoint_matches_uninterrupted(tmp_path):
 def test_travel_chain_checkpoint_mid_journal_keeps_its_witness(tmp_path):
     """The travel plan ends in a service node: the executor ranks its
     combinations and a row is built when read.  The checkpoint witness
-    digests the *whole* raw list — building it — and must be the digest of
-    the list built eagerly; the restored session, which re-drives the
-    journal and defers again, must reproduce it."""
+    digests the *whole* raw list — the rows not built from their unbuilt
+    source, building none — and must be the digest of the list built
+    eagerly; the restored session, which re-drives the journal and defers
+    again, must reproduce it."""
     from repro.engine.executor import PlanExecutor
     from repro.services.scenarios import SCENARIOS
     from tests.test_row_life import _built_then_checked
@@ -144,10 +145,11 @@ def test_travel_chain_checkpoint_mid_journal_keeps_its_witness(tmp_path):
     session.run()
     session.more()
     raw = session._raw
-    assert 0 < len(raw.built) < len(raw) and raw.digest is None
+    built = len(raw.built)
+    assert 0 < built < len(raw) and raw.digest is None
     payload = session.checkpoint(schema="travel", query_text=pack.query_text)
     witness = payload["witness"]
-    assert witness["result_count"] == len(raw) == len(raw.built)
+    assert witness["result_count"] == len(raw) and len(raw.built) == built
     # The same rows with nothing staged and nothing deferred.
     eager = _built_then_checked(
         PlanExecutor(

@@ -623,6 +623,44 @@ class TestObservabilityCLI:
         assert "bottleneck:" in out
         assert "world: " in out and "0 fallback constraint checks" in out
 
+    def test_explain_reports_the_movie_querys_k_shortfall(self, capsys):
+        """The default movie query returns 2 of ``LIMIT 10`` while its ``M``
+        and ``T`` lists stop at their fetch factors: 8 short.  A plan that
+        returns ``k`` prints no shortfall."""
+        code, out = self.run_cli(capsys, "explain")
+        assert code == 0
+        (line,) = [row for row in out.splitlines() if row.startswith("results:")]
+        assert line == "results: estimated 11.2, actual 2, k-shortfall 8"
+        code, out = self.run_cli(capsys, "explain", "--schema", "conference")
+        assert code == 0 and "k-shortfall" not in out
+
+    def test_k_shortfall_counts_only_lists_cut_at_their_factor(self):
+        from repro.cli import _optimize, build_parser
+
+        _, compiled, inputs, _, outcome = _optimize(build_parser().parse_args(["run"]))
+        best = outcome.best
+        run = lambda fetches, k=None: execute_plan(  # noqa: E731
+            best.plan, compiled, ServicePool(compiled.registry, global_seed=2009),
+            inputs, fetches, k=k,
+        )
+        result = run(best.fetch_vector())
+        assert (len(result.tuples), result.k_shortfall) == (2, 8)
+        # Far more than any list holds, for every combination there is: each
+        # list ends before its factor, so the run returned all there is.
+        wide = run({alias: 10_000 for alias in best.fetch_vector()}, k=10**9)
+        assert len(wide.tuples) < 10**9 and wide.k_shortfall == 0
+        assert run(best.fetch_vector(), k=10**9).k_shortfall == 10**9 - 2
+
+    def test_serve_summary_counts_the_runs_that_fell_short(self):
+        from repro.serve import ServeConfig, WorkloadConfig, serve
+
+        report = serve(ServeConfig(), WorkloadConfig(num_requests=40, seed=2009))
+        runs = [o for o in report.outcomes.values() if o.request.kind == "run"]
+        short = [o for o in runs if o.k_shortfall]
+        assert report.summary()["k_shortfall_runs"] == len(short) == 14
+        assert all(len(o.results) + o.k_shortfall == 10 for o in short)
+        assert len(runs) == 32
+
     def test_explain_search_line_counts_the_whole_optimization(self, capsys):
         """The ``search:`` line reads warm start plus search: the search
         takes over the dive's children, so its own share can read 0."""

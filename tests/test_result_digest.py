@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.executor import ResultRows
+from repro.engine.executor import ResultRows, _Unbuilt
 from repro.model.tuples import CompositeTuple, ServiceTuple
 from repro.serve.bench import result_digest
 
@@ -95,9 +95,20 @@ def test_the_digest_is_the_renderers_bytes(rows):
     _same_bytes(rows)
 
 
+def _deferred(rows) -> ResultRows:
+    """``rows`` as an executor defers them: ranked, none built."""
+    source = _Unbuilt(
+        None,
+        scores=[row.score for row in rows],
+        heads=[{} for _ in rows],
+        tails=[row.components for row in rows],
+    )
+    return ResultRows(source=(source, list(range(len(rows)))))
+
+
 def test_an_unbuilt_result_list_is_built_and_digested_like_the_list():
     rows = CASES["alias sets switch"]
-    unbuilt = ResultRows(iter(rows), length=len(rows))
+    unbuilt = _deferred(rows)
     assert unbuilt.built == []
     assert result_digest(unbuilt) == oracle(rows)
     assert unbuilt.built == rows
@@ -156,3 +167,22 @@ def test_any_list_digests_to_the_renderers_bytes(values, specs):
         for parts, score in specs
     ]
     _same_bytes(rows)
+
+
+#: Scores in and around the band where a score's 12-place text with its
+#: trailing zeros cut is its ``repr(round(score, 12))``, and its edges.
+BAND = st.one_of(
+    st.floats(1e-6, 1e5),
+    st.floats(-1e5, -1e-6),
+    st.sampled_from([
+        1e-4, -1e-4, math.nextafter(1e-4, 0), math.nextafter(1e3, 0), 1e3,
+        999.9999999999999, 0.1 + 0.2, 1 / 3, 2.0, 100.0, 0.99999999999995,
+        0.0001000000000005, 123.4567890123456, 9.5e-05, 1234.5678901234567,
+    ]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(BAND, min_size=1, max_size=6))
+def test_scores_in_the_cheap_band_render_as_the_renderer_does(scores):
+    _same_bytes([CompositeTuple({"M": M}, score) for score in scores])
