@@ -43,14 +43,17 @@ partial).  ``--strict`` turns degradation into exit code 3 with the
 failed aliases on stderr — for scripts that must not mistake partial
 answers for complete ones.
 
-A library error never reaches the shell as a traceback: any
-:class:`~repro.errors.SearchComputingError` a command lets through ends
-it with one line ``repro: <ErrorClass>: <message>`` on stderr and exit
-code 2 (the query, schema or plan is wrong, no plan exists, or the
-``serve-bench`` flags describe no valid ``ServeConfig``), 4 (a
-checkpoint is corrupt, missing, of another version or does not verify) or 1
-(anything else, e.g. an execution failure).  ``repro --traceback
-<command> ...`` re-raises instead.
+A malformed flag value (``--rates fast``, ``--shards 0``) exits 2 with
+argparse's usage line naming the flag.  A ``serve-bench`` combination of
+valid values that no run can honour (``--trace`` with two ``--rates``)
+exits 1 with its rule's message.  A library error never reaches the
+shell as a traceback: any :class:`~repro.errors.SearchComputingError` a
+command lets through ends it with one line ``repro: <ErrorClass>:
+<message>`` on stderr and exit code 2 (the query, schema or plan is
+wrong, no plan exists, or the ``serve-bench`` flags describe no valid
+``ServeConfig``), 4 (a checkpoint is corrupt, missing, of another
+version or does not verify) or 1 (anything else, e.g. an execution
+failure).  ``repro --traceback <command> ...`` re-raises instead.
 
 Built-in schemas: ``movie`` (the running example), ``conference``
 (Figs. 2/3), and the scenario-pack schemas ``travel``, ``shopping``,
@@ -149,6 +152,33 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _at_least_zero(text: str) -> float:
+    """argparse type of a rate: a number, 0 or more (not NaN)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs a number, got {text!r}") from None
+    if not value >= 0:  # NaN too
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return value
+
+
+def _positive_numbers(text: str) -> tuple[float, ...]:
+    """argparse type of a list: comma-separated numbers, each above 0
+    (not NaN), at least one."""
+    try:
+        numbers = tuple(float(token) for token in text.split(",") if token.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs comma-separated numbers, got {text!r}"
+        ) from None
+    if not numbers:
+        raise argparse.ArgumentTypeError("needs at least one number")
+    if not all(number > 0 for number in numbers):  # NaN too
+        raise argparse.ArgumentTypeError(f"needs positive numbers, got {text!r}")
+    return numbers
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--schema",
@@ -193,13 +223,6 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
         default=0.001,
         help="asyncio backend: wall seconds slept per virtual second of "
         "simulated latency (default: 0.001)",
-    )
-    backend.add_argument(
-        "--max-connections",
-        type=int,
-        default=8,
-        help="asyncio backend: connection-pool size per service interface "
-        "(default: 8)",
     )
 
 
@@ -343,35 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(shared vs. isolated caches)",
     )
     serve_cmd.add_argument(
-        "--requests", type=int, default=40, help="requests per load level"
+        "--requests", type=_at_least_one, default=40, help="requests per load level"
     )
     serve_cmd.add_argument(
         "--rates",
-        default="0.5,2.0",
+        type=_positive_numbers,
+        default=(0.5, 2.0),
         help="comma-separated arrival rates (requests per virtual second)",
     )
     serve_cmd.add_argument("--seed", type=int, default=2009, help="workload/data seed")
     serve_cmd.add_argument(
-        "--skew",
-        type=float,
-        default=1.3,
-        help="Zipf exponent over parameter popularity (default: 1.3)",
-    )
-    serve_cmd.add_argument(
-        "--followups",
-        type=float,
-        default=0.25,
-        help="fraction of requests that are more/rerank/resubmit follow-ups",
-    )
-    serve_cmd.add_argument(
-        "--concurrency",
-        type=int,
-        default=4,
-        help="scheduler concurrency bound (default: 4)",
-    )
-    serve_cmd.add_argument(
         "--service-rate",
-        type=float,
+        type=_at_least_zero,
         default=4.0,
         help="per-service token-bucket rate in calls per virtual second; "
         "0 disables rate limiting (default: 4)",
@@ -402,21 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run each shard in a real worker process (combine with "
         "--backend asyncio for wall-clock concurrency inside workers)",
-    )
-    serve_cmd.add_argument(
-        "--session-space",
-        type=int,
-        default=1_000_000,
-        help="size of the sparse session-id universe the ring hashes "
-        "(default: 1000000)",
-    )
-    serve_cmd.add_argument(
-        "--param-scale",
-        type=int,
-        default=1,
-        help="multiply each template parameter universe (head options "
-        "stay most popular) so large workloads keep a steady cache-miss "
-        "stream of real service traffic (default: 1)",
     )
     serve_cmd.add_argument(
         "--scenario",
@@ -489,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     observability.add_argument(
         "--slo-thresholds",
-        default=None,
+        type=_positive_numbers,
+        default=_DEFAULT_SLO,
         metavar="S1,S2,...",
         help="comma-separated latency SLO thresholds in virtual seconds "
         f"(default: {','.join(f'{t:g}' for t in _DEFAULT_SLO)})",
@@ -536,9 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=2009, help="simulator seed"
     )
     checkpoint_cmd.add_argument(
-        "--k", type=int, default=None, help="top-k combinations to request"
-    )
-    checkpoint_cmd.add_argument(
         "--steps",
         type=int,
         metavar="N",
@@ -568,11 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the store's checkpoints instead of restoring",
     )
-    resume_cmd.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the replay witness checks (trust the checkpoint)",
-    )
 
     serve_report_cmd = commands.add_parser(
         "serve-report",
@@ -590,12 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="metrics snapshot JSON written by `serve-bench "
         "--metrics-output PATH` (adds cache hit rates, queue peaks, SLO)",
-    )
-    serve_report_cmd.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="how many templates to rank by total request time (default: 5)",
     )
     return parser
 
@@ -672,38 +650,21 @@ def _execute(args, registry, compiled, inputs, best, tracer=NULL_TRACER, world=N
     pool = ServicePool(
         registry, global_seed=args.seed, fault_model=fault_model, world=world
     )
-    backend = getattr(args, "backend", "virtual")
-    if backend == "virtual":
+    options: dict[str, Any] = {
+        "retry": retry,
+        "degradation": args.degradation,
+        "invocation_cache_size": args.invocation_cache_size or None,
+        "tracer": tracer,
+    }
+    if args.backend == "asyncio":
+        from repro.engine.async_runner import run_plan_async as run
+
+        options["time_scale"] = args.time_scale
+    else:
+        run = execute_plan
         tracer.bind_clock(pool.clock)
     try:
-        if backend == "asyncio":
-            from repro.engine.async_runner import run_plan_async
-
-            result = run_plan_async(
-                best.plan,
-                compiled,
-                pool,
-                inputs,
-                fetches,
-                retry=retry,
-                degradation=args.degradation,
-                invocation_cache_size=args.invocation_cache_size or None,
-                tracer=tracer,
-                time_scale=args.time_scale,
-                max_connections=args.max_connections,
-            )
-        else:
-            result = execute_plan(
-                best.plan,
-                compiled,
-                pool,
-                inputs,
-                fetches,
-                retry=retry,
-                degradation=args.degradation,
-                invocation_cache_size=args.invocation_cache_size or None,
-                tracer=tracer,
-            )
+        result = run(best.plan, compiled, pool, inputs, fetches, **options)
     except RetryExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(
@@ -856,29 +817,6 @@ def _resolve_artifact_paths(args) -> None:
         setattr(args, attr, os.path.join(directory, path))
 
 
-def _build_slo(args) -> "SloTracker":
-    if args.slo_thresholds is None:
-        return SloTracker()
-    try:
-        thresholds = tuple(
-            float(token)
-            for token in args.slo_thresholds.split(",")
-            if token.strip()
-        )
-    except ValueError:
-        raise SystemExit(
-            "--slo-thresholds needs comma-separated numbers, got "
-            f"{args.slo_thresholds!r}"
-        )
-    if not thresholds:
-        raise SystemExit("--slo-thresholds needs at least one threshold")
-    if min(thresholds) <= 0:
-        raise SystemExit(
-            f"--slo-thresholds needs positive thresholds, got {args.slo_thresholds!r}"
-        )
-    return SloTracker(thresholds=thresholds)
-
-
 def _write_obs_artifacts(
     args, tracer, metrics, slo, *, serving=None, label="serve"
 ) -> None:
@@ -913,64 +851,30 @@ def _write_obs_artifacts(
         print(f"prometheus -> {args.prom}")
 
 
-def _serve_rates(args) -> "tuple[float, ...] | None":
-    """``--rates`` parsed; ``None`` when it is not comma-separated numbers."""
-    try:
-        return tuple(float(token) for token in args.rates.split(",") if token.strip())
-    except ValueError:
-        return None
-
-
 def _serve_durable(args) -> bool:
     return bool(args.checkpoint_every or args.resume)
 
 
-#: serve-bench flag compatibility, checked in order: (violated(args, rates),
-#: message).  The first violated row ends the command with its message on
-#: stderr and exit status 1.
+#: The serve-bench flag combinations no ``ServeConfig`` can see, checked in
+#: order: (violated(args), message).  The first violated row ends the
+#: command with its message on stderr and exit status 1.
 _SERVE_FLAG_RULES = (
     (
-        lambda args, rates: rates is None,
-        "--rates needs comma-separated numbers, got {rates!r}",
-    ),
-    (lambda args, rates: not rates, "--rates needs at least one rate"),
-    (
-        lambda args, rates: not all(rate > 0 for rate in rates),  # NaN too
-        "--rates needs positive numbers, got {rates!r}",
-    ),
-    (
-        lambda args, rates: not args.service_rate >= 0,  # NaN too
-        "--service-rate needs a number >= 0 (0: unlimited)",
-    ),
-    (
-        lambda args, rates: _obs_requested(args) and len(rates) != 1,
+        lambda args: _obs_requested(args) and len(args.rates) != 1,
         "--trace/--metrics/--prom take exactly one --rates value "
         "(one run, one trace)",
     ),
     (
-        lambda args, rates: _serve_durable(args) and len(rates) != 1,
+        lambda args: _serve_durable(args) and len(args.rates) != 1,
         "durable serving (--checkpoint-every/--resume) takes exactly "
         "one --rates value",
     ),
     (
-        lambda args, rates: _serve_durable(args) and not args.checkpoint_dir,
+        lambda args: _serve_durable(args) and not args.checkpoint_dir,
         "--checkpoint-every/--resume need --checkpoint-dir",
     ),
     (
-        lambda args, rates: _serve_durable(args)
-        and (args.backend == "asyncio" or args.parallel),
-        "durable serving runs in-process on the virtual backend "
-        "(drop --backend asyncio / --parallel)",
-    ),
-    (
-        lambda args, rates: args.shards
-        and args.backend == "asyncio"
-        and not args.parallel,
-        "--shards with --backend asyncio needs --parallel "
-        "(serial sharding runs on the virtual clock)",
-    ),
-    (
-        lambda args, rates: args.shards and args.parallel and _obs_requested(args),
+        lambda args: args.shards and args.parallel and _obs_requested(args),
         "--trace/--metrics/--prom need the in-process runtime (drop --parallel)",
     ),
 )
@@ -996,7 +900,9 @@ def _serve_configs(args):
     The one place argparse becomes a :class:`~repro.serve.ServeConfig`:
     ``subject`` is the run the flags ask for, ``reference`` the run its
     digests are gated against (``None``: a durable run is gated on its
-    outcome mix alone).
+    outcome mix alone).  A durable or sharded subject takes ``--backend``
+    and ``--parallel`` as given, so ``ServeConfig`` refuses what it
+    cannot run; every reference runs in-process on the virtual backend.
     """
     from repro.serve import ServeConfig
     from repro.serve.workload import scenario_templates
@@ -1004,18 +910,18 @@ def _serve_configs(args):
     observed = _obs_requested(args)
     sharing = "shared" if args.shared_cache else "isolated"
     base = ServeConfig(
-        templates=scenario_templates(args.scenario, args.param_scale),
+        templates=scenario_templates(args.scenario),
         data_seed=args.seed,
-        max_concurrency=args.concurrency,
         queue_limit=1_000_000,  # both runs must complete every request
         default_service_rate=args.service_rate or None,
         plan_cache_size=args.plan_cache_size,
         time_scale=args.time_scale,
-        max_connections=args.max_connections,
     )
+    placed = {"backend": args.backend, "parallel": args.parallel}
     if _serve_durable(args):
         subject = replace(
             base,
+            **placed,
             num_shards=args.shards or 1,
             cache_mode=sharing,
             sample_metrics=observed,
@@ -1031,19 +937,15 @@ def _serve_configs(args):
             steal=args.steal,
             cache_mode="shared" if args.shared_cache else "private",
         )
-    elif args.backend == "asyncio":
-        return "asyncio", replace(base, backend="asyncio"), base
-    elif observed:
-        base = replace(base, cache_mode=sharing)
-    if observed:
-        return "observed", replace(base, sample_metrics=True), base
-    if args.shards:
-        subject = replace(
-            base,
-            parallel=args.parallel,
-            backend=args.backend if args.parallel else "virtual",
-        )
+        subject = replace(base, **placed, sample_metrics=observed)
+        if observed:
+            return "observed", subject, base
         return "sharded", subject, replace(base, num_shards=1, steal=False)
+    if args.backend == "asyncio":
+        return "asyncio", replace(base, backend="asyncio"), base
+    if observed:
+        base = replace(base, cache_mode=sharing)
+        return "observed", replace(base, sample_metrics=True), base
     return "plain", base, replace(base, cache_mode="isolated")
 
 
@@ -1123,22 +1025,26 @@ def _cmd_serve_bench(args) -> int:
     from repro.serve import WorkloadConfig
     from repro.serve.bench import benchmark_report, compare_serving, sharing_gates
 
-    rates = _serve_rates(args)
     for violated, message in _SERVE_FLAG_RULES:
-        if violated(args, rates):
-            raise SystemExit(message.format(rates=args.rates))
-    _resolve_artifact_paths(args)
-    try:
+        if violated(args):
+            raise SystemExit(message)
+    try:  # flags no ServeConfig takes: usage, before anything is written
         mode, subject, reference = _serve_configs(args)
-    except ExecutionError as refused:  # flags no ServeConfig takes: usage
+        workload = WorkloadConfig(
+            num_requests=args.requests,
+            seed=args.seed,
+            session_space=max(WorkloadConfig.session_space, args.requests),
+        )
+    except ExecutionError as refused:
         return _refuse(args, refused, 2)
+    _resolve_artifact_paths(args)
     name, labels, identity_gate, title = _SERVE_MODES[mode]
     observed = _obs_requested(args)
     tracer = Tracer() if observed else None
-    slo = _build_slo(args) if observed else None
+    slo = SloTracker(thresholds=args.slo_thresholds) if observed else None
     print(
         f"{title}: {args.requests} requests per rate, seed {args.seed}, "
-        f"concurrency {args.concurrency}, scenario {args.scenario}, "
+        f"concurrency {subject.max_concurrency}, scenario {args.scenario}, "
         f"{subject.num_shards} shard(s), "
         f"cache {subject.cache_mode}, steal {'on' if subject.steal else 'off'}"
         + (f", parallel ({subject.backend} workers)" if subject.parallel else "")
@@ -1150,18 +1056,11 @@ def _cmd_serve_bench(args) -> int:
         last[:] = [report]
         _print_serve_level(args, subject, labels, level, baseline, report)
 
-    workload = WorkloadConfig(
-        num_requests=args.requests,
-        skew=args.skew,
-        seed=args.seed,
-        followup_fraction=args.followups,
-        session_space=max(args.session_space, args.requests),
-    )
     levels = compare_serving(
         subject,
         workload,
         reference=reference,
-        load_levels=rates,
+        load_levels=args.rates,
         labels=labels,
         tracer=tracer,
         slo=slo,
@@ -1180,7 +1079,7 @@ def _cmd_serve_bench(args) -> int:
         gates = {"all_completed": failures == 0}
     for gate, passed in sorted(gates.items()):
         print(f"gate {gate}: {'PASS' if passed else 'FAIL'}")
-    payload = benchmark_report(name, subject, workload, rates, levels, gates)
+    payload = benchmark_report(name, subject, workload, args.rates, levels, gates)
     payload.update(
         requests=args.requests,
         scenario=args.scenario,
@@ -1252,7 +1151,7 @@ def _cmd_serve_report(args) -> int:
         metrics = payload.get("metrics", payload)
         slo = payload.get("slo")
     print(
-        render_serve_report(spans, metrics=metrics, slo=slo, top=args.top),
+        render_serve_report(spans, metrics=metrics, slo=slo),
         end="",
     )
     return 0
@@ -1301,7 +1200,7 @@ def _cmd_checkpoint(args) -> int:
         inputs=dict(inputs),
     )
     if args.steps is not None:
-        stepper = session.steps("run", args.k)
+        stepper = session.steps("run")
         taken = 0
         try:
             for _ in range(args.steps):
@@ -1310,7 +1209,7 @@ def _cmd_checkpoint(args) -> int:
         except StopIteration:
             pass
     else:
-        session.run(args.k)
+        session.run()
     payload = session.checkpoint(
         schema=args.schema, query_text=query_text, metric=args.metric
     )
@@ -1373,7 +1272,7 @@ def _cmd_resume(args) -> int:
             f"{args.dir} ..."
         )
         return 2
-    session = restore_session(payload, verify=not args.no_verify)
+    session = restore_session(payload)
     if session.pending_stepper is not None:
         stepper = session.pending_stepper
         steps = 0

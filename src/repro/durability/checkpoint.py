@@ -100,6 +100,11 @@ _SESSION_FIELDS = (
     "schema", "query_text", "metric", "backend", "growth", "data_seed",
     "latency_jitter", "fault_model", "inputs", "journal",
 )
+#: What its witness holds for the replay to be checked against.
+_WITNESS_FIELDS = (
+    "plan_signature", "plan_render", "fetch_vector", "fetches", "ranking",
+    "result_digest", "clock", "total_calls", "log_digest",
+)
 
 
 def require_fields(payload: Any, fields: tuple[str, ...], what: str) -> None:
@@ -458,20 +463,28 @@ def checkpoint_session(
     return payload
 
 
-def _entry_args(entry: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
-    """A journal entry as ``(kind, arguments)`` of a session driver."""
-    kind = entry["kind"]
-    if kind not in INTERACTIONS:
+def _entry_args(entry: Any, what: str) -> tuple[str, dict[str, Any]]:
+    """A journal entry as ``(kind, arguments)`` of a session driver
+    (``what`` names it when it is refused as damaged)."""
+    require_fields(entry, ("kind",), what)
+    kind, k = entry["kind"], entry.get("k")
+    if type(kind) is not str or kind not in INTERACTIONS:
         raise CheckpointError(f"unknown journal entry kind {kind!r}")
-    args: dict[str, Any] = {"k": entry.get("k")}
+    if k is not None and (type(k) is not int or k < 0):
+        raise CheckpointIntegrityError(f"{what} has k {k!r}, not a count")
+    args: dict[str, Any] = {"k": k}
     _, name = INTERACTIONS[kind]
     if name is not None:
+        require_fields(entry, (name,), what)
+        require_fields(entry[name], (), f"{what}'s {name}")
         args[name] = _decode_mapping(entry[name])
     return kind, args
 
 
-def _replay_entry(session: LiquidQuerySession, entry: Mapping[str, Any]) -> None:
-    kind, args = _entry_args(entry)
+def _replay_entry(
+    session: LiquidQuerySession, entry: Mapping[str, Any], what: str
+) -> None:
+    kind, args = _entry_args(entry, what)
     try:
         session.perform(kind, **args)
     except SearchComputingError:
@@ -522,6 +535,11 @@ def restore_session(
         raise CheckpointError(
             f"payload kind {payload.get('kind')!r} is not a session checkpoint"
         )
+    if not isinstance(payload["journal"], list):
+        raise CheckpointIntegrityError("session checkpoint's journal is not a list")
+    witness = payload.get("witness") or {}
+    if verify and witness:
+        require_fields(witness, _WITNESS_FIELDS, "session checkpoint's witness")
     schema = payload["schema"]
     if registry is None:
         factory = REGISTRY_FACTORIES.get(schema)
@@ -541,7 +559,6 @@ def restore_session(
         candidate = Optimizer(compiled, optimizer_config).optimize().best
     if candidate is None:
         raise CheckpointError("re-optimization produced no plan candidate")
-    witness = payload.get("witness") or {}
     if verify and witness:
         signature, render_hash, fetch_vector = _plan_witness(
             compiled, candidate, payload["metric"]
@@ -586,23 +603,36 @@ def restore_session(
         executor_options=executor_options,
         backend=payload["backend"],
     )
-    for entry in payload["journal"]:
-        _replay_entry(session, entry)
     stepper = None
-    inflight = payload.get("inflight")
-    if inflight is not None:
-        kind, args = _entry_args(inflight)
-        stepper = session.steps(kind, **args)
-        for _ in range(int(inflight.get("steps", 0))):
-            try:
+    try:
+        for index, entry in enumerate(payload["journal"]):
+            _replay_entry(session, entry, f"session checkpoint journal entry {index}")
+        inflight = payload.get("inflight")
+        if inflight is not None:
+            kind, args = _entry_args(inflight, "session checkpoint's inflight entry")
+            steps = inflight.get("steps", 0)
+            if type(steps) is not int:
+                raise CheckpointIntegrityError(
+                    f"session checkpoint's inflight entry has steps {steps!r}, "
+                    "not a count"
+                )
+            stepper = session.steps(kind, **args)
+            for _ in range(steps):
                 next(stepper)
-            except StopIteration:
-                # The replay had fewer steps than the original consumed
-                # (possible only for non-exact sessions, where a shared
-                # cache absorbed round trips) — the interaction simply
-                # completed; nothing is left in flight.
-                stepper = None
-                break
+    except StopIteration:
+        # The replay had fewer steps than the original consumed (possible
+        # only for non-exact sessions, where a shared cache absorbed round
+        # trips) — the interaction simply completed; nothing is left in
+        # flight.
+        stepper = None
+    except CheckpointError:
+        raise
+    except SearchComputingError as exc:
+        # The interaction did not fail when it was checkpointed.
+        raise CheckpointIntegrityError(
+            f"the replay failed where the checkpointed session did not "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     session.pending_stepper = stepper
     if verify and witness:
         _verify_replay(session, witness)

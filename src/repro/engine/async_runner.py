@@ -465,23 +465,19 @@ def run_plan_async(
     *args: Any,
     context: AsyncExecutionContext | None = None,
     time_scale: float = 0.001,
-    max_connections: int = 8,
     **options: Any,
 ) -> ExecutionResult:
     """Convenience wrapper: run one plan on the asyncio backend.
 
     Builds an :class:`AsyncPlanExecutor` (and, unless ``context`` is
-    given, a private :class:`AsyncExecutionContext` from the keyword
-    knobs) and drives it with ``asyncio.run``; ``fetches``, ``k`` and the
+    given, a private :class:`AsyncExecutionContext` at ``time_scale``)
+    and drives it with ``asyncio.run``; ``fetches``, ``k`` and the
     remaining keyword options are
     :class:`~repro.engine.executor.PlanExecutor`'s.  The virtual-clock
     twin is :func:`~repro.engine.executor.execute_plan`.
     """
     if context is None:
-        context = AsyncExecutionContext(
-            time_scale=time_scale,
-            default_connections=max_connections,
-        )
+        context = AsyncExecutionContext(time_scale=time_scale)
     return AsyncPlanExecutor(
         plan, query, pool, inputs, *args, context=context, **options
     ).run()

@@ -56,10 +56,7 @@ def build_sessions(
     if config.backend == "asyncio":
         from repro.engine.async_runner import AsyncExecutionContext
 
-        async_context = AsyncExecutionContext(
-            time_scale=config.time_scale,
-            default_connections=config.max_connections,
-        )
+        async_context = AsyncExecutionContext(time_scale=config.time_scale)
     manager = SessionManager(
         templates={template.name: template for template in config.templates},
         data_seed=config.data_seed,

@@ -135,10 +135,8 @@ class ServeConfig:
     plan_cache_size: int | None = None
     # -- backend and its pacing --------------------------------------------
     backend: str = "virtual"
-    #: asyncio only: wall seconds per virtual second, and the per-service
-    #: connection-pool size.
+    #: asyncio only: wall seconds per virtual second.
     time_scale: float = 0.001
-    max_connections: int = 8
     #: Sample queue depth / admission occupancy time series (virtual only).
     sample_metrics: bool = False
     # -- durability (in-process virtual runs only) ---------------------------

@@ -94,6 +94,9 @@ def cli_matrix(work: Path) -> list[tuple[tuple[str, ...], int]]:
         ((*serve, "--shards", "4", "--scenario", "all"), 0),
         ((*serve, "--shards", "4", "--no-steal", "--no-shared-cache"), 0),
         ((*serve, "--backend", "asyncio"), 0),
+        # Refused before serving: a malformed value, flags no ServeConfig takes.
+        ((*serve, "--service-rate", "nan"), 2),
+        ((*serve, "--shards", "2", "--backend", "asyncio"), 2),
         ((*serve, "--checkpoint-every", "3", "--checkpoint-dir", served), 0),
         ((*serve, "--checkpoint-every", "3", "--checkpoint-dir", served,
           "--resume"), 0),

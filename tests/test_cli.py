@@ -76,6 +76,26 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--input", "MALFORMED"])
 
+    def test_cache_bound_and_recovered_faults_keep_the_combinations(self, capsys):
+        def combinations(out):
+            return [line for line in out.splitlines() if "score=" in line]
+
+        code, plain = run_cli(capsys, "run", "--seed", "3")
+        assert code == 0
+        code, bounded = run_cli(
+            capsys, "run", "--seed", "3", "--invocation-cache-size", "2"
+        )
+        assert code == 0 and combinations(bounded) == combinations(plain)
+        # One slow call trips the 3 s timeout and is retried after the
+        # backoff: the run pays for it in time, not in results.
+        code, faulted = run_cli(
+            capsys, "run", "--seed", "3", "--timeout-rate", "0.3",
+            "--slow-factor", "5", "--call-timeout", "3", "--backoff", "0.1",
+        )
+        assert code == 0
+        assert "faults: 1 failed calls, 1 retries" in faulted
+        assert combinations(faulted) == combinations(plain)
+
 
 class TestRunStrict:
     """``repro run`` exit-code contract under degraded execution."""
@@ -196,42 +216,65 @@ class TestServeBench:
                 "--checkpoint-dir", "/tmp/x", "--rates", "1.0,2.0",
             ])
 
-    #: One argv per row of ``cli._SERVE_FLAG_RULES``, in table order, each
-    #: violating that row and none before it.
-    INCOMPATIBLE = [
+    #: Malformed values: argparse refuses them with its usage line naming
+    #: the flag (the last one in the argv) and exit status 2.
+    MALFORMED = [
         ["--rates", "fast"],
         ["--rates", " , "],
         ["--rates", "1.0,nan"],
         ["--rates", "1.0", "--service-rate", "nan"],
-        ["--rates", "0.5,2.0", "--trace", "-"],
-        ["--rates", "0.5,2.0", "--checkpoint-every", "5", "--checkpoint-dir", "d"],
-        ["--rates", "1.0", "--resume"],
+    ]
+    #: Valid values that describe no ``ServeConfig``: one ``repro:
+    #: ExecutionError`` line and exit status 2.
+    NO_CONFIG = [
         ["--rates", "1.0", "--checkpoint-every", "5", "--checkpoint-dir", "d",
          "--backend", "asyncio"],
         ["--rates", "1.0", "--shards", "2", "--backend", "asyncio"],
+    ]
+    #: One argv per row of ``cli._SERVE_FLAG_RULES``, in table order, each
+    #: violating that row and none before it: the row's message, status 1.
+    INCOMPATIBLE = [
+        ["--rates", "0.5,2.0", "--trace", "-"],
+        ["--rates", "0.5,2.0", "--checkpoint-every", "5", "--checkpoint-dir", "d"],
+        ["--rates", "1.0", "--resume"],
         ["--rates", "1.0", "--shards", "2", "--parallel", "--prom", "m.prom"],
     ]
+    REFUSED = MALFORMED + NO_CONFIG + INCOMPATIBLE
 
     def test_every_flag_rule_has_a_case(self):
         from repro.cli import _SERVE_FLAG_RULES
 
         assert len(self.INCOMPATIBLE) == len(_SERVE_FLAG_RULES)
 
-    @pytest.mark.parametrize("row", range(len(INCOMPATIBLE)))
+    @pytest.mark.parametrize("row", range(len(REFUSED)))
     def test_incompatible_flags_exit_with_the_rule_message(self, row, capsys):
+        # Each argv is refused by the one rule that owns it, before
+        # anything is served or printed.
         from repro.cli import _SERVE_FLAG_RULES
 
-        argv = ["serve-bench", *self.INCOMPATIBLE[row]]
-        args = build_parser().parse_args(argv)
-        _, message = _SERVE_FLAG_RULES[row]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        # ``SystemExit(message)``: the message goes to stderr, status is 1.
-        assert exit_info.value.code == message.format(rates=args.rates)
-        assert capsys.readouterr().out == ""  # refused before serving anything
+        argv = self.REFUSED[row]
+        try:
+            status = main(["serve-bench", *argv])
+        except SystemExit as exit_info:
+            status = exit_info.code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        if argv in self.MALFORMED:
+            assert status == 2
+            assert captured.err.splitlines()[-1].startswith(
+                f"repro serve-bench: error: argument {argv[-2]}: "
+            )
+        elif argv in self.NO_CONFIG:
+            assert status == 2
+            (line,) = captured.err.splitlines()
+            assert line.startswith("repro: ExecutionError: ")
+        else:
+            # ``SystemExit(message)``: the message goes to stderr, status 1.
+            _, message = _SERVE_FLAG_RULES[self.INCOMPATIBLE.index(argv)]
+            assert status == message
 
     def test_incompatible_flags_exit_status_is_one(self):
-        import os
         import subprocess
         import sys
 
@@ -240,11 +283,15 @@ class TestServeBench:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
         done = subprocess.run(
-            [sys.executable, "-m", "repro", "serve-bench", "--rates", "fast"],
+            [sys.executable, "-m", "repro", "serve-bench", *self.INCOMPATIBLE[0]],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 1
-        assert "--rates needs comma-separated numbers, got 'fast'" in done.stderr
+        assert done.stdout == ""
+        assert done.stderr == (
+            "--trace/--metrics/--prom take exactly one --rates value "
+            "(one run, one trace)\n"
+        )
 
     def test_every_mode_reports_the_same_combined_digest(self, capsys, tmp_path):
         import json
@@ -409,6 +456,52 @@ class TestTypedFailureAtTheDoor:
     @pytest.mark.parametrize(
         "damage, message",
         [
+            (
+                lambda p: p["witness"].pop("plan_signature"),
+                "session checkpoint's witness has no plan_signature",
+            ),
+            (
+                lambda p: p["journal"].__setitem__(0, 3),
+                "session checkpoint journal entry 0 is not a JSON object",
+            ),
+            (
+                lambda p: p["journal"][0].update(kind="rerank"),
+                "session checkpoint journal entry 0 has no weights",
+            ),
+            (
+                lambda p: p["witness"].pop("fetches"),
+                "session checkpoint's witness has no fetches",
+            ),
+        ],
+        ids=[
+            "witness without plan_signature",
+            "journal entry not an object",
+            "rerank entry without weights",
+            "witness without fetches",
+        ],
+    )
+    def test_damaged_session_checkpoint_exits_four_on_resume(
+        self, capsys, tmp_path, damage, message
+    ):
+        # Regression: KeyError / TypeError escaped ``repro resume`` (exit 1).
+        from repro.durability import CheckpointStore
+
+        code, _ = run_cli(
+            capsys, "checkpoint", "--schema", "scholar",
+            "--dir", str(tmp_path), "--key", "v",
+        )
+        assert code == 0
+        store = CheckpointStore(tmp_path)
+        payload = store.load("v")
+        damage(payload)
+        store.save("v", payload)
+        code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
+        assert code == 4
+        assert line == f"repro: CheckpointIntegrityError: {message}"
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
             (lambda p: p.pop("outcomes"), "checkpoint 'serve-000002' has no outcomes"),
             (lambda p: p.pop("sessions"), "checkpoint 'serve-000002' has no sessions"),
             (
@@ -484,11 +577,14 @@ class TestTypedFailureAtTheDoor:
         assert line == "repro: ExecutionError: checkpoint_every cannot be negative"
         assert not store.exists()
 
-    def test_zero_plan_cache_size_exits_two_before_serving(self, capsys):
-        # Regression: the header printed, then PlanCache died with exit 1.
-        code = main(
-            ["serve-bench", "--requests", "6", "--rates", "2", "--plan-cache-size", "0"]
-        )
+    def test_zero_plan_cache_size_exits_two_before_serving(self, capsys, tmp_path):
+        # Regression: the header printed, then PlanCache died with exit 1;
+        # and --artifacts-dir was created before the config was refused.
+        artifacts = tmp_path / "D"
+        code = main([
+            "serve-bench", "--requests", "6", "--rates", "2", "--plan-cache-size", "0",
+            "--artifacts-dir", str(artifacts), "--output", "r.json",
+        ])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -496,6 +592,7 @@ class TestTypedFailureAtTheDoor:
             "repro: ExecutionError: plan_cache_size must be positive "
             "(None: unbounded)\n"
         )
+        assert not artifacts.exists()
 
     @pytest.mark.parametrize("thresholds", ["0", "1,-2"])
     def test_non_positive_slo_thresholds_are_refused(self, thresholds, capsys):
@@ -505,10 +602,13 @@ class TestTypedFailureAtTheDoor:
                 "serve-bench", "--requests", "8", "--rates", "1",
                 f"--slo-thresholds={thresholds}", "--metrics", "json",
             ])
-        assert exit_info.value.code == (
-            f"--slo-thresholds needs positive thresholds, got {thresholds!r}"
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "repro serve-bench: error: argument --slo-thresholds: needs "
+            f"positive numbers, got {thresholds!r}"
         )
-        assert capsys.readouterr().out == ""
 
     def test_execution_failure_keeps_exit_one_and_its_hint(self, capsys):
         code = main(["run", "--seed", "3", "--outage", "Restaurant1"])
@@ -550,11 +650,13 @@ class TestParser:
             ("explain", "--fetch-boost", "0"),
             ("serve-bench", "--shards", "0"),
             ("serve-bench", "--shards", "-1"),
+            ("serve-bench", "--requests", "0"),
         ],
     )
     def test_counts_below_one_are_usage_errors(self, argv, capsys):
-        # Regression: --fetch-boost 0 ran with every factor clamped to 1 and
-        # --shards 0 silently served the unsharded comparison.
+        # Regression: --fetch-boost 0 ran with every factor clamped to 1,
+        # --shards 0 silently served the unsharded comparison, and
+        # --requests 0 printed the header, then exited 1.
         with pytest.raises(SystemExit) as exit_info:
             main(list(argv))
         captured = capsys.readouterr()
