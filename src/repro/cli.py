@@ -141,15 +141,25 @@ def _load(args) -> tuple:
     return registry, compiled, inputs, query_text
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type of a count: an integer, 1 or more."""
+def _integer(text: str, low: int) -> int:
+    """An integer ``low`` or more, for the argparse types below."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type of a count: an integer, 1 or more."""
+    return _integer(text, 1)
+
+
+def _bound(text: str) -> int:
+    """argparse type of an LRU bound: an integer, 0 (no bound) or more."""
+    return _integer(text, 0)
 
 
 def _at_least_zero(text: str) -> float:
@@ -219,7 +229,7 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
     )
     backend.add_argument(
         "--time-scale",
-        type=float,
+        type=_at_least_zero,
         default=0.001,
         help="asyncio backend: wall seconds slept per virtual second of "
         "simulated latency (default: 0.001)",
@@ -237,7 +247,7 @@ def _add_execution(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--invocation-cache-size",
-        type=int,
+        type=_bound,
         default=1024,
         metavar="N",
         help="LRU bound on memoised service invocations; 0 disables the "
@@ -529,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checkpoint_cmd.add_argument(
         "--steps",
-        type=int,
+        type=_at_least_one,
         metavar="N",
         help="advance the run only N scheduler steps, then checkpoint "
         "the suspended mid-plan state (default: run to completion)",

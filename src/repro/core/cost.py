@@ -84,7 +84,10 @@ class CostMetric:
     """Base class: price a fully instantiated plan.
 
     Subclasses must keep :attr:`monotonic` truthful — the optimizer uses
-    partial-plan costs as lower bounds only for monotonic metrics.
+    partial-plan costs as lower bounds only for monotonic metrics — and
+    define ``interfaces_lower_bound(interfaces)``, an optimistic cost given
+    only the selected interfaces (each is invoked at least once in any
+    completion), which bounds phase-1 states before any plan exists.
     """
 
     name: str = "abstract"
@@ -125,17 +128,6 @@ class CostMetric:
         builder then prices the whole plan with :meth:`partial_cost`.
         """
         return None
-
-    def interfaces_lower_bound(self, interfaces) -> float:
-        """Optimistic cost given only the set of selected interfaces.
-
-        Every selected service must be invoked at least once in any
-        completion; sum-like metrics add one minimal call per service,
-        time-like metrics take the largest single-call latency (all calls
-        could overlap across parallel branches).  Used to bound phase-1
-        states before any plan structure exists.
-        """
-        return 0.0
 
     def node_time(self, node: PlanNode, annotations: PlanAnnotations) -> float:
         """Virtual time contributed by one node (shared by path metrics)."""

@@ -111,20 +111,11 @@ class CallLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def calls_to(self, service: str, ok_only: bool = False) -> int:
-        """Round trips to ``service``; ``ok_only`` counts only the calls
-        that delivered a usable response (the figure the chapter's
-        per-call cost metrics mean — a retried chunk is one delivered
-        response however many attempts it took)."""
-        return sum(
-            1
-            for r in self.records
-            if r.service == service and not (ok_only and r.failed)
-        )
-
     def calls_by_alias(self, ok_only: bool = False) -> dict[str, int]:
-        """Round trips per alias; ``ok_only`` restricts to delivered
-        responses (failed attempts excluded — see :meth:`calls_to`)."""
+        """Round trips per alias; ``ok_only`` counts only the calls that
+        delivered a usable response (the figure the chapter's per-call
+        cost metrics mean — a retried chunk is one delivered response
+        however many attempts it took)."""
         out: dict[str, int] = {}
         for record in self.records:
             if ok_only and record.failed:

@@ -92,13 +92,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ExecutionError("max_attempts must be at least 1")
-        if self.base_backoff < 0:
+        if not self.base_backoff >= 0:  # NaN too
             raise ExecutionError("base_backoff must be non-negative")
-        if self.backoff_multiplier <= 0:
+        if not self.backoff_multiplier > 0:
             raise ExecutionError("backoff_multiplier must be positive")
         if not 0 <= self.jitter_fraction < 1:
             raise ExecutionError("jitter_fraction must be in [0, 1)")
-        if self.call_timeout is not None and self.call_timeout <= 0:
+        if self.call_timeout is not None and not self.call_timeout > 0:
             raise ExecutionError("call_timeout must be positive")
 
     def backoff(self, retry_number: int, rng: random.Random | None = None) -> float:

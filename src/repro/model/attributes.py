@@ -156,9 +156,6 @@ class RepeatingGroup:
                 return sub
         raise SchemaError(f"group {self.name!r} has no sub-attribute {name!r}")
 
-    def has_sub_attribute(self, name: str) -> bool:
-        return any(sub.name == name for sub in self.sub_attributes)
-
 
 @dataclass(frozen=True)
 class AttributePath:

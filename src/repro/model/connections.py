@@ -137,8 +137,3 @@ class _PatternIndex:
         if name not in self.by_name:
             raise SchemaError(f"unknown connection pattern {name!r}")
         return self.by_name[name]
-
-    def between(self, mart_a: str, mart_b: str) -> tuple[ConnectionPattern, ...]:
-        return tuple(
-            p for p in self.by_name.values() if p.connects(mart_a, mart_b)
-        )

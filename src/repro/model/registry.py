@@ -87,12 +87,6 @@ class ServiceRegistry:
     def pattern(self, name: str) -> ConnectionPattern:
         return self._patterns.get(name)
 
-    def has_pattern(self, name: str) -> bool:
-        return name in self._patterns.by_name
-
-    def patterns_between(self, mart_a: str, mart_b: str) -> tuple[ConnectionPattern, ...]:
-        return self._patterns.between(mart_a, mart_b)
-
     def resolve_atom(self, name: str) -> tuple[ServiceMart, ServiceInterface | None]:
         """Resolve a query atom naming either an interface or a mart.
 
@@ -112,10 +106,6 @@ class ServiceRegistry:
     @property
     def interface_names(self) -> tuple[str, ...]:
         return tuple(self._interfaces)
-
-    @property
-    def pattern_names(self) -> tuple[str, ...]:
-        return tuple(self._patterns.by_name)
 
     def describe(self) -> str:
         """Multi-line human-readable catalogue listing."""

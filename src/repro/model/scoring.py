@@ -70,11 +70,6 @@ class ScoringFunction:
         """
         return self.score_at(chunk_index * chunk_size)
 
-    def validate_monotone(self, positions: int = 256) -> bool:
-        """Check non-increasing scores over a prefix; used by tests."""
-        scores = [self.score_at(i) for i in range(positions)]
-        return all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
-
 
 @dataclass(frozen=True)
 class StepScoring(ScoringFunction):

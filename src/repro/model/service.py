@@ -157,11 +157,6 @@ class AccessPattern:
             sorted(k for k, v in self.adornments.items() if v is Adornment.INPUT)
         )
 
-    def ranked_paths(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(k for k, v in self.adornments.items() if v is Adornment.RANKED)
-        )
-
     @classmethod
     def from_spec(cls, spec: Mapping[str, str]) -> "AccessPattern":
         """Build from ``{"path": "I" | "O" | "R"}`` shorthand."""
@@ -258,10 +253,6 @@ class ServiceInterface:
         return self.kind is ServiceKind.SEARCH
 
     @property
-    def is_exact(self) -> bool:
-        return self.kind is ServiceKind.EXACT
-
-    @property
     def is_chunked(self) -> bool:
         return self.stats.chunk_size is not None
 
@@ -273,35 +264,14 @@ class ServiceInterface:
         return max(1, round(self.stats.avg_cardinality))
 
     @property
-    def is_proliferative(self) -> bool:
-        """More than one output tuple per input tuple on average.
-
-        Search services are proliferative by definition (Section 3.2).
-        """
-        if self.is_search:
-            return True
-        return self.stats.avg_cardinality > 1.0
-
-    @property
-    def is_selective(self) -> bool:
-        """Fewer output than input tuples on average (exact services only)."""
-        return self.is_exact and self.stats.avg_cardinality < 1.0
-
-    @property
     def is_ranked(self) -> bool:
-        return self.is_search or bool(self.access_pattern.ranked_paths())
+        ranked = Adornment.RANKED in self.access_pattern.adornments.values()
+        return self.is_search or ranked
 
     # -- schema helpers ------------------------------------------------------
 
     def input_paths(self) -> tuple[str, ...]:
         return self.access_pattern.input_paths()
-
-    def output_paths(self) -> tuple[str, ...]:
-        return tuple(
-            str(path)
-            for path in self.mart.paths()
-            if self.access_pattern.adornment_of(path).is_output
-        )
 
     def adornment_of(self, path: AttributePath | str) -> Adornment:
         return self.access_pattern.adornment_of(path)

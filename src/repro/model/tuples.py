@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.errors import QueryError, SchemaError
-from repro.model.attributes import AttributePath
 from repro.model.scoring import fold
 
 __all__ = ["ServiceTuple", "CompositeTuple", "RankingFunction", "freeze_value"]
@@ -88,22 +87,6 @@ class ServiceTuple:
         # ``_hash``, ``_lines``): a string hash is wrong in another process.
         return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
-    def value_at(self, path: AttributePath) -> Any:
-        """Value addressed by ``path``.
-
-        For a nested path the result is the tuple of sub-tuple values of the
-        addressed sub-attribute — i.e. *all* witnesses; predicate evaluation
-        picks individual witnesses itself.
-        """
-        if path.group is None:
-            if path.name not in self.values:
-                raise QueryError(f"tuple from {self.source!r} has no attribute {path.name!r}")
-            return self.values[path.name]
-        group_value = self.values.get(path.group)
-        if group_value is None:
-            raise QueryError(f"tuple from {self.source!r} has no group {path.group!r}")
-        return tuple(dict(member).get(path.name) for member in group_value)
-
     def group_members(self, group: str) -> tuple[dict[str, Any], ...]:
         """The sub-tuples of repeating group ``group`` as dictionaries.
 
@@ -171,17 +154,6 @@ class CompositeTuple:
     @property
     def aliases(self) -> tuple[str, ...]:
         return tuple(self.components)
-
-    def merged_with(self, alias: str, tup: ServiceTuple, score: float) -> "CompositeTuple":
-        """Return a new composite extended with ``alias -> tup``."""
-        if alias in self.components:
-            raise QueryError(f"alias {alias!r} already present in composite")
-        parts = dict(self.components)
-        parts[alias] = tup
-        return CompositeTuple(parts, score)
-
-    def value_at(self, alias: str, path: AttributePath) -> Any:
-        return self.component(alias).value_at(path)
 
     def __hash__(self) -> int:
         return hash(tuple(sorted((a, hash(t)) for a, t in self.components.items())))

@@ -259,14 +259,16 @@ def absorb_outcome_metrics(
     outcome: Any,
     emit_shard_metrics: bool = False,
 ) -> None:
-    """Apply the metric increments the scheduler made for ``outcome``.
+    """Account one terminal outcome in the serving metrics.
 
-    Mirrors ``ServeScheduler._on_finish`` / ``_reject`` / ``_steal_one``
-    bookkeeping for one terminal outcome, so replaying checkpointed
-    outcomes reconciles counters and histograms with an uninterrupted
-    run.  Per-shard ``max_queue_depth`` gauges and the admission peak
-    describe pre-crash transients that are not part of an outcome and
-    are deliberately out of scope.
+    The one place an outcome is counted: the virtual scheduler calls it
+    when a request finishes or is rejected, the asyncio loop and the
+    parallel merge once per outcome, and a resume once per replayed
+    checkpointed outcome, so every placement's counters and histograms
+    agree with an uninterrupted in-process run.  Failed requests get
+    their own latency histogram, so ``serve.latency`` stays
+    completed-only.  Per-shard ``max_queue_depth`` gauges and the
+    admission peak are sampled where they change, not per outcome.
     """
     status = outcome.status
     request = outcome.request

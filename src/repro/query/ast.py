@@ -286,13 +286,6 @@ class Query:
     def selections_on(self, alias: str) -> tuple[SelectionPredicate, ...]:
         return tuple(s for s in self.selections if s.attr.alias == alias)
 
-    def input_names(self) -> tuple[str, ...]:
-        """All INPUT variable names mentioned, in first-appearance order."""
-        names: list[str] = []
-        for sel in self.selections:
-            if isinstance(sel.operand, InputRef) and sel.operand.name not in names:
-                names.append(sel.operand.name)
-        return tuple(names)
 
     def __str__(self) -> str:
         parts = [f"SELECT {', '.join(str(a) for a in self.atoms)}"]

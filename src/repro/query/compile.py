@@ -45,10 +45,6 @@ class CompiledAtom:
     mart: ServiceMart
     interface: ServiceInterface | None = None
 
-    @property
-    def is_interface_fixed(self) -> bool:
-        return self.interface is not None
-
 
 @dataclass(frozen=True)
 class CompiledQuery:
@@ -169,16 +165,6 @@ class CompiledQuery:
     def joins_involving(self, alias: str) -> tuple[JoinPredicate, ...]:
         return self._joins_by_alias.get(alias, ())
 
-    def join_graph(self) -> dict[frozenset[str], tuple[JoinPredicate, ...]]:
-        """Join predicates grouped by the unordered pair of aliases."""
-        return dict(self._joins_by_pair)
-
-    def input_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for sel in self.selections:
-            if isinstance(sel.operand, InputRef) and sel.operand.name not in names:
-                names.append(sel.operand.name)
-        return tuple(names)
 
 
 def _grouped(pairs) -> dict:

@@ -91,22 +91,6 @@ class BindingChoice:
         deps = self.dependencies
         return {alias: deps.get(alias, frozenset()) for alias in aliases}
 
-    def piped_attributes(self, consumer: str, producer: str) -> tuple[Provider, ...]:
-        """Providers that pipe values from ``producer`` into ``consumer``."""
-        return tuple(
-            p
-            for p in self.providers
-            if p.alias == consumer
-            and p.kind is ProviderKind.JOIN
-            and p.source_alias == producer
-        )
-
-    def consumed_joins(self) -> frozenset[JoinPredicate]:
-        """Join predicates realised as pipe bindings by this choice."""
-        return frozenset(
-            p.join for p in self.providers if p.join is not None
-        )
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:

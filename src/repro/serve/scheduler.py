@@ -72,7 +72,7 @@ from repro.engine.liquid import BACKENDS
 from repro.errors import ExecutionError, SearchComputingError
 from repro.model.tuples import CompositeTuple
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.serving import SloTracker, record_request_span
+from repro.obs.serving import SloTracker, absorb_outcome_metrics, record_request_span
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.serve.sessions import SessionManager
 from repro.serve.workload import QueryTemplate, Request, default_templates
@@ -767,17 +767,6 @@ class ServeScheduler:
         home = self._home(request) if self._home is not None else None
         self._schedule(at, "arrival", request, home)
 
-    def _shard_counter(self, name: str):
-        """Per-shard counter, or ``None`` when shard metrics are off."""
-        if not self.emit_shard_metrics:
-            return None
-        return self.metrics.counter(f"serve.shard.{self.shard_index}.{name}")
-
-    def _inc_shard(self, name: str) -> None:
-        counter = self._shard_counter(name)
-        if counter is not None:
-            counter.inc()
-
     def _bucket(self, interface: str) -> _TokenBucket | None:
         bucket = self._buckets.get(interface)
         if bucket is None:
@@ -867,7 +856,6 @@ class ServeScheduler:
         """Begin executing an admitted request."""
         self._active += 1
         self.admission.acquire()
-        self._inc_shard("started")
         if self.tracer.enabled:
             if self._lane_free:
                 lane = heapq.heappop(self._lane_free)
@@ -925,7 +913,6 @@ class ServeScheduler:
         self._schedule(now, "resume", job)
 
     def _queue_wait_of(self, request: Request, wait: float, now: float) -> None:
-        self.metrics.histogram("serve.queue_wait").observe(wait)
         outcome = RequestOutcome(
             request=request,
             status="running",
@@ -960,7 +947,6 @@ class ServeScheduler:
             if granted > ready:
                 job.rate_wait += granted - ready
                 job.rate_hits += 1
-                self.metrics.counter("serve.rate_limited").inc()
             ready = granted
         self._schedule(ready, "resume", job)
 
@@ -978,15 +964,6 @@ class ServeScheduler:
         if job.error is not None:
             outcome.status = "failed"
             outcome.error = job.error
-            self.metrics.counter("serve.failed").inc()
-            self._inc_shard("failed")
-            # Failed requests get their own histogram: ``serve.latency``
-            # stays completed-only (see :meth:`ServeReport.latency_summary`)
-            # so percentiles are not skewed by fail-fast errors, while the
-            # time burned on failures stays observable.
-            self.metrics.histogram("serve.latency_failed").observe(
-                outcome.latency
-            )
         else:
             outcome.status = "completed"
             if self.digest_fn is not None:
@@ -997,13 +974,10 @@ class ServeScheduler:
                 outcome.results = job.result
             if request.kind == "run":
                 outcome.k_shortfall = self.sessions.k_shortfall(request, job.result)
-            self.metrics.counter("serve.completed").inc()
-            self._inc_shard("completed")
-            self.metrics.histogram("serve.latency").observe(outcome.latency)
         if job.stepper is not None:
             pool = self.sessions.pool_for(request)
             outcome.round_trips = pool.log.total_calls() - job.calls_before
-        self.metrics.counter(f"serve.kind.{request.kind}").inc()
+        absorb_outcome_metrics(self.metrics, outcome, self.emit_shard_metrics)
         if self.slo is not None and outcome.status == "completed":
             self.slo.observe(outcome.latency, at=now)
         if self.tracer.enabled:
@@ -1051,12 +1025,7 @@ class ServeScheduler:
         if wake is not None:
             outcome.unparked_at, outcome.wake_reason = wake
         self.table.outcomes[request.request_id] = outcome
-        self.metrics.counter("serve.rejected").inc()
-        self._inc_shard("rejected")
-        # Every terminal outcome counts toward its kind — completed,
-        # failed, *and* rejected — so per-kind totals reconcile with
-        # ``by_status()`` under admission pressure.
-        self.metrics.counter(f"serve.kind.{request.kind}").inc()
+        absorb_outcome_metrics(self.metrics, outcome, self.emit_shard_metrics)
         if self.tracer.enabled:
             record_request_span(self.tracer, outcome)
         # A rejected run can never serve its follow-ups.

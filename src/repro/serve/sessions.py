@@ -336,7 +336,3 @@ class SessionManager:
         """Service round trips across every distinct session pool."""
         pools = {id(s.pool): s.pool for s in self._sessions.values()}
         return sum(pool.log.total_calls() for pool in pools.values())
-
-    @property
-    def session_count(self) -> int:
-        return len(self._sessions)

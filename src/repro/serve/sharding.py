@@ -349,11 +349,6 @@ class ShardedServeScheduler:
                 shard=thief.shard_index,
                 victim=victim.shard_index,
             )
-        self.metrics.counter("serve.steals").inc()
-        self.metrics.counter(f"serve.shard.{thief.shard_index}.steals").inc()
-        self.metrics.counter(
-            f"serve.shard.{victim.shard_index}.stolen_from"
-        ).inc()
 
     # -- reporting -----------------------------------------------------------
 

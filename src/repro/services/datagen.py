@@ -174,21 +174,6 @@ class TupleGenerator:
                 f"[{self.min_group_members}, {self.max_group_members}] are empty"
             )
 
-    def result_size(self, rng: random.Random) -> int:
-        """Invocation cardinality around the declared average.
-
-        Selective services (average below one) return one tuple with the
-        average as probability; proliferative ones draw uniformly within
-        +/-25% of the average, at least one tuple.
-        """
-        avg = self.interface.stats.avg_cardinality
-        if avg <= 0:
-            return 0
-        if avg < 1.0:
-            return 1 if rng.random() < avg else 0
-        spread = max(1, round(avg * 0.25))
-        return max(1, round(avg) + rng.randint(-spread, spread))
-
     def generate(
         self,
         inputs: Mapping[str, Any],
@@ -394,7 +379,13 @@ class TupleGenerator:
         )
 
     def _size_drawer(self):
-        """:meth:`result_size` on the stream's primitives."""
+        """Invocation cardinality around the declared average, drawn on the
+        stream's primitives.
+
+        Selective services (average below one) return one tuple with the
+        average as probability; proliferative ones draw uniformly within
+        +/-25% of the average, at least one tuple.
+        """
         avg = self.interface.stats.avg_cardinality
         if avg <= 0:
             return lambda bits, unit: 0

@@ -113,7 +113,7 @@ class FaultProfile:
             raise ServiceInvocationError("failure_rate must be in [0, 1]")
         if not 0.0 <= self.timeout_rate <= 1.0:
             raise ServiceInvocationError("timeout_rate must be in [0, 1]")
-        if self.slow_factor < 1.0:
+        if not self.slow_factor >= 1.0:  # NaN too
             raise ServiceInvocationError("slow_factor must be at least 1")
 
     @property

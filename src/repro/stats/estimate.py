@@ -152,22 +152,6 @@ class Estimator:
             result *= self.join_selectivity(node.alias, producer)
         return result
 
-    def pushed_selectivity(
-        self, alias: str, exclude: Iterable[SelectionPredicate] = ()
-    ) -> float:
-        """Selectivity of the alias's non-binding selection predicates.
-
-        Binding predicates (equality constants feeding input attributes)
-        shape the invocation rather than filtering its results, so callers
-        exclude them via ``exclude``.
-        """
-        excluded = set(id(p) for p in exclude)
-        mart = self.query.atom(alias).mart
-        predicates = [
-            p for p in self.query.selections_on(alias) if id(p) not in excluded
-        ]
-        return combined_selection_selectivity(predicates, mart)
-
     def join_selectivity(self, alias_a: str, alias_b: str) -> float:
         """Selectivity of all join predicates between the two aliases."""
         key = (alias_a, alias_b)

@@ -9,7 +9,11 @@ counted, then installs :func:`sys.setprofile` and runs, in-process, the
 CLI matrix (:func:`cli_matrix`, through :func:`repro.cli.main`) and one
 batch of each served workload of ``benchmarks/e2e`` at scale 0.25
 (:data:`SERVED_WORKLOADS`; ``plan_cold`` is what plans the synthetic
-schemas of :mod:`repro.services.synth`).
+schemas of :mod:`repro.services.synth`).  A process forked meanwhile
+(``serve-bench --parallel`` runs one worker per shard) inherits the
+profiler; each time it returns from the shard entry point
+(:data:`WORKER_ENTRY`) it writes what it entered so far, and the audit
+merges those files into what the parent entered.
 
 A *function* is a ``def`` or ``lambda`` code object.  Its lines run from
 its first line (decorators included) to the last source line its
@@ -19,10 +23,8 @@ called.  The JSON it writes holds, per module, the reached and unreached
 function lines and the unreached functions, the totals, and
 ``unreached_modules``: the modules that have functions and enter none.
 
-``serve-bench --parallel`` is not in the matrix: its worker processes
-are not profiled.  Neither is ``join_kernels``: whether the multiway
-kernels it times serve a request is what the allowlist's reason for them
-leaves open.
+``join_kernels`` is not run: whether the multiway kernels it times
+serve a request is what the allowlist's reason for them leaves open.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ _SCHEMAS = ("movie", "conference", "travel", "shopping", "scholar")
 
 ROOT = Path(__file__).resolve().parents[2]
 SERVED_WORKLOADS = ("serve_hot", "serve_tail", "serve_durable", "plan_cold")
+#: What a ``--parallel`` worker process runs per shard: ``(module, function)``.
+WORKER_ENTRY = ("repro.serve.runtime", "_serve_subset")
 
 
 def cli_matrix(work: Path) -> list[tuple[tuple[str, ...], int]]:
@@ -74,6 +78,7 @@ def cli_matrix(work: Path) -> list[tuple[tuple[str, ...], int]]:
     matrix += [
         (("plan", "--budget", "5"), 0),
         (("run", "--backend", "asyncio"), 0),
+        (("run", "--invocation-cache-size", "2"), 0),
         (("explain", "--backend", "asyncio"), 0),
         (("run", "--seed", "3", "--failure-rate", "0.3",
           "--degradation", "partial"), 0),
@@ -94,9 +99,12 @@ def cli_matrix(work: Path) -> list[tuple[tuple[str, ...], int]]:
         ((*serve, "--shards", "4", "--scenario", "all"), 0),
         ((*serve, "--shards", "4", "--no-steal", "--no-shared-cache"), 0),
         ((*serve, "--backend", "asyncio"), 0),
+        ((*serve, "--shards", "2", "--parallel"), 0),
         # Refused before serving: a malformed value, flags no ServeConfig takes.
         ((*serve, "--service-rate", "nan"), 2),
         ((*serve, "--shards", "2", "--backend", "asyncio"), 2),
+        # A constant whose type the attribute refuses (the compiler's door).
+        (("plan", "--query", "SELECT Movie1 AS M WHERE M.Title = 3"), 2),
         ((*serve, "--checkpoint-every", "3", "--checkpoint-dir", served), 0),
         ((*serve, "--checkpoint-every", "3", "--checkpoint-dir", served,
           "--resume"), 0),
@@ -180,8 +188,23 @@ def run_matrix(work: Path) -> set[tuple[str, int, str]]:
             code = frame.f_code
             entered[id(code)] = code
 
+    workers = work / "workers"
+    workers.mkdir()
+    entry = getattr(importlib.import_module(WORKER_ENTRY[0]), WORKER_ENTRY[1]).__code__
+
+    def worker_profile(frame, event, arg):
+        profile(frame, event, arg)
+        if event == "return" and frame.f_code is entry:
+            keys = [_key(code) for code in entered.values()]
+            (workers / f"{os.getpid()}.json").write_text(json.dumps(keys))
+
+    def in_child() -> None:
+        if sys.getprofile() is profile:  # forked while the matrix runs
+            sys.setprofile(worker_profile)
+
     failures = []
     matrix = cli_matrix(work)
+    os.register_at_fork(after_in_child=in_child)
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
@@ -200,10 +223,14 @@ def run_matrix(work: Path) -> set[tuple[str, int, str]]:
         threading.setprofile(None)
     if failures:
         raise SystemExit(f"audited commands failed: {failures}")
-    return {
-        (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
-        for code in entered.values()
-    }
+    reached = {_key(code) for code in entered.values()}
+    for path in workers.glob("*.json"):
+        reached.update(map(tuple, json.loads(path.read_text())))
+    return reached
+
+
+def _key(code: CodeType) -> tuple[str, int, str]:
+    return (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
 
 
 def audit(work: Path) -> dict:

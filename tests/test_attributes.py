@@ -77,8 +77,6 @@ class TestRepeatingGroup:
     def test_sub_attribute_lookup(self):
         group = RepeatingGroup("G", (Attribute("A"), Attribute("B")))
         assert group.sub_attribute("B").name == "B"
-        assert group.has_sub_attribute("A")
-        assert not group.has_sub_attribute("Z")
         with pytest.raises(SchemaError):
             group.sub_attribute("Z")
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import QueryError
+from repro.query.ast import InputRef
 from repro.query.compile import compile_query
 from repro.query.parser import parse_query
 from repro.services.marts import RUNNING_EXAMPLE_QUERY
@@ -11,12 +12,11 @@ from repro.services.marts import RUNNING_EXAMPLE_QUERY
 class TestAtomResolution:
     def test_interface_atoms_are_fixed(self, movie_registry):
         cq = compile_query(parse_query("SELECT Movie1 AS M"), movie_registry)
-        assert cq.atom("M").is_interface_fixed
         assert cq.atom("M").interface.name == "Movie1"
 
     def test_mart_atoms_defer_interface(self, movie_registry):
         cq = compile_query(parse_query("SELECT Movie AS M"), movie_registry)
-        assert not cq.atom("M").is_interface_fixed
+        assert cq.atom("M").interface is None
         assert cq.atom("M").mart.name == "Movie"
 
     def test_unknown_atom_rejected(self, movie_registry):
@@ -124,12 +124,13 @@ class TestRanking:
 
 class TestHelpers:
     def test_join_graph(self, movie_query):
-        graph = movie_query.join_graph()
-        assert frozenset({"M", "T"}) in graph
-        assert frozenset({"T", "R"}) in graph
+        assert movie_query.joins_between("M", "T")
+        assert movie_query.joins_between("T", "R")
+        assert not movie_query.joins_between("M", "R")
 
     def test_input_names(self, movie_query):
-        assert set(movie_query.input_names()) == {
+        operands = (s.operand for s in movie_query.selections)
+        assert {op.name for op in operands if isinstance(op, InputRef)} == {
             "INPUT1",
             "INPUT2",
             "INPUT3",

@@ -120,9 +120,9 @@ class TestServiceRegistry:
         )
         registry.register_pattern(pattern)
         assert registry.pattern("P") is pattern
-        assert registry.patterns_between("B", "A") == (pattern,)
-        assert registry.has_pattern("P")
-        assert not registry.has_pattern("Q")
+        assert pattern.connects("B", "A")
+        with pytest.raises(SchemaError):
+            registry.pattern("Q")
 
     def test_duplicate_pattern_rejected(self, marts):
         a, b = marts
@@ -154,6 +154,7 @@ class TestServiceRegistry:
             "Theatre1",
             "Restaurant1",
         }
-        assert set(movie_registry.pattern_names) == {"Shows", "DinnerPlace"}
+        assert movie_registry.pattern("Shows").name == "Shows"
+        assert movie_registry.pattern("DinnerPlace").name == "DinnerPlace"
         assert "Flight1" in conference_registry.interface_names
-        assert "Stay" in conference_registry.pattern_names
+        assert conference_registry.pattern("Stay").name == "Stay"

@@ -96,11 +96,3 @@ class TestEstimator:
         assert estimator.join_selectivity("T", "R") == pytest.approx(0.40)
         assert estimator.join_selectivity("M", "R") == 1.0  # no join
 
-    def test_pushed_selectivity_excludes_given_predicates(self, movie_query):
-        estimator = Estimator(movie_query)
-        everything = estimator.pushed_selectivity("M")
-        excluded = estimator.pushed_selectivity(
-            "M", exclude=movie_query.selections_on("M")
-        )
-        assert excluded == 1.0
-        assert everything < 1.0

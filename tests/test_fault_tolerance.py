@@ -7,6 +7,7 @@ machinery that keeps execution deterministic, fully accounted, and (under
 ``partial`` degradation) always terminating with best-effort results.
 """
 
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from repro.engine.retry import NO_RETRY, Degradation, Retrier, RetryPolicy
 from repro.errors import (
     ExecutionError,
     RetryExhaustedError,
+    ServiceInvocationError,
     ServiceTimeoutError,
     ServiceUnavailableError,
 )
@@ -94,6 +96,11 @@ class TestRetryPolicy:
             RetryPolicy(call_timeout=0.0)
         with pytest.raises(ExecutionError):
             RetryPolicy(jitter_fraction=1.5)
+        # NaN passes `x < bound`: a NaN backoff waited nothing (max(0.0, nan))
+        # and a NaN deadline never fired.
+        for field in ("base_backoff", "backoff_multiplier", "call_timeout"):
+            with pytest.raises(ExecutionError):
+                RetryPolicy(**{field: math.nan})
 
     def test_degradation_coercion(self):
         assert Degradation.coerce("partial") is Degradation.PARTIAL
@@ -171,6 +178,10 @@ class TestFaultInjection:
             FaultProfile(failure_rate=1.5)
         with pytest.raises(ExecutionError):
             FaultProfile(slow_factor=0.5)
+        # A NaN slow factor used to print ``nan virtual seconds``.
+        for field in ("failure_rate", "timeout_rate", "slow_factor"):
+            with pytest.raises(ServiceInvocationError):
+                FaultProfile(**{field: math.nan})
 
     def test_outage_raises_and_logs(self, tiny_search_interface):
         clock, log = VirtualClock(), CallLog()

@@ -123,9 +123,17 @@ class TestProviders:
 
     def test_piped_attributes(self, movie_query):
         choice = next(enumerate_binding_choices(movie_query))
-        piped = choice.piped_attributes("R", "T")
-        assert {str(p.path) for p in piped} == {"RAddress", "RCity", "RCountry"}
-        assert choice.piped_attributes("T", "R") == ()
+        def piped(consumer, producer):
+            return {
+                str(p.path)
+                for p in choice.providers
+                if p.alias == consumer
+                and p.kind is ProviderKind.JOIN
+                and p.source_alias == producer
+            }
+
+        assert piped("R", "T") == {"RAddress", "RCity", "RCountry"}
+        assert piped("T", "R") == set()
 
     def test_multiple_choices_in_conference_query(self, conference_query):
         # H's city can be piped from C (Venue) or F (Stay), and F's city
@@ -156,6 +164,6 @@ class TestProviders:
 
     def test_consumed_joins_marked(self, movie_query):
         choice = next(enumerate_binding_choices(movie_query))
-        consumed = choice.consumed_joins()
+        consumed = {p.join for p in choice.providers if p.join is not None}
         assert all(j.pattern == "DinnerPlace" for j in consumed)
         assert len(consumed) == 3

@@ -262,9 +262,6 @@ class TestOkOnlyCallViews:
         log = self._log_with_retries()
         assert log.calls_by_alias() == {"M": 3, "T": 3}
         assert log.calls_by_alias(ok_only=True) == {"M": 2, "T": 1}
-        assert log.calls_to("Movie1") == 3
-        assert log.calls_to("Movie1", ok_only=True) == 2
-        assert log.calls_to("Theatre1", ok_only=True) == 1
 
     def test_slow_calls_still_count_as_delivered(self):
         log = CallLog()

@@ -46,8 +46,7 @@ class TestParser:
 
     def test_selection_with_input_variable(self):
         q = parse_query("SELECT S1 AS A WHERE A.X = INPUT1")
-        assert isinstance(q.selections[0].operand, InputRef)
-        assert q.input_names() == ("INPUT1",)
+        assert q.selections[0].operand == InputRef("INPUT1")
 
     def test_numeric_operands(self):
         q = parse_query("SELECT S1 AS A WHERE A.X > 26 AND A.Y <= 3.5")

@@ -150,7 +150,14 @@ def reference_stream(generator, inputs, constraints, rng):
     """The generator as first written: one ``domain_value`` per unbound
     (sub-)attribute, dict-shaped groups, the validating constructor."""
     interface = generator.interface
-    total = generator.result_size(rng)
+    avg = interface.stats.avg_cardinality
+    if avg <= 0:
+        total = 0
+    elif avg < 1.0:
+        total = 1 if rng.random() < avg else 0
+    else:
+        spread = max(1, round(avg * 0.25))
+        total = max(1, round(avg) + rng.randint(-spread, spread))
     position = attempts = 0
     while position < total and attempts < max(20, total * 20):
         attempts += 1

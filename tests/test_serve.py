@@ -466,7 +466,6 @@ def test_session_manager_tracks_sessions_and_round_trips():
     manager = _manager()
     request = _run_request(0, arrival=0.0)
     session = manager.open(request)
-    assert manager.session_count == 1
     assert manager.pool_for(request) is session.pool
     assert manager.total_round_trips() == 0
     session.run()

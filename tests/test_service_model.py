@@ -63,7 +63,7 @@ class TestAccessPattern:
     def test_input_and_ranked_paths(self):
         pattern = AccessPattern.from_spec({"A": "I", "C": "I", "B": "R"})
         assert pattern.input_paths() == ("A", "C")
-        assert pattern.ranked_paths() == ("B",)
+        assert pattern.adornment_of("B") is Adornment.RANKED
 
     def test_ranked_is_output(self):
         assert Adornment.RANKED.is_output
@@ -99,31 +99,6 @@ class TestServiceInterface:
                 scoring=ConstantScoring(),
             )
 
-    def test_search_is_always_proliferative(self, mart):
-        iface = ServiceInterface(
-            name="S",
-            mart=mart,
-            kind=ServiceKind.SEARCH,
-            stats=ServiceStats(avg_cardinality=0.5, chunk_size=5),
-            scoring=LinearScoring(),
-        )
-        assert iface.is_proliferative
-        assert not iface.is_selective
-
-    def test_exact_selective_classification(self, mart):
-        selective = ServiceInterface(
-            name="Sel",
-            mart=mart,
-            stats=ServiceStats(avg_cardinality=0.4),
-        )
-        proliferative = ServiceInterface(
-            name="Pro",
-            mart=mart,
-            stats=ServiceStats(avg_cardinality=20),
-        )
-        assert selective.is_selective and not selective.is_proliferative
-        assert proliferative.is_proliferative and not proliferative.is_selective
-
     def test_unchunked_chunk_size_approximates_cardinality(self, mart):
         iface = ServiceInterface(
             name="S", mart=mart, stats=ServiceStats(avg_cardinality=17.4)
@@ -136,8 +111,8 @@ class TestServiceInterface:
             mart=mart,
             access_pattern=AccessPattern.from_spec({"A": "I", "B": "R"}),
         )
-        assert "B" in iface.output_paths()
-        assert "A" not in iface.output_paths()
+        assert iface.adornment_of("B").is_output
+        assert not iface.adornment_of("A").is_output
         assert iface.is_ranked
 
     def test_describe_uses_adornment_notation(self, mart):

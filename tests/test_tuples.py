@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import QueryError, SchemaError
-from repro.model.attributes import AttributePath
 from repro.model.tuples import CompositeTuple, RankingFunction, ServiceTuple
 
 
@@ -17,19 +16,6 @@ class TestServiceTuple:
             ServiceTuple(values={}, score=1.5)
         with pytest.raises(SchemaError):
             ServiceTuple(values={}, score=-0.1)
-
-    def test_flat_value_access(self):
-        tup = make_tuple(Title="Up")
-        assert tup.value_at(AttributePath("Title")) == "Up"
-
-    def test_missing_attribute_raises(self):
-        tup = make_tuple(Title="Up")
-        with pytest.raises(QueryError):
-            tup.value_at(AttributePath("Nope"))
-
-    def test_nested_value_access_returns_all_witnesses(self):
-        tup = make_tuple(R=({"A": 1, "B": "x"}, {"A": 2, "B": "y"}))
-        assert tup.value_at(AttributePath("R", "A")) == (1, 2)
 
     def test_group_members(self):
         tup = make_tuple(R=({"A": 1}, {"A": 2}))
@@ -60,18 +46,6 @@ class TestCompositeTuple:
         assert comp.aliases == ("M",)
         with pytest.raises(QueryError):
             comp.component("T")
-
-    def test_merged_with_rejects_duplicate_alias(self):
-        comp = CompositeTuple({"M": make_tuple(X=1)}, 0.5)
-        with pytest.raises(QueryError):
-            comp.merged_with("M", make_tuple(X=2), 0.6)
-
-    def test_merged_with_extends(self):
-        comp = CompositeTuple({"M": make_tuple(X=1)}, 0.5)
-        bigger = comp.merged_with("T", make_tuple(Y=2), 0.7)
-        assert set(bigger.aliases) == {"M", "T"}
-        assert bigger.score == 0.7
-        assert comp.aliases == ("M",)  # original untouched
 
 
 class TestRankingFunction:
