@@ -67,6 +67,7 @@ from __future__ import annotations
 import argparse
 import ast as python_ast
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import Any
@@ -163,13 +164,15 @@ def _bound(text: str) -> int:
 
 
 def _at_least_zero(text: str) -> float:
-    """argparse type of a rate: a number, 0 or more (not NaN)."""
+    """argparse type of a rate or a scale: a finite number, 0 or more."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"needs a number, got {text!r}") from None
-    if not value >= 0:  # NaN too
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
     return value
 
 

@@ -9,9 +9,9 @@ crash without losing them.  This package provides:
   execution state is recomputed deterministically on restore) and the
   atomic, content-hashed :class:`CheckpointStore`;
 * :mod:`repro.durability.serve` — scheduler-level periodic
-  checkpointing for :class:`~repro.serve.scheduler.ServeScheduler` /
-  :class:`~repro.serve.sharding.ShardedServeScheduler`, plus the resume
-  path that reloads sessions and serves the remaining workload.
+  checkpointing for :class:`~repro.serve.sharding.ServeScheduler` (one
+  checkpointer over the one session table of every shard), plus the
+  resume path that reloads sessions and serves the remaining workload.
 
 The SIGKILL crash harness that proves resume digest-identical is a test
 harness, ``tests/support/crash.py``.

@@ -93,11 +93,11 @@ _OUTCOME_FIELDS = (
 class ServeCheckpointer:
     """Periodic serve-level checkpointing, driven by terminal outcomes.
 
-    Attach one to a :class:`~repro.serve.scheduler.ServeScheduler` (or
-    to every shard of a :class:`~repro.serve.sharding.ShardedServeScheduler`
-    — they share the session table, so one checkpointer serves all
-    shards).  ``every=0`` disables periodic writes; :meth:`write` can
-    still be called explicitly.
+    :func:`repro.serve.runtime.serve` builds one per durable run and
+    hands the :class:`~repro.serve.sharding.ServeScheduler` both it and
+    its :attr:`table`, the one session table of every shard, which
+    :meth:`on_terminal` writes.  ``every=0`` disables periodic writes;
+    :meth:`write` can still be called explicitly.
     """
 
     store: CheckpointStore
@@ -206,12 +206,12 @@ class ServeCheckpointer:
             "telemetry_replayed": self.telemetry_replayed,
         }
 
-    def on_terminal(self, scheduler: Any, outcome: RequestOutcome) -> None:
+    def on_terminal(self, outcome: RequestOutcome) -> None:
         """Scheduler hook: one request just reached a terminal outcome."""
         self.terminal_seen += 1
         self._refresh(outcome)
         if self.every > 0 and self.terminal_seen % self.every == 0:
-            self.write(scheduler.table)
+            self.write(self.table)
 
     def _refresh(self, outcome: RequestOutcome) -> None:
         """Re-snapshot the finished request's session payload.

@@ -55,6 +55,7 @@ the call up for itself — as the sequential walk's second caller would.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -121,8 +122,8 @@ class AsyncExecutionContext:
     wall_epoch: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.time_scale >= 0:
-            raise ExecutionError("time_scale must be a number >= 0")  # NaN too
+        if not (self.time_scale >= 0 and math.isfinite(self.time_scale)):
+            raise ExecutionError("time_scale must be a finite number >= 0")
         if self.default_connections < 1:
             raise ExecutionError("default_connections must be at least 1")
 

@@ -29,6 +29,7 @@ waits.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,8 +93,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ExecutionError("max_attempts must be at least 1")
-        if not self.base_backoff >= 0:  # NaN too
-            raise ExecutionError("base_backoff must be non-negative")
+        if not (self.base_backoff >= 0 and math.isfinite(self.base_backoff)):
+            raise ExecutionError("base_backoff must be finite and non-negative")
         if not self.backoff_multiplier > 0:
             raise ExecutionError("backoff_multiplier must be positive")
         if not 0 <= self.jitter_fraction < 1:

@@ -7,18 +7,18 @@ regime the ROADMAP's north star calls for:
 * :mod:`repro.serve.workload` — parameterized query templates sampled
   into seeded arrival streams (rates, Zipf parameter skew, follow-up
   interactions);
-* :mod:`repro.serve.scheduler` — a cooperative discrete-event scheduler
-  with admission control, bounded concurrency, and per-service token
-  buckets, interleaving chunk-granular execution steps of many queries
-  on one server clock;
+* :mod:`repro.serve.scheduler` — what every serving loop shares: the
+  config, the session table, request outcomes, result digests and the
+  report;
 * :mod:`repro.serve.plancache` — optimizer reuse across requests keyed
   by normalized plan signature;
 * :mod:`repro.serve.sessions` — liquid-query sessions
   (``more``/``rerank``/``resubmit``) routed through the same scheduler,
   optionally sharing one cross-query invocation cache;
-* :mod:`repro.serve.sharding` — the merged-loop scheduler: N shards on
-  one deterministic timeline (``N = 1`` is the plain scheduler), the
-  consistent-hash ring, work stealing;
+* :mod:`repro.serve.sharding` — the cooperative discrete-event scheduler:
+  admission control, bounded concurrency and per-service token buckets
+  on N shards of one deterministic virtual timeline (``N = 1`` included),
+  the consistent-hash ring, work stealing;
 * :mod:`repro.serve.async_serve` — the same workload on the asyncio
   real-execution backend, digest-comparable request by request with the
   virtual scheduler and reporting through the same ``ServeReport``;
@@ -33,11 +33,9 @@ from repro.serve.bench import compare_serving
 from repro.serve.plancache import PlanCache, PlanCacheStats
 from repro.serve.runtime import build_sessions, serve
 from repro.serve.scheduler import (
-    AdmissionController,
     RequestOutcome,
     ServeConfig,
     ServeReport,
-    ServeScheduler,
     SessionTable,
     combined_digest,
     result_digest,
@@ -45,6 +43,7 @@ from repro.serve.scheduler import (
 from repro.serve.sessions import SessionManager
 from repro.serve.sharding import (
     HashRing,
+    ServeScheduler,
     ShardedInvocationCache,
     ShardedServeScheduler,
     partition_workload,
@@ -62,7 +61,6 @@ from repro.serve.workload import (
 )
 
 __all__ = [
-    "AdmissionController",
     "HashRing",
     "PlanCache",
     "PlanCacheStats",

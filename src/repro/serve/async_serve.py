@@ -1,6 +1,6 @@
 """Asyncio serving: the seeded workload on really concurrent execution.
 
-The virtual-clock :class:`~repro.serve.scheduler.ServeScheduler` steps
+The virtual-clock :class:`~repro.serve.sharding.ServeScheduler` steps
 many in-flight queries on one deterministic timeline — the oracle for
 admission, fairness, and rate-limit behaviour.  This module is its
 wall-clock counterpart: the *same* seeded workload

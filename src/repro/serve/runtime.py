@@ -5,9 +5,9 @@ by a field of the picklable :class:`~repro.serve.scheduler.ServeConfig`:
 
 * **sessions** — :func:`build_sessions` is the one place a run's
   :class:`~repro.serve.sessions.SessionManager` and its caches are built;
-* **backend** — the merged-loop virtual scheduler
-  (:class:`~repro.serve.sharding.ShardedServeScheduler`, at every shard
-  count, ``N = 1`` included) or the asyncio loop
+* **backend** — the virtual scheduler
+  (:class:`~repro.serve.sharding.ServeScheduler`, one merged loop at
+  every shard count, ``N = 1`` included) or the asyncio loop
   (:func:`~repro.serve.async_serve.serve_async`);
 * **placement** — in-process, or one worker process per shard mapping
   :func:`serve` itself over the ring's self-contained subsets;
@@ -32,8 +32,8 @@ from repro.serve.scheduler import ServeConfig, ServeReport, result_digest
 from repro.serve.sessions import SessionManager
 from repro.serve.sharding import (
     HashRing,
+    ServeScheduler,
     ShardedInvocationCache,
-    ShardedServeScheduler,
     partition_workload,
     shard_entry,
 )
@@ -167,7 +167,7 @@ def _serve(
         checkpointer = ServeCheckpointer.open(config, workload, sessions, on_checkpoint)
         if config.resume:
             workload = checkpointer.resume(workload, metrics, tracer, slo)
-    scheduler = ShardedServeScheduler(
+    scheduler = ServeScheduler(
         sessions,
         config,
         metrics,

@@ -1,86 +1,44 @@
-"""Cooperative multi-query scheduler on one virtual timeline.
+"""What every serving loop shares: the config, the session table, outcomes,
+digests and the report.
 
-The serving runtime is a discrete-event simulation over a **server
-clock**: requests arrive at workload-assigned virtual times, pass
-admission control, and execute as *cooperative coroutines* — the
-step-resumable generators of :meth:`~repro.engine.executor.PlanExecutor.steps`
-— that pause before every chunk-granular service round trip.  The
-scheduler owns the interleaving:
+:class:`ServeConfig` is the one picklable description of a serving run;
+:class:`SessionTable` the session coordination state (parking,
+per-session serialization, outcomes) a scheduler serves on;
+:class:`RequestOutcome` what became of one request, and
+:class:`ServeReport` of a whole run, which :func:`build_report` assembles
+with this run's cache deltas.  The virtual-clock scheduler that fills
+them is :class:`repro.serve.sharding.ServeScheduler`, one merged timeline
+at every shard count; the asyncio loop
+(:func:`repro.serve.async_serve.serve_async`) fills the same types.
 
-* **Admission control** — at most ``max_concurrency`` requests execute
-  at once; excess arrivals wait in a bounded FIFO queue; a full queue
-  rejects the arrival (backpressure to the client).  A process-global
-  :class:`AdmissionController` counts the *total* executing across
-  every scheduler shard of a sharded runtime.
-* **Per-service rate limits** — with ``default_service_rate`` set, each
-  interface has a token bucket on virtual time.  A paused query about to
-  call interface ``S`` (the yielded
-  :class:`~repro.engine.executor.StepEvent` names it) resumes
-  only once a token is available, so a hot service throttles *all* its
-  callers without stalling queries bound elsewhere.
-* **Follow-up parking** — a ``more``/``rerank``/``resubmit`` arriving
-  before its target session finished parks until the target completes,
-  then re-enters admission.
-* **Per-session serialization** — interactions on one session mutate
-  shared state (fetch factors, the ranking function, the cached result
-  list), so a session executes at most one interaction at a time and
-  its waiters are granted in *arrival order*.  Arrival order is a
-  property of the workload, not of cache timing — which is what keeps
-  per-request results byte-identical between shared and isolated modes
-  even when completion times differ wildly.
-
-Time composition: each session's pool clock accumulates only that
-query's service latencies.  When a resumed step consumes ``Δ`` of pool
-time, the job's next event lands at ``server_now + Δ`` — so concurrent
-queries overlap on the server clock exactly as independent clients
-would, while per-query accounting stays isolated.  Everything (arrival
-order, tie-breaks, token grants) is a pure function of the workload and
-data seeds: event-heap entries order by ``(time, shard index, sequence
-number)``, so the interleaving is deterministic and seed-reproducible —
-for one scheduler and for N shards merged onto one heap alike (see
-:mod:`repro.serve.sharding`).
-
-The scheduler never touches result contents: sharing caches changes
-*when* and *how many* round trips happen, never what a query returns —
-see DESIGN.md, "Why cross-query sharing is safe under the virtual
-clock".
-
-Sharding hooks: a standalone ``ServeScheduler`` owns all of its state.
-A sharded runtime constructs N of them over *shared* pieces — one
-:class:`SessionTable` (parking, serialization, outcomes), one
-:class:`AdmissionController`, one event heap with its sequence counter,
-and a ``home`` function that places (re-)arrivals on a session's home
-shard — while each shard keeps its own clock, admission queue, and token
-buckets.  A shard never references the runtime that owns it, so a
-finished run is freed by reference counting, sessions and caches
-included.
+:func:`result_digest` is the one definition of a result list's bytes
+and :func:`combined_digest` of a run's: the equality witness compared
+across shard counts, cache modes, backends and crash-resumed runs.  The
+scheduler never touches result contents: sharing caches changes *when*
+and *how many* round trips happen, never what a query returns — see
+DESIGN.md, "Why cross-query sharing is safe under the virtual clock".
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from os import PathLike
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.optimizer import OptimizerConfig
-from repro.engine.events import VirtualClock
 from repro.engine.liquid import BACKENDS
-from repro.errors import ExecutionError, SearchComputingError
+from repro.errors import ExecutionError
 from repro.model.tuples import CompositeTuple
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.serving import SloTracker, absorb_outcome_metrics, record_request_span
-from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
+from repro.obs.serving import SloTracker
 from repro.serve.sessions import SessionManager
 from repro.serve.workload import QueryTemplate, Request, default_templates
 
 __all__ = [
-    "AdmissionController",
     "ServeConfig",
-    "ServeScheduler",
     "ServeReport",
     "SessionTable",
     "RequestOutcome",
@@ -90,9 +48,11 @@ __all__ = [
 
 CACHE_MODES = ("shared", "private", "isolated")
 
-#: Token-bucket depth: how many calls a rate-limited service absorbs
-#: back-to-back.
-SERVICE_BURST = 4.0
+#: The :class:`ServeConfig` fields that are integers; the LRU bounds may
+#: also be ``None`` (unbounded).
+_BOUNDS = ("cache_size", "plan_cache_size")
+_COUNTS = ("data_seed", "max_concurrency", "queue_limit", "num_shards",
+           "checkpoint_every", *_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -110,7 +70,8 @@ class ServeConfig:
     max_concurrency: int = 4
     queue_limit: int = 64
     #: Max calls per virtual second to each interface (a token bucket of
-    #: depth :data:`SERVICE_BURST`); ``None`` leaves them unlimited.
+    #: depth :data:`~repro.serve.sharding.SERVICE_BURST`); ``None`` leaves
+    #: them unlimited.
     default_service_rate: float | None = None
     # -- what is served ----------------------------------------------------
     #: The workload's templates (``None``: the chapter's two schemas).
@@ -151,25 +112,30 @@ class ServeConfig:
         object.__setattr__(
             self, "templates", tuple(self.templates or default_templates())
         )
-        if not isinstance(self.data_seed, int) or isinstance(self.data_seed, bool):
-            raise ExecutionError(
-                f"data_seed must be an int, not {type(self.data_seed).__name__}"
-            )
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if value is None and name in _BOUNDS:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ExecutionError(
+                    f"{name} must be an int, not {type(value).__name__}"
+                )
         if self.max_concurrency <= 0:
             raise ExecutionError("max_concurrency must be positive")
         if self.queue_limit < 0:
             raise ExecutionError("queue_limit cannot be negative")
-        if self.default_service_rate is not None and not self.default_service_rate > 0:
-            raise ExecutionError("default_service_rate must be positive")  # NaN too
-        if not self.time_scale >= 0:
-            raise ExecutionError("time_scale must be a number >= 0")  # NaN too
+        rate = self.default_service_rate
+        if rate is not None and not (rate > 0 and math.isfinite(rate)):
+            raise ExecutionError("default_service_rate must be a finite number > 0")
+        if not (self.time_scale >= 0 and math.isfinite(self.time_scale)):
+            raise ExecutionError("time_scale must be a finite number >= 0")
         if self.num_shards <= 0:
             raise ExecutionError("num_shards must be positive")
         if self.checkpoint_every < 0:
             raise ExecutionError("checkpoint_every cannot be negative")
         if self.resume and self.checkpoint_dir is None:
             raise ExecutionError("resume needs a checkpoint_dir to resume from")
-        for name in ("cache_size", "plan_cache_size"):
+        for name in _BOUNDS:
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ExecutionError(f"{name} must be positive (None: unbounded)")
         if self.cache_mode not in CACHE_MODES:
@@ -202,9 +168,10 @@ class SessionTable:
     properties of the serving runtime — a follow-up must park until its
     target completes even when the two execute on different shards, and
     a stolen session must still never interleave with its own in-flight
-    interaction.  Pulling this state out of the scheduler is what makes
-    work stealing safe: whichever shard executes a request consults the
-    same table.
+    interaction.  Keeping it once per scheduler, not per shard, is what
+    makes work stealing safe: whichever shard executes a request consults
+    the same table.  A durable resume hands the scheduler one pre-seeded
+    with the pre-crash outcomes.
     """
 
     def __init__(self) -> None:
@@ -217,76 +184,6 @@ class SessionTable:
         #: follow-up was woken; consumed into its outcome at start so
         #: the ``serve.park`` span survives checkpoints.
         self.wake_times: dict[int, tuple[float, str]] = {}
-
-
-class AdmissionController:
-    """Process-global count of concurrently executing requests.
-
-    A sharded runtime passes one controller to all shards, so ``peak``
-    is the total concurrency across shards (``ServeReport.admission_peak``).
-    """
-
-    def __init__(self) -> None:
-        self.active = 0
-        self.peak = 0
-
-    def acquire(self) -> None:
-        self.active += 1
-        if self.active > self.peak:
-            self.peak = self.active
-
-    def release(self) -> None:
-        self.active -= 1
-
-
-@dataclass
-class _TokenBucket:
-    """Token bucket on virtual time with FIFO reservations."""
-
-    rate: float
-    burst: float
-    tokens: float = field(init=False)
-    updated: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.tokens = self.burst
-
-    def grant(self, at: float) -> float:
-        """Earliest time ≥ ``at`` a call may go out; claims the token.
-
-        Reservations are granted in request order: a later reservation
-        never jumps ahead of one already granted (``updated`` tracks the
-        frontier the bucket state is valid at).
-        """
-        now = max(at, self.updated)
-        self.tokens = min(self.burst, self.tokens + (now - self.updated) * self.rate)
-        self.updated = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return now
-        wait = (1.0 - self.tokens) / self.rate
-        self.tokens = 0.0
-        self.updated = now + wait
-        return now + wait
-
-
-@dataclass
-class _Job:
-    """One admitted request executing cooperatively."""
-
-    request: Request
-    stepper: Iterator | None
-    admitted_at: float
-    started_at: float
-    calls_before: int
-    rate_wait: float = 0.0
-    rate_hits: int = 0
-    steps: int = 0
-    result: list[CompositeTuple] | None = None
-    error: str | None = None
-    #: Whether the optimizer plan came from the plan cache (``None``
-    #: when the request kind never consults it, e.g. ``rerank``).
-    plan_cached: bool | None = None
 
 
 @dataclass
@@ -611,52 +508,6 @@ def record_cache_gauges(
         )
 
 
-def run_events(
-    scheduler: Any,
-    workload: Sequence[Request],
-    route: "Callable[[Request, float], None]",
-    loop: "Callable[[], float]",
-    reject: "Callable[[Request, float], None]",
-) -> ServeReport:
-    """What both ``run`` methods do around their own event loop.
-
-    ``scheduler`` is a :class:`ServeScheduler` or the merged-loop
-    :class:`~repro.serve.sharding.ShardedServeScheduler` (same ``table`` /
-    ``sessions`` / ``metrics`` / ``admission`` / ``slo`` attributes);
-    ``route`` schedules an arrival, ``loop`` drains the heap and returns
-    the makespan, ``reject`` rejects a request on its home shard.
-    """
-    table = scheduler.table
-    # Union, not assignment: a durability resume pre-seeds the table with
-    # pre-crash completed runs so surviving follow-ups still find them.
-    table.known_runs |= {r.request_id for r in workload if r.kind == "run"}
-    baselines = snapshot_cache_stats(scheduler.sessions)
-    for request in sorted(workload, key=lambda r: (r.arrival, r.request_id)):
-        route(request, request.arrival)
-    makespan = loop()
-    # Follow-ups still parked at drain time targeted a run that never
-    # completed (rejected or failed): account them as rejected.
-    for parked in table.parked.values():
-        for request in parked:
-            reject(request, makespan)
-    table.parked.clear()
-    missing = [r.request_id for r in workload if r.request_id not in table.outcomes]
-    if missing:
-        raise ExecutionError(
-            f"{len(missing)} workload requests drained without an "
-            f"outcome (first: {missing[:5]}) — stranded in the runtime"
-        )
-    return build_report(
-        scheduler.sessions,
-        scheduler.metrics,
-        baselines,
-        table.outcomes,
-        makespan,
-        admission_peak=scheduler.admission.peak,
-        slo=scheduler.slo,
-    )
-
-
 def build_report(
     sessions: SessionManager,
     metrics: MetricsRegistry,
@@ -685,349 +536,3 @@ def build_report(
         admission_peak=admission_peak,
         slo=slo,
     )
-
-
-class ServeScheduler:
-    """Discrete-event loop interleaving many liquid-query sessions.
-
-    Standalone it is the complete single-timeline serving runtime of
-    PR 4.  With the sharding hooks (``shard_index``, shared ``table`` /
-    ``admission`` / ``events`` / ``seq``, and ``home``) it is one shard of the
-    :class:`~repro.serve.sharding.ShardedServeScheduler`, which owns the
-    merged event loop.
-    """
-
-    def __init__(
-        self,
-        sessions: SessionManager,
-        config: ServeConfig | None = None,
-        metrics: MetricsRegistry | None = None,
-        tracer: "Tracer | NullTracer | None" = None,
-        *,
-        shard_index: int = 0,
-        table: SessionTable | None = None,
-        admission: AdmissionController | None = None,
-        events: list | None = None,
-        seq: "Iterator[int] | None" = None,
-        home: "Callable[[Request], int] | None" = None,
-        digest_fn: "Callable[[Sequence[CompositeTuple]], str] | None" = None,
-        emit_shard_metrics: bool = False,
-        checkpointer: Any = None,
-        slo: "SloTracker | None" = None,
-    ) -> None:
-        self.sessions = sessions
-        self.config = config or ServeConfig()
-        self.metrics = metrics or MetricsRegistry()
-        self.tracer = coerce_tracer(tracer)
-        #: Optional latency-SLO tracker fed every completed request.
-        self.slo = slo
-        #: When on, queue depth and admission occupancy are sampled into
-        #: bounded :class:`~repro.obs.metrics.TimeSeries` instruments on
-        #: every arrival/finish.  Off by default — the no-op path must
-        #: stay near-free.
-        self.sample_metrics = self.config.sample_metrics
-        self.clock = VirtualClock()
-        self.shard_index = shard_index
-        self.table = table if table is not None else SessionTable()
-        self.admission = admission if admission is not None else AdmissionController()
-        self.digest_fn = digest_fn
-        #: Periodic durability hook (``repro.durability.serve.ServeCheckpointer``):
-        #: notified after every terminal outcome; writes a checkpoint each
-        #: N-th one.  ``None`` (the default) costs nothing.
-        self.checkpointer = checkpointer
-        self.emit_shard_metrics = emit_shard_metrics
-        self._home = home
-        self._seq = seq if seq is not None else itertools.count()
-        #: (time, shard_index, seq, action, payload) — possibly shared
-        #: with sibling shards (the deterministic merged timeline).
-        self._events: list[tuple[float, int, int, str, Any]] = (
-            events if events is not None else []
-        )
-        self._queue: deque[Request] = deque()
-        self._queued_at: dict[int, float] = {}
-        self._buckets: dict[str, _TokenBucket] = {}
-        self._active = 0
-        # Concurrency-lane bookkeeping (tracing only): each executing
-        # request holds the lowest free lane, which becomes the Chrome
-        # ``tid`` so one shard's overlap renders as stacked thread rows.
-        self._lanes: dict[int, int] = {}
-        self._lane_free: list[int] = []
-        self._lane_next = 0
-
-    # -- event plumbing ------------------------------------------------------
-
-    def _schedule(
-        self, at: float, action: str, payload: Any, shard: int | None = None
-    ) -> None:
-        index = self.shard_index if shard is None else shard
-        heapq.heappush(self._events, (at, index, next(self._seq), action, payload))
-
-    def _route_arrival(self, request: Request, at: float) -> None:
-        """Schedule an (re-)arrival on the session's home shard."""
-        home = self._home(request) if self._home is not None else None
-        self._schedule(at, "arrival", request, home)
-
-    def _bucket(self, interface: str) -> _TokenBucket | None:
-        bucket = self._buckets.get(interface)
-        if bucket is None:
-            rate = self.config.default_service_rate
-            if rate is None:
-                return None
-            bucket = self._buckets[interface] = _TokenBucket(
-                rate=rate, burst=SERVICE_BURST
-            )
-        return bucket
-
-    # -- main loop -----------------------------------------------------------
-
-    def run(self, workload: Sequence[Request]) -> ServeReport:
-        """Serve the workload to completion; returns the report."""
-
-        def loop() -> float:
-            while self._events:
-                at, _, _, action, payload = heapq.heappop(self._events)
-                self.clock.advance_to(at)
-                self.dispatch(action, payload, at)
-            return self.clock.now
-
-        return run_events(self, workload, self._route_arrival, loop, self._reject)
-
-    def dispatch(self, action: str, payload: Any, at: float) -> None:
-        """Process one popped event (the shard-level transition table)."""
-        if action == "arrival":
-            self._on_arrival(payload, at)
-        elif action == "resume":
-            self._on_resume(payload, at)
-        else:
-            self._on_finish(payload, at)
-
-    # -- transitions ---------------------------------------------------------
-
-    def _on_arrival(self, request: Request, now: float) -> None:
-        if request.target is not None:
-            if request.target not in self.table.known_runs:
-                self._reject(request, now)
-                return
-            target = self.table.outcomes.get(request.target)
-            if target is None or target.status == "running":
-                # Target still queued/executing: park until it finishes.
-                self.table.parked.setdefault(request.target, []).append(request)
-                return
-            if target.status != "completed":
-                self._reject(request, now)
-                return
-            if request.target in self.table.busy_sessions:
-                # Another interaction holds the session: serialize.
-                # Waiters drain in arrival order — a workload property,
-                # identical across serving modes.
-                self.table.session_waiters.setdefault(
-                    request.target, deque()
-                ).append(request)
-                return
-            self.table.busy_sessions.add(request.target)
-        if self._active < self.config.max_concurrency:
-            self._start(request, now)
-        elif len(self._queue) < self.config.queue_limit:
-            self._queue.append(request)
-            self._queued_at[request.request_id] = now
-            if self.emit_shard_metrics:
-                gauge = self.metrics.gauge(
-                    f"serve.shard.{self.shard_index}.max_queue_depth"
-                )
-                if len(self._queue) > gauge.value:
-                    gauge.set(len(self._queue))
-        else:
-            if request.target is not None:
-                self._release_session(request.target, now)
-            self._reject(request, now)
-        if self.sample_metrics:
-            self._sample_load(now)
-
-    def _sample_load(self, now: float) -> None:
-        """Sample queue depth / admission occupancy (``sample_metrics``)."""
-        self.metrics.timeseries(
-            f"serve.shard.{self.shard_index}.queue_depth"
-        ).sample(now, len(self._queue))
-        self.metrics.timeseries("serve.admission.active").sample(
-            now, self.admission.active
-        )
-
-    def _start(self, request: Request, now: float) -> None:
-        """Begin executing an admitted request."""
-        self._active += 1
-        self.admission.acquire()
-        if self.tracer.enabled:
-            if self._lane_free:
-                lane = heapq.heappop(self._lane_free)
-            else:
-                lane = self._lane_next
-                self._lane_next += 1
-            self._lanes[request.request_id] = lane
-        queue_wait = now - self._queued_at.pop(request.request_id, now)
-        if request.kind == "rerank":
-            # CPU-only: re-scores the cached result list, zero service
-            # calls, zero virtual time — completes at its start instant.
-            job = _Job(
-                request=request,
-                stepper=None,
-                admitted_at=now,
-                started_at=now,
-                calls_before=0,
-            )
-            try:
-                job.result = self.sessions.rerank(request)
-            except SearchComputingError as exc:
-                job.error = f"{type(exc).__name__}: {exc}"
-            self._queue_wait_of(request, queue_wait, now)
-            self._schedule(now, "finish", job)
-            return
-        plan_cache = self.sessions.plan_cache
-        track_plan = plan_cache is not None and request.kind == "run"
-        plan_hits_before = plan_cache.stats.hits if track_plan else 0
-        try:
-            stepper = self.sessions.stepper(request)
-            pool = self.sessions.pool_for(request)
-        except SearchComputingError as exc:
-            job = _Job(
-                request=request,
-                stepper=None,
-                admitted_at=now,
-                started_at=now,
-                calls_before=0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self._queue_wait_of(request, queue_wait, now)
-            self._schedule(now, "finish", job)
-            return
-        job = _Job(
-            request=request,
-            stepper=stepper,
-            admitted_at=now,
-            started_at=now,
-            calls_before=pool.log.total_calls(),
-            plan_cached=(
-                plan_cache.stats.hits > plan_hits_before if track_plan else None
-            ),
-        )
-        self._queue_wait_of(request, queue_wait, now)
-        self._schedule(now, "resume", job)
-
-    def _queue_wait_of(self, request: Request, wait: float, now: float) -> None:
-        outcome = RequestOutcome(
-            request=request,
-            status="running",
-            queue_wait=wait,
-            started_at=now,
-            shard=self.shard_index,
-        )
-        wake = self.table.wake_times.pop(request.request_id, None)
-        if wake is not None:
-            outcome.unparked_at, outcome.wake_reason = wake
-        self.table.outcomes[request.request_id] = outcome
-
-    def _on_resume(self, job: _Job, now: float) -> None:
-        pool = self.sessions.pool_for(job.request)
-        before = pool.clock.now
-        assert job.stepper is not None
-        try:
-            event = next(job.stepper)
-        except StopIteration as stop:
-            job.result = stop.value
-            self._schedule(now + (pool.clock.now - before), "finish", job)
-            return
-        except SearchComputingError as exc:
-            job.error = f"{type(exc).__name__}: {exc}"
-            self._schedule(now + (pool.clock.now - before), "finish", job)
-            return
-        job.steps += 1
-        ready = now + (pool.clock.now - before)
-        bucket = self._bucket(event.interface)
-        if bucket is not None:
-            granted = bucket.grant(ready)
-            if granted > ready:
-                job.rate_wait += granted - ready
-                job.rate_hits += 1
-            ready = granted
-        self._schedule(ready, "resume", job)
-
-    def _on_finish(self, job: _Job, now: float) -> None:
-        self._active -= 1
-        self.admission.release()
-        request = job.request
-        outcome = self.table.outcomes[request.request_id]
-        outcome.finished_at = now
-        outcome.rate_wait = job.rate_wait
-        outcome.rate_hits = job.rate_hits
-        outcome.steps = job.steps
-        outcome.shard = self.shard_index
-        outcome.plan_cached = job.plan_cached
-        if job.error is not None:
-            outcome.status = "failed"
-            outcome.error = job.error
-        else:
-            outcome.status = "completed"
-            if self.digest_fn is not None:
-                # Bounded-memory serving: keep the equality witness, drop
-                # the tuples (the session still holds its own copy).
-                outcome.digest = self.digest_fn(job.result or ())
-            else:
-                outcome.results = job.result
-            if request.kind == "run":
-                outcome.k_shortfall = self.sessions.k_shortfall(request, job.result)
-        if job.stepper is not None:
-            pool = self.sessions.pool_for(request)
-            outcome.round_trips = pool.log.total_calls() - job.calls_before
-        absorb_outcome_metrics(self.metrics, outcome, self.emit_shard_metrics)
-        if self.slo is not None and outcome.status == "completed":
-            self.slo.observe(outcome.latency, at=now)
-        if self.tracer.enabled:
-            lane = self._lanes.pop(request.request_id, None)
-            if lane is not None:
-                heapq.heappush(self._lane_free, lane)
-            record_request_span(self.tracer, outcome, lane=lane)
-        # Wake follow-ups parked on this request — on their home shard.
-        for parked in self.table.parked.pop(request.request_id, ()):
-            self.table.wake_times[parked.request_id] = (now, "target")
-            self._route_arrival(parked, now)
-        # A finished interaction frees its session for the next waiter.
-        if request.target is not None:
-            self._release_session(request.target, now)
-        # Grant freed slots to the admission queue (FIFO).
-        while self._queue and self._active < self.config.max_concurrency:
-            self._start(self._queue.popleft(), now)
-        if self.sample_metrics:
-            self._sample_load(now)
-        if self.checkpointer is not None:
-            self.checkpointer.on_terminal(self, outcome)
-
-    def _release_session(self, root_id: int, now: float) -> None:
-        self.table.busy_sessions.discard(root_id)
-        waiters = self.table.session_waiters.get(root_id)
-        if waiters:
-            waiter = waiters.popleft()
-            self.table.wake_times[waiter.request_id] = (now, "session")
-            self._route_arrival(waiter, now)
-
-    def _reject(self, request: Request, now: float) -> None:
-        # A parked follow-up rejected when its target fails (or at drain)
-        # has been waiting since it arrived — that wait is queue context,
-        # not free time, and dropping it would understate queueing under
-        # admission pressure.
-        queued_at = self._queued_at.pop(request.request_id, request.arrival)
-        outcome = RequestOutcome(
-            request=request,
-            status="rejected",
-            finished_at=now,
-            queue_wait=max(0.0, now - queued_at),
-            shard=self.shard_index,
-        )
-        wake = self.table.wake_times.pop(request.request_id, None)
-        if wake is not None:
-            outcome.unparked_at, outcome.wake_reason = wake
-        self.table.outcomes[request.request_id] = outcome
-        absorb_outcome_metrics(self.metrics, outcome, self.emit_shard_metrics)
-        if self.tracer.enabled:
-            record_request_span(self.tracer, outcome)
-        # A rejected run can never serve its follow-ups.
-        for parked in self.table.parked.pop(request.request_id, ()):
-            self._reject(parked, now)

@@ -33,6 +33,7 @@ exactly — and each faulty round trip is logged with its outcome before
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import islice
@@ -113,8 +114,8 @@ class FaultProfile:
             raise ServiceInvocationError("failure_rate must be in [0, 1]")
         if not 0.0 <= self.timeout_rate <= 1.0:
             raise ServiceInvocationError("timeout_rate must be in [0, 1]")
-        if not self.slow_factor >= 1.0:  # NaN too
-            raise ServiceInvocationError("slow_factor must be at least 1")
+        if not (self.slow_factor >= 1.0 and math.isfinite(self.slow_factor)):
+            raise ServiceInvocationError("slow_factor must be a finite number >= 1")
 
     @property
     def active(self) -> bool:

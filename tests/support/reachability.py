@@ -57,6 +57,8 @@ ROOT = Path(__file__).resolve().parents[2]
 SERVED_WORKLOADS = ("serve_hot", "serve_tail", "serve_durable", "plan_cold")
 #: What a ``--parallel`` worker process runs per shard: ``(module, function)``.
 WORKER_ENTRY = ("repro.serve.runtime", "_serve_subset")
+#: The ``--output`` of the matrix row whose sharded run must steal.
+STEALING = "stealing.json"
 
 
 def cli_matrix(work: Path) -> list[tuple[tuple[str, ...], int]]:
@@ -98,6 +100,9 @@ def cli_matrix(work: Path) -> list[tuple[tuple[str, ...], int]]:
         ((*serve, "--trace", "serve.json", "--trace-format", "chrome"), 0),
         ((*serve, "--shards", "4", "--scenario", "all"), 0),
         ((*serve, "--shards", "4", "--no-steal", "--no-shared-cache"), 0),
+        # Load enough that an idle shard steals (checked in run_matrix).
+        (("serve-bench", "--requests", "24", "--rates", "2", "--shards", "4",
+          "--artifacts-dir", str(work), "--output", STEALING), 0),
         ((*serve, "--backend", "asyncio"), 0),
         ((*serve, "--shards", "2", "--parallel"), 0),
         # Refused before serving: a malformed value, flags no ServeConfig takes.
@@ -221,12 +226,24 @@ def run_matrix(work: Path) -> set[tuple[str, int, str]]:
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
+    if not steals(work / STEALING):
+        failures.append(f"the {STEALING} run stole nothing")
     if failures:
         raise SystemExit(f"audited commands failed: {failures}")
     reached = {_key(code) for code in entered.values()}
     for path in workers.glob("*.json"):
         reached.update(map(tuple, json.loads(path.read_text())))
     return reached
+
+
+def steals(report: Path) -> int:
+    """Requests the sharded runs of a ``serve-bench --shards`` report stole."""
+    if not report.is_file():
+        return 0
+    levels = json.loads(report.read_text())["levels"]
+    return sum(
+        shard["steals"] for level in levels for shard in level["sharded"]["shards"]
+    )
 
 
 def _key(code: CodeType) -> tuple[str, int, str]:

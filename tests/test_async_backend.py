@@ -619,9 +619,10 @@ def test_step_generators_rejected_on_asyncio_backend(
         next(session.steps("run", 5))
 
 
-@pytest.mark.parametrize("scale", [-1.0, float("nan")])
+@pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
 def test_context_refuses_a_time_scale_that_is_not_a_number_at_least_zero(scale):
-    # Regression: NaN passed ``time_scale < 0`` and was taken.
+    # Regression: NaN passed ``time_scale < 0`` and was taken; infinity
+    # slept forever on the first simulated call.
     with pytest.raises(ExecutionError, match="time_scale"):
         AsyncExecutionContext(time_scale=scale)
 

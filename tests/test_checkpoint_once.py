@@ -268,7 +268,7 @@ def test_the_assembled_body_is_canonical_json_of_the_payload(
                 )
                 if refreshed:
                     expected_sessions[root] = payload
-                checkpointer.on_terminal(None, outcome)
+                checkpointer.on_terminal(outcome)
             elif event[0] == "write":
                 key = checkpointer.write(table)
                 payload = {

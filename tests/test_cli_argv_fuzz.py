@@ -22,7 +22,10 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cli import main
 
 
@@ -55,7 +59,8 @@ def number(test):
 
 
 def at_least(low):
-    return number(lambda value: value >= low)
+    """A finite number ``low`` or more."""
+    return number(lambda value: low <= value < math.inf)
 
 
 def numbers(test):
@@ -173,12 +178,23 @@ def test_every_numeric_flag_fails_typed_at_length(case, value):
         ("run", "--backend", "asyncio", "--time-scale", "nan"),
         ("checkpoint", "--steps", "0", "--dir", "{tmp}/store"),
         ("checkpoint", "--steps", "-1", "--dir", "{tmp}/store"),
+        # An infinite scale sleeps forever on the first simulated call.
+        ("run", "--backend", "asyncio", "--time-scale", "inf"),
+        ("serve-bench", "--requests", "4", "--rates", "1", "--backend", "asyncio",
+         "--time-scale", "inf", "--artifacts-dir", "{tmp}"),
     ],
 )
 def test_a_malformed_count_or_scale_is_argparse_usage_error(argv):
+    """In a child process with a deadline: a value the door lets through
+    may hang the command instead of failing it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
     with tempfile.TemporaryDirectory(prefix="repro-argv-") as tmp:
-        code, out, err = _run([part.format(tmp=tmp) for part in argv])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *(part.format(tmp=tmp) for part in argv)],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
         assert not any(Path(tmp).iterdir())
+    code, out, err = done.returncode, done.stdout, done.stderr
     assert (code, out) == (2, "")
     flag = next(part for part in argv if part in ("--invocation-cache-size",
                                                   "--time-scale", "--steps"))

@@ -101,6 +101,9 @@ class TestRetryPolicy:
         for field in ("base_backoff", "backoff_multiplier", "call_timeout"):
             with pytest.raises(ExecutionError):
                 RetryPolicy(**{field: math.nan})
+        # An infinite backoff printed ``inf virtual seconds`` (exit 0).
+        with pytest.raises(ExecutionError):
+            RetryPolicy(base_backoff=math.inf)
 
     def test_degradation_coercion(self):
         assert Degradation.coerce("partial") is Degradation.PARTIAL
@@ -182,6 +185,8 @@ class TestFaultInjection:
         for field in ("failure_rate", "timeout_rate", "slow_factor"):
             with pytest.raises(ServiceInvocationError):
                 FaultProfile(**{field: math.nan})
+        with pytest.raises(ServiceInvocationError):
+            FaultProfile(slow_factor=math.inf)
 
     def test_outage_raises_and_logs(self, tiny_search_interface):
         clock, log = VirtualClock(), CallLog()

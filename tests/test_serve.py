@@ -28,7 +28,7 @@ from repro.serve import (
     generate_workload,
     result_digest,
 )
-from repro.serve.scheduler import _TokenBucket
+from repro.serve.sharding import _TokenBucket
 from repro.serve.workload import zipf_index
 from tests.conftest import serve_seeded
 
@@ -164,6 +164,11 @@ def test_token_bucket_grants_are_fifo():
         # Regression: serve-bench printed its header, then the asyncio
         # context refused the scale from inside the run (exit 1).
         {"time_scale": float("nan")},
+        # Regression: an infinite asyncio scale slept forever.
+        {"time_scale": float("inf")},
+        {"default_service_rate": float("inf")},
+        # Regression: a fractional shard count reached ``range`` untyped.
+        {"num_shards": 2.5},
         # Regression: cache bounds were taken, and the run died later
         # inside PlanCache / InvocationCache (None is unbounded).
         {"cache_size": 0},

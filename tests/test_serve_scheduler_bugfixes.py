@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.scheduler import ServeConfig, ServeScheduler
+from repro.serve import ServeConfig, ServeScheduler
 from repro.serve.sessions import SessionManager
 from repro.serve.workload import Request, default_templates
 from repro.services.simulated import FaultModel, FaultProfile

@@ -4,9 +4,10 @@ The contracts of :mod:`repro.serve.sharding`:
 
 * the consistent-hash ring balances ~1M session ids within tolerance and
   remaps only onto the new shard when the shard count grows by one;
-* one shard is *instruction-for-instruction* the plain scheduler — and
-  result digests are byte-identical across shard counts, cache modes,
-  stealing on/off, and the parallel worker-process path;
+* result digests are byte-identical across shard counts, cache modes,
+  stealing on/off, and the parallel worker-process path (the one-shard
+  run itself is pinned by the ``shards1-*`` rows of
+  ``tests/data/serve_golden.json``);
 * work stealing never lets a session interleave with its own in-flight
   interaction, and steal counters reconcile exactly with per-shard
   completion totals;
@@ -134,34 +135,8 @@ def test_ring_growth_remaps_only_onto_the_new_shard(num_shards, seed):
 
 
 # ---------------------------------------------------------------------------
-# Determinism: one shard == plain scheduler; digests invariant to topology
+# Determinism: digests invariant to topology
 # ---------------------------------------------------------------------------
-
-
-def outcome_signature(report):
-    return [
-        (
-            o.request.request_id,
-            o.status,
-            o.finished_at,
-            o.queue_wait,
-            o.round_trips,
-        )
-        for o in report.outcomes.values()
-    ]
-
-
-def test_one_shard_equals_plain_scheduler():
-    workload = make_workload()
-    config = ServeConfig(queue_limit=10_000, default_service_rate=4.0)
-    plain = ServeScheduler(make_manager(), config).run(workload)
-    sharded = serve_seeded(
-        rate=2.0, num_requests=60, seed=7, num_shards=1,
-        queue_limit=10_000,
-    )
-    assert sharded.makespan == plain.makespan
-    assert sharded.total_round_trips == plain.total_round_trips
-    assert outcome_signature(sharded) == outcome_signature(plain)
 
 
 def test_digests_identical_across_shard_counts_and_modes():

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.scheduler import _TokenBucket
+from repro.serve.sharding import _TokenBucket
 
 #: Absolute slack for float accumulation across a grant sequence.
 EPS = 1e-6
