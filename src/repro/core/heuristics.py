@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.core.annotate import annotate
 from repro.model.service import ServiceInterface
-from repro.plans.plan import PlanAnnotations, QueryPlan
+from repro.plans.plan import QueryPlan
 from repro.query.compile import CompiledQuery
 from repro.stats.estimate import Estimator
 
@@ -35,32 +35,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cost import CostMetric
     from repro.core.topology import Move, TopologyBuilder
 
-#: Annotator signature the optimizer threads into phase-3 heuristics:
-#: ``annotate_fn(fetches, base=parent_fetches) -> PlanAnnotations``.
-AnnotateFn = Callable[..., PlanAnnotations]
-
-#: Plan-cost signature the optimizer threads into phase-3 heuristics:
-#: ``cost_fn(fetches, annotations) -> float`` (memoized per vector).
-CostFn = Callable[..., float]
+#: What phase-3 heuristics price a fetch vector with:
+#: ``price(fetches) -> (estimated results, cost)``.
+PriceFn = Callable[[Mapping[str, int]], "tuple[float, float]"]
 
 
-def _default_annotate_fn(
-    plan: QueryPlan, query: CompiledQuery, estimator: Estimator
-) -> AnnotateFn:
-    """Plain full re-annotation, no memoization (no annotator passed)."""
+def _default_price(
+    plan: QueryPlan, query: CompiledQuery, estimator: Estimator, metric: "CostMetric"
+) -> PriceFn:
+    """Plain full re-annotation and costing, no memo (no pricer passed)."""
 
-    def annotate_fn(
-        fetches: Mapping[str, int],
-        base: Optional[Mapping[str, int]] = None,
-    ) -> PlanAnnotations:
-        del base
-        return annotate(plan, query, fetches=fetches, estimator=estimator)
+    def price(fetches: Mapping[str, int]) -> tuple[float, float]:
+        annotations = annotate(plan, query, fetches=fetches, estimator=estimator)
+        return annotations.estimated_results(plan), metric.cost(plan, annotations)
 
-    return annotate_fn
+    return price
 
 __all__ = [
-    "AnnotateFn",
-    "CostFn",
+    "PriceFn",
     "Phase1Heuristic",
     "BoundIsBetter",
     "UnboundIsEasier",
@@ -227,19 +219,16 @@ class Phase3Heuristic:
         estimator: Estimator,
         metric: "CostMetric",
         k: int,
-        annotate_fn: "AnnotateFn | None" = None,
-        cost_fn: "CostFn | None" = None,
+        price: "PriceFn | None" = None,
     ) -> list[dict[str, int]]:
         """Candidate next vectors, best first.  Empty when saturated.
 
-        ``annotate_fn(fetches, base=...)`` — when provided — replaces
-        direct calls to :func:`~repro.core.annotate.annotate`; the
-        optimizer passes its memoizing incremental annotator so heuristics
-        that score candidate vectors reuse cached annotations and only
-        recompute the changed cone.  ``cost_fn(fetches, annotations)``
-        likewise replaces ``metric.cost`` with the optimizer's per-vector
-        cost memo — the same candidate is re-priced at most once, and the
-        price is reused when the candidate is enqueued.
+        ``price(fetches)`` — when provided — replaces direct calls to
+        :func:`~repro.core.annotate.annotate` and ``metric.cost``: the
+        optimizer passes its phase-3 memo, which prices each vector of a
+        plan once per search (derived from ``fetches``' annotations, only
+        the changed cone recomputed) and reuses the price when the
+        candidate is enqueued.
         """
         raise NotImplementedError
 
@@ -271,16 +260,11 @@ class GreedyFetch(Phase3Heuristic):
         estimator: Estimator,
         metric: "CostMetric",
         k: int,
-        annotate_fn: "AnnotateFn | None" = None,
-        cost_fn: "CostFn | None" = None,
+        price: "PriceFn | None" = None,
     ) -> list[dict[str, int]]:
-        if annotate_fn is None:
-            annotate_fn = _default_annotate_fn(plan, query, estimator)
-        if cost_fn is None:
-            cost_fn = lambda f, ann: metric.cost(plan, ann)  # noqa: E731
-        base_ann = annotate_fn(fetches)
-        base_results = base_ann.estimated_results(plan)
-        base_cost = cost_fn(fetches, base_ann)
+        if price is None:
+            price = _default_price(plan, query, estimator, metric)
+        base_results, base_cost = price(fetches)
         scored: list[tuple[float, dict[str, int]]] = []
         for node in self._chunked_aliases(plan):
             assert node.interface is not None
@@ -290,9 +274,9 @@ class GreedyFetch(Phase3Heuristic):
                 continue
             child = dict(fetches)
             child[alias] = current + 1
-            ann = annotate_fn(child, base=fetches)
-            gain = ann.estimated_results(plan) - base_results
-            extra = cost_fn(child, ann) - base_cost
+            results, cost = price(child)
+            gain = results - base_results
+            extra = cost - base_cost
             sensitivity = gain / max(extra, 1e-9)
             scored.append((sensitivity, child))
         scored.sort(key=lambda pair: -pair[0])
@@ -319,8 +303,7 @@ class SquareIsBetter(Phase3Heuristic):
         estimator: Estimator,
         metric: "CostMetric",
         k: int,
-        annotate_fn: "AnnotateFn | None" = None,
-        cost_fn: "CostFn | None" = None,
+        price: "PriceFn | None" = None,
     ) -> list[dict[str, int]]:
         nodes = self._chunked_aliases(plan)
         if not nodes:

@@ -28,14 +28,15 @@ Hot-path memoization (see DESIGN.md, "Performance architecture"):
   move orders are expanded once, and Pareto-dominated fetch states are
   dropped;
 * each finished plan gets a **plan key** (one per plan object) under
-  which annotations, full costs, and phase-3 proposals are memoized per
-  ``(plan key, fetch vector)``; a separate **dedup key**, interned by
+  which one phase-3 memo prices each sorted fetch vector once —
+  annotations, estimated results and cost together — and proposals are
+  memoized per ``(plan key, fetch vector)``; a separate **dedup key**, interned by
   ``(assignment, topology signature)``, scopes the engine's hash-consing
   — the two are deliberately distinct, because the signature conflates
   serial reorderings whose costs coincide but whose per-node annotations
   do not;
 * a fetch state remembers its **parent's fetch vector**, so its
-  annotations are derived from the parent's via
+  annotations are derived from the parent's (always priced first) via
   :func:`~repro.core.annotate.annotate_delta` — only the services whose
   factor changed, plus their downstream cone, are recomputed;
 * a phase-2 state is **priced before it is built**: its builder carries
@@ -47,7 +48,11 @@ Hot-path memoization (see DESIGN.md, "Performance architecture"):
   finished topology the engine actually pops;
 * the greedy warm start's expansions are the search's own: both start
   from one root object, and the search takes over the very children
-  lists the dive computed instead of pricing those states again.
+  lists the dive computed instead of pricing those states again;
+* the chosen candidate carries its **trail** (the binding-choice index
+  and the phase-2 moves), which :func:`rebuild_candidate` replays to
+  build the same plan again without a search — how a checkpoint names
+  its plan.
 
 Tests hold the layers to three oracles: the from-scratch definitions
 (``topology_signature``, ``annotate``, ``partial_cost``), the pinned
@@ -57,16 +62,15 @@ searches of ``tests/data/plan_cold_search.json`` and
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Mapping
+from functools import partial
+from typing import Hashable, Mapping, Sequence
 
 from repro.core.annotate import annotate, annotate_delta
 from repro.core.bnb import BnBStats, BranchAndBound
 from repro.core.cost import CostMetric, ExecutionTimeMetric
 from repro.core.heuristics import (
-    AnnotateFn,
-    CostFn,
     BoundIsBetter,
     GreedyFetch,
     ParallelIsBetter,
@@ -74,7 +78,7 @@ from repro.core.heuristics import (
     Phase2Heuristic,
     Phase3Heuristic,
 )
-from repro.core.topology import TopologyBuilder, TopologyCounters
+from repro.core.topology import Move, TopologyBuilder, TopologyCounters
 from repro.errors import OptimizationError
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.joins.spec import JoinMethodSpec
@@ -83,7 +87,6 @@ from repro.plans.nodes import ServiceNode
 from repro.plans.plan import PlanAnnotations, QueryPlan
 from repro.query.compile import CompiledQuery
 from repro.query.feasibility import (
-    BindingChoice,
     check_feasibility,
     enumerate_binding_choices,
 )
@@ -96,12 +99,9 @@ __all__ = [
     "Optimizer",
     "optimize_query",
     "plan_signature",
+    "rebuild_candidate",
 ]
 
-
-#: Entries kept in the per-optimizer annotation memo; beyond this the
-#: least-recently-used annotations are evicted (they can be recomputed).
-_ANN_CACHE_CAP = 8192
 
 #: Safety bounds of the search: binding choices branched per interface
 #: assignment, and fetch-factor increments along one phase-3 path.
@@ -120,8 +120,15 @@ class PlanCandidate:
     estimated_results: float
     satisfies_k: bool
     assignment: Mapping[str, ServiceInterface] = field(default_factory=dict)
+    #: How the search built the plan — ``(binding-choice index, moves)``;
+    #: with :attr:`assignment` what :func:`rebuild_candidate` builds it
+    #: again from (``None``: the plan came from no search).
+    trail: "tuple[int, tuple[Move, ...]] | None" = field(
+        default=None, compare=False, repr=False
+    )
     #: The checkpoint witnesses of sessions on this plan, derived once per
-    #: compiled query and metric (:mod:`repro.durability.checkpoint`).
+    #: compiled query and metric, and its ``plan`` member, rendered once
+    #: (:mod:`repro.durability.checkpoint`).
     _witnesses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def fetch_vector(self) -> dict[str, int]:
@@ -234,22 +241,28 @@ class _FetchState:
     #: on arrival never builds one).
     topology: TopologyBuilder
     assignment: tuple[tuple[str, ServiceInterface], ...]
+    #: Index of the binding choice the topology was built on.
+    choice_index: int
+    #: The fetch vector as the engine's signature and dominance read it:
+    #: in node order for a topology's first state, sorted after that.
     fetches: tuple[tuple[str, int], ...]
+    #: The same vector sorted — the state's key in the phase-3 memo.
+    vector: tuple[tuple[str, int], ...]
     depth: int
     #: Id of this *finished topology* (its index in the optimizer's list)
-    #: — the memoization key prefix for annotations/costs/proposals.  Deliberately narrower than the
-    #: topology signature: the signature conflates unpiped serial
-    #: reorderings whose costs coincide but whose per-node annotations
-    #: differ, so sharing cached ``by_node`` tables across it would
-    #: corrupt incremental re-annotation.
-    plan_key: int = -1
+    #: — the memo key prefix for prices and proposals.  Deliberately
+    #: narrower than the topology signature: the signature conflates
+    #: unpiped serial reorderings whose costs coincide but whose per-node
+    #: annotations differ, so sharing cached ``by_node`` tables across it
+    #: would corrupt incremental re-annotation.
+    plan_key: int
     #: Interned id of ``(assignment_key, topology_signature(plan))`` —
     #: the engine-level dedup scope (one representative per cost class).
-    dedup_key: int = -1
-    #: Fetch vector of the state this one was derived from; lets the
-    #: annotator recompute only the changed cone (``annotate_delta``).
-    parent_fetches: tuple[tuple[str, int], ...] | None = None
-    signature: Hashable = None
+    dedup_key: int
+    #: Sorted vector of the state this one was derived from (``None``: the
+    #: topology's all-ones state); its annotations are the delta's base.
+    parent: tuple[tuple[str, int], ...] | None
+    signature: Hashable
 
     @property
     def plan(self) -> QueryPlan:
@@ -282,8 +295,11 @@ class Optimizer:
         self.topology_counters = TopologyCounters()
         # Memoization layers.
         self._dedup_keys: dict[tuple, int] = {}
-        self._ann_cache: OrderedDict[tuple, PlanAnnotations] = OrderedDict()
-        self._cost_cache: dict[tuple, float] = {}
+        #: ``(plan key, sorted fetch vector) -> (annotations, estimated
+        #: results, cost)``: each vector of each topology priced once.
+        self._priced: dict[tuple, tuple[PlanAnnotations, float, float]] = {}
+        #: Output node id per plan key, read when phase 3 first prices it.
+        self._outputs: dict[int, str] = {}
         self._proposal_cache: dict[tuple, list[dict[str, int]]] = {}
         # The warm start and the search start from this one object, and
         # the search takes over the children lists the dive computed:
@@ -342,27 +358,6 @@ class Optimizer:
 
     # -- phase 2 ----------------------------------------------------------------
 
-    def _fetch_state(
-        self,
-        topology: TopologyBuilder,
-        assignment: tuple[tuple[str, ServiceInterface], ...],
-        plan_key: int,
-        dedup_key: int,
-        fetches: tuple[tuple[str, int], ...],
-        parent_fetches: tuple[tuple[str, int], ...] | None,
-        depth: int,
-    ) -> _FetchState:
-        return _FetchState(
-            topology=topology,
-            assignment=assignment,
-            fetches=fetches,
-            depth=depth,
-            plan_key=plan_key,
-            dedup_key=dedup_key,
-            parent_fetches=parent_fetches,
-            signature=("fetch", dedup_key, fetches),
-        )
-
     def _intern_dedup_key(self, assignment_key: tuple, plan_sig: tuple) -> int:
         key = (assignment_key, plan_sig)
         dedup_key = self._dedup_keys.get(key)
@@ -399,22 +394,15 @@ class Optimizer:
                     plan_key = len(self._finished)
                     self._finished.append(topology)
                     fetches = self._initial_fetches(topology)
-                    full_cost = topology.bound
-                    if full_cost is not None:
-                        # All-ones fetches are what the builder annotated
-                        # with: its running cost is this state's full cost.
-                        self._cost_cache[(plan_key, fetches)] = full_cost
+                    dedup_key = self._intern_dedup_key(
+                        state.assignment_key, topology.signature
+                    )
                     children.append(
-                        self._fetch_state(
-                            topology,
-                            state.assignment,
-                            plan_key,
-                            self._intern_dedup_key(
-                                state.assignment_key, topology.signature
-                            ),
-                            fetches,
-                            None,
-                            state.depth + 1,
+                        _FetchState(
+                            topology, state.assignment, state.choice_index,
+                            fetches, tuple(sorted(fetches)), state.depth + 1,
+                            plan_key, dedup_key, None,
+                            ("fetch", dedup_key, fetches),
                         )
                     )
                 else:
@@ -470,129 +458,87 @@ class Optimizer:
 
     # -- phase 3 ----------------------------------------------------------------
 
-    def _cached_annotations(
+    def _price(
         self,
-        plan: QueryPlan,
         plan_key: int,
-        fetches: tuple[tuple[str, int], ...],
-        parent: tuple[tuple[str, int], ...] | None = None,
-    ) -> PlanAnnotations:
-        """Memoized annotations, derived from the parent vector's when
-        available (only the changed cone is recomputed)."""
-        key = (plan_key, fetches)
-        cached = self._ann_cache.get(key)
-        if cached is not None:
-            self._ann_cache.move_to_end(key)
-            return cached
-        base = self._ann_cache.get((plan_key, parent)) if parent is not None else None
-        if base is not None:
-            annotations = annotate_delta(
-                plan,
-                self.query,
-                base,
-                dict(parent),
-                dict(fetches),
-                estimator=self.estimator,
-            )
-        elif all(factor == 1 for _, factor in fetches):
-            # All-ones fetches: what the builder annotated as it attached.
-            annotations = self._finished[plan_key].annotations
-        else:
-            annotations = annotate(
-                plan, self.query, fetches=dict(fetches), estimator=self.estimator
-            )
-        self._ann_cache[key] = annotations
-        while len(self._ann_cache) > _ANN_CACHE_CAP:
-            self._ann_cache.popitem(last=False)
-        return annotations
+        vector: tuple[tuple[str, int], ...],
+        parent: tuple[tuple[str, int], ...] | None,
+    ) -> tuple[PlanAnnotations, float, float]:
+        """``(annotations, estimated results, cost)`` of finished topology
+        ``plan_key`` under the sorted fetch ``vector``, priced once per
+        search: derived from the (already priced) ``parent`` vector's
+        annotations with :func:`~repro.core.annotate.annotate_delta`, or,
+        without a parent, the all-ones pricing the builder carried."""
+        key = (plan_key, vector)
+        priced = self._priced.get(key)
+        if priced is None:
+            topology = self._finished[plan_key]
+            plan = topology.plan
+            if parent is None:
+                annotations, cost = topology.annotations, topology.bound
+            else:
+                annotations = annotate_delta(
+                    plan,
+                    self.query,
+                    self._priced[(plan_key, parent)][0],
+                    dict(parent),
+                    dict(vector),
+                    estimator=self.estimator,
+                )
+                cost = self.config.metric.cost(plan, annotations)
+            output = self._outputs.get(plan_key)
+            if output is None:
+                output = self._outputs[plan_key] = plan.output_node.node_id
+            priced = (annotations, annotations.by_node[output].tout, cost)
+            self._priced[key] = priced
+        return priced
 
-    def _annotations(self, state: _FetchState) -> PlanAnnotations:
-        return self._cached_annotations(
-            state.plan, state.plan_key, state.fetches, state.parent_fetches
-        )
-
-    def _estimated_results(self, state: _FetchState) -> float:
-        return self._annotations(state).estimated_results(state.plan)
-
-    def _full_cost(self, state: _FetchState) -> float:
-        """Memoized full-plan cost of a fetch state."""
-        key = (state.plan_key, state.fetches)
-        cost = self._cost_cache.get(key)
-        if cost is None:
-            cost = self.config.metric.cost(state.plan, self._annotations(state))
-            self._cost_cache[key] = cost
-        return cost
-
-    def _annotate_fn_for(self, state: _FetchState) -> AnnotateFn:
-        """The memoizing annotator threaded into phase-3 heuristics."""
-        plan, plan_key = state.plan, state.plan_key
-
-        def annotate_fn(
-            fetches: Mapping[str, int],
-            base: Mapping[str, int] | None = None,
-        ) -> PlanAnnotations:
-            vector = tuple(sorted((a, int(v)) for a, v in fetches.items()))
-            parent = (
-                tuple(sorted((a, int(v)) for a, v in base.items()))
-                if base is not None
-                else None
-            )
-            return self._cached_annotations(plan, plan_key, vector, parent)
-
-        return annotate_fn
-
-    def _cost_fn_for(self, state: _FetchState) -> CostFn:
-        """Per-vector cost memo threaded into phase-3 heuristics; shares
-        the cache that later prices the enqueued child states."""
-        plan, plan_key = state.plan, state.plan_key
-        metric = self.config.metric
-
-        def cost_fn(fetches: Mapping[str, int], annotations) -> float:
-            vector = tuple(sorted((a, int(v)) for a, v in fetches.items()))
-            key = (plan_key, vector)
-            cost = self._cost_cache.get(key)
-            if cost is None:
-                cost = metric.cost(plan, annotations)
-                self._cost_cache[key] = cost
-            return cost
-
-        return cost_fn
+    def _priced_state(
+        self, state: _FetchState
+    ) -> tuple[PlanAnnotations, float, float]:
+        return self._price(state.plan_key, state.vector, state.parent)
 
     def _proposals(self, state: _FetchState) -> list[dict[str, int]]:
         """Phase-3 successor vectors, memoized per (plan, fetch vector)."""
-        key = (state.plan_key, state.fetches)
+        key = (state.plan_key, state.vector)
         cached = self._proposal_cache.get(key)
         if cached is None:
-            cached = self.config.phase3.propose(
+            cached = self._proposal_cache[key] = self.config.phase3.propose(
                 state.plan,
                 self.query,
                 dict(state.fetches),
                 self.estimator,
                 self.config.metric,
                 self.k,
-                annotate_fn=self._annotate_fn_for(state),
-                cost_fn=self._cost_fn_for(state),
+                price=partial(self._price_from, state),
             )
-            self._proposal_cache[key] = cached
         return cached
 
+    def _price_from(
+        self, state: _FetchState, fetches: Mapping[str, int]
+    ) -> tuple[float, float]:
+        """``(estimated results, cost)`` of ``state``'s plan under
+        ``fetches``, derived from ``state``'s own pricing."""
+        vector = tuple(sorted(fetches.items()))
+        return self._price(state.plan_key, vector, state.vector)[1:]
+
     def _expand_fetch(self, state: _FetchState) -> list:
-        if self._estimated_results(state) >= self.k:
+        if self._priced_state(state)[1] >= self.k:
             return []  # leaf: handled by _is_leaf
         if state.depth >= MAX_PHASE3_DEPTH:
             return []
-        return [
-            self._fetch_state(
-                state.topology,
-                state.assignment,
-                state.plan_key,
-                state.dedup_key,
-                tuple(sorted(vector.items())),
-                state.fetches,
-                state.depth + 1,
+        children = []
+        for proposal in self._proposals(state):
+            vector = tuple(sorted(proposal.items()))
+            children.append(
+                _FetchState(
+                    state.topology, state.assignment, state.choice_index,
+                    vector, vector, state.depth + 1, state.plan_key,
+                    state.dedup_key, state.vector,
+                    ("fetch", state.dedup_key, vector),
+                )
             )
-            for vector in self._proposals(state)
-        ]
+        return children
 
     # -- B&B callbacks --------------------------------------------------------------
 
@@ -609,7 +555,7 @@ class Optimizer:
     def _is_leaf(self, state) -> bool:
         if not isinstance(state, _FetchState):
             return False
-        if self._estimated_results(state) >= self.k:
+        if self._priced_state(state)[1] >= self.k:
             return True
         if state.depth >= MAX_PHASE3_DEPTH:
             return True
@@ -617,9 +563,7 @@ class Optimizer:
         return not self._proposals(state)
 
     def _leaf_value(self, state: _FetchState):
-        annotations = self._annotations(state)
-        cost = self._full_cost(state)
-        results = annotations.estimated_results(state.plan)
+        annotations, results, cost = self._priced_state(state)
         candidate = PlanCandidate(
             plan=state.plan,
             fetches=dict(state.fetches),
@@ -628,6 +572,7 @@ class Optimizer:
             estimated_results=results,
             satisfies_k=results >= self.k,
             assignment=dict(state.assignment),
+            trail=(state.choice_index, state.topology.moves),
         )
         return cost, candidate, candidate.satisfies_k
 
@@ -643,7 +588,10 @@ class Optimizer:
             return metric.interfaces_lower_bound(fixed + chosen)
         if isinstance(state, _TopoState):
             return state.builder.bound
-        return self._full_cost(state)
+        if state.parent is None:
+            # All-ones fetches: the builder's running cost is the full cost.
+            return state.topology.bound
+        return self._priced_state(state)[2]
 
     def _signature(self, state) -> Hashable:
         return getattr(state, "signature", None)
@@ -774,6 +722,70 @@ def optimize_query(
     if outcome.best is None:
         raise OptimizationError("no feasible plan found")
     return outcome.best
+
+
+def rebuild_candidate(
+    query: CompiledQuery,
+    metric: CostMetric,
+    interfaces: Sequence[tuple[str, str]],
+    choice_index: int,
+    moves: Sequence[Move],
+    fetches: Sequence[tuple[str, int]],
+) -> PlanCandidate:
+    """The candidate a search of ``query`` chose, built again from its
+    trail without searching.
+
+    ``interfaces`` names the phase-1 interface of each open alias,
+    ``choice_index`` the binding choice, ``moves`` the phase-2 moves in
+    the order they were applied, and ``fetches`` the fetch vector; the
+    sealed topology is annotated and priced at it as the search priced
+    it.  A trail no search of ``query`` could have taken raises
+    :class:`~repro.errors.OptimizationError`.
+    """
+    open_aliases = sorted(a.alias for a in query.atoms if a.interface is None)
+    aliases = sorted(alias for alias, _ in interfaces)
+    assignment: dict[str, ServiceInterface] = {}
+    if aliases == open_aliases:
+        for alias, name in interfaces:
+            options = query.registry.interfaces_of(query.atom(alias).mart.name)
+            assignment.update((alias, i) for i in options if i.name == name)
+    choice = None
+    if aliases == sorted(assignment) == open_aliases:
+        if 0 <= choice_index < BINDING_CHOICE_LIMIT and check_feasibility(
+            query, assignment
+        ).feasible:
+            choices = enumerate_binding_choices(
+                query, assignment, limit=BINDING_CHOICE_LIMIT
+            )
+            choice = next(itertools.islice(choices, choice_index, None), None)
+    if choice is None:
+        raise OptimizationError(
+            f"no binding choice {choice_index} for interfaces {list(interfaces)!r}"
+        )
+    builder = TopologyBuilder.initial(query, assignment, choice)
+    for move in moves:
+        legal = move if move.kind != "merge" else replace(move, method=JoinMethodSpec())
+        if legal not in builder.available_moves():
+            raise OptimizationError(f"move {move} is not legal where it is applied")
+        builder = builder.apply(move)
+    topology = builder.seal() if builder.is_complete else None
+    if topology is None or sorted(alias for alias, _ in fetches) != sorted(
+        alias for alias, _ in Optimizer._initial_fetches(topology)
+    ):
+        raise OptimizationError(f"no complete plan fetched by {list(fetches)!r}")
+    plan, fetches = topology.plan, dict(fetches)
+    annotations = annotate(plan, query, fetches=fetches, estimator=Estimator(query))
+    results = annotations.estimated_results(plan)
+    return PlanCandidate(
+        plan=plan,
+        fetches=fetches,
+        annotations=annotations,
+        cost=metric.cost(plan, annotations),
+        estimated_results=results,
+        satisfies_k=results >= query.k,
+        assignment=assignment,
+        trail=(choice_index, tuple(moves)),
+    )
 
 
 # ----------------------------------------------------------------------------- #

@@ -282,6 +282,7 @@ class TopologyBuilder:
         "_added",
         "_table",
         "_plan",
+        "_trail",
     )
 
     @classmethod
@@ -323,6 +324,8 @@ class TopologyBuilder:
         self._added: list[tuple[str, _Placed]] = []
         self._table: dict[str, _Placed] | None = {}
         self._plan: QueryPlan | None = None
+        #: ``(parent's trail, move)`` links back to :meth:`initial`.
+        self._trail: tuple = ()
         self._place(InputNode(), (), (), frozenset())
         self._table.update(self._added)
         self._leaves: tuple[str, ...] = tuple(self._table)
@@ -404,6 +407,17 @@ class TopologyBuilder:
             price = metric.cost if self._sealed else metric.partial_cost
             return price(self.plan, self.annotations)
         return self._running
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        """The moves that made this construction from :meth:`initial`, in
+        order: :meth:`apply` them to a fresh initial builder (and
+        :meth:`seal`) to build it again."""
+        trail, moves = self._trail, []
+        while trail:
+            trail, move = trail
+            moves.append(move)
+        return tuple(reversed(moves))
 
     # -- introspection ----------------------------------------------------------
 
@@ -529,6 +543,7 @@ class TopologyBuilder:
             )
         else:  # pragma: no cover - defensive
             raise PlanError(f"unknown move kind {move.kind!r}")
+        child._trail = (self._trail, move)
         self._lineage.counters.children_priced += 1
         return child
 
@@ -548,6 +563,7 @@ class TopologyBuilder:
         child._added = []
         child._table = None
         child._plan = None
+        child._trail = self._trail
         return child
 
     def _next_id(self, prefix: str) -> str:

@@ -48,21 +48,27 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.core.cost import DEFAULT_METRICS
-from repro.core.optimizer import Optimizer, OptimizerConfig, plan_signature
+from repro.core.optimizer import plan_signature, rebuild_candidate
+from repro.core.topology import Move
 from repro.engine.executor import ResultRows
 from repro.engine.liquid import INTERACTIONS, LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import (
     CheckpointError,
     CheckpointIntegrityError,
+    OptimizationError,
+    PlanError,
     SearchComputingError,
 )
+from repro.joins.spec import CompletionStrategy, InvocationStrategy
+from repro.joins.spec import JoinMethodSpec, JoinTopology
 from repro.query.compile import compile_query
 from repro.query.parser import parse_query
 from repro.services.marts import conference_trip_registry, movie_night_registry
@@ -84,8 +90,9 @@ __all__ = [
     "restore_session",
 ]
 
-#: Current checkpoint payload schema version.
-CHECKPOINT_VERSION = 1
+#: Current checkpoint payload schema version (2: a session names its
+#: plan's search trail, so restore rebuilds the plan instead of searching).
+CHECKPOINT_VERSION = 2
 
 #: Registries resolvable by schema name at restore time.
 REGISTRY_FACTORIES: dict[str, Callable[[], Any]] = {
@@ -98,8 +105,10 @@ REGISTRY_FACTORIES: dict[str, Callable[[], Any]] = {
 #: What a session payload holds for :func:`restore_session` to read it.
 _SESSION_FIELDS = (
     "schema", "query_text", "metric", "backend", "growth", "data_seed",
-    "latency_jitter", "fault_model", "inputs", "journal",
+    "latency_jitter", "fault_model", "inputs", "journal", "plan",
 )
+#: What its ``plan`` member holds for :func:`_rebuild` to read it.
+_PLAN_FIELDS = ("interfaces", "choice", "moves", "fetches")
 #: What its witness holds for the replay to be checked against.
 _WITNESS_FIELDS = (
     "plan_signature", "plan_render", "fetch_vector", "fetches", "ranking",
@@ -310,6 +319,74 @@ def _plan_witness(query, candidate, metric: str) -> tuple[str, str, dict[str, in
     return kept[1:]
 
 
+def _plan_member(candidate) -> dict:
+    """``candidate``'s search trail as a session payload's ``plan`` member:
+    the interface per open alias, the binding-choice index, each phase-2
+    move and the fetch vector.  Rendered once per candidate, in tuples, so
+    the payloads that share it cannot change it."""
+    kept = candidate._witnesses.get("plan")
+    if kept is None:
+        if candidate.trail is None:
+            raise CheckpointError("the session's plan came from no search: no trail")
+        choice, moves = candidate.trail
+        kept = candidate._witnesses["plan"] = {
+            "interfaces": tuple((a, i.name) for a, i in candidate.assignment.items()),
+            "choice": choice,
+            "moves": tuple(map(_encode_move, moves)),
+            "fetches": tuple(candidate.fetch_vector().items()),
+        }
+    return dict(kept)
+
+
+def _encode_move(move: Move) -> tuple:
+    if move.kind != "merge":
+        return (move.kind, move.alias, move.node)
+    method = move.method
+    return ("merge", move.stream, move.other, (
+        method.topology.value, method.invocation.value, method.completion.value,
+        method.ratio.numerator, method.ratio.denominator, method.step_chunks,
+    ))
+
+
+def _decode_move(kind: Any, *args: Any) -> Move:
+    if kind != "merge":
+        alias, node = args
+        return Move(kind, alias=alias, node=node)
+    stream, other, (topology, invocation, completion, *ratio, chunks) = args
+    return Move(kind, stream=stream, other=other, method=JoinMethodSpec(
+        JoinTopology(topology), InvocationStrategy(invocation),
+        CompletionStrategy(completion), Fraction(*ratio), _count(chunks),
+    ))
+
+
+def _count(value: Any, least: int = 1) -> int:
+    if type(value) is not int or value < least:
+        raise ValueError(f"has {value!r} for a count")
+    return value
+
+
+def _rebuild(plan: Any, compiled, metric):
+    """The plan candidate a session checkpoint's ``plan`` member names,
+    built again without a search; a member it cannot be built from (or a
+    trail no search could have taken) is damage."""
+    require_fields(plan, _PLAN_FIELDS, "session checkpoint's plan")
+    try:
+        return rebuild_candidate(
+            compiled,
+            metric,
+            [(alias, name) for alias, name in plan["interfaces"]],
+            _count(plan["choice"], least=0),
+            [_decode_move(*move) for move in plan["moves"]],
+            [(alias, _count(factor)) for alias, factor in plan["fetches"]],
+        )
+    except (
+        OptimizationError, PlanError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
+        raise CheckpointIntegrityError(
+            f"session checkpoint's plan is damaged ({exc})"
+        ) from None
+
+
 def _log_digest(records) -> str:
     joined = "\n".join(repr(record) for record in records)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
@@ -452,6 +529,7 @@ def checkpoint_session(
         "invocation_cache_size": options.get("invocation_cache_size"),
         "shared_cache": shared_cache,
         "inputs": _encode_mapping(session.initial_inputs),
+        "plan": _plan_member(session.candidate),
         "journal": [_encode_entry(entry) for entry in session.interaction_journal],
         "inflight": (
             _encode_entry(session.inflight_interaction)
@@ -503,7 +581,6 @@ def restore_session(
     *,
     registry=None,
     compiled=None,
-    optimizer_config: OptimizerConfig | None = None,
     candidate=None,
     invocation_cache=None,
     tracer=None,
@@ -517,10 +594,12 @@ def restore_session(
     to the re-suspended mid-interaction step generator when the
     checkpoint captured one (``None`` otherwise).
 
-    ``registry``/``compiled``/``optimizer_config``/``candidate`` override
-    the recipe (e.g. a custom registry not in :data:`REGISTRY_FACTORIES`,
-    or the compiled query and cached plan a serving runtime already holds
-    for the template, so resuming N sessions does not plan N times);
+    The session's plan is rebuilt from the payload's ``plan`` member —
+    its search trail, replayed without a search.  ``registry``/
+    ``compiled``/``candidate`` override the recipe (e.g. a custom registry
+    not in :data:`REGISTRY_FACTORIES`, or the compiled query and the plan
+    a serving runtime already rebuilt for the template, so resuming N
+    sessions does not rebuild N times);
     ``invocation_cache``/``tracer`` reattach the shared state that
     checkpoints deliberately do not capture, and ``pool_factory`` — called
     with the checkpoint's ``global_seed``, ``latency_model`` and
@@ -553,12 +632,8 @@ def restore_session(
     metric = DEFAULT_METRICS.get(payload["metric"])
     if metric is None:
         raise CheckpointError(f"unknown metric {payload['metric']!r} in a session checkpoint")
-    if optimizer_config is None:
-        optimizer_config = OptimizerConfig(metric=metric)
     if candidate is None:
-        candidate = Optimizer(compiled, optimizer_config).optimize().best
-    if candidate is None:
-        raise CheckpointError("re-optimization produced no plan candidate")
+        candidate = _rebuild(payload["plan"], compiled, metric)
     if verify and witness:
         signature, render_hash, fetch_vector = _plan_witness(
             compiled, candidate, payload["metric"]
@@ -570,12 +645,12 @@ def restore_session(
             )
         if render_hash != witness["plan_render"]:
             raise CheckpointIntegrityError(
-                "re-optimized plan differs from the checkpointed plan "
-                "(optimizer config mismatch?)"
+                "rebuilt plan differs from the checkpointed plan "
+                "(its trail or the registry's statistics changed?)"
             )
         if fetch_vector != witness["fetch_vector"]:
             raise CheckpointIntegrityError(
-                "re-optimized fetch vector differs from the checkpointed one"
+                "the plan's fetch vector differs from the checkpointed one"
             )
     pool = (pool_factory or partial(ServicePool, registry))(
         global_seed=payload["data_seed"],

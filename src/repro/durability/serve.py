@@ -302,7 +302,8 @@ def resume_state_from(
     """Rebuild serving state from the newest checkpoint in ``store``.
 
     Restores every checkpointed session into ``manager`` (reattaching
-    its shared invocation cache) and returns the pre-seeded table plus
+    its shared invocation cache), hands each template's rebuilt plan to
+    its plan cache, and returns the pre-seeded table plus
     the remaining workload.  ``None`` when the store holds no
     checkpoint — the caller serves the full workload fresh.  A
     ``expected_meta`` mismatch (different seed/workload/scenario) fails
@@ -362,25 +363,30 @@ def resume_state_from(
                 f"checkpoint {key!r} session {rid} was opened on another "
                 f"definition of template {template_name!r}"
             )
-        # Plan once per template, not once per session: the manager's
-        # registry, compiled query (both memoised there) and plan are what
-        # a fresh ``run`` of the template would use.  The plan witnesses
-        # are still verified.
-        compiled = manager._compile(template)
-        candidate = plans.get(template_name)
-        if candidate is None:
-            candidate = plans[template_name] = manager._plan(template, compiled)
+        # Rebuild each template's plan once, from its first session's
+        # ``plan`` member, with the manager's registry and compiled query
+        # (both memoised there).  Every session's plan witnesses are still
+        # verified against it.
         session = restore_session(
             session_payload,
             registry=manager._registry(template),
-            compiled=compiled,
-            candidate=candidate,
+            compiled=manager._compile(template),
+            candidate=plans.get(template_name),
             invocation_cache=manager.cache_for(by_id[rid]),
             pool_factory=partial(manager.open_pool, template),
         )
+        plans.setdefault(template_name, session.candidate)
         manager.adopt(rid, session, template)
         session_payloads[rid] = session_payload
         restored += 1
+    if manager.plan_cache is not None:
+        # The plans the crashed server searched: its later ``run``s hit.
+        for template_name, candidate in plans.items():
+            template = manager.templates[template_name]
+            manager.plan_cache.adopt(
+                template.schema, manager._compile(template),
+                manager.optimizer_config, candidate,
+            )
     remaining = [
         request
         for request in workload

@@ -25,9 +25,12 @@ upstream components), with ``, exact`` when key equality decided every
 pair so none was checked, or the reason it ran the nested loop
 (``non_eq``, ``no_predicates``, ``degraded``, ``empty_side``,
 ``same_side``, ``unhashable_key``).  ``staged=n`` on a service line:
-the node checked ``n`` join predicates with its selections.  The summary
-says how many of the result's rows exist, ``rows built b of n`` (a plan
-ending in a service node ranks first and builds a row when it is read).
+the node checked ``n`` join predicates with its selections.
+``q(tout)=x`` (and, on a service, ``q(calls)=y``) is the node's q-error
+(:func:`q_error`): how many times the estimate missed the measurement,
+either way; the summary names the worst of each.  It also says how many
+of the result's rows exist, ``rows built b of n`` (a plan ending in a
+service node ranks first and builds a row when it is read).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from repro.plans.plan import PlanAnnotations, QueryPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from repro.engine.executor import ExecutionResult
 
-__all__ = ["ExplainNode", "ExplainReport", "build_explain", "world_line"]
+__all__ = ["ExplainNode", "ExplainReport", "build_explain", "q_error", "world_line"]
 
 
 @dataclass
@@ -89,6 +92,11 @@ class ExplainNode:
                 )
                 bits.append(f"act calls={self.act_calls}{delivered}")
             parts.append("[" + ", ".join(bits) + "]")
+        parts.extend(
+            f"q({name})={q:.3}"
+            for name, q in zip(("tout", "calls"), self.q_errors())
+            if q is not None
+        )
         if self.est_fetches is not None:
             parts.append(f"fetches={self.est_fetches}")
         if self.pairs_probed is not None:
@@ -104,6 +112,25 @@ class ExplainNode:
         if self.bottleneck_share is not None:
             parts.append(f"<- bottleneck {self.bottleneck_share:.0%}")
         return "  ".join(parts)
+
+    def q_errors(self) -> tuple[float | None, float | None]:
+        """The node's q-error of ``tout`` and (service nodes) of calls:
+        :func:`q_error` of the estimate and the measurement, ``None``
+        where either is missing."""
+        return (
+            q_error(self.est_tout, self.act_tout),
+            q_error(self.est_calls, self.act_calls),
+        )
+
+
+def q_error(estimated: float | None, actual: float | None) -> float | None:
+    """``max(e', a') / min(e', a')`` with ``e' = max(estimated, 1)`` and
+    ``a' = max(actual, 1)``: how many times the estimate is off, either
+    way (1 is exact); ``None`` unless both are known."""
+    if estimated is None or actual is None:
+        return None
+    e, a = max(estimated, 1.0), max(actual, 1.0)
+    return max(e, a) / min(e, a)
 
 
 def _flow(tin: "float | None", tout: "float | None") -> str:
@@ -144,11 +171,17 @@ class ExplainReport:
 
     def render(self) -> str:
         lines: list[str] = []
+        # Worst q-error of tout and of calls: ``(q, node)``, first in
+        # pre-order on a tie.
+        worst: list[tuple[float, ExplainNode] | None] = [None, None]
         # Pre-order on an explicit stack (a recursive closure is a cycle).
         stack = [(self.root, 0)]
         while stack:
             node, depth = stack.pop()
             lines.append("  " * depth + node.render_line())
+            for index, q in enumerate(node.q_errors()):
+                if q is not None and (worst[index] is None or q > worst[index][0]):
+                    worst[index] = (q, node)
             stack.extend((child, depth + 1) for child in reversed(node.children))
         summary: list[str] = []
         if self.estimated_results is not None or self.actual_results is not None:
@@ -159,6 +192,13 @@ class ExplainReport:
                 + (f"{self.actual_results}" if self.actual_results is not None else "?")
                 + (f", k-shortfall {self.k_shortfall}" if self.k_shortfall else "")
             )
+        if any(worst):
+            summary.append("q-error: " + ", ".join(
+                f"worst {name} {q:.3} at {node.alias or node.node_id}"
+                for name, found in zip(("tout", "calls"), worst)
+                if found is not None
+                for q, node in [found]
+            ))
         if self.execution_time is not None:
             line = f"measured: {self.execution_time:.2f}s execution"
             if self.time_to_screen is not None:

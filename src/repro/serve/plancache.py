@@ -143,11 +143,21 @@ class PlanCache:
         outcome = Optimizer(query, config).optimize()
         if outcome.best is None:
             raise OptimizationError("no feasible plan found")
-        self._plans[key] = outcome.best
+        self._insert(key, outcome.best)
+        return outcome.best
+
+    def adopt(self, schema: str, query: "CompiledQuery", config, candidate) -> None:
+        """Hold ``candidate`` — the plan a resume rebuilt for ``query`` — as
+        if searched here: neither hit nor miss, and a held plan is kept."""
+        key = self.key_for(schema, query, config)
+        if key not in self._plans:
+            self._insert(key, candidate)
+
+    def _insert(self, key: tuple, candidate: PlanCandidate) -> None:
+        self._plans[key] = candidate
         if self.max_size is not None and len(self._plans) > self.max_size:
             self._plans.popitem(last=False)
             self.stats.evictions += 1
-        return outcome.best
 
     def clear(self) -> None:
         self._plans.clear()

@@ -6,7 +6,8 @@ through :meth:`~repro.durability.CheckpointStore.save`: a hand edit, a
 buggy writer, another build.  Each example takes a real session payload —
 one suspended mid-plan (``repro checkpoint --steps 2``), one quiescent —
 deletes, retypes or replaces one member at any depth of its ``witness``,
-``journal`` or ``inflight``, re-saves it, and restores it.  The restore
+``journal``, ``inflight`` or ``plan`` (the search trail the plan is
+rebuilt from), re-saves it, and restores it.  The restore
 either succeeds or raises a :class:`~repro.errors.CheckpointError`; any
 other exception (a ``KeyError``, a ``TypeError``, an engine error) is the
 traceback ``repro resume`` must never show.
@@ -24,10 +25,11 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.durability import CheckpointStore, restore_session
 from repro.engine.liquid import INTERACTIONS
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CheckpointIntegrityError
 
-#: The payload members the journal replay and the witness checks read.
-DAMAGED = ("witness", "journal", "inflight")
+#: The payload members the plan rebuild, the journal replay and the
+#: witness checks read.
+DAMAGED = ("witness", "journal", "inflight", "plan")
 
 JSON = st.recursive(
     st.none()
@@ -101,3 +103,42 @@ def test_one_damaged_member_restores_or_is_refused(store, data):
         restore_session(store.load(damaged))
     except CheckpointError:
         pass
+
+
+#: A member of the ``plan`` and what to set it to: ``(path, value)``.
+PLAN_DAMAGE = {
+    "unknown interface": (("interfaces",), [["P", "NoSuchInterface"]]),
+    "choice out of range": (("choice",), 7),
+    "negative choice": (("choice",), -1),
+    "choice past every search's": (("choice",), 10**20),
+    "choice not a count": (("choice",), True),
+    "move after a missing node": (("moves", 1, 2), "svc:Nowhere"),
+    "move of a missing alias": (("moves", 0, 1), "Q"),
+    "merge of a missing leaf": (("moves", 3, 2), 5),
+    "merge of one leaf twice": (("moves", 3, 2), 0),
+    "unknown move kind": (("moves", 0, 0), "teleport"),
+    "move of the wrong width": (("moves", 3), ["merge", 0, 1]),
+    "a move missing": (("moves",), "drop-last"),
+    "unknown join topology": (("moves", 3, 3, 0), "sideways"),
+    "zero ratio": (("moves", 3, 3, 3), 0),
+    "zero denominator": (("moves", 3, 3, 4), 0),
+    "zero step chunks": (("moves", 3, 3, 5), 0),
+    "float step chunks": (("moves", 3, 3, 5), 1.0),
+    "join method too short": (("moves", 3, 3), ["parallel", "merge-scan"]),
+    "fetches of another plan": (("fetches",), [["P", 1]]),
+    "fetch factor zero": (("fetches", 0, 1), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_DAMAGE))
+def test_a_damaged_plan_trail_is_refused(store, case):
+    path, value = PLAN_DAMAGE[case]
+    payload = store.load("done")
+    assert payload["plan"]["moves"][3][0] == "merge"  # scholar: a fork, a merge
+    if value == "drop-last":
+        payload["plan"]["moves"].pop()
+    else:
+        _damage(payload, ("plan", *path), (value,))
+    store.save("plan-damaged", payload)
+    with pytest.raises(CheckpointIntegrityError, match="plan"):
+        restore_session(store.load("plan-damaged"))

@@ -537,11 +537,12 @@ class TestTypedFailureAtTheDoor:
         assert code == 4
         assert line == f"repro: CheckpointIntegrityError: {message}"
 
-    @pytest.mark.parametrize("version", [0, 2])
+    # 1: a checkpoint written before sessions named their plan's trail.
+    @pytest.mark.parametrize("version", [0, 1, 3])
     def test_checkpoint_of_another_version_exits_four(
         self, capsys, tmp_path, version
     ):
-        from repro.durability import CheckpointStore
+        from repro.durability import CHECKPOINT_VERSION, CheckpointStore
 
         code, _ = run_cli(
             capsys, "checkpoint", "--schema", "scholar", "--steps", "2",
@@ -555,7 +556,8 @@ class TestTypedFailureAtTheDoor:
         code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
         assert code == 4
         assert line == (
-            f"repro: CheckpointError: checkpoint version {version} is not 1, "
+            f"repro: CheckpointError: checkpoint version {version} is not "
+            f"{CHECKPOINT_VERSION}, "
             "the version this build reads"
         )
 

@@ -36,6 +36,7 @@ from repro.obs import (
     spans_to_jsonl,
     write_trace,
 )
+from repro.obs.explain import q_error
 from repro.services.marts import RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import FaultModel, ServicePool
 
@@ -630,6 +631,23 @@ class TestObservabilityCLI:
         assert line == "results: estimated 11.2, actual 2, k-shortfall 8"
         code, out = self.run_cli(capsys, "explain", "--schema", "conference")
         assert code == 0 and "k-shortfall" not in out
+
+    def test_explain_prints_each_nodes_q_error_and_the_worst(self, capsys):
+        """``q = max(e', a') / min(e', a')`` with both floored at 1: on the
+        default movie query ``R`` estimates 8 tuples and yields 1 (8.0),
+        and 20 calls for 11 made (1.82); the join and the output 11.2 for
+        2 (5.6)."""
+        code, out = self.run_cli(capsys, "explain")
+        assert code == 0
+        lines = {row.split("[")[0].strip(): row for row in out.splitlines()}
+        assert "q(tout)=8.0  q(calls)=1.82  " in lines["R:Restaurant1 (search)"]
+        assert "]  q(tout)=5.6  probes=" in lines["JOIN MS/tri"]
+        assert "]  q(tout)=5.6  final_check=" in lines["OUTPUT"]
+        assert "q(tout)=1.0  q(calls)=1.0  " in lines["T:Theatre1 (search)"]
+        assert "q(calls)" not in lines["JOIN MS/tri"] + lines["OUTPUT"]
+        assert lines["q-error: worst tout 8.0 at R, worst calls 1.82 at R"]
+        assert q_error(8, 1) == q_error(1, 8) == 8.0
+        assert q_error(0.2, 0) == 1.0 and q_error(None, 3) is None
 
     def test_k_shortfall_counts_only_lists_cut_at_their_factor(self):
         from repro.cli import _optimize, build_parser
