@@ -52,7 +52,6 @@ def _serve(tracer=None, slo=None, sample_metrics=False, num_requests=NUM_REQUEST
             templates=default_templates(PARAM_SCALE),
             data_seed=SEED,
             num_shards=NUM_SHARDS,
-            queue_limit=1_000_000,
             default_service_rate=4.0,
             sample_metrics=sample_metrics,
         ),

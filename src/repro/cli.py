@@ -925,16 +925,15 @@ def _serve_configs(args):
     base = ServeConfig(
         templates=scenario_templates(args.scenario),
         data_seed=args.seed,
-        queue_limit=1_000_000,  # both runs must complete every request
         default_service_rate=args.service_rate or None,
         plan_cache_size=args.plan_cache_size,
         time_scale=args.time_scale,
     )
-    placed = {"backend": args.backend, "parallel": args.parallel}
     if _serve_durable(args):
         subject = replace(
             base,
-            **placed,
+            backend=args.backend,
+            parallel=args.parallel,
             num_shards=args.shards or 1,
             cache_mode=sharing,
             sample_metrics=observed,
@@ -950,7 +949,10 @@ def _serve_configs(args):
             steal=args.steal,
             cache_mode="shared" if args.shared_cache else "private",
         )
-        subject = replace(base, **placed, sample_metrics=observed)
+        subject = replace(
+            base, backend=args.backend, parallel=args.parallel,
+            sample_metrics=observed,
+        )
         if observed:
             return "observed", subject, base
         return "sharded", subject, replace(base, num_shards=1, steal=False)
@@ -1037,6 +1039,7 @@ def _cmd_serve_bench(args) -> int:
     print, ``--output`` — once."""
     from repro.serve import WorkloadConfig
     from repro.serve.bench import benchmark_report, compare_serving, sharing_gates
+    from repro.serve.scheduler import MAX_CONCURRENCY
 
     for violated, message in _SERVE_FLAG_RULES:
         if violated(args):
@@ -1057,7 +1060,7 @@ def _cmd_serve_bench(args) -> int:
     slo = SloTracker(thresholds=args.slo_thresholds) if observed else None
     print(
         f"{title}: {args.requests} requests per rate, seed {args.seed}, "
-        f"concurrency {subject.max_concurrency}, scenario {args.scenario}, "
+        f"concurrency {MAX_CONCURRENCY}, scenario {args.scenario}, "
         f"{subject.num_shards} shard(s), "
         f"cache {subject.cache_mode}, steal {'on' if subject.steal else 'off'}"
         + (f", parallel ({subject.backend} workers)" if subject.parallel else "")

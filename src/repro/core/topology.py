@@ -426,19 +426,9 @@ class TopologyBuilder:
         self._settle()
         return self._leaves
 
-    def upstream_aliases(self, node_id: str) -> frozenset[str]:
-        """Aliases whose tuples flow through ``node_id`` (inclusive)."""
-        placed = self._nodes().get(node_id)
-        if placed is None:
-            raise PlanError(f"unknown node {node_id!r}")
-        return placed.through
-
     @property
     def is_complete(self) -> bool:
         return self.placed == self._lineage.complete and self._leaf_count == 1
-
-    def dependencies(self, alias: str) -> frozenset[str]:
-        return self._lineage.deps[alias]
 
     def interface_of(self, alias: str) -> ServiceInterface:
         return self._lineage.interface_of(alias)

@@ -243,13 +243,13 @@ class CheckpointStore:
         path = self.path_for(key)
         if not path.exists():
             raise CheckpointError(f"no checkpoint {key!r} in {self.root}")
-        with open(path, encoding="utf-8") as handle:
-            try:
-                record = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise CheckpointIntegrityError(
-                    f"checkpoint {key!r} is not valid JSON: {exc}"
-                ) from exc
+        # Bytes that are not UTF-8 are damage too, not a bare decode error.
+        try:
+            record = json.loads(path.read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointIntegrityError(
+                f"checkpoint {key!r} is not valid UTF-8 JSON: {exc}"
+            ) from exc
         require_fields(record, ("payload", "checksum"), f"checkpoint {key!r}")
         payload = record["payload"]
         if content_hash(payload) != record["checksum"]:

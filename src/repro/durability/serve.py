@@ -422,15 +422,15 @@ def serve_workload_durable(
     """Keyword adapter over :func:`repro.serve.runtime.serve`, durable.
 
     Kept for ``benchmarks/e2e``, which calls it by these names: one shard,
-    shared unbounded caches, an effectively unbounded queue and 4 calls/s
-    per service, checkpointing into ``checkpoint_dir``.  Returns the
-    report, its per-request digests (always the *whole* workload, resumed
-    or not) and :attr:`ServeReport.durability`.
+    shared unbounded caches and 4 calls/s per service, checkpointing into
+    ``checkpoint_dir``.  Returns the report, its per-request digests
+    (always the *whole* workload, resumed or not) and
+    :attr:`ServeReport.durability`.
     """
     config = ServeConfig(
-        templates=templates, data_seed=seed, queue_limit=1_000_000,
-        default_service_rate=4.0, checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every, resume=resume,
+        templates=templates, data_seed=seed, default_service_rate=4.0,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        resume=resume,
     )
     stream = workload if workload is not None else WorkloadConfig(
         num_requests=num_requests, rate=rate, skew=skew, seed=seed,

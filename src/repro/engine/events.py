@@ -42,12 +42,6 @@ class VirtualClock:
         self.now += delta
         return self.now
 
-    def advance_to(self, timestamp: float) -> float:
-        """Move forward to ``timestamp`` if it is later than now."""
-        if timestamp > self.now:
-            self.now = timestamp
-        return self.now
-
     def reset(self) -> None:
         """Rewind to time zero *in place*, keeping existing references live."""
         self.now = 0.0

@@ -283,11 +283,6 @@ class InvocationCache:
             return None
         return self._verdicts.setdefault(key, {})
 
-    def clear(self) -> None:
-        self._data.clear()
-        self._verdicts.clear()
-        self.recorded.clear()
-
     def __len__(self) -> int:
         return len(self._data)
 

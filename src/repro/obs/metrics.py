@@ -64,9 +64,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
 
 @dataclass
 class Histogram:

@@ -246,28 +246,6 @@ class Tracer:
         """Finished spans in start (span id) order — the tree's preorder."""
         return sorted(self.spans, key=lambda span: span.span_id)
 
-    def roots(self) -> list[SpanRecord]:
-        return [span for span in self.ordered() if span.parent_id is None]
-
-    def render_tree(self) -> str:
-        """Indented text rendering of the span tree (debugging aid)."""
-        by_parent: dict[int | None, list[SpanRecord]] = {}
-        for span in self.ordered():
-            by_parent.setdefault(span.parent_id, []).append(span)
-        lines: list[str] = []
-        # Pre-order on an explicit stack (a recursive closure is a cycle).
-        stack = [(span, 0) for span in reversed(by_parent.get(None, ()))]
-        while stack:
-            span, depth = stack.pop()
-            attrs = ", ".join(f"{k}={v}" for k, v in span.attrs.items())
-            lines.append(
-                "  " * depth
-                + f"{span.name} [{span.start:.3f}..{span.end:.3f}]"
-                + (f" {{{attrs}}}" if attrs else "")
-            )
-            children = by_parent.get(span.span_id, ())
-            stack.extend((child, depth + 1) for child in reversed(children))
-        return "\n".join(lines)
 
 
 def coerce_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":

@@ -18,8 +18,8 @@ Correspondence with the virtual scheduler:
   sees the identical interaction sequence the virtual scheduler would
   deliver, and per-request result digests match the virtual run's;
 * a global admission semaphore bounds concurrently *executing* requests
-  (``ServeConfig.max_concurrency``); excess arrivals queue — there is no
-  rejection path, matching the benchmark's effectively unbounded queue;
+  (:data:`~repro.serve.scheduler.MAX_CONCURRENCY`); excess arrivals
+  queue, as they queue on a virtual shard;
 * all sessions share one :class:`~repro.engine.async_runner.AsyncExecutionContext`,
   making the per-service connection pools a server-wide bound and
   coalescing concurrent identical invocations across queries.
@@ -36,8 +36,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import absorb_outcome_metrics, record_request_span
 from repro.obs.tracer import coerce_tracer
 from repro.serve.scheduler import (
+    MAX_CONCURRENCY,
     RequestOutcome,
-    ServeConfig,
     ServeReport,
     build_report,
     snapshot_cache_stats,
@@ -51,7 +51,6 @@ __all__ = ["serve_async"]
 async def serve_async(
     workload: Sequence[Request],
     sessions: SessionManager,
-    config: ServeConfig,
     tracer: Any = None,
     slo: Any = None,
     digest_fn: "Callable | None" = None,
@@ -64,7 +63,7 @@ async def serve_async(
     engine's ``service.invoke`` / ``pool.wait`` spans use, and an outcome's
     request carries the instant it *actually* arrived on that axis.
     """
-    admission = asyncio.Semaphore(config.max_concurrency)
+    admission = asyncio.Semaphore(MAX_CONCURRENCY)
     # One chain per session: request_id for a run, its target for
     # follow-ups.  Chaining serialises a session's interactions in
     # arrival order — the order the virtual scheduler delivers them.

@@ -32,6 +32,7 @@ from typing import Any, Callable, Sequence
 from repro.obs.serving import serving_metrics_summary
 from repro.serve.runtime import serve
 from repro.serve.scheduler import (
+    MAX_CONCURRENCY,
     ServeConfig,
     ServeReport,
     combined_digest,
@@ -139,7 +140,7 @@ def benchmark_report(
         "num_requests": workload.num_requests,
         "skew": workload.skew,
         "followup_fraction": workload.followup_fraction,
-        "max_concurrency": subject.max_concurrency,
+        "max_concurrency": MAX_CONCURRENCY,
         "shards": subject.num_shards,
         "cache_mode": subject.cache_mode,
         "steal": subject.steal,

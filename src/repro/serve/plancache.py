@@ -159,8 +159,5 @@ class PlanCache:
             self._plans.popitem(last=False)
             self.stats.evictions += 1
 
-    def clear(self) -> None:
-        self._plans.clear()
-
     def __len__(self) -> int:
         return len(self._plans)

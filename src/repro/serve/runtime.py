@@ -60,7 +60,6 @@ def build_sessions(
     manager = SessionManager(
         templates={template.name: template for template in config.templates},
         data_seed=config.data_seed,
-        optimizer_config=config.optimizer_config,
         backend=config.backend,
         async_context=async_context,
         tracer=tracer,
@@ -155,7 +154,7 @@ def _serve(
         # spans' wall-clock axis, so the one tracer serves both layers.
         sessions = build_sessions(config, ring, tracer)
         return asyncio.run(
-            serve_async(workload, sessions, config, tracer, slo, digest_fn)
+            serve_async(workload, sessions, tracer, slo, digest_fn)
         )
     sessions = build_sessions(config, ring)
     metrics = MetricsRegistry()

@@ -24,11 +24,10 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from os import PathLike
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core.optimizer import OptimizerConfig
 from repro.engine.liquid import BACKENDS
 from repro.errors import ExecutionError
 from repro.model.tuples import CompositeTuple
@@ -51,8 +50,11 @@ CACHE_MODES = ("shared", "private", "isolated")
 #: The :class:`ServeConfig` fields that are integers; the LRU bounds may
 #: also be ``None`` (unbounded).
 _BOUNDS = ("cache_size", "plan_cache_size")
-_COUNTS = ("data_seed", "max_concurrency", "queue_limit", "num_shards",
-           "checkpoint_every", *_BOUNDS)
+_COUNTS = ("data_seed", "num_shards", "checkpoint_every", *_BOUNDS)
+
+#: Requests one shard (or the asyncio loop) executes at once; an arrival
+#: that finds them all busy waits in the shard's FIFO queue.
+MAX_CONCURRENCY = 4
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,7 @@ class ServeConfig:
     process or the crash harness receives the whole object.
     """
 
-    # -- scheduling: **per-shard** admission, concurrency, backpressure ----
-    max_concurrency: int = 4
-    queue_limit: int = 64
+    # -- scheduling ----------------------------------------------------------
     #: Max calls per virtual second to each interface (a token bucket of
     #: depth :data:`~repro.serve.sharding.SERVICE_BURST`); ``None`` leaves
     #: them unlimited.
@@ -78,8 +78,6 @@ class ServeConfig:
     templates: Sequence[QueryTemplate] | None = None
     #: Global seed of every session's service pool.
     data_seed: int = 2009
-    #: Plans every request.
-    optimizer_config: OptimizerConfig = field(default_factory=OptimizerConfig)
     # -- placement ---------------------------------------------------------
     num_shards: int = 1
     #: Work stealing between shards.
@@ -120,10 +118,6 @@ class ServeConfig:
                 raise ExecutionError(
                     f"{name} must be an int, not {type(value).__name__}"
                 )
-        if self.max_concurrency <= 0:
-            raise ExecutionError("max_concurrency must be positive")
-        if self.queue_limit < 0:
-            raise ExecutionError("queue_limit cannot be negative")
         rate = self.default_service_rate
         if rate is not None and not (rate > 0 and math.isfinite(rate)):
             raise ExecutionError("default_service_rate must be a finite number > 0")

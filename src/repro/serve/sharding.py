@@ -7,11 +7,11 @@ step-resumable generators of :meth:`~repro.engine.executor.PlanExecutor.steps`
 — that pause before every chunk-granular service round trip.
 :class:`ServeScheduler` owns the interleaving:
 
-* **Admission control** — on each shard at most ``max_concurrency``
-  requests execute at once; excess arrivals wait in a bounded FIFO
-  queue; a full queue rejects the arrival (backpressure to the client).
-  The scheduler also counts what executes across all shards (``active``,
-  ``peak``).
+* **Admission control** — on each shard at most
+  :data:`~repro.serve.scheduler.MAX_CONCURRENCY` requests execute at
+  once; excess arrivals wait in the shard's FIFO queue, as they wait on
+  the asyncio backend's semaphore.  The scheduler also counts what
+  executes across all shards (``active``, ``peak``).
 * **Per-service rate limits** — with ``default_service_rate`` set, each
   shard has a token bucket per interface on virtual time.  A paused
   query about to call interface ``S`` (the yielded
@@ -96,6 +96,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import SloTracker, absorb_outcome_metrics, record_request_span
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.serve.scheduler import (
+    MAX_CONCURRENCY,
     RequestOutcome,
     ServeConfig,
     ServeReport,
@@ -384,7 +385,7 @@ class ServeScheduler:
             self._arrive(request, request.arrival)
         makespan = self._loop()
         # Follow-ups still parked at drain time targeted a run that never
-        # completed (rejected or failed): rejected on their home shard.
+        # completed: rejected on their home shard.
         for parked in table.parked.values():
             for request in parked:
                 home = self.shards[self.ring.shard_of(request)]
@@ -460,18 +461,14 @@ class ServeScheduler:
                 ).append(request)
                 return
             self.table.busy_sessions.add(request.target)
-        if shard.active < self.config.max_concurrency:
+        if shard.active < MAX_CONCURRENCY:
             self._start(shard, request, now)
-        elif len(shard.queue) < self.config.queue_limit:
+        else:
             shard.queue.append(request)
             shard.queued_at[request.request_id] = now
             gauge = self.metrics.gauge(f"serve.shard.{shard.index}.max_queue_depth")
             if len(shard.queue) > gauge.value:
                 gauge.set(len(shard.queue))
-        else:
-            if request.target is not None:
-                self._release_session(request.target, now)
-            self._reject(shard, request, now)
         if self.config.sample_metrics:
             self._sample_load(shard, now)
 
@@ -627,7 +624,7 @@ class ServeScheduler:
         if request.target is not None:
             self._release_session(request.target, now)
         # Grant freed slots to the admission queue (FIFO).
-        while shard.queue and shard.active < self.config.max_concurrency:
+        while shard.queue and shard.active < MAX_CONCURRENCY:
             self._start(shard, shard.queue.popleft(), now)
         if self.config.sample_metrics:
             self._sample_load(shard, now)
@@ -643,16 +640,16 @@ class ServeScheduler:
             self._arrive(waiter, now)
 
     def _reject(self, shard: _Shard, request: Request, now: float) -> None:
-        # A parked follow-up rejected when its target fails (or at drain)
-        # has been waiting since it arrived — that wait is queue context,
-        # not free time, and dropping it would understate queueing under
-        # admission pressure.
-        queued_at = shard.queued_at.pop(request.request_id, request.arrival)
+        """Reject a follow-up whose target is unknown, failed, or never
+        finished (drain).  Only follow-ups are rejected — a run always
+        queues — so none has follow-ups parked on it, and none was ever
+        queued: a parked follow-up has been waiting since it arrived,
+        and that wait is its queue context, not free time."""
         outcome = RequestOutcome(
             request=request,
             status="rejected",
             finished_at=now,
-            queue_wait=max(0.0, now - queued_at),
+            queue_wait=max(0.0, now - request.arrival),
             shard=shard.index,
         )
         wake = self.table.wake_times.pop(request.request_id, None)
@@ -662,9 +659,6 @@ class ServeScheduler:
         absorb_outcome_metrics(self.metrics, outcome, emit_shard_metrics=True)
         if self.tracer.enabled:
             record_request_span(self.tracer, outcome)
-        # A rejected run can never serve its follow-ups.
-        for parked in self.table.parked.pop(request.request_id, ()):
-            self._reject(shard, parked, now)
 
     # -- work stealing -------------------------------------------------------
 
@@ -685,7 +679,7 @@ class ServeScheduler:
         while any(shard.queue for shard in shards):
             stolen_any = False
             for thief in shards:
-                if thief.queue or thief.active >= self.config.max_concurrency:
+                if thief.queue or thief.active >= MAX_CONCURRENCY:
                     continue
                 victim = max(
                     (s for s in shards if s is not thief and s.queue),
@@ -788,15 +782,15 @@ def serve_workload_sharded(
     """Keyword adapter over :func:`repro.serve.runtime.serve`.
 
     Kept for ``benchmarks/e2e``, which calls it by these names: the
-    benchmark posture (an effectively unbounded queue, 4 calls/s per
-    service, shared unbounded caches unless ``cache_size`` bounds them).
+    benchmark posture (4 calls/s per service, shared unbounded caches
+    unless ``cache_size`` bounds them).
     Returns the report and its per-request digests.
     """
     from repro.serve.runtime import serve
 
     config = ServeConfig(
         templates=templates, data_seed=seed, num_shards=num_shards, steal=steal,
-        cache_size=cache_size, queue_limit=1_000_000, default_service_rate=4.0,
+        cache_size=cache_size, default_service_rate=4.0,
     )
     stream = workload if workload is not None else WorkloadConfig(
         num_requests=num_requests, rate=rate, skew=skew, seed=seed,

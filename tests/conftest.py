@@ -15,7 +15,13 @@ from repro.model.service import (
 )
 from repro.query.compile import compile_query
 from repro.query.parser import parse_query
-from repro.serve import ServeConfig, WorkloadConfig, serve
+from repro.serve import (
+    ServeConfig,
+    WorkloadConfig,
+    default_templates,
+    generate_workload,
+    serve,
+)
 from repro.services.marts import (
     CONFERENCE_QUERY,
     RUNNING_EXAMPLE_QUERY,
@@ -39,12 +45,11 @@ def serve_seeded(
 ):
     """``serve()`` one seeded workload in the benchmark posture.
 
-    One ``seed`` for workload and data, an effectively unbounded queue and
-    4 calls/s per service (what the replaced ``serve_workload*`` entry
+    One ``seed`` for workload and data and 4 calls/s per service (what the replaced ``serve_workload*`` entry
     points defaulted to); any other keyword is a ``ServeConfig`` field.
     Returns the :class:`~repro.serve.ServeReport`.
     """
-    posture = {"data_seed": seed, "queue_limit": 1_000_000, "default_service_rate": 4.0}
+    posture = {"data_seed": seed, "default_service_rate": 4.0}
     return serve(
         ServeConfig(**{**posture, **config}),
         WorkloadConfig(
@@ -59,6 +64,17 @@ def serve_seeded(
         digest_fn=digest_fn,
         on_checkpoint=on_checkpoint,
     )
+
+
+def orphaned_followups():
+    """A dense seeded stream (it queues at every shard's slots) with every
+    third run left out: the follow-ups of those runs name a target the
+    server never saw, and are rejected."""
+    stream = generate_workload(
+        default_templates(),
+        WorkloadConfig(num_requests=24, rate=8.0, seed=2009, followup_fraction=0.5),
+    )
+    return [r for r in stream if not (r.kind == "run" and r.request_id % 3 == 0)]
 
 
 @pytest.fixture(scope="session")

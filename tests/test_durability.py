@@ -382,9 +382,7 @@ def test_crash_harness_sigkill_and_resume(tmp_path):
     from tests.support.crash import run_crash_resume
 
     report = run_crash_resume(
-        ServeConfig(
-            queue_limit=1_000_000, default_service_rate=4.0, checkpoint_every=15
-        ),
+        ServeConfig(default_service_rate=4.0, checkpoint_every=15),
         WorkloadConfig(num_requests=120, rate=4.0, seed=2009),
         kill_after_checkpoints=1,
         workdir=tmp_path,

@@ -17,13 +17,6 @@ class TestVirtualClock:
         with pytest.raises(ExecutionError):
             VirtualClock().advance(-1.0)
 
-    def test_advance_to_never_goes_backwards(self):
-        clock = VirtualClock(now=5.0)
-        clock.advance_to(3.0)
-        assert clock.now == 5.0
-        clock.advance_to(7.0)
-        assert clock.now == 7.0
-
 
 def record(service="S", alias="A", idx=0, start=0.0, latency=1.0, tuples=5):
     return CallRecord(

@@ -152,15 +152,6 @@ class TestTracer:
         tracer = Tracer()
         assert coerce_tracer(tracer) is tracer
 
-    def test_render_tree_indents_children(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            with tracer.span("child", n=1):
-                pass
-        text = tracer.render_tree()
-        assert "root [" in text
-        assert "\n  child [" in text and "n=1" in text
-
 
 # -- metrics registry ----------------------------------------------------------
 
@@ -170,8 +161,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("c").inc()
         registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
-        registry.gauge("g").add(-0.5)
+        registry.gauge("g").set(1.0)
         for value in (1, 2, 3, 4):
             registry.histogram("h").observe(value)
         snap = registry.snapshot()

@@ -90,13 +90,11 @@ def test_serve_config_pickles_with_builtin_templates_and_packs(tmp_path):
     config whole, so it must survive pickling with everything built in."""
     import pickle
 
-    from repro.core.optimizer import OptimizerConfig
     from repro.serve import ServeConfig, scenario_templates
 
     for templates in (None, scenario_templates("all", param_scale=8)):
         config = ServeConfig(
             templates=templates,
-            optimizer_config=OptimizerConfig(budget=64),
             default_service_rate=2.0,
             num_shards=4,
             cache_mode="private",

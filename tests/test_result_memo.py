@@ -94,9 +94,7 @@ def serve_observed(workload, templates, *, cache_size, shards, steal, traced):
     ring = HashRing(shards)
     scheduler = ShardedServeScheduler(
         manager,
-        ServeConfig(
-            queue_limit=10_000, default_service_rate=4.0, num_shards=shards, steal=steal
-        ),
+        ServeConfig(default_service_rate=4.0, num_shards=shards, steal=steal),
         tracer=Tracer() if traced else None,
         ring=ring,
     )

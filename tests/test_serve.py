@@ -2,8 +2,8 @@
 
 Covers the units of :mod:`repro.serve` — the seeded workload generator,
 the token-bucket rate limiter, the plan cache — and the scheduler's
-behavioural contracts: admission control with bounded queues, follow-up
-parking and rejection cascades, per-session serialization, and the
+behavioural contracts: admission control with FIFO queues, follow-up
+parking and rejection, per-session serialization, and the
 headline property that cross-query sharing never changes any request's
 result.
 """
@@ -28,6 +28,7 @@ from repro.serve import (
     generate_workload,
     result_digest,
 )
+from repro.serve.scheduler import MAX_CONCURRENCY
 from repro.serve.sharding import _TokenBucket
 from repro.serve.workload import zipf_index
 from tests.conftest import serve_seeded
@@ -153,8 +154,9 @@ def test_token_bucket_grants_are_fifo():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"max_concurrency": 0},
-        {"queue_limit": -1},
+        {"checkpoint_every": -1},
+        # In-process shards run on the virtual clock only.
+        {"backend": "asyncio", "num_shards": 2},
         # Regression: resume without a directory served from scratch.
         {"resume": True},
         {"num_shards": 0},
@@ -269,8 +271,7 @@ def _run_request(request_id, arrival, template=None, seed=0):
 
 def test_scheduler_completes_simple_stream():
     requests = [_run_request(i, arrival=float(i), seed=i) for i in range(3)]
-    scheduler = ServeScheduler(_manager(), ServeConfig(max_concurrency=2))
-    report = scheduler.run(requests)
+    report = ServeScheduler(_manager()).run(requests)
     assert report.by_status() == {"completed": 3}
     for outcome in report.completed():
         assert outcome.results
@@ -282,29 +283,16 @@ def test_scheduler_completes_simple_stream():
     assert report.throughput > 0
 
 
-def test_scheduler_queue_overflow_rejects():
-    # One execution slot, no queue: simultaneous arrivals beyond the
-    # slot bounce with backpressure instead of piling up.
-    requests = [_run_request(i, arrival=0.5, seed=i) for i in range(4)]
-    scheduler = ServeScheduler(
-        _manager(), ServeConfig(max_concurrency=1, queue_limit=0)
-    )
-    report = scheduler.run(requests)
-    counts = report.by_status()
-    assert counts["completed"] == 1
-    assert counts["rejected"] == 3
-
-
 def test_scheduler_queue_wait_is_accounted():
-    requests = [_run_request(i, arrival=1.0, seed=i) for i in range(3)]
-    scheduler = ServeScheduler(
-        _manager(), ServeConfig(max_concurrency=1, queue_limit=10)
-    )
-    report = scheduler.run(requests)
-    assert report.by_status() == {"completed": 3}
+    # Two more simultaneous arrivals than execution slots: the excess
+    # queues FIFO (nothing is ever turned away) and waits for a slot.
+    count = MAX_CONCURRENCY + 2
+    requests = [_run_request(i, arrival=1.0, seed=i) for i in range(count)]
+    report = ServeScheduler(_manager()).run(requests)
+    assert report.by_status() == {"completed": count}
     waits = sorted(o.queue_wait for o in report.completed())
-    assert waits[0] == 0.0  # first admitted immediately
-    assert waits[-1] > 0.0  # last one waited for a slot
+    assert waits[:MAX_CONCURRENCY] == [0.0] * MAX_CONCURRENCY  # admitted at once
+    assert waits[-1] > 0.0  # the last one waited for a slot
 
 
 def test_followup_with_unknown_target_rejected():
@@ -344,31 +332,6 @@ def test_followup_parks_until_target_completes():
     # trips and can only grow the result list.
     assert more_out.round_trips > 0
     assert len(more_out.results) >= len(run_out.results)
-
-
-def test_rejected_target_cascades_to_followups():
-    template = default_templates()[0]
-    requests = [
-        _run_request(0, arrival=0.5, seed=0),
-        _run_request(1, arrival=0.5, seed=1),
-        Request(
-            request_id=2,
-            kind="rerank",
-            template=template.name,
-            schema=template.schema,
-            arrival=0.6,
-            weights=dict(template.rerank_weights[0]),
-            target=1,
-        ),
-    ]
-    scheduler = ServeScheduler(
-        _manager(), ServeConfig(max_concurrency=1, queue_limit=0)
-    )
-    report = scheduler.run(requests)
-    assert report.outcomes[0].status == "completed"
-    assert report.outcomes[1].status == "rejected"
-    # A follow-up on a rejected session can never execute.
-    assert report.outcomes[2].status == "rejected"
 
 
 def test_rerank_costs_no_round_trips():

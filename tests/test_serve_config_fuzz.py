@@ -1,9 +1,9 @@
 """A typed failure or a whole report for every ``ServeConfig`` combination.
 
 Hypothesis combines the fields the scheduler reads — shards, stealing,
-cache mode and bounds, concurrency, queue limit, service rate, time
-scale, backend, placement, checkpoint period and resume — drawing 0,
-negatives, fractions, ``nan`` and ``inf`` where a number goes.  Every
+cache mode and bounds, service rate, time scale, backend, placement,
+checkpoint period and resume — drawing 0, negatives, fractions, ``nan``
+and ``inf`` where a number goes.  Every
 example must either
 
 * be refused at construction with a
@@ -48,8 +48,6 @@ GOOD = {
     "cache_mode": ["shared", "private", "isolated"],
     "cache_size": [None, 1, 64],
     "plan_cache_size": [None, 1, 64],
-    "max_concurrency": [1, 2, 64],
-    "queue_limit": [0, 1, 64],
     "default_service_rate": [None, 0.5, 4.0],
     "time_scale": [0.0, 1e-5],
     "backend": ["virtual", "virtual", "asyncio"],
@@ -65,8 +63,7 @@ _ODD_NUMBERS = [-1, 0, 2.5, NAN, INF, -INF, True]
 #: Values a field of its kind may be handed by mistake.
 ODD = {
     **dict.fromkeys(
-        ("num_shards", "cache_size", "plan_cache_size", "max_concurrency",
-         "queue_limit", "checkpoint_every"),
+        ("num_shards", "cache_size", "plan_cache_size", "checkpoint_every"),
         _ODD_NUMBERS,
     ),
     "default_service_rate": [-1.0, 0.0, NAN, INF],

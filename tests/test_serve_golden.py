@@ -31,7 +31,7 @@ from repro.serve import (
 GOLDEN = Path(__file__).parent / "data" / "serve_golden.json"
 
 #: The benchmark posture the replaced entry points defaulted to.
-BASE = ServeConfig(queue_limit=1_000_000, default_service_rate=4.0)
+BASE = ServeConfig(default_service_rate=4.0)
 WORKLOAD = WorkloadConfig(num_requests=60, rate=2.0, seed=2009)
 TAIL_WORKLOAD = replace(WORKLOAD, rate=1.0, skew=1.0, followup_fraction=0.5)
 

@@ -31,7 +31,7 @@ from repro.serve import runtime
 from repro.serve.workload import scenario_templates
 from repro.services.marts import RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import FaultModel, FaultProfile, ServicePool
-from tests.conftest import serve_seeded
+from tests.conftest import orphaned_followups, serve_seeded
 
 
 @contextmanager
@@ -85,7 +85,7 @@ def test_rendering_a_plan_a_span_tree_or_an_explain_leaves_no_cycle(
     cell that kept the plan (on the checkpoint path also the compiled
     query and the registries) alive until a collection ran.
     ``QueryPlan.render`` runs on every durable checkpoint refresh and
-    restore."""
+    restore.  The span tree is traced here; its text renderer is gone."""
     tracer = Tracer()
     best = Optimizer(movie_query, tracer=tracer).optimize().best
     pool = ServicePool(movie_registry, global_seed=2009)
@@ -97,7 +97,6 @@ def test_rendering_a_plan_a_span_tree_or_an_explain_leaves_no_cycle(
     with collector(False), saved_garbage() as garbage:
         best.plan.render()
         best.plan.render(best.annotations)
-        tracer.render_tree()
         report.render()
     assert not garbage, named(garbage)
 
@@ -126,11 +125,8 @@ MODES = {
         cache_size=64,
         templates=scenario_templates("all", 8),
     ),
-    "rejections": lambda directory: serve_seeded(
-        **{**WORKLOAD, "rate": 8.0},
-        followup_fraction=0.5,
-        max_concurrency=1,
-        queue_limit=1,
+    "rejections": lambda directory: serve(
+        ServeConfig(default_service_rate=4.0), orphaned_followups()
     ),
     "traced": lambda directory: serve_seeded(**WORKLOAD, tracer=Tracer()),
     "asyncio": lambda directory: serve_seeded(**WORKLOAD, backend="asyncio"),

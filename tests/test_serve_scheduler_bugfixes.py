@@ -3,8 +3,8 @@
 S2 — ``_reject`` used to skip the per-kind counter and drop the queue
 context of parked follow-ups:
 
-* ``serve.kind.{kind}`` was only incremented on *finish*, so under
-  admission pressure the per-kind totals stopped reconciling with
+* ``serve.kind.{kind}`` was only incremented on *finish*, so with
+  rejections the per-kind totals stopped reconciling with
   ``by_status()``;
 * a follow-up parked behind a run that later failed was rejected with
   ``queue_wait == 0`` even though it had been waiting since arrival.
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve import ServeConfig, ServeScheduler
+from repro.serve import ServeConfig, ServeScheduler, serve
 from repro.serve.sessions import SessionManager
 from repro.serve.workload import Request, default_templates
 from repro.services.simulated import FaultModel, FaultProfile
-from tests.conftest import serve_seeded
+from tests.conftest import orphaned_followups, serve_seeded
 
 
 def _kind_counts(metrics) -> dict[str, float]:
@@ -69,24 +69,20 @@ def _failing_run_with_parked_followup():
         target=1,
         k=5,
     )
-    scheduler = ServeScheduler(sessions, ServeConfig(max_concurrency=4))
+    scheduler = ServeScheduler(sessions, ServeConfig())
     report = scheduler.run([run, followup])
     return report
 
 
 def test_kind_counters_reconcile_under_admission_pressure():
     """Sum of ``serve.kind.*`` == total outcomes, even with rejections."""
-    report = serve_seeded(
-        rate=8.0,
-        num_requests=24,
-        seed=2009,
-        followup_fraction=0.5,
-        max_concurrency=1,
-        queue_limit=1,
-    )
+    report = serve(ServeConfig(default_service_rate=4.0), orphaned_followups())
     by_status = report.by_status()
     assert by_status.get("rejected", 0) > 0, (
         "scenario must actually exercise the rejection path"
+    )
+    assert report.shard_stats[0]["max_queue_depth"] > 0, (
+        "scenario must put the admission queue under pressure"
     )
     kinds = _kind_counts(report.metrics)
     assert sum(kinds.values()) == len(report.outcomes) == sum(by_status.values())

@@ -41,6 +41,7 @@ from repro.serve import (
     result_digest,
     session_key,
 )
+from repro.serve.scheduler import MAX_CONCURRENCY
 from repro.serve.workload import zipf_index
 from tests.conftest import serve_seeded
 
@@ -198,9 +199,9 @@ def test_digest_fn_replaces_materialised_results():
 
 
 def test_admission_peak_counts_executing_requests_across_shards():
-    """One controller counts for every shard: four shards at the default
-    ``max_concurrency`` run more requests at once than one shard may."""
-    per_shard = ServeConfig().max_concurrency
+    """One controller counts for every shard: four shards at
+    ``MAX_CONCURRENCY`` each run more requests at once than one shard may."""
+    per_shard = MAX_CONCURRENCY
     one = serve_seeded(rate=4.0, num_requests=40, seed=7)
     four = serve_seeded(rate=4.0, num_requests=40, seed=7, num_shards=4)
     assert one.admission_peak == per_shard
@@ -227,14 +228,12 @@ class PinnedRing(HashRing):
         return 0
 
 
-def serve_pinned(steal=True, num_requests=60, max_concurrency=2):
-    workload = make_workload(num_requests=num_requests, rate=4.0)
+def serve_pinned(steal=True, num_requests=60):
+    workload = make_workload(num_requests=num_requests, rate=8.0)
     sessions = make_manager()
     scheduler = ShardedServeScheduler(
         sessions,
         ServeConfig(
-            max_concurrency=max_concurrency,
-            queue_limit=10_000,
             default_service_rate=4.0,
             num_shards=4,
             steal=steal,
@@ -319,7 +318,7 @@ def test_sharded_cache_attribution_sums_to_global_stats():
     sessions.invocation_cache = cache
     scheduler = ShardedServeScheduler(
         sessions,
-        ServeConfig(queue_limit=10_000, default_service_rate=4.0, num_shards=4),
+        ServeConfig(default_service_rate=4.0, num_shards=4),
     )
     scheduler.run(workload)
     assert cache.stats.hits == sum(v.hits for v in cache.shard_stats)
@@ -348,7 +347,7 @@ def test_report_counts_only_its_own_runs_traffic():
         reports.append(
             ServeScheduler(
                 sessions,
-                ServeConfig(queue_limit=10_000, default_service_rate=4.0),
+                ServeConfig(default_service_rate=4.0),
             ).run(workload)
         )
     first, second = reports

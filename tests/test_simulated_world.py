@@ -110,7 +110,6 @@ def serve_observed(workload, templates, *, traced, **config):
     the manager; return everything a client or operator can see."""
     config = ServeConfig(
         templates=templates,
-        queue_limit=10_000,
         default_service_rate=4.0,
         **config,
     )

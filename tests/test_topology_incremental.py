@@ -122,7 +122,7 @@ def priced(builder: TopologyBuilder):
         builder.is_complete,
         builder.placed,
         builder.realized,
-        {node_id: builder.upstream_aliases(node_id) for node_id in builder.plan.nodes},
+        {node_id: placed.through for node_id, placed in builder._nodes().items()},
     )
 
 
@@ -138,7 +138,7 @@ def check_unbuilt(builders, counters, query):
         first.placed == frozenset(query.aliases) and len(scan_leaves(plan)) == 1
     )
     for node_id in plan.nodes:
-        assert first.upstream_aliases(node_id) == walk_upstream(plan, node_id)
+        assert first._nodes()[node_id].through == walk_upstream(plan, node_id)
     for name, builder in builders.items():
         expected = DEFAULT_METRICS[name].partial_cost(builder.plan, scratch)
         assert repr(float(builder.bound)) == repr(float(expected)), name
@@ -159,7 +159,7 @@ def check_against_scratch(builders, query, sealed=False):
     assert first.annotations.by_node == scratch.by_node
     assert first.leaves() == scan_leaves(plan)
     for node_id in plan.nodes:
-        assert first.upstream_aliases(node_id) == walk_upstream(plan, node_id)
+        assert first._nodes()[node_id].through == walk_upstream(plan, node_id)
     for name, builder in builders.items():
         metric = DEFAULT_METRICS[name]
         price = metric.cost if sealed else metric.partial_cost
