@@ -62,7 +62,7 @@ from repro.serve.scheduler import (
     ServeReport,
     SessionTable,
 )
-from repro.serve.sessions import SessionManager
+from repro.serve.sessions import OPTIMIZER_CONFIG, SessionManager
 from repro.serve.workload import Request, WorkloadConfig
 
 __all__ = [
@@ -75,18 +75,25 @@ __all__ = [
 #: Outcome statuses that will never change again.
 _TERMINAL = ("completed", "failed", "rejected")
 
-#: What a checkpoint keeps of a terminal :class:`RequestOutcome`.  The
-#: first three are the durable contract; the rest is telemetry — what the
-#: observability layer needs to re-emit the outcome's span tree and
+_NUMBER = (int, float)
+_COUNT = (int,)
+_TEXT = (str, type(None))
+
+#: What a checkpoint keeps of a terminal :class:`RequestOutcome`, and the
+#: exact types a member's value may have (a ``bool`` is no number here).
+#: The first three are the durable contract; the rest is telemetry — what
+#: the observability layer needs to re-emit the outcome's span tree and
 #: re-absorb its metrics after a resume
 #: (:func:`repro.obs.serving.replay_outcome_telemetry`).  Result lists are
 #: never stored: the digest is the witness.
-_OUTCOME_FIELDS = (
-    "status", "digest", "error",
-    "finished_at", "started_at", "queue_wait", "rate_wait", "rate_hits",
-    "round_trips", "steps", "shard", "stolen", "stolen_from", "unparked_at",
-    "wake_reason", "plan_cached",
-)
+_OUTCOME_FIELDS = {
+    "status": (str,), "digest": _TEXT, "error": _TEXT,
+    "finished_at": _NUMBER, "started_at": _NUMBER, "queue_wait": _NUMBER,
+    "rate_wait": _NUMBER, "rate_hits": _COUNT, "round_trips": _COUNT,
+    "steps": _COUNT, "shard": _COUNT, "stolen": (bool,),
+    "stolen_from": (int, type(None)), "unparked_at": _NUMBER,
+    "wake_reason": _TEXT, "plan_cached": (bool, type(None)),
+}
 
 
 @dataclass
@@ -243,7 +250,7 @@ class ServeCheckpointer:
                 schema=template.schema,
                 query_text=template.query_text,
                 template=template.name,
-                metric=self.sessions.optimizer_config.metric.name,
+                metric=OPTIMIZER_CONFIG.metric.name,
             )
         )
 
@@ -326,30 +333,24 @@ def resume_state_from(
     require_fields(payload, ("outcomes", "sessions"), f"checkpoint {key!r}")
     by_id = {request.request_id: request for request in workload}
     table = SessionTable()
-    for rid, data in _by_request(payload, "outcomes", key):
-        request = by_id.get(rid)
-        if request is None:
-            raise CheckpointError(
-                f"checkpoint {key!r} records request {rid} absent from the "
-                "workload — workload/seed mismatch"
-            )
-        # Fields absent from an older checkpoint keep the outcome's
-        # defaults: resume still works, the replayed spans just sit at t=0.
+    for rid, request, data in _by_request(payload, "outcomes", key, by_id):
         table.outcomes[rid] = RequestOutcome(
             request=request,
-            **{name: data[name] for name in _OUTCOME_FIELDS if name in data},
+            **_outcome_fields(data, f"checkpoint {key!r} outcome {rid}"),
         )
         if request.kind == "run":
             table.known_runs.add(rid)
-    restored = 0
     session_payloads: dict[int, dict] = {}
     plans: dict[str, Any] = {}  # template name -> plan candidate
-    for rid, session_payload in _by_request(payload, "sessions", key):
+    for rid, request, session_payload in _by_request(payload, "sessions", key, by_id):
         require_fields(
             session_payload, _SESSION_FIELDS, f"checkpoint {key!r} session {rid}"
         )
         template_name = session_payload.get("template")
-        template = manager.templates.get(template_name)
+        template = (
+            manager.templates.get(template_name)
+            if isinstance(template_name, str) else None
+        )
         if template is None:
             raise CheckpointError(
                 f"checkpoint {key!r} session {rid} names unknown template "
@@ -372,20 +373,19 @@ def resume_state_from(
             registry=manager._registry(template),
             compiled=manager._compile(template),
             candidate=plans.get(template_name),
-            invocation_cache=manager.cache_for(by_id[rid]),
+            invocation_cache=manager.cache_for(request),
             pool_factory=partial(manager.open_pool, template),
         )
         plans.setdefault(template_name, session.candidate)
         manager.adopt(rid, session, template)
         session_payloads[rid] = session_payload
-        restored += 1
     if manager.plan_cache is not None:
         # The plans the crashed server searched: its later ``run``s hit.
         for template_name, candidate in plans.items():
             template = manager.templates[template_name]
             manager.plan_cache.adopt(
                 template.schema, manager._compile(template),
-                manager.optimizer_config, candidate,
+                OPTIMIZER_CONFIG, candidate,
             )
     remaining = [
         request
@@ -397,21 +397,47 @@ def resume_state_from(
         table=table,
         remaining=remaining,
         session_payloads=session_payloads,
-        restored_sessions=restored,
+        restored_sessions=len(session_payloads),
         pre_terminal=len(table.outcomes),
     )
 
 
-def _by_request(payload: Mapping[str, Any], name: str, key: str) -> list[tuple[int, Any]]:
-    """``payload[name]``'s members as ``(request id, member)``; a key that
-    is not a request id is damage."""
+def _by_request(
+    payload: Mapping[str, Any], name: str, key: str, by_id: Mapping[int, Request]
+) -> list[tuple[int, Request, Any]]:
+    """``payload[name]``'s members as ``(request id, request, member)``; a
+    key that is not a request id is damage, and one that names no request
+    of the workload was written for another workload."""
     require_fields(payload[name], (), f"checkpoint {key!r}'s {name}")
     try:
-        return [(int(rid), member) for rid, member in payload[name].items()]
+        members = [(int(rid), member) for rid, member in payload[name].items()]
     except ValueError as exc:
         raise CheckpointIntegrityError(
             f"checkpoint {key!r}'s {name} is keyed by a non-request id: {exc}"
         ) from None
+    for rid, _ in members:
+        if rid not in by_id:
+            raise CheckpointError(
+                f"checkpoint {key!r} records request {rid} absent from the "
+                "workload — workload/seed mismatch"
+            )
+    return [(rid, by_id[rid], member) for rid, member in members]
+
+
+def _outcome_fields(data: Any, what: str) -> dict[str, Any]:
+    """A terminal outcome's checkpointed fields, each of its exact type;
+    any other member is damage."""
+    require_fields(data, tuple(_OUTCOME_FIELDS), what)
+    for name, types in _OUTCOME_FIELDS.items():
+        if type(data[name]) not in types:
+            raise CheckpointIntegrityError(
+                f"{what} has a {name} of type {type(data[name]).__name__}"
+            )
+    if data["status"] not in _TERMINAL:
+        raise CheckpointIntegrityError(
+            f"{what} has status {data['status']!r}, not a terminal one"
+        )
+    return {name: data[name] for name in _OUTCOME_FIELDS}
 
 
 def serve_workload_durable(

@@ -20,7 +20,7 @@ meaningful across PRs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.model.scoring import fold
 
@@ -157,17 +157,13 @@ class MetricsRegistry:
     """Named counters, gauges, and histograms with one snapshot API.
 
     Instruments are created on first use (``registry.counter("x").inc()``)
-    and live for the registry's lifetime.  ``view()`` registers a lazy
-    gauge: a zero-argument callable evaluated at snapshot time, which is
-    how live legacy objects (an executor's cache stats, a pool's call
-    log) are exposed without double bookkeeping.
+    and live for the registry's lifetime.
     """
 
     counters: dict[str, Counter] = field(default_factory=dict)
     gauges: dict[str, Gauge] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
     series: dict[str, TimeSeries] = field(default_factory=dict)
-    _views: dict[str, Callable[[], float]] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         instrument = self.counters.get(name)
@@ -195,21 +191,16 @@ class MetricsRegistry:
             )
         return instrument
 
-    def view(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a lazy gauge evaluated at snapshot time."""
-        self._views[name] = fn
-
     def snapshot(self) -> dict[str, Any]:
         """The complete current state, deterministically ordered."""
-        gauges = {name: gauge.value for name, gauge in self.gauges.items()}
-        for name, fn in self._views.items():
-            gauges[name] = fn()
         snapshot = {
             "counters": {
                 name: self.counters[name].value
                 for name in sorted(self.counters)
             },
-            "gauges": {name: gauges[name] for name in sorted(gauges)},
+            "gauges": {
+                name: self.gauges[name].value for name in sorted(self.gauges)
+            },
             "histograms": {
                 name: self.histograms[name].summary()
                 for name in sorted(self.histograms)

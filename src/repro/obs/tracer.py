@@ -79,10 +79,6 @@ class _SpanHandle:
         """Attach (or overwrite) one attribute."""
         self.attrs[key] = value
 
-    def add(self, key: str, delta: float = 1) -> None:
-        """Increment a numeric attribute (created at 0)."""
-        self.attrs[key] = self.attrs.get(key, 0) + delta
-
     def __enter__(self) -> "_SpanHandle":
         return self
 
@@ -99,9 +95,6 @@ class _NullSpan:
     __slots__ = ()
 
     def set(self, key: str, value: Any) -> None:
-        pass
-
-    def add(self, key: str, delta: float = 1) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":
@@ -233,19 +226,6 @@ class Tracer:
                 attrs=dict(handle.attrs),
             )
         )
-
-    # -- introspection helpers ---------------------------------------------------
-
-    def finished(self, name: str | None = None) -> list[SpanRecord]:
-        """Finished spans, optionally filtered by name."""
-        if name is None:
-            return list(self.spans)
-        return [span for span in self.spans if span.name == name]
-
-    def ordered(self) -> list[SpanRecord]:
-        """Finished spans in start (span id) order — the tree's preorder."""
-        return sorted(self.spans, key=lambda span: span.span_id)
-
 
 
 def coerce_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":

@@ -54,6 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SessionManager"]
 
+#: The one optimizer posture a server plans with (the default search under
+#: the execution-time metric); a checkpoint records its metric's name.
+OPTIMIZER_CONFIG = OptimizerConfig()
+
 
 @dataclass
 class SessionManager:
@@ -102,7 +106,6 @@ class SessionManager:
 
     templates: Mapping[str, QueryTemplate]
     data_seed: int = 2009
-    optimizer_config: OptimizerConfig = field(default_factory=OptimizerConfig)
     plan_cache: PlanCache | None = None
     invocation_cache: InvocationCache | None = None
     invocation_cache_selector: (
@@ -197,10 +200,8 @@ class SessionManager:
 
     def _plan(self, template: QueryTemplate, compiled: CompiledQuery):
         if self.plan_cache is not None:
-            return self.plan_cache.plan(
-                template.schema, compiled, self.optimizer_config
-            )
-        outcome = Optimizer(compiled, self.optimizer_config).optimize()
+            return self.plan_cache.plan(template.schema, compiled, OPTIMIZER_CONFIG)
+        outcome = Optimizer(compiled, OPTIMIZER_CONFIG).optimize()
         if outcome.best is None:
             raise OptimizationError("no feasible plan found")
         return outcome.best

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.model.attributes import Attribute, DataType, Domain, RepeatingGroup
@@ -13,6 +15,7 @@ from repro.model.service import (
     ServiceMart,
     ServiceStats,
 )
+from repro.obs.tracer import NULL_TRACER
 from repro.query.compile import compile_query
 from repro.query.parser import parse_query
 from repro.serve import (
@@ -64,6 +67,35 @@ def serve_seeded(
         digest_fn=digest_fn,
         on_checkpoint=on_checkpoint,
     )
+
+
+#: The disabled tracer's contract (DESIGN.md): its plumbing costs an
+#: untraced run under 5 % of that run's wall time.
+MAX_NOOP_SHARE = 0.05
+
+
+def noop_share(spans: int, untraced_wall: float) -> float:
+    """What tracing costs a run when it is off, as a share of its wall time.
+
+    Every span an enabled run records is one no-op ``NULL_TRACER.span()``
+    of the untraced run, behind at most one ``tracer.enabled`` guard, so
+    ``spans x (guard + no-op span) / untraced_wall`` over-counts it (a
+    guard with no span, on a pruned branch, costs less).  Both costs are
+    timed here, each as the mean of 200,000 calls.
+    """
+    iterations = 200_000
+    tracer = NULL_TRACER
+    started = time.perf_counter()
+    for _ in range(iterations):
+        if tracer.enabled:  # pragma: no cover - never taken
+            pass
+    guard = (time.perf_counter() - started) / iterations
+    started = time.perf_counter()
+    for _ in range(iterations):
+        with tracer.span("x"):
+            pass
+    span = (time.perf_counter() - started) / iterations
+    return spans * (guard + span) / untraced_wall
 
 
 def orphaned_followups():

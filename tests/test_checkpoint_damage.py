@@ -1,4 +1,4 @@
-"""A damaged session checkpoint restores or is refused with a typed error.
+"""A damaged checkpoint restores or is refused with a typed error.
 
 A checkpoint file carries a checksum, so damage that reaches
 :func:`~repro.durability.restore_session` is damage that was re-saved
@@ -10,13 +10,19 @@ deletes, retypes or replaces one member at any depth of its ``witness``,
 rebuilt from), re-saves it, and restores it.  The restore
 either succeeds or raises a :class:`~repro.errors.CheckpointError`; any
 other exception (a ``KeyError``, a ``TypeError``, an engine error) is the
-traceback ``repro resume`` must never show.
+traceback ``repro resume`` must never show.  A serve checkpoint is damaged
+the same way in its ``outcomes`` and ``sessions`` members, and resumed by
+``serve(resume=True)`` or ``repro serve-bench --resume``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +32,7 @@ from repro.cli import main
 from repro.durability import CheckpointStore, restore_session
 from repro.engine.liquid import INTERACTIONS
 from repro.errors import CheckpointError, CheckpointIntegrityError
+from repro.serve import ServeConfig, WorkloadConfig, serve
 
 #: The payload members the plan rebuild, the journal replay and the
 #: witness checks read.
@@ -142,3 +149,112 @@ def test_a_damaged_plan_trail_is_refused(store, case):
     store.save("plan-damaged", payload)
     with pytest.raises(CheckpointIntegrityError, match="plan"):
         restore_session(store.load("plan-damaged"))
+
+
+#: The serve checkpoint's run: 24 requests at rate 2.0 (seed 2009), a
+#: checkpoint every 8 outcomes, so ``serve-000003`` is the newest; as
+#: ``serve-bench`` flags and as the ``serve()`` call they make.
+SERVE_BENCH = ("serve-bench", "--requests", "24", "--rates", "2.0",
+               "--checkpoint-every", "8")
+SERVE = ServeConfig(default_service_rate=4.0, checkpoint_every=8)
+WORKLOAD = WorkloadConfig(num_requests=24, rate=2.0, seed=2009)
+NEWEST = "serve-000003"
+
+
+def _serve_bench(root, *flags):
+    """``serve-bench`` on the serve checkpoint's run, checkpointing under
+    ``root``: its exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*SERVE_BENCH, "--checkpoint-dir", str(root / "ckpt"),
+                     "--artifacts-dir", str(root), *flags])
+    return code, err.getvalue()
+
+
+def _resume(root, payload):
+    """Save ``payload`` as the only checkpoint under ``root`` and serve the
+    run again from it."""
+    CheckpointStore(root / "ckpt").save(NEWEST, payload)
+    return serve(
+        replace(SERVE, checkpoint_dir=root / "ckpt", resume=True), WORKLOAD
+    )
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """The newest checkpoint of a durable ``serve-bench`` run."""
+    root = tmp_path_factory.mktemp("serve")
+    assert _serve_bench(root) == (0, "")
+    return CheckpointStore(root / "ckpt").load(NEWEST)
+
+
+def test_the_serve_checkpoint_resumes_undamaged(served, tmp_path):
+    assert served["outcomes"]["0"]["status"] == "completed"  # request 0 is a
+    assert served["sessions"]["0"]["template"] == "conference-trip"  # run
+    report = _resume(tmp_path / "library", copy.deepcopy(served))
+    assert report.durability["restored_sessions"] == len(served["sessions"])
+    CheckpointStore(tmp_path / "ckpt").save(NEWEST, served)
+    assert _serve_bench(tmp_path, "--resume") == (0, "")
+
+
+#: What the serve resume itself reads of a session payload (the rest is
+#: :func:`restore_session`'s, fuzzed above).
+SESSION_KEYS = ("template", "schema", "query_text")
+
+
+def _read_by_resume(path):
+    """Any outcome member, a session whole, or one of its ``SESSION_KEYS``."""
+    return (
+        path[0] == "outcomes" or len(path) <= 2
+        or (len(path) == 3 and path[2] in SESSION_KEYS)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_damaged_serve_member_resumes_or_is_refused(served, data):
+    payload = copy.deepcopy(served)
+    root = {name: payload[name] for name in ("outcomes", "sessions")}
+    paths = sorted(filter(_read_by_resume, _paths(root)), key=repr)
+    path = data.draw(st.sampled_from(paths), label="path")
+    replacement = data.draw(st.none() | st.tuples(JSON), label="replacement")
+    _damage(payload, path, replacement)
+    with tempfile.TemporaryDirectory(prefix="repro-damage-") as tmp:
+        try:
+            _resume(Path(tmp), payload)
+        except CheckpointError:
+            pass
+
+
+#: A member of request 0's outcome or session and what to set it to; a
+#: session moved to request 24 names a request the workload does not have.
+SERVE_DAMAGE = {
+    "outcome a list": (("outcomes", "0"), []),
+    "outcome a number": (("outcomes", "0"), 7),
+    "finished_at a string": (("outcomes", "0", "finished_at"), "x"),
+    "session of no request": (("sessions", "24"), "moved from 0"),
+    "template a list": (("sessions", "0", "template"), ["conference-trip"]),
+    "status a number": (("outcomes", "0", "status"), 7),
+    "status not terminal": (("outcomes", "0", "status"), "running"),
+    "steps null": (("outcomes", "0", "steps"), None),
+    "shard a string": (("outcomes", "0", "shard"), "a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERVE_DAMAGE))
+def test_a_damaged_serve_checkpoint_is_refused_in_one_line(served, tmp_path, case):
+    """Regression: an outcome that is a list or a number, a string
+    ``finished_at``, a session of no request and a list ``template``
+    escaped ``serve-bench --resume`` as a ``TypeError`` or ``KeyError``
+    traceback; the four status, steps and shard cases resumed."""
+    path, value = SERVE_DAMAGE[case]
+    payload = copy.deepcopy(served)
+    if value == "moved from 0":
+        value = payload["sessions"].pop("0")
+    _damage(payload, path, (value,))
+    with pytest.raises(CheckpointError):
+        _resume(tmp_path / "library", copy.deepcopy(payload))
+    CheckpointStore(tmp_path / "ckpt").save(NEWEST, payload)
+    code, err = _serve_bench(tmp_path, "--resume")
+    assert code == 4 and err.count("\n") == 1, err
+    assert err.startswith("repro: Checkpoint"), err

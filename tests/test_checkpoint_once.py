@@ -195,7 +195,6 @@ class _Sessions:
             for root in (rid, _request(rid).target)
             if root is not None
         }
-        self.optimizer_config = SimpleNamespace(metric=SimpleNamespace(name="m"))
 
     @staticmethod
     def template_of(root):

@@ -251,7 +251,7 @@ def _probe(left, right, completion, nested=False, runner=None):
     out, pair_count = runner._run_parallel_join(
         join_node([], CompletionStrategy(completion)), left, right
     )
-    (span,) = tracer.finished("join.probe")
+    (span,) = [s for s in tracer.spans if s.name == "join.probe"]
     rows = [(c.score, [(a, id(t)) for a, t in c.components.items()]) for c in out]
     return rows, pair_count, span.attrs
 

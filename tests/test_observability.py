@@ -10,6 +10,7 @@ enabling tracing changes *nothing* about plan choice or execution.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.obs import (
 from repro.obs.explain import q_error
 from repro.services.marts import RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import FaultModel, ServicePool
+from tests.conftest import MAX_NOOP_SHARE, noop_share
 
 
 # -- helpers -------------------------------------------------------------------
@@ -91,7 +93,7 @@ class TestTracer:
         assert spans["inner"].parent_id == spans["outer"].span_id
         assert spans["sibling"].parent_id == spans["outer"].span_id
         assert spans["outer"].span_id == 1  # started first
-        assert [s.span_id for s in tracer.ordered()] == [1, 2, 3]
+        assert sorted(s.span_id for s in tracer.spans) == [1, 2, 3]
         assert spans["outer"].attrs == {"a": 1}
 
     def test_timestamps_ride_the_virtual_clock(self):
@@ -111,7 +113,7 @@ class TestTracer:
         tracer.bind_clock(clock)
         with tracer.span("execute"):
             clock.advance(1.0)
-        compile_span, execute_span = tracer.ordered()
+        compile_span, execute_span = tracer.spans
         assert compile_span.start == compile_span.end == 0.0
         assert execute_span.end == 1.0
 
@@ -119,13 +121,11 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("s") as span:
             span.set("k", "v")
-            span.add("n")
-            span.add("n", 4)
         with pytest.raises(ValueError):
             with tracer.span("boom"):
                 raise ValueError("no")
-        done, boom = tracer.ordered()
-        assert done.attrs == {"k": "v", "n": 5}
+        done, boom = tracer.spans
+        assert done.attrs == {"k": "v"}
         assert boom.attrs["error"] == "ValueError"
 
     def test_orphaned_children_are_closed_with_parent(self):
@@ -135,11 +135,13 @@ class TestTracer:
         parent.__exit__(None, None, None)
         # Finish order: the orphan closes first; start order: parent first.
         assert [s.name for s in tracer.spans] == ["left-open", "parent"]
-        assert [s.name for s in tracer.ordered()] == ["parent", "left-open"]
+        by_start = sorted(tracer.spans, key=lambda s: s.span_id)
+        assert [s.name for s in by_start] == ["parent", "left-open"]
         # The stack is clean: the next span is a root again.
         with tracer.span("next"):
             pass
-        assert tracer.finished("next")[0].parent_id is None
+        assert tracer.spans[-1].name == "next"
+        assert tracer.spans[-1].parent_id is None
 
     def test_null_tracer_is_shared_disabled_and_recordless(self):
         assert coerce_tracer(None) is NULL_TRACER
@@ -147,7 +149,6 @@ class TestTracer:
         span = NULL_TRACER.span("anything", a=1)
         with span:
             span.set("k", 1)
-            span.add("k")
         assert NULL_TRACER.spans == ()
         tracer = Tracer()
         assert coerce_tracer(tracer) is tracer
@@ -177,13 +178,6 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
             registry.counter("c").inc(-1)
-
-    def test_views_are_lazy_gauges(self):
-        registry = MetricsRegistry()
-        state = {"value": 1.0}
-        registry.view("live", lambda: state["value"])
-        state["value"] = 7.0
-        assert registry.snapshot()["gauges"]["live"] == 7.0
 
     def test_snapshot_keys_are_sorted(self):
         registry = MetricsRegistry()
@@ -367,15 +361,20 @@ class TestTracerTransparency:
         self, movie_query, movie_registry
     ):
         """Acceptance: with tracing enabled, plan choice, execution result,
-        and call log are identical to the untraced run."""
+        and call log are identical to the untraced run; with it disabled,
+        its plumbing costs under 5 % of the untraced run's wall time."""
+        started = time.perf_counter()
         plain_outcome, plain = traced_run(
             movie_query, movie_registry, tracer=None, seed=13
         )
+        wall = time.perf_counter() - started
         tracer = Tracer()
         traced_outcome, traced = traced_run(
             movie_query, movie_registry, tracer=tracer, seed=13
         )
         assert tracer.spans  # tracing actually happened
+        share = noop_share(len(tracer.spans), wall)
+        assert share < MAX_NOOP_SHARE, (len(tracer.spans), wall, share)
         assert plain_outcome.best.cost == traced_outcome.best.cost
         assert topology_signature(plain_outcome.best.plan) == topology_signature(
             traced_outcome.best.plan
@@ -405,10 +404,10 @@ class TestTracerTransparency:
             "join.probe",
         } <= names
         # bnb.expand spans are children of optimize.search, labelled by phase.
-        (search,) = tracer.finished("optimize.search")
+        (search,) = [s for s in tracer.spans if s.name == "optimize.search"]
         expansions = [
-            s for s in tracer.finished("bnb.expand")
-            if s.parent_id == search.span_id
+            s for s in tracer.spans
+            if s.name == "bnb.expand" and s.parent_id == search.span_id
         ]
         assert expansions
         assert all(s.attrs["kind"].startswith("phase") for s in expansions)
@@ -425,7 +424,7 @@ class TestTracerTransparency:
             fault_model=FaultModel.uniform(failure_rate=0.3),
             retry=RetryPolicy(max_attempts=6, base_backoff=0.1),
         )
-        backoffs = tracer.finished("retry.backoff")
+        backoffs = [s for s in tracer.spans if s.name == "retry.backoff"]
         assert len(backoffs) == result.log.retries()
         for span in backoffs:
             assert span.duration == pytest.approx(span.attrs["wait"])
@@ -457,7 +456,7 @@ class TestJoinTileSpans:
             tracer=tracer,
         )
         outcome = executor.run()
-        tiles = tracer.finished("join.tile")
+        tiles = [s for s in tracer.spans if s.name == "join.tile"]
         assert tiles
         assert (
             sum(s.attrs["pairs_probed"] for s in tiles)

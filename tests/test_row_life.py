@@ -946,7 +946,7 @@ def test_final_check_and_row_counters_reach_span_stats_and_explain(
     untraced, traced = runs
     assert result_digest(untraced.tuples) == result_digest(traced.tuples)
     assert untraced.node_stats == traced.node_stats
-    (span,) = tracer.finished("plan.execute")
+    (span,) = [s for s in tracer.spans if s.name == "plan.execute"]
     stats = traced.node_stats
     output = next(
         s for node_id, s in stats.items()
@@ -984,7 +984,8 @@ def test_staged_joins_and_built_rows_reach_spans_stats_and_explain():
     stats = traced.node_stats
     staged = {
         span.attrs["alias"]: span.attrs.get("staged", 0)
-        for span in tracer.finished("node.service")
+        for span in tracer.spans
+        if span.name == "node.service"
     }
     assert staged == {"F": 0, "H": 1, "E": 1}
     assert staged == {
@@ -992,7 +993,7 @@ def test_staged_joins_and_built_rows_reach_spans_stats_and_explain():
         for node_id, s in stats.items()
         if isinstance(candidate.plan.node(node_id), ServiceNode)
     }
-    (span,) = tracer.finished("plan.execute")
+    (span,) = [s for s in tracer.spans if s.name == "plan.execute"]
     total = len(traced.tuples)
     assert total > 10 and span.attrs["result_rows"] == f"built 0 of {total}"
     assert span.attrs["rows_built"] == sum(s.rows_built for s in stats.values())

@@ -407,7 +407,7 @@ def test_the_movie_join_ranks_unbuilt_and_explain_says_so(monkeypatch):
         RUNNING_EXAMPLE_INPUTS, fetches=candidate.fetch_vector(), tracer=tracer,
     ).run()
     join = _last_join(candidate.plan)
-    (probe,) = tracer.finished("join.probe")
+    (probe,) = [s for s in tracer.spans if s.name == "join.probe"]
     assert probe.attrs["deferred"] is True
     assert probe.attrs["produced"] == result.node_stats[join].tout == len(result.tuples)
     stats = result.node_stats

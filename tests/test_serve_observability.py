@@ -19,6 +19,7 @@ Concretely —
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -38,7 +39,7 @@ from repro.obs.serving import (
 )
 from repro.obs.tracer import Tracer
 from repro.serve.bench import combined_digest, result_digest
-from tests.conftest import serve_seeded
+from tests.conftest import MAX_NOOP_SHARE, noop_share, serve_seeded
 
 SEED = 2009
 RATE = 4.0
@@ -132,7 +133,11 @@ class TestNonInterference:
         assert slo.count > 0
 
     def test_sharded_serving_digests_identical(self):
+        """Digests hold with tracing on, and with it off its plumbing costs
+        under 5 % of the untraced serve's wall time."""
+        started = time.perf_counter()
         _, untraced = serve_sharded_traced(num_requests=40)
+        wall = time.perf_counter() - started
         tracer = Tracer()
         _, traced = serve_sharded_traced(
             num_requests=40,
@@ -143,6 +148,8 @@ class TestNonInterference:
         assert traced == untraced
         shards = {s.attrs.get("shard") for s in tracer.spans} - {None}
         assert shards == {0, 1}
+        share = noop_share(len(tracer.spans), wall)
+        assert share < MAX_NOOP_SHARE, (len(tracer.spans), wall, share)
 
     def test_durable_crash_resume_digests_identical(self, tmp_path):
         baseline = serve_seeded(
