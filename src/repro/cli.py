@@ -743,15 +743,7 @@ def _cmd_run(args) -> int:
             + ", ".join(result.failed_aliases)
         )
     _print_combos(result.tuples)
-    if args.trace:
-        if args.trace == "-":
-            write_trace(tracer.spans, sys.stdout, fmt=args.trace_format)
-        else:
-            write_trace(tracer.spans, args.trace, fmt=args.trace_format)
-            print(
-                f"trace: {len(tracer.spans)} spans -> {args.trace} "
-                f"({args.trace_format})"
-            )
+    _write_trace(args, tracer)
     if args.metrics == "json":
         snapshot = snapshot_run(
             outcome.stats,
@@ -830,23 +822,22 @@ def _resolve_artifact_paths(args) -> None:
         setattr(args, attr, os.path.join(directory, path))
 
 
+def _write_trace(args, tracer, label: str = "repro") -> None:
+    """Write ``tracer``'s spans where ``--trace`` says (``-``: stdout)."""
+    if not args.trace:
+        return
+    if args.trace == "-":
+        write_trace(tracer.spans, sys.stdout, fmt=args.trace_format, label=label)
+        return
+    write_trace(tracer.spans, args.trace, fmt=args.trace_format, label=label)
+    print(f"trace: {len(tracer.spans)} spans -> {args.trace} ({args.trace_format})")
+
+
 def _write_obs_artifacts(
     args, tracer, metrics, slo, *, serving=None, label="serve"
 ) -> None:
     """Emit the requested --trace/--metrics/--prom artifacts."""
-    if args.trace:
-        if args.trace == "-":
-            write_trace(
-                tracer.spans, sys.stdout, fmt=args.trace_format, label=label
-            )
-        else:
-            write_trace(
-                tracer.spans, args.trace, fmt=args.trace_format, label=label
-            )
-            print(
-                f"trace: {len(tracer.spans)} spans -> {args.trace} "
-                f"({args.trace_format})"
-            )
+    _write_trace(args, tracer, label)
     if args.metrics or args.metrics_output:
         payload: dict[str, Any] = {"metrics": metrics.snapshot()}
         if slo is not None:

@@ -8,7 +8,7 @@ jitter, availability gates — from seeds and binding values alone, so a
 session is fully determined by
 
 * its **construction recipe** (schema, query text, optimizer metric,
-  data seed, fault model, retry policy, growth factor, backend), and
+  data seed, fault model, retry policy), and
 * its **interaction journal** (the ordered ``run``/``more``/``rerank``/
   ``resubmit`` calls it has served, plus the in-flight interaction's
   step count).
@@ -23,16 +23,21 @@ are recomputed by the same deterministic machinery that produced them.
 What is deliberately **not** captured: shared cross-query caches (their
 content belongs to the serving runtime, and a cache hit advances no
 clock — replaying one would corrupt the timeline), tracers, and asyncio
-wall-clock context.  Callers reattach those at restore.
+wall-clock context.  Callers reattach the shared cache at restore.  A
+restore always replays on the virtual clock, whichever driver ran the
+session; the payload's ``backend`` (the driver of the session's last
+execution) and ``growth`` (:data:`~repro.engine.liquid.GROWTH`) are
+checked, not chosen.
 
 **Witnesses.**  Each checkpoint records integrity witnesses — plan
 signature and render hash, result digest, fetch vector, ranking
-weights, and (for exactly replayable sessions: virtual backend, private
-invocation cache) the clock offset, call count, and a call-log digest.
-Restore verifies them and raises
+weights, and (for exactly replayable sessions: executed on the virtual
+clock, private invocation cache) the clock offset, call count, and a
+call-log digest.  Every restore verifies them and raises
 :class:`~repro.errors.CheckpointIntegrityError` on divergence, so a
 stale registry or a changed seed fails loudly instead of silently
-serving different data.
+serving different data; so does a recipe member of the wrong type or
+outside its range.
 
 **Store.**  :class:`CheckpointStore` is an atomic file backend: write
 to a temp file, fsync, ``os.replace`` — a crash mid-write leaves the
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -58,7 +64,7 @@ from repro.core.cost import DEFAULT_METRICS
 from repro.core.optimizer import plan_signature, rebuild_candidate
 from repro.core.topology import Move
 from repro.engine.executor import ResultRows
-from repro.engine.liquid import INTERACTIONS, LiquidQuerySession
+from repro.engine.liquid import BACKENDS, GROWTH, INTERACTIONS, LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import (
     CheckpointError,
@@ -105,7 +111,8 @@ REGISTRY_FACTORIES: dict[str, Callable[[], Any]] = {
 #: What a session payload holds for :func:`restore_session` to read it.
 _SESSION_FIELDS = (
     "schema", "query_text", "metric", "backend", "growth", "data_seed",
-    "latency_jitter", "fault_model", "inputs", "journal", "plan",
+    "latency_jitter", "fault_model", "retry", "degradation",
+    "invocation_cache_size", "inputs", "journal", "plan", "witness",
 )
 #: What its ``plan`` member holds for :func:`_rebuild` to read it.
 _PLAN_FIELDS = ("interfaces", "choice", "moves", "fetches")
@@ -392,40 +399,91 @@ def _log_digest(records) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def _encode_profile(profile: FaultProfile) -> dict:
-    return {
-        "failure_rate": profile.failure_rate,
-        "timeout_rate": profile.timeout_rate,
-        "slow_factor": profile.slow_factor,
-        "outage": profile.outage,
-    }
+# -- the recipe: each member with the test a restore holds it to --------------
 
 
-def _decode_profile(data: Mapping[str, Any]) -> FaultProfile:
-    return FaultProfile(
-        failure_rate=data["failure_rate"],
-        timeout_rate=data["timeout_rate"],
-        slow_factor=data["slow_factor"],
-        outage=data["outage"],
-    )
+def _real(value: Any) -> bool:
+    """A finite JSON number (a ``bool`` is none)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _fraction(value: Any) -> bool:
+    return _real(value) and 0 <= value <= 1
+
+
+def _positive_count(value: Any) -> bool:
+    return type(value) is int and value >= 1
+
+
+#: A :class:`FaultProfile`'s members and what each may hold.
+_PROFILE_TESTS = {
+    "failure_rate": _fraction,
+    "timeout_rate": _fraction,
+    "slow_factor": lambda value: _real(value) and value >= 1,
+    "outage": lambda value: type(value) is bool,
+}
+#: A :class:`RetryPolicy`'s members and what each may hold.
+_RETRY_TESTS = {
+    "max_attempts": _positive_count,
+    "base_backoff": lambda value: _real(value) and value >= 0,
+    "backoff_multiplier": lambda value: _real(value) and value > 0,
+    "jitter_fraction": lambda value: _real(value) and 0 <= value < 1,
+    "call_timeout": lambda value: value is None or (_real(value) and value > 0),
+}
+#: The scalar recipe members and what each may hold.
+_RECIPE_TESTS = {
+    "schema": lambda value: type(value) is str,
+    "query_text": lambda value: type(value) is str,
+    "metric": lambda value: type(value) is str and value in DEFAULT_METRICS,
+    "backend": lambda value: type(value) is str and value in BACKENDS,
+    "growth": lambda value: type(value) is int and value == GROWTH,
+    "data_seed": lambda value: type(value) is int,
+    "latency_jitter": _fraction,
+    "degradation": lambda value: value is None or value in [
+        mode.value for mode in Degradation
+    ],
+    "invocation_cache_size": lambda value: value is None or _positive_count(value),
+}
+
+
+def _checked(data: Any, tests: Mapping[str, Callable[[Any], bool]], what: str) -> dict:
+    """``data``'s members named in ``tests``, each passing its test; a
+    member missing, or of another type or range, is damage."""
+    require_fields(data, tuple(tests), what)
+    for name, test in tests.items():
+        if not test(data[name]):
+            shown = repr(data[name])
+            raise CheckpointIntegrityError(
+                f"{what}'s {name} is damaged: "
+                + (shown if len(shown) <= 40 else shown[:37] + "...")
+            )
+    return {name: data[name] for name in tests}
 
 
 def _encode_fault_model(model: FaultModel) -> dict:
+    def profile(value: FaultProfile) -> dict:
+        return {name: getattr(value, name) for name in _PROFILE_TESTS}
+
     return {
-        "default": _encode_profile(model.default),
+        "default": profile(model.default),
         "per_interface": {
-            name: _encode_profile(profile)
-            for name, profile in sorted(model.per_interface.items())
+            name: profile(value) for name, value in sorted(model.per_interface.items())
         },
     }
 
 
-def _decode_fault_model(data: Mapping[str, Any]) -> FaultModel:
+def _decode_fault_model(data: Any, what: str) -> FaultModel:
+    require_fields(data, ("default", "per_interface"), what)
+    require_fields(data["per_interface"], (), f"{what}'s per_interface")
+
+    def profile(value: Any, name: str) -> FaultProfile:
+        return FaultProfile(**_checked(value, _PROFILE_TESTS, f"{what}'s {name}"))
+
     return FaultModel(
-        default=_decode_profile(data["default"]),
+        default=profile(data["default"], "default"),
         per_interface={
-            name: _decode_profile(profile)
-            for name, profile in data["per_interface"].items()
+            name: profile(value, name)
+            for name, value in data["per_interface"].items()
         },
     )
 
@@ -433,25 +491,23 @@ def _decode_fault_model(data: Mapping[str, Any]) -> FaultModel:
 def _encode_retry(policy: RetryPolicy | None) -> dict | None:
     if policy is None:
         return None
-    return {
-        "max_attempts": policy.max_attempts,
-        "base_backoff": policy.base_backoff,
-        "backoff_multiplier": policy.backoff_multiplier,
-        "jitter_fraction": policy.jitter_fraction,
-        "call_timeout": policy.call_timeout,
-    }
+    return {name: getattr(policy, name) for name in _RETRY_TESTS}
 
 
-def _decode_retry(data: Mapping[str, Any] | None) -> RetryPolicy | None:
+def _decode_retry(data: Any) -> RetryPolicy | None:
     if data is None:
         return None
-    return RetryPolicy(
-        max_attempts=data["max_attempts"],
-        base_backoff=data["base_backoff"],
-        backoff_multiplier=data["backoff_multiplier"],
-        jitter_fraction=data["jitter_fraction"],
-        call_timeout=data["call_timeout"],
-    )
+    return RetryPolicy(**_checked(data, _RETRY_TESTS, "session checkpoint's retry"))
+
+
+def _decode_inputs(data: Any) -> dict:
+    require_fields(data, (), "session checkpoint's inputs")
+    try:
+        return _decode_mapping(data)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointIntegrityError(
+            f"session checkpoint's inputs are damaged ({exc})"
+        ) from None
 
 
 def _encode_entry(entry: Mapping[str, Any]) -> dict:
@@ -491,7 +547,10 @@ def checkpoint_session(
     pool = session.pool
     options = session.executor_options
     shared_cache = options.get("invocation_cache") is not None
-    exact = session.backend == "virtual" and not shared_cache
+    # The driver of the session's last execution: a session is never told
+    # its backend, it is driven on one.
+    backend = session._last.backend if session._last is not None else "virtual"
+    exact = backend == "virtual" and not shared_cache
     signature, render_hash, fetch_vector = _plan_witness(
         session.query, session.candidate, metric
     )
@@ -517,8 +576,8 @@ def checkpoint_session(
         "template": template,
         "query_text": query_text,
         "metric": metric,
-        "backend": session.backend,
-        "growth": session.growth,
+        "backend": backend,
+        "growth": GROWTH,
         "data_seed": pool.global_seed,
         "latency_jitter": pool.latency_model.jitter_fraction,
         "fault_model": _encode_fault_model(pool.fault_model),
@@ -583,9 +642,7 @@ def restore_session(
     compiled=None,
     candidate=None,
     invocation_cache=None,
-    tracer=None,
     pool_factory=None,
-    verify: bool = True,
 ) -> LiquidQuerySession:
     """Rebuild a session from a checkpoint payload by journal replay.
 
@@ -600,13 +657,13 @@ def restore_session(
     not in :data:`REGISTRY_FACTORIES`, or the compiled query and the plan
     a serving runtime already rebuilt for the template, so resuming N
     sessions does not rebuild N times);
-    ``invocation_cache``/``tracer`` reattach the shared state that
-    checkpoints deliberately do not capture, and ``pool_factory`` — called
-    with the checkpoint's ``global_seed``, ``latency_model`` and
-    ``fault_model`` — builds the session's pool over the caller's
-    simulated world (default: a private :class:`ServicePool` over
-    ``registry``).  With ``verify`` (default) the replayed state is
-    checked against the recorded witnesses.
+    ``invocation_cache`` reattaches the shared cache that checkpoints
+    deliberately do not capture, and ``pool_factory`` — called with the
+    checkpoint's ``global_seed``, ``latency_model`` and ``fault_model`` —
+    builds the session's pool over the caller's simulated world (default:
+    a private :class:`ServicePool` over ``registry``).  The recipe is
+    checked member by member, and the replayed state against the
+    recorded witnesses.
     """
     require_fields(payload, _SESSION_FIELDS, "session checkpoint")
     _check_version(payload)
@@ -616,67 +673,69 @@ def restore_session(
         )
     if not isinstance(payload["journal"], list):
         raise CheckpointIntegrityError("session checkpoint's journal is not a list")
-    witness = payload.get("witness") or {}
-    if verify and witness:
-        require_fields(witness, _WITNESS_FIELDS, "session checkpoint's witness")
-    schema = payload["schema"]
+    witness = payload["witness"]
+    require_fields(witness, _WITNESS_FIELDS, "session checkpoint's witness")
+    recipe = _checked(payload, _RECIPE_TESTS, "session checkpoint")
+    retry = _decode_retry(payload["retry"])
+    fault_model = _decode_fault_model(
+        payload["fault_model"], "session checkpoint's fault_model"
+    )
+    inputs = _decode_inputs(payload["inputs"])
     if registry is None:
-        factory = REGISTRY_FACTORIES.get(schema)
+        factory = REGISTRY_FACTORIES.get(recipe["schema"])
         if factory is None:
             raise CheckpointError(
-                f"no registry factory for schema {schema!r}; pass registry="
+                f"no registry factory for schema {recipe['schema']!r}; pass registry="
             )
         registry = factory()
     if compiled is None:
-        compiled = compile_query(parse_query(payload["query_text"]), registry)
-    metric = DEFAULT_METRICS.get(payload["metric"])
-    if metric is None:
-        raise CheckpointError(f"unknown metric {payload['metric']!r} in a session checkpoint")
+        try:
+            compiled = compile_query(parse_query(recipe["query_text"]), registry)
+        except SearchComputingError as exc:
+            raise CheckpointIntegrityError(
+                f"session checkpoint's query_text does not compile "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
     if candidate is None:
+        metric = DEFAULT_METRICS[recipe["metric"]]
         candidate = _rebuild(payload["plan"], compiled, metric)
-    if verify and witness:
-        signature, render_hash, fetch_vector = _plan_witness(
-            compiled, candidate, payload["metric"]
+    signature, render_hash, fetch_vector = _plan_witness(
+        compiled, candidate, recipe["metric"]
+    )
+    if signature != witness["plan_signature"]:
+        raise CheckpointIntegrityError(
+            "plan signature mismatch: the registry or query no longer "
+            "matches the checkpointed session"
         )
-        if signature != witness["plan_signature"]:
-            raise CheckpointIntegrityError(
-                "plan signature mismatch: the registry or query no longer "
-                "matches the checkpointed session"
-            )
-        if render_hash != witness["plan_render"]:
-            raise CheckpointIntegrityError(
-                "rebuilt plan differs from the checkpointed plan "
-                "(its trail or the registry's statistics changed?)"
-            )
-        if fetch_vector != witness["fetch_vector"]:
-            raise CheckpointIntegrityError(
-                "the plan's fetch vector differs from the checkpointed one"
-            )
+    if render_hash != witness["plan_render"]:
+        raise CheckpointIntegrityError(
+            "rebuilt plan differs from the checkpointed plan "
+            "(its trail or the registry's statistics changed?)"
+        )
+    if fetch_vector != witness["fetch_vector"]:
+        raise CheckpointIntegrityError(
+            "the plan's fetch vector differs from the checkpointed one"
+        )
     pool = (pool_factory or partial(ServicePool, registry))(
-        global_seed=payload["data_seed"],
-        latency_model=LatencyModel(jitter_fraction=payload["latency_jitter"]),
-        fault_model=_decode_fault_model(payload["fault_model"]),
+        global_seed=recipe["data_seed"],
+        latency_model=LatencyModel(jitter_fraction=recipe["latency_jitter"]),
+        fault_model=fault_model,
     )
     executor_options: dict[str, Any] = {}
-    retry = _decode_retry(payload.get("retry"))
     if retry is not None:
         executor_options["retry"] = retry
-    if payload.get("degradation") is not None:
-        executor_options["degradation"] = Degradation(payload["degradation"])
-    if payload.get("invocation_cache_size") is not None:
-        executor_options["invocation_cache_size"] = payload["invocation_cache_size"]
+    if recipe["degradation"] is not None:
+        executor_options["degradation"] = Degradation(recipe["degradation"])
+    if recipe["invocation_cache_size"] is not None:
+        executor_options["invocation_cache_size"] = recipe["invocation_cache_size"]
     if invocation_cache is not None:
         executor_options["invocation_cache"] = invocation_cache
-    if tracer is not None:
-        executor_options["tracer"] = tracer
     session = LiquidQuerySession(
         candidate=candidate,
         query=compiled,
         pool=pool,
-        inputs=_decode_mapping(payload["inputs"]),
-        growth=payload["growth"],
+        inputs=inputs,
         executor_options=executor_options,
-        backend=payload["backend"],
     )
     stepper = None
     try:
@@ -709,8 +768,7 @@ def restore_session(
             f"({type(exc).__name__}: {exc})"
         ) from exc
     session.pending_stepper = stepper
-    if verify and witness:
-        _verify_replay(session, witness)
+    _verify_replay(session, witness)
     return session
 
 

@@ -66,11 +66,16 @@ from repro.serve.sessions import OPTIMIZER_CONFIG, SessionManager
 from repro.serve.workload import Request, WorkloadConfig
 
 __all__ = [
+    "PREFIX",
     "ResumeState",
     "ServeCheckpointer",
     "resume_state_from",
     "serve_workload_durable",
 ]
+
+#: Key prefix of serve checkpoints in the store; keys are
+#: ``{PREFIX}-{seq:06d}``, so the newest sorts last.
+PREFIX = "serve"
 
 #: Outcome statuses that will never change again.
 _TERMINAL = ("completed", "failed", "rejected")
@@ -114,20 +119,18 @@ class ServeCheckpointer:
     #: Run fingerprint stored in every checkpoint and verified on
     #: resume (seed, workload size, scenario, shard count, ...).
     meta: dict = field(default_factory=dict)
-    #: Key prefix in the store; keys are ``{prefix}-{seq:06d}``.
-    prefix: str = "serve"
     #: Called after each durable write with this checkpointer — the
     #: crash harness injects its SIGKILL here, *after* ``os.replace``
     #: published the file, so a kill never races a half-written state.
     on_write: "Callable[[ServeCheckpointer], None] | None" = None
-    terminal_seen: int = 0
-    written: int = 0
+    terminal_seen: int = field(default=0, init=False)
+    written: int = field(default=0, init=False)
     #: The table the scheduler serves on; :meth:`resume` replaces it with
     #: one pre-seeded from the newest checkpoint.
-    table: SessionTable = field(default_factory=SessionTable)
+    table: SessionTable = field(default_factory=SessionTable, init=False)
     #: What :meth:`resume` recovered (``None``: nothing to resume from).
-    resumed: "ResumeState | None" = None
-    telemetry_replayed: int = 0
+    resumed: "ResumeState | None" = field(default=None, init=False)
+    telemetry_replayed: int = field(default=0, init=False)
     #: Request id -> canonical text: each session's payload, renewed at each
     #: refresh, and each terminal outcome, rendered once (it never changes).
     _session_texts: dict[str, str] = field(default_factory=dict)
@@ -260,7 +263,7 @@ class ServeCheckpointer:
         The body is assembled from the members' kept texts: the bytes of
         :func:`canonical_json` of the whole payload."""
         self.written += 1
-        key = f"{self.prefix}-{self.written:06d}"
+        key = f"{PREFIX}-{self.written:06d}"
         outcomes = self._outcome_texts
         for rid, outcome in table.outcomes.items():
             if outcome.status in _TERMINAL and str(rid) not in outcomes:
@@ -303,7 +306,6 @@ def resume_state_from(
     workload: Sequence[Request],
     manager: SessionManager,
     *,
-    prefix: str = "serve",
     expected_meta: Mapping[str, Any] | None = None,
 ) -> ResumeState | None:
     """Rebuild serving state from the newest checkpoint in ``store``.
@@ -316,7 +318,7 @@ def resume_state_from(
     ``expected_meta`` mismatch (different seed/workload/scenario) fails
     loudly instead of merging incompatible runs.
     """
-    key = store.latest(prefix)
+    key = store.latest(PREFIX)
     if key is None:
         return None
     payload = store.load(key)

@@ -61,7 +61,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.engine.executor import ExecutionResult, InvocationCache, PlanExecutor
+from repro.engine.executor import ExecutionResult, PlanExecutor
 from repro.engine.liquid import BACKENDS
 from repro.errors import (
     ExecutionError,
@@ -74,9 +74,14 @@ from repro.plans.nodes import ServiceNode
 __all__ = [
     "AsyncExecutionContext",
     "AsyncPlanExecutor",
+    "DEFAULT_CONNECTIONS",
     "run_plan_async",
     "BACKENDS",
 ]
+
+#: Connection-pool size of every interface: the most round trips in
+#: flight to one service at once.
+DEFAULT_CONNECTIONS = 8
 
 
 @dataclass
@@ -85,9 +90,10 @@ class AsyncExecutionContext:
 
     One context may be shared by many :class:`AsyncPlanExecutor`\\ s
     running on the same event loop (the async serving path does), in
-    which case the per-service connection pools bound *global*
-    concurrency per interface and identical concurrent invocations
-    coalesce across executors.
+    which case the per-service connection pools
+    (:data:`DEFAULT_CONNECTIONS` each) bound *global* concurrency per
+    interface and identical concurrent invocations coalesce across
+    executors.
 
     Parameters
     ----------
@@ -96,18 +102,9 @@ class AsyncExecutionContext:
         sleeps ``latency * time_scale``.  ``0.0`` sleeps nothing but
         still yields to the loop, preserving cooperative interleaving —
         the right setting for equivalence tests that only check results.
-    default_connections:
-        Connection-pool size of every interface: max in-flight round
-        trips to that service.
-    invocation_cache:
-        Optional cross-executor invocation memo (the serving hook); an
-        executor built with this context and no cache of its own adopts
-        it.
     """
 
     time_scale: float = 0.001
-    default_connections: int = 8
-    invocation_cache: InvocationCache | None = None
     _semaphores: dict[str, asyncio.Semaphore] = field(
         default_factory=dict, repr=False
     )
@@ -119,13 +116,11 @@ class AsyncExecutionContext:
     #: attaches, so every executor sharing this context (the async
     #: serving path runs many) stamps spans on one common timeline
     #: instead of each request restarting at t=0.
-    wall_epoch: float = field(default=0.0, repr=False)
+    wall_epoch: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.time_scale >= 0 and math.isfinite(self.time_scale)):
             raise ExecutionError("time_scale must be a finite number >= 0")
-        if self.default_connections < 1:
-            raise ExecutionError("default_connections must be at least 1")
 
     def attach_loop(self) -> None:
         """Bind to the running loop; a new loop drops stale pool state.
@@ -147,7 +142,7 @@ class AsyncExecutionContext:
         semaphore = self._semaphores.get(interface)
         if semaphore is None:
             semaphore = self._semaphores[interface] = asyncio.Semaphore(
-                self.default_connections
+                DEFAULT_CONNECTIONS
             )
         return semaphore
 
@@ -215,14 +210,9 @@ class AsyncPlanExecutor(PlanExecutor):
     """
 
     def __init__(
-        self,
-        *args: Any,
-        context: AsyncExecutionContext | None = None,
-        **options: Any,
+        self, *args: Any, context: AsyncExecutionContext, **options: Any
     ) -> None:
-        self.context = context or AsyncExecutionContext()
-        if options.get("invocation_cache") is None:
-            options["invocation_cache"] = self.context.invocation_cache
+        self.context = context
         super().__init__(*args, **options)
         self.result_memo = "off(backend)"  # this driver never consults it
         self._retrier.rng = random.Random(self.pool.global_seed ^ 0xA51C)

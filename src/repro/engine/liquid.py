@@ -32,9 +32,13 @@ yields a :class:`~repro.engine.executor.StepEvent` before each service
 round trip (what a serving scheduler interleaves with other in-flight
 queries), :meth:`~LiquidQuerySession.perform_async` awaits it on a running
 event loop — so the behaviour is byte-identical however a session is
-driven.  The verbs :meth:`~LiquidQuerySession.run`, ``more``, ``rerank``
-and ``resubmit`` name the synchronous driver's kinds; the other drivers
-take the kind as their first argument.
+driven.  The driver *is* the backend: ``perform`` and ``steps`` execute
+on the virtual clock, ``perform_async`` on the asyncio backend under the
+:class:`~repro.engine.async_runner.AsyncExecutionContext` its caller
+brings; a session holds no backend of its own.  The verbs
+:meth:`~LiquidQuerySession.run`, ``more``, ``rerank`` and ``resubmit``
+name the synchronous driver's kinds; the other drivers take the kind as
+their first argument.
 
 ``executor_options`` forwards extra keyword arguments to every
 :class:`~repro.engine.executor.PlanExecutor` the session builds — the
@@ -51,8 +55,8 @@ nondeterminism (data, latencies, fault draws, retry jitter) from seeds
 and bindings, a fresh session replaying the journal reconstructs the
 exact mid-plan state — chunk cursors, retry counters, virtual-clock
 offset and all.  That replay is the durability subsystem's restore path
-(:mod:`repro.durability.checkpoint`); :meth:`checkpoint` and
-:meth:`restore` are thin wrappers over it.
+(:func:`repro.durability.checkpoint.restore_session`); :meth:`checkpoint`
+is a thin wrapper over its writer.
 """
 
 from __future__ import annotations
@@ -68,14 +72,18 @@ from repro.model.tuples import CompositeTuple, RankingFunction
 from repro.query.compile import CompiledQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.async_runner import AsyncExecutionContext, AsyncPlanExecutor
+    from repro.engine.async_runner import AsyncExecutionContext
 
-__all__ = ["BACKENDS", "EXECUTE", "INTERACTIONS", "LiquidQuerySession"]
+__all__ = ["BACKENDS", "EXECUTE", "GROWTH", "INTERACTIONS", "LiquidQuerySession"]
 
 #: The execution backends a caller may select.  The asyncio one
 #: (:mod:`repro.engine.async_runner`, which loads :mod:`asyncio`) is
 #: imported on first use, so a virtual-backend process never loads it.
 BACKENDS = ("virtual", "asyncio")
+
+#: The multiplicative fetch-factor step of :meth:`LiquidQuerySession.more`
+#: (a checkpoint records it, and a restore refuses any other value).
+GROWTH = 2
 
 #: What an interaction body yields to have the plan (re-)executed *now*;
 #: the driver decides how (drain, step, await).
@@ -105,33 +113,17 @@ class LiquidQuerySession:
         Simulated-service pool; its seed fixes the session's data.
     inputs:
         Initial INPUT variable bindings.
-    growth:
-        Multiplicative fetch-factor step used by :meth:`more`.
     executor_options:
         Extra keyword arguments for every executor this session builds
         (``retry``, ``degradation``, ``invocation_cache``, ``tracer``,
         ``invocation_cache_size``).
-    backend:
-        ``"virtual"`` (default) executes on the discrete-event simulator
-        — deterministic, step-resumable, the oracle.  ``"asyncio"`` runs
-        the same plan with genuinely concurrent service calls; results
-        are digest-identical (see :mod:`repro.engine.async_runner`), but
-        :meth:`steps` is unavailable — concurrency replaces cooperative
-        stepping.
-    async_context:
-        Wall-clock knobs (and shared connection pools / single-flight
-        state) for the asyncio backend; a private default-configured
-        context is built when omitted.
     """
 
     candidate: PlanCandidate
     query: CompiledQuery
     pool: Any  # ServicePool (kept untyped to avoid an import cycle)
     inputs: dict[str, Any]
-    growth: int = 2
     executor_options: dict[str, Any] = field(default_factory=dict)
-    backend: str = "virtual"
-    async_context: AsyncExecutionContext | None = None
     _fetches: dict[str, int] = field(init=False)
     _ranking: RankingFunction = field(init=False)
     _last: ExecutionResult | None = field(init=False, default=None)
@@ -145,16 +137,6 @@ class LiquidQuerySession:
     pending_stepper: Any = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.growth < 2:
-            raise ExecutionError("growth must be at least 2")
-        if self.backend not in BACKENDS:
-            raise ExecutionError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.backend == "asyncio" and self.async_context is None:
-            from repro.engine.async_runner import AsyncExecutionContext
-
-            self.async_context = AsyncExecutionContext()
         self._fetches = dict(self.candidate.fetch_vector())
         self._ranking = self.query.ranking
         self._initial_inputs = dict(self.inputs)
@@ -231,19 +213,6 @@ class LiquidQuerySession:
             metric=metric,
         )
 
-    @classmethod
-    def restore(cls, payload: dict, **options) -> "LiquidQuerySession":
-        """Rebuild a session from a checkpoint payload by journal replay.
-
-        Returns the restored session; a mid-interaction stepper — when
-        the checkpoint captured one — is re-suspended at the same step
-        and available as ``restored.pending_stepper`` (see
-        :func:`repro.durability.checkpoint.restore_session`).
-        """
-        from repro.durability.checkpoint import restore_session
-
-        return restore_session(payload, **options)
-
     # -- execution ------------------------------------------------------------
 
     def _make_executor(self, factory=PlanExecutor, **extra):
@@ -263,11 +232,6 @@ class LiquidQuerySession:
         executor.k = 10**9
         return executor
 
-    def _make_async_executor(self) -> AsyncPlanExecutor:
-        from repro.engine.async_runner import AsyncPlanExecutor
-
-        return self._make_executor(AsyncPlanExecutor, context=self.async_context)
-
     def _absorb(self, result: ExecutionResult) -> ExecutionResult:
         # The executor's own list, not a copy: nothing here mutates it, it
         # carries its witness digest, and holding it is what keeps its
@@ -277,42 +241,28 @@ class LiquidQuerySession:
         return result
 
     def execute_steps(self):
-        """Step generator for one (re-)execution; absorbs the result.
-
-        Virtual backend only: stepping pauses a query between round
-        trips, which is meaningless once round trips genuinely overlap.
-        """
-        if self.backend != "virtual":
-            raise ExecutionError(
-                "step generators require the virtual backend; the "
-                "asyncio backend interleaves via the event loop instead"
-            )
+        """Step generator for one (re-)execution on the virtual clock;
+        absorbs the result."""
         result = yield from self._make_executor().steps()
         return self._absorb(result)
 
-    async def execute_async(self) -> ExecutionResult:
-        """Awaitable (re-)execution on the asyncio backend; absorbs the
-        result.  Usable from a running event loop regardless of the
-        session's default ``backend``."""
-        return self._absorb(await self._make_async_executor().execute())
+    async def execute_async(self, context: AsyncExecutionContext) -> ExecutionResult:
+        """Awaitable (re-)execution on the asyncio backend, under
+        ``context``; absorbs the result."""
+        from repro.engine.async_runner import AsyncPlanExecutor
+
+        executor = self._make_executor(AsyncPlanExecutor, context=context)
+        return self._absorb(await executor.execute())
 
     # -- drivers: who fulfils a body's EXECUTE --------------------------------
 
     def perform(self, kind: str, k: int | None = None, **arg):
         """Run one interaction to completion, synchronously."""
-        if self.backend == "virtual":
-            return _drain(self.steps(kind, k, **arg))
-        with self._interaction(kind, k, arg) as (_, body):
-            try:
-                while True:
-                    next(body)
-                    self._absorb(self._make_async_executor().run())
-            except StopIteration as stop:
-                return stop.value
+        return _drain(self.steps(kind, k, **arg))
 
     def steps(self, kind: str, k: int | None = None, **arg):
-        """Step generator for one interaction (virtual backend only):
-        yields before each service round trip, returns the result list."""
+        """Step generator for one interaction on the virtual clock: yields
+        before each service round trip, returns the result list."""
         with self._interaction(kind, k, arg) as (entry, body):
             try:
                 while True:
@@ -327,14 +277,21 @@ class LiquidQuerySession:
             except StopIteration as stop:
                 return stop.value
 
-    async def perform_async(self, kind: str, k: int | None = None, **arg):
-        """Run one interaction on a running event loop, whatever the
-        session's default ``backend``."""
+    async def perform_async(
+        self,
+        kind: str,
+        k: int | None = None,
+        *,
+        context: AsyncExecutionContext,
+        **arg,
+    ):
+        """Run one interaction on a running event loop, its executions on
+        the asyncio backend under ``context``."""
         with self._interaction(kind, k, arg) as (_, body):
             try:
                 while True:
                     next(body)
-                    await self.execute_async()
+                    await self.execute_async(context)
             except StopIteration as stop:
                 return stop.value
 
@@ -400,7 +357,7 @@ class LiquidQuerySession:
     def _grow_fetches(self) -> int:
         """Grow every fetch factor; returns the pre-growth result count."""
         self._fetches = {
-            alias: factor * self.growth for alias, factor in self._fetches.items()
+            alias: factor * GROWTH for alias, factor in self._fetches.items()
         }
         return len(self._raw)
 

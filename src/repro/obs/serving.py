@@ -3,9 +3,9 @@
 PR 3 built the tracing/metrics substrate around the single-query
 engine; this module is the serving-side vocabulary on top of it:
 
-* :class:`SloTracker` — windowed latency-SLO accounting on the virtual
-  clock: exact quantiles (p50/p95/p99/p999) plus per-threshold
-  violation fractions, cumulative and over a sliding window.
+* :class:`SloTracker` — latency-SLO accounting on the virtual clock:
+  exact quantiles (p50/p95/p99/p999) plus per-threshold violation
+  fractions.
 * :func:`record_request_span` — renders one terminal
   :class:`~repro.serve.scheduler.RequestOutcome` as a span *tree*
   (``serve.request`` root with ``serve.park`` / ``serve.queue`` /
@@ -23,15 +23,14 @@ engine; this module is the serving-side vocabulary on top of it:
   post-run shard-utilization and bottleneck summary built from a JSONL
   span trace plus an optional metrics snapshot.
 
-Everything here is duck-typed against the serve-layer dataclasses (no
+Everything here reads the serve-layer dataclasses by their fields (no
 ``repro.serve`` imports) to keep ``obs`` dependency-free below the
-engine, mirroring how ``metrics.py`` absorbs legacy stat carriers.
+engine.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -67,46 +66,35 @@ def _threshold_key(threshold: float) -> str:
 
 @dataclass
 class SloTracker:
-    """Windowed latency-SLO accounting over completed requests.
+    """Latency-SLO accounting over completed requests.
 
-    ``observe(latency, at=now)`` feeds one completed request.  The
-    tracker keeps cumulative counts per threshold plus a sliding window
-    of the last ``window`` virtual seconds (``window=0`` disables the
-    windowed view), and exact quantiles over everything observed —
-    consistent with :class:`~repro.obs.metrics.Histogram`, these runs
-    observe thousands of values, not millions.
+    ``observe(latency)`` feeds one completed request.  The tracker keeps
+    cumulative counts per threshold and exact quantiles over everything
+    observed — consistent with :class:`~repro.obs.metrics.Histogram`,
+    these runs observe thousands of values, not millions.
     """
 
     thresholds: tuple[float, ...] = DEFAULT_SLO_THRESHOLDS
-    window: float = 0.0
-    count: int = 0
-    violations: dict[str, int] = field(default_factory=dict)
+    count: int = field(default=0, init=False)
+    violations: dict[str, int] = field(default_factory=dict, init=False)
     _latencies: Histogram = field(
         default_factory=lambda: Histogram("slo.latency")
     )
-    _recent: deque = field(default_factory=deque)
 
     def __post_init__(self) -> None:
         self.thresholds = tuple(sorted(float(t) for t in self.thresholds))
         if any(t <= 0 for t in self.thresholds):
             raise ValueError("SLO thresholds must be positive")
-        if self.window < 0:
-            raise ValueError("window must be >= 0")
         for threshold in self.thresholds:
             self.violations.setdefault(_threshold_key(threshold), 0)
 
-    def observe(self, latency: float, at: float = 0.0) -> None:
+    def observe(self, latency: float) -> None:
         latency = float(latency)
         self.count += 1
         self._latencies.observe(latency)
         for threshold in self.thresholds:
             if latency > threshold:
                 self.violations[_threshold_key(threshold)] += 1
-        if self.window > 0:
-            self._recent.append((float(at), latency))
-            horizon = float(at) - self.window
-            while self._recent and self._recent[0][0] < horizon:
-                self._recent.popleft()
 
     def snapshot(self) -> dict[str, Any]:
         summary = self._latencies.summary()
@@ -123,26 +111,11 @@ class SloTracker:
                 "count": count,
                 "fraction": count / self.count if self.count else 0.0,
             }
-        snapshot: dict[str, Any] = {
+        return {
             "count": self.count,
             "quantiles": quantiles,
             "violations": violations,
         }
-        if self.window > 0:
-            recent = [latency for _, latency in self._recent]
-            window_violations = {}
-            for threshold in self.thresholds:
-                violated = sum(1 for value in recent if value > threshold)
-                window_violations[_threshold_key(threshold)] = {
-                    "count": violated,
-                    "fraction": violated / len(recent) if recent else 0.0,
-                }
-            snapshot["window"] = {
-                "seconds": self.window,
-                "count": len(recent),
-                "violations": window_violations,
-            }
-        return snapshot
 
 
 # ----------------------------------------------------------------------------- #
@@ -193,9 +166,8 @@ def record_request_span(
         attrs["stolen"] = True
     if outcome.rate_wait:
         attrs["rate_wait"] = outcome.rate_wait
-    rate_hits = getattr(outcome, "rate_hits", 0)
-    if rate_hits:
-        attrs["rate_hits"] = rate_hits
+    if outcome.rate_hits:
+        attrs["rate_hits"] = outcome.rate_hits
     if lane is not None:
         attrs["lane"] = lane
     root = tracer.record_span(
@@ -207,14 +179,14 @@ def record_request_span(
     child: dict[str, Any] = {"request": request.request_id, "shard": shard}
     if lane is not None:
         child["lane"] = lane
-    unparked = getattr(outcome, "unparked_at", 0.0)
+    unparked = outcome.unparked_at
     if unparked and unparked > request.arrival:
         tracer.record_span(
             "serve.park",
             start=request.arrival,
             end=unparked,
             parent_id=root.span_id,
-            reason=getattr(outcome, "wake_reason", None) or "parked",
+            reason=outcome.wake_reason or "parked",
             **child,
         )
     started = outcome.started_at
@@ -236,14 +208,13 @@ def record_request_span(
             round_trips=outcome.round_trips,
             **child,
         )
-        plan_cached = getattr(outcome, "plan_cached", None)
-        if plan_cached is not None:
+        if outcome.plan_cached is not None:
             tracer.record_span(
                 "serve.plan",
                 start=started,
                 end=started,
                 parent_id=execute.span_id,
-                cached=plan_cached,
+                cached=outcome.plan_cached,
                 **child,
             )
     return root
@@ -285,15 +256,13 @@ def absorb_outcome_metrics(
         return
     metrics.histogram("serve.queue_wait").observe(outcome.queue_wait)
     inc_shard("started", shard)
-    rate_hits = getattr(outcome, "rate_hits", 0)
-    if rate_hits:
-        metrics.counter("serve.rate_limited").inc(rate_hits)
+    if outcome.rate_hits:
+        metrics.counter("serve.rate_limited").inc(outcome.rate_hits)
     if outcome.stolen:
         metrics.counter("serve.steals").inc()
         inc_shard("steals", shard)
-        stolen_from = getattr(outcome, "stolen_from", None)
-        if stolen_from is not None:
-            inc_shard("stolen_from", stolen_from)
+        if outcome.stolen_from is not None:
+            inc_shard("stolen_from", outcome.stolen_from)
     if status == "failed":
         metrics.counter("serve.failed").inc()
         metrics.histogram("serve.latency_failed").observe(outcome.latency)
@@ -331,7 +300,7 @@ def replay_outcome_telemetry(
         if tracer is not None and tracer.enabled:
             record_request_span(tracer, outcome)
         if slo is not None and outcome.status == "completed":
-            slo.observe(outcome.latency, at=outcome.finished_at)
+            slo.observe(outcome.latency)
     return len(ordered)
 
 

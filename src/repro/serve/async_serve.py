@@ -32,6 +32,7 @@ import time
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
+from repro.engine.async_runner import AsyncExecutionContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import absorb_outcome_metrics, record_request_span
 from repro.obs.tracer import coerce_tracer
@@ -51,13 +52,15 @@ __all__ = ["serve_async"]
 async def serve_async(
     workload: Sequence[Request],
     sessions: SessionManager,
+    context: AsyncExecutionContext,
     tracer: Any = None,
     slo: Any = None,
     digest_fn: "Callable | None" = None,
 ) -> ServeReport:
     """Serve ``workload`` on the running event loop.
 
-    Reports through the virtual scheduler's own
+    Every session executes under ``context``, the server's one wall-clock
+    context.  Reports through the virtual scheduler's own
     :class:`~repro.serve.scheduler.ServeReport`: every time in it is wall
     time rescaled to the virtual axis (``/ time_scale``), the axis the
     engine's ``service.invoke`` / ``pool.wait`` spans use, and an outcome's
@@ -72,7 +75,6 @@ async def serve_async(
     metrics = MetricsRegistry()
     tracer = coerce_tracer(tracer)
     baselines = snapshot_cache_stats(sessions)
-    context = sessions.async_context
     # Bind the shared context to this loop *now* so its wall epoch is the
     # serve start: engine spans and the request spans share one timeline.
     context.attach_loop()
@@ -99,7 +101,7 @@ async def serve_async(
             outcome.started_at = axis()
             outcome.queue_wait = outcome.started_at - waited_from
             try:
-                results = await sessions.perform_async(request)
+                results = await sessions.perform_async(request, context)
             except Exception as exc:
                 outcome.status = "failed"
                 outcome.error = f"{type(exc).__name__}: {exc}"
@@ -114,7 +116,7 @@ async def serve_async(
         outcome.finished_at = axis()
         absorb_outcome_metrics(metrics, outcome)
         if slo is not None and outcome.status == "completed":
-            slo.observe(outcome.latency, at=outcome.finished_at)
+            slo.observe(outcome.latency)
         if tracer.enabled:
             record_request_span(tracer, outcome, backend="asyncio")
         outcomes[request.request_id] = outcome

@@ -52,35 +52,28 @@ def build_sessions(
     mode (pass the scheduler's, so both agree on placement); ``tracer`` is
     the engine-level tracer handed to every session's executor.
     """
-    async_context = None
-    if config.backend == "asyncio":
-        from repro.engine.async_runner import AsyncExecutionContext
-
-        async_context = AsyncExecutionContext(time_scale=config.time_scale)
-    manager = SessionManager(
-        templates={template.name: template for template in config.templates},
-        data_seed=config.data_seed,
-        backend=config.backend,
-        async_context=async_context,
-        tracer=tracer,
-    )
-    if config.cache_mode == "isolated":
-        return manager
-    manager.plan_cache = PlanCache(max_size=config.plan_cache_size)
+    plan_cache = invocation_cache = selector = None
+    if config.cache_mode != "isolated":
+        plan_cache = PlanCache(max_size=config.plan_cache_size)
     if config.cache_mode == "shared":
-        manager.invocation_cache = ShardedInvocationCache(
+        invocation_cache = ShardedInvocationCache(
             config.num_shards, max_size=config.cache_size
         )
-    else:  # private: one cache per shard, routed by the session's home
+    elif config.cache_mode == "private":  # one cache per shard, by home
         ring = ring if ring is not None else HashRing(config.num_shards)
         per_shard = [
             InvocationCache(max_size=config.cache_size)
             for _ in range(config.num_shards)
         ]
-        manager.invocation_cache_selector = (
-            lambda request: per_shard[ring.shard_of(request)]
-        )
-    return manager
+        selector = lambda request: per_shard[ring.shard_of(request)]
+    return SessionManager(
+        templates={template.name: template for template in config.templates},
+        data_seed=config.data_seed,
+        plan_cache=plan_cache,
+        invocation_cache=invocation_cache,
+        invocation_cache_selector=selector,
+        tracer=tracer,
+    )
 
 
 def serve(
@@ -148,13 +141,15 @@ def _serve(
     if config.backend == "asyncio":
         import asyncio
 
+        from repro.engine.async_runner import AsyncExecutionContext
         from repro.serve.async_serve import serve_async
 
         # The engine's service.invoke / pool.wait spans share the request
         # spans' wall-clock axis, so the one tracer serves both layers.
         sessions = build_sessions(config, ring, tracer)
+        context = AsyncExecutionContext(time_scale=config.time_scale)
         return asyncio.run(
-            serve_async(workload, sessions, tracer, slo, digest_fn)
+            serve_async(workload, sessions, context, tracer, slo, digest_fn)
         )
     sessions = build_sessions(config, ring)
     metrics = MetricsRegistry()

@@ -32,9 +32,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.engine.executor import InvocationCache
-from repro.engine.liquid import BACKENDS, INTERACTIONS, LiquidQuerySession
+from repro.engine.liquid import INTERACTIONS, LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
-from repro.errors import ExecutionError, OptimizationError
+from repro.errors import CheckpointIntegrityError, ExecutionError, OptimizationError
 from repro.model.registry import ServiceRegistry
 from repro.model.tuples import CompositeTuple
 from repro.query.compile import CompiledQuery, compile_query
@@ -86,18 +86,6 @@ class SessionManager:
         takes precedence over ``invocation_cache``.
     retry / degradation / fault_model:
         Fault-tolerance posture applied uniformly to every session.
-    backend:
-        Execution backend for every session: ``"virtual"`` (default,
-        step-resumable, scheduled on the shared virtual timeline) or
-        ``"asyncio"`` (really concurrent service calls; driven through
-        :func:`~repro.serve.async_serve.serve_async` instead of the step
-        scheduler).
-    async_context:
-        Shared wall-clock context for the asyncio backend — one context
-        across all sessions makes the per-service connection pools a
-        *server-wide* bound and coalesces concurrent identical
-        invocations across queries.  Defaults to a private context when
-        the backend is asyncio.
     tracer:
         Optional engine-level tracer handed to every session's executor
         (node spans, ``service.invoke``, ``pool.wait``).  ``None`` keeps
@@ -114,8 +102,6 @@ class SessionManager:
     retry: RetryPolicy | None = None
     degradation: Degradation | str = Degradation.FAIL
     fault_model: FaultModel = field(default_factory=FaultModel)
-    backend: str = "virtual"
-    async_context: AsyncExecutionContext | None = None
     tracer: Any = None
     _registries: dict[str, ServiceRegistry] = field(default_factory=dict)
     #: The simulated remote side, one per schema (over its memoised
@@ -125,16 +111,6 @@ class SessionManager:
     _compiled: dict[str, CompiledQuery] = field(default_factory=dict)
     _sessions: dict[int, LiquidQuerySession] = field(default_factory=dict)
     _session_templates: dict[int, QueryTemplate] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ExecutionError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.backend == "asyncio" and self.async_context is None:
-            from repro.engine.async_runner import AsyncExecutionContext
-
-            self.async_context = AsyncExecutionContext()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -172,13 +148,18 @@ class SessionManager:
 
         The one place pools are built — for a fresh ``run`` (the manager's
         posture, the defaults) and for a restored session (its
-        checkpoint's).  A checkpoint from another data seed raises here
-        rather than read this server's world.
+        checkpoint's).  A checkpoint from another data seed is refused as
+        damaged here rather than read this server's world.
         """
+        if global_seed is not None and global_seed != self.data_seed:
+            raise CheckpointIntegrityError(
+                f"session checkpoint's data_seed {global_seed!r} is not this "
+                f"server's {self.data_seed}"
+            )
         world = self._world(template)
         return ServicePool(
             world.registry,
-            global_seed=self.data_seed if global_seed is None else global_seed,
+            global_seed=self.data_seed,
             latency_model=LatencyModel() if latency_model is None else latency_model,
             fault_model=self.fault_model if fault_model is None else fault_model,
             world=world,
@@ -237,8 +218,6 @@ class SessionManager:
             pool=self.open_pool(template),
             inputs=dict(request.inputs or {}),
             executor_options=self._executor_options(request),
-            backend=self.backend,
-            async_context=self.async_context,
         )
         self._sessions[request.request_id] = session
         self._session_templates[request.request_id] = template
@@ -294,15 +273,20 @@ class SessionManager:
         session, args = self._interaction(request, "run", "more", "resubmit")
         return session.steps(request.kind, **args)
 
-    async def perform_async(self, request: Request) -> list[CompositeTuple]:
+    async def perform_async(
+        self, request: Request, context: AsyncExecutionContext
+    ) -> list[CompositeTuple]:
         """Execute one request to completion on the asyncio backend.
 
         The coroutine counterpart of :meth:`stepper` + :meth:`rerank`:
         ``run`` opens a session, follow-ups resolve their target; service
         round trips overlap on the event loop instead of being stepped.
+        ``context`` is the server's one wall-clock context: shared by every
+        session, it makes the per-service connection pools a server-wide
+        bound and coalesces identical invocations across queries.
         """
         session, args = self._interaction(request)
-        return await session.perform_async(request.kind, **args)
+        return await session.perform_async(request.kind, context=context, **args)
 
     def rerank(self, request: Request) -> list[CompositeTuple]:
         """Apply a ``rerank`` follow-up — synchronous, no service calls."""

@@ -120,6 +120,9 @@ __all__ = [
 #: back-to-back.
 SERVICE_BURST = 4.0
 
+#: Points each shard owns on the :class:`HashRing`.
+VNODES = 256
+
 
 # -- consistent hashing -------------------------------------------------------
 
@@ -127,7 +130,7 @@ SERVICE_BURST = 4.0
 class HashRing:
     """Consistent-hash ring mapping session ids to shard indices.
 
-    Each shard owns ``vnodes`` points on a 64-bit ring (blake2b of
+    Each shard owns :data:`VNODES` points on a 64-bit ring (blake2b of
     ``"shard:vnode"``); a session id hashes to a point and belongs to
     the first shard point at or after it (wrapping).  Because a shard's
     points are a function of its index alone, growing the ring from
@@ -138,16 +141,13 @@ class HashRing:
     ~±10% of the mean up to 16 shards (the property tests pin this).
     """
 
-    def __init__(self, num_shards: int, *, vnodes: int = 256) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards <= 0:
             raise ExecutionError("num_shards must be positive")
-        if vnodes <= 0:
-            raise ExecutionError("vnodes must be positive")
         self.num_shards = num_shards
-        self.vnodes = vnodes
         points: list[tuple[int, int]] = []
         for shard in range(num_shards):
-            for vnode in range(vnodes):
+            for vnode in range(VNODES):
                 points.append((self._point(f"shard:{shard}:vnode:{vnode}"), shard))
         points.sort()
         self._points = [p for p, _ in points]
@@ -264,21 +264,18 @@ class _TokenBucket:
 
 @dataclass
 class _Job:
-    """One admitted request executing cooperatively."""
+    """One admitted request executing cooperatively.
+
+    What the request's execution records as it happens (steps, rate
+    waits, the plan-cache verdict, an error) is written onto its running
+    ``outcome``; the job holds only what the outcome does not.
+    """
 
     request: Request
-    stepper: Iterator | None
-    admitted_at: float
-    started_at: float
-    calls_before: int
-    rate_wait: float = 0.0
-    rate_hits: int = 0
-    steps: int = 0
+    outcome: RequestOutcome
+    stepper: Iterator | None = None
+    calls_before: int = 0
     result: list[CompositeTuple] | None = None
-    error: str | None = None
-    #: Whether the optimizer plan came from the plan cache (``None``
-    #: when the request kind never consults it, e.g. ``rerank``).
-    plan_cached: bool | None = None
 
 
 @dataclass
@@ -492,22 +489,25 @@ class ServeScheduler:
                 lane = shard.lane_next
                 shard.lane_next += 1
             shard.lanes[request.request_id] = lane
-        queue_wait = now - shard.queued_at.pop(request.request_id, now)
+        outcome = RequestOutcome(
+            request=request,
+            status="running",
+            queue_wait=now - shard.queued_at.pop(request.request_id, now),
+            started_at=now,
+            shard=shard.index,
+        )
+        wake = self.table.wake_times.pop(request.request_id, None)
+        if wake is not None:
+            outcome.unparked_at, outcome.wake_reason = wake
+        self.table.outcomes[request.request_id] = outcome
+        job = _Job(request, outcome)
         if request.kind == "rerank":
             # CPU-only: re-scores the cached result list, zero service
             # calls, zero virtual time — completes at its start instant.
-            job = _Job(
-                request=request,
-                stepper=None,
-                admitted_at=now,
-                started_at=now,
-                calls_before=0,
-            )
             try:
                 job.result = self.sessions.rerank(request)
             except SearchComputingError as exc:
-                job.error = f"{type(exc).__name__}: {exc}"
-            self._queue_wait_of(shard, request, queue_wait, now)
+                outcome.error = f"{type(exc).__name__}: {exc}"
             self._schedule(shard.index, now, "finish", job)
             return
         plan_cache = self.sessions.plan_cache
@@ -517,44 +517,13 @@ class ServeScheduler:
             stepper = self.sessions.stepper(request)
             pool = self.sessions.pool_for(request)
         except SearchComputingError as exc:
-            job = _Job(
-                request=request,
-                stepper=None,
-                admitted_at=now,
-                started_at=now,
-                calls_before=0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self._queue_wait_of(shard, request, queue_wait, now)
+            outcome.error = f"{type(exc).__name__}: {exc}"
             self._schedule(shard.index, now, "finish", job)
             return
-        job = _Job(
-            request=request,
-            stepper=stepper,
-            admitted_at=now,
-            started_at=now,
-            calls_before=pool.log.total_calls(),
-            plan_cached=(
-                plan_cache.stats.hits > plan_hits_before if track_plan else None
-            ),
-        )
-        self._queue_wait_of(shard, request, queue_wait, now)
+        job.stepper, job.calls_before = stepper, pool.log.total_calls()
+        if track_plan:
+            outcome.plan_cached = plan_cache.stats.hits > plan_hits_before
         self._schedule(shard.index, now, "resume", job)
-
-    def _queue_wait_of(
-        self, shard: _Shard, request: Request, wait: float, now: float
-    ) -> None:
-        outcome = RequestOutcome(
-            request=request,
-            status="running",
-            queue_wait=wait,
-            started_at=now,
-            shard=shard.index,
-        )
-        wake = self.table.wake_times.pop(request.request_id, None)
-        if wake is not None:
-            outcome.unparked_at, outcome.wake_reason = wake
-        self.table.outcomes[request.request_id] = outcome
 
     def _on_resume(self, shard: _Shard, job: _Job, now: float) -> None:
         pool = self.sessions.pool_for(job.request)
@@ -567,34 +536,27 @@ class ServeScheduler:
             self._schedule(shard.index, now + (pool.clock.now - before), "finish", job)
             return
         except SearchComputingError as exc:
-            job.error = f"{type(exc).__name__}: {exc}"
+            job.outcome.error = f"{type(exc).__name__}: {exc}"
             self._schedule(shard.index, now + (pool.clock.now - before), "finish", job)
             return
-        job.steps += 1
+        job.outcome.steps += 1
         ready = now + (pool.clock.now - before)
         bucket = self._bucket(shard, event.interface)
         if bucket is not None:
             granted = bucket.grant(ready)
             if granted > ready:
-                job.rate_wait += granted - ready
-                job.rate_hits += 1
+                job.outcome.rate_wait += granted - ready
+                job.outcome.rate_hits += 1
             ready = granted
         self._schedule(shard.index, ready, "resume", job)
 
     def _on_finish(self, shard: _Shard, job: _Job, now: float) -> None:
         shard.active -= 1
         self.active -= 1
-        request = job.request
-        outcome = self.table.outcomes[request.request_id]
+        request, outcome = job.request, job.outcome
         outcome.finished_at = now
-        outcome.rate_wait = job.rate_wait
-        outcome.rate_hits = job.rate_hits
-        outcome.steps = job.steps
-        outcome.shard = shard.index
-        outcome.plan_cached = job.plan_cached
-        if job.error is not None:
+        if outcome.error is not None:
             outcome.status = "failed"
-            outcome.error = job.error
         else:
             outcome.status = "completed"
             if self.digest_fn is not None:
@@ -610,7 +572,7 @@ class ServeScheduler:
             outcome.round_trips = pool.log.total_calls() - job.calls_before
         absorb_outcome_metrics(self.metrics, outcome, emit_shard_metrics=True)
         if self.slo is not None and outcome.status == "completed":
-            self.slo.observe(outcome.latency, at=now)
+            self.slo.observe(outcome.latency)
         if self.tracer.enabled:
             lane = shard.lanes.pop(request.request_id, None)
             if lane is not None:

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.core.topology import enumerate_topologies
+from repro.engine import async_runner
 from repro.engine.async_runner import (
     AsyncExecutionContext,
     AsyncPlanExecutor,
@@ -285,11 +286,12 @@ def test_equivalence_on_every_builtin_schema(template, outage):
 # -- concurrency mechanics -----------------------------------------------------
 
 
-def test_connection_pool_bounds_concurrency(movie_query, movie_registry):
+def test_connection_pool_bounds_concurrency(movie_query, movie_registry, monkeypatch):
     """Per-interface semaphores cap in-flight round trips per service."""
     plan = fig10_plan(movie_query)
     limit = 2
-    context = AsyncExecutionContext(time_scale=0.0005, default_connections=limit)
+    monkeypatch.setattr(async_runner, "DEFAULT_CONNECTIONS", limit)
+    context = AsyncExecutionContext(time_scale=0.0005)
     active: dict[str, int] = defaultdict(int)
     peak: dict[str, int] = defaultdict(int)
     real_semaphore = AsyncExecutionContext.semaphore
@@ -567,43 +569,39 @@ def test_invocation_cache_parity(movie_query, movie_registry):
 # -- liquid sessions -----------------------------------------------------------
 
 
-def _liquid_session(movie_query, movie_registry, backend):
+def _liquid_session(movie_query, movie_registry):
     candidate = optimizer_candidate(movie_query)
     return LiquidQuerySession(
         candidate=candidate,
         query=movie_query,
         pool=ServicePool(movie_registry, global_seed=42),
         inputs=dict(RUNNING_EXAMPLE_INPUTS),
-        backend=backend,
-        async_context=(
-            AsyncExecutionContext(time_scale=INSTANT)
-            if backend == "asyncio"
-            else None
-        ),
     )
 
 
 def test_liquid_session_backend_equality(movie_query, movie_registry):
-    sync_session = _liquid_session(movie_query, movie_registry, "virtual")
-    async_session = _liquid_session(movie_query, movie_registry, "asyncio")
+    """A session's driver is its backend, chosen per interaction: a run
+    on the virtual clock continued by a ``more`` on the asyncio backend
+    gives what the virtual driver alone gives."""
+    reference = _liquid_session(movie_query, movie_registry)
+    mixed = _liquid_session(movie_query, movie_registry)
 
-    first_v = sync_session.run(5)
-    first_a = async_session.run(5)
-    assert result_digest(first_a) == result_digest(first_v)
-
-    more_v = sync_session.more(5)
-    more_a = async_session.more(5)
-    assert result_digest(more_a) == result_digest(more_v)
+    assert result_digest(mixed.run(5)) == result_digest(reference.run(5))
+    context = AsyncExecutionContext(time_scale=INSTANT)
+    more_a = asyncio.run(mixed.perform_async("more", 5, context=context))
+    assert result_digest(more_a) == result_digest(reference.more(5))
+    assert mixed._last.backend == "asyncio"
 
 
 def test_liquid_session_async_twins_await(movie_query, movie_registry):
     """The awaitable driver gives what the synchronous verbs give."""
-    session = _liquid_session(movie_query, movie_registry, "asyncio")
-    reference = _liquid_session(movie_query, movie_registry, "virtual")
+    session = _liquid_session(movie_query, movie_registry)
+    reference = _liquid_session(movie_query, movie_registry)
+    context = AsyncExecutionContext(time_scale=INSTANT)
 
     async def drive():
-        first = await session.perform_async("run", 5)
-        more = await session.perform_async("more", 5)
+        first = await session.perform_async("run", 5, context=context)
+        more = await session.perform_async("more", 5, context=context)
         return first, more
 
     first_a, more_a = asyncio.run(drive())
@@ -611,12 +609,18 @@ def test_liquid_session_async_twins_await(movie_query, movie_registry):
     assert result_digest(more_a) == result_digest(reference.more(5))
 
 
-def test_step_generators_rejected_on_asyncio_backend(
-    movie_query, movie_registry
-):
-    session = _liquid_session(movie_query, movie_registry, "asyncio")
-    with pytest.raises(ExecutionError):
-        next(session.steps("run", 5))
+def test_step_generators_rejected_on_asyncio_backend(movie_query, movie_registry):
+    """The asyncio executor overlaps round trips; it has no steps."""
+    executor = AsyncPlanExecutor(
+        fig10_plan(movie_query),
+        movie_query,
+        ServicePool(movie_registry, global_seed=42),
+        RUNNING_EXAMPLE_INPUTS,
+        fetches=FIG10_FETCHES,
+        context=AsyncExecutionContext(time_scale=INSTANT),
+    )
+    with pytest.raises(ExecutionError, match="virtual backend"):
+        executor.steps()
 
 
 @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])

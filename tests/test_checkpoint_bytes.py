@@ -103,3 +103,22 @@ def test_a_high_bit_flip_is_refused_by_resume_in_one_line(files, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("repro: CheckpointIntegrityError:")
+
+
+def test_a_high_bit_flip_is_refused_by_serve_resume_in_one_line(files, tmp_path, capsys):
+    """The same flip in the newest serve checkpoint: ``serve-bench --resume``
+    exits 4 with one stderr line and no traceback."""
+    damaged = bytearray(files["serve"])
+    damaged[200] |= 0x80
+    (tmp_path / "ckpt").mkdir()
+    (tmp_path / "ckpt" / f"serve-999999{SUFFIX}").write_bytes(damaged)
+    capsys.readouterr()
+    code = main([
+        "serve-bench", "--requests", "12", "--rates", "4.0",
+        "--checkpoint-every", "4", "--checkpoint-dir", str(tmp_path / "ckpt"),
+        "--artifacts-dir", str(tmp_path / "artifacts"), "--resume",
+    ])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("repro: CheckpointIntegrityError:"), err

@@ -6,8 +6,8 @@ through :meth:`~repro.durability.CheckpointStore.save`: a hand edit, a
 buggy writer, another build.  Each example takes a real session payload —
 one suspended mid-plan (``repro checkpoint --steps 2``), one quiescent —
 deletes, retypes or replaces one member at any depth of its ``witness``,
-``journal``, ``inflight`` or ``plan`` (the search trail the plan is
-rebuilt from), re-saves it, and restores it.  The restore
+``journal``, ``inflight``, ``plan`` (the search trail the plan is rebuilt
+from) or recipe (``RECIPE``), re-saves it, and restores it.  The restore
 either succeeds or raises a :class:`~repro.errors.CheckpointError`; any
 other exception (a ``KeyError``, a ``TypeError``, an engine error) is the
 traceback ``repro resume`` must never show.  A serve checkpoint is damaged
@@ -34,9 +34,14 @@ from repro.engine.liquid import INTERACTIONS
 from repro.errors import CheckpointError, CheckpointIntegrityError
 from repro.serve import ServeConfig, WorkloadConfig, serve
 
-#: The payload members the plan rebuild, the journal replay and the
-#: witness checks read.
-DAMAGED = ("witness", "journal", "inflight", "plan")
+#: The recipe members a restore builds the session from.
+RECIPE = (
+    "metric", "data_seed", "latency_jitter", "retry", "degradation", "inputs",
+    "invocation_cache_size", "fault_model", "growth", "backend",
+)
+#: The payload members the plan rebuild, the journal replay, the witness
+#: checks and the session's construction read.
+DAMAGED = ("witness", "journal", "inflight", "plan", *RECIPE)
 
 JSON = st.recursive(
     st.none()
@@ -258,3 +263,60 @@ def test_a_damaged_serve_checkpoint_is_refused_in_one_line(served, tmp_path, cas
     code, err = _serve_bench(tmp_path, "--resume")
     assert code == 4 and err.count("\n") == 1, err
     assert err.startswith("repro: Checkpoint"), err
+
+
+#: A session recipe member (a path into the payload) and a damaged value.
+#: Before the recipe was checked, each one escaped ``repro resume`` or
+#: ``serve-bench --resume`` as a traceback or an exit 1, or restored.
+RECIPE_DAMAGE = {
+    "metric a list": (("metric",), ["execution-time"]),
+    "data_seed a string": (("data_seed",), "2009"),
+    "latency_jitter a string": (("latency_jitter",), "x"),
+    "retry of no attempts": (("retry",), {
+        "max_attempts": 0, "base_backoff": 0.5, "backoff_multiplier": 2.0,
+        "jitter_fraction": 0.1, "call_timeout": None,
+    }),
+    "degradation unknown": (("degradation",), "sometimes"),
+    "inputs a list": (("inputs",), []),
+    "invocation_cache_size a string": (("invocation_cache_size",), "many"),
+    "failure_rate of 2": (("fault_model", "default", "failure_rate"), 2),
+    "outage not a bool": (("fault_model", "default", "outage"), 0),
+    "growth of 1": (("growth",), 1),
+    "backend unknown": (("backend",), "threads"),
+}
+
+
+def _refused_in_one_line(code, err):
+    assert code == 4 and err.count("\n") == 1, err
+    assert err.startswith("repro: CheckpointIntegrityError:"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(RECIPE_DAMAGE))
+def test_a_damaged_recipe_member_is_refused_in_one_line(store, served, tmp_path, case):
+    """Through ``repro resume`` on a session checkpoint and through
+    ``serve-bench --resume`` on a serve checkpoint's session 0."""
+    path, value = RECIPE_DAMAGE[case]
+    payload = store.load("done")
+    _damage(payload, path, (copy.deepcopy(value),))
+    session_dir = tmp_path / "session"
+    CheckpointStore(session_dir).save("done", payload)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["resume", "--dir", str(session_dir)])
+    _refused_in_one_line(code, err.getvalue())
+    serve_payload = copy.deepcopy(served)
+    _damage(serve_payload, ("sessions", "0", *path), (copy.deepcopy(value),))
+    CheckpointStore(tmp_path / "ckpt").save(NEWEST, serve_payload)
+    _refused_in_one_line(*_serve_bench(tmp_path, "--resume"))
+
+
+def test_a_served_session_of_another_data_seed_is_refused_in_one_line(served, tmp_path):
+    """Regression: the server's pool factory raised ``ServiceInvocationError``
+    (exit 1) for a session recorded under another data seed."""
+    payload = copy.deepcopy(served)
+    payload["sessions"]["0"]["data_seed"] = 2010
+    with pytest.raises(CheckpointIntegrityError, match="data_seed"):
+        _resume(tmp_path / "library", copy.deepcopy(payload))
+    CheckpointStore(tmp_path / "ckpt").save(NEWEST, payload)
+    _refused_in_one_line(*_serve_bench(tmp_path, "--resume"))

@@ -247,18 +247,22 @@ class TestServeBench:
         assert len(self.INCOMPATIBLE) == len(_SERVE_FLAG_RULES)
 
     @pytest.mark.parametrize("row", range(len(REFUSED)))
-    def test_incompatible_flags_exit_with_the_rule_message(self, row, capsys):
+    def test_incompatible_flags_exit_with_the_rule_message(
+        self, row, capsys, tmp_path, monkeypatch
+    ):
         # Each argv is refused by the one rule that owns it, before
-        # anything is served or printed.
+        # anything is served, printed or created.
         from repro.cli import _SERVE_FLAG_RULES
 
         argv = self.REFUSED[row]
+        monkeypatch.chdir(tmp_path)
         try:
             status = main(["serve-bench", *argv])
         except SystemExit as exit_info:
             status = exit_info.code
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert not any(tmp_path.iterdir())
         assert "Traceback" not in captured.err
         if argv in self.MALFORMED:
             assert status == 2
@@ -450,7 +454,8 @@ class TestTypedFailureAtTheDoor:
         code, line = self.failing(capsys, "resume", "--dir", str(tmp_path))
         assert code == 4
         assert line == (
-            "repro: CheckpointError: unknown metric 'bogus' in a session checkpoint"
+            "repro: CheckpointIntegrityError: session checkpoint's metric is "
+            "damaged: 'bogus'"
         )
 
     @pytest.mark.parametrize(

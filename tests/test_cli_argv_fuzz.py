@@ -196,6 +196,15 @@ def test_a_malformed_count_or_scale_is_argparse_usage_error(argv):
         assert not any(Path(tmp).iterdir())
     code, out, err = done.returncode, done.stdout, done.stderr
     assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "Traceback" not in err
     flag = next(part for part in argv if part in ("--invocation-cache-size",
                                                   "--time-scale", "--steps"))
     assert f"error: argument {flag}:" in err.splitlines()[-1]
+
+
+def test_a_slow_factor_the_fault_model_refuses_exits_in_one_line():
+    """``--slow-factor nan`` passes argparse's float; the fault model
+    refuses it: exit 2, one ``error:`` line and nothing printed."""
+    code, out, err = _run(["run", "--timeout-rate", "0.5", "--slow-factor", "nan"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err

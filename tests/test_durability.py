@@ -45,7 +45,7 @@ from repro.services.simulated import FaultModel, ServicePool
 from tests.conftest import serve_seeded
 
 
-def _session(seed=2009, failure_rate=0.0, retry=None, backend="virtual"):
+def _session(seed=2009, failure_rate=0.0, retry=None):
     registry = movie_night_registry()
     compiled = compile_query(parse_query(RUNNING_EXAMPLE_QUERY), registry)
     best = Optimizer(compiled, OptimizerConfig()).optimize().best
@@ -60,7 +60,6 @@ def _session(seed=2009, failure_rate=0.0, retry=None, backend="virtual"):
         pool=pool,
         inputs=dict(RUNNING_EXAMPLE_INPUTS),
         executor_options=options,
-        backend=backend,
     )
     return session, pool
 
@@ -423,17 +422,29 @@ def test_crash_worker_module_runs_without_warnings():
 def test_asyncio_session_checkpoint_at_interaction_boundary():
     """The asyncio backend has no steppers, so checkpoints are taken at
     quiescent interaction boundaries — results must still restore
-    digest-identically (clock/log witnesses are virtual-only)."""
+    digest-identically (clock/log witnesses are virtual-only).  The payload
+    records the driver of the last execution; a restore replays on the
+    virtual clock."""
+    import asyncio
+
+    from repro.engine.async_runner import AsyncExecutionContext
+
     virtual, _ = _session()
     expected = result_digest(virtual.run())
 
-    session, _ = _session(backend="asyncio")
-    results = session.run()
+    session, _ = _session()
+    context = AsyncExecutionContext(time_scale=0.0)
+    results = asyncio.run(session.perform_async("run", context=context))
     assert result_digest(results) == expected
     payload = session.checkpoint(schema="movie", query_text=RUNNING_EXAMPLE_QUERY)
+    assert payload["backend"] == "asyncio"
+    assert payload["witness"]["exact"] is False
     restored = restore_session(payload)
-    assert restored.backend == "asyncio"
+    assert restored._last.backend == "virtual"
     assert result_digest(restored.run()) == expected
+    assert virtual.checkpoint(
+        schema="movie", query_text=RUNNING_EXAMPLE_QUERY
+    )["backend"] == "virtual"
 
 
 def _checkpointed_run(tmp_path, **options):

@@ -6,10 +6,11 @@ import pytest
 
 from repro.core.optimizer import optimize_query
 from repro.engine.async_runner import AsyncExecutionContext
-from repro.engine.liquid import LiquidQuerySession, _drain
+from repro.durability import restore_session
+from repro.engine.liquid import GROWTH, LiquidQuerySession, _drain
 from repro.engine.retry import Degradation, RetryPolicy
-from repro.errors import ExecutionError
-from repro.services.marts import RUNNING_EXAMPLE_INPUTS
+from repro.errors import CheckpointIntegrityError, ExecutionError
+from repro.services.marts import RUNNING_EXAMPLE_INPUTS, RUNNING_EXAMPLE_QUERY
 from repro.services.simulated import FaultModel, ServicePool
 
 
@@ -240,16 +241,23 @@ class TestFaultComposition:
 
 class TestValidation:
     def test_growth_must_be_at_least_two(self, movie_query, movie_registry):
-        candidate = optimize_query(movie_query)
-        pool = ServicePool(movie_registry, global_seed=1)
-        with pytest.raises(ExecutionError):
-            LiquidQuerySession(
-                candidate=candidate,
-                query=movie_query,
-                pool=pool,
-                inputs={},
-                growth=1,
-            )
+        """``more`` grows every fetch factor by the constant ``GROWTH``;
+        the one door a growth enters by, a session checkpoint, refuses a
+        growth of 1."""
+        assert GROWTH == 2
+        session = LiquidQuerySession(
+            candidate=optimize_query(movie_query),
+            query=movie_query,
+            pool=ServicePool(movie_registry, global_seed=1),
+            inputs=dict(RUNNING_EXAMPLE_INPUTS),
+        )
+        before = session.fetch_factors
+        session.more()
+        assert session.fetch_factors == {a: f * GROWTH for a, f in before.items()}
+        payload = session.checkpoint(schema="movie", query_text=RUNNING_EXAMPLE_QUERY)
+        assert payload["growth"] == GROWTH
+        with pytest.raises(CheckpointIntegrityError, match="growth"):
+            restore_session(dict(payload, growth=1))
 
 
 def _rebuild_and_sort(session, limit):
@@ -426,24 +434,30 @@ class TestNegativeK:
     bound it used to drop rows from the wrong end (``run(k=-1)``: all but
     the last).  ``VERBS`` keys read ``kind`` (the synchronous verb) or
     ``kind_driver`` (the same interaction through ``steps`` /
-    ``perform_async``)."""
+    ``perform_async``).  ``backend`` names the driver of the session's
+    first run, so every verb also follows an execution on the other one."""
 
     CHANGED = dict(RUNNING_EXAMPLE_INPUTS, INPUT1="genre#5")
     WEIGHTS = {"M": 1.0, "T": 0.0, "R": 0.0}
 
+    @staticmethod
+    def awaited(session, kind, k, **arg):
+        context = AsyncExecutionContext(time_scale=0.0)
+        return asyncio.run(session.perform_async(kind, k, context=context, **arg))
+
     VERBS = {
         "run": lambda s, k: s.run(k),
         "run_steps": lambda s, k: _drain(s.steps("run", k)),
-        "run_async": lambda s, k: asyncio.run(s.perform_async("run", k)),
+        "run_async": lambda s, k: TestNegativeK.awaited(s, "run", k),
         "more": lambda s, k: s.more(k),
         "more_steps": lambda s, k: _drain(s.steps("more", k)),
-        "more_async": lambda s, k: asyncio.run(s.perform_async("more", k)),
+        "more_async": lambda s, k: TestNegativeK.awaited(s, "more", k),
         "resubmit": lambda s, k: s.resubmit(TestNegativeK.CHANGED, k),
         "resubmit_steps": lambda s, k: _drain(
             s.steps("resubmit", k, inputs=TestNegativeK.CHANGED)
         ),
-        "resubmit_async": lambda s, k: asyncio.run(
-            s.perform_async("resubmit", k, inputs=TestNegativeK.CHANGED)
+        "resubmit_async": lambda s, k: TestNegativeK.awaited(
+            s, "resubmit", k, inputs=TestNegativeK.CHANGED
         ),
         "rerank": lambda s, k: s.rerank(TestNegativeK.WEIGHTS, k),
     }
@@ -453,17 +467,16 @@ class TestNegativeK:
     def test_every_twin_raises_and_journals_the_failure(
         self, verb, backend, movie_query, movie_registry
     ):
-        if backend == "asyncio" and verb.endswith("_steps"):
-            pytest.skip("step generators are virtual-backend only")
         session = LiquidQuerySession(
             candidate=optimize_query(movie_query),
             query=movie_query,
             pool=ServicePool(movie_registry, global_seed=21),
             inputs=dict(RUNNING_EXAMPLE_INPUTS),
-            backend=backend,
-            async_context=AsyncExecutionContext(time_scale=0.0),
         )
-        everything = session.run(k=10**6)
+        if backend == "asyncio":
+            everything = self.awaited(session, "run", 10**6)
+        else:
+            everything = session.run(k=10**6)
         assert len(everything) > 1
         with pytest.raises(ExecutionError, match="non-negative"):
             self.VERBS[verb](session, -1)

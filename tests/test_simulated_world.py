@@ -38,6 +38,7 @@ from repro.engine.executor import execute_plan
 from repro.engine.retry import RetryPolicy
 from repro.errors import (
     CheckpointError,
+    CheckpointIntegrityError,
     SearchComputingError,
     ServiceInvocationError,
 )
@@ -68,6 +69,7 @@ from repro.serve import (
     result_digest,
     scenario_templates,
 )
+from repro.serve import runtime
 from repro.services import datagen
 from repro.services.datagen import TupleGenerator, derive_seed
 from repro.services.marts import (
@@ -582,13 +584,12 @@ def test_restore_goes_through_the_managers_pool_factory():
     assert _signature(restored.pool) == _signature(session.pool)
     assert manager.world_stats()["tuples_shared"] > 0
     # A checkpoint taken under another data seed must not read this world.
-    with pytest.raises(ServiceInvocationError):
+    with pytest.raises(CheckpointIntegrityError, match="data_seed"):
         restore_session(
             dict(payload, data_seed=2010),
             registry=manager._registry(template),
             compiled=manager._compile(template),
             pool_factory=lambda **posture: manager.open_pool(template, **posture),
-            verify=False,
         )
     # Without a factory the session is restored onto a private world.
     private = restore_session(payload)
@@ -613,11 +614,11 @@ def test_crash_and_resume_share_the_resumed_servers_world(tmp_path):
         )
     managers = []
     with pytest.MonkeyPatch.context() as patch:
-        post_init = SessionManager.__post_init__
+        build = runtime.build_sessions
         patch.setattr(
-            SessionManager,
-            "__post_init__",
-            lambda self: managers.append(self) or post_init(self),
+            runtime,
+            "build_sessions",
+            lambda *args: managers.append(build(*args)) or managers[-1],
         )
         resumed = serve_seeded(
             checkpoint_dir=tmp_path, checkpoint_every=8, resume=True, **options
