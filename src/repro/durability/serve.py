@@ -39,7 +39,7 @@ rest from the resumed run — and must equal an uninterrupted run's
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
@@ -198,7 +198,6 @@ class ServeCheckpointer:
             metrics=metrics,
             tracer=tracer,
             slo=slo,
-            emit_shard_metrics=True,  # as the merged-loop scheduler does
         )
         return state.remaining
 
@@ -312,9 +311,9 @@ def resume_state_from(
 
     Restores every checkpointed session into ``manager`` (reattaching
     its shared invocation cache), hands each template's rebuilt plan to
-    its plan cache, and returns the pre-seeded table plus
-    the remaining workload.  ``None`` when the store holds no
-    checkpoint — the caller serves the full workload fresh.  A
+    its plan cache, zeroes the counters the replay warmed, and returns
+    the pre-seeded table plus the remaining workload.  ``None`` when the
+    store holds no checkpoint — the caller serves the full workload fresh.  A
     ``expected_meta`` mismatch (different seed/workload/scenario) fails
     loudly instead of merging incompatible runs.
     """
@@ -389,6 +388,7 @@ def resume_state_from(
                 template.schema, manager._compile(template),
                 OPTIMIZER_CONFIG, candidate,
             )
+    _zero_replay_counters(manager)
     remaining = [
         request
         for request in workload
@@ -402,6 +402,25 @@ def resume_state_from(
         restored_sessions=len(session_payloads),
         pre_terminal=len(table.outcomes),
     )
+
+
+def _zero_replay_counters(manager: SessionManager) -> None:
+    """Zero, in place, the counters the journal replay just warmed.
+
+    The replay's lookups and generation are the crashed server's work
+    again, not the resumed run's; zeroed here, every report reads its
+    run's traffic off the live counters.  In place, because executors,
+    generators and the shard views hold these very objects."""
+    counters = [world.stats for world in manager._worlds.values()]
+    if manager.plan_cache is not None:
+        counters.append(manager.plan_cache.stats)
+    cache = manager.invocation_cache
+    if cache is not None:
+        counters += [cache.stats, *getattr(cache, "shard_stats", ())]
+        cache.replayable = cache.replays = 0
+    for stats in counters:
+        for counter in fields(stats):
+            setattr(stats, counter.name, 0)
 
 
 def _by_request(

@@ -180,7 +180,11 @@ def invocation_cache_key(
 
 @dataclass
 class InvocationCacheStats:
-    """Hit/miss/eviction accounting of the per-execution invocation memo."""
+    """Hit/miss/eviction accounting of a cache: the invocation memo (per
+    execution and per server) and the serving plan cache.
+
+    :attr:`hit_rate` is the one place a hit rate is derived from the
+    counters; reports and gauges read it."""
 
     hits: int = 0
     misses: int = 0

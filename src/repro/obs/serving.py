@@ -225,15 +225,17 @@ def record_request_span(
 # ----------------------------------------------------------------------------- #
 
 
-def absorb_outcome_metrics(
-    metrics: "MetricsRegistry",
-    outcome: Any,
-    emit_shard_metrics: bool = False,
-) -> None:
+#: The ``serve.shard.<i>.<name>`` counters :func:`absorb_outcome_metrics`
+#: keeps per shard.
+SHARD_COUNTERS = ("started", "completed", "failed", "rejected", "steals", "stolen_from")
+
+
+def absorb_outcome_metrics(metrics: "MetricsRegistry", outcome: Any) -> None:
     """Account one terminal outcome in the serving metrics.
 
-    The one place an outcome is counted: the virtual scheduler calls it
-    when a request finishes or is rejected, the asyncio loop and the
+    The one place an outcome is counted, globally and on its shard's
+    ``serve.shard.<i>.*`` counters: the virtual scheduler calls it when a
+    request finishes or is rejected, the asyncio loop (one shard) and the
     parallel merge once per outcome, and a resume once per replayed
     checkpointed outcome, so every placement's counters and histograms
     agree with an uninterrupted in-process run.  Failed requests get
@@ -244,33 +246,28 @@ def absorb_outcome_metrics(
     status = outcome.status
     request = outcome.request
     metrics.counter(f"serve.kind.{request.kind}").inc()
-    shard = outcome.shard
-
-    def inc_shard(name: str, index: int) -> None:
-        if emit_shard_metrics:
-            metrics.counter(f"serve.shard.{index}.{name}").inc()
-
+    shard = f"serve.shard.{outcome.shard}"
     if status == "rejected":
         metrics.counter("serve.rejected").inc()
-        inc_shard("rejected", shard)
+        metrics.counter(f"{shard}.rejected").inc()
         return
     metrics.histogram("serve.queue_wait").observe(outcome.queue_wait)
-    inc_shard("started", shard)
+    metrics.counter(f"{shard}.started").inc()
     if outcome.rate_hits:
         metrics.counter("serve.rate_limited").inc(outcome.rate_hits)
     if outcome.stolen:
         metrics.counter("serve.steals").inc()
-        inc_shard("steals", shard)
+        metrics.counter(f"{shard}.steals").inc()
         if outcome.stolen_from is not None:
-            inc_shard("stolen_from", outcome.stolen_from)
+            metrics.counter(f"serve.shard.{outcome.stolen_from}.stolen_from").inc()
     if status == "failed":
         metrics.counter("serve.failed").inc()
         metrics.histogram("serve.latency_failed").observe(outcome.latency)
-        inc_shard("failed", shard)
+        metrics.counter(f"{shard}.failed").inc()
     else:
         metrics.counter("serve.completed").inc()
         metrics.histogram("serve.latency").observe(outcome.latency)
-        inc_shard("completed", shard)
+        metrics.counter(f"{shard}.completed").inc()
 
 
 def replay_outcome_telemetry(
@@ -278,7 +275,6 @@ def replay_outcome_telemetry(
     metrics: "MetricsRegistry | None" = None,
     tracer: "Tracer | None" = None,
     slo: "SloTracker | None" = None,
-    emit_shard_metrics: bool = False,
 ) -> int:
     """Re-absorb checkpointed terminal outcomes into fresh telemetry.
 
@@ -294,9 +290,7 @@ def replay_outcome_telemetry(
     )
     for outcome in ordered:
         if metrics is not None:
-            absorb_outcome_metrics(
-                metrics, outcome, emit_shard_metrics=emit_shard_metrics
-            )
+            absorb_outcome_metrics(metrics, outcome)
         if tracer is not None and tracer.enabled:
             record_request_span(tracer, outcome)
         if slo is not None and outcome.status == "completed":
@@ -314,18 +308,15 @@ def serving_metrics_summary(report: Any) -> dict[str, Any]:
 
     Reads the live registry a :class:`~repro.serve.scheduler.ServeReport`
     carries and returns plain JSON: global outcome/steal/throttle
-    counters, cache hit rates, and one entry per shard with queue-depth
-    peak and steal attribution.
+    counters, the cache hit rates the report's gauges hold, and one entry
+    per shard with queue-depth peak and steal attribution, taken from the
+    report's shard rows.
     """
     metrics = report.metrics
 
     def count(name: str) -> int:
         instrument = metrics.counters.get(name)
         return int(instrument.value) if instrument is not None else 0
-
-    def gauge(name: str) -> float:
-        instrument = metrics.gauges.get(name)
-        return float(instrument.value) if instrument is not None else 0.0
 
     summary: dict[str, Any] = {
         "completed": count("serve.completed"),
@@ -335,33 +326,17 @@ def serving_metrics_summary(report: Any) -> dict[str, Any]:
         "steals": count("serve.steals"),
         "admission_peak": report.admission_peak,
     }
-    if report.plan_cache_stats:
-        summary["plan_cache_hit_rate"] = report.plan_cache_stats.get(
-            "hit_rate", 0.0
-        )
-    if report.invocation_cache_stats:
-        stats = report.invocation_cache_stats
-        hits = stats.get("hits", 0)
-        total = hits + stats.get("misses", 0)
-        summary["invocation_cache_hit_rate"] = stats.get(
-            "hit_rate", hits / total if total else 0.0
-        )
-    shards = []
-    for index in range(report.num_shards):
-        prefix = f"serve.shard.{index}"
-        shards.append(
-            {
-                "shard": index,
-                "started": count(f"{prefix}.started"),
-                "completed": count(f"{prefix}.completed"),
-                "failed": count(f"{prefix}.failed"),
-                "rejected": count(f"{prefix}.rejected"),
-                "steals": count(f"{prefix}.steals"),
-                "stolen_from": count(f"{prefix}.stolen_from"),
-                "queue_depth_peak": gauge(f"{prefix}.max_queue_depth"),
-            }
-        )
-    summary["shards"] = shards
+    for cache in ("plan_cache", "invocation_cache"):
+        if getattr(report, f"{cache}_stats"):
+            rate = metrics.gauges[f"serve.{cache}.hit_rate"]
+            summary[f"{cache}_hit_rate"] = rate.value
+    summary["shards"] = [
+        {
+            **{name: row[name] for name in ("shard", *SHARD_COUNTERS)},
+            "queue_depth_peak": float(row["max_queue_depth"]),
+        }
+        for row in report.shard_stats
+    ]
     return summary
 
 

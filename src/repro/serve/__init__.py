@@ -30,7 +30,7 @@ regime the ROADMAP's north star calls for:
 """
 
 from repro.serve.bench import compare_serving
-from repro.serve.plancache import PlanCache, PlanCacheStats
+from repro.serve.plancache import PlanCache
 from repro.serve.runtime import build_sessions, serve
 from repro.serve.scheduler import (
     RequestOutcome,
@@ -63,7 +63,6 @@ from repro.serve.workload import (
 __all__ = [
     "HashRing",
     "PlanCache",
-    "PlanCacheStats",
     "QueryTemplate",
     "Request",
     "RequestOutcome",

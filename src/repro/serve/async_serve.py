@@ -41,9 +41,9 @@ from repro.serve.scheduler import (
     RequestOutcome,
     ServeReport,
     build_report,
-    snapshot_cache_stats,
 )
 from repro.serve.sessions import SessionManager
+from repro.serve.sharding import shard_entry
 from repro.serve.workload import Request
 
 __all__ = ["serve_async"]
@@ -67,6 +67,7 @@ async def serve_async(
     request carries the instant it *actually* arrived on that axis.
     """
     admission = asyncio.Semaphore(MAX_CONCURRENCY)
+    active = peak = 0  # requests executing now, and the most at once
     # One chain per session: request_id for a run, its target for
     # follow-ups.  Chaining serialises a session's interactions in
     # arrival order — the order the virtual scheduler delivers them.
@@ -74,7 +75,6 @@ async def serve_async(
     outcomes: dict[int, RequestOutcome] = {}
     metrics = MetricsRegistry()
     tracer = coerce_tracer(tracer)
-    baselines = snapshot_cache_stats(sessions)
     # Bind the shared context to this loop *now* so its wall epoch is the
     # serve start: engine spans and the request spans share one timeline.
     context.attach_loop()
@@ -87,6 +87,7 @@ async def serve_async(
         return elapsed / time_scale if time_scale > 0 else elapsed
 
     async def handle(request: Request, predecessor: asyncio.Task | None) -> None:
+        nonlocal active, peak
         outcome = RequestOutcome(
             request=replace(request, arrival=axis()), status="running"
         )
@@ -98,6 +99,8 @@ async def serve_async(
             waited_from = outcome.unparked_at = axis()
             outcome.wake_reason = "target"
         async with admission:
+            active += 1
+            peak = max(peak, active)
             outcome.started_at = axis()
             outcome.queue_wait = outcome.started_at - waited_from
             try:
@@ -113,6 +116,7 @@ async def serve_async(
                     outcome.results = results
                 if request.kind == "run":
                     outcome.k_shortfall = sessions.k_shortfall(request, results)
+            active -= 1
         outcome.finished_at = axis()
         absorb_outcome_metrics(metrics, outcome)
         if slo is not None and outcome.status == "completed":
@@ -142,4 +146,9 @@ async def serve_async(
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
         raise
-    return build_report(sessions, metrics, baselines, outcomes, axis(), slo=slo)
+    makespan = axis()
+    # The loop is one shard: shard 0 of every outcome.
+    return build_report(
+        sessions, metrics, outcomes, makespan, [shard_entry(metrics, 0, makespan)],
+        admission_peak=peak, slo=slo,
+    )

@@ -26,11 +26,8 @@ workload stay resident; evictions are counted in the stats.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-from repro.errors import ExecutionError
 
 from repro.core.optimizer import (
     Optimizer,
@@ -38,65 +35,13 @@ from repro.core.optimizer import (
     PlanCandidate,
     plan_signature,
 )
-from repro.errors import OptimizationError
+from repro.engine.executor import InvocationCacheStats
+from repro.errors import ExecutionError, OptimizationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.compile import CompiledQuery
 
-__all__ = ["PlanCache", "PlanCacheStats"]
-
-
-@dataclass
-class PlanCacheStats:
-    """Hit/miss accounting for plan reuse."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-    def snapshot(self) -> dict[str, float]:
-        """Run-start baseline for :meth:`delta` (monotone counters only)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def delta(self, baseline: Mapping[str, float] | None) -> dict[str, float]:
-        """This run's traffic only, differenced against a run-start snapshot.
-
-        A cache shared across shards or successive serving runs
-        accumulates *lifetime* totals on one stats object — the single
-        source of truth.  Reports must not re-claim traffic that another
-        run (or an earlier run on the same cache) already reported, so
-        they snapshot at start and difference here; the hit rate is
-        recomputed from the differenced counters.
-        """
-        base_hits = int(baseline.get("hits", 0)) if baseline else 0
-        base_misses = int(baseline.get("misses", 0)) if baseline else 0
-        base_evictions = int(baseline.get("evictions", 0)) if baseline else 0
-        hits = self.hits - base_hits
-        misses = self.misses - base_misses
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "evictions": self.evictions - base_evictions,
-            "hit_rate": hits / total if total else 0.0,
-        }
+__all__ = ["PlanCache"]
 
 
 @dataclass
@@ -109,7 +54,8 @@ class PlanCache:
     """
 
     max_size: int | None = None
-    stats: PlanCacheStats = field(default_factory=PlanCacheStats)
+    #: Hits, misses and evictions: the invocation cache's counter type.
+    stats: InvocationCacheStats = field(default_factory=InvocationCacheStats)
     _plans: "OrderedDict[tuple, PlanCandidate]" = field(
         default_factory=OrderedDict, repr=False
     )
@@ -158,6 +104,3 @@ class PlanCache:
         if self.max_size is not None and len(self._plans) > self.max_size:
             self._plans.popitem(last=False)
             self.stats.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._plans)

@@ -216,7 +216,7 @@ def _serve_parallel(config: ServeConfig, workload: Sequence[Request]) -> ServeRe
     for index, report in enumerate(reports):
         for request_id, outcome in report.outcomes.items():
             outcome.shard = index
-            absorb_outcome_metrics(metrics, outcome, emit_shard_metrics=True)
+            absorb_outcome_metrics(metrics, outcome)
             outcomes[request_id] = outcome
     return ServeReport(
         outcomes=dict(sorted(outcomes.items())),
@@ -233,6 +233,5 @@ def _serve_parallel(config: ServeConfig, workload: Sequence[Request]) -> ServeRe
             }
             for index, report in enumerate(reports)
         ],
-        num_shards=config.num_shards,
         cyclic_garbage=sum(report.cyclic_garbage for report in reports),
     )

@@ -6,7 +6,7 @@ digests and the report.
 per-session serialization, outcomes) a scheduler serves on;
 :class:`RequestOutcome` what became of one request, and
 :class:`ServeReport` of a whole run, which :func:`build_report` assembles
-with this run's cache deltas.  The virtual-clock scheduler that fills
+from the run's live counters.  The virtual-clock scheduler that fills
 them is :class:`repro.serve.sharding.ServeScheduler`, one merged timeline
 at every shard count; the asyncio loop
 (:func:`repro.serve.async_serve.serve_async`) fills the same types.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from os import PathLike
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -299,11 +299,10 @@ class ServeReport:
     #: opened, tuples generated, tuples served from a prefix another
     #: session generated, sampling attempts, fallback constraint checks
     #: (:class:`~repro.services.simulated.WorldStats`).
-    world_stats: dict[str, int] | None = None
-    #: Per-shard accounting (sharded runtimes only).
-    shard_stats: list[dict[str, Any]] | None = None
-    #: Number of scheduler shards that served the workload.
-    num_shards: int = 1
+    world_stats: dict[str, int]
+    #: One :func:`~repro.serve.sharding.shard_entry` row per shard, the
+    #: one reader of the ``serve.shard.<i>.*`` instruments.
+    shard_stats: list[dict[str, Any]]
     #: Peak process-global concurrency observed by the admission
     #: controller.
     admission_peak: int = 0
@@ -317,6 +316,11 @@ class ServeReport:
     #: (summed over worker processes): the serving loop makes no reference
     #: cycles, so this is 0.
     cyclic_garbage: int = 0
+
+    @property
+    def num_shards(self) -> int:
+        """Number of scheduler shards that served the workload."""
+        return len(self.shard_stats)
 
     def completed(self) -> list[RequestOutcome]:
         return [o for o in self.outcomes.values() if o.status == "completed"]
@@ -380,144 +384,57 @@ class ServeReport:
         }
         if self.slo is not None:
             payload["slo"] = self.slo.snapshot()
-        if self.num_shards > 1 or self.shard_stats is not None:
-            payload["num_shards"] = self.num_shards
-            payload["admission_peak"] = self.admission_peak
-            payload["shards"] = self.shard_stats
+        payload["num_shards"] = self.num_shards
+        payload["admission_peak"] = self.admission_peak
+        payload["shards"] = self.shard_stats
         return payload
-
-
-def _stats_delta(
-    current: Mapping[str, float], baseline: Mapping[str, float] | None
-) -> dict[str, float]:
-    """Per-run view of cumulative cache counters.
-
-    Caches shared across schedulers (or serving runs) accumulate
-    *lifetime* totals; a report must attribute to its own run only the
-    traffic that happened during it — otherwise two runtimes sharing one
-    cache double-report each other's hits.  Level-style entries
-    (``entries``, ``hit_rate``) are reported as-is; monotone counters
-    are differenced against the run-start snapshot.
-    """
-    if baseline is None:
-        return dict(current)
-    delta: dict[str, float] = {}
-    for name, value in current.items():
-        if name in ("entries", "hit_rate"):
-            delta[name] = value
-        else:
-            delta[name] = value - baseline.get(name, 0)
-    hits = delta.get("hits", 0)
-    misses = delta.get("misses", 0)
-    if "hit_rate" in delta:
-        total = hits + misses
-        delta["hit_rate"] = hits / total if total else 0.0
-    return delta
-
-
-def snapshot_cache_stats(sessions: SessionManager) -> tuple[
-    dict[str, float] | None, dict[str, float] | None, dict[str, int]
-]:
-    """Run-start snapshot of the manager's plan/invocation cache counters
-    and of its simulated worlds' generation counters."""
-    plan = (
-        sessions.plan_cache.stats.snapshot()
-        if sessions.plan_cache is not None
-        else None
-    )
-    cache = sessions.invocation_cache
-    invocation = (
-        {
-            "hits": cache.stats.hits,
-            "misses": cache.stats.misses,
-            "evictions": cache.stats.evictions,
-            "entries": len(cache),
-            # The result memo: executions that consulted it / it replayed.
-            "replayable": cache.replayable,
-            "replays": cache.replays,
-        }
-        if cache is not None
-        else None
-    )
-    return plan, invocation, sessions.world_stats()
-
-
-def build_cache_stats(
-    sessions: SessionManager,
-    plan_baseline: dict[str, float] | None,
-    invocation_baseline: dict[str, float] | None,
-    world_baseline: dict[str, int],
-) -> tuple[dict[str, float] | None, dict[str, float] | None, dict[str, int]]:
-    """Current cache and world stats as *this run's* deltas against the
-    snapshots."""
-    plan = (
-        sessions.plan_cache.stats.delta(plan_baseline)
-        if sessions.plan_cache is not None
-        else None
-    )
-    _, invocation_now, world_now = snapshot_cache_stats(sessions)
-    invocation = (
-        _stats_delta(invocation_now, invocation_baseline)
-        if invocation_now is not None
-        else None
-    )
-    return plan, invocation, _stats_delta(world_now, world_baseline)
-
-
-def record_cache_gauges(
-    metrics: MetricsRegistry,
-    plan_stats: Mapping[str, float] | None,
-    invocation_stats: Mapping[str, float] | None,
-    world_stats: Mapping[str, int],
-) -> None:
-    """Expose the run's cache hit rates and world counters as gauges
-    (Prometheus surface)."""
-    for name, value in world_stats.items():
-        metrics.gauge(f"serve.world.{name}").set(value)
-    if plan_stats is not None:
-        metrics.gauge("serve.plan_cache.hit_rate").set(
-            plan_stats.get("hit_rate", 0.0)
-        )
-        metrics.gauge("serve.plan_cache.hits").set(plan_stats.get("hits", 0))
-        metrics.gauge("serve.plan_cache.misses").set(
-            plan_stats.get("misses", 0)
-        )
-    if invocation_stats is not None:
-        hits = invocation_stats.get("hits", 0)
-        misses = invocation_stats.get("misses", 0)
-        total = hits + misses
-        metrics.gauge("serve.invocation_cache.hit_rate").set(
-            invocation_stats.get(
-                "hit_rate", hits / total if total else 0.0
-            )
-        )
-        metrics.gauge("serve.invocation_cache.hits").set(hits)
-        metrics.gauge("serve.invocation_cache.misses").set(misses)
-        replays = invocation_stats.get("replays", 0)
-        replayable = invocation_stats.get("replayable", 0)
-        metrics.gauge("serve.invocation_cache.replays").set(replays)
-        metrics.gauge("serve.invocation_cache.replayable").set(replayable)
-        metrics.gauge("serve.invocation_cache.replay_rate").set(
-            replays / replayable if replayable else 0.0
-        )
 
 
 def build_report(
     sessions: SessionManager,
     metrics: MetricsRegistry,
-    baselines: tuple,
     outcomes: Mapping[int, RequestOutcome],
     makespan: float,
+    shard_stats: list[dict[str, Any]],
     *,
     admission_peak: int = 0,
     slo: "SloTracker | None" = None,
 ) -> ServeReport:
-    """The report every serving loop ends with: this run's cache deltas
-    (against its run-start ``baselines``), the gauges, the outcomes."""
-    plan_stats, invocation_stats, world_stats = build_cache_stats(
-        sessions, *baselines
-    )
-    record_cache_gauges(metrics, plan_stats, invocation_stats, world_stats)
+    """The report every serving loop ends with, its gauges and its outcomes.
+
+    It reads the live counters: a run builds its own caches and worlds
+    (:func:`~repro.serve.runtime.build_sessions`), and a resume zeroes
+    what its journal replay warmed, so they count this run's traffic
+    alone.  ``shard_stats`` is one :func:`~repro.serve.sharding.shard_entry`
+    row per shard."""
+    plan_cache, cache = sessions.plan_cache, sessions.invocation_cache
+    world_stats = sessions.world_stats()
+    for name, value in world_stats.items():
+        metrics.gauge(f"serve.world.{name}").set(value)
+    plan_stats = invocation_stats = None
+    if plan_cache is not None:
+        stats = plan_cache.stats
+        plan_stats = {**asdict(stats), "hit_rate": stats.hit_rate}
+        metrics.gauge("serve.plan_cache.hit_rate").set(stats.hit_rate)
+        metrics.gauge("serve.plan_cache.hits").set(stats.hits)
+        metrics.gauge("serve.plan_cache.misses").set(stats.misses)
+    if cache is not None:
+        stats = cache.stats
+        invocation_stats = {
+            **asdict(stats),
+            "entries": len(cache),
+            # The result memo: executions that consulted it / it replayed.
+            "replayable": cache.replayable,
+            "replays": cache.replays,
+        }
+        metrics.gauge("serve.invocation_cache.hit_rate").set(stats.hit_rate)
+        metrics.gauge("serve.invocation_cache.hits").set(stats.hits)
+        metrics.gauge("serve.invocation_cache.misses").set(stats.misses)
+        metrics.gauge("serve.invocation_cache.replays").set(cache.replays)
+        metrics.gauge("serve.invocation_cache.replayable").set(cache.replayable)
+        metrics.gauge("serve.invocation_cache.replay_rate").set(
+            cache.replays / cache.replayable if cache.replayable else 0.0
+        )
     metrics.gauge("serve.admission.peak").set(admission_peak)
     return ServeReport(
         outcomes=dict(sorted(outcomes.items())),
@@ -527,6 +444,7 @@ def build_report(
         plan_cache_stats=plan_stats,
         invocation_cache_stats=invocation_stats,
         world_stats=world_stats,
+        shard_stats=shard_stats,
         admission_peak=admission_peak,
         slo=slo,
     )

@@ -93,7 +93,12 @@ from repro.engine.executor import InvocationCache, InvocationCacheStats
 from repro.errors import ExecutionError, SearchComputingError
 from repro.model.tuples import CompositeTuple
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.serving import SloTracker, absorb_outcome_metrics, record_request_span
+from repro.obs.serving import (
+    SHARD_COUNTERS,
+    SloTracker,
+    absorb_outcome_metrics,
+    record_request_span,
+)
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.serve.scheduler import (
     MAX_CONCURRENCY,
@@ -102,7 +107,6 @@ from repro.serve.scheduler import (
     ServeReport,
     SessionTable,
     build_report,
-    snapshot_cache_stats,
 )
 from repro.serve.sessions import SessionManager
 from repro.serve.workload import Request, WorkloadConfig, session_key
@@ -377,7 +381,6 @@ class ServeScheduler:
         # Union, not assignment: a durability resume pre-seeds the table with
         # pre-crash completed runs so surviving follow-ups still find them.
         table.known_runs |= {r.request_id for r in workload if r.kind == "run"}
-        baselines = snapshot_cache_stats(self.sessions)
         for request in sorted(workload, key=lambda r: (r.arrival, r.request_id)):
             self._arrive(request, request.arrival)
         makespan = self._loop()
@@ -394,18 +397,15 @@ class ServeScheduler:
                 f"{len(missing)} workload requests drained without an "
                 f"outcome (first: {missing[:5]}) — stranded in the runtime"
             )
-        report = build_report(
+        return build_report(
             self.sessions,
             self.metrics,
-            baselines,
             table.outcomes,
             makespan,
+            self._shard_stats(),
             admission_peak=self.peak,
             slo=self.slo,
         )
-        report.shard_stats = self._shard_stats()
-        report.num_shards = len(self.shards)
-        return report
 
     def _loop(self) -> float:
         """Drain the merged heap; returns the makespan."""
@@ -570,7 +570,7 @@ class ServeScheduler:
         if job.stepper is not None:
             pool = self.sessions.pool_for(request)
             outcome.round_trips = pool.log.total_calls() - job.calls_before
-        absorb_outcome_metrics(self.metrics, outcome, emit_shard_metrics=True)
+        absorb_outcome_metrics(self.metrics, outcome)
         if self.slo is not None and outcome.status == "completed":
             self.slo.observe(outcome.latency)
         if self.tracer.enabled:
@@ -618,7 +618,7 @@ class ServeScheduler:
         if wake is not None:
             outcome.unparked_at, outcome.wake_reason = wake
         self.table.outcomes[request.request_id] = outcome
-        absorb_outcome_metrics(self.metrics, outcome, emit_shard_metrics=True)
+        absorb_outcome_metrics(self.metrics, outcome)
         if self.tracer.enabled:
             record_request_span(self.tracer, outcome)
 
@@ -707,9 +707,8 @@ def shard_entry(metrics: MetricsRegistry, index: int, makespan: float) -> dict[s
     """One shard's row of :attr:`ServeReport.shard_stats`, read off the
     ``serve.shard.<index>.*`` instruments of the run's registry."""
     prefix = f"serve.shard.{index}."
-    names = ("started", "completed", "failed", "rejected", "steals", "stolen_from")
     entry: dict[str, Any] = {"shard": index}
-    for name in names:
+    for name in SHARD_COUNTERS:
         counter = metrics.counters.get(prefix + name)
         entry[name] = int(counter.value) if counter is not None else 0
     depth = metrics.gauges.get(prefix + "max_queue_depth")

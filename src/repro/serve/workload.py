@@ -262,22 +262,7 @@ def default_templates(param_scale: int = 1) -> tuple[QueryTemplate, ...]:
             ),
         ),
     )
-    if param_scale == 1:
-        return templates
-    return tuple(
-        QueryTemplate(
-            name=template.name,
-            schema=template.schema,
-            query_text=template.query_text,
-            registry_factory=template.registry_factory,
-            parameter_space={
-                name: _scaled_options(options, param_scale)
-                for name, options in template.parameter_space.items()
-            },
-            rerank_weights=template.rerank_weights,
-        )
-        for template in templates
-    )
+    return tuple(_scale_template(template, param_scale) for template in templates)
 
 
 def _scale_template(template: QueryTemplate, param_scale: int) -> QueryTemplate:

@@ -63,7 +63,7 @@ UNREACHED = {
 
 #: Ceiling on the audit's total of unreached function lines (its measured
 #: total, the same on Python 3.10, 3.11 and 3.12).
-UNREACHED_LINES_MAX = 2779
+UNREACHED_LINES_MAX = 2767
 
 
 def test_the_allowlist_names_real_modules_with_one_line_reasons():

@@ -12,13 +12,16 @@ The contracts of :mod:`repro.serve.sharding`:
   interaction, and steal counters reconcile exactly with per-shard
   completion totals;
 * shared cache counters have a single source of truth: per-shard
-  attribution views sum to the global stats, and a report accounts only
-  its own run's traffic even when the cache outlives the run.
+  attribution views sum to the global stats, every report's shard rows
+  add up to its global figures, and a resumed run's report accounts only
+  its own traffic, not its journal replay's.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.engine.executor import InvocationCache
 from repro.errors import ExecutionError
+from repro.obs.serving import serving_metrics_summary
 from repro.serve import (
     HashRing,
     PlanCache,
@@ -39,10 +43,11 @@ from repro.serve import (
     generate_workload,
     partition_workload,
     result_digest,
+    serve,
     session_key,
 )
 from repro.serve.scheduler import MAX_CONCURRENCY
-from repro.serve.workload import zipf_index
+from repro.serve.workload import scenario_templates, zipf_index
 from tests.conftest import serve_seeded
 
 
@@ -328,42 +333,124 @@ def test_sharded_cache_attribution_sums_to_global_stats():
     assert cache.stats.hits > 0
 
 
-def test_report_counts_only_its_own_runs_traffic():
-    """Regression: a cache outliving the run must not leak lifetime totals.
+class _Crash(Exception):
+    pass
 
-    Two schedulers sharing one PlanCache/InvocationCache each serve the
-    same workload; the second report must account the second run's
-    lookups only — previously it reported cumulative lifetime counters,
-    double-counting the first run's traffic.
-    """
-    workload = make_workload(num_requests=30)
-    plan_cache = PlanCache()
-    invocation_cache = InvocationCache(max_size=None)
-    reports = []
-    for _ in range(2):
-        sessions = make_manager(shared=False)
-        sessions.plan_cache = plan_cache
-        sessions.invocation_cache = invocation_cache
-        reports.append(
-            ServeScheduler(
-                sessions,
-                ServeConfig(default_service_rate=4.0),
-            ).run(workload)
+
+def _crash_at_second_checkpoint(checkpointer):
+    if checkpointer.written >= 2:
+        raise _Crash
+
+
+def serve_resumed(tmp_path, monkeypatch, **config):
+    """The 24-request seeded stream served durably (a checkpoint every 5),
+    crashed at the 2nd checkpoint and resumed.  Returns the resumed
+    report, the resumed run's session manager, and the ids of the
+    requests it served itself."""
+    from repro.durability.checkpoint import CheckpointStore
+    from repro.serve import runtime
+
+    managers = []
+    build = runtime.build_sessions
+
+    def keep(*args, **kwargs):
+        managers.append(build(*args, **kwargs))
+        return managers[-1]
+
+    monkeypatch.setattr(runtime, "build_sessions", keep)
+    config = ServeConfig(
+        default_service_rate=4.0, checkpoint_dir=tmp_path, checkpoint_every=5,
+        **config,
+    )
+    stream = WorkloadConfig(num_requests=24, rate=2.0, seed=2009)
+    with pytest.raises(_Crash):
+        serve(config, stream, on_checkpoint=_crash_at_second_checkpoint)
+    store = CheckpointStore(tmp_path)
+    before = {int(rid) for rid in store.load(store.latest("serve"))["outcomes"]}
+    report = serve(replace(config, resume=True), stream)
+    assert report.durability["resumed"] and before
+    return report, managers[-1], set(report.outcomes) - before
+
+
+def assert_shard_rows_add_up(report):
+    """Every shard figure of ``report`` adds up to its global figure."""
+    summary = serving_metrics_summary(report)
+    completed = report.by_status().get("completed", 0)
+    assert sum(row["completed"] for row in summary["shards"]) == completed
+    assert summary["completed"] == completed
+    rows = report.shard_stats
+    assert len(rows) == report.num_shards == len(summary["shards"])
+    assert [row["completed"] for row in rows] == [
+        row["completed"] for row in summary["shards"]
+    ]
+    global_cache = report.invocation_cache_stats
+    if global_cache is not None and "invocation_cache" in rows[0]:
+        for name in ("hits", "misses"):
+            parts = [row["invocation_cache"][name] for row in rows]
+            assert sum(parts) == global_cache[name], (name, parts)
+
+
+@pytest.mark.parametrize(
+    "num_shards, hits, misses", [(1, 162, 118), (2, 129, 131)]
+)
+def test_a_resumed_runs_shard_rows_add_up_to_its_cache_figures(
+    tmp_path, monkeypatch, num_shards, hits, misses
+):
+    """Regression: the journal replay's lookups were charged to shard 0's
+    row (292 / 193 at 1 shard, rows summing to 291 / 194 at 2), while
+    the global figure subtracted them.  The global figures are pinned:
+    zeroing the replay's counters gives what the run-start baseline gave."""
+    report, _, _ = serve_resumed(tmp_path, monkeypatch, num_shards=num_shards)
+    cache = report.invocation_cache_stats
+    assert (cache["hits"], cache["misses"]) == (hits, misses)
+    assert_shard_rows_add_up(report)
+
+
+def test_a_resumed_report_counts_only_its_own_runs_traffic(tmp_path, monkeypatch):
+    """A resume is the one run that starts with warm caches: its journal
+    replay fetches through them.  The report counts the resumed run's own
+    plan lookups, cache hits, misses and evictions, never the replay's."""
+    report, sessions, served = serve_resumed(
+        tmp_path, monkeypatch, num_shards=2, cache_size=32
+    )
+    assert served and len(served) < len(report.outcomes)
+    runs = [
+        report.outcomes[rid].plan_cached for rid in served
+        if report.outcomes[rid].plan_cached is not None
+    ]
+    plan = report.plan_cache_stats
+    assert plan["hits"] + plan["misses"] == len(runs) > 0
+    assert plan["hits"] == sum(runs)
+    cache = sessions.invocation_cache
+    assert cache.stats.evictions > 0  # the bound really evicted
+    for name in ("hits", "misses", "evictions"):
+        assert report.invocation_cache_stats[name] == getattr(cache.stats, name)
+        assert getattr(cache.stats, name) == sum(
+            getattr(view, name) for view in cache.shard_stats
         )
-    first, second = reports
-    lookups = lambda stats: stats["hits"] + stats["misses"]
-    # Same workload -> same number of lookups per run, NOT cumulative.
-    assert lookups(second.invocation_cache_stats) == lookups(
-        first.invocation_cache_stats
+    assert_shard_rows_add_up(report)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(),
+        dict(num_shards=4),
+        dict(num_shards=4, cache_mode="private"),
+        dict(num_shards=2, parallel=True, cache_mode="private"),
+        dict(backend="asyncio"),
+    ],
+    ids=["plain", "4-shards", "4-private", "parallel", "asyncio"],
+)
+def test_every_reports_shard_rows_add_up(config):
+    """Regression: the asyncio loop's shard row read ``completed 0`` in
+    ``serving_metrics`` while 24 requests completed."""
+    report = serve(
+        ServeConfig(default_service_rate=4.0, **config),
+        WorkloadConfig(num_requests=24, rate=2.0, seed=2009),
     )
-    assert lookups(second.plan_cache_stats) == lookups(first.plan_cache_stats)
-    # The second run is fully warm: every plan lookup hits.
-    assert second.plan_cache_stats["misses"] == 0
-    assert second.plan_cache_stats["hit_rate"] == 1.0
-    # Lifetime totals on the cache object itself still accumulate.
-    assert plan_cache.stats.hits + plan_cache.stats.misses == 2 * lookups(
-        first.plan_cache_stats
-    )
+    assert report.by_status() == {"completed": 24}
+    assert_shard_rows_add_up(report)
 
 
 def test_private_mode_routes_sessions_to_per_shard_caches():
@@ -444,6 +531,24 @@ def test_param_scale_extends_universes_preserving_head():
     assert default_templates(param_scale=1) == default_templates()
     with pytest.raises(ExecutionError):
         default_templates(param_scale=0)
+
+
+@pytest.mark.parametrize(
+    "templates, pinned",
+    [
+        (lambda: default_templates(8), "4b5daaa994ba11a1"),
+        (lambda: scenario_templates("all", 8), "79fe24b03d181050"),
+    ],
+    ids=["default-8", "all-8"],
+)
+def test_scaled_template_streams_are_pinned(templates, pinned):
+    """The defaults and the packs scale through one ``_scale_template``;
+    the 200-request streams of both at scale 8 are pinned."""
+    stream = generate_workload(
+        templates(), WorkloadConfig(num_requests=200, rate=2.0, seed=2009)
+    )
+    text = "\n".join(map(repr, stream))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == pinned
 
 
 def test_scaled_templates_serve_and_digest_identically_across_shards():
