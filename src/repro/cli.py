@@ -92,7 +92,7 @@ from repro.obs.export import TRACE_FORMATS, write_prometheus, write_trace
 from repro.obs.metrics import snapshot_run
 from repro.obs.serving import DEFAULT_SLO_THRESHOLDS as _DEFAULT_SLO
 from repro.obs.serving import SloTracker, serving_metrics_summary
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, wall_self_times
 from repro.query.compile import compile_query
 from repro.query.feasibility import enumerate_binding_choices
 from repro.query.parser import parse_query
@@ -780,7 +780,8 @@ def _cmd_explain(args) -> int:
     # read 0.
     plans = phase2.plans_materialised
     print(
-        f"search:  {stats.expanded} expanded, {stats.pruned} pruned, "
+        f"search:  {stats.expanded} expanded, {stats.pruned} pruned "
+        f"({stats.moves_bounded} bounded before building), "
         f"{phase2.children_priced} children priced, "
         f"{phase2.children_built} built, "
         f"{plans} plan{'' if plans == 1 else 's'} materialised"
@@ -830,7 +831,10 @@ def _write_trace(args, tracer, label: str = "repro") -> None:
         write_trace(tracer.spans, sys.stdout, fmt=args.trace_format, label=label)
         return
     write_trace(tracer.spans, args.trace, fmt=args.trace_format, label=label)
-    print(f"trace: {len(tracer.spans)} spans -> {args.trace} ({args.trace_format})")
+    own = sorted(wall_self_times(tracer.spans).items(), key=lambda item: -item[1])
+    wall = ", ".join(f"{name} {seconds * 1e3:.1f}" for name, seconds in own[:3])
+    where = f"{args.trace} ({args.trace_format})"
+    print(f"trace: {len(tracer.spans)} spans -> {where}; wall self ms: {wall}")
 
 
 def _write_obs_artifacts(

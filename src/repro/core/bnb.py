@@ -12,7 +12,11 @@ discarded."
 This module hosts the problem-independent engine: a best-first exploration
 over abstract states with
 
-* ``expand(state)`` — children of a non-leaf state;
+* ``expand(state, cutoff)`` — ``(children, bounded)``: a non-leaf
+  state's children, less those the callee can tell unbuilt would reach
+  ``cutoff`` (the incumbent's cost while pruning can bite, else ``inf``),
+  and how many it left out — counted as ``pruned``, as on arrival, and
+  as ``moves_bounded``;
 * ``leaf_value(state)`` — ``(cost, payload, satisfies)`` for leaves, where
   ``satisfies`` marks leaves that meet the goal (k results); incumbent
   preference is "satisfying, then cheapest", and pruning compares lower
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf
 from operator import le
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Hashable, Iterable, TypeVar
@@ -79,6 +84,8 @@ class BnBStats:
     deduped: int = 0
     #: States dropped because a same-group state dominates them.
     dominated: int = 0
+    #: Of ``pruned``: moves ``expand`` left out on the cutoff, unbuilt.
+    moves_bounded: int = 0
     budget_exhausted: bool = False
     #: Filled in by the caller that owns the states (the engine cannot see
     #: them): phase-2 children derived from ``(parent state, move)``, those
@@ -112,7 +119,7 @@ class BranchAndBound(Generic[S, P]):
     Parameters
     ----------
     expand:
-        Children of a state; called only on non-leaves.
+        ``(children, bounded)`` of a non-leaf state under a cutoff.
     is_leaf:
         Leaf predicate.
     leaf_value:
@@ -142,7 +149,7 @@ class BranchAndBound(Generic[S, P]):
 
     def __init__(
         self,
-        expand: Callable[[S], Iterable[S]],
+        expand: Callable[[S, float], tuple[Iterable[S], int]],
         is_leaf: Callable[[S], bool],
         leaf_value: Callable[[S], tuple[float, P, bool]],
         lower_bound: Callable[[S], float],
@@ -177,7 +184,7 @@ class BranchAndBound(Generic[S, P]):
         stats = BnBStats()
         incumbents: list[tuple[int, float, bool]] = []
         best_payload: P | None = None
-        best_cost = float("inf")
+        best_cost = inf
         best_satisfies = False
         if initial is not None:
             best_cost, best_payload, best_satisfies = initial
@@ -274,6 +281,7 @@ class BranchAndBound(Generic[S, P]):
                     consider_leaf(state)
                 continue
             stats.expanded += 1
+            cutoff = best_cost if self._prune and best_satisfies else inf
             if tracer.enabled:
                 with tracer.span(
                     "bnb.expand",
@@ -283,10 +291,14 @@ class BranchAndBound(Generic[S, P]):
                         self._describe(state) if self._describe else "state"
                     ),
                 ) as span:
-                    children = list(self._expand(state))
+                    children, bounded = self._expand(state, cutoff)
+                    children = list(children)
                     span.set("children", len(children))
+                    span.set("moves_bounded", bounded)
             else:
-                children = self._expand(state)
+                children, bounded = self._expand(state, cutoff)
+            stats.pruned += bounded
+            stats.moves_bounded += bounded
             for child in children:
                 push(child)
 

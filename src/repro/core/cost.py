@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.model.scoring import fold
 from repro.plans.nodes import (
     OutputNode,
     ParallelJoinNode,
@@ -85,9 +84,13 @@ class CostMetric:
 
     Subclasses must keep :attr:`monotonic` truthful — the optimizer uses
     partial-plan costs as lower bounds only for monotonic metrics — and
-    define ``interfaces_lower_bound(interfaces)``, an optimistic cost given
-    only the selected interfaces (each is invoked at least once in any
-    completion), which bounds phase-1 states before any plan exists.
+    define ``interfaces_lower_bound(interfaces)``, which bounds phase-1
+    states: no plan whose services all use interfaces among ``interfaces``
+    costs less.  A service is called ``min(tin, 1)`` or ``tin`` times per
+    fetch, and ``tin`` falls below 1 downstream of a selective service or
+    join; only one started from the input node (``tin`` 1) is sure of a
+    call, and every plan starts one — so the bound is one call to the
+    cheapest interface.
     """
 
     name: str = "abstract"
@@ -216,7 +219,7 @@ class ExecutionTimeMetric(CostMetric):
         )
 
     def interfaces_lower_bound(self, interfaces) -> float:
-        return max((i.stats.latency for i in interfaces), default=0.0)
+        return min((i.stats.latency for i in interfaces), default=0.0)
 
 
 @dataclass
@@ -244,7 +247,7 @@ class SumCostMetric(CostMetric):
         return 0.0, running + self._charge(node, annotation)
 
     def interfaces_lower_bound(self, interfaces) -> float:
-        return fold(i.stats.invocation_fee for i in interfaces)
+        return min((i.stats.invocation_fee for i in interfaces), default=0.0)
 
 
 @dataclass
@@ -263,7 +266,7 @@ class RequestResponseMetric(CostMetric):
         return 0.0, running + _service_fee(node, annotation)
 
     def interfaces_lower_bound(self, interfaces) -> float:
-        return fold(i.stats.invocation_fee for i in interfaces)
+        return min((i.stats.invocation_fee for i in interfaces), default=0.0)
 
 
 @dataclass
@@ -286,7 +289,7 @@ class CallCountMetric(CostMetric):
         return 0.0, running
 
     def interfaces_lower_bound(self, interfaces) -> float:
-        return float(len(list(interfaces)))
+        return min((1.0 for _ in interfaces), default=0.0)
 
 
 @dataclass
@@ -312,7 +315,7 @@ class BottleneckMetric(CostMetric):
         return 0.0, running
 
     def interfaces_lower_bound(self, interfaces) -> float:
-        return max((i.stats.latency for i in interfaces), default=0.0)
+        return min((i.stats.latency for i in interfaces), default=0.0)
 
 
 @dataclass
@@ -351,7 +354,7 @@ class TimeToScreenMetric(CostMetric):
         )
 
     def interfaces_lower_bound(self, interfaces) -> float:
-        return max((i.stats.latency for i in interfaces), default=0.0)
+        return min((i.stats.latency for i in interfaces), default=0.0)
 
 
 #: The metrics exercised by the benchmark suite, keyed by name.

@@ -46,6 +46,11 @@ Hot-path memoization (see DESIGN.md, "Performance architecture"):
   dedup key are put together only if the engine keeps it past its bound,
   and a :class:`~repro.plans.plan.QueryPlan` is only materialised for a
   finished topology the engine actually pops;
+* a phase-2 **move is bounded before its child exists**: the engine
+  hands ``expand`` the incumbent's cost, and a move whose
+  :meth:`~repro.core.topology.TopologyBuilder.move_bound` (a lower bound
+  on its child's) reaches it is dropped unbuilt — the same search, fewer
+  children priced (DESIGN.md, "Bounded → priced → built");
 * the greedy warm start's expansions are the search's own: both start
   from one root object, and the search takes over the very children
   lists the dive computed instead of pricing those states again;
@@ -65,6 +70,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import partial
+from math import inf
 from typing import Hashable, Mapping, Sequence
 
 from repro.core.annotate import annotate, annotate_delta
@@ -366,11 +372,23 @@ class Optimizer:
             self._dedup_keys[key] = dedup_key
         return dedup_key
 
-    def _expand_topology(self, state: _TopoState) -> list:
+    def _expand_topology(
+        self, state: _TopoState, cutoff: float = inf
+    ) -> tuple[list, int]:
+        """``(children, bounded)``: the children of the moves whose bound
+        stays below ``cutoff``, in the heuristic's (stable) order, and how
+        many moves were dropped unbuilt."""
+        builder = state.builder
+        moves = builder.available_moves()
+        total = len(moves)
+        if cutoff < inf:
+            moves = [
+                move
+                for move in moves
+                if (bound := builder.move_bound(move)) is None or bound < cutoff
+            ]
         children = []
-        moves = self.config.phase2.order_moves(
-            state.builder, state.builder.available_moves()
-        )
+        moves = self.config.phase2.order_moves(builder, moves)
         for move in moves:
             if move.kind == "merge":
                 methods = [JoinMethodSpec()]
@@ -415,7 +433,7 @@ class Optimizer:
                             state.choice_index,
                         )
                     )
-        return children
+        return children, total - len(moves)
 
     def _suggested_methods(self, builder, move) -> list[JoinMethodSpec]:
         """Join methods suggested by the merged branches' scoring shapes."""
@@ -542,15 +560,15 @@ class Optimizer:
 
     # -- B&B callbacks --------------------------------------------------------------
 
-    def _expand(self, state) -> list:
+    def _expand(self, state, cutoff: float = inf) -> tuple[list, int]:
         shared = self._dive_expansions.pop(id(state), None)
         if shared is not None:
-            return shared[1]
+            return shared[1], 0
         if isinstance(state, _AssignState):
-            return self._expand_assign(state)
+            return self._expand_assign(state), 0
         if isinstance(state, _TopoState):
-            return self._expand_topology(state)
-        return self._expand_fetch(state)
+            return self._expand_topology(state, cutoff)
+        return self._expand_fetch(state), 0
 
     def _is_leaf(self, state) -> bool:
         if not isinstance(state, _FetchState):
@@ -579,13 +597,20 @@ class Optimizer:
     def _lower_bound(self, state) -> float:
         metric = self.config.metric
         if isinstance(state, _AssignState):
+            # Every interface a completion may call: the fixed ones, the
+            # chosen ones and each candidate of an alias not yet assigned.
             fixed = [
                 atom.interface
                 for atom in self.query.atoms
                 if atom.interface is not None
             ]
             chosen = [iface for _, iface in state.assignment]
-            return metric.interfaces_lower_bound(fixed + chosen)
+            unassigned = [
+                iface
+                for alias in self._open_aliases[state.next_index:]
+                for iface in self._candidates_for(alias)
+            ]
+            return metric.interfaces_lower_bound(fixed + chosen + unassigned)
         if isinstance(state, _TopoState):
             return state.builder.bound
         if state.parent is None:
@@ -640,7 +665,7 @@ class Optimizer:
             if isinstance(state, _FetchState) and self._is_leaf(state):
                 _, candidate, _ = self._leaf_value(state)
                 return candidate
-            children = self._expand(state)
+            children, _ = self._expand(state)
             self._dive_expansions[id(state)] = (state, children)
             # The engine's hash-consing does not apply to this local
             # dive; an own seen-set keeps it from revisiting states.
@@ -699,6 +724,7 @@ class Optimizer:
                 "leaves",
                 "deduped",
                 "dominated",
+                "moves_bounded",
                 "children_priced",
                 "children_built",
                 "plans_materialised",

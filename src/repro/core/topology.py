@@ -175,6 +175,9 @@ class _Lineage:
         self._ancestors: dict[str, frozenset[str]] = {}
         self._sorted: dict[frozenset[str], tuple[str, ...]] = {}
         self._text: dict[int, str] = {}
+        #: ``(alias, id(parent)) -> (parent, node, annotation)``; the entry
+        #: keeps the parent alive, so its id names no other node.
+        self._below: dict[tuple[str, int], tuple] = {}
 
     def interface_of(self, alias: str) -> ServiceInterface:
         atom = self.query.atom(alias)
@@ -219,6 +222,23 @@ class _Lineage:
                 ),
             )
         return service
+
+    def below(
+        self, alias: str, parent: _Placed
+    ) -> tuple[ServiceNode, NodeAnnotation]:
+        """``alias``'s service node and its ``fetches={}`` annotation below
+        the placed node ``parent``, annotated once however many builders
+        share ``parent``: what ``move_bound`` and ``apply`` price with."""
+        key = (alias, id(parent))
+        entry = self._below.get(key)
+        if entry is None:
+            node = self.service(alias).node
+            annotation = annotate_node(
+                node, (parent.annotation,), self.query, self.estimator, {}
+            )
+            ANNOTATION_COUNTERS.incremental_nodes += 1
+            entry = self._below[key] = (parent, node, annotation)
+        return entry[1], entry[2]
 
     def ancestors(self, alias: str) -> frozenset[str]:
         """Transitive pipe ancestors of ``alias``."""
@@ -511,6 +531,22 @@ class TopologyBuilder:
 
     # -- application --------------------------------------------------------------
 
+    def move_bound(self, move: Move) -> float | None:
+        """The running cost once a start, extend or fork ``move`` has
+        placed its service node, priced without building the child: a lower
+        bound on ``self.apply(move).bound``, because ``extend_partial``
+        never lowers the running cost below a node that is not the output.
+        ``None`` for a merge and without a running cost."""
+        if move.kind == "merge" or self._running is None:
+            return None
+        lineage = self._lineage
+        parent = self._nodes()[move.node or ""]
+        node, annotation = lineage.below(move.alias or "", parent)
+        step = lineage.metric.extend_partial(
+            self._running, node, annotation, (parent.finish,)
+        )
+        return None if step is None else step[1]
+
     def apply(self, move: Move) -> "TopologyBuilder":
         """Return a new builder with ``move`` applied (self is untouched).
 
@@ -572,14 +608,17 @@ class TopologyBuilder:
         lineage = self._lineage
         annotation, finish = None, 0.0
         if lineage.metric is not None:
-            annotation = annotate_node(
-                node,
-                [parent.annotation for parent in parents],
-                lineage.query,
-                lineage.estimator,
-                {},
-            )
-            ANNOTATION_COUNTERS.incremental_nodes += 1
+            if isinstance(node, ServiceNode):
+                annotation = lineage.below(node.alias, parents[0])[1]
+            else:
+                annotation = annotate_node(
+                    node,
+                    [parent.annotation for parent in parents],
+                    lineage.query,
+                    lineage.estimator,
+                    {},
+                )
+                ANNOTATION_COUNTERS.incremental_nodes += 1
             if self._running is not None:
                 step = lineage.metric.extend_partial(
                     self._running,

@@ -414,8 +414,7 @@ def _zero_replay_counters(manager: SessionManager) -> None:
     counters = [world.stats for world in manager._worlds.values()]
     if manager.plan_cache is not None:
         counters.append(manager.plan_cache.stats)
-    cache = manager.invocation_cache
-    if cache is not None:
+    for cache in manager.invocation_caches():
         counters += [cache.stats, *getattr(cache, "shard_stats", ())]
         cache.replayable = cache.replays = 0
     for stats in counters:

@@ -335,8 +335,7 @@ class AsyncPlanExecutor(PlanExecutor):
             if not pending.cancelled() and pending.exception() is None:
                 # Mirrors the sequential walk, where the second caller
                 # would hit the memo.
-                self._invocation_cache.stats.hits += 1
-                self.cache_stats.hits += 1
+                self._invocation_cache.joined(self.cache_stats)
                 return self._met(
                     node, pending.result(), started=started, coalesced=True
                 )

@@ -223,11 +223,6 @@ class InvocationCache:
 
     Beside an unfailed entry lives what selection checks kept of its list
     (:meth:`verdicts`); overwriting or evicting the entry drops them.
-    ``verdicts_reused`` counts the lists an execution found checked there.
-    Like ``replays`` it counts work skipped, not lookups: which execution
-    checks a list first depends on the interleaving, and a replay checks
-    nothing, so no per-execution figure could both count it and stay equal
-    between a replayed and a fresh execution.
     """
 
     max_size: int | None = 1024
@@ -238,7 +233,6 @@ class InvocationCache:
     )
     replayable: int = field(default=0, init=False)
     replays: int = field(default=0, init=False)
-    verdicts_reused: int = field(default=0, init=False)
     _verdicts: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -261,6 +255,12 @@ class InvocationCache:
             if stats is not None:
                 stats.misses += 1
         return entry
+
+    def joined(self, stats: InvocationCacheStats) -> None:
+        """Count a lookup that an identical invocation in flight served:
+        a hit, as the sequential walk's second caller meets the memo."""
+        self.stats.hits += 1
+        stats.hits += 1
 
     def put(
         self,
@@ -1024,8 +1024,6 @@ class PlanExecutor:
                     keep = [t for t in tuples if check({**upstream, alias: t}, inputs)]
                     if memo is not None:
                         memo[cached[1]] = keep
-                else:
-                    self._invocation_cache.verdicts_reused += 1
                 kept = self._survivors[key] = (tuples, keep)
             tuples = kept[1]
         if type(out) is _Unbuilt:

@@ -274,6 +274,7 @@ def record_optimization(
         "enqueued",
         "deduped",
         "dominated",
+        "moves_bounded",
         "children_priced",
         "children_built",
         "plans_materialised",

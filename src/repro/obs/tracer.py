@@ -17,15 +17,23 @@ counts and attributes, and their tree order is preserved by span ids.
 The disabled path is near-zero-overhead: :data:`NULL_TRACER` returns one
 shared, attribute-dropping span handle, and hot loops guard on
 ``tracer.enabled`` so they do not even build the attribute dict.
+
+An enabled tracer also stamps ``perf_counter()`` as a span opens and
+closes (:func:`wall_self_times`); the stamps are not part of a record's
+equality, and the deterministic exports do not write them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Protocol
+from time import perf_counter
+from typing import Any, Mapping, Protocol, Sequence
 
-__all__ = ["SpanRecord", "Tracer", "NullTracer", "NULL_TRACER", "coerce_tracer"]
+__all__ = [
+    "SpanRecord", "Tracer", "NullTracer", "NULL_TRACER", "coerce_tracer", "wall_self_times"
+]
 
 
 class _ClockLike(Protocol):  # pragma: no cover - typing only
@@ -48,6 +56,10 @@ class SpanRecord:
     start: float
     end: float
     attrs: Mapping[str, Any]
+    #: ``perf_counter()`` seconds at open and close (both 0.0 for a span
+    #: recorded after the fact, which has no wall interval).
+    wall_start: float = field(default=0.0, compare=False)
+    wall_end: float = field(default=0.0, compare=False)
 
     @property
     def duration(self) -> float:
@@ -57,7 +69,7 @@ class SpanRecord:
 class _SpanHandle:
     """An open span; a context manager that finishes it on exit."""
 
-    __slots__ = ("_tracer", "span_id", "parent_id", "name", "start", "attrs")
+    __slots__ = ("_tracer", "span_id", "parent_id", "name", "start", "attrs", "wall_start")
 
     def __init__(
         self,
@@ -74,6 +86,7 @@ class _SpanHandle:
         self.name = name
         self.start = start
         self.attrs = attrs
+        self.wall_start = perf_counter()
 
     def set(self, key: str, value: Any) -> None:
         """Attach (or overwrite) one attribute."""
@@ -224,6 +237,8 @@ class Tracer:
                 start=handle.start,
                 end=self.now(),
                 attrs=dict(handle.attrs),
+                wall_start=handle.wall_start,
+                wall_end=perf_counter(),
             )
         )
 
@@ -231,3 +246,23 @@ class Tracer:
 def coerce_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
     """Map ``None`` to the shared disabled tracer."""
     return NULL_TRACER if tracer is None else tracer
+
+
+def wall_self_times(spans: Sequence[SpanRecord]) -> dict[str, float]:
+    """Per span name, the wall seconds its spans spent outside their direct
+    children: each one's wall duration minus the union of theirs."""
+    children: dict[int, list[tuple[float, float]]] = defaultdict(list)
+    for span in spans:
+        if span.parent_id is not None:
+            children[span.parent_id].append((span.wall_start, span.wall_end))
+    own: dict[str, float] = defaultdict(float)
+    for span in spans:
+        lo, hi = span.wall_start, span.wall_end
+        covered, edge = 0.0, lo
+        for start, end in sorted(children.get(span.span_id, ())):
+            start, end = max(start, edge), min(end, hi)
+            if end > start:
+                covered += end - start
+                edge = end
+        own[span.name] += (hi - lo) - covered
+    return dict(own)

@@ -28,7 +28,7 @@ from repro.model.tuples import CompositeTuple
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import absorb_outcome_metrics
 from repro.serve.plancache import PlanCache
-from repro.serve.scheduler import ServeConfig, ServeReport, result_digest
+from repro.serve.scheduler import ServeConfig, ServeReport, cache_figures, result_digest
 from repro.serve.sessions import SessionManager
 from repro.serve.sharding import (
     HashRing,
@@ -52,7 +52,8 @@ def build_sessions(
     mode (pass the scheduler's, so both agree on placement); ``tracer`` is
     the engine-level tracer handed to every session's executor.
     """
-    plan_cache = invocation_cache = selector = None
+    plan_cache = invocation_cache = home_of = None
+    shard_caches: list[InvocationCache] = []
     if config.cache_mode != "isolated":
         plan_cache = PlanCache(max_size=config.plan_cache_size)
     if config.cache_mode == "shared":
@@ -60,18 +61,18 @@ def build_sessions(
             config.num_shards, max_size=config.cache_size
         )
     elif config.cache_mode == "private":  # one cache per shard, by home
-        ring = ring if ring is not None else HashRing(config.num_shards)
-        per_shard = [
+        home_of = (ring if ring is not None else HashRing(config.num_shards)).shard_of
+        shard_caches = [
             InvocationCache(max_size=config.cache_size)
             for _ in range(config.num_shards)
         ]
-        selector = lambda request: per_shard[ring.shard_of(request)]
     return SessionManager(
         templates={template.name: template for template in config.templates},
         data_seed=config.data_seed,
         plan_cache=plan_cache,
         invocation_cache=invocation_cache,
-        invocation_cache_selector=selector,
+        shard_caches=shard_caches,
+        home_of=home_of,
         tracer=tracer,
     )
 
@@ -218,16 +219,24 @@ def _serve_parallel(config: ServeConfig, workload: Sequence[Request]) -> ServeRe
             outcome.shard = index
             absorb_outcome_metrics(metrics, outcome)
             outcomes[request_id] = outcome
+    # Each worker counted its own caches: the run's figures are their sums.
+    plan_stats, invocation_stats = cache_figures(
+        metrics,
+        (report.plan_cache_stats for report in reports),
+        (report.invocation_cache_stats for report in reports),
+    )
     return ServeReport(
         outcomes=dict(sorted(outcomes.items())),
         makespan=max(report.makespan for report in reports),
         total_round_trips=sum(report.total_round_trips for report in reports),
         metrics=metrics,
-        plan_cache_stats=None,
-        invocation_cache_stats=None,
+        plan_cache_stats=plan_stats,
+        invocation_cache_stats=invocation_stats,
         world_stats=WorldStats.total(report.world_stats for report in reports),
         shard_stats=[
             {
+                # A worker's one row carries its cache figures.
+                **report.shard_stats[0],
                 **shard_entry(metrics, index, report.makespan),
                 "round_trips": report.total_round_trips,
             }

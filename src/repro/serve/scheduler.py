@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass
 from os import PathLike
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.engine.executor import InvocationCacheStats
 from repro.engine.liquid import BACKENDS
 from repro.errors import ExecutionError
 from repro.model.tuples import CompositeTuple
@@ -406,35 +407,31 @@ def build_report(
     (:func:`~repro.serve.runtime.build_sessions`), and a resume zeroes
     what its journal replay warmed, so they count this run's traffic
     alone.  ``shard_stats`` is one :func:`~repro.serve.sharding.shard_entry`
-    row per shard."""
-    plan_cache, cache = sessions.plan_cache, sessions.invocation_cache
+    row per shard; each gains its invocation-cache figures."""
     world_stats = sessions.world_stats()
     for name, value in world_stats.items():
         metrics.gauge(f"serve.world.{name}").set(value)
-    plan_stats = invocation_stats = None
-    if plan_cache is not None:
-        stats = plan_cache.stats
-        plan_stats = {**asdict(stats), "hit_rate": stats.hit_rate}
-        metrics.gauge("serve.plan_cache.hit_rate").set(stats.hit_rate)
-        metrics.gauge("serve.plan_cache.hits").set(stats.hits)
-        metrics.gauge("serve.plan_cache.misses").set(stats.misses)
-    if cache is not None:
-        stats = cache.stats
-        invocation_stats = {
-            **asdict(stats),
-            "entries": len(cache),
-            # The result memo: executions that consulted it / it replayed.
-            "replayable": cache.replayable,
-            "replays": cache.replays,
+    plan_cache = sessions.plan_cache
+    plan_stats, invocation_stats = cache_figures(
+        metrics,
+        [asdict(plan_cache.stats)] if plan_cache is not None else [],
+        [
+            {
+                **asdict(cache.stats),
+                "entries": len(cache),
+                # The result memo: executions that consulted it / it replayed.
+                "replayable": cache.replayable,
+                "replays": cache.replays,
+            }
+            for cache in sessions.invocation_caches()
+        ],
+    )
+    for row, view in zip(shard_stats, sessions.shard_cache_stats()):
+        row["invocation_cache"] = {
+            "hits": view.hits,
+            "misses": view.misses,
+            "hit_rate": view.hit_rate,
         }
-        metrics.gauge("serve.invocation_cache.hit_rate").set(stats.hit_rate)
-        metrics.gauge("serve.invocation_cache.hits").set(stats.hits)
-        metrics.gauge("serve.invocation_cache.misses").set(stats.misses)
-        metrics.gauge("serve.invocation_cache.replays").set(cache.replays)
-        metrics.gauge("serve.invocation_cache.replayable").set(cache.replayable)
-        metrics.gauge("serve.invocation_cache.replay_rate").set(
-            cache.replays / cache.replayable if cache.replayable else 0.0
-        )
     metrics.gauge("serve.admission.peak").set(admission_peak)
     return ServeReport(
         outcomes=dict(sorted(outcomes.items())),
@@ -448,3 +445,33 @@ def build_report(
         admission_peak=admission_peak,
         slo=slo,
     )
+
+
+def cache_figures(
+    metrics: MetricsRegistry,
+    plan: Iterable[Mapping[str, float] | None],
+    invocation: Iterable[Mapping[str, float] | None],
+) -> tuple[dict[str, float] | None, dict[str, float] | None]:
+    """A report's ``plan_cache`` and ``invocation_cache`` members, and
+    their gauges: the counts of the run's caches (or of its workers'
+    reports) added up name by name — ``None`` without any."""
+    figures: list[dict[str, float] | None] = []
+    for cache, parts in (("plan_cache", plan), ("invocation_cache", invocation)):
+        present = [part for part in parts if part is not None]
+        if not present:
+            figures.append(None)
+            continue
+        total = {name: sum(part[name] for part in present) for name in present[0]}
+        total.pop("hit_rate", None)  # derived again below
+        stats = InvocationCacheStats(total["hits"], total["misses"])
+        gauges = {"hit_rate": stats.hit_rate, "hits": stats.hits, "misses": stats.misses}
+        if cache == "plan_cache":
+            total["hit_rate"] = stats.hit_rate
+        else:
+            replays, replayable = total["replays"], total["replayable"]
+            rate = replays / replayable if replayable else 0.0
+            gauges.update(replays=replays, replayable=replayable, replay_rate=rate)
+        for name, value in gauges.items():
+            metrics.gauge(f"serve.{cache}.{name}").set(value)
+        figures.append(total)
+    return figures[0], figures[1]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.optimizer import Optimizer, OptimizerConfig
-from repro.engine.executor import InvocationCache
+from repro.engine.executor import InvocationCache, InvocationCacheStats
 from repro.engine.liquid import INTERACTIONS, LiquidQuerySession
 from repro.engine.retry import Degradation, RetryPolicy
 from repro.errors import CheckpointIntegrityError, ExecutionError, OptimizationError
@@ -78,12 +78,11 @@ class SessionManager:
     invocation_cache:
         Shared cross-query invocation memo; ``None`` gives every
         execution its private memo (isolated mode).
-    invocation_cache_selector:
-        Optional per-request override: a callable mapping a request to
-        the invocation cache its session should use (or ``None`` for a
-        private memo).  A sharded runtime in *private-cache* mode routes
-        each session to its home shard's cache this way; when set it
-        takes precedence over ``invocation_cache``.
+    shard_caches / home_of:
+        *Private-cache* mode: one invocation cache per shard, and the
+        index of a request's home shard.  Each session executes against
+        its home shard's cache; when set they take precedence over
+        ``invocation_cache``.
     retry / degradation / fault_model:
         Fault-tolerance posture applied uniformly to every session.
     tracer:
@@ -96,9 +95,8 @@ class SessionManager:
     data_seed: int = 2009
     plan_cache: PlanCache | None = None
     invocation_cache: InvocationCache | None = None
-    invocation_cache_selector: (
-        "Callable[[Request], InvocationCache | None] | None"
-    ) = None
+    shard_caches: Sequence[InvocationCache] = ()
+    home_of: "Callable[[Request], int] | None" = None
     retry: RetryPolicy | None = None
     degradation: Degradation | str = Degradation.FAIL
     fault_model: FaultModel = field(default_factory=FaultModel)
@@ -189,9 +187,19 @@ class SessionManager:
 
     def cache_for(self, request: Request) -> InvocationCache | None:
         """The invocation cache ``request``'s session executes against."""
-        if self.invocation_cache_selector is not None:
-            return self.invocation_cache_selector(request)
+        if self.shard_caches:
+            return self.shard_caches[self.home_of(request)]
         return self.invocation_cache
+
+    def invocation_caches(self) -> list[InvocationCache]:
+        """Every invocation cache the sessions execute against."""
+        shared = [self.invocation_cache] if self.invocation_cache is not None else []
+        return list(self.shard_caches) or shared
+
+    def shard_cache_stats(self) -> list[InvocationCacheStats]:
+        """Per shard, its own cache's counters or its view of the shared one."""
+        views = getattr(self.invocation_cache, "shard_stats", ())
+        return [cache.stats for cache in self.shard_caches] or list(views)
 
     def _executor_options(self, request: Request) -> dict[str, Any]:
         options: dict[str, Any] = {

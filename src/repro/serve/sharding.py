@@ -219,6 +219,10 @@ class ShardedInvocationCache(InvocationCache):
             view.misses += 1
         return entry
 
+    def joined(self, stats: InvocationCacheStats) -> None:
+        super().joined(stats)
+        self.shard_stats[self.current_shard].hits += 1
+
     def put(
         self,
         key: tuple,
@@ -402,7 +406,7 @@ class ServeScheduler:
             self.metrics,
             table.outcomes,
             makespan,
-            self._shard_stats(),
+            [shard_entry(self.metrics, shard.index, shard.now) for shard in self.shards],
             admission_peak=self.peak,
             slo=self.slo,
         )
@@ -682,21 +686,6 @@ class ServeScheduler:
                 shard=thief.index,
                 victim=victim.index,
             )
-
-    # -- reporting -----------------------------------------------------------
-
-    def _shard_stats(self) -> list[dict[str, Any]]:
-        stats = [
-            shard_entry(self.metrics, shard.index, shard.now) for shard in self.shards
-        ]
-        if self._cache is not None:
-            for entry, view in zip(stats, self._cache.shard_stats):
-                entry["invocation_cache"] = {
-                    "hits": view.hits,
-                    "misses": view.misses,
-                    "hit_rate": view.hit_rate,
-                }
-        return stats
 
 
 #: The name ``benchmarks/e2e`` resolves the scheduler's ``run`` under too.

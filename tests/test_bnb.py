@@ -16,9 +16,9 @@ def subset_sum_engine(weights, target, prune=True):
     when chosen_sum >= target.  Lower bound = chosen_sum (monotone).
     """
 
-    def expand(state):
+    def expand(state, cutoff):
         index, total = state
-        return [(index + 1, total), (index + 1, total + weights[index])]
+        return [(index + 1, total), (index + 1, total + weights[index])], 0
 
     def is_leaf(state):
         index, total = state
@@ -105,15 +105,23 @@ class TestSearch:
 # -- the bound is judged before the signature is asked for --------------------
 
 
-def tree_engine(tree, bound, signature, leaves, calls=None, dominance=None):
+def tree_engine(
+    tree, bound, signature, leaves, calls=None, dominance=None, early=False
+):
     """An engine over an explicit tree of int states: ``tree[s]`` lists the
-    children of ``s``, ``leaves[s]`` is ``(cost, satisfies)``.  Returns the
-    engine plus the lists it appends expanded and evaluated states to."""
+    children of ``s``, ``leaves[s]`` is ``(cost, satisfies)``.  With
+    ``early`` its ``expand`` leaves out the children whose bound reaches
+    the cutoff.  Returns the engine plus the lists it appends expanded and
+    evaluated states to."""
     expanded, evaluated = [], []
 
-    def expand(state):
+    def expand(state, cutoff):
         expanded.append(state)
-        return tree.get(state, [])
+        children = tree.get(state, [])
+        if not early:
+            return children, 0
+        kept = [child for child in children if bound[child] < cutoff]
+        return kept, len(children) - len(kept)
 
     def leaf_value(state):
         evaluated.append(state)
@@ -270,3 +278,34 @@ def test_bound_first_explores_like_dedup_first(case):
         stats.pruned + stats.deduped,
         stats.enqueued,
     ) == dedup_first(tree, bound, signature, leaves, initial, dominance, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=search_trees())
+def test_bounding_in_expand_explores_like_pruning_on_arrival(case):
+    """Children that ``expand`` leaves out on the cutoff are the ones
+    ``push`` would have pruned: every counter and the exploration order are
+    the same, and those children are counted as pruned."""
+    tree, bound, signature, leaves, initial, dominance, budget = case
+    runs = []
+    for early in (False, True):
+        engine, expanded, evaluated = tree_engine(
+            tree, bound, signature, leaves, dominance=dominance, early=early
+        )
+        outcome = engine.run(0, budget=budget, initial=initial)
+        stats = outcome.stats
+        runs.append(
+            (
+                expanded,
+                evaluated,
+                outcome.payload,
+                outcome.cost,
+                stats.pruned,
+                stats.deduped,
+                stats.dominated,
+                stats.enqueued,
+            )
+        )
+        assert stats.moves_bounded <= stats.pruned
+        assert early or stats.moves_bounded == 0
+    assert runs[0] == runs[1]

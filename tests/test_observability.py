@@ -38,6 +38,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.explain import q_error
+from repro.obs.tracer import wall_self_times
 from repro.services.marts import RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import FaultModel, ServicePool
 from tests.conftest import MAX_NOOP_SHARE, noop_share
@@ -152,6 +153,39 @@ class TestTracer:
         assert NULL_TRACER.spans == ()
         tracer = Tracer()
         assert coerce_tracer(tracer) is tracer
+
+    def test_spans_carry_wall_stamps_that_equality_and_exports_ignore(self):
+        tracer = Tracer()
+        before = time.perf_counter()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                time.sleep(0.002)
+        after = time.perf_counter()
+        inner, outer = tracer.spans
+        assert before <= outer.wall_start <= inner.wall_start
+        assert inner.wall_start + 0.002 <= inner.wall_end <= outer.wall_end <= after
+        stampless = SpanRecord(
+            outer.span_id, None, "outer", outer.start, outer.end, outer.attrs
+        )
+        assert stampless == outer and stampless.wall_end == 0.0
+        assert "wall" not in spans_to_jsonl(tracer.spans)
+        assert "wall" not in json.dumps(spans_to_chrome_trace(tracer.spans))
+        record = tracer.record_span("after-the-fact", start=0.0, end=1.0)
+        assert record.wall_start == record.wall_end == 0.0
+
+    def test_wall_self_time_is_duration_less_the_childrens_cover(self):
+        def span(span_id, parent, name, lo, hi):
+            return SpanRecord(span_id, parent, name, 0.0, 0.0, {}, lo, hi)
+
+        spans = [
+            span(1, None, "root", 10.0, 20.0),
+            span(2, 1, "a", 11.0, 14.0),
+            span(3, 1, "b", 13.0, 16.0),  # overlaps its sibling: counted once
+            span(4, 2, "leaf", 12.0, 13.0),  # a grandchild: its parent's cover only
+            span(5, 1, "leaf", 19.0, 25.0),  # clipped to its parent's interval
+        ]
+        own = wall_self_times(spans)
+        assert own == pytest.approx({"root": 4.0, "a": 2.0, "b": 3.0, "leaf": 7.0})
 
 
 # -- metrics registry ----------------------------------------------------------
@@ -563,7 +597,10 @@ class TestObservabilityCLI:
         path = tmp_path / "trace.jsonl"
         code, out = self.run_cli(capsys, "run", "--trace", str(path))
         assert code == 0
-        assert "trace:" in out
+        (line,) = [row for row in out.splitlines() if row.startswith("trace:")]
+        # The three span names with the most wall self time, in ms.
+        shown = line.split("; wall self ms: ")[1].split(", ")
+        assert len(shown) == 3 and all(float(part.split()[1]) >= 0 for part in shown)
         lines = path.read_text().strip().splitlines()
         spans = [json.loads(line) for line in lines]
         assert {"compile.query", "plan.execute"} <= {s["name"] for s in spans}
@@ -690,6 +727,25 @@ class TestObservabilityCLI:
         )
         assert 0 < built <= priced and plans >= 1
         assert outcome.stats.children_priced <= priced
+
+    def test_explain_search_line_shows_the_moves_bounded(self, capsys):
+        """Of the search's prunes, the moves it bounded before building
+        their child."""
+        import re
+
+        from repro.cli import _optimize, build_parser
+
+        code, out = self.run_cli(capsys, "explain")
+        assert code == 0
+        (line,) = [row for row in out.splitlines() if row.startswith("search:")]
+        match = re.search(r"(\d+) pruned \((\d+) bounded before building\)", line)
+        assert match, line
+        stats = _optimize(build_parser().parse_args(["explain"]))[-1].stats
+        assert tuple(map(int, match.groups())) == (
+            stats.pruned,
+            stats.moves_bounded,
+        )
+        assert 0 < stats.moves_bounded <= stats.pruned
 
     def test_explain_with_faults_shows_delivered(self, capsys):
         code, out = self.run_cli(

@@ -384,7 +384,7 @@ def assert_shard_rows_add_up(report):
         row["completed"] for row in summary["shards"]
     ]
     global_cache = report.invocation_cache_stats
-    if global_cache is not None and "invocation_cache" in rows[0]:
+    if global_cache is not None:
         for name in ("hits", "misses"):
             parts = [row["invocation_cache"][name] for row in rows]
             assert sum(parts) == global_cache[name], (name, parts)
@@ -450,7 +450,44 @@ def test_every_reports_shard_rows_add_up(config):
         WorkloadConfig(num_requests=24, rate=2.0, seed=2009),
     )
     assert report.by_status() == {"completed": 24}
+    assert report.plan_cache_stats is not None
+    assert report.invocation_cache_stats is not None
     assert_shard_rows_add_up(report)
+
+
+def test_a_parallel_reports_cache_figures_are_the_in_process_private_runs():
+    """Regression: a worker-per-shard report carried no cache figures,
+    though every worker counts its own caches.  Without stealing, which
+    only the in-process run does, each worker's invocation cache sees what
+    its shard's private cache sees in-process.  The plan cache is one per
+    worker there and one per server in-process, so only its lookups
+    agree."""
+    stream = WorkloadConfig(num_requests=40, rate=2.0, seed=7)
+    parallel, in_process = (
+        serve(
+            ServeConfig(
+                default_service_rate=4.0, num_shards=4, cache_mode="private",
+                steal=False, parallel=placement,
+            ),
+            stream,
+        )
+        for placement in (True, False)
+    )
+    assert parallel.invocation_cache_stats == in_process.invocation_cache_stats
+    assert [row["invocation_cache"] for row in parallel.shard_stats] == [
+        row["invocation_cache"] for row in in_process.shard_stats
+    ]
+    lookups = [
+        report.plan_cache_stats["hits"] + report.plan_cache_stats["misses"]
+        for report in (parallel, in_process)
+    ]
+    assert lookups[0] == lookups[1] > 0
+    summary = serving_metrics_summary(parallel)
+    cache = parallel.invocation_cache_stats
+    assert summary["plan_cache_hit_rate"] == parallel.plan_cache_stats["hit_rate"]
+    assert summary["invocation_cache_hit_rate"] == cache["hits"] / (
+        cache["hits"] + cache["misses"]
+    )
 
 
 def test_private_mode_routes_sessions_to_per_shard_caches():
@@ -458,7 +495,9 @@ def test_private_mode_routes_sessions_to_per_shard_caches():
         rate=2.0, num_requests=40, seed=7, num_shards=3, cache_mode="private",
     )
     digests = report.digests()
-    assert report.invocation_cache_stats is None  # no global cache
+    # No global cache: the figure is the per-shard caches' sum.
+    assert report.invocation_cache_stats is not None
+    assert_shard_rows_add_up(report)
     assert report.plan_cache_stats is not None  # plan cache stays shared
     reference = serve_seeded(
         rate=2.0, num_requests=40, seed=7, num_shards=3, cache_mode="shared",

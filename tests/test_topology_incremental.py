@@ -413,8 +413,12 @@ def test_default_path_does_no_from_scratch_work_per_child(monkeypatch):
     assert calls["plans"] == optimizer.topology_counters.plans_materialised == 1
     assert stats.plans_materialised <= stats.enqueued
     assert stats.plans_materialised < stats.children_priced
-    # A child is built (leaves, signature) only if its bound keeps it.
-    assert stats.children_built < stats.children_priced
+    # A move whose bound reaches the incumbent is never applied (656 of
+    # the 657 prunes), so every child the search prices is kept past its
+    # bound and built (leaves, signature): 133 of the 789 it priced before
+    # moves were bounded, of which 148 were built.
+    assert (stats.moves_bounded, stats.pruned) == (656, 657)
+    assert (stats.children_priced, stats.children_built) == (133, 133)
     assert (
         ANNOTATION_COUNTERS.incremental_nodes
         <= 3 * optimizer.topology_counters.children_priced
@@ -427,9 +431,9 @@ def _expansion_bodies(monkeypatch):
     for name in ("_expand_assign", "_expand_topology", "_expand_fetch"):
         body = getattr(Optimizer, name)
 
-        def counting(self, state, body=body):
+        def counting(self, state, *cutoff, body=body):
             runs.setdefault(id(state), [state, 0])[1] += 1
-            return body(self, state)
+            return body(self, state, *cutoff)
 
         monkeypatch.setattr(Optimizer, name, counting)
     return runs
