@@ -419,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--parallel",
         action="store_true",
-        help="run each shard in a real worker process (combine with "
+        help="run each shard in a real worker process, each with its own "
+        "(private) caches whatever --shared-cache says (combine with "
         "--backend asyncio for wall-clock concurrency inside workers)",
     )
     serve_cmd.add_argument(
@@ -947,6 +948,8 @@ def _serve_configs(args):
         subject = replace(
             base, backend=args.backend, parallel=args.parallel,
             sample_metrics=observed,
+            # A worker process owns its caches: nothing is shared across them.
+            cache_mode="private" if args.parallel else base.cache_mode,
         )
         if observed:
             return "observed", subject, base

@@ -30,8 +30,8 @@ Hot-path memoization (see DESIGN.md, "Performance architecture"):
 * each finished plan gets a **plan key** (one per plan object) under
   which one phase-3 memo prices each sorted fetch vector once —
   annotations, estimated results and cost together — and proposals are
-  memoized per ``(plan key, fetch vector)``; a separate **dedup key**, interned by
-  ``(assignment, topology signature)``, scopes the engine's hash-consing
+  memoized per ``(plan key, fetch vector)``; a separate **dedup key**,
+  ``(assignment, topology signature)`` hashed once, scopes the engine's hash-consing
   — the two are deliberately distinct, because the signature conflates
   serial reorderings whose costs coincide but whose per-node annotations
   do not;
@@ -262,9 +262,9 @@ class _FetchState:
     #: annotations differ, so sharing cached ``by_node`` tables across it
     #: would corrupt incremental re-annotation.
     plan_key: int
-    #: Interned id of ``(assignment_key, topology_signature(plan))`` —
-    #: the engine-level dedup scope (one representative per cost class).
-    dedup_key: int
+    #: ``(assignment_key, topology_signature(plan))``, hashed once — the
+    #: engine-level dedup scope (one representative per cost class).
+    dedup_key: _Key
     #: Sorted vector of the state this one was derived from (``None``: the
     #: topology's all-ones state); its annotations are the delta's base.
     parent: tuple[tuple[str, int], ...] | None
@@ -300,12 +300,9 @@ class Optimizer:
         #: Phase-2 accounting across every lineage of this optimizer.
         self.topology_counters = TopologyCounters()
         # Memoization layers.
-        self._dedup_keys: dict[tuple, int] = {}
         #: ``(plan key, sorted fetch vector) -> (annotations, estimated
         #: results, cost)``: each vector of each topology priced once.
         self._priced: dict[tuple, tuple[PlanAnnotations, float, float]] = {}
-        #: Output node id per plan key, read when phase 3 first prices it.
-        self._outputs: dict[int, str] = {}
         self._proposal_cache: dict[tuple, list[dict[str, int]]] = {}
         # The warm start and the search start from this one object, and
         # the search takes over the children lists the dive computed:
@@ -364,14 +361,6 @@ class Optimizer:
 
     # -- phase 2 ----------------------------------------------------------------
 
-    def _intern_dedup_key(self, assignment_key: tuple, plan_sig: tuple) -> int:
-        key = (assignment_key, plan_sig)
-        dedup_key = self._dedup_keys.get(key)
-        if dedup_key is None:
-            dedup_key = len(self._dedup_keys)
-            self._dedup_keys[key] = dedup_key
-        return dedup_key
-
     def _expand_topology(
         self, state: _TopoState, cutoff: float = inf
     ) -> tuple[list, int]:
@@ -412,9 +401,7 @@ class Optimizer:
                     plan_key = len(self._finished)
                     self._finished.append(topology)
                     fetches = self._initial_fetches(topology)
-                    dedup_key = self._intern_dedup_key(
-                        state.assignment_key, topology.signature
-                    )
+                    dedup_key = _Key((state.assignment_key, topology.signature))
                     children.append(
                         _FetchState(
                             topology, state.assignment, state.choice_index,
@@ -504,10 +491,7 @@ class Optimizer:
                     estimator=self.estimator,
                 )
                 cost = self.config.metric.cost(plan, annotations)
-            output = self._outputs.get(plan_key)
-            if output is None:
-                output = self._outputs[plan_key] = plan.output_node.node_id
-            priced = (annotations, annotations.by_node[output].tout, cost)
+            priced = (annotations, annotations.estimated_results(plan), cost)
             self._priced[key] = priced
         return priced
 

@@ -172,9 +172,7 @@ class _Lineage:
         self.deps = choice.dependencies_over(self.aliases)
         self.joins = tuple((join, join.aliases) for join in query.joins)
         self._services: dict[str, _Service] = {}
-        self._ancestors: dict[str, frozenset[str]] = {}
         self._sorted: dict[frozenset[str], tuple[str, ...]] = {}
-        self._text: dict[int, str] = {}
         #: ``(alias, id(parent)) -> (parent, node, annotation)``; the entry
         #: keeps the parent alive, so its id names no other node.
         self._below: dict[tuple[str, int], tuple] = {}
@@ -242,18 +240,15 @@ class _Lineage:
 
     def ancestors(self, alias: str) -> frozenset[str]:
         """Transitive pipe ancestors of ``alias``."""
-        found = self._ancestors.get(alias)
-        if found is None:
-            seen: set[str] = set()
-            stack = list(self.deps[alias])
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(self.deps[node])
-            found = self._ancestors[alias] = frozenset(seen)
-        return found
+        seen: set[str] = set()
+        stack = list(self.deps[alias])
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(self.deps[node])
+        return frozenset(seen)
 
     def ordered(self, aliases: frozenset[str]) -> tuple[str, ...]:
         """Order-free form of an alias set, as signature entries carry it."""
@@ -263,15 +258,8 @@ class _Lineage:
         return found
 
     def texts(self, predicates: Sequence[JoinPredicate]) -> tuple[str, ...]:
-        """Order-free form of a predicate set (``str`` once per predicate;
-        keyed by identity — the query keeps its predicates alive)."""
-        out = set()
-        for predicate in predicates:
-            text = self._text.get(id(predicate))
-            if text is None:
-                text = self._text[id(predicate)] = str(predicate)
-            out.add(text)
-        return tuple(sorted(out))
+        """Order-free form of a predicate set."""
+        return tuple(sorted({str(p) for p in predicates}))
 
 
 def _with(entries: tuple, entry: tuple) -> tuple:

@@ -21,7 +21,6 @@ binary joins:
 from __future__ import annotations
 
 import copy
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -80,14 +79,6 @@ class ChunkSource:
         raise NotImplementedError
 
 
-#: Tuple sequences already proven rank-ordered, keyed by id().  Holding a
-#: strong reference to each validated sequence pins its id, so an entry
-#: can never be shadowed by a recycled id; the identity check below makes
-#: the memo exact.  Bounded LRU so long runs cannot grow it unboundedly.
-_VALIDATED_SEQUENCES: "OrderedDict[int, Sequence[ServiceTuple]]" = OrderedDict()
-_VALIDATED_CAP = 1024
-
-
 @dataclass
 class ListChunkSource(ChunkSource):
     """Chunk source over a pre-ranked in-memory tuple list."""
@@ -101,23 +92,9 @@ class ListChunkSource(ChunkSource):
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
             raise ExecutionError("chunk_size must be positive")
-        # The rank-order check is O(n); the engine re-wraps the same
-        # materialised tuple list in a fresh source per invocation (one
-        # per fetch-factor probe), so successful validations are memoized
-        # by sequence identity.  Failures are never cached: an unranked
-        # input must raise at every construction.
-        key = id(self.tuples)
-        cached = _VALIDATED_SEQUENCES.get(key)
-        if cached is not None and cached is self.tuples:
-            _VALIDATED_SEQUENCES.move_to_end(key)
-            return
         scores = [t.score for t in self.tuples]
         if any(a < b - 1e-9 for a, b in zip(scores, scores[1:])):
             raise ExecutionError("source tuples must be in ranking order")
-        if isinstance(self.tuples, (list, tuple)):
-            _VALIDATED_SEQUENCES[key] = self.tuples
-            while len(_VALIDATED_SEQUENCES) > _VALIDATED_CAP:
-                _VALIDATED_SEQUENCES.popitem(last=False)
 
     def next_chunk(self) -> list[ServiceTuple] | None:
         if self._cursor >= len(self.tuples):

@@ -83,28 +83,16 @@ class ServiceTuple:
         return tup
 
     def __getstate__(self) -> dict[str, Any]:
-        # Copies and pickles carry the fields, never the memos (``_members``,
-        # ``_hash``, ``_lines``): a string hash is wrong in another process.
+        # Copies and pickles carry the fields, never the memos (``_hash``,
+        # ``_lines``): a string hash is wrong in another process.
         return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
     def group_members(self, group: str) -> tuple[dict[str, Any], ...]:
-        """The sub-tuples of repeating group ``group`` as dictionaries.
-
-        Built on first use and kept on the tuple (predicate evaluation asks
-        for the same group once per candidate combination): treat the
-        returned dictionaries as read-only.
-        """
-        try:
-            return self.__dict__["_members"][group]
-        except KeyError:
-            value = self.values.get(group)
-            if value is None:
-                raise QueryError(
-                    f"tuple from {self.source!r} has no group {group!r}"
-                ) from None
-            members = tuple(dict(member) for member in value)
-            self.__dict__.setdefault("_members", {})[group] = members
-            return members
+        """The sub-tuples of repeating group ``group`` as dictionaries."""
+        value = self.values.get(group)
+        if value is None:
+            raise QueryError(f"tuple from {self.source!r} has no group {group!r}")
+        return tuple(dict(member) for member in value)
 
     def digest_line(self, alias: str) -> str:
         """``alias|`` then ``name=repr(value)`` per attribute, sorted by
@@ -118,7 +106,7 @@ class ServiceTuple:
         return lines[alias]
 
     def __hash__(self) -> int:
-        # Kept like ``_members``: joins hash one tuple once per row it is in.
+        # Kept like ``_lines``: joins hash one tuple once per row it is in.
         memo = self.__dict__
         if "_hash" not in memo:
             items = tuple(sorted(self.values.items()))

@@ -154,6 +154,11 @@ class ServeConfig:
             raise ExecutionError(
                 "durable serving runs in-process on the virtual backend"
             )
+        if self.parallel and self.cache_mode == "shared":
+            raise ExecutionError(
+                "worker processes own their caches: parallel serving takes "
+                "cache_mode 'private' or 'isolated', not 'shared'"
+            )
 
 
 class SessionTable:
@@ -431,6 +436,7 @@ def build_report(
             "hits": view.hits,
             "misses": view.misses,
             "hit_rate": view.hit_rate,
+            "evictions": view.evictions,
         }
     metrics.gauge("serve.admission.peak").set(admission_peak)
     return ServeReport(

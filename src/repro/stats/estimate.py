@@ -118,9 +118,6 @@ class Estimator:
     """
 
     query: CompiledQuery
-    #: Join selectivities by alias pair / predicate tuple: functions of the
-    #: query alone, asked once per annotated node by the optimizer.
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     #: ``id(node) -> (node, pushed, pipe)``: each entry holds its node, so
     #: the id cannot be reused while it is cached.
     _by_node: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -154,13 +151,9 @@ class Estimator:
 
     def join_selectivity(self, alias_a: str, alias_b: str) -> float:
         """Selectivity of all join predicates between the two aliases."""
-        key = (alias_a, alias_b)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = self.predicates_selectivity(
-                self.query.joins_between(alias_a, alias_b)
-            )
-        return value
+        return self.predicates_selectivity(
+            self.query.joins_between(alias_a, alias_b)
+        )
 
     def predicates_selectivity(
         self, predicates: Iterable[JoinPredicate]
@@ -168,11 +161,8 @@ class Estimator:
         preds = tuple(predicates)
         if not preds:
             return 1.0
-        value = self._memo.get(preds)
-        if value is None:
-            value = self._memo[preds] = join_group_selectivity(
-                preds,
-                left_mart=self.query.atom(preds[0].left.alias).mart,
-                right_mart=self.query.atom(preds[0].right.alias).mart,
-            )
-        return value
+        return join_group_selectivity(
+            preds,
+            left_mart=self.query.atom(preds[0].left.alias).mart,
+            right_mart=self.query.atom(preds[0].right.alias).mart,
+        )

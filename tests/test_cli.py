@@ -319,6 +319,19 @@ class TestServeBench:
         # Same seeded workload, so one digest whatever the mode.
         assert len(set(digests.values())) == 1, digests
 
+    def test_a_parallel_report_says_its_caches_are_private(self, capsys, tmp_path):
+        """Regression: ``--parallel`` reported ``cache_mode: shared`` though
+        each worker process owns its caches."""
+        code, out = run_cli(
+            capsys, "serve-bench", "--requests", "8", "--rates", "2.0",
+            "--shards", "2", "--parallel", "--artifacts-dir", str(tmp_path),
+            "--output", "parallel.json",
+        )
+        assert code == 0
+        assert "cache private" in out.splitlines()[0]
+        payload = json.loads((tmp_path / "parallel.json").read_text())
+        assert (payload["parallel"], payload["cache_mode"]) == (True, "private")
+
 
 class TestScenarios:
     def test_lists_all_packs(self, capsys):

@@ -38,18 +38,17 @@ def test_list_chunk_source_rejects_unranked_repeatedly():
         ServiceTuple({"k": 0}, score=0.2, source="B", position=0),
         ServiceTuple({"k": 1}, score=0.9, source="B", position=1),
     ]
-    for _ in range(2):  # never cached as valid
+    for _ in range(2):  # rejected at every construction
         with pytest.raises(ExecutionError):
             ListChunkSource(bad, 2, scoring)
 
 
-def test_list_chunk_source_validation_memo_is_identity_keyed():
+def test_list_chunk_source_rewraps_a_list_and_rejects_its_reverse():
     good, scoring = ranked_tuples(20, "G")
-    ListChunkSource(good, 5, scoring)  # validates and memoizes
-    # Re-wrapping the same list skips the scan but behaves identically.
+    ListChunkSource(good, 5, scoring)
+    # Wrapping the same list again chunks it from the start.
     again = ListChunkSource(good, 5, scoring)
     assert again.next_chunk() == good[:5]
-    # An unranked list with fresh identity is still rejected.
     other = list(reversed(good))
     with pytest.raises(ExecutionError):
         ListChunkSource(other, 5, scoring)

@@ -149,7 +149,7 @@ def test_every_price_of_a_search_is_the_from_scratch_price(searches):
 @given(data=st.data())
 def test_a_random_vector_is_priced_as_from_scratch(searches, data):
     optimizer = searches[data.draw(st.sampled_from(sorted(searches)))]
-    plan_key = data.draw(st.sampled_from(sorted(optimizer._outputs)))
+    plan_key = data.draw(st.sampled_from(sorted({key for key, _ in optimizer._priced})))
     topology = optimizer._finished[plan_key]
     root = tuple(sorted(Optimizer._initial_fetches(topology)))
     caps = {
@@ -186,7 +186,8 @@ def test_each_vector_is_priced_once_per_search(movie_query, monkeypatch):
         optimizer.optimize()
         assert priced and len(priced) == len(set(priced))
         # Every other entry is a topology's own all-ones vector.
-        assert len(optimizer._priced) - len(priced) == len(optimizer._outputs)
+        plan_keys = {plan_key for plan_key, _ in optimizer._priced}
+        assert len(optimizer._priced) - len(priced) == len(plan_keys)
 
 
 # -- searches a resume does not make -----------------------------------------------

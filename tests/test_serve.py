@@ -176,6 +176,9 @@ def test_token_bucket_grants_are_fifo():
         {"cache_size": 0},
         {"plan_cache_size": 0},
         {"plan_cache_size": -4},
+        # Regression: worker processes own their caches, yet a parallel
+        # run took (and reported) a shared one.
+        {"num_shards": 2, "parallel": True, "cache_mode": "shared"},
     ],
 )
 def test_serve_config_validation(kwargs):

@@ -385,7 +385,7 @@ def assert_shard_rows_add_up(report):
     ]
     global_cache = report.invocation_cache_stats
     if global_cache is not None:
-        for name in ("hits", "misses"):
+        for name in ("hits", "misses", "evictions"):
             parts = [row["invocation_cache"][name] for row in rows]
             assert sum(parts) == global_cache[name], (name, parts)
 
@@ -437,14 +437,17 @@ def test_a_resumed_report_counts_only_its_own_runs_traffic(tmp_path, monkeypatch
         dict(),
         dict(num_shards=4),
         dict(num_shards=4, cache_mode="private"),
+        dict(num_shards=4, cache_size=16),
         dict(num_shards=2, parallel=True, cache_mode="private"),
         dict(backend="asyncio"),
     ],
-    ids=["plain", "4-shards", "4-private", "parallel", "asyncio"],
+    ids=["plain", "4-shards", "4-private", "4-evicting", "parallel", "asyncio"],
 )
 def test_every_reports_shard_rows_add_up(config):
     """Regression: the asyncio loop's shard row read ``completed 0`` in
-    ``serving_metrics`` while 24 requests completed."""
+    ``serving_metrics`` while 24 requests completed; shard rows carried no
+    ``evictions``, though each shard's view of the shared cache counts
+    what its own stores evicted."""
     report = serve(
         ServeConfig(default_service_rate=4.0, **config),
         WorkloadConfig(num_requests=24, rate=2.0, seed=2009),
@@ -452,6 +455,8 @@ def test_every_reports_shard_rows_add_up(config):
     assert report.by_status() == {"completed": 24}
     assert report.plan_cache_stats is not None
     assert report.invocation_cache_stats is not None
+    # Only the bounded cache evicts, so the eviction sum is exercised.
+    assert (report.invocation_cache_stats["evictions"] > 0) == ("cache_size" in config)
     assert_shard_rows_add_up(report)
 
 
@@ -652,6 +657,7 @@ def test_parallel_workers_match_serial_digests():
     ).digests()
     parallel = serve_seeded(
         rate=2.0, num_requests=40, seed=7, num_shards=2, parallel=True,
+        cache_mode="private",
     )
     assert parallel.digests() == serial
     assert parallel.by_status() == {"completed": 40}
